@@ -33,10 +33,16 @@ func newWorld(t *testing.T) *testWorld {
 	}
 }
 
-// addServer boots a server. docs maps document names to contents.
+// addServer boots a server over an in-memory store. docs maps document
+// names to contents.
 func (w *testWorld) addServer(host string, port int, docs map[string]string, entryPoints []string, params Params) *Server {
 	w.t.Helper()
-	st := store.NewMem()
+	return w.addServerOn(store.NewMem(), host, port, docs, entryPoints, params)
+}
+
+// addServerOn is addServer over a store of the caller's choosing.
+func (w *testWorld) addServerOn(st store.Store, host string, port int, docs map[string]string, entryPoints []string, params Params) *Server {
+	w.t.Helper()
 	for name, body := range docs {
 		if err := st.Put(name, []byte(body)); err != nil {
 			w.t.Fatal(err)

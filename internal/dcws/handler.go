@@ -273,8 +273,12 @@ func (s *Server) serveAsHome(req *httpx.Request) *httpx.Response {
 	if name == "/" {
 		name = "/index.html"
 	}
+	// Existence is the document graph's answer: no file-system call stands
+	// between a request and a render-cache hit or a 301. A file that
+	// vanished behind the server's back surfaces as store.ErrNotFound on
+	// the cache miss that goes looking for it (loadFailure).
 	loc, dirty, gen, known := s.ldg.ServeInfo(name)
-	if !known || !s.cfg.Store.Has(name) {
+	if !known {
 		return status(404, "no such document: "+name)
 	}
 
@@ -309,7 +313,7 @@ func (s *Server) serveAsHome(req *httpx.Request) *httpx.Response {
 
 	data, err := s.loadLocal(name, dirty, gen)
 	if err != nil {
-		return status(500, err.Error())
+		return loadFailure(name, err)
 	}
 	s.ldg.RecordHit(name)
 	resp := httpx.NewResponse(200)
@@ -352,6 +356,16 @@ func (s *Server) loadLocal(name string, dirty bool, gen uint64) ([]byte, error) 
 	return data, nil
 }
 
+// loadFailure maps a failed read of a home document to its response: a
+// document the graph knows but the store no longer holds is 404, exactly
+// what an unknown name gets; anything else is a server error.
+func loadFailure(name string, err error) *httpx.Response {
+	if errors.Is(err, store.ErrNotFound) {
+		return status(404, "no such document: "+name)
+	}
+	return status(500, err.Error())
+}
+
 // serveFetch is the home side of a co-op server's internal document fetch
 // (lazy physical migration, §4.2, and validation re-requests, §4.5). The
 // migration-prepared rendering and its content hash are cached by
@@ -384,7 +398,7 @@ func (s *Server) serveFetch(req *httpx.Request, name string, gen uint64) *httpx.
 		var err error
 		data, err = s.prepareForMigration(name)
 		if err != nil {
-			return status(500, err.Error())
+			return loadFailure(name, err)
 		}
 		h = contentHash(data)
 		s.rcache.put(name, renderMigration, gen, data, h)

@@ -109,8 +109,12 @@ type Server struct {
 	mu       sync.Mutex
 	listener net.Listener
 	closed   bool
-	queue    chan queuedConn
 	wg       sync.WaitGroup
+
+	// queue is the socket queue, published once by Serve. It is read on
+	// every response (QueueDepth feeds the advertised load), so readers
+	// must not contend on mu with Serve and Close.
+	queue atomic.Pointer[chan queuedConn]
 
 	// resume carries parked keep-alive connections that received data
 	// back to the workers; done stops parking at shutdown. resume is
@@ -123,9 +127,8 @@ type Server struct {
 	parkedMu sync.Mutex
 	parked   map[net.Conn]struct{}
 
-	// Dropped counts connections refused with 503 due to a full queue.
-	droppedMu sync.Mutex
-	dropped   int64
+	// dropped counts connections refused with 503 due to a full queue.
+	dropped atomic.Int64
 }
 
 // NewServer returns a server that dispatches to handler.
@@ -149,8 +152,8 @@ func (s *Server) Serve(l net.Listener) error {
 		return errors.New("httpx: server closed")
 	}
 	s.listener = l
-	s.queue = make(chan queuedConn, s.cfg.QueueLength)
-	queue := s.queue
+	queue := make(chan queuedConn, s.cfg.QueueLength)
+	s.queue.Store(&queue)
 	s.mu.Unlock()
 
 	for i := 0; i < s.cfg.Workers; i++ {
@@ -184,9 +187,7 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 		default:
 			// Socket queue full: graceful 503 drop (§5.2).
-			s.droppedMu.Lock()
-			s.dropped++
-			s.droppedMu.Unlock()
+			s.dropped.Add(1)
 			if s.cfg.Observer != nil {
 				s.cfg.Observer.ConnDropped()
 			}
@@ -198,13 +199,14 @@ func (s *Server) Serve(l net.Listener) error {
 // queuedConn is one socket-queue slot: the accepted connection and its
 // enqueue time, so workers can report queue wait. A parked keep-alive
 // connection re-enters the workers through the same struct, carrying its
-// buffered reader and byte-count watermarks across the idle wait; br is
-// nil for freshly accepted connections.
+// buffered reader, formatted remote address and byte-count watermarks
+// across the idle wait; br is nil for freshly accepted connections.
 type queuedConn struct {
 	conn net.Conn
 	at   time.Time
 
 	br              *bufio.Reader
+	remote          string
 	prevIn, prevOut int64
 }
 
@@ -224,6 +226,15 @@ func (c *countingConn) Read(p []byte) (int, error) {
 func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
 	c.out.Add(int64(n))
+	return n, err
+}
+
+// WriteBuffers implements buffersWriter: the vector goes to the wrapped
+// connection — one writev when that is a TCP connection — and the bytes it
+// took are counted like any other write.
+func (c *countingConn) WriteBuffers(v *net.Buffers) (int64, error) {
+	n, err := writeBuffers(c.Conn, v)
+	c.out.Add(n)
 	return n, err
 }
 
@@ -267,6 +278,8 @@ func (s *Server) serveConn(qc queuedConn) {
 			conn = cc
 		}
 		qc.br = getReader(conn)
+		// Formatting the address allocates; a connection has one.
+		qc.remote = conn.RemoteAddr().String()
 	} else {
 		// Resumed from the parked set: the connection is already wrapped.
 		cc, _ = conn.(*countingConn)
@@ -285,7 +298,7 @@ func (s *Server) serveConn(qc queuedConn) {
 			return
 		}
 		start := time.Now()
-		req.RemoteAddr = conn.RemoteAddr().String()
+		req.RemoteAddr = qc.remote
 		resp := s.dispatch(req)
 		keep := s.cfg.KeepAlive && wantsKeepAlive(req)
 		if keep {
@@ -345,7 +358,7 @@ func (s *Server) serveConn(qc queuedConn) {
 				return
 			}
 		}
-		s.park(queuedConn{conn: conn, br: br, prevIn: prevIn, prevOut: prevOut})
+		s.park(queuedConn{conn: conn, br: br, remote: qc.remote, prevIn: prevIn, prevOut: prevOut})
 		return
 	}
 }
@@ -475,23 +488,17 @@ func errorResponse(status int) *Response {
 
 // Dropped reports how many connections were answered 503 because the socket
 // queue was full.
-func (s *Server) Dropped() int64 {
-	s.droppedMu.Lock()
-	defer s.droppedMu.Unlock()
-	return s.dropped
-}
+func (s *Server) Dropped() int64 { return s.dropped.Load() }
 
 // QueueDepth reports how many accepted connections currently sit in the
 // socket queue waiting for a worker — the early-warning signal the
 // queue-aware load metric folds in. Zero before Serve starts.
 func (s *Server) QueueDepth() int {
-	s.mu.Lock()
-	q := s.queue
-	s.mu.Unlock()
+	q := s.queue.Load()
 	if q == nil {
 		return 0
 	}
-	return len(q)
+	return len(*q)
 }
 
 // Close stops accepting connections and waits for in-flight requests.

@@ -6,14 +6,59 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// wireBufPool recycles the scratch buffers messages are serialized into;
-// every request and response on every connection goes through one.
-var wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
+// wireBuf is the scratch one outbound message is serialized with: the
+// head bytes, and the two-element vector {head, body} handed to the
+// connection as a single vectored write. Keeping the vector inside the
+// pooled object means building it allocates nothing per message.
+type wireBuf struct {
+	head []byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
+// wireBufPool recycles wireBufs; every request and response on every
+// connection goes through one. Bodies are never copied into them, so a
+// pooled buffer only ever holds a message head.
+var wireBufPool = sync.Pool{New: func() any { return new(wireBuf) }}
+
+// maxPooledHead is the largest head buffer returned to wireBufPool. A
+// full-table GLT header or a 256-field request may grow one well past a
+// typical head; dropping those keeps one outlier from pinning its buffer
+// in every P's pool.
+const maxPooledHead = 64 << 10
+
+// putWireBuf returns wb — with whatever growth serializing the head caused
+// — to the pool, unless that growth went past maxPooledHead.
+func putWireBuf(wb *wireBuf) {
+	if cap(wb.head) <= maxPooledHead {
+		wireBufPool.Put(wb)
+	}
+}
+
+// buffersWriter is implemented by connections that take a vectored write
+// under a name of their own: the server's byte-counting wrapper, which
+// forwards it to the connection it wraps, and memnet.Conn. A
+// *net.TCPConn needs no such method — net.Buffers.WriteTo reaches writev
+// on it directly — but a wrapper that merely embeds net.Conn hides that
+// fast path unless it forwards it.
+type buffersWriter interface {
+	WriteBuffers(v *net.Buffers) (int64, error)
+}
+
+// writeBuffers hands v to w as one vectored write if w can take one, and
+// otherwise writes its buffers in order.
+func writeBuffers(w io.Writer, v *net.Buffers) (int64, error) {
+	if bw, ok := w.(buffersWriter); ok {
+		return bw.WriteBuffers(v)
+	}
+	return v.WriteTo(w)
+}
 
 // readerPool recycles the bufio.Readers that parse inbound messages
 // (server connections and client responses).
@@ -32,12 +77,6 @@ func putReader(br *bufio.Reader) {
 	br.Reset(nil)
 	readerPool.Put(br)
 }
-
-// inlineBodyLimit is the largest body folded into the header buffer so the
-// whole message goes out in a single Write. Larger bodies are written
-// separately — two writes, but zero copying of the (potentially cached and
-// shared) document bytes.
-const inlineBodyLimit = 32 << 10
 
 // Wire-format limits. Oversized messages are rejected rather than buffered
 // without bound.
@@ -304,18 +343,17 @@ func WriteRequest(w io.Writer, req *Request) error {
 	if proto == "" {
 		proto = "HTTP/1.0"
 	}
-	bp := wireBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
+	wb := wireBufPool.Get().(*wireBuf)
+	buf := wb.head[:0]
 	buf = append(buf, req.Method...)
 	buf = append(buf, ' ')
 	buf = append(buf, req.Path...)
 	buf = append(buf, ' ')
 	buf = append(buf, proto...)
 	buf = append(buf, '\r', '\n')
-	buf = appendHeader(buf, req.Header, len(req.Body))
-	err := writeMessage(w, buf, req.Body)
-	*bp = buf[:0]
-	wireBufPool.Put(bp)
+	wb.head = appendHeader(buf, req.Header, len(req.Body))
+	err := wb.writeMessage(w, req.Body)
+	putWireBuf(wb)
 	return err
 }
 
@@ -363,18 +401,17 @@ func WriteResponse(w io.Writer, resp *Response) error {
 	if proto == "" {
 		proto = "HTTP/1.0"
 	}
-	bp := wireBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
+	wb := wireBufPool.Get().(*wireBuf)
+	buf := wb.head[:0]
 	buf = append(buf, proto...)
 	buf = append(buf, ' ')
 	buf = strconv.AppendInt(buf, int64(resp.Status), 10)
 	buf = append(buf, ' ')
 	buf = append(buf, StatusText(resp.Status)...)
 	buf = append(buf, '\r', '\n')
-	buf = appendHeader(buf, resp.Header, len(resp.Body))
-	err := writeMessage(w, buf, resp.Body)
-	*bp = buf[:0]
-	wireBufPool.Put(bp)
+	wb.head = appendHeader(buf, resp.Header, len(resp.Body))
+	err := wb.writeMessage(w, resp.Body)
+	putWireBuf(wb)
 	return err
 }
 
@@ -420,21 +457,24 @@ func appendHeader(buf []byte, h Header, bodyLen int) []byte {
 	return append(buf, '\r', '\n')
 }
 
-// writeMessage sends the serialized head and the body. Small bodies are
-// folded into the head buffer for a single syscall; large ones go out in a
-// second write directly from the caller's (possibly shared) slice.
-func writeMessage(w io.Writer, head, body []byte) error {
-	if n := len(body); n > 0 && n <= inlineBodyLimit {
-		head = append(head, body...)
-		body = nil
-	}
-	if _, err := w.Write(head); err != nil {
+// writeMessage sends the serialized head and the body. The body is never
+// copied: head and body leave as one vectored write — a single writev on
+// TCP, directly or through a wrapper that forwards it — and writers that
+// cannot take a vector get head, then body, straight from the caller's
+// (possibly cached and shared) slice. Partial writes are continued and
+// write deadlines honored by the connection underneath, exactly as for a
+// plain Write.
+func (wb *wireBuf) writeMessage(w io.Writer, body []byte) error {
+	if len(body) == 0 {
+		_, err := w.Write(wb.head)
 		return err
 	}
-	if len(body) > 0 {
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
+	wb.vec[0], wb.vec[1] = wb.head, body
+	wb.bufs = wb.vec[:]
+	_, err := writeBuffers(w, &wb.bufs)
+	// Drop whatever the write did not consume, so the pool never pins a
+	// document body.
+	wb.vec = [2][]byte{}
+	wb.bufs = nil
+	return err
 }

@@ -196,12 +196,39 @@ func (c *Conn) Read(p []byte) (int, error) { return c.readBuf.read(p) }
 // delays writes the same way, and an exhausted reset budget hard-closes
 // the connection mid-stream (both ends observe a reset).
 func (c *Conn) Write(p []byte) (int, error) {
+	c.delay()
+	return c.write(p)
+}
+
+// WriteBuffers writes the buffers of v back to back as one message — the
+// in-memory counterpart of writev: injected latency and stalls are charged
+// once for the lot, as for a single Write of their concatenation. Unlike
+// net.Buffers.WriteTo it leaves v as it found it.
+func (c *Conn) WriteBuffers(v *net.Buffers) (int64, error) {
+	c.delay()
+	var total int64
+	for _, p := range *v {
+		n, err := c.write(p)
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+// delay sleeps out the injected propagation latency and stall of one
+// message.
+func (c *Conn) delay() {
 	if c.latency > 0 {
 		time.Sleep(c.latency)
 	}
 	if c.stall > 0 {
 		time.Sleep(c.stall)
 	}
+}
+
+func (c *Conn) write(p []byte) (int, error) {
 	if c.resetBudget != nil && atomic.LoadInt64(c.resetBudget) <= 0 {
 		c.reset()
 		return 0, ErrClosed

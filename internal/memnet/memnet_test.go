@@ -300,6 +300,33 @@ func TestFabricDefaultLatency(t *testing.T) {
 	}
 }
 
+// TestWriteBuffersIsOneMessage: a vectored write delivers its buffers in
+// order, leaves the vector intact, and pays the injected latency once —
+// two separate Writes pay it twice.
+func TestWriteBuffersIsOneMessage(t *testing.T) {
+	const latency = 80 * time.Millisecond
+	a, b := pipeWithAddrs(0, addr("a"), addr("b"), latency)
+	defer a.Close()
+	defer b.Close()
+	v := net.Buffers{[]byte("head|"), []byte("body")}
+	start := time.Now()
+	n, err := a.WriteBuffers(&v)
+	elapsed := time.Since(start)
+	if err != nil || n != 9 {
+		t.Fatalf("WriteBuffers = %d, %v", n, err)
+	}
+	if elapsed < latency || elapsed >= 2*latency {
+		t.Errorf("vectored write took %v, want one %v latency charge", elapsed, latency)
+	}
+	if len(v) != 2 || string(v[0]) != "head|" || string(v[1]) != "body" {
+		t.Errorf("vector modified: %q", v)
+	}
+	got := make([]byte, 9)
+	if _, err := io.ReadFull(b, got); err != nil || string(got) != "head|body" {
+		t.Fatalf("peer read %q, %v", got, err)
+	}
+}
+
 func TestAddrStrings(t *testing.T) {
 	f := NewFabric()
 	l, _ := f.Listen("host:99")

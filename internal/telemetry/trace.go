@@ -3,7 +3,7 @@ package telemetry
 import (
 	crand "crypto/rand"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,14 +40,30 @@ var (
 // NewTraceID mints a process-unique trace identifier: a random per-process
 // prefix plus a sequence number.
 func NewTraceID() string {
-	return fmt.Sprintf("%s-%06x", tracePrefix, traceSeq.Add(1))
+	return formatID(tracePrefix, '-', traceSeq.Add(1))
 }
 
 // NewSpanID mints a span identifier unique across the cluster: the same
 // per-process random prefix keeps IDs from different servers of one trace
 // distinct when the spans are stitched together.
 func NewSpanID() string {
-	return fmt.Sprintf("%s.%06x", tracePrefix, spanSeq.Add(1))
+	return formatID(tracePrefix, '.', spanSeq.Add(1))
+}
+
+// formatID renders prefix, sep and seq exactly as fmt's "%s<sep>%06x" would
+// — lower-case hex, zero-padded to six digits, wider when seq needs it —
+// in a stack buffer: two IDs are minted per request, and the string result
+// is then the only allocation.
+func formatID(prefix string, sep byte, seq uint64) string {
+	var b [32]byte // 12-char prefix + separator + up to 16 hex digits
+	var d [16]byte
+	digits := strconv.AppendUint(d[:0], seq, 16)
+	buf := append(b[:0], prefix...)
+	buf = append(buf, sep)
+	for i := len(digits); i < 6; i++ {
+		buf = append(buf, '0')
+	}
+	return string(append(buf, digits...))
 }
 
 // Span is one hop of a request's path through the cluster: a server either

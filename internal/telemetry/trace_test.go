@@ -143,3 +143,20 @@ func TestRingConcurrentSoak(t *testing.T) {
 		t.Fatalf("retained %d spans, want full capacity 16", len(snap))
 	}
 }
+
+// TestFormatIDMatchesSprintf pins the hand-built IDs to the fmt renderings
+// they replaced — dcwsctl trace and access-log joins compare them as
+// strings — across the six-digit padding boundary and beyond it.
+func TestFormatIDMatchesSprintf(t *testing.T) {
+	for _, seq := range []uint64{0, 1, 0xfffff, 0x100000, 0x1000000, 1 << 40, 1<<64 - 1} {
+		if got, want := formatID(tracePrefix, '-', seq), fmt.Sprintf("%s-%06x", tracePrefix, seq); got != want {
+			t.Errorf("trace ID for %#x = %q, want %q", seq, got, want)
+		}
+		if got, want := formatID(tracePrefix, '.', seq), fmt.Sprintf("%s.%06x", tracePrefix, seq); got != want {
+			t.Errorf("span ID for %#x = %q, want %q", seq, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = NewSpanID() }); n > 1 {
+		t.Errorf("NewSpanID allocates %v times, want only the result string", n)
+	}
+}
