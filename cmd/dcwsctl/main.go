@@ -136,9 +136,9 @@ func main() {
 		fmt.Printf("glt          shards=%d version=%d entries=%d emits(delta/full/client)=%d/%d/%d anti_entropy=%d\n",
 			st.GLT.Shards, st.GLT.Version, st.GLT.Entries,
 			st.GLT.DeltaEmits, st.GLT.FullEmits, st.GLT.ClientEmits, st.GLT.AntiEntropyRounds)
-		fmt.Printf("             digest rounds=%d answered=%d shards_sent=%d pushbacks=%d fallbacks=%d\n",
+		fmt.Printf("             digest rounds=%d answered=%d shards_sent=%d pushbacks=%d\n",
 			st.GLT.DigestRounds, st.GLT.DigestResponses, st.GLT.DigestShardsSent,
-			st.GLT.DigestPushbacks, st.GLT.DigestFallbacks)
+			st.GLT.DigestPushbacks)
 		if len(st.GLT.Peers) > 0 {
 			fmt.Println("glt gossip:")
 			peers := make([]string, 0, len(st.GLT.Peers))

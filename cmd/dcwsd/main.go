@@ -36,7 +36,6 @@ func main() {
 		peers   = flag.String("peers", "", "comma-separated peer servers (host:port)")
 		speed   = flag.Int("speedup", 1, "clock speed-up factor (compresses the Table 1 intervals for demos)")
 		useBPS  = flag.Bool("bps-metric", false, "balance on bytes/s instead of connections/s")
-		repl    = flag.Bool("replicate", false, "enable the hot-spot replication extension")
 		pprof   = flag.String("pprof", "", "side listener for net/http/pprof, e.g. 127.0.0.1:6060 (empty: disabled)")
 		access  = flag.String("access-log", "", "access-log destination: a file path, \"-\" for stderr (empty: disabled); lines carry trace= IDs joinable against /~dcws/trace")
 		walDir  = flag.String("wal", "", "durable-tier directory for the WAL and snapshots (empty: state is lost on crash)")
@@ -78,7 +77,6 @@ func main() {
 	}
 	params := dcws.DefaultParams()
 	params.UseBPSMetric = *useBPS
-	params.Replicate = *repl
 	params.LeaseDuration = *lease
 	params.Zone = *zone
 	if *workers > 0 {

@@ -1,13 +1,15 @@
-// Command dcwsperf runs the serving-engine micro-benchmarks
-// (internal/dcws.BenchServeHome and friends) plus the inter-server RPC
-// round-trip pair outside `go test` and writes the results as JSON,
-// alongside the frozen pre-optimization baselines, so CI can archive the
-// numbers on every run:
+// Command dcwsperf runs the repository's benchmark sections outside
+// `go test` — the serving-engine micro-benchmarks
+// (internal/dcws.BenchServeHome and friends), the inter-server RPC
+// round-trip pair, the GLT gossip exchange, the WAL, and the seed-pinned
+// simulator replays — and writes each section's results to its
+// BENCH_<section>.json, alongside the frozen pre-optimization baselines, so
+// CI can archive the numbers on every run:
 //
-//	dcwsperf -out BENCH_serve.json -rpc-out BENCH_rpc.json   full-accuracy run
-//	dcwsperf -benchtime 1000x -check-rpc                     smoke run (CI),
-//	                                                         fails if pooling
-//	                                                         stops paying off
+//	dcwsperf                                    every section, full accuracy
+//	dcwsperf -only rpc -benchtime 2000x -check  one section as a CI smoke
+//	                                            run; exits nonzero if its
+//	                                            gate fails
 //
 // The RPC pair (dial-per-request vs. pooled keep-alive) runs over loopback
 // TCP — the production transport, whose dial cost is exactly what the
@@ -113,7 +115,7 @@ type ReplicateThroughput struct {
 	Drops          int64   `json:"drops"`
 }
 
-// Gates for -check-replication: the home's upload per hot document must
+// Gates for -only replicate -check: the home's upload per hot document must
 // stay within 2x of a single transfer however many replicas the chain
 // installs (the whole point of relaying instead of fanning out), no
 // replica may fall back to a lazy fetch from the home, and the simulated
@@ -125,7 +127,7 @@ const (
 	minChainScalingX = 3.0
 )
 
-// Conservative floors for -check-rpc: far below the ratios a quiet machine
+// Conservative floors for -only rpc -check: far below the ratios a quiet machine
 // measures (~5x ns, ~2.2x allocs), so the gate only fires when pooling
 // genuinely regresses, not on CI noise.
 const (
@@ -133,13 +135,13 @@ const (
 	minRPCAllocsImprovement = 1.6
 )
 
-// Gates for -check-glt: the sharded delta exchange must beat the frozen
+// Gates for -only glt -check: the sharded delta exchange must beat the frozen
 // full-table baseline by >= 2x at 64 servers, and the capped delta header
 // at 256 servers must be no larger than a 16-server full-table header —
 // the issue's bound on per-request gossip overhead at cluster scale.
 const minGLTNsImprovement = 2.0
 
-// SLOReport records the -check-slo replay: the deterministic flash-crowd
+// SLOReport records the slo section's replay: the deterministic flash-crowd
 // simulation at full chain fan-out, measured the way the SLO watcher
 // measures a live cluster — client-observed latency quantiles plus the
 // shed rate. The sim is seed-pinned, so the row reproduces bit for bit and
@@ -153,7 +155,7 @@ type SLOReport struct {
 	ShedRate    float64 `json:"shed_rate"`
 }
 
-// Gates for -check-slo, frozen from the seed-42 flash-crowd replay at k=8
+// Gates for -only slo -check, frozen from the seed-42 flash-crowd replay at k=8
 // (measured p99 = 1.12 s, shed rate = 0.047; the sim's virtual clock makes
 // both exact, not statistical, so the ~35% headroom is against future code
 // changes, not host noise). The flash crowd intentionally saturates the
@@ -165,7 +167,7 @@ const (
 	maxSLOShedRate   = 0.08
 )
 
-// Gates for -check-invalidate, from the issue's acceptance criteria: with
+// Gates for -only invalidate -check, from the issue's acceptance criteria: with
 // leases on, steady-state validation RPCs must collapse by >= 100x versus
 // the polling baseline (in practice the push cluster issues zero polls, so
 // the measured ratio is PollingRPCs over a floor of 1), and an update at
@@ -178,7 +180,7 @@ const (
 	maxInvalidateStalenessSeconds = 0.1
 )
 
-// PlacementReport records the -check-placement pair: the Figure-6-style
+// PlacementReport records the placement section's pair: the Figure-6-style
 // heterogeneous sweep (16 workstations, 4x capacity spread) run once with
 // capacity-normalized zone-aware placement and once with the legacy
 // raw-load policy on the byte-identical workload, plus the anti-entropy
@@ -213,7 +215,7 @@ type DigestReport struct {
 	FullBytes      int `json:"full_bytes"`
 }
 
-// Gates for -check-placement, frozen from the seed-42 heterogeneous sweep
+// Gates for -only placement -check, frozen from the seed-42 heterogeneous sweep
 // (measured: weighted peak 8780 CPS vs unweighted 4526 CPS, a 1.94x win;
 // the sim's virtual clock makes the pair exact, so the 1.2x floor guards
 // against genuine placement regressions, not noise). The digest gate is
@@ -227,7 +229,7 @@ const (
 	digestGateDiverged = 2
 )
 
-// Gates for -check-wal: an interval-policy append must stay off the
+// Gates for -only wal -check: an interval-policy append must stay off the
 // microsecond-tens scale (a quiet machine measures ~1.5 µs; the bound only
 // fires on a genuine regression like an fsync leaking onto the append
 // path), and serving a home document with the WAL open must not allocate
@@ -321,6 +323,7 @@ func placementSimResult(weighted bool) PlacementRow {
 		ValidateInterval:    20 * time.Second,
 		CoopMigrateInterval: 4 * time.Second,
 		MigrationThreshold:  1,
+		HotReplicateRate:    -1, // the sweep measures placement alone
 	}
 	if !weighted {
 		// Negative opts out of capacity normalization: raw loads on the
@@ -362,38 +365,38 @@ func run(name string, fn func(*testing.B)) Result {
 	}
 }
 
-// writeJSON marshals v to path, or stdout when path is "-".
+// writeJSON marshals v to path.
 func writeJSON(path string, v any) {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}
 	data = append(data, '\n')
-	if path == "-" {
-		os.Stdout.Write(data)
-		return
-	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		log.Fatalf("dcwsperf: write %s: %v", path, err)
 	}
 }
 
+// sections maps each -only name to the function that measures it, writes
+// BENCH_<name>.json, and — when check is set — exits nonzero unless the
+// section's gate holds. The order is the order a full run executes them.
+var sections = []struct {
+	name string
+	run  func(check bool)
+}{
+	{"serve", serveSection},
+	{"rpc", rpcSection},
+	{"wal", walSection},
+	{"replicate", replicateSection},
+	{"slo", sloSection},
+	{"invalidate", invalidateSection},
+	{"placement", placementSection},
+	{"glt", gltSection},
+}
+
 func main() {
-	out := flag.String("out", "BENCH_serve.json", "serving-engine output file (\"-\" for stdout, \"\" to skip)")
-	rpcOut := flag.String("rpc-out", "BENCH_rpc.json", "RPC round-trip output file (\"-\" for stdout, \"\" to skip)")
-	gltOut := flag.String("glt-out", "BENCH_glt.json", "GLT gossip-exchange output file (\"-\" for stdout, \"\" to skip)")
-	walOut := flag.String("wal-out", "BENCH_wal.json", "durable-tier output file (\"-\" for stdout, \"\" to skip)")
-	replicateOut := flag.String("replicate-out", "BENCH_replicate.json", "chain-replication output file (\"-\" for stdout, \"\" to skip)")
-	sloOut := flag.String("slo-out", "BENCH_slo.json", "SLO flash-crowd replay output file (\"-\" for stdout, \"\" to skip)")
-	invalidateOut := flag.String("invalidate-out", "BENCH_invalidate.json", "push-invalidation output file (\"-\" for stdout, \"\" to skip)")
-	placementOut := flag.String("placement-out", "BENCH_placement.json", "capacity-normalized placement output file (\"-\" for stdout, \"\" to skip)")
-	checkRPC := flag.Bool("check-rpc", false, "exit nonzero unless pooled RPCs beat dial-per-request by the gate ratios")
-	checkGLT := flag.Bool("check-glt", false, "exit nonzero unless sharded delta gossip beats the full-table baseline by the gate ratios")
-	checkWAL := flag.Bool("check-wal", false, "exit nonzero unless WAL append cost and WAL-on serve allocations stay under the gate bounds")
-	checkReplication := flag.Bool("check-replication", false, "exit nonzero unless chain dissemination keeps home egress flat and flash-crowd throughput scales with the replica count")
-	checkSLO := flag.Bool("check-slo", false, "exit nonzero unless the deterministic flash-crowd replay keeps p99 latency and shed rate inside the SLO gates")
-	checkInvalidate := flag.Bool("check-invalidate", false, "exit nonzero unless push invalidation collapses validation RPCs and keeps update staleness under the gate bound")
-	checkPlacement := flag.Bool("check-placement", false, "exit nonzero unless capacity-normalized placement beats raw-load placement on the heterogeneous sweep and digest anti-entropy ships fewer bytes than a full exchange")
+	only := flag.String("only", "", "run one section: serve, rpc, glt, wal, replicate, slo, invalidate or placement (default: all)")
+	check := flag.Bool("check", false, "exit nonzero unless every section run passes its gate")
 	benchtime := flag.String("benchtime", "", "override -test.benchtime (e.g. 1000x for a smoke run)")
 	testing.Init()
 	flag.Parse()
@@ -402,252 +405,257 @@ func main() {
 			log.Fatalf("dcwsperf: bad -benchtime: %v", err)
 		}
 	}
-
-	if *out != "" {
-		benches := []struct {
-			name string
-			fn   func(*testing.B)
-		}{
-			{"ServeHome", dcws.BenchServeHome},
-			{"ServeCoop", dcws.BenchServeCoop},
-			{"RegenCached", dcws.BenchRegenCached},
-		}
-		report := make(map[string]Comparison, len(benches))
-		for _, b := range benches {
-			cur := run(b.name, b.fn)
-			cmp := Comparison{Baseline: baselines[b.name], Current: cur}
-			if cur.AllocsPerOp > 0 {
-				cmp.AllocsImprovement = float64(cmp.Baseline.AllocsPerOp) / float64(cur.AllocsPerOp)
-			}
-			report[b.name] = cmp
-			fmt.Fprintf(os.Stderr, "%-12s %10.0f ns/op %8d B/op %4d allocs/op (baseline %d allocs/op, %.1fx)\n",
-				b.name, cur.NsPerOp, cur.BytesPerOp, cur.AllocsPerOp,
-				cmp.Baseline.AllocsPerOp, cmp.AllocsImprovement)
-		}
-		writeJSON(*out, report)
-	}
-
-	if *rpcOut != "" || *checkRPC {
-		dial := run("RPCDialPerRequestTCP", dcws.BenchRPCDialPerRequestTCP)
-		pooled := run("RPCPooledTCP", dcws.BenchRPCPooledTCP)
-		rpc := RPCReport{
-			Transport:      "loopback-tcp",
-			DialPerRequest: dial,
-			Pooled:         pooled,
-		}
-		if pooled.NsPerOp > 0 {
-			rpc.NsImprovement = dial.NsPerOp / pooled.NsPerOp
-		}
-		if pooled.AllocsPerOp > 0 {
-			rpc.AllocsImprovement = float64(dial.AllocsPerOp) / float64(pooled.AllocsPerOp)
-		}
-		fmt.Fprintf(os.Stderr, "RPC dial     %10.0f ns/op %8d B/op %4d allocs/op\n",
-			dial.NsPerOp, dial.BytesPerOp, dial.AllocsPerOp)
-		fmt.Fprintf(os.Stderr, "RPC pooled   %10.0f ns/op %8d B/op %4d allocs/op (%.1fx ns, %.1fx allocs)\n",
-			pooled.NsPerOp, pooled.BytesPerOp, pooled.AllocsPerOp,
-			rpc.NsImprovement, rpc.AllocsImprovement)
-		if *rpcOut != "" {
-			writeJSON(*rpcOut, rpc)
-		}
-		if *checkRPC {
-			if rpc.NsImprovement < minRPCNsImprovement {
-				log.Fatalf("dcwsperf: pooled RPC ns improvement %.2fx below gate %.1fx",
-					rpc.NsImprovement, minRPCNsImprovement)
-			}
-			if rpc.AllocsImprovement < minRPCAllocsImprovement {
-				log.Fatalf("dcwsperf: pooled RPC allocs improvement %.2fx below gate %.1fx",
-					rpc.AllocsImprovement, minRPCAllocsImprovement)
-			}
-			fmt.Fprintln(os.Stderr, "dcwsperf: RPC pooling gate passed")
+	ran := false
+	for _, sec := range sections {
+		if *only == "" || *only == sec.name {
+			sec.run(*check)
+			ran = true
 		}
 	}
-
-	if *walOut != "" || *checkWAL {
-		walRep := WALReport{
-			AppendInterval: run("WALAppendInterval", dcws.BenchWALAppendInterval),
-			AppendAlways:   run("WALAppendAlways", dcws.BenchWALAppendAlways),
-			ServeHomeWAL:   run("ServeHomeWAL", dcws.BenchServeHomeWAL),
-		}
-		fmt.Fprintf(os.Stderr, "WAL append   %10.0f ns/op interval, %10.0f ns/op always (%d B/op, %d allocs/op)\n",
-			walRep.AppendInterval.NsPerOp, walRep.AppendAlways.NsPerOp,
-			walRep.AppendInterval.BytesPerOp, walRep.AppendInterval.AllocsPerOp)
-		fmt.Fprintf(os.Stderr, "ServeHomeWAL %10.0f ns/op %8d B/op %4d allocs/op (plain-server baseline %d allocs/op)\n",
-			walRep.ServeHomeWAL.NsPerOp, walRep.ServeHomeWAL.BytesPerOp,
-			walRep.ServeHomeWAL.AllocsPerOp, baselines["ServeHome"].AllocsPerOp)
-		if *walOut != "" {
-			writeJSON(*walOut, walRep)
-		}
-		if *checkWAL {
-			if walRep.AppendInterval.NsPerOp > maxWALAppendIntervalNs {
-				log.Fatalf("dcwsperf: interval WAL append %.0f ns/op above gate %d ns/op",
-					walRep.AppendInterval.NsPerOp, maxWALAppendIntervalNs)
-			}
-			if walRep.ServeHomeWAL.AllocsPerOp > maxServeHomeWALAllocs {
-				log.Fatalf("dcwsperf: WAL-on home serve %d allocs/op above gate %d",
-					walRep.ServeHomeWAL.AllocsPerOp, maxServeHomeWALAllocs)
-			}
-			fmt.Fprintln(os.Stderr, "dcwsperf: WAL overhead gate passed")
-		}
+	if !ran {
+		log.Fatalf("dcwsperf: unknown section %q", *only)
 	}
+}
 
-	if *replicateOut != "" || *checkReplication {
-		replicate := ReplicateReport{Cluster: replicateCluster}
-		for _, k := range []int{2, 4, 8} {
-			eg, err := dcws.MeasureChainEgress(replicateCluster, k)
-			if err != nil {
-				log.Fatalf("dcwsperf: chain egress at k=%d: %v", k, err)
-			}
-			replicate.Egress = append(replicate.Egress, eg)
-			fmt.Fprintf(os.Stderr, "chain k=%d   home egress %7d B (doc %d B), %d replicas, %d relays, %d lazy fetches\n",
-				eg.K, eg.HomePushBytes, eg.DocBytes, eg.Replicas, eg.Relays, eg.HomeLazyFetches)
-		}
-		var peak2, peak8 float64
-		for _, k := range []int{2, 4, 8} {
-			row := runChainSim(k)
-			replicate.Throughput = append(replicate.Throughput, row)
-			switch k {
-			case 2:
-				peak2 = row.PeakCPS
-			case 8:
-				peak8 = row.PeakCPS
-			}
-			fmt.Fprintf(os.Stderr, "chain k=%d   flash crowd peak %6.0f CPS (%d pushes, %d B pushed, %d drops)\n",
-				row.K, row.PeakCPS, row.ChainPushes, row.ChainPushBytes, row.Drops)
-		}
-		if peak2 > 0 {
-			replicate.ScalingX = peak8 / peak2
-		}
-		fmt.Fprintf(os.Stderr, "chain scaling %.2fx from k=2 to k=8\n", replicate.ScalingX)
-		if *replicateOut != "" {
-			writeJSON(*replicateOut, replicate)
-		}
-		if *checkReplication {
-			for _, eg := range replicate.Egress {
-				if float64(eg.HomePushBytes) > maxChainEgressX*float64(eg.DocBytes) {
-					log.Fatalf("dcwsperf: home pushed %d B for a %d B document at k=%d, above the %.0fx gate",
-						eg.HomePushBytes, eg.DocBytes, eg.K, maxChainEgressX)
-				}
-				if eg.Replicas != eg.K {
-					log.Fatalf("dcwsperf: chain installed %d replicas at k=%d", eg.Replicas, eg.K)
-				}
-				if eg.HomeLazyFetches != 0 {
-					log.Fatalf("dcwsperf: %d replicas fell back to lazy fetches from the home at k=%d",
-						eg.HomeLazyFetches, eg.K)
-				}
-			}
-			if replicate.ScalingX < minChainScalingX {
-				log.Fatalf("dcwsperf: flash-crowd throughput scaled %.2fx from k=2 to k=8, below gate %.1fx",
-					replicate.ScalingX, minChainScalingX)
-			}
-			fmt.Fprintln(os.Stderr, "dcwsperf: chain replication gate passed")
-		}
+// serveSection has no gate; its report carries the frozen baselines for
+// comparison.
+func serveSection(bool) {
+	benches := []struct {
+		name string
+		fn   func(*testing.B)
+	}{
+		{"ServeHome", dcws.BenchServeHome},
+		{"ServeCoop", dcws.BenchServeCoop},
+		{"RegenCached", dcws.BenchRegenCached},
 	}
-
-	if *sloOut != "" || *checkSLO {
-		res := chainSimResult(sloSimFanout)
-		slo := SLOReport{
-			K:           sloSimFanout,
-			Connections: res.Connections,
-			Drops:       res.Drops,
-			P50Seconds:  res.Latency.Quantile(0.50).Seconds(),
-			P99Seconds:  res.Latency.Quantile(0.99).Seconds(),
-			ShedRate:    res.ShedRate(),
+	report := make(map[string]Comparison, len(benches))
+	for _, b := range benches {
+		cur := run(b.name, b.fn)
+		cmp := Comparison{Baseline: baselines[b.name], Current: cur}
+		if cur.AllocsPerOp > 0 {
+			cmp.AllocsImprovement = float64(cmp.Baseline.AllocsPerOp) / float64(cur.AllocsPerOp)
 		}
-		fmt.Fprintf(os.Stderr, "SLO replay   k=%d conns=%d drops=%d p50=%.4fs p99=%.4fs shed=%.4f\n",
-			slo.K, slo.Connections, slo.Drops, slo.P50Seconds, slo.P99Seconds, slo.ShedRate)
-		if *sloOut != "" {
-			writeJSON(*sloOut, slo)
-		}
-		if *checkSLO {
-			if slo.P99Seconds > maxSLOP99Seconds {
-				log.Fatalf("dcwsperf: flash-crowd p99 %.4fs above SLO gate %.2fs",
-					slo.P99Seconds, maxSLOP99Seconds)
-			}
-			if slo.ShedRate > maxSLOShedRate {
-				log.Fatalf("dcwsperf: flash-crowd shed rate %.4f above SLO gate %.3f",
-					slo.ShedRate, maxSLOShedRate)
-			}
-			fmt.Fprintln(os.Stderr, "dcwsperf: SLO gate passed")
-		}
+		report[b.name] = cmp
+		fmt.Fprintf(os.Stderr, "%-12s %10.0f ns/op %8d B/op %4d allocs/op (baseline %d allocs/op, %.1fx)\n",
+			b.name, cur.NsPerOp, cur.BytesPerOp, cur.AllocsPerOp,
+			cmp.Baseline.AllocsPerOp, cmp.AllocsImprovement)
 	}
+	writeJSON("BENCH_serve.json", report)
+}
 
-	if *invalidateOut != "" || *checkInvalidate {
-		inval, err := dcws.MeasureInvalidation(replicateCluster)
-		if err != nil {
-			log.Fatalf("dcwsperf: invalidation measurement: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "invalidate   n=%d docs=%d rounds=%d polling=%d RPCs, push=%d RPCs (%d lease skips) -> %.0fx; staleness %.4fs (%d pushes, %d received)\n",
-			inval.Nodes, inval.Docs, inval.Rounds, inval.PollingRPCs, inval.PushRPCs,
-			inval.LeaseSkips, inval.RPCReductionX, inval.StalenessSeconds,
-			inval.Pushes, inval.Received)
-		if *invalidateOut != "" {
-			writeJSON(*invalidateOut, inval)
-		}
-		if *checkInvalidate {
-			if inval.RPCReductionX < minInvalidateRPCReductionX {
-				log.Fatalf("dcwsperf: validation RPC reduction %.1fx below gate %.0fx",
-					inval.RPCReductionX, minInvalidateRPCReductionX)
-			}
-			if inval.StalenessSeconds >= maxInvalidateStalenessSeconds {
-				log.Fatalf("dcwsperf: update staleness %.4fs at or above gate %.2fs",
-					inval.StalenessSeconds, maxInvalidateStalenessSeconds)
-			}
-			if inval.Pushes == 0 || inval.Received == 0 {
-				log.Fatalf("dcwsperf: no invalidation frames observed (pushes=%d received=%d) — the co-op refreshed some other way",
-					inval.Pushes, inval.Received)
-			}
-			fmt.Fprintln(os.Stderr, "dcwsperf: push invalidation gate passed")
-		}
+func rpcSection(check bool) {
+	dial := run("RPCDialPerRequestTCP", dcws.BenchRPCDialPerRequestTCP)
+	pooled := run("RPCPooledTCP", dcws.BenchRPCPooledTCP)
+	rpc := RPCReport{
+		Transport:      "loopback-tcp",
+		DialPerRequest: dial,
+		Pooled:         pooled,
 	}
-
-	if *placementOut != "" || *checkPlacement {
-		rep := PlacementReport{Servers: placementServers, HeteroSpread: placementSpread}
-		rep.Weighted = placementSimResult(true)
-		rep.Unweighted = placementSimResult(false)
-		if rep.Unweighted.PeakCPS > 0 {
-			rep.PeakImprovement = rep.Weighted.PeakCPS / rep.Unweighted.PeakCPS
-		}
-		digestBytes, fullBytes, diverged := glt.DigestExchangeSizes(digestGateServers, digestGateDiverged)
-		rep.Digest = DigestReport{
-			Servers:        digestGateServers,
-			DivergedShards: diverged,
-			DigestBytes:    digestBytes,
-			FullBytes:      fullBytes,
-		}
-		for _, side := range []struct {
-			name string
-			row  PlacementRow
-		}{{"weighted", rep.Weighted}, {"unweighted", rep.Unweighted}} {
-			fmt.Fprintf(os.Stderr, "placement %-10s conns=%d drops=%d peak=%.0f CPS shed=%.4f migrations=%d\n",
-				side.name, side.row.Connections, side.row.Drops, side.row.PeakCPS,
-				side.row.ShedRate, side.row.Migrations)
-		}
-		fmt.Fprintf(os.Stderr, "placement peak improvement %.2fx; digest exchange %dB vs full %dB at n=%d (%d shards diverged)\n",
-			rep.PeakImprovement, digestBytes, fullBytes, digestGateServers, diverged)
-		if *placementOut != "" {
-			writeJSON(*placementOut, rep)
-		}
-		if *checkPlacement {
-			if rep.PeakImprovement < minPlacementPeakX {
-				log.Fatalf("dcwsperf: weighted placement peak improvement %.2fx below gate %.1fx",
-					rep.PeakImprovement, minPlacementPeakX)
-			}
-			if rep.Weighted.ShedRate > rep.Unweighted.ShedRate {
-				log.Fatalf("dcwsperf: weighted placement shed rate %.4f exceeds unweighted %.4f",
-					rep.Weighted.ShedRate, rep.Unweighted.ShedRate)
-			}
-			if rep.Digest.DigestBytes >= rep.Digest.FullBytes {
-				log.Fatalf("dcwsperf: digest exchange %dB not smaller than full exchange %dB at %d servers",
-					rep.Digest.DigestBytes, rep.Digest.FullBytes, digestGateServers)
-			}
-			fmt.Fprintln(os.Stderr, "dcwsperf: placement gate passed")
-		}
+	if pooled.NsPerOp > 0 {
+		rpc.NsImprovement = dial.NsPerOp / pooled.NsPerOp
 	}
-
-	if *gltOut == "" && !*checkGLT {
+	if pooled.AllocsPerOp > 0 {
+		rpc.AllocsImprovement = float64(dial.AllocsPerOp) / float64(pooled.AllocsPerOp)
+	}
+	fmt.Fprintf(os.Stderr, "RPC dial     %10.0f ns/op %8d B/op %4d allocs/op\n",
+		dial.NsPerOp, dial.BytesPerOp, dial.AllocsPerOp)
+	fmt.Fprintf(os.Stderr, "RPC pooled   %10.0f ns/op %8d B/op %4d allocs/op (%.1fx ns, %.1fx allocs)\n",
+		pooled.NsPerOp, pooled.BytesPerOp, pooled.AllocsPerOp,
+		rpc.NsImprovement, rpc.AllocsImprovement)
+	writeJSON("BENCH_rpc.json", rpc)
+	if !check {
 		return
 	}
-	const deltaCap = 12
+	if rpc.NsImprovement < minRPCNsImprovement {
+		log.Fatalf("dcwsperf: pooled RPC ns improvement %.2fx below gate %.1fx",
+			rpc.NsImprovement, minRPCNsImprovement)
+	}
+	if rpc.AllocsImprovement < minRPCAllocsImprovement {
+		log.Fatalf("dcwsperf: pooled RPC allocs improvement %.2fx below gate %.1fx",
+			rpc.AllocsImprovement, minRPCAllocsImprovement)
+	}
+	fmt.Fprintln(os.Stderr, "dcwsperf: RPC pooling gate passed")
+}
+
+func walSection(check bool) {
+	walRep := WALReport{
+		AppendInterval: run("WALAppendInterval", dcws.BenchWALAppendInterval),
+		AppendAlways:   run("WALAppendAlways", dcws.BenchWALAppendAlways),
+		ServeHomeWAL:   run("ServeHomeWAL", dcws.BenchServeHomeWAL),
+	}
+	fmt.Fprintf(os.Stderr, "WAL append   %10.0f ns/op interval, %10.0f ns/op always (%d B/op, %d allocs/op)\n",
+		walRep.AppendInterval.NsPerOp, walRep.AppendAlways.NsPerOp,
+		walRep.AppendInterval.BytesPerOp, walRep.AppendInterval.AllocsPerOp)
+	fmt.Fprintf(os.Stderr, "ServeHomeWAL %10.0f ns/op %8d B/op %4d allocs/op (plain-server baseline %d allocs/op)\n",
+		walRep.ServeHomeWAL.NsPerOp, walRep.ServeHomeWAL.BytesPerOp,
+		walRep.ServeHomeWAL.AllocsPerOp, baselines["ServeHome"].AllocsPerOp)
+	writeJSON("BENCH_wal.json", walRep)
+	if !check {
+		return
+	}
+	if walRep.AppendInterval.NsPerOp > maxWALAppendIntervalNs {
+		log.Fatalf("dcwsperf: interval WAL append %.0f ns/op above gate %d ns/op",
+			walRep.AppendInterval.NsPerOp, maxWALAppendIntervalNs)
+	}
+	if walRep.ServeHomeWAL.AllocsPerOp > maxServeHomeWALAllocs {
+		log.Fatalf("dcwsperf: WAL-on home serve %d allocs/op above gate %d",
+			walRep.ServeHomeWAL.AllocsPerOp, maxServeHomeWALAllocs)
+	}
+	fmt.Fprintln(os.Stderr, "dcwsperf: WAL overhead gate passed")
+}
+
+func replicateSection(check bool) {
+	replicate := ReplicateReport{Cluster: replicateCluster}
+	for _, k := range []int{2, 4, 8} {
+		eg, err := dcws.MeasureChainEgress(replicateCluster, k)
+		if err != nil {
+			log.Fatalf("dcwsperf: chain egress at k=%d: %v", k, err)
+		}
+		replicate.Egress = append(replicate.Egress, eg)
+		fmt.Fprintf(os.Stderr, "chain k=%d   home egress %7d B (doc %d B), %d replicas, %d relays, %d lazy fetches\n",
+			eg.K, eg.HomePushBytes, eg.DocBytes, eg.Replicas, eg.Relays, eg.HomeLazyFetches)
+	}
+	var peak2, peak8 float64
+	for _, k := range []int{2, 4, 8} {
+		row := runChainSim(k)
+		replicate.Throughput = append(replicate.Throughput, row)
+		switch k {
+		case 2:
+			peak2 = row.PeakCPS
+		case 8:
+			peak8 = row.PeakCPS
+		}
+		fmt.Fprintf(os.Stderr, "chain k=%d   flash crowd peak %6.0f CPS (%d pushes, %d B pushed, %d drops)\n",
+			row.K, row.PeakCPS, row.ChainPushes, row.ChainPushBytes, row.Drops)
+	}
+	if peak2 > 0 {
+		replicate.ScalingX = peak8 / peak2
+	}
+	fmt.Fprintf(os.Stderr, "chain scaling %.2fx from k=2 to k=8\n", replicate.ScalingX)
+	writeJSON("BENCH_replicate.json", replicate)
+	if !check {
+		return
+	}
+	for _, eg := range replicate.Egress {
+		if float64(eg.HomePushBytes) > maxChainEgressX*float64(eg.DocBytes) {
+			log.Fatalf("dcwsperf: home pushed %d B for a %d B document at k=%d, above the %.0fx gate",
+				eg.HomePushBytes, eg.DocBytes, eg.K, maxChainEgressX)
+		}
+		if eg.Replicas != eg.K {
+			log.Fatalf("dcwsperf: chain installed %d replicas at k=%d", eg.Replicas, eg.K)
+		}
+		if eg.HomeLazyFetches != 0 {
+			log.Fatalf("dcwsperf: %d replicas fell back to lazy fetches from the home at k=%d",
+				eg.HomeLazyFetches, eg.K)
+		}
+	}
+	if replicate.ScalingX < minChainScalingX {
+		log.Fatalf("dcwsperf: flash-crowd throughput scaled %.2fx from k=2 to k=8, below gate %.1fx",
+			replicate.ScalingX, minChainScalingX)
+	}
+	fmt.Fprintln(os.Stderr, "dcwsperf: chain replication gate passed")
+}
+
+func sloSection(check bool) {
+	res := chainSimResult(sloSimFanout)
+	slo := SLOReport{
+		K:           sloSimFanout,
+		Connections: res.Connections,
+		Drops:       res.Drops,
+		P50Seconds:  res.Latency.Quantile(0.50).Seconds(),
+		P99Seconds:  res.Latency.Quantile(0.99).Seconds(),
+		ShedRate:    res.ShedRate(),
+	}
+	fmt.Fprintf(os.Stderr, "SLO replay   k=%d conns=%d drops=%d p50=%.4fs p99=%.4fs shed=%.4f\n",
+		slo.K, slo.Connections, slo.Drops, slo.P50Seconds, slo.P99Seconds, slo.ShedRate)
+	writeJSON("BENCH_slo.json", slo)
+	if !check {
+		return
+	}
+	if slo.P99Seconds > maxSLOP99Seconds {
+		log.Fatalf("dcwsperf: flash-crowd p99 %.4fs above SLO gate %.2fs",
+			slo.P99Seconds, maxSLOP99Seconds)
+	}
+	if slo.ShedRate > maxSLOShedRate {
+		log.Fatalf("dcwsperf: flash-crowd shed rate %.4f above SLO gate %.3f",
+			slo.ShedRate, maxSLOShedRate)
+	}
+	fmt.Fprintln(os.Stderr, "dcwsperf: SLO gate passed")
+}
+
+func invalidateSection(check bool) {
+	inval, err := dcws.MeasureInvalidation(replicateCluster)
+	if err != nil {
+		log.Fatalf("dcwsperf: invalidation measurement: %v", err)
+	}
+	fmt.Fprintf(os.Stderr, "invalidate   n=%d docs=%d rounds=%d polling=%d RPCs, push=%d RPCs (%d lease skips) -> %.0fx; staleness %.4fs (%d pushes, %d received)\n",
+		inval.Nodes, inval.Docs, inval.Rounds, inval.PollingRPCs, inval.PushRPCs,
+		inval.LeaseSkips, inval.RPCReductionX, inval.StalenessSeconds,
+		inval.Pushes, inval.Received)
+	writeJSON("BENCH_invalidate.json", inval)
+	if !check {
+		return
+	}
+	if inval.RPCReductionX < minInvalidateRPCReductionX {
+		log.Fatalf("dcwsperf: validation RPC reduction %.1fx below gate %.0fx",
+			inval.RPCReductionX, minInvalidateRPCReductionX)
+	}
+	if inval.StalenessSeconds >= maxInvalidateStalenessSeconds {
+		log.Fatalf("dcwsperf: update staleness %.4fs at or above gate %.2fs",
+			inval.StalenessSeconds, maxInvalidateStalenessSeconds)
+	}
+	if inval.Pushes == 0 || inval.Received == 0 {
+		log.Fatalf("dcwsperf: no invalidation frames observed (pushes=%d received=%d) — the co-op refreshed some other way",
+			inval.Pushes, inval.Received)
+	}
+	fmt.Fprintln(os.Stderr, "dcwsperf: push invalidation gate passed")
+}
+
+func placementSection(check bool) {
+	rep := PlacementReport{Servers: placementServers, HeteroSpread: placementSpread}
+	rep.Weighted = placementSimResult(true)
+	rep.Unweighted = placementSimResult(false)
+	if rep.Unweighted.PeakCPS > 0 {
+		rep.PeakImprovement = rep.Weighted.PeakCPS / rep.Unweighted.PeakCPS
+	}
+	digestBytes, fullBytes, diverged := glt.DigestExchangeSizes(digestGateServers, digestGateDiverged)
+	rep.Digest = DigestReport{
+		Servers:        digestGateServers,
+		DivergedShards: diverged,
+		DigestBytes:    digestBytes,
+		FullBytes:      fullBytes,
+	}
+	for _, side := range []struct {
+		name string
+		row  PlacementRow
+	}{{"weighted", rep.Weighted}, {"unweighted", rep.Unweighted}} {
+		fmt.Fprintf(os.Stderr, "placement %-10s conns=%d drops=%d peak=%.0f CPS shed=%.4f migrations=%d\n",
+			side.name, side.row.Connections, side.row.Drops, side.row.PeakCPS,
+			side.row.ShedRate, side.row.Migrations)
+	}
+	fmt.Fprintf(os.Stderr, "placement peak improvement %.2fx; digest exchange %dB vs full %dB at n=%d (%d shards diverged)\n",
+		rep.PeakImprovement, digestBytes, fullBytes, digestGateServers, diverged)
+	writeJSON("BENCH_placement.json", rep)
+	if !check {
+		return
+	}
+	if rep.PeakImprovement < minPlacementPeakX {
+		log.Fatalf("dcwsperf: weighted placement peak improvement %.2fx below gate %.1fx",
+			rep.PeakImprovement, minPlacementPeakX)
+	}
+	if rep.Weighted.ShedRate > rep.Unweighted.ShedRate {
+		log.Fatalf("dcwsperf: weighted placement shed rate %.4f exceeds unweighted %.4f",
+			rep.Weighted.ShedRate, rep.Unweighted.ShedRate)
+	}
+	if rep.Digest.DigestBytes >= rep.Digest.FullBytes {
+		log.Fatalf("dcwsperf: digest exchange %dB not smaller than full exchange %dB at %d servers",
+			rep.Digest.DigestBytes, rep.Digest.FullBytes, digestGateServers)
+	}
+	fmt.Fprintln(os.Stderr, "dcwsperf: placement gate passed")
+}
+
+func gltSection(check bool) {
+	const deltaCap = dcws.MaxPiggybackEntries
 	gltReport := GLTReport{Shards: glt.DefaultShards, DeltaEntriesCap: deltaCap}
 	for _, servers := range []int{16, 64, 256} {
 		base := run(fmt.Sprintf("GLTExchangeBaseline%d", servers), glt.BenchGossipExchangeBaseline(servers))
@@ -667,29 +675,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "GLT n=%-4d   baseline %9.0f ns/op, sharded %9.0f ns/op (%.1fx); header full=%dB delta=%dB\n",
 			servers, base.NsPerOp, sharded.NsPerOp, row.MergeNsImprovement, fullBytes, deltaBytes)
 	}
-	if *gltOut != "" {
-		writeJSON(*gltOut, gltReport)
+	writeJSON("BENCH_glt.json", gltReport)
+	if !check {
+		return
 	}
-	if *checkGLT {
-		var at64, at256, at16 *GLTSize
-		for i := range gltReport.Sizes {
-			switch gltReport.Sizes[i].Servers {
-			case 16:
-				at16 = &gltReport.Sizes[i]
-			case 64:
-				at64 = &gltReport.Sizes[i]
-			case 256:
-				at256 = &gltReport.Sizes[i]
-			}
+	var at64, at256, at16 *GLTSize
+	for i := range gltReport.Sizes {
+		switch gltReport.Sizes[i].Servers {
+		case 16:
+			at16 = &gltReport.Sizes[i]
+		case 64:
+			at64 = &gltReport.Sizes[i]
+		case 256:
+			at256 = &gltReport.Sizes[i]
 		}
-		if at64.MergeNsImprovement < minGLTNsImprovement {
-			log.Fatalf("dcwsperf: GLT exchange improvement %.2fx at 64 servers below gate %.1fx",
-				at64.MergeNsImprovement, minGLTNsImprovement)
-		}
-		if at256.DeltaHeaderBytes > at16.FullHeaderBytes {
-			log.Fatalf("dcwsperf: delta header at 256 servers (%dB) exceeds 16-server full-table header (%dB)",
-				at256.DeltaHeaderBytes, at16.FullHeaderBytes)
-		}
-		fmt.Fprintln(os.Stderr, "dcwsperf: GLT gossip gate passed")
 	}
+	if at64.MergeNsImprovement < minGLTNsImprovement {
+		log.Fatalf("dcwsperf: GLT exchange improvement %.2fx at 64 servers below gate %.1fx",
+			at64.MergeNsImprovement, minGLTNsImprovement)
+	}
+	if at256.DeltaHeaderBytes > at16.FullHeaderBytes {
+		log.Fatalf("dcwsperf: delta header at 256 servers (%dB) exceeds 16-server full-table header (%dB)",
+			at256.DeltaHeaderBytes, at16.FullHeaderBytes)
+	}
+	fmt.Fprintln(os.Stderr, "dcwsperf: GLT gossip gate passed")
 }

@@ -54,7 +54,8 @@ type Server = idcws.Server
 // Config assembles a server's identity and dependencies.
 type Config = idcws.Config
 
-// Params holds every tunable; DefaultParams reproduces the paper's Table 1.
+// Params holds every tunable: the paper's Table 1 and the settings of the
+// extensions. Zero fields take the DefaultParams value (Params.WithDefaults).
 type Params = idcws.Params
 
 // Status is a server's operational snapshot (also served as JSON at
@@ -71,7 +72,8 @@ var ParseOrigin = naming.ParseOrigin
 // constructs the local document graph.
 var New = idcws.New
 
-// DefaultParams returns the paper's Table 1 configuration.
+// DefaultParams returns the paper's Table 1 configuration plus the defaults
+// of the extensions.
 var DefaultParams = idcws.DefaultParams
 
 // Cluster is a running in-process server group.

@@ -90,7 +90,7 @@ func TestClusterGossipConverges64UnderDrops(t *testing.T) {
 	// Bounded per-request overhead at cluster scale: a delta header from a
 	// converged 64-node table carries at most the entry cap, and no more
 	// bytes than a 16-server full-table header.
-	maxEntries := defaults.MaxPiggybackEntries
+	maxEntries := dcws.MaxPiggybackEntries
 	full16, _ := glt.HeaderSizes(16, maxEntries)
 	for _, i := range []int{0, 1, n / 2, n - 1} {
 		srv := c.Servers[i]

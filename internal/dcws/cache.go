@@ -24,6 +24,10 @@ const (
 // cache. Power of two so the hash maps to a shard with a mask.
 const renderShardCount = 16
 
+// renderCacheBytes is the server's rendered-document cache budget
+// (home-form and migration-prepared copies together).
+const renderCacheBytes = 64 << 20
+
 type renderKey struct {
 	name string
 	kind renderKind
@@ -63,8 +67,7 @@ type renderCache struct {
 }
 
 // newRenderCache returns a cache bounded by budget bytes split evenly
-// across the shards. budget <= 0 disables caching entirely (every get
-// misses, every put is dropped).
+// across the shards.
 func newRenderCache(budget int64) *renderCache {
 	c := &renderCache{seed: maphash.MakeSeed()}
 	per := budget / renderShardCount

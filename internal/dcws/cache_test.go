@@ -230,14 +230,6 @@ func TestRenderCacheBudget(t *testing.T) {
 	}
 }
 
-func TestRenderCacheDisabled(t *testing.T) {
-	c := newRenderCache(-1)
-	c.put("/a.html", renderHome, 1, []byte("data"), 0)
-	if _, _, ok := c.get("/a.html", renderHome, 1); ok {
-		t.Fatal("disabled cache returned a hit")
-	}
-}
-
 func TestCoopSetBudgetEviction(t *testing.T) {
 	cs := newCoopSet()
 	origin := naming.Origin{Host: "home", Port: 80}

@@ -101,12 +101,15 @@ func (s *Server) updateCapacity() {
 		count += c
 		sum += d
 	}
+	// Under capMu: a harness's TickStats can overlap the statistics loop.
+	s.capMu.Lock()
 	deltaCount := count - s.capLastCount
 	deltaSum := sum - s.capLastSum
 	s.capLastCount, s.capLastSum = count, sum
 	// Too few observations this interval to say anything about achievable
 	// throughput; keep the current estimate.
 	if deltaCount < 8 || deltaSum <= 0 {
+		s.capMu.Unlock()
 		return
 	}
 	mean := deltaSum / time.Duration(deltaCount)
@@ -115,7 +118,6 @@ func (s *Server) updateCapacity() {
 	}
 	achieved := float64(s.params.Workers) / mean.Seconds()
 	alpha := s.params.CapacitySmoothing
-	s.capMu.Lock()
 	s.capacity = (1-alpha)*s.capacity + alpha*achieved
 	cur := s.capacity
 	s.capMu.Unlock()
@@ -146,9 +148,9 @@ func (s *Server) normalizeLoad(load float64) float64 {
 
 // advertisedLoad is the figure the server gossips: the quantized raw load
 // (quantizing before normalizing keeps the header-stability property of
-// LoadQuantum independent of the capacity scale) divided by capacity.
+// loadQuantum independent of the capacity scale) divided by capacity.
 func (s *Server) advertisedLoad(now time.Time) float64 {
-	return s.normalizeLoad(s.quantizeLoad(s.loadMetric(now)))
+	return s.normalizeLoad(quantizeLoad(s.loadMetric(now)))
 }
 
 // roundCapacity rounds to three significant figures so jitter in the EWMA

@@ -1,6 +1,7 @@
 package dcws
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -473,10 +474,16 @@ func TestPingerDeclaresDeadCoopDown(t *testing.T) {
 	}
 }
 
+// TestReplicationAddsSecondHost: heat reported by a co-op (X-DCWS-Hot on
+// its validation request), not served by the home itself, is what pushes a
+// migrated document's rate over the trigger; the chain then adds a second
+// host and regenerated links rotate over both.
 func TestReplicationAddsSecondHost(t *testing.T) {
 	w := newWorld(t)
+	// 50 reported hits over the 10 s window are 5 hits/s; the first EWMA
+	// step halves that.
 	home := w.addServer("home", 80, siteAB(), []string{"/index.html"},
-		Params{Replicate: true, ReplicateThreshold: 5, MigrationThreshold: 1})
+		Params{HotReplicateRate: 2, MigrationThreshold: 1})
 	w.addServer("c1", 81, nil, nil, Params{})
 	w.addServer("c2", 82, nil, nil, Params{})
 	home.migrate("/pic.gif", "c1:81")
@@ -670,29 +677,6 @@ func TestResolveDocRefForms(t *testing.T) {
 	}
 }
 
-func TestAddReplicaLimits(t *testing.T) {
-	w := newWorld(t)
-	home := w.addServer("home", 80, siteAB(), []string{"/index.html"},
-		Params{Replicate: true, MaxReplicas: 2})
-	w.addServer("c1", 81, nil, nil, Params{})
-	w.addServer("c2", 82, nil, nil, Params{})
-	// Not migrated: addReplica is a no-op.
-	home.addReplica("/pic.gif")
-	if len(home.Replicas("/pic.gif")) != 0 {
-		t.Fatal("replica added for an unmigrated doc")
-	}
-	home.migrate("/pic.gif", "c1:81")
-	home.addReplica("/pic.gif")
-	if got := home.Replicas("/pic.gif"); len(got) != 2 {
-		t.Fatalf("replicas = %v", got)
-	}
-	// MaxReplicas = 2: a third replica is refused.
-	home.addReplica("/pic.gif")
-	if got := home.Replicas("/pic.gif"); len(got) != 2 {
-		t.Fatalf("MaxReplicas not enforced: %v", got)
-	}
-}
-
 func TestUpdateDocumentRejectsBadName(t *testing.T) {
 	w := newWorld(t)
 	home := w.addServer("home", 80, siteAB(), nil, Params{})
@@ -737,5 +721,16 @@ func TestRelativeLinksRewrittenOnMigration(t *testing.T) {
 	final := w.follow("coop:81", "/~migrate/home/80/guide/page.html")
 	if final.Status != 200 || !strings.Contains(string(final.Body), "content") {
 		t.Fatalf("migrated relative-linked doc unreachable: %d", final.Status)
+	}
+}
+
+// TestParamsFieldCount pins the number of independently settable values.
+// Each one multiplies the configurations tests and benchmarks must cover:
+// a value with one user belongs in a constant next to the code that reads
+// it (DESIGN.md "Configuration"), and a new field has to be argued for by
+// raising this number.
+func TestParamsFieldCount(t *testing.T) {
+	if n := reflect.TypeOf(Params{}).NumField(); n != 34 {
+		t.Fatalf("Params has %d fields, want 34", n)
 	}
 }

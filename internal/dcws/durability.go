@@ -688,10 +688,6 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
-// TickSnapshot writes one state snapshot synchronously (deterministic
-// harness hook; a no-op without a WAL).
-func (s *Server) TickSnapshot() { s.writeSnapshot() }
-
 // WAL exposes the underlying log (status tooling, tests); nil when the
 // durable tier is disabled.
 func (s *Server) WAL() *wal.Log { return s.wal }

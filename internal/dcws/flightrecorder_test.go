@@ -197,7 +197,7 @@ func TestSLOBurnAlertCapturesProfiles(t *testing.T) {
 		t.Fatalf("SLO status after burst = %+v, want alerting", st)
 	}
 	op, ok := st.Ops["home"]
-	if !ok || !op.Alerting || op.BurnShort < srv.params.SLOBurnThreshold || op.BurnLong < srv.params.SLOBurnThreshold {
+	if !ok || !op.Alerting || op.BurnShort < sloBurnThreshold || op.BurnLong < sloBurnThreshold {
 		t.Fatalf("home op state = %+v, want both windows burning", op)
 	}
 	if op.P99Seconds < 0.5 {

@@ -24,7 +24,7 @@ import (
 // spans recorded across the cluster for one logical request share one ID.
 func (s *Server) handle(req *httpx.Request) *httpx.Response {
 	pig := s.absorbPiggyback(req.Header)
-	from, wantFull := pig.From, pig.Full
+	from := pig.From
 	traceID := req.Header.Get(telemetry.TraceHeader)
 	if traceID == "" {
 		traceID = telemetry.NewTraceID()
@@ -71,8 +71,7 @@ func (s *Server) handle(req *httpx.Request) *httpx.Response {
 		resp = s.serveAsHome(req)
 	}
 	// A peer identified itself in the request header: answer with the
-	// delta it has not acked (or the full table when it asked for an
-	// anti-entropy exchange). A digest frame gets the digest response —
+	// delta it has not acked. A digest frame gets the digest response —
 	// our digests of the diverged stripes plus those stripes' entries —
 	// which is what makes anti-entropy proportional to divergence instead
 	// of table size. Plain clients get the constant-size self entry — they
@@ -85,7 +84,7 @@ func (s *Server) handle(req *httpx.Request) *httpx.Response {
 		s.tel.digestResponses.Inc()
 		s.tel.digestShardsSent.Add(int64(diff))
 	case from != "":
-		s.piggybackTo(resp.Header, from, wantFull)
+		s.piggybackTo(resp.Header, from)
 	default:
 		s.piggybackClient(resp.Header)
 	}
@@ -104,9 +103,9 @@ func (s *Server) handle(req *httpx.Request) *httpx.Response {
 			Start:    startClk,
 			Duration: d,
 		})
-	} else if (wantFull || pig.HasDigests) && from != "" {
-		// The responder side of an anti-entropy exchange (full or digest):
-		// cold-start and convergence cost shows up in traces on both ends.
+	} else if pig.HasDigests && from != "" {
+		// The responder side of an anti-entropy exchange: cold-start and
+		// convergence cost shows up in traces on both ends.
 		s.tel.record(telemetry.Span{
 			TraceID:  traceID,
 			ID:       spanID,
@@ -581,7 +580,7 @@ func (s *Server) fetchLeg(peer, path, op string, hedge bool, traceID, parent str
 		} else {
 			s.attachHotReport(extra, peer)
 		}
-		s.piggybackTo(extra, peer, false)
+		s.piggybackTo(extra, peer)
 		req := httpx.NewRequest("GET", path)
 		for k, vs := range extra {
 			req.Header[k] = vs
@@ -742,7 +741,7 @@ func (s *Server) fetchFailure(homeAddr, docName string, err error) *httpx.Respon
 // relays the redirect and forgets the document, anything else becomes a
 // 502. Returns nil on success, mirroring fetchFromHome's contract.
 func (s *Server) finishFetch(key string, resp *httpx.Response) *httpx.Response {
-	s.absorb(resp.Header)
+	s.absorbPiggyback(resp.Header)
 	s.absorbReplicas(key, resp.Header)
 	switch resp.Status {
 	case 200:

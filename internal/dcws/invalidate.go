@@ -825,34 +825,6 @@ func (s *Server) sendInventory(sc *subConn) {
 	}
 }
 
-// unsubscribe tells a home this co-op no longer hosts name (best-effort;
-// the home's authorization check also revokes on the next subscribe).
-func (m *subManager) unsubscribe(homeAddr, name string) {
-	if m == nil || m.s.params.LeaseDuration <= 0 {
-		return
-	}
-	m.mu.Lock()
-	sc := m.homes[homeAddr]
-	m.mu.Unlock()
-	if sc == nil {
-		return
-	}
-	sc.mu.Lock()
-	conn := sc.conn
-	sc.mu.Unlock()
-	if conn == nil {
-		return
-	}
-	sc.writeMu.Lock()
-	conn.SetWriteDeadline(time.Now().Add(invalWriteTimeout))
-	err := httpx.WriteFrame(conn, frameUnsubscribe, encodeName(name))
-	conn.SetWriteDeadline(time.Time{})
-	sc.writeMu.Unlock()
-	if err != nil {
-		conn.Close()
-	}
-}
-
 // readLoop consumes frames pushed by one home server. EVERY frame —
 // invalidation, ping, anything — renews the leases of all documents
 // hosted from that home: the channel being alive is the proof the home

@@ -2,7 +2,6 @@ package dcws
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,9 +14,15 @@ import (
 	"dcws/internal/telemetry"
 )
 
+// ImbalanceRatio is the migration trigger: a home server migrates only
+// while its load exceeds the target's by this factor, and recalls an
+// expired placement only once the co-op is busier than the home by the
+// same factor. Exported for the simulator, which applies the same rule.
+const ImbalanceRatio = 1.2
+
 // statsLoop is the statistics module (§5.1): every T_st it refreshes this
 // server's load entry, evaluates the migration policy, handles expired
-// migrations, applies the replication extension, and rolls the hit window.
+// migrations, replicates hot documents, and rolls the hit window.
 func (s *Server) statsLoop() {
 	defer s.wg.Done()
 	for {
@@ -50,16 +55,7 @@ func (s *Server) runStatsTick() {
 	s.table.RefreshSelf(s.advertisedLoad(now), now, 0)
 
 	s.maybeRevokeExpired(load)
-	// Drain the coop hot-report hints once and share them between the two
-	// replication paths: the proactive chain disseminator runs first
-	// (EWMA-triggered, pushes bytes eagerly), then the reactive
-	// one-replica-per-tick extension covers whatever the chain did not
-	// handle.
-	hints := s.takeHotHints()
-	handled := s.maybeChainReplicate(hints)
-	if s.params.Replicate {
-		s.maybeReplicate(hints, handled)
-	}
+	s.maybeChainReplicate(s.takeHotHints())
 	s.maybeMigrate(load)
 	s.ldg.RollWindow()
 	s.rollCoopWindows()
@@ -106,7 +102,7 @@ func (s *Server) chooseCoop(selfLoad float64) (string, bool) {
 	now := s.now()
 	for _, e := range s.table.RankedByHeadroom(exclude, s.params.Zone) {
 		// Trigger condition: we are meaningfully busier than the target.
-		if selfLoad <= e.Load*s.params.ImbalanceRatio {
+		if selfLoad <= e.Load*ImbalanceRatio {
 			continue
 		}
 		if s.peerSuspect(e.Server) || s.entryStale(e) || !s.gate.Eligible(e.Server, now) {
@@ -228,14 +224,14 @@ func (s *Server) maybeRevokeExpired(selfLoad float64) {
 				s.shrinkReplicas(mig.Doc, 2)
 				continue
 			}
-			// Cold (EWMA decayed to zero): fall through to the legacy
+			// Cold (EWMA decayed to zero): fall through to the
 			// full-revocation check below.
 		}
 		e, ok := s.table.Get(mig.Coop)
 		if !ok {
 			continue
 		}
-		if e.Load > selfLoad*s.params.ImbalanceRatio {
+		if e.Load > selfLoad*ImbalanceRatio {
 			s.revoke(mig.Doc)
 		}
 	}
@@ -360,7 +356,7 @@ func (s *Server) sendRevoke(coop, doc string) {
 	req.Header.Set(headerRevokeDoc, key)
 	req.Header.Set(telemetry.TraceHeader, traceID)
 	req.Header.Set(telemetry.ParentHeader, span.ID)
-	s.piggybackTo(req.Header, coop, false)
+	s.piggybackTo(req.Header, coop)
 	resp, err := s.client.DoTimeout(coop, req, s.params.MaintenanceTimeout)
 	span.Duration = time.Since(start)
 	if err != nil {
@@ -371,7 +367,7 @@ func (s *Server) sendRevoke(coop, doc string) {
 	}
 	span.Status = resp.Status
 	s.tel.record(span)
-	s.absorb(resp.Header)
+	s.absorbPiggyback(resp.Header)
 }
 
 // RecallFrom revokes every document currently migrated to the given co-op
@@ -383,88 +379,6 @@ func (s *Server) RecallFrom(coop string) int {
 		s.revoke(mig.Doc)
 	}
 	return len(migs)
-}
-
-// maybeReplicate applies the hot-spot replication extension: any migrated
-// document whose hosting co-op reports more window hits than the threshold
-// gains another replica on the least-loaded server not already hosting it.
-// Documents in handled were chain-replicated this tick and are skipped.
-func (s *Server) maybeReplicate(hints map[string]int64, handled map[string]bool) {
-	type hot struct {
-		doc  string
-		hits int64
-	}
-	var hots []hot
-	for doc, hits := range hints {
-		if hits >= s.params.ReplicateThreshold && !handled[doc] {
-			hots = append(hots, hot{doc, hits})
-		}
-	}
-	sort.Slice(hots, func(i, j int) bool {
-		if hots[i].hits != hots[j].hits {
-			return hots[i].hits > hots[j].hits
-		}
-		return hots[i].doc < hots[j].doc
-	})
-	for _, h := range hots {
-		s.addReplica(h.doc)
-	}
-}
-
-// addReplica extends a hot document's replica set by one co-op server and
-// dirties the LinkFrom documents so regenerated hyperlinks rotate across
-// the enlarged set.
-func (s *Server) addReplica(doc string) {
-	loc, ok := s.ldg.Location(doc)
-	if !ok || loc == "" {
-		return
-	}
-	s.repMu.Lock()
-	reps := s.replicas[doc]
-	if len(reps) == 0 {
-		reps = []string{loc}
-	}
-	if len(reps) >= s.params.MaxReplicas {
-		s.repMu.Unlock()
-		return
-	}
-	exclude := map[string]bool{s.Addr(): true}
-	for _, r := range reps {
-		exclude[r] = true
-	}
-	s.repMu.Unlock()
-	// Same rules as chooseCoop: walk candidates in headroom order, zone-
-	// local first, and never place a replica on a peer that is wobbling
-	// toward a down declaration or whose load entry is too stale to trust.
-	var target string
-	for _, e := range s.table.RankedByHeadroom(exclude, s.params.Zone) {
-		if s.peerSuspect(e.Server) || s.entryStale(e) {
-			continue
-		}
-		target = e.Server
-		break
-	}
-	if target == "" {
-		return
-	}
-	s.repMu.Lock()
-	// Install a fresh slice: pickReplica readers may hold the old one.
-	newReps := append(append(make([]string, 0, len(reps)+1), reps...), target)
-	s.replicas[doc] = newReps
-	if s.rrCounter[doc] == nil {
-		s.rrCounter[doc] = new(uint32)
-	}
-	s.repMu.Unlock()
-	s.walAppend(recReplicas, encodeReplicas(doc, newReps))
-	// Re-dirty the LinkFrom set so future regenerations rotate links.
-	dirtied, err := s.ldg.MarkMigrated(doc, loc)
-	if err != nil {
-		s.log.Printf("dcws %s: replicate %s: %v", s.Addr(), doc, err)
-		return
-	}
-	s.pushDirtied(dirtied)
-	s.tel.replications.Inc()
-	s.log.Printf("dcws %s: replicated %s -> %s (now %d hosts)", s.Addr(), doc, target, len(reps)+1)
 }
 
 // Replicas reports the replica set of a migrated document (primary co-op
@@ -526,7 +440,7 @@ func (s *Server) runPingerTick() {
 				extra := make(httpx.Header)
 				extra.Set(telemetry.TraceHeader, traceID)
 				extra.Set(telemetry.ParentHeader, span.ID)
-				s.piggybackTo(extra, peer, false)
+				s.piggybackTo(extra, peer)
 				r, err := s.client.GetTimeout(peer, pingPath, extra, s.params.MaintenanceTimeout)
 				if err != nil {
 					return err
@@ -563,7 +477,7 @@ func (s *Server) runPingerTick() {
 			continue
 		}
 		s.recoverPeer(peer)
-		s.absorb(pr.resp.Header)
+		s.absorbPiggyback(pr.resp.Header)
 	}
 }
 
@@ -592,13 +506,13 @@ func (s *Server) declareDown(peer string) {
 }
 
 // antiEntropyLoop is the safety net under delta piggybacking: it
-// exchanges complete load tables with the peer whose last full exchange
-// is oldest, so entries lost to dropped responses, capped deltas, or peer
-// restarts reconverge within one sweep of the cluster even if no delta
-// ever carries them again. The cadence adapts: while the piggyback
+// reconciles load tables with the peer whose last exchange is oldest, so
+// entries lost to dropped responses, capped deltas, or peer restarts
+// reconverge within one sweep of the cluster even if no delta ever
+// carries them again. The cadence adapts: while the piggyback
 // channel alone keeps every healthy peer's acked version current, each
 // quiet round doubles the wait (capped at 4x AntiEntropyInterval) and the
-// full exchange is skipped; any churn — a suspect or down peer, a
+// exchange is skipped; any churn — a suspect or down peer, a
 // peer-set change — snaps the interval back to the floor and forces the
 // next round.
 func (s *Server) antiEntropyLoop() {
@@ -620,7 +534,7 @@ func (s *Server) antiEntropyLoop() {
 }
 
 // aeSkip decides one adaptive-cadence round: it reports whether the
-// full-table exchange can be skipped, and adjusts the interval for the
+// exchange can be skipped, and adjusts the interval for the
 // next round (backing off while deltas suffice, resetting under churn).
 func (s *Server) aeSkip() bool {
 	base := s.params.AntiEntropyInterval
@@ -690,35 +604,17 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// runAntiEntropyTick performs one anti-entropy exchange. It first tries
-// the push-pull digest protocol: the request carries per-shard version-
-// vector digests of this table (no entries), the peer answers with only
-// the stripes whose vectors differ, and a third leg pushes back any
-// stripes where this side was the fresher one. Against a legacy peer —
-// whose response carries no digests because its decoder skipped the !d
-// key — the tick falls back to the paper-era full-table exchange, so
-// mixed-version clusters still converge.
+// runAntiEntropyTick performs one anti-entropy exchange with the push-pull
+// digest protocol: the request carries per-shard version-vector digests of
+// this table (no entries), the peer answers with only the stripes whose
+// vectors differ, and a third leg pushes back any stripes where this side
+// was the fresher one.
 func (s *Server) runAntiEntropyTick() {
 	peer := s.pickAntiEntropyPeer()
 	if peer == "" {
 		return
 	}
 	s.tel.antiEntropyRounds.Inc()
-	done, legacy := s.runDigestExchange(peer)
-	if done {
-		return
-	}
-	if legacy {
-		s.tel.digestFallbacks.Inc()
-		s.runFullExchange(peer)
-	}
-}
-
-// runDigestExchange runs the digest legs against one peer. done reports
-// the exchange completed (or failed on transport — no point retrying with
-// a heavier protocol); legacy reports the peer answered without digests,
-// meaning it does not speak the protocol and a full exchange is needed.
-func (s *Server) runDigestExchange(peer string) (done, legacy bool) {
 	traceID := telemetry.NewTraceID()
 	span := telemetry.NewSpan(traceID, "", s.addr, "anti-entropy-digest")
 	span.Target, span.Peer = pingPath, peer
@@ -734,16 +630,18 @@ func (s *Server) runDigestExchange(peer string) (done, legacy bool) {
 		span.Err = err.Error()
 		s.tel.record(span)
 		s.log.Printf("dcws %s: anti-entropy with %s: %v", s.Addr(), peer, err)
-		return true, false
+		return
 	}
 	p := s.absorbPiggyback(resp.Header)
+	span.Status = resp.Status
 	if !p.HasDigests {
-		// The peer merged our digest frame as a plain delta and answered
-		// likewise: a pre-digest build.
+		// Every server in a group runs this binary, so a reply without
+		// digests is a malformed or foreign answer: whatever entries it
+		// carried are merged, and the round ends.
 		span.Duration = time.Since(start)
-		span.Status = resp.Status
 		s.tel.record(span)
-		return false, true
+		s.log.Printf("dcws %s: anti-entropy with %s: reply carried no digests", s.Addr(), peer)
+		return
 	}
 	s.tel.digestRounds.Inc()
 	// Third leg: ship the stripes where our vector is still ahead of the
@@ -756,41 +654,14 @@ func (s *Server) runDigestExchange(peer string) (done, legacy bool) {
 		push.Set(telemetry.ParentHeader, span.ID)
 		push.Set(glt.HeaderName, s.table.EncodeShardEntriesTo(peer, back))
 		if resp2, err := s.client.GetTimeout(peer, pingPath, push, s.params.MaintenanceTimeout); err == nil {
-			s.absorb(resp2.Header)
+			s.absorbPiggyback(resp2.Header)
 		}
 	}
 	span.Duration = time.Since(start)
-	span.Status = resp.Status
 	s.tel.record(span)
-	return true, false
 }
 
-// runFullExchange is the legacy anti-entropy round: a ping carrying the
-// whole table and the !g marker, answered by the peer's whole table.
-func (s *Server) runFullExchange(peer string) {
-	traceID := telemetry.NewTraceID()
-	span := telemetry.NewSpan(traceID, "", s.addr, "anti-entropy")
-	span.Target, span.Peer = pingPath, peer
-	start := time.Now()
-	span.Start = s.now()
-	extra := make(httpx.Header)
-	extra.Set(telemetry.TraceHeader, traceID)
-	extra.Set(telemetry.ParentHeader, span.ID)
-	s.piggybackTo(extra, peer, true)
-	resp, err := s.client.GetTimeout(peer, pingPath, extra, s.params.MaintenanceTimeout)
-	span.Duration = time.Since(start)
-	if err != nil {
-		span.Err = err.Error()
-		s.tel.record(span)
-		s.log.Printf("dcws %s: anti-entropy with %s: %v", s.Addr(), peer, err)
-		return
-	}
-	span.Status = resp.Status
-	s.tel.record(span)
-	s.absorb(resp.Header)
-}
-
-// pickAntiEntropyPeer selects the healthy peer whose last full exchange
+// pickAntiEntropyPeer selects the healthy peer whose last exchange
 // is oldest (never-exchanged peers first, then by address for
 // determinism).
 func (s *Server) pickAntiEntropyPeer() string {
@@ -867,7 +738,7 @@ func (s *Server) validateOne(key string) string {
 	extra.Set(headerValidate, strconv.FormatUint(v.hash, 16))
 	extra.Set(telemetry.TraceHeader, traceID)
 	extra.Set(telemetry.ParentHeader, span.ID)
-	s.piggybackTo(extra, v.home.Addr(), false)
+	s.piggybackTo(extra, v.home.Addr())
 	s.attachHotReport(extra, v.home.Addr())
 	resp, err := s.client.GetTimeout(v.home.Addr(), v.name, extra, s.params.MaintenanceTimeout)
 	span.Duration = time.Since(start)
@@ -880,7 +751,7 @@ func (s *Server) validateOne(key string) string {
 	}
 	span.Status = resp.Status
 	s.tel.record(span)
-	s.absorb(resp.Header)
+	s.absorbPiggyback(resp.Header)
 	// Validation responses carry the document's replica set too, keeping the
 	// hedge-sibling list fresh between fetches.
 	s.absorbReplicas(key, resp.Header)
@@ -943,7 +814,7 @@ func (s *Server) attachHotReport(h httpx.Header, homeAddr string) {
 }
 
 // absorbHot merges a piggybacked hot-document report into the home-side
-// hint table consumed by maybeReplicate.
+// hint table consumed by maybeChainReplicate.
 func (s *Server) absorbHot(h httpx.Header) {
 	v := h.Get(headerHot)
 	if v == "" {

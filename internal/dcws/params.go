@@ -8,8 +8,14 @@ package dcws
 
 import "time"
 
-// Params collects every tunable of the system. Defaults reproduce Table 1
-// of the paper exactly.
+// Params collects every tunable of the system. The first seven fields are
+// the paper's Table 1 and default to its values; the rest configure the
+// extensions added on top (resilient RPC, durability, chain replication,
+// push invalidation, placement, the SLO watcher) and default to the
+// settings those extensions were measured with. Values nobody varies are
+// constants next to the code that reads them, not fields here; DESIGN.md
+// "Configuration" lists both. TestParamsFieldCount pins the field count:
+// a new field has to be argued for.
 type Params struct {
 	// Workers is the number of worker threads, N_wk.
 	Workers int
@@ -35,9 +41,6 @@ type Params struct {
 	// MigrationThreshold is Algorithm 1's load threshold T: the minimum
 	// window hit count that justifies migrating a document.
 	MigrationThreshold int64
-	// ImbalanceRatio triggers migration: the home server migrates only
-	// while its load exceeds the least-loaded peer's load by this factor.
-	ImbalanceRatio float64
 	// UseBPSMetric selects bytes-per-second as the load metric instead of
 	// connections-per-second (recommended by §5.3 for large-file data
 	// sets such as Sequoia).
@@ -45,19 +48,6 @@ type Params struct {
 	// MaxPingFailures is how many consecutive failed pinger probes mark a
 	// co-op server down, triggering recall of its documents.
 	MaxPingFailures int
-	// RateWindow is the sliding window for the CPS/BPS load metrics.
-	RateWindow time.Duration
-
-	// Replicate enables the hot-spot replication extension (§6 future
-	// work): documents whose observed load exceeds ReplicateThreshold
-	// window hits are replicated to additional co-op servers, and
-	// regenerated hyperlinks rotate across the replicas.
-	Replicate bool
-	// ReplicateThreshold is the per-window hit count above which a
-	// migrated document is considered a hot spot.
-	ReplicateThreshold int64
-	// MaxReplicas caps how many co-op servers may host one document.
-	MaxReplicas int
 
 	// CoopCacheBytes bounds the disk space this server devotes to hosting
 	// other servers' documents. 0 means unlimited. When the budget is
@@ -84,72 +74,26 @@ type Params struct {
 	// failed round toward MaxPingFailures.
 	ProbeAttempts int
 	// RetryBaseDelay is the backoff after the first failed attempt of a
-	// retried RPC; subsequent attempts double it up to RetryMaxDelay,
+	// retried RPC; subsequent attempts double it up to retryMaxDelay (2 s),
 	// with deterministic per-peer jitter. A negative value disables
 	// inter-attempt delays (deterministic tests on manual clocks).
 	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the exponential backoff (default 2 s).
-	RetryMaxDelay time.Duration
 	// BreakerThreshold is how many consecutive RPC failures against one
 	// peer trip its circuit breaker (default 5). While the breaker is
 	// open, fetches degrade to fast 503s instead of tying up workers.
 	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before admitting
-	// a half-open trial call (default 30 s).
-	BreakerCooldown time.Duration
-
-	// QueueLoadFactor folds the socket-queue depth into the advertised
-	// load metric: load = CPS (or BPS) + QueueLoadFactor × queued
-	// connections. A server whose sliding-window rate looks low but whose
-	// queue is backing up (slow disk, GC pause) thereby stops attracting
-	// migrations before it starts dropping requests. Default 1; negative
-	// disables the queue term.
-	QueueLoadFactor float64
-	// RenderCacheBytes bounds the in-memory rendered-document cache
-	// (home-form and migration-prepared copies keyed by LDG generation).
-	// Default 64 MiB; negative disables caching.
-	RenderCacheBytes int64
 
 	// HedgeDelay is how long a lazy-migration fetch waits on the home
 	// server before racing a known sibling replica for the same document
 	// (first usable response wins, the loser is canceled). Default 250 ms;
 	// negative disables hedging.
 	HedgeDelay time.Duration
-	// PoolMaxIdlePerPeer caps idle keep-alive connections kept per peer
-	// for inter-server RPCs (default 4; negative disables reuse).
-	PoolMaxIdlePerPeer int
-	// PoolIdleTimeout retires a pooled connection unused this long
-	// (default 30 s; negative keeps idle conns indefinitely).
-	PoolIdleTimeout time.Duration
-	// PoolMaxLifetime retires a pooled connection this long after dial
-	// regardless of use (default 5 m; negative means no lifetime cap).
-	PoolMaxLifetime time.Duration
 
-	// LoadQuantum rounds the load advertised in piggybacked X-DCWS-Load
-	// headers to the nearest multiple, so the header — and its cached
-	// encoding — stays stable while the true load wobbles within one step.
-	// Migration decisions still use the raw metric. Default 1 load unit;
-	// negative advertises the raw value.
-	LoadQuantum float64
-	// PiggybackRefresh throttles self-entry refreshes on the serve path:
-	// when the quantized load is unchanged and the entry is younger than
-	// this, the table (and the encoded header) is left alone. Default 1 s;
-	// negative re-stamps the entry on every response.
-	PiggybackRefresh time.Duration
-	// TraceRingSize bounds the in-memory ring of recent trace spans
-	// (default 512).
-	TraceRingSize int
-
-	// MaxPiggybackEntries caps how many load entries one inter-server
-	// X-DCWS-Load delta may carry, keeping header size near-constant as
-	// the cluster grows; entries the peer has not acked queue stalest-
-	// first for later responses. Default 12; negative removes the cap.
-	MaxPiggybackEntries int
-	// AntiEntropyInterval paces the full-table gossip exchange that
-	// backstops delta piggybacking: each round, the server swaps complete
-	// tables with the peer whose last full exchange is oldest, so dropped
-	// deltas and restarted peers reconverge within one sweep. Default
-	// 60 s; negative disables anti-entropy.
+	// AntiEntropyInterval paces the digest exchange that backstops delta
+	// piggybacking: each round, the server reconciles its table with the
+	// peer whose last exchange is oldest, so dropped deltas and restarted
+	// peers reconverge within one sweep. Default 60 s; negative disables
+	// anti-entropy.
 	AntiEntropyInterval time.Duration
 	// MetricsSeriesLimit caps how many series any one metric family may
 	// emit per /~dcws/metrics scrape; overflow is counted in
@@ -164,12 +108,6 @@ type Params struct {
 	// is the only durability; a process crash still loses nothing because
 	// appends are single write(2) calls).
 	WALSync string
-	// WALSyncInterval paces background fsyncs under the "interval" policy
-	// (default 100 ms).
-	WALSyncInterval time.Duration
-	// WALSegmentBytes rotates the active WAL segment once it exceeds this
-	// size (default 16 MiB).
-	WALSegmentBytes int64
 	// SnapshotInterval paces full-state snapshots that bound recovery
 	// replay time and let old WAL segments be pruned. Default 5 m;
 	// negative disables periodic snapshots (one is still written on clean
@@ -190,16 +128,11 @@ type Params struct {
 	// coop-reported hits) crosses this threshold, the home pushes the
 	// rendered bytes to HotReplicaCount co-op servers along a CDTP-style
 	// dissemination chain instead of waiting for lazy per-coop fetches.
-	// Default 50 hits/s; negative disables proactive chain replication
-	// (the reactive Replicate extension is independent).
+	// Default 50 hits/s; negative disables replication.
 	HotReplicateRate float64
 	// HotReplicaCount is k: how many replicas a chain-replicated hot
 	// document is brought up to in one dissemination round (default 2).
 	HotReplicaCount int
-	// ReplicateTimeout bounds each link of a chain push — the home's
-	// upload to the chain head, and each relay hop — so one slow link
-	// cannot stall the whole dissemination (default 10 s).
-	ReplicateTimeout time.Duration
 
 	// LeaseDuration enables push invalidation with leases, the extension
 	// that retires the polling validator's steady-state traffic: each
@@ -240,34 +173,6 @@ type Params struct {
 	// behaviour).
 	CapacitySmoothing float64
 
-	// SlowTraceThreshold marks a span slow: any span at least this long —
-	// and any span that ended in an error — is copied into the tail-
-	// retention ring, which only such spans compete for, so the evidence
-	// of a p99 spike survives long after the main trace ring has wrapped.
-	// Default 500 ms; negative disables slow capture (error spans are
-	// still retained).
-	SlowTraceThreshold time.Duration
-	// TailRingSize bounds the tail-retention ring (default 256 spans).
-	TailRingSize int
-
-	// SLOLatencyTarget is the per-request latency objective: a request
-	// answered within this duration is "good" for burn-rate accounting
-	// (default 250 ms).
-	SLOLatencyTarget time.Duration
-	// SLOLatencyObjective is the fraction of requests that must meet
-	// SLOLatencyTarget (default 0.999); 1 - objective is the error
-	// budget the burn rate is measured against.
-	SLOLatencyObjective float64
-	// SLOMaxShedRate is the shed-rate objective: the tolerated fraction
-	// of connections dropped by the overload gate (default 0.01).
-	SLOMaxShedRate float64
-	// SLOBurnThreshold is the multi-window burn-rate alarm level: the
-	// watcher alerts (and captures profiles) only while BOTH the short
-	// and the long window burn their error budget at at least this
-	// multiple of the sustainable rate — the standard fast-burn pattern
-	// that ignores one-off blips but catches sustained regressions.
-	// Default 4.
-	SLOBurnThreshold float64
 	// SLOWindowShort is the fast burn-rate window (default 1 m).
 	SLOWindowShort time.Duration
 	// SLOWindowLong is the slow burn-rate window (default 10 m).
@@ -284,10 +189,10 @@ type Params struct {
 	ProfileRingSize int
 }
 
-// DefaultParams returns the configuration of Table 1: 12 worker threads, a
+// DefaultParams returns the configuration of Table 1 — 12 worker threads, a
 // socket queue of 100, statistics every 10 s, pinger every 20 s, validation
 // every 120 s, re-migration after 300 s, and at most one migration into a
-// co-op server per 60 s.
+// co-op server per 60 s — plus the defaults of the extensions.
 func DefaultParams() Params {
 	return Params{
 		Workers:               12,
@@ -298,46 +203,22 @@ func DefaultParams() Params {
 		HomeReMigrateInterval: 300 * time.Second,
 		CoopMigrateInterval:   60 * time.Second,
 		MigrationThreshold:    10,
-		ImbalanceRatio:        1.2,
 		MaxPingFailures:       3,
-		RateWindow:            10 * time.Second,
-		ReplicateThreshold:    200,
-		MaxReplicas:           4,
 		MaintenanceTimeout:    5 * time.Second,
 		FetchTimeout:          10 * time.Second,
 		FetchAttempts:         3,
 		ProbeAttempts:         2,
 		RetryBaseDelay:        50 * time.Millisecond,
-		RetryMaxDelay:         2 * time.Second,
 		BreakerThreshold:      5,
-		BreakerCooldown:       30 * time.Second,
 		HedgeDelay:            250 * time.Millisecond,
-		PoolMaxIdlePerPeer:    4,
-		PoolIdleTimeout:       30 * time.Second,
-		PoolMaxLifetime:       5 * time.Minute,
-		QueueLoadFactor:       1,
-		RenderCacheBytes:      64 << 20,
-		LoadQuantum:           1,
-		PiggybackRefresh:      time.Second,
-		TraceRingSize:         512,
-		MaxPiggybackEntries:   12,
 		AntiEntropyInterval:   60 * time.Second,
 		MetricsSeriesLimit:    1024,
 		WALSync:               "interval",
-		WALSyncInterval:       100 * time.Millisecond,
-		WALSegmentBytes:       16 << 20,
 		SnapshotInterval:      5 * time.Minute,
 		PlacementMaxStaleness: 60 * time.Second,
 		HotReplicateRate:      50,
 		HotReplicaCount:       2,
-		ReplicateTimeout:      10 * time.Second,
 		CapacitySmoothing:     0.2,
-		SlowTraceThreshold:    500 * time.Millisecond,
-		TailRingSize:          256,
-		SLOLatencyTarget:      250 * time.Millisecond,
-		SLOLatencyObjective:   0.999,
-		SLOMaxShedRate:        0.01,
-		SLOBurnThreshold:      4,
 		SLOWindowShort:        time.Minute,
 		SLOWindowLong:         10 * time.Minute,
 		SLOCheckInterval:      10 * time.Second,
@@ -346,192 +227,75 @@ func DefaultParams() Params {
 	}
 }
 
-// withDefaults fills any zero field with its Table 1 default.
-func (p Params) withDefaults() Params {
+// WithDefaults fills every unset field with its DefaultParams value. It is
+// the one resolution rule for the live server and the simulator, so the
+// same Params value describes the same system to both. Two conventions:
+// a field with no "off" meaning takes its default when zero or negative
+// (unset); a field that can be switched off takes its default only when
+// zero, and keeps a negative value, which means "off" (or, for
+// RetryBaseDelay, "retry without waiting"). LeaseDuration, Zone,
+// CoopCacheBytes and InvalidateHeartbeat have meaningful zero values and
+// are left alone.
+func (p Params) WithDefaults() Params {
 	d := DefaultParams()
-	if p.Workers <= 0 {
-		p.Workers = d.Workers
-	}
-	if p.QueueLength <= 0 {
-		p.QueueLength = d.QueueLength
-	}
-	if p.StatsInterval <= 0 {
-		p.StatsInterval = d.StatsInterval
-	}
-	if p.PingerInterval <= 0 {
-		p.PingerInterval = d.PingerInterval
-	}
-	if p.ValidateInterval <= 0 {
-		p.ValidateInterval = d.ValidateInterval
-	}
-	if p.HomeReMigrateInterval <= 0 {
-		p.HomeReMigrateInterval = d.HomeReMigrateInterval
-	}
-	if p.CoopMigrateInterval <= 0 {
-		p.CoopMigrateInterval = d.CoopMigrateInterval
-	}
-	if p.MigrationThreshold <= 0 {
-		p.MigrationThreshold = d.MigrationThreshold
-	}
-	if p.ImbalanceRatio <= 0 {
-		p.ImbalanceRatio = d.ImbalanceRatio
-	}
-	if p.MaxPingFailures <= 0 {
-		p.MaxPingFailures = d.MaxPingFailures
-	}
-	if p.RateWindow <= 0 {
-		p.RateWindow = d.RateWindow
-	}
-	if p.ReplicateThreshold <= 0 {
-		p.ReplicateThreshold = d.ReplicateThreshold
-	}
-	if p.MaxReplicas <= 0 {
-		p.MaxReplicas = d.MaxReplicas
-	}
-	if p.MaintenanceTimeout <= 0 {
-		p.MaintenanceTimeout = d.MaintenanceTimeout
-	}
-	if p.FetchTimeout <= 0 {
-		p.FetchTimeout = d.FetchTimeout
-	}
-	if p.FetchAttempts <= 0 {
-		p.FetchAttempts = d.FetchAttempts
-	}
-	if p.ProbeAttempts <= 0 {
-		p.ProbeAttempts = d.ProbeAttempts
-	}
-	// RetryBaseDelay keeps negative values: they mean "retry with no
-	// delay", which manual-clock harnesses depend on.
-	if p.RetryBaseDelay == 0 {
-		p.RetryBaseDelay = d.RetryBaseDelay
-	}
-	if p.RetryMaxDelay <= 0 {
-		p.RetryMaxDelay = d.RetryMaxDelay
-	}
-	if p.BreakerThreshold <= 0 {
-		p.BreakerThreshold = d.BreakerThreshold
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = d.BreakerCooldown
-	}
-	// HedgeDelay and the pool knobs keep negative values: they mean
-	// "feature disabled" (no hedging, no idle retention, no expiry).
-	if p.HedgeDelay == 0 {
-		p.HedgeDelay = d.HedgeDelay
-	}
-	if p.PoolMaxIdlePerPeer == 0 {
-		p.PoolMaxIdlePerPeer = d.PoolMaxIdlePerPeer
-	}
-	if p.PoolIdleTimeout == 0 {
-		p.PoolIdleTimeout = d.PoolIdleTimeout
-	}
-	if p.PoolMaxLifetime == 0 {
-		p.PoolMaxLifetime = d.PoolMaxLifetime
-	}
-	// QueueLoadFactor, RenderCacheBytes, LoadQuantum, and PiggybackRefresh
-	// keep negative values: they mean "feature disabled".
-	if p.QueueLoadFactor == 0 {
-		p.QueueLoadFactor = d.QueueLoadFactor
-	}
-	if p.RenderCacheBytes == 0 {
-		p.RenderCacheBytes = d.RenderCacheBytes
-	}
-	if p.LoadQuantum == 0 {
-		p.LoadQuantum = d.LoadQuantum
-	}
-	if p.PiggybackRefresh == 0 {
-		p.PiggybackRefresh = d.PiggybackRefresh
-	}
-	if p.TraceRingSize <= 0 {
-		p.TraceRingSize = d.TraceRingSize
-	}
-	// MaxPiggybackEntries, AntiEntropyInterval, and MetricsSeriesLimit
-	// keep negative values: they mean "uncapped" / "disabled".
-	if p.MaxPiggybackEntries == 0 {
-		p.MaxPiggybackEntries = d.MaxPiggybackEntries
-	}
-	if p.AntiEntropyInterval == 0 {
-		p.AntiEntropyInterval = d.AntiEntropyInterval
-	}
-	if p.MetricsSeriesLimit == 0 {
-		p.MetricsSeriesLimit = d.MetricsSeriesLimit
-	}
+	fillUnset(&p.Workers, d.Workers)
+	fillUnset(&p.QueueLength, d.QueueLength)
+	fillUnset(&p.StatsInterval, d.StatsInterval)
+	fillUnset(&p.PingerInterval, d.PingerInterval)
+	fillUnset(&p.ValidateInterval, d.ValidateInterval)
+	fillUnset(&p.HomeReMigrateInterval, d.HomeReMigrateInterval)
+	fillUnset(&p.CoopMigrateInterval, d.CoopMigrateInterval)
+	fillUnset(&p.MigrationThreshold, d.MigrationThreshold)
+	fillUnset(&p.MaxPingFailures, d.MaxPingFailures)
+	fillUnset(&p.MaintenanceTimeout, d.MaintenanceTimeout)
+	fillUnset(&p.FetchTimeout, d.FetchTimeout)
+	fillUnset(&p.FetchAttempts, d.FetchAttempts)
+	fillUnset(&p.ProbeAttempts, d.ProbeAttempts)
+	fillUnset(&p.BreakerThreshold, d.BreakerThreshold)
+	fillUnset(&p.HotReplicaCount, d.HotReplicaCount)
+	fillUnset(&p.SLOWindowShort, d.SLOWindowShort)
+	fillUnset(&p.SLOProfileSeconds, d.SLOProfileSeconds)
+	fillUnset(&p.ProfileRingSize, d.ProfileRingSize)
+
+	fillZero(&p.RetryBaseDelay, d.RetryBaseDelay)
+	fillZero(&p.HedgeDelay, d.HedgeDelay)
+	fillZero(&p.AntiEntropyInterval, d.AntiEntropyInterval)
+	fillZero(&p.MetricsSeriesLimit, d.MetricsSeriesLimit)
+	fillZero(&p.SnapshotInterval, d.SnapshotInterval)
+	fillZero(&p.PlacementMaxStaleness, d.PlacementMaxStaleness)
+	fillZero(&p.HotReplicateRate, d.HotReplicateRate)
+	fillZero(&p.CapacitySmoothing, d.CapacitySmoothing)
+	fillZero(&p.SLOCheckInterval, d.SLOCheckInterval)
+
 	if p.WALSync == "" {
 		p.WALSync = d.WALSync
 	}
-	if p.WALSyncInterval <= 0 {
-		p.WALSyncInterval = d.WALSyncInterval
-	}
-	if p.WALSegmentBytes <= 0 {
-		p.WALSegmentBytes = d.WALSegmentBytes
-	}
-	// SnapshotInterval and PlacementMaxStaleness keep negative values:
-	// they mean "feature disabled".
-	if p.SnapshotInterval == 0 {
-		p.SnapshotInterval = d.SnapshotInterval
-	}
-	if p.PlacementMaxStaleness == 0 {
-		p.PlacementMaxStaleness = d.PlacementMaxStaleness
-	}
-	// HotReplicateRate keeps negative values: they mean "proactive chain
-	// replication disabled".
-	if p.HotReplicateRate == 0 {
-		p.HotReplicateRate = d.HotReplicateRate
-	}
-	if p.HotReplicaCount <= 0 {
-		p.HotReplicaCount = d.HotReplicaCount
-	}
-	if p.ReplicateTimeout <= 0 {
-		p.ReplicateTimeout = d.ReplicateTimeout
-	}
-	// CapacitySmoothing keeps negative values: they mean "capacity
-	// normalization disabled" (raw loads gossiped, legacy behaviour).
-	// Zone keeps its zero value: empty means "unzoned".
-	if p.CapacitySmoothing == 0 {
-		p.CapacitySmoothing = d.CapacitySmoothing
-	}
-	// LeaseDuration keeps its zero value: zero means "push invalidation
-	// disabled" — the extension is opt-in, like Replicate, because the
-	// paper's design has no leases. InvalidateHeartbeat zero derives from
-	// LeaseDuration at use; negative means "no heartbeats".
-
-	// SlowTraceThreshold and SLOCheckInterval keep negative values: they
-	// mean "slow capture off" / "watcher disabled".
-	if p.SlowTraceThreshold == 0 {
-		p.SlowTraceThreshold = d.SlowTraceThreshold
-	}
-	if p.TailRingSize <= 0 {
-		p.TailRingSize = d.TailRingSize
-	}
-	if p.SLOLatencyTarget <= 0 {
-		p.SLOLatencyTarget = d.SLOLatencyTarget
-	}
-	if p.SLOLatencyObjective <= 0 || p.SLOLatencyObjective >= 1 {
-		p.SLOLatencyObjective = d.SLOLatencyObjective
-	}
-	if p.SLOMaxShedRate <= 0 || p.SLOMaxShedRate > 1 {
-		p.SLOMaxShedRate = d.SLOMaxShedRate
-	}
-	if p.SLOBurnThreshold <= 0 {
-		p.SLOBurnThreshold = d.SLOBurnThreshold
-	}
-	if p.SLOWindowShort <= 0 {
-		p.SLOWindowShort = d.SLOWindowShort
-	}
+	// The long window must exceed the short one for the two-window burn
+	// rule to mean anything.
 	if p.SLOWindowLong <= p.SLOWindowShort {
 		p.SLOWindowLong = d.SLOWindowLong
 		if p.SLOWindowLong <= p.SLOWindowShort {
 			p.SLOWindowLong = 10 * p.SLOWindowShort
 		}
 	}
-	if p.SLOCheckInterval == 0 {
-		p.SLOCheckInterval = d.SLOCheckInterval
-	}
-	if p.SLOProfileSeconds <= 0 {
-		p.SLOProfileSeconds = d.SLOProfileSeconds
-	}
-	if p.ProfileRingSize <= 0 {
-		p.ProfileRingSize = d.ProfileRingSize
-	}
 	return p
+}
+
+type number interface {
+	~int | ~int64 | ~float64
+}
+
+// fillUnset replaces a zero or negative value with its default.
+func fillUnset[T number](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
+
+// fillZero replaces only the zero value; a negative value is the caller's
+// "off".
+func fillZero[T number](v *T, def T) {
+	if *v == 0 {
+		*v = def
+	}
 }

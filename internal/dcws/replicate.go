@@ -24,6 +24,11 @@ import (
 // copy and relays the remainder of the chain to its successor, so home
 // egress is ~one upload per hot document regardless of k.
 
+// replicateTimeout bounds each link of a chain push — the home's upload
+// to the chain head, and each relay hop — so one slow link cannot stall
+// the whole dissemination.
+const replicateTimeout = 10 * time.Second
+
 // sizeWeight scales a document's serve rate by its rendered size before
 // the EWMA, so a large document at a modest hit rate still replicates —
 // its egress dominates the home's uplink long before its request count
@@ -56,12 +61,11 @@ func (s *Server) takeHotHints() map[string]int64 {
 // maybeChainReplicate folds this window's hit counts — home serves from
 // the LDG plus coop-reported hits — into the per-document serve-rate
 // EWMAs, and chain-replicates every non-entry-point document whose rate
-// crosses the trigger, hottest first. It returns the set of documents it
-// handled, so the legacy one-replica-per-tick path skips them.
-func (s *Server) maybeChainReplicate(hints map[string]int64) map[string]bool {
+// crosses the trigger, hottest first.
+func (s *Server) maybeChainReplicate(hints map[string]int64) {
 	rate := s.params.HotReplicateRate
 	if rate <= 0 {
-		return nil
+		return
 	}
 	interval := s.params.StatsInterval.Seconds()
 	if interval <= 0 {
@@ -95,32 +99,24 @@ func (s *Server) maybeChainReplicate(hints map[string]int64) map[string]bool {
 		}
 	}
 	s.hotMu.Unlock()
-	if len(hot) == 0 {
-		return nil
-	}
 	sort.Slice(hot, func(i, j int) bool {
 		if hot[i].ewma != hot[j].ewma {
 			return hot[i].ewma > hot[j].ewma
 		}
 		return hot[i].doc < hot[j].doc
 	})
-	handled := make(map[string]bool, len(hot))
 	for _, c := range hot {
-		s.tel.replicateHotTriggers.Inc()
-		if s.chainReplicate(c.doc) {
-			handled[c.doc] = true
-		}
+		s.tel.replicateTriggers.Inc()
+		s.chainReplicate(c.doc)
 	}
-	return handled
 }
 
 // chainReplicate pushes one hot document to enough new co-op servers to
-// reach HotReplicaCount replicas, over a single chain upload. It reports
-// whether at least one new replica was installed.
-func (s *Server) chainReplicate(doc string) bool {
+// reach HotReplicaCount replicas, over a single chain upload.
+func (s *Server) chainReplicate(doc string) {
 	loc, known := s.ldg.Location(doc)
 	if !known {
-		return false
+		return
 	}
 	s.repMu.RLock()
 	existing := append([]string(nil), s.replicas[doc]...)
@@ -130,7 +126,7 @@ func (s *Server) chainReplicate(doc string) bool {
 	}
 	want := s.params.HotReplicaCount - len(existing)
 	if want <= 0 {
-		return false
+		return
 	}
 	exclude := map[string]bool{s.addr: true}
 	for _, r := range existing {
@@ -151,21 +147,21 @@ func (s *Server) chainReplicate(doc string) bool {
 		chain = append(chain, e.Server)
 	}
 	if len(chain) == 0 {
-		return false
+		return
 	}
 	payload, err := s.prepareForMigration(doc)
 	if err != nil {
 		s.log.Printf("dcws %s: chain replicate %s: render: %v", s.Addr(), doc, err)
-		return false
+		return
 	}
 	key, err := naming.Encode(s.cfg.Origin, doc)
 	if err != nil {
-		return false
+		return
 	}
 	intended := append(append(make([]string, 0, len(existing)+len(chain)), existing...), chain...)
 	acked := s.pushChain(key, doc, payload, contentHash(payload), chain, intended)
 	if len(acked) == 0 {
-		return false
+		return
 	}
 	// Install the replica set from the acks only: a chain member that was
 	// skipped (link failure) holds no copy and must not receive 301s.
@@ -176,14 +172,14 @@ func (s *Server) chainReplicate(doc string) bool {
 	if wasHome {
 		if dirtied, err = s.ldg.MarkMigrated(doc, newReps[0]); err != nil {
 			s.log.Printf("dcws %s: chain replicate %s: %v", s.Addr(), doc, err)
-			return false
+			return
 		}
 		s.ledger.Record(doc, newReps[0], now)
 	} else if dirtied, err = s.ldg.MarkMigrated(doc, loc); err != nil {
 		// Re-dirty the LinkFrom set so regenerated links rotate across the
 		// enlarged replica set.
 		s.log.Printf("dcws %s: chain replicate %s: %v", s.Addr(), doc, err)
-		return false
+		return
 	}
 	s.repMu.Lock()
 	s.replicas[doc] = newReps
@@ -198,10 +194,8 @@ func (s *Server) chainReplicate(doc string) bool {
 	}
 	s.walAppend(recReplicas, encodeReplicas(doc, newReps))
 	s.pushDirtied(dirtied)
-	s.tel.replications.Add(int64(len(acked)))
 	s.log.Printf("dcws %s: chain-replicated %s -> %v (%d of %d links acked, %d bytes uploaded once)",
 		s.Addr(), doc, acked, len(acked), len(chain), len(payload))
-	return true
 }
 
 // pushChain uploads the rendered document once, to the first reachable
@@ -225,8 +219,8 @@ func (s *Server) pushChain(key, doc string, payload []byte, h uint64, chain, int
 		extra.Set(headerReplicas, strings.Join(intended, ","))
 		extra.Set(telemetry.TraceHeader, traceID)
 		extra.Set(telemetry.ParentHeader, span.ID)
-		s.piggybackTo(extra, head, false)
-		resp, err := s.client.PostTimeout(head, replicatePath, extra, payload, s.params.ReplicateTimeout)
+		s.piggybackTo(extra, head)
+		resp, err := s.client.PostTimeout(head, replicatePath, extra, payload, replicateTimeout)
 		span.Duration = time.Since(start)
 		if err != nil || resp.Status != 200 {
 			if err != nil {
@@ -241,7 +235,7 @@ func (s *Server) pushChain(key, doc string, payload []byte, h uint64, chain, int
 		}
 		span.Status = resp.Status
 		s.tel.record(span)
-		s.absorb(resp.Header)
+		s.absorbPiggyback(resp.Header)
 		s.tel.replicatePushes.Inc()
 		s.tel.replicatePushBytes.Add(int64(len(payload)))
 		return splitAddrs(resp.Header.Get(headerAcked))
@@ -336,8 +330,8 @@ func (s *Server) relayChain(key, doc string, payload []byte, hashHex, replicas s
 		}
 		extra.Set(telemetry.TraceHeader, traceID)
 		extra.Set(telemetry.ParentHeader, span.ID)
-		s.piggybackTo(extra, next, false)
-		resp, err := s.client.PostTimeout(next, replicatePath, extra, payload, s.params.ReplicateTimeout)
+		s.piggybackTo(extra, next)
+		resp, err := s.client.PostTimeout(next, replicatePath, extra, payload, replicateTimeout)
 		span.Duration = time.Since(start)
 		if err != nil || resp.Status != 200 {
 			if err != nil {
@@ -352,7 +346,7 @@ func (s *Server) relayChain(key, doc string, payload []byte, hashHex, replicas s
 		}
 		span.Status = resp.Status
 		s.tel.record(span)
-		s.absorb(resp.Header)
+		s.absorbPiggyback(resp.Header)
 		s.tel.replicateRelays.Inc()
 		return splitAddrs(resp.Header.Get(headerAcked))
 	}
@@ -378,7 +372,7 @@ func (s *Server) sendChainRevoke(hosts []string, doc string) []string {
 	req.Header.Set(headerChain, strings.Join(hosts[1:], ","))
 	req.Header.Set(telemetry.TraceHeader, span.TraceID)
 	req.Header.Set(telemetry.ParentHeader, span.ID)
-	s.piggybackTo(req.Header, head, false)
+	s.piggybackTo(req.Header, head)
 	resp, err := s.client.DoTimeout(head, req, s.params.MaintenanceTimeout)
 	span.Duration = time.Since(start)
 	if err != nil {
@@ -389,7 +383,7 @@ func (s *Server) sendChainRevoke(hosts []string, doc string) []string {
 	}
 	span.Status = resp.Status
 	s.tel.record(span)
-	s.absorb(resp.Header)
+	s.absorbPiggyback(resp.Header)
 	if resp.Status != 200 {
 		return nil
 	}
@@ -415,7 +409,7 @@ func (s *Server) relayRevoke(key string, chain []string, traceID, parent string)
 		}
 		req.Header.Set(telemetry.TraceHeader, traceID)
 		req.Header.Set(telemetry.ParentHeader, span.ID)
-		s.piggybackTo(req.Header, next, false)
+		s.piggybackTo(req.Header, next)
 		resp, err := s.client.DoTimeout(next, req, s.params.MaintenanceTimeout)
 		span.Duration = time.Since(start)
 		if err != nil || resp.Status != 200 {
@@ -430,7 +424,7 @@ func (s *Server) relayRevoke(key string, chain []string, traceID, parent string)
 		}
 		span.Status = resp.Status
 		s.tel.record(span)
-		s.absorb(resp.Header)
+		s.absorbPiggyback(resp.Header)
 		return splitAddrs(resp.Header.Get(headerAcked))
 	}
 	return nil

@@ -72,6 +72,28 @@ const (
 	profilesPath  = "/~dcws/profiles"
 )
 
+// Settings with one value in every caller are constants here, not Params
+// fields (DESIGN.md §17).
+const (
+	// rateWindow is the sliding window of the CPS/BPS load metrics.
+	rateWindow = 10 * time.Second
+	// retryMaxDelay caps the exponential backoff between RPC attempts.
+	retryMaxDelay = 2 * time.Second
+	// breakerCooldown is how long an open breaker waits before admitting a
+	// half-open trial call.
+	breakerCooldown = 30 * time.Second
+	// Idle keep-alive connections kept per peer for inter-server RPCs, how
+	// long one may sit unused, and how long one may live at all.
+	poolMaxIdlePerPeer = 4
+	poolIdleTimeout    = 30 * time.Second
+	poolMaxLifetime    = 5 * time.Minute
+	// walSyncInterval paces background fsyncs under the "interval" WALSync
+	// policy; walSegmentBytes is the size at which the active segment
+	// rotates.
+	walSyncInterval = 100 * time.Millisecond
+	walSegmentBytes = 16 << 20
+)
+
 // Config assembles a server's identity and dependencies.
 type Config struct {
 	// Origin is the server's address; its host:port is both the listen
@@ -199,9 +221,9 @@ type Server struct {
 	aeLastVer   uint64   // table version at the last cadence decision
 	aeLastPeers []string // peer set at the last cadence decision (sorted)
 
-	// capMu guards the measured service capacity (docs/s); the serve-
-	// histogram totals the per-tick delta is computed against are touched
-	// only by the statistics tick. See capacity.go.
+	// capMu guards the measured service capacity (docs/s) and the serve-
+	// histogram totals the per-tick delta is computed against. See
+	// capacity.go.
 	capMu        sync.Mutex
 	capacity     float64
 	capLastCount int64
@@ -233,7 +255,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	params := cfg.Params.withDefaults()
+	params := cfg.Params.WithDefaults()
 
 	// Build with the origin-aware resolver: documents regenerated by a
 	// previous run may carry absolute ~migrate URLs for this server's own
@@ -257,9 +279,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		wlog, err = wal.Open(wal.Options{
 			Dir:          cfg.WALDir,
-			SegmentBytes: params.WALSegmentBytes,
+			SegmentBytes: walSegmentBytes,
 			Sync:         syncPolicy,
-			SyncInterval: params.WALSyncInterval,
+			SyncInterval: walSyncInterval,
 			Logger:       cfg.Logger,
 		})
 		if err != nil {
@@ -345,33 +367,33 @@ func New(cfg Config) (*Server, error) {
 		addr:   self,
 		ldg:    ldg,
 		table:  table,
-		stats:  metrics.NewServerStats(params.RateWindow),
+		stats:  metrics.NewServerStats(rateWindow),
 		ledger: ledger,
 		gate:   policy.NewRateGate(params.StatsInterval, params.CoopMigrateInterval),
 		client: httpx.NewPooledClient(httpx.DialerFunc(cfg.Network.Dial), httpx.PoolConfig{
-			MaxIdlePerHost: params.PoolMaxIdlePerPeer,
-			IdleTimeout:    params.PoolIdleTimeout,
-			MaxLifetime:    params.PoolMaxLifetime,
+			MaxIdlePerHost: poolMaxIdlePerPeer,
+			IdleTimeout:    poolIdleTimeout,
+			MaxLifetime:    poolMaxLifetime,
 		}),
 		res: resilience.NewRegistry(cfg.Clock, resilience.BreakerConfig{
 			FailureThreshold: params.BreakerThreshold,
-			Cooldown:         params.BreakerCooldown,
+			Cooldown:         breakerCooldown,
 		}),
 		fetchPolicy: resilience.Policy{
 			MaxAttempts: params.FetchAttempts,
 			BaseDelay:   params.RetryBaseDelay,
-			MaxDelay:    params.RetryMaxDelay,
+			MaxDelay:    retryMaxDelay,
 			Jitter:      0.5,
 		},
 		probePolicy: resilience.Policy{
 			MaxAttempts: params.ProbeAttempts,
 			BaseDelay:   params.RetryBaseDelay,
-			MaxDelay:    params.RetryMaxDelay,
+			MaxDelay:    retryMaxDelay,
 			Jitter:      0.5,
 		},
-		rcache:    newRenderCache(params.RenderCacheBytes),
+		rcache:    newRenderCache(renderCacheBytes),
 		coops:     newCoopSet(),
-		tel:       newServerTelemetry(params.TraceRingSize, params.TailRingSize, params.SlowTraceThreshold),
+		tel:       newServerTelemetry(),
 		wal:       wlog,
 		replicas:  replicas,
 		rrCounter: make(map[string]*uint32),
@@ -628,49 +650,61 @@ func (s *Server) TickPinger() { s.runPingerTick() }
 // TickValidator runs one co-op validation pass synchronously.
 func (s *Server) TickValidator() { s.runValidatorTick() }
 
-// TickAntiEntropy runs one full-table gossip exchange synchronously.
+// TickAntiEntropy runs one anti-entropy digest exchange synchronously.
 func (s *Server) TickAntiEntropy() { s.runAntiEntropyTick() }
 
 // Resilience exposes the per-peer breaker registry and its counters
 // (status endpoint, operational tooling, tests).
 func (s *Server) Resilience() *resilience.Registry { return s.res }
 
+// How the advertised load is formed and gossiped.
+const (
+	// queueLoadFactor is how many load units each connection backlogged in
+	// the socket queue adds to the CPS/BPS rate.
+	queueLoadFactor = 1.0
+	// loadQuantum is the step the advertised load is rounded to, so the
+	// piggyback header — and its cached encoding — stays stable while the
+	// true load wobbles within one step. Migration decisions use the raw
+	// metric.
+	loadQuantum = 1.0
+	// piggybackRefresh throttles self-entry refreshes on the serve path:
+	// while the quantized load is unchanged and the entry is younger than
+	// this, the table (and the encoded header) is left alone.
+	piggybackRefresh = time.Second
+	// MaxPiggybackEntries caps how many load entries one inter-server
+	// X-DCWS-Load delta carries, keeping header size near-constant as the
+	// cluster grows; entries the peer has not acked queue stalest-first
+	// for later responses. Exported for the simulator, which gossips
+	// through the same codec.
+	MaxPiggybackEntries = 12
+)
+
 // loadMetric reports this server's current load for the global load
-// table: the paper's CPS/BPS rate plus the queue-aware shedding term —
-// each connection backlogged in the socket queue counts QueueLoadFactor
-// load units, so a saturated server looks hot to its peers (and to its
-// own migration trigger) before it starts dropping connections.
+// table: the paper's CPS/BPS rate plus the queue-aware shedding term, so
+// a saturated server looks hot to its peers (and to its own migration
+// trigger) before it starts dropping connections.
 func (s *Server) loadMetric(now time.Time) float64 {
 	load := s.stats.LoadMetric(now, s.params.UseBPSMetric)
-	if f := s.params.QueueLoadFactor; f > 0 {
-		if d := s.httpSrv.QueueDepth(); d > 0 {
-			load += f * float64(d)
-		}
+	if d := s.httpSrv.QueueDepth(); d > 0 {
+		load += queueLoadFactor * float64(d)
 	}
 	return load
 }
 
-// quantizeLoad rounds a load value to the nearest LoadQuantum multiple so
-// the advertised figure — and the cached piggyback encoding keyed on it —
-// stays stable while the true load wobbles within one step.
-func (s *Server) quantizeLoad(load float64) float64 {
-	q := s.params.LoadQuantum
-	if q <= 0 {
-		return load
-	}
-	return math.Round(load/q) * q
+// quantizeLoad rounds a load value to the nearest loadQuantum multiple.
+func quantizeLoad(load float64) float64 {
+	return math.Round(load/loadQuantum) * loadQuantum
 }
 
 // piggybackTo attaches the load-table delta this peer has not yet acked
-// to an outgoing header map, capped at MaxPiggybackEntries (full sends
-// the whole table — the anti-entropy exchange). The self entry is
-// refreshed with the quantized load, throttled by PiggybackRefresh, so in
-// steady state the table version is unchanged and the per-peer encoding
-// cache answers with a version compare.
-func (s *Server) piggybackTo(h httpx.Header, peer string, full bool) {
+// to an outgoing header map. The self entry is refreshed with the
+// quantized load, throttled by piggybackRefresh, so in steady state the
+// table version is unchanged and the per-peer encoding cache answers with
+// a version compare.
+func (s *Server) piggybackTo(h httpx.Header, peer string) {
 	now := s.now()
-	s.table.RefreshSelf(s.advertisedLoad(now), now, s.params.PiggybackRefresh)
-	h.Set(glt.HeaderName, s.table.EncodePiggybackTo(peer, now, s.params.MaxPiggybackEntries, full))
+	s.table.RefreshSelf(s.advertisedLoad(now), now, piggybackRefresh)
+	h.Set(glt.HeaderName, s.table.EncodePiggybackTo(peer, now, MaxPiggybackEntries, false))
 }
 
 // piggybackClient attaches the self-entry-only header to a plain client
@@ -678,14 +712,14 @@ func (s *Server) piggybackTo(h httpx.Header, peer string, full bool) {
 // always fresh here — constant-size however large the cluster is.
 func (s *Server) piggybackClient(h httpx.Header) {
 	now := s.now()
-	s.table.RefreshSelf(s.advertisedLoad(now), now, s.params.PiggybackRefresh)
+	s.table.RefreshSelf(s.advertisedLoad(now), now, piggybackRefresh)
 	h.Set(glt.HeaderName, s.table.EncodeClientHeader())
 }
 
 // absorbPiggyback merges piggybacked load information from an incoming
-// header map and returns the decoded piggyback — sender address, full-
-// exchange flag, and any per-shard digests — so callers that speak the
-// digest protocol can see what the sender asked for.
+// header map and returns the decoded piggyback — sender address and any
+// per-shard digests — so callers that speak the digest protocol can see
+// what the sender asked for.
 func (s *Server) absorbPiggyback(h httpx.Header) glt.Piggyback {
 	var p glt.Piggyback
 	if v := h.Get(glt.HeaderName); v != "" {
@@ -695,15 +729,6 @@ func (s *Server) absorbPiggyback(h httpx.Header) glt.Piggyback {
 	}
 	s.absorbHot(h)
 	return p
-}
-
-// absorb merges piggybacked load information from an incoming header map.
-// It reports the sender's address when the header carried one ("" for
-// plain clients and legacy peers) and whether the sender asked for a
-// full-table anti-entropy response.
-func (s *Server) absorb(h httpx.Header) (from string, full bool) {
-	p := s.absorbPiggyback(h)
-	return p.From, p.Full
 }
 
 // reconcileDownPeers checks piggybacked entries against the declared-down

@@ -15,6 +15,22 @@ import (
 	"dcws/internal/telemetry"
 )
 
+// The objectives the SLO watcher alerts on.
+const (
+	// sloLatencyTarget is the per-request latency objective: a request
+	// answered within it is "good" for burn-rate accounting.
+	sloLatencyTarget = 250 * time.Millisecond
+	// sloLatencyObjective is the fraction of requests that must meet the
+	// target; 1 - objective is the error budget.
+	sloLatencyObjective = 0.999
+	// sloMaxShedRate is the tolerated fraction of connections dropped by
+	// the overload gate.
+	sloMaxShedRate = 0.01
+	// sloBurnThreshold is the multiple of the sustainable burn rate both
+	// windows must reach before the watcher alerts.
+	sloBurnThreshold = 4.0
+)
+
 // SLO watcher: multi-window burn-rate alerting with automatic profile
 // capture. Every SLOCheckInterval the watcher snapshots the per-role serve
 // histograms and the shed/queued counters, derives short- and long-window
@@ -22,10 +38,10 @@ import (
 //
 //	burn = (violations / total) / (1 - objective)
 //
-// where a violation is a request slower than SLOLatencyTarget (for the
-// latency SLO) or a shed connection (against the SLOMaxShedRate budget). A
+// where a violation is a request slower than sloLatencyTarget (for the
+// latency SLO) or a shed connection (against the sloMaxShedRate budget). A
 // burn of 1 spends the budget exactly at the sustainable pace; the watcher
-// alerts only when BOTH windows burn at SLOBurnThreshold or faster — the
+// alerts only when BOTH windows burn at sloBurnThreshold or faster — the
 // short window proves the problem is live, the long window proves it is
 // sustained rather than a blip. On alert it captures a pprof CPU+heap pair
 // into Config.ProfileDir (a ring bounded at ProfileRingSize captures), so
@@ -140,7 +156,7 @@ func newSLOWatcher(s *Server) *sloWatcher {
 		"fraction of connections shed at the socket queue, by window", "gauge",
 		windowed(&w.shed))
 	reg.Collector("dcws_slo_shed_burn_rate",
-		"shed-budget burn rate against SLOMaxShedRate, by window", "gauge",
+		"shed-budget burn rate against the 1% shed objective, by window", "gauge",
 		windowed(&w.burn))
 	reg.GaugeFunc("dcws_slo_alerting",
 		"1 while some burn rate exceeds the threshold in both windows",
@@ -248,14 +264,14 @@ func (w *sloWatcher) check(now time.Time) {
 		dl := curH.Sub(baseLong.hists[op])
 		st.p50 = quantileSeconds(ds, 0.50)
 		st.p99 = quantileSeconds(ds, 0.99)
-		st.burnShort = latencyBurn(ds, p)
-		st.burnLong = latencyBurn(dl, p)
-		st.alerting = st.burnShort >= p.SLOBurnThreshold && st.burnLong >= p.SLOBurnThreshold
+		st.burnShort = latencyBurn(ds)
+		st.burnLong = latencyBurn(dl)
+		st.alerting = st.burnShort >= sloBurnThreshold && st.burnLong >= sloBurnThreshold
 		alert = alert || st.alerting
 	}
-	w.shed[windowShort], w.burn[windowShort] = shedBurn(cur, baseShort, p.SLOMaxShedRate)
-	w.shed[windowLong], w.burn[windowLong] = shedBurn(cur, baseLong, p.SLOMaxShedRate)
-	shedAlert := w.burn[windowShort] >= p.SLOBurnThreshold && w.burn[windowLong] >= p.SLOBurnThreshold
+	w.shed[windowShort], w.burn[windowShort] = shedBurn(cur, baseShort)
+	w.shed[windowLong], w.burn[windowLong] = shedBurn(cur, baseLong)
+	shedAlert := w.burn[windowShort] >= sloBurnThreshold && w.burn[windowLong] >= sloBurnThreshold
 	alert = alert || shedAlert
 	w.alerting = alert
 
@@ -295,24 +311,24 @@ func (w *sloWatcher) baselineLocked(cutoff time.Time) sloSample {
 // latencyBurn computes the error-budget burn rate of one window delta: the
 // violating fraction divided by the budget fraction (1 - objective). Empty
 // windows burn nothing.
-func latencyBurn(d metrics.HistogramSnapshot, p Params) float64 {
+func latencyBurn(d metrics.HistogramSnapshot) float64 {
 	if d.Count <= 0 {
 		return 0
 	}
-	viol := float64(d.CountAbove(p.SLOLatencyTarget)) / float64(d.Count)
-	return viol / (1 - p.SLOLatencyObjective)
+	viol := float64(d.CountAbove(sloLatencyTarget)) / float64(d.Count)
+	return viol / (1 - sloLatencyObjective)
 }
 
 // shedBurn computes the shed rate and its burn against the shed budget for
 // the window between two samples.
-func shedBurn(cur, base sloSample, maxRate float64) (rate, burn float64) {
+func shedBurn(cur, base sloSample) (rate, burn float64) {
 	shed := cur.shed - base.shed
 	total := shed + (cur.queued - base.queued)
 	if shed <= 0 || total <= 0 {
 		return 0, 0
 	}
 	rate = float64(shed) / float64(total)
-	return rate, rate / maxRate
+	return rate, rate / sloMaxShedRate
 }
 
 func quantileSeconds(d metrics.HistogramSnapshot, q float64) float64 {

@@ -156,7 +156,7 @@ type GLTStatus struct {
 	DeltaEmits  int64 `json:"delta_emits"`
 	FullEmits   int64 `json:"full_emits"`
 	ClientEmits int64 `json:"client_emits"`
-	// AntiEntropyRounds counts full-table exchanges this server initiated.
+	// AntiEntropyRounds counts anti-entropy exchanges this server initiated.
 	AntiEntropyRounds int64 `json:"anti_entropy_rounds"`
 	// AntiEntropySkipped / AntiEntropyForced are the adaptive cadence's
 	// counters: rounds skipped because piggyback deltas already had every
@@ -168,13 +168,11 @@ type GLTStatus struct {
 	AntiEntropyIntervalSeconds float64 `json:"anti_entropy_interval_seconds"`
 	// Digest protocol counters: push-pull digest rounds completed as
 	// requester, digest requests answered as responder, diverged stripes
-	// shipped, third-leg push-backs, and rounds downgraded to the legacy
-	// full exchange against pre-digest peers.
+	// shipped, and third-leg push-backs.
 	DigestRounds     int64 `json:"digest_rounds"`
 	DigestResponses  int64 `json:"digest_responses"`
 	DigestShardsSent int64 `json:"digest_shards_sent"`
 	DigestPushbacks  int64 `json:"digest_pushbacks"`
-	DigestFallbacks  int64 `json:"digest_fallbacks"`
 	// Peers is the per-peer gossip state, keyed by peer address.
 	Peers map[string]GLTPeerStatus `json:"peers,omitempty"`
 }
@@ -312,7 +310,7 @@ func (s *Server) Status() Status {
 		Wasted:   s.tel.hedgeWasted.Value(),
 	}
 	st.Replication = ReplicationStatus{
-		HotTriggers:     s.tel.replicateHotTriggers.Value(),
+		HotTriggers:     s.tel.replicateTriggers.Value(),
 		Pushes:          s.tel.replicatePushes.Value(),
 		PushBytes:       s.tel.replicatePushBytes.Value(),
 		Relays:          s.tel.replicateRelays.Value(),
@@ -359,7 +357,6 @@ func (s *Server) Status() Status {
 		DigestResponses:            s.tel.digestResponses.Value(),
 		DigestShardsSent:           s.tel.digestShardsSent.Value(),
 		DigestPushbacks:            s.tel.digestPushbacks.Value(),
-		DigestFallbacks:            s.tel.digestFallbacks.Value(),
 	}
 	for p, g := range s.table.GossipPeers() {
 		row := GLTPeerStatus{Acked: g.Acked, Seen: g.Seen}

@@ -14,6 +14,13 @@ import (
 	"dcws/internal/wal"
 )
 
+// Sizes of the two span rings and the duration that makes a span slow.
+const (
+	traceRingSize      = 512
+	tailRingSize       = 256
+	slowTraceThreshold = 500 * time.Millisecond
+)
+
 // serverTelemetry owns one server's metrics registry and trace-span ring
 // and implements httpx.Observer so the wire layer reports into it. Hot-path
 // series (request counters, latency histograms) are plain fields observed
@@ -25,13 +32,11 @@ type serverTelemetry struct {
 	reg  *telemetry.Registry
 	ring *telemetry.Ring
 	// tail is the tail-retention ring: every span that ended in an error,
-	// and every span at least slowThreshold long, is copied here. Only
-	// such spans compete for tail slots, so the evidence of a tail-latency
-	// incident survives long after ordinary traffic has wrapped the main
-	// ring. slowThreshold < 0 disables the slow criterion (errors are
-	// still kept).
-	tail          *telemetry.Ring
-	slowThreshold time.Duration
+	// and every span at least slowTraceThreshold long, is copied here.
+	// Only such spans compete for tail slots, so the evidence of a
+	// tail-latency incident survives long after ordinary traffic has
+	// wrapped the main ring.
+	tail *telemetry.Ring
 
 	// httpx layer (fed by the Observer callbacks).
 	queued     *telemetry.Counter
@@ -52,11 +57,10 @@ type serverTelemetry struct {
 	migrations      *telemetry.Counter
 	revokes         *telemetry.Counter
 	recalls         *telemetry.Counter
-	replications    *telemetry.Counter
 	declaredDown    *telemetry.Counter
 	validatorPasses *telemetry.Counter
-	// antiEntropyRounds counts full-table gossip exchanges initiated by
-	// this server's anti-entropy thread.
+	// antiEntropyRounds counts exchanges initiated by this server's
+	// anti-entropy thread.
 	antiEntropyRounds *telemetry.Counter
 
 	// Hedged lazy-migration fetches. Every launched hedge ends up counted
@@ -76,7 +80,7 @@ type serverTelemetry struct {
 	// links promoted past. Revocation reuses the chain: revokeChains are
 	// chain-ordered fan-outs, revokeFallbacks the per-peer revokes still
 	// needed for hosts the chain did not reach.
-	replicateHotTriggers     *telemetry.Counter
+	replicateTriggers        *telemetry.Counter
 	replicatePushes          *telemetry.Counter
 	replicatePushBytes       *telemetry.Counter
 	replicateRelays          *telemetry.Counter
@@ -116,22 +120,19 @@ type serverTelemetry struct {
 
 	// Digest anti-entropy: push-pull digest rounds completed by this
 	// requester, digest requests answered as responder, stripes of entries
-	// shipped in either direction, push-back third legs, and rounds that
-	// fell back to the legacy full exchange against a pre-digest peer.
+	// shipped in either direction, and push-back third legs.
 	digestRounds     *telemetry.Counter
 	digestResponses  *telemetry.Counter
 	digestShardsSent *telemetry.Counter
 	digestPushbacks  *telemetry.Counter
-	digestFallbacks  *telemetry.Counter
 }
 
-func newServerTelemetry(ringSize, tailSize int, slowThreshold time.Duration) *serverTelemetry {
+func newServerTelemetry() *serverTelemetry {
 	reg := telemetry.NewRegistry()
 	t := &serverTelemetry{
-		reg:           reg,
-		ring:          telemetry.NewRing(ringSize),
-		tail:          telemetry.NewRing(tailSize),
-		slowThreshold: slowThreshold,
+		reg:  reg,
+		ring: telemetry.NewRing(traceRingSize),
+		tail: telemetry.NewRing(tailRingSize),
 	}
 
 	t.queued = reg.Counter("dcws_httpx_connections_queued_total",
@@ -162,14 +163,12 @@ func newServerTelemetry(ringSize, tailSize int, slowThreshold time.Duration) *se
 		"documents revoked back to this home server")
 	t.recalls = reg.Counter("dcws_recalls_total",
 		"recall operations run against a co-op server")
-	t.replications = reg.Counter("dcws_replications_total",
-		"hot-spot replicas placed on additional co-op servers")
 	t.declaredDown = reg.Counter("dcws_peers_declared_down_total",
 		"peers declared down after repeated probe failures")
 	t.validatorPasses = reg.Counter("dcws_validator_passes_total",
 		"co-op validation passes completed")
 	t.antiEntropyRounds = reg.Counter("dcws_glt_anti_entropy_rounds_total",
-		"full-table gossip exchanges initiated as the delta-piggyback safety net")
+		"anti-entropy exchanges initiated as the delta-piggyback safety net")
 
 	t.hedgeLaunched = reg.Counter("dcws_hedge_launched_total",
 		"hedge legs raced against a slow or failing home-server fetch")
@@ -180,7 +179,7 @@ func newServerTelemetry(ringSize, tailSize int, slowThreshold time.Duration) *se
 	t.hedgeWasted = reg.Counter("dcws_hedge_wasted_total",
 		"hedge legs that lost the race to the primary or errored outright")
 
-	t.replicateHotTriggers = reg.Counter("dcws_replicate_hot_triggers_total",
+	t.replicateTriggers = reg.Counter("dcws_replicate_hot_triggers_total",
 		"documents whose serve-rate EWMA crossed the chain-replication threshold")
 	t.replicatePushes = reg.Counter("dcws_replicate_pushes_total",
 		"chain uploads sent by this home server (one per dissemination round)")
@@ -234,8 +233,6 @@ func newServerTelemetry(ringSize, tailSize int, slowThreshold time.Duration) *se
 		"diverged table stripes whose entries were shipped during digest exchanges")
 	t.digestPushbacks = reg.Counter("dcws_glt_digest_pushbacks_total",
 		"third-leg pushes of stripes where this side was fresher than the responder")
-	t.digestFallbacks = reg.Counter("dcws_glt_digest_fallbacks_total",
-		"anti-entropy rounds downgraded to the legacy full exchange (pre-digest peer)")
 	return t
 }
 
@@ -243,7 +240,7 @@ func newServerTelemetry(ringSize, tailSize int, slowThreshold time.Duration) *se
 // tail-retention ring when it ended in an error or ran slow.
 func (t *serverTelemetry) record(sp telemetry.Span) {
 	t.ring.Record(sp)
-	if sp.Err != "" || (t.slowThreshold >= 0 && sp.Duration >= t.slowThreshold) {
+	if sp.Err != "" || sp.Duration >= slowTraceThreshold {
 		t.tail.Record(sp)
 	}
 }
@@ -661,6 +658,3 @@ func (s *Server) Telemetry() *telemetry.Registry { return s.tel.reg }
 
 // Traces exposes the server's trace-span ring.
 func (s *Server) Traces() *telemetry.Ring { return s.tel.ring }
-
-// TailTraces exposes the tail-retention ring of error and slow spans.
-func (s *Server) TailTraces() *telemetry.Ring { return s.tel.tail }

@@ -129,10 +129,10 @@ func TestFullExchangeIgnoresAcks(t *testing.T) {
 	if !b.Known("c:80") {
 		t.Fatal("full exchange did not restore the removed entry")
 	}
-	if lf := a.LastFullExchange("b:80"); !lf.Equal(now) {
+	if lf := a.GossipPeers()["b:80"].LastFull; !lf.Equal(now) {
 		t.Fatalf("sender lastFull = %v, want %v", lf, now)
 	}
-	if lf := b.LastFullExchange("a:80"); !lf.Equal(now) {
+	if lf := b.GossipPeers()["a:80"].LastFull; !lf.Equal(now) {
 		t.Fatalf("receiver lastFull = %v, want %v", lf, now)
 	}
 }

@@ -1,6 +1,7 @@
 package glt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -96,35 +97,63 @@ func TestSanitizedZoneSurvivesRoundTrip(t *testing.T) {
 
 // ---- headroom / zone ranking --------------------------------------------
 
-func TestHeadroomRankingWithCapacities(t *testing.T) {
-	tab := NewTable("self:80")
-	// big: 100 cap at 60% load -> headroom 40.
-	// small: 10 cap at 10% load -> headroom 9.
-	// Raw-load ranking would pick small (0.1 < 0.6); headroom must not.
-	tab.Observe(Entry{Server: "big:80", Load: 0.6, Updated: at(5), Capacity: 100})
-	tab.Observe(Entry{Server: "small:80", Load: 0.1, Updated: at(5), Capacity: 10})
-	best, ok := tab.LeastLoaded(map[string]bool{"self:80": true})
-	if !ok || best.Server != "big:80" {
-		t.Fatalf("LeastLoaded = %+v, %v; want big:80", best, ok)
-	}
-	ranked := tab.RankedByHeadroom(map[string]bool{"self:80": true}, "")
-	if len(ranked) != 2 || ranked[0].Server != "big:80" || ranked[1].Server != "small:80" {
-		t.Fatalf("ranked = %+v", ranked)
-	}
-}
-
-func TestHeadroomRankingDegeneratesToLoadOrder(t *testing.T) {
-	// Capacity-less entries must rank exactly as the legacy ascending-load
-	// order, ties broken by address.
-	tab := NewTable("self:80")
-	tab.Observe(Entry{Server: "c:80", Load: 3, Updated: at(5)})
-	tab.Observe(Entry{Server: "a:80", Load: 1, Updated: at(5)})
-	tab.Observe(Entry{Server: "b:80", Load: 1, Updated: at(5)})
-	got := tab.LeastLoadedK(3, map[string]bool{"self:80": true})
-	want := []string{"a:80", "b:80", "c:80"}
-	for i, e := range got {
-		if e.Server != want[i] {
-			t.Fatalf("ranked[%d] = %q, want %q (full: %+v)", i, e.Server, want[i], got)
+func TestRankedByHeadroom(t *testing.T) {
+	self := map[string]bool{"self:80": true}
+	for _, c := range []struct {
+		name    string
+		entries []Entry
+		exclude map[string]bool
+		want    []string
+	}{
+		{
+			// big: 100 cap at 60% load -> headroom 40. small: 10 cap at 10%
+			// load -> headroom 9. Raw-load ranking would pick small.
+			name: "headroom beats raw load",
+			entries: []Entry{
+				{Server: "big:80", Load: 0.6, Updated: at(5), Capacity: 100},
+				{Server: "small:80", Load: 0.1, Updated: at(5), Capacity: 10},
+			},
+			exclude: self,
+			want:    []string{"big:80", "small:80"},
+		},
+		{
+			// Capacity-less entries rank in the paper's ascending-load
+			// order, ties broken by address.
+			name: "no capacities: ascending load, ties by address",
+			entries: []Entry{
+				{Server: "c:80", Load: 3, Updated: at(5)},
+				{Server: "a:80", Load: 1, Updated: at(5)},
+				{Server: "b:80", Load: 1, Updated: at(5)},
+			},
+			exclude: self,
+			want:    []string{"a:80", "b:80", "c:80"},
+		},
+		{
+			name: "excluding the winner promotes the runner-up",
+			entries: []Entry{
+				{Server: "s2:80", Load: 20, Updated: at(1)},
+				{Server: "s3:80", Load: 5, Updated: at(1)},
+			},
+			exclude: map[string]bool{"self:80": true, "s3:80": true},
+			want:    []string{"s2:80"},
+		},
+		{
+			name:    "everyone excluded",
+			entries: []Entry{{Server: "s2:80", Load: 20, Updated: at(1)}},
+			exclude: map[string]bool{"self:80": true, "s2:80": true},
+		},
+		{name: "empty table", exclude: self},
+	} {
+		tab := NewTable("self:80")
+		for _, e := range c.entries {
+			tab.Observe(e)
+		}
+		var got []string
+		for _, e := range tab.RankedByHeadroom(c.exclude, "") {
+			got = append(got, e.Server)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: ranked = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -277,7 +306,7 @@ func TestDigestAbsorbStampsAntiEntropy(t *testing.T) {
 	tab.UpdateSelf(0.5, benchBase)
 	p := Piggyback{From: "b:80", Version: 3, HasDigests: true}
 	tab.Absorb(p, now)
-	if got := tab.LastFullExchange("b:80"); !got.Equal(now) {
+	if got := tab.GossipPeers()["b:80"].LastFull; !got.Equal(now) {
 		t.Fatalf("digest exchange did not stamp lastFull: %v", got)
 	}
 }

@@ -59,8 +59,8 @@ func FuzzDecodePiggyback(f *testing.F) {
 		if tab.Len() < 1 {
 			t.Fatalf("absorbing %q emptied the table", v)
 		}
-		if _, ok := tab.LeastLoaded(nil); !ok {
-			t.Fatalf("absorbing %q broke LeastLoaded", v)
+		if len(tab.RankedByHeadroom(nil, "")) < 1 {
+			t.Fatalf("absorbing %q broke RankedByHeadroom", v)
 		}
 		// The table must still encode and the result must survive a
 		// decode round trip without inventing entries.

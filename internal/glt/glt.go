@@ -323,9 +323,6 @@ func (t *Table) selfInfo() (float64, string) {
 	return t.selfCapacity, t.selfZone
 }
 
-// SelfInfo returns the owning server's advertised capacity and zone.
-func (t *Table) SelfInfo() (capacity float64, zone string) { return t.selfInfo() }
-
 // bumpSelfStamp pushes at forward just far enough that the entry's
 // wire-visible (millisecond) timestamp strictly advances past prev when
 // the advertised value changes. Two self advertisements carrying different
@@ -481,53 +478,12 @@ func headroomLess(a, b Entry) bool {
 	return a.Server < b.Server
 }
 
-// LeastLoaded returns the known server with the most headroom, skipping
-// the excluded addresses (§4.2 picked "the server with the lowest
-// LoadMetric value"; with gossiped capacities the same rule runs on
-// headroom = capacity x spare fraction, which degenerates to lowest load
-// when no capacities are advertised). ok is false when no eligible server
-// exists.
-func (t *Table) LeastLoaded(exclude map[string]bool) (Entry, bool) {
-	var best Entry
-	found := false
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for _, rec := range sh.entries {
-			e := rec.e
-			if exclude[e.Server] {
-				continue
-			}
-			if !found || headroomLess(e, best) {
-				best = e
-				found = true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return best, found
-}
-
-// LeastLoadedK returns up to k entries ordered by descending headroom
-// (ascending load for capacity-less tables; ties by address), skipping
-// the excluded addresses — the chain-replication target selector: the k
-// most-spacious eligible peers become the dissemination chain, ordered so
-// the roomiest server is the chain head and absorbs the relay work first.
-// k <= 0 returns nil.
-func (t *Table) LeastLoadedK(k int, exclude map[string]bool) []Entry {
-	if k <= 0 {
-		return nil
-	}
-	all := t.RankedByHeadroom(exclude, "")
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
 // RankedByHeadroom returns every non-excluded entry ordered by descending
-// headroom (ties by ascending load, then address). When zone is
-// non-empty, entries in that zone order before all others — the
+// headroom (ties by ascending load, then address) — §4.2 picked "the
+// server with the lowest LoadMetric value"; with gossiped capacities the
+// same rule runs on headroom = capacity x spare fraction, which
+// degenerates to lowest load when no capacities are advertised. When zone
+// is non-empty, entries in that zone order before all others — the
 // zone-local placement preference: a caller walking the list tries every
 // same-zone candidate before spilling to a cross-zone one, so remote
 // targets are used only when local headroom is exhausted.
@@ -750,20 +706,6 @@ func (t *Table) Absorb(p Piggyback, now time.Time) {
 		ps.lastFull = now
 	}
 	ps.mu.Unlock()
-}
-
-// LastFullExchange reports when the last full-table exchange with peer
-// completed (zero when never, or when the peer is untracked).
-func (t *Table) LastFullExchange(peer string) time.Time {
-	t.peerMu.RLock()
-	ps := t.peers[peer]
-	t.peerMu.RUnlock()
-	if ps == nil {
-		return time.Time{}
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.lastFull
 }
 
 // encodeBufPool recycles the scratch buffers the encoders serialize

@@ -67,38 +67,6 @@ func TestSelfEchoDoesNotRegress(t *testing.T) {
 	}
 }
 
-func TestLeastLoaded(t *testing.T) {
-	tab := NewTable("s1:80")
-	tab.UpdateSelf(100, at(1))
-	tab.Observe(Entry{Server: "s2:80", Load: 20, Updated: at(1)})
-	tab.Observe(Entry{Server: "s3:80", Load: 5, Updated: at(1)})
-	e, ok := tab.LeastLoaded(nil)
-	if !ok || e.Server != "s3:80" {
-		t.Fatalf("LeastLoaded = %+v, %v", e, ok)
-	}
-	// Excluding the winner picks the runner-up.
-	e, ok = tab.LeastLoaded(map[string]bool{"s3:80": true})
-	if !ok || e.Server != "s2:80" {
-		t.Fatalf("LeastLoaded w/ exclusion = %+v, %v", e, ok)
-	}
-	// Excluding everyone yields none.
-	_, ok = tab.LeastLoaded(map[string]bool{"s1:80": true, "s2:80": true, "s3:80": true})
-	if ok {
-		t.Fatal("LeastLoaded with all excluded reported a server")
-	}
-}
-
-func TestLeastLoadedTieBreaksByAddress(t *testing.T) {
-	tab := NewTable("s9:80")
-	tab.UpdateSelf(5, at(1))
-	tab.Observe(Entry{Server: "s2:80", Load: 5, Updated: at(1)})
-	tab.Observe(Entry{Server: "s5:80", Load: 5, Updated: at(1)})
-	e, _ := tab.LeastLoaded(nil)
-	if e.Server != "s2:80" {
-		t.Fatalf("tie break = %q, want s2:80", e.Server)
-	}
-}
-
 func TestStaleServers(t *testing.T) {
 	tab := NewTable("s1:80")
 	tab.UpdateSelf(1, at(100))

@@ -179,7 +179,7 @@ func TestConcurrentShardMerge(t *testing.T) {
 				case 5:
 					_ = tab.EncodeHeader()
 					_ = tab.Snapshot()
-					_, _ = tab.LeastLoaded(nil)
+					_ = tab.RankedByHeadroom(nil, "")
 				case 6:
 					if n%70 == 6 {
 						tab.Remove(srv)

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"dcws/internal/dcws"
 	"dcws/internal/glt"
 	"dcws/internal/policy"
 )
@@ -55,7 +56,7 @@ func (w *World) internalFetch(coop *simServer, t target, done func(reply)) {
 // epidemic relay of third-party entries behave identically to production.
 func exchangeTables(a, b *simServer) {
 	w := a.w
-	max := w.params.MaxPiggybackEntries
+	max := dcws.MaxPiggybackEntries
 	req := glt.DecodePiggyback(b.table.EncodePiggybackTo(a.addr, w.now, max, false))
 	a.table.Absorb(req, w.now)
 	resp := glt.DecodePiggyback(a.table.EncodePiggybackTo(b.addr, w.now, max, false))
@@ -102,9 +103,6 @@ func (s *simServer) statsTick() {
 	s.revokeExpired(load)
 	if w.params.HotReplicateRate > 0 {
 		s.chainReplicateHot()
-	}
-	if w.params.Replicate {
-		s.replicateHot()
 	}
 	s.maybeMigrate(load)
 
@@ -165,7 +163,7 @@ func (s *simServer) chooseCoop(selfLoad float64) (string, bool) {
 	}
 	exclude := map[string]bool{s.addr: true}
 	for _, e := range s.table.RankedByHeadroom(exclude, s.w.params.Zone) {
-		if selfLoad <= e.Load*s.w.params.ImbalanceRatio {
+		if selfLoad <= e.Load*dcws.ImbalanceRatio {
 			continue
 		}
 		if s.w.servers[e.Server] == nil {
@@ -277,7 +275,7 @@ func (s *simServer) revokeExpired(selfLoad float64) {
 		if !ok {
 			continue
 		}
-		if e.Load > selfLoad*s.w.params.ImbalanceRatio {
+		if e.Load > selfLoad*dcws.ImbalanceRatio {
 			s.revoke(mig.Doc)
 		}
 	}
@@ -389,50 +387,6 @@ func (s *simServer) chainReplicateHot() {
 		delete(s.hotHints, name)
 		s.pushDirtied(d.linkFrom)
 	}
-}
-
-// replicateHot extends the replica set of hot migrated documents (the §6
-// replication extension).
-func (s *simServer) replicateHot() {
-	w := s.w
-	names := make([]string, 0, len(s.hotHints))
-	for name := range s.hotHints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		hits := s.hotHints[name]
-		if hits < w.params.ReplicateThreshold {
-			continue
-		}
-		d, ok := s.docs[name]
-		if !ok || d.location == "" {
-			continue
-		}
-		reps := s.replicas[name]
-		if len(reps) == 0 {
-			reps = []string{d.location}
-		}
-		if len(reps) >= w.params.MaxReplicas {
-			continue
-		}
-		exclude := map[string]bool{s.addr: true}
-		for _, r := range reps {
-			exclude[r] = true
-		}
-		ranked := s.table.RankedByHeadroom(exclude, w.params.Zone)
-		if len(ranked) == 0 {
-			continue
-		}
-		s.replicas[name] = append(reps, ranked[0].Server)
-		d.version++
-		for _, from := range d.linkFrom {
-			if fd, ok := s.docs[from]; ok {
-				fd.dirty = true
-			}
-		}
-	}
-	s.hotHints = make(map[string]int64)
 }
 
 // pingerTick refreshes stale load-table entries by probing peers — a tiny
@@ -548,7 +502,7 @@ func (s *simServer) antiEntropyTick() {
 		return
 	}
 	peer := w.servers[best]
-	max := w.params.MaxPiggybackEntries
+	max := dcws.MaxPiggybackEntries
 	req := glt.DecodePiggyback(s.table.EncodePiggybackTo(peer.addr, w.now, max, true))
 	peer.table.Absorb(req, w.now)
 	// The live responder sees the !g marker and answers with its own full

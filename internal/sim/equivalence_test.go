@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -33,7 +34,7 @@ func TestSimMatchesLiveMigrationDecision(t *testing.T) {
 	// --- Simulator side ---
 	w := &World{
 		cfg:     Config{},
-		params:  mergeParams(params),
+		params:  params.WithDefaults(),
 		cost:    DefaultCostModel(),
 		now:     time.Unix(0, 0),
 		servers: make(map[string]*simServer),
@@ -125,5 +126,31 @@ func TestSimMatchesLiveMigrationDecision(t *testing.T) {
 	// pick the hottest non-entry page by Algorithm 1.
 	if simMigrated != "/pages/p03.html" {
 		t.Fatalf("Algorithm 1 picked %q, want the hottest page /pages/p03.html", simMigrated)
+	}
+}
+
+// TestSimAndLiveResolveSameParams pins the one-defaults-function rule: the
+// Params a simulated world runs with are exactly what dcws.New resolves
+// the same value to (Params.WithDefaults), field for field, so one Params
+// value never describes two systems. The cases are the three shapes
+// callers pass: nothing, everything, and a partial profile with the chain
+// switched off (experiments.peakParams has this shape).
+func TestSimAndLiveResolveSameParams(t *testing.T) {
+	for name, p := range map[string]dcws.Params{
+		"zero":     {},
+		"defaults": dcws.DefaultParams(),
+		"peak":     fastParams(),
+	} {
+		w, err := newWorld(Config{Site: dataset.HotImage(), Params: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := p.WithDefaults()
+		if !reflect.DeepEqual(w.params, live) {
+			t.Errorf("%s: simulator runs with %+v, live server with %+v", name, w.params, live)
+		}
+		if again := live.WithDefaults(); !reflect.DeepEqual(again, live) {
+			t.Errorf("%s: WithDefaults is not idempotent: %+v then %+v", name, live, again)
+		}
 	}
 }

@@ -16,7 +16,7 @@ func gossipWorld(t *testing.T, n int) *World {
 	t.Helper()
 	w := &World{
 		cfg:     Config{},
-		params:  mergeParams(dcws.Params{}),
+		params:  dcws.Params{}.WithDefaults(),
 		cost:    DefaultCostModel(),
 		now:     time.Unix(0, 0),
 		servers: make(map[string]*simServer),
@@ -40,7 +40,7 @@ func TestGossipSweepConverges64(t *testing.T) {
 	const n = 64
 	w := gossipWorld(t, n)
 	rng := rand.New(rand.NewSource(7))
-	cap := w.params.MaxPiggybackEntries
+	cap := dcws.MaxPiggybackEntries
 
 	maxEntries := 0
 	// Churn: every round each server refreshes its own load and runs two

@@ -92,7 +92,7 @@ func TestHeterogeneousWeightedPlacement(t *testing.T) {
 func TestHeterogeneousSpreadChangesCapacity(t *testing.T) {
 	w := &World{
 		cfg:     Config{Servers: 16, HeteroSpread: 4},
-		params:  mergeParams(dcws.Params{}),
+		params:  dcws.Params{}.WithDefaults(),
 		cost:    DefaultCostModel(),
 		servers: make(map[string]*simServer),
 	}

@@ -13,7 +13,7 @@ func testServer(t *testing.T) (*World, *simServer) {
 	t.Helper()
 	w := &World{
 		cfg:     Config{},
-		params:  mergeParams(dcws.Params{}),
+		params:  dcws.Params{}.WithDefaults(),
 		cost:    DefaultCostModel(),
 		now:     time.Unix(0, 0),
 		servers: make(map[string]*simServer),

@@ -59,7 +59,10 @@ type Config struct {
 	// SampleEvery is the sampling interval for the CPS/BPS time series
 	// (paper: 10 s).
 	SampleEvery time.Duration
-	// Params are the DCWS tunables (Table 1 defaults when zero).
+	// Params are the DCWS tunables, resolved by Params.WithDefaults exactly
+	// as a live server resolves them: a zero HotReplicateRate means the
+	// default chain-replication trigger, so a run that reproduces the
+	// paper's system (which has no replication) sets it negative.
 	Params dcws.Params
 	// Cost is the workstation cost model (calibrated defaults when zero).
 	Cost CostModel
@@ -187,6 +190,20 @@ type World struct {
 
 // Run executes one simulation and returns its measurements.
 func Run(cfg Config) (*Result, error) {
+	w, err := newWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	w.build()
+	w.start()
+	w.drain(w.stopAt)
+	w.collect()
+	return w.res, nil
+}
+
+// newWorld resolves a configuration — Params exactly as a live server
+// resolves them — into a world ready to build.
+func newWorld(cfg Config) (*World, error) {
 	if cfg.Site == nil && len(cfg.Sites) == 0 {
 		return nil, fmt.Errorf("sim: Config.Site or Config.Sites is required")
 	}
@@ -208,13 +225,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = DefaultCostModel()
 	}
-	params := cfg.Params
-	// withDefaults is unexported; replicate via DefaultParams merge.
-	params = mergeParams(params)
-
 	w := &World{
 		cfg:     cfg,
-		params:  params,
+		params:  cfg.Params.WithDefaults(),
 		cost:    cfg.Cost,
 		now:     time.Unix(0, 0),
 		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
@@ -228,76 +241,7 @@ func Run(cfg Config) (*Result, error) {
 		},
 	}
 	w.stopAt = w.now.Add(cfg.Duration)
-	w.build()
-	w.start()
-	w.drain(w.stopAt)
-	w.collect()
-	return w.res, nil
-}
-
-func mergeParams(p dcws.Params) dcws.Params {
-	d := dcws.DefaultParams()
-	if p.Workers <= 0 {
-		p.Workers = d.Workers
-	}
-	if p.QueueLength <= 0 {
-		p.QueueLength = d.QueueLength
-	}
-	if p.StatsInterval <= 0 {
-		p.StatsInterval = d.StatsInterval
-	}
-	if p.PingerInterval <= 0 {
-		p.PingerInterval = d.PingerInterval
-	}
-	if p.ValidateInterval <= 0 {
-		p.ValidateInterval = d.ValidateInterval
-	}
-	if p.HomeReMigrateInterval <= 0 {
-		p.HomeReMigrateInterval = d.HomeReMigrateInterval
-	}
-	if p.CoopMigrateInterval <= 0 {
-		p.CoopMigrateInterval = d.CoopMigrateInterval
-	}
-	if p.MigrationThreshold <= 0 {
-		p.MigrationThreshold = d.MigrationThreshold
-	}
-	if p.ImbalanceRatio <= 0 {
-		p.ImbalanceRatio = d.ImbalanceRatio
-	}
-	if p.MaxPingFailures <= 0 {
-		p.MaxPingFailures = d.MaxPingFailures
-	}
-	if p.RateWindow <= 0 {
-		p.RateWindow = d.RateWindow
-	}
-	if p.ReplicateThreshold <= 0 {
-		p.ReplicateThreshold = d.ReplicateThreshold
-	}
-	if p.MaxReplicas <= 0 {
-		p.MaxReplicas = d.MaxReplicas
-	}
-	if p.MaxPiggybackEntries == 0 {
-		p.MaxPiggybackEntries = d.MaxPiggybackEntries
-	}
-	if p.AntiEntropyInterval == 0 {
-		p.AntiEntropyInterval = d.AntiEntropyInterval
-	}
-	if p.HotReplicaCount <= 0 {
-		p.HotReplicaCount = d.HotReplicaCount
-	}
-	if p.CapacitySmoothing == 0 {
-		p.CapacitySmoothing = d.CapacitySmoothing
-	}
-	// HotReplicateRate keeps its zero value: unlike the live server, the
-	// simulator treats 0 as "chain replication off" so the established
-	// scenarios (hotspot, federation, paper figures) keep their exact
-	// behaviour unless a run opts in with an explicit rate.
-	// LeaseDuration likewise keeps its zero value — zero means the paper's
-	// polling validation; a run opts into push invalidation explicitly.
-	// CapacitySmoothing follows the live convention: zero means the
-	// default (normalization on), negative opts back into raw loads.
-	// Zone keeps its zero value (empty = unzoned).
-	return p
+	return w, nil
 }
 
 // serverCost returns server i's cost model: the shared base model when the
