@@ -218,7 +218,7 @@ func (c *Cluster) TickPingers() {
 	}
 }
 
-// TickAntiEntropy runs one full-table gossip exchange on every server.
+// TickAntiEntropy runs one anti-entropy digest round on every server.
 func (c *Cluster) TickAntiEntropy() {
 	for _, s := range c.Servers {
 		s.TickAntiEntropy()

@@ -9,6 +9,7 @@ import (
 	"dcws/internal/dataset"
 	"dcws/internal/dcws"
 	"dcws/internal/httpx"
+	"dcws/internal/memnet"
 )
 
 // zoneSite is a tiny site with enough non-entry pages that several rounds
@@ -42,18 +43,34 @@ func zoneParams(zone string) dcws.Params {
 	}
 }
 
-// TestClusterZoneSpilloverUnderPartition pins the zone placement policy
-// end to end: migrations prefer the same-zone co-op, spill over to the
-// other zone while the same-zone co-op is partitioned away, and return to
-// the local zone after the partition heals.
+// TestClusterZoneSpilloverUnderPartition shows what only a cluster can:
+// zone labels reach the home by gossip, a real partition turns into failed
+// probes that make the same-zone co-op unusable so migrations spill to the
+// other zone, and a healed link's first good probe brings them back. The
+// policy itself (prefer the zone, spill, return) is pinned against a fake
+// plant in dcws.TestControllerDecisions.
+//
+// The servers' own loops share the manual clock, so every Advance wakes
+// them beside the explicit ticks below. The test therefore waits after
+// each Advance until every loop is asleep on the clock again, and accepts
+// a migration from either tick: what it asserts is where migrations made
+// in a phase landed, not which tick made them.
 func TestClusterZoneSpilloverUnderPartition(t *testing.T) {
 	mc := clock.NewManual(time.Unix(0, 0))
+	params := func(zone string) dcws.Params {
+		p := zoneParams(zone)
+		// Failed probes make the co-op suspect; declaring it down would
+		// recall its documents and drop its table entry, a different path.
+		p.MaxPingFailures = 100
+		p.AntiEntropyInterval, p.SLOCheckInterval = -1, -1
+		return p
+	}
 	c, err := New(Config{
 		Clock: mc,
 		Servers: []ServerSpec{
-			{Host: "home", Port: 80, Site: zoneSite(), Params: zoneParams("east")},
-			{Host: "east1", Port: 81, Params: zoneParams("east")},
-			{Host: "west1", Port: 82, Params: zoneParams("west")},
+			{Host: "home", Port: 80, Site: zoneSite(), Params: params("east")},
+			{Host: "east1", Port: 81, Params: params("east")},
+			{Host: "west1", Port: 82, Params: params("west")},
 		},
 	})
 	if err != nil {
@@ -63,58 +80,86 @@ func TestClusterZoneSpilloverUnderPartition(t *testing.T) {
 	home := c.Servers[0]
 	client := httpx.NewClient(c.Dialer())
 
+	loops := 3 * len(c.Servers) // statistics, pinger, validator on each
+	advance := func(d time.Duration) {
+		t.Helper()
+		mc.Advance(d)
+		for deadline := time.Now().Add(10 * time.Second); mc.Waiters() < loops; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d maintenance loops back on the clock", mc.Waiters(), loops)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	advance(0)
+
 	// Spread zone/capacity metadata before any placement decision.
 	c.TickPingers()
+	for addr, zone := range map[string]string{"east1:81": "east", "west1:82": "west"} {
+		if e, ok := home.LoadTable().Get(addr); !ok || e.Zone != zone {
+			t.Fatalf("home's entry for %s = %+v, want zone %s", addr, e, zone)
+		}
+	}
 
-	hit := func() {
+	// placements runs one load-then-stats round and returns where the
+	// migrations it produced went.
+	placements := func(phase string) []string {
 		t.Helper()
+		before := home.Graph().Migrated()
 		for i := 1; i <= 8; i++ {
 			if _, err := client.Get("home:80", fmt.Sprintf("/d%d.html", i), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	migrated := func() map[string]string { return home.Graph().Migrated() }
-	// newPlacement runs one load-then-stats round and returns the location
-	// of the migration it produced.
-	newPlacement := func(phase string) string {
-		t.Helper()
-		before := migrated()
-		hit()
-		mc.Advance(8 * time.Second)
+		advance(8 * time.Second)
 		home.TickStats()
-		after := migrated()
-		for name, loc := range after {
+		var locs []string
+		for name, loc := range home.Graph().Migrated() {
 			if before[name] != loc {
-				return loc
+				locs = append(locs, loc)
 			}
 		}
-		t.Fatalf("%s: no new migration (have %d)", phase, len(after))
-		return ""
+		if len(locs) == 0 {
+			t.Fatalf("%s: no new migration (have %d)", phase, len(before))
+		}
+		return locs
 	}
-
-	if loc := newPlacement("baseline"); loc != "east1:81" {
-		t.Fatalf("baseline migration went to %s, want the same-zone co-op east1:81", loc)
+	wantAll := func(phase, want string) {
+		t.Helper()
+		for _, loc := range placements(phase) {
+			if loc != want {
+				t.Fatalf("%s: a migration went to %s, want %s", phase, loc, want)
+			}
+		}
 	}
+	health := func() string { return home.Status().PeerHealth["east1:81"] }
 
-	// Partition the same-zone co-op away and let a failed probe mark it
-	// suspect: placement must spill over to the healthy remote zone.
-	c.Fabric().Partition("home:80", "east1:81")
-	c.Fabric().ResetLink("home:80", "east1:81")
-	mc.Advance(8 * time.Second)
+	wantAll("baseline", "east1:81")
+
+	// Cut the same-zone co-op off from everyone — were it only cut off from
+	// the home, gossip relayed by west1 would keep its entry fresh and the
+	// pinger, which probes stale entries only, would never try it. Its
+	// entry goes stale, the probe fails, and placement spills over to the
+	// healthy remote zone.
+	c.Fabric().Partition(memnet.Wildcard, "east1:81")
+	c.Fabric().ResetLink(memnet.Wildcard, "east1:81")
+	advance(8 * time.Second)
 	home.TickPinger()
-	if loc := newPlacement("partitioned"); loc != "west1:82" {
-		t.Fatalf("partitioned migration went to %s, want cross-zone spillover to west1:82", loc)
+	if h := health(); h != "suspect" {
+		t.Fatalf("east1 health after failed probes = %q, want suspect", h)
 	}
+	wantAll("partitioned", "west1:82")
 
-	// Heal; a successful probe clears the suspicion and placement returns
-	// to the local zone.
-	c.Fabric().Heal("home:80", "east1:81")
-	mc.Advance(8 * time.Second)
+	// Heal. The entry is still stale, so the home's next probe goes out at
+	// once — before any Advance lets east1's own pinger reach the home
+	// first and freshen the entry — succeeds, and clears the suspicion;
+	// placement returns to the local zone.
+	c.Fabric().Heal(memnet.Wildcard, "east1:81")
 	home.TickPinger()
-	if loc := newPlacement("healed"); loc != "east1:81" {
-		t.Fatalf("post-heal migration went to %s, want the same-zone co-op east1:81", loc)
+	if h := health(); h != "ok" {
+		t.Fatalf("east1 health after heal = %q, want ok", h)
 	}
+	wantAll("healed", "east1:81")
 }
 
 // TestCluster16NodeMigrationsLandByHeadroom boots a 16-node group with a

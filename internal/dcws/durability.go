@@ -674,20 +674,6 @@ func (s *Server) writeSnapshot() error {
 	return nil
 }
 
-// snapshotLoop periodically checkpoints the durable state so recovery
-// replays a short tail instead of the whole history.
-func (s *Server) snapshotLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stopped:
-			return
-		case <-s.cfg.Clock.After(s.params.SnapshotInterval):
-		}
-		s.writeSnapshot()
-	}
-}
-
 // WAL exposes the underlying log (status tooling, tests); nil when the
 // durable tier is disabled.
 func (s *Server) WAL() *wal.Log { return s.wal }

@@ -242,17 +242,15 @@ func TestPlacementSkipsStaleEntries(t *testing.T) {
 	home.LoadTable().Observe(glt.Entry{Server: "stale:81", Load: 0, Updated: stale})
 	home.LoadTable().Observe(glt.Entry{Server: "fresh:82", Load: 1, Updated: now})
 
-	coop, ok := home.chooseCoop(100)
-	if !ok || coop != "fresh:82" {
-		t.Fatalf("chooseCoop = %q, %v; want fresh:82 (stale entry must be skipped)", coop, ok)
+	if coop := home.ctl.PickPlacement(); coop != "fresh:82" {
+		t.Fatalf("placement = %q; want fresh:82 (stale entry must be skipped)", coop)
 	}
 
 	// Entries with no timestamp are exempt: first contact must be possible.
 	home.LoadTable().Remove("stale:81")
 	home.LoadTable().Observe(glt.Entry{Server: "cold:83", Load: 0, Updated: time.Time{}})
-	coop, ok = home.chooseCoop(100)
-	if !ok || coop != "cold:83" {
-		t.Fatalf("chooseCoop = %q, %v; want cold:83 (zero-time entry stays eligible)", coop, ok)
+	if coop := home.ctl.PickPlacement(); coop != "cold:83" {
+		t.Fatalf("placement = %q; want cold:83 (zero-time entry stays eligible)", coop)
 	}
 }
 
@@ -264,9 +262,8 @@ func TestPlacementStalenessDisabled(t *testing.T) {
 		Params{PlacementMaxStaleness: -1})
 	stale := home.now().Add(-time.Hour)
 	home.LoadTable().Observe(glt.Entry{Server: "stale:81", Load: 0, Updated: stale})
-	coop, ok := home.chooseCoop(100)
-	if !ok || coop != "stale:81" {
-		t.Fatalf("chooseCoop = %q, %v; want stale:81 with the gate disabled", coop, ok)
+	if coop := home.ctl.PickPlacement(); coop != "stale:81" {
+		t.Fatalf("placement = %q; want stale:81 with the gate disabled", coop)
 	}
 }
 

@@ -176,6 +176,10 @@ func TestSLOBurnAlertCapturesProfiles(t *testing.T) {
 		SLOWindowLong:     10 * time.Minute,
 		SLOProfileSeconds: 10 * time.Millisecond,
 		ProfileRingSize:   1,
+		// Only the explicit TickSLO calls below evaluate: the watcher's own
+		// loop would also fire on each Advance(time.Minute) and race them
+		// for the alert count.
+		SLOCheckInterval: -1,
 	})
 	srv.cfg.ProfileDir = dir
 

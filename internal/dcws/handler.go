@@ -216,7 +216,7 @@ func (s *Server) handleMigrate(req *httpx.Request) *httpx.Response {
 		return status(400, "migrate requires the "+headerRevokeDoc+" header")
 	}
 	if coop == "" || coop == "auto" {
-		coop = s.pickPlacement()
+		coop = s.ctl.PickPlacement()
 		if coop == "" {
 			return status(503, "no eligible co-op server for placement")
 		}

@@ -10,33 +10,14 @@ import (
 	"dcws/internal/glt"
 	"dcws/internal/httpx"
 	"dcws/internal/naming"
-	"dcws/internal/policy"
 	"dcws/internal/telemetry"
 )
 
-// ImbalanceRatio is the migration trigger: a home server migrates only
-// while its load exceeds the target's by this factor, and recalls an
-// expired placement only once the co-op is busier than the home by the
-// same factor. Exported for the simulator, which applies the same rule.
-const ImbalanceRatio = 1.2
-
-// statsLoop is the statistics module (§5.1): every T_st it refreshes this
-// server's load entry, evaluates the migration policy, handles expired
-// migrations, replicates hot documents, and rolls the hit window.
-func (s *Server) statsLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stopped:
-			return
-		case <-s.cfg.Clock.After(s.params.StatsInterval):
-		}
-		s.runStatsTick()
-	}
-}
-
-// runStatsTick performs one statistics interval's work. Exposed internally
-// so tests and the cluster harness can drive it deterministically.
+// runStatsTick is one activation of the statistics module (§5.1): every
+// T_st it refreshes this server's load entry, hands the control plane its
+// tick (expired placements, hot-document replication, migration), and rolls
+// the hit windows. Tests and the cluster harness call it directly to drive
+// the server deterministically.
 func (s *Server) runStatsTick() {
 	now := s.now()
 	// Fold this interval's achieved serve latency into the capacity
@@ -51,83 +32,30 @@ func (s *Server) runStatsTick() {
 	// Forced (maxAge 0) so the self entry's timestamp advances every tick
 	// even when the quantized load is unchanged: peers re-admit a
 	// recovered server only on entries measured after its down
-	// declaration. Migration decisions below use the raw load.
+	// declaration. The control plane decides on the raw load.
 	s.table.RefreshSelf(s.advertisedLoad(now), now, 0)
 
-	s.maybeRevokeExpired(load)
-	s.maybeChainReplicate(s.takeHotHints())
-	s.maybeMigrate(load)
+	s.ctl.Tick(now, load)
 	s.ldg.RollWindow()
-	s.rollCoopWindows()
+	// Hosted copies' hit counters feed the hot-spot reports piggybacked to
+	// their home servers; they describe one window too.
+	s.coops.rollWindows()
 }
 
-// maybeMigrate implements the lazy migration trigger of §4.2: when this
-// server's load exceeds the least-loaded peer's by the imbalance ratio,
-// select a document with Algorithm 1 and migrate it (logically).
-func (s *Server) maybeMigrate(selfLoad float64) {
-	coop, ok := s.chooseCoop(selfLoad)
-	if !ok {
-		return
-	}
-	candidates := s.buildCandidates()
-	doc, ok := policy.SelectForMigration(candidates, s.params.MigrationThreshold)
-	if !ok {
-		return
-	}
-	if !s.gate.Allow(coop, s.now()) {
-		return
-	}
-	s.migrate(doc, coop)
-}
+// plant is the live server as the control plane sees it (Plant): readings
+// come from the LDG, the replica table and the failure detector; effects
+// are the LDG/WAL updates and inter-server RPCs below and in replicate.go.
+type plant struct{ s *Server }
 
-// chooseCoop picks the migration target, honoring the per-coop rate gate,
-// and reports whether migrating is justified at all. Candidates are
-// walked in headroom order — same-zone peers first, then the rest — so
-// migrations land where spare capacity actually is and stay zone-local
-// until local headroom is exhausted. A candidate must also satisfy the
-// imbalance trigger (we are meaningfully busier than it); zone-local
-// peers that fail the trigger are merely skipped, which is exactly the
-// cross-zone spillover: a distant peer with real headroom can still take
-// the document. Suspect peers — failing probes or a tripped breaker —
-// are skipped: migrating a document to a server we may be about to
-// declare down would strand it. So are peers with stale load entries: an
-// advertised load nobody has refreshed within PlacementMaxStaleness may
-// be a long-gone idle reading, and migrating toward it would chase a
-// ghost.
-func (s *Server) chooseCoop(selfLoad float64) (string, bool) {
-	if selfLoad <= 0 {
-		return "", false
-	}
-	exclude := map[string]bool{s.Addr(): true}
-	now := s.now()
-	for _, e := range s.table.RankedByHeadroom(exclude, s.params.Zone) {
-		// Trigger condition: we are meaningfully busier than the target.
-		if selfLoad <= e.Load*ImbalanceRatio {
-			continue
-		}
-		if s.peerSuspect(e.Server) || s.entryStale(e) || !s.gate.Eligible(e.Server, now) {
-			continue
-		}
-		return e.Server, true
-	}
-	return "", false
+func (p plant) Docs() []DocStat              { return p.s.docStats() }
+func (p plant) Replicas(doc string) []string { return p.s.Replicas(doc) }
+func (p plant) Usable(e glt.Entry) bool {
+	return !p.s.peerSuspect(e.Server) && !p.s.entryStale(e)
 }
-
-// pickPlacement picks the best placement target regardless of the
-// imbalance trigger: the healthy peer with the most headroom, zone-local
-// first. Used by operator-driven migration ("auto" target), where the
-// operator has already decided the document should move and only the
-// destination is the server's call.
-func (s *Server) pickPlacement() string {
-	exclude := map[string]bool{s.Addr(): true}
-	for _, e := range s.table.RankedByHeadroom(exclude, s.params.Zone) {
-		if s.peerSuspect(e.Server) || s.entryStale(e) {
-			continue
-		}
-		return e.Server
-	}
-	return ""
-}
+func (p plant) Migrate(doc, coop string)                  { p.s.migrate(doc, coop) }
+func (p plant) ChainReplicate(doc string, chain []string) { p.s.chainReplicate(doc, chain) }
+func (p plant) Shrink(doc string, keep int)               { p.s.shrinkReplicas(doc, keep) }
+func (p plant) Revoke(doc string)                         { p.s.revoke(doc) }
 
 // entryStale reports whether a load-table entry is too old to justify
 // placing documents on its server. Entries with no timestamp are exempt:
@@ -141,8 +69,8 @@ func (s *Server) entryStale(e glt.Entry) bool {
 	return s.now().Sub(e.Updated) > max
 }
 
-// buildCandidates converts the LDG snapshot into Algorithm 1 candidates.
-func (s *Server) buildCandidates() []policy.Candidate {
+// docStats converts the LDG snapshot into the control plane's view.
+func (s *Server) docStats() []DocStat {
 	docs := s.ldg.Snapshot()
 	migrated := make(map[string]bool, len(docs))
 	for _, d := range docs {
@@ -150,7 +78,7 @@ func (s *Server) buildCandidates() []policy.Candidate {
 			migrated[d.Name] = true
 		}
 	}
-	out := make([]policy.Candidate, 0, len(docs))
+	out := make([]DocStat, 0, len(docs))
 	for _, d := range docs {
 		remote := 0
 		for _, from := range d.LinkFrom {
@@ -158,11 +86,12 @@ func (s *Server) buildCandidates() []policy.Candidate {
 				remote++
 			}
 		}
-		out = append(out, policy.Candidate{
+		out = append(out, DocStat{
 			Name:           d.Name,
-			Load:           d.WindowHits,
+			WindowHits:     d.WindowHits,
+			Size:           d.Size,
 			EntryPoint:     d.EntryPoint,
-			Migrated:       d.Location != "",
+			Location:       d.Location,
 			RemoteLinkFrom: remote,
 			LinkTo:         len(d.LinkTo),
 		})
@@ -201,46 +130,10 @@ func (s *Server) pushDirtied(dirtied []string) {
 	s.hub.pushBatch(invalUpdate, dirtied)
 }
 
-// maybeRevokeExpired walks migrations older than T_home and recalls any
-// whose co-op is now substantially busier than we are (§4.5 case 2: the
-// workload shifted and the placement no longer helps). Chain-replicated
-// documents get a middle path: a merely-warm document — one whose serve
-// rate cooled below the replication trigger but is still non-zero —
-// shrinks to two replicas instead of losing the whole chain, so the next
-// warm-up re-disseminates one copy, not k; a still-hot chain is left
-// alone regardless of the co-op's load.
-func (s *Server) maybeRevokeExpired(selfLoad float64) {
-	rate := s.params.HotReplicateRate
-	for _, mig := range s.ledger.Expired(s.now(), s.params.HomeReMigrateInterval) {
-		s.repMu.RLock()
-		nreps := len(s.replicas[mig.Doc])
-		s.repMu.RUnlock()
-		if nreps > 2 && rate > 0 {
-			ew := s.HotRate(mig.Doc)
-			if ew >= rate {
-				continue // still hot: the chain earns its keep
-			}
-			if ew > 0 {
-				s.shrinkReplicas(mig.Doc, 2)
-				continue
-			}
-			// Cold (EWMA decayed to zero): fall through to the
-			// full-revocation check below.
-		}
-		e, ok := s.table.Get(mig.Coop)
-		if !ok {
-			continue
-		}
-		if e.Load > selfLoad*ImbalanceRatio {
-			s.revoke(mig.Doc)
-		}
-	}
-}
-
 // shrinkReplicas trims a document's replica set down to keep hosts (the
 // primary co-op stays; the chain tail goes), revoking the dropped copies
-// chain-style and re-dirtying referrers so regenerated links rotate over
-// the smaller set.
+// and re-dirtying referrers so regenerated links rotate over the smaller
+// set.
 func (s *Server) shrinkReplicas(doc string, keep int) {
 	s.repMu.Lock()
 	reps := s.replicas[doc]
@@ -258,26 +151,8 @@ func (s *Server) shrinkReplicas(doc string, keep int) {
 	if err != nil {
 		s.log.Printf("dcws %s: shrink %s: %v", s.Addr(), doc, err)
 	}
-	// Chain-revoke the dropped subset; stragglers fall back to per-peer
-	// revokes, and pushed revoke frames cover subscribed hosts besides.
-	remaining := droppedHosts
-	if len(droppedHosts) > 1 {
-		s.tel.replicateRevokeChains.Inc()
-		ackSet := make(map[string]bool)
-		for _, a := range s.sendChainRevoke(droppedHosts, doc) {
-			ackSet[a] = true
-		}
-		remaining = remaining[:0:0]
-		for _, h := range droppedHosts {
-			if !ackSet[h] {
-				remaining = append(remaining, h)
-			}
-		}
-		s.tel.replicateRevokeFallbacks.Add(int64(len(remaining)))
-	}
-	for _, coop := range remaining {
-		s.sendRevoke(coop, doc)
-	}
+	s.revokeHosts(doc, droppedHosts)
+	// Pushed revoke frames cover subscribed hosts the RPC path missed.
 	s.hub.pushRevokeTo(doc, droppedHosts)
 	s.pushDirtied(dirtied)
 	s.tel.replicateShrinks.Inc()
@@ -286,8 +161,8 @@ func (s *Server) shrinkReplicas(doc string, keep int) {
 
 // revoke returns a document to this home server: the LDG is updated (the
 // LinkFrom documents become dirty and will be regenerated pointing home),
-// the ledger entry is dropped, and each hosting co-op is asked to discard
-// its copy.
+// the control plane forgets the placement, and each hosting co-op is asked
+// to discard its copy.
 func (s *Server) revoke(doc string) {
 	s.repMu.Lock()
 	hosts := append([]string(nil), s.replicas[doc]...)
@@ -304,16 +179,23 @@ func (s *Server) revoke(doc string) {
 	if err != nil {
 		s.log.Printf("dcws %s: revoke %s: %v", s.Addr(), doc, err)
 	}
-	s.ledger.Forget(doc)
+	s.ctl.Forget(doc)
 	s.walAppend(recRevoke, encodeNameRecord(doc))
-	s.hotMu.Lock()
-	delete(s.hotHints, doc)
-	delete(s.hotRate, doc)
-	s.hotMu.Unlock()
-	// Multi-host replica sets are revoked along the dissemination chain:
-	// one RPC to the head, relayed host to host, acks aggregated back up.
-	// Hosts the chain missed (dead links) fall back to per-peer revokes,
-	// whose failures the validator eventually cleans up anyway.
+	s.revokeHosts(doc, hosts)
+	// Subscribed hosts drop the copy on the pushed frame even when the
+	// revoke RPC path missed them; referrers with rewritten links refresh.
+	s.hub.push(invalRevoke, doc)
+	s.pushDirtied(dirtied)
+	s.tel.revokes.Inc()
+	s.log.Printf("dcws %s: revoked %s from %v", s.Addr(), doc, hosts)
+}
+
+// revokeHosts asks hosts to discard their copies of doc. Several hosts are
+// revoked along the dissemination chain: one RPC to the head, relayed host
+// to host, acks aggregated back up. Hosts the chain missed (dead links)
+// fall back to per-peer revokes, whose failures the validator eventually
+// cleans up anyway.
+func (s *Server) revokeHosts(doc string, hosts []string) {
 	remaining := hosts
 	if len(hosts) > 1 {
 		s.tel.replicateRevokeChains.Inc()
@@ -321,7 +203,7 @@ func (s *Server) revoke(doc string) {
 		for _, a := range s.sendChainRevoke(hosts, doc) {
 			ackSet[a] = true
 		}
-		remaining = remaining[:0:0]
+		remaining = nil
 		for _, h := range hosts {
 			if !ackSet[h] {
 				remaining = append(remaining, h)
@@ -332,12 +214,44 @@ func (s *Server) revoke(doc string) {
 	for _, coop := range remaining {
 		s.sendRevoke(coop, doc)
 	}
-	// Subscribed hosts drop the copy on the pushed frame even when the
-	// revoke RPC path missed them; referrers with rewritten links refresh.
-	s.hub.push(invalRevoke, doc)
-	s.pushDirtied(dirtied)
-	s.tel.revokes.Inc()
-	s.log.Printf("dcws %s: revoked %s from %v", s.Addr(), doc, hosts)
+}
+
+// traced runs one maintenance exchange with span.Peer under a client-side
+// span: every such RPC carries the trace and parent IDs and the load-table
+// piggyback, and records its span with the outcome. The caller names
+// span.Op, Target and Peer — plus TraceID and ParentID when relaying inside
+// someone else's trace — and stamps hdr onto whatever call sends. A load
+// header the caller already set (the digest round's) is left in place.
+// Absorbing the reply stays with the caller: the pinger folds replies in
+// only after every probe has returned, and the digest round needs the
+// decoded piggyback.
+func (s *Server) traced(span telemetry.Span, hdr httpx.Header, call func(*telemetry.Span) (*httpx.Response, error)) (*httpx.Response, error) {
+	if span.TraceID == "" {
+		span.TraceID = telemetry.NewTraceID()
+	}
+	span.ID, span.Server, span.Start = telemetry.NewSpanID(), s.addr, s.now()
+	hdr.Set(telemetry.TraceHeader, span.TraceID)
+	hdr.Set(telemetry.ParentHeader, span.ID)
+	if hdr.Get(glt.HeaderName) == "" {
+		s.piggybackTo(hdr, span.Peer)
+	}
+	start := time.Now()
+	resp, err := call(&span)
+	span.Duration = time.Since(start)
+	if err != nil {
+		span.Err = err.Error()
+	} else {
+		span.Status = resp.Status
+	}
+	s.tel.record(span)
+	return resp, err
+}
+
+// rpc is traced for the common case of one request with one deadline.
+func (s *Server) rpc(span telemetry.Span, req *httpx.Request, timeout time.Duration) (*httpx.Response, error) {
+	return s.traced(span, req.Header, func(*telemetry.Span) (*httpx.Response, error) {
+		return s.client.DoTimeout(span.Peer, req, timeout)
+	})
 }
 
 // sendRevoke tells one co-op server to discard its copy of doc. Failure is
@@ -347,26 +261,13 @@ func (s *Server) sendRevoke(coop, doc string) {
 	if err != nil {
 		return
 	}
-	traceID := telemetry.NewTraceID()
-	span := telemetry.NewSpan(traceID, "", s.addr, "revoke-rpc")
-	span.Target, span.Peer = doc, coop
-	start := time.Now()
-	span.Start = s.now()
 	req := httpx.NewRequest("POST", revokePath)
 	req.Header.Set(headerRevokeDoc, key)
-	req.Header.Set(telemetry.TraceHeader, traceID)
-	req.Header.Set(telemetry.ParentHeader, span.ID)
-	s.piggybackTo(req.Header, coop)
-	resp, err := s.client.DoTimeout(coop, req, s.params.MaintenanceTimeout)
-	span.Duration = time.Since(start)
+	resp, err := s.rpc(telemetry.Span{Op: "revoke-rpc", Target: doc, Peer: coop}, req, s.params.MaintenanceTimeout)
 	if err != nil {
-		span.Err = err.Error()
-		s.tel.record(span)
 		s.log.Printf("dcws %s: revoke %s at %s: %v", s.Addr(), doc, coop, err)
 		return
 	}
-	span.Status = resp.Status
-	s.tel.record(span)
 	s.absorbPiggyback(resp.Header)
 }
 
@@ -382,30 +283,24 @@ func (s *Server) RecallFrom(coop string) int {
 }
 
 // Replicas reports the replica set of a migrated document (primary co-op
-// first). Empty when the document is at home.
+// first). Empty when the document is at home. A placement the replica
+// table has no entry for (recorded in the ledger alone) is its one co-op.
 func (s *Server) Replicas(doc string) []string {
 	s.repMu.RLock()
-	defer s.repMu.RUnlock()
-	return append([]string(nil), s.replicas[doc]...)
-}
-
-// pingerLoop is the pinger thread of §4.5: it wakes every T_pi, probes
-// servers whose load entries have gone stale, and declares a peer down
-// after repeated failures, recalling its documents.
-func (s *Server) pingerLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stopped:
-			return
-		case <-s.cfg.Clock.After(s.params.PingerInterval):
+	reps := append([]string(nil), s.replicas[doc]...)
+	s.repMu.RUnlock()
+	if len(reps) == 0 {
+		if mig, ok := s.ledger.Get(doc); ok {
+			reps = []string{mig.Coop}
 		}
-		s.runPingerTick()
 	}
+	return reps
 }
 
-// runPingerTick performs one pinger activation. Probes fan out
-// concurrently, each bounded by MaintenanceTimeout and retried up to
+// runPingerTick performs one activation of the pinger thread of §4.5: every
+// T_pi it probes servers whose load entries have gone stale, and declares
+// a peer down after repeated failures, recalling its documents. Probes fan
+// out concurrently, each bounded by MaintenanceTimeout and retried up to
 // ProbeAttempts times, so one stalled peer can no longer consume the
 // whole pinger interval serially. Results are folded in sequentially
 // after every probe returns, keeping declare-down decisions
@@ -428,37 +323,23 @@ func (s *Server) runPingerTick() {
 		wg.Add(1)
 		go func(i int, peer string) {
 			defer wg.Done()
-			traceID := telemetry.NewTraceID()
-			span := telemetry.NewSpan(traceID, "", s.addr, "probe")
-			span.Target, span.Peer = pingPath, peer
-			start := time.Now()
-			span.Start = s.now()
-			attempts := 0
-			var resp *httpx.Response
-			err := s.res.Probe(s.probePolicy, peer, func() error {
-				attempts++
-				extra := make(httpx.Header)
-				extra.Set(telemetry.TraceHeader, traceID)
-				extra.Set(telemetry.ParentHeader, span.ID)
-				s.piggybackTo(extra, peer)
-				r, err := s.client.GetTimeout(peer, pingPath, extra, s.params.MaintenanceTimeout)
-				if err != nil {
-					return err
-				}
-				if r.Status != 200 {
-					return fmt.Errorf("ping status %d", r.Status)
-				}
-				resp = r
-				return nil
-			})
-			span.Attempts = attempts
-			span.Duration = time.Since(start)
-			if err != nil {
-				span.Err = err.Error()
-			} else {
-				span.Status = resp.Status
-			}
-			s.tel.record(span)
+			extra := make(httpx.Header)
+			resp, err := s.traced(telemetry.Span{Op: "probe", Target: pingPath, Peer: peer}, extra,
+				func(span *telemetry.Span) (resp *httpx.Response, err error) {
+					err = s.res.Probe(s.probePolicy, peer, func() error {
+						span.Attempts++
+						r, err := s.client.GetTimeout(peer, pingPath, extra, s.params.MaintenanceTimeout)
+						if err != nil {
+							return err
+						}
+						if r.Status != 200 {
+							return fmt.Errorf("ping status %d", r.Status)
+						}
+						resp = r
+						return nil
+					})
+					return resp, err
+				})
 			results[i] = probeResult{resp: resp, err: err}
 		}(i, peer)
 	}
@@ -505,7 +386,7 @@ func (s *Server) declareDown(peer string) {
 	s.log.Printf("dcws %s: declared %s down, recalled %d documents", s.Addr(), peer, n)
 }
 
-// antiEntropyLoop is the safety net under delta piggybacking: it
+// The anti-entropy loop is the safety net under delta piggybacking: it
 // reconciles load tables with the peer whose last exchange is oldest, so
 // entries lost to dropped responses, capped deltas, or peer restarts
 // reconverge within one sweep of the cluster even if no delta ever
@@ -514,23 +395,11 @@ func (s *Server) declareDown(peer string) {
 // quiet round doubles the wait (capped at 4x AntiEntropyInterval) and the
 // exchange is skipped; any churn — a suspect or down peer, a
 // peer-set change — snaps the interval back to the floor and forces the
-// next round.
-func (s *Server) antiEntropyLoop() {
-	defer s.wg.Done()
-	for {
-		s.aeMu.Lock()
-		wait := s.aeInterval
-		s.aeMu.Unlock()
-		select {
-		case <-s.stopped:
-			return
-		case <-s.cfg.Clock.After(wait):
-		}
-		if s.aeSkip() {
-			continue
-		}
-		s.runAntiEntropyTick()
-	}
+// next round. antiEntropyWait is the wait before the next round.
+func (s *Server) antiEntropyWait() time.Duration {
+	s.aeMu.Lock()
+	defer s.aeMu.Unlock()
+	return s.aeInterval
 }
 
 // aeSkip decides one adaptive-cadence round: it reports whether the
@@ -610,92 +479,53 @@ func equalStrings(a, b []string) bool {
 // vectors differ, and a third leg pushes back any stripes where this side
 // was the fresher one.
 func (s *Server) runAntiEntropyTick() {
-	peer := s.pickAntiEntropyPeer()
+	peer := s.ctl.AntiEntropyPeer()
 	if peer == "" {
 		return
 	}
 	s.tel.antiEntropyRounds.Inc()
-	traceID := telemetry.NewTraceID()
-	span := telemetry.NewSpan(traceID, "", s.addr, "anti-entropy-digest")
-	span.Target, span.Peer = pingPath, peer
-	start := time.Now()
-	span.Start = s.now()
 	extra := make(httpx.Header)
-	extra.Set(telemetry.TraceHeader, traceID)
-	extra.Set(telemetry.ParentHeader, span.ID)
 	extra.Set(glt.HeaderName, s.table.EncodeDigestTo(peer))
-	resp, err := s.client.GetTimeout(peer, pingPath, extra, s.params.MaintenanceTimeout)
+	_, err := s.traced(telemetry.Span{Op: "anti-entropy-digest", Target: pingPath, Peer: peer}, extra,
+		func(span *telemetry.Span) (*httpx.Response, error) {
+			resp, err := s.client.GetTimeout(peer, pingPath, extra, s.params.MaintenanceTimeout)
+			if err != nil {
+				return nil, err
+			}
+			p := s.absorbPiggyback(resp.Header)
+			if !p.HasDigests {
+				// Every server in a group runs this binary, so a reply
+				// without digests is a malformed or foreign answer: whatever
+				// entries it carried are merged, and the round ends.
+				s.log.Printf("dcws %s: anti-entropy with %s: reply carried no digests", s.Addr(), peer)
+				return resp, nil
+			}
+			s.tel.digestRounds.Inc()
+			// Third leg: ship the stripes where our vector is still ahead
+			// of the peer's (it told us its digests precisely so we can
+			// tell).
+			if back := s.table.StillDiverged(p.Digests); len(back) > 0 {
+				s.tel.digestPushbacks.Inc()
+				s.tel.digestShardsSent.Add(int64(len(back)))
+				push := make(httpx.Header)
+				push.Set(telemetry.TraceHeader, span.TraceID)
+				push.Set(telemetry.ParentHeader, span.ID)
+				push.Set(glt.HeaderName, s.table.EncodeShardEntriesTo(peer, back))
+				if resp2, err := s.client.GetTimeout(peer, pingPath, push, s.params.MaintenanceTimeout); err == nil {
+					s.absorbPiggyback(resp2.Header)
+				}
+			}
+			return resp, nil
+		})
 	if err != nil {
-		span.Duration = time.Since(start)
-		span.Err = err.Error()
-		s.tel.record(span)
 		s.log.Printf("dcws %s: anti-entropy with %s: %v", s.Addr(), peer, err)
-		return
-	}
-	p := s.absorbPiggyback(resp.Header)
-	span.Status = resp.Status
-	if !p.HasDigests {
-		// Every server in a group runs this binary, so a reply without
-		// digests is a malformed or foreign answer: whatever entries it
-		// carried are merged, and the round ends.
-		span.Duration = time.Since(start)
-		s.tel.record(span)
-		s.log.Printf("dcws %s: anti-entropy with %s: reply carried no digests", s.Addr(), peer)
-		return
-	}
-	s.tel.digestRounds.Inc()
-	// Third leg: ship the stripes where our vector is still ahead of the
-	// peer's (it told us its digests precisely so we can tell).
-	if back := s.table.StillDiverged(p.Digests); len(back) > 0 {
-		s.tel.digestPushbacks.Inc()
-		s.tel.digestShardsSent.Add(int64(len(back)))
-		push := make(httpx.Header)
-		push.Set(telemetry.TraceHeader, traceID)
-		push.Set(telemetry.ParentHeader, span.ID)
-		push.Set(glt.HeaderName, s.table.EncodeShardEntriesTo(peer, back))
-		if resp2, err := s.client.GetTimeout(peer, pingPath, push, s.params.MaintenanceTimeout); err == nil {
-			s.absorbPiggyback(resp2.Header)
-		}
-	}
-	span.Duration = time.Since(start)
-	s.tel.record(span)
-}
-
-// pickAntiEntropyPeer selects the healthy peer whose last exchange
-// is oldest (never-exchanged peers first, then by address for
-// determinism).
-func (s *Server) pickAntiEntropyPeer() string {
-	gossip := s.table.GossipPeers()
-	var best string
-	var bestAt time.Time
-	for _, p := range s.table.Servers() {
-		if p == s.addr || s.peerSuspect(p) {
-			continue
-		}
-		at := gossip[p].LastFull
-		if best == "" || at.Before(bestAt) {
-			best, bestAt = p, at
-		}
-	}
-	return best
-}
-
-// validatorLoop is the co-op consistency thread of §4.5: every T_val it
-// re-requests each hosted document from its home server so content changes
-// propagate within the validation interval.
-func (s *Server) validatorLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stopped:
-			return
-		case <-s.cfg.Clock.After(s.params.ValidateInterval):
-		}
-		s.runValidatorTick()
 	}
 }
 
-// runValidatorTick revalidates every physically present co-op copy.
+// runValidatorTick is one pass of the co-op consistency thread of §4.5:
+// every T_val it re-requests hosted documents from their home servers so
+// content changes propagate within the validation interval. It revalidates
+// every physically present co-op copy.
 // With push invalidation active, copies whose lease is unexpired and
 // whose home subscription channel is live are skipped: the home promises
 // to push changes, so polling them is pure waste — the collapse this
@@ -728,29 +558,16 @@ func (s *Server) validateOne(key string) string {
 		return ""
 	}
 
-	traceID := telemetry.NewTraceID()
-	span := telemetry.NewSpan(traceID, "", s.addr, "validate")
-	span.Target, span.Peer = v.name, v.home.Addr()
-	start := time.Now()
-	span.Start = s.now()
-	extra := make(httpx.Header)
-	extra.Set(headerFetch, s.Addr())
-	extra.Set(headerValidate, strconv.FormatUint(v.hash, 16))
-	extra.Set(telemetry.TraceHeader, traceID)
-	extra.Set(telemetry.ParentHeader, span.ID)
-	s.piggybackTo(extra, v.home.Addr())
-	s.attachHotReport(extra, v.home.Addr())
-	resp, err := s.client.GetTimeout(v.home.Addr(), v.name, extra, s.params.MaintenanceTimeout)
-	span.Duration = time.Since(start)
+	req := httpx.NewRequest("GET", v.name)
+	req.Header.Set(headerFetch, s.Addr())
+	req.Header.Set(headerValidate, strconv.FormatUint(v.hash, 16))
+	s.attachHotReport(req.Header, v.home.Addr())
+	resp, err := s.rpc(telemetry.Span{Op: "validate", Target: v.name, Peer: v.home.Addr()}, req, s.params.MaintenanceTimeout)
 	if err != nil {
-		span.Err = err.Error()
-		s.tel.record(span)
 		s.tel.validation("error")
 		s.log.Printf("dcws %s: validate %s: %v", s.Addr(), v.name, err)
 		return "error"
 	}
-	span.Status = resp.Status
-	s.tel.record(span)
 	s.absorbPiggyback(resp.Header)
 	// Validation responses carry the document's replica set too, keeping the
 	// hedge-sibling list fresh between fetches.
@@ -798,13 +615,6 @@ func (s *Server) renewAfterValidate(key string) {
 	}
 }
 
-// rollCoopWindows resets the per-document hit counters of hosted co-op
-// copies; the counters feed the hot-spot reports piggybacked to home
-// servers.
-func (s *Server) rollCoopWindows() {
-	s.coops.rollWindows()
-}
-
 // attachHotReport piggybacks this coop's hottest hosted documents for the
 // given home server onto an outgoing request (replication extension).
 func (s *Server) attachHotReport(h httpx.Header, homeAddr string) {
@@ -813,15 +623,13 @@ func (s *Server) attachHotReport(h httpx.Header, homeAddr string) {
 	}
 }
 
-// absorbHot merges a piggybacked hot-document report into the home-side
-// hint table consumed by maybeChainReplicate.
+// absorbHot hands a piggybacked hot-document report to the control plane.
 func (s *Server) absorbHot(h httpx.Header) {
 	v := h.Get(headerHot)
 	if v == "" {
 		return
 	}
-	s.hotMu.Lock()
-	defer s.hotMu.Unlock()
+	report := make(map[string]int64)
 	for _, part := range strings.Split(v, ",") {
 		eq := strings.LastIndexByte(part, '=')
 		if eq <= 0 {
@@ -831,9 +639,9 @@ func (s *Server) absorbHot(h httpx.Header) {
 		if err != nil || hits < 0 {
 			continue
 		}
-		doc := part[:eq]
-		if hits > s.hotHints[doc] {
-			s.hotHints[doc] = hits
+		if doc := part[:eq]; hits > report[doc] {
+			report[doc] = hits
 		}
 	}
+	s.ctl.AbsorbHot(report)
 }

@@ -1,7 +1,6 @@
 package dcws
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -17,138 +16,28 @@ import (
 // The paper's lazy migration copies a document only after a co-op takes a
 // request for it, so under a flash crowd the home server still uploads the
 // bytes once per co-op and its egress link becomes the bottleneck. Here
-// the home notices a hot document itself — an EWMA of the per-document
-// serve rate crossing Params.HotReplicateRate — picks the k least-loaded
-// healthy peers from the global load table, orders them into a chain, and
-// uploads the rendered bytes ONCE to the chain head; each link stores its
-// copy and relays the remainder of the chain to its successor, so home
-// egress is ~one upload per hot document regardless of k.
+// the home notices a hot document itself — the control plane (control.go)
+// sees its serve-rate EWMA cross Params.HotReplicateRate and picks a chain
+// of usable peers in placement order — and uploads the rendered bytes ONCE
+// to the chain head; each link stores its copy and relays the remainder of
+// the chain to its successor, so home egress is ~one upload per hot
+// document regardless of k.
 
 // replicateTimeout bounds each link of a chain push — the home's upload
 // to the chain head, and each relay hop — so one slow link cannot stall
 // the whole dissemination.
 const replicateTimeout = 10 * time.Second
 
-// sizeWeight scales a document's serve rate by its rendered size before
-// the EWMA, so a large document at a modest hit rate still replicates —
-// its egress dominates the home's uplink long before its request count
-// looks hot. The weight is linear in size above a 64 KiB pivot, capped at
-// 2 so size nudges the trigger rather than dominating it — a huge
-// lukewarm file must still earn half the hit-rate threshold. Below the
-// pivot the weight stays 1: small documents are cheap to replicate and
-// their pressure is per-connection overhead, not bytes, so down-weighting
-// them would only delay relief the raw hit rate already justifies.
-func sizeWeight(size int64) float64 {
-	w := float64(size) / float64(64<<10)
-	if w <= 1 {
-		return 1
-	}
-	if w > 2 {
-		return 2
-	}
-	return w
-}
-
-// takeHotHints drains the coop-reported hot-document hint table.
-func (s *Server) takeHotHints() map[string]int64 {
-	s.hotMu.Lock()
-	hints := s.hotHints
-	s.hotHints = make(map[string]int64)
-	s.hotMu.Unlock()
-	return hints
-}
-
-// maybeChainReplicate folds this window's hit counts — home serves from
-// the LDG plus coop-reported hits — into the per-document serve-rate
-// EWMAs, and chain-replicates every non-entry-point document whose rate
-// crosses the trigger, hottest first.
-func (s *Server) maybeChainReplicate(hints map[string]int64) {
-	rate := s.params.HotReplicateRate
-	if rate <= 0 {
-		return
-	}
-	interval := s.params.StatsInterval.Seconds()
-	if interval <= 0 {
-		interval = 1
-	}
-	type cand struct {
-		doc  string
-		ewma float64
-	}
-	var hot []cand
-	docs := s.ldg.Snapshot()
-	s.hotMu.Lock()
-	seen := make(map[string]bool, len(docs))
-	for _, d := range docs {
-		seen[d.Name] = true
-		r := float64(d.WindowHits+hints[d.Name]) / interval
-		r *= sizeWeight(d.Size)
-		ew := 0.5*s.hotRate[d.Name] + 0.5*r
-		if ew < 0.01 {
-			delete(s.hotRate, d.Name)
-		} else {
-			s.hotRate[d.Name] = ew
-		}
-		if ew >= rate && !d.EntryPoint {
-			hot = append(hot, cand{d.Name, ew})
-		}
-	}
-	for doc := range s.hotRate {
-		if !seen[doc] {
-			delete(s.hotRate, doc) // document left the graph
-		}
-	}
-	s.hotMu.Unlock()
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].ewma != hot[j].ewma {
-			return hot[i].ewma > hot[j].ewma
-		}
-		return hot[i].doc < hot[j].doc
-	})
-	for _, c := range hot {
-		s.tel.replicateTriggers.Inc()
-		s.chainReplicate(c.doc)
-	}
-}
-
-// chainReplicate pushes one hot document to enough new co-op servers to
-// reach HotReplicaCount replicas, over a single chain upload.
-func (s *Server) chainReplicate(doc string) {
+// chainReplicate pushes one hot document down the chain of co-op servers
+// the control plane picked, over a single upload, and installs whichever
+// links acked beside the replicas it already has.
+func (s *Server) chainReplicate(doc string, chain []string) {
+	s.tel.replicateTriggers.Inc()
 	loc, known := s.ldg.Location(doc)
 	if !known {
 		return
 	}
-	s.repMu.RLock()
-	existing := append([]string(nil), s.replicas[doc]...)
-	s.repMu.RUnlock()
-	if len(existing) == 0 && loc != "" {
-		existing = []string{loc}
-	}
-	want := s.params.HotReplicaCount - len(existing)
-	if want <= 0 {
-		return
-	}
-	exclude := map[string]bool{s.addr: true}
-	for _, r := range existing {
-		exclude[r] = true
-	}
-	// Walk every eligible entry in placement order — most headroom first,
-	// zone-local before remote — then apply the same suspect/staleness
-	// rules as migration, so a wobbling peer or a ghost load entry never
-	// joins the chain.
-	var chain []string
-	for _, e := range s.table.RankedByHeadroom(exclude, s.params.Zone) {
-		if len(chain) >= want {
-			break
-		}
-		if s.peerSuspect(e.Server) || s.entryStale(e) {
-			continue
-		}
-		chain = append(chain, e.Server)
-	}
-	if len(chain) == 0 {
-		return
-	}
+	existing := s.Replicas(doc)
 	payload, err := s.prepareForMigration(doc)
 	if err != nil {
 		s.log.Printf("dcws %s: chain replicate %s: render: %v", s.Addr(), doc, err)
@@ -206,35 +95,20 @@ func (s *Server) chainReplicate(doc string) {
 func (s *Server) pushChain(key, doc string, payload []byte, h uint64, chain, intended []string) []string {
 	traceID := telemetry.NewTraceID()
 	for i, head := range chain {
-		span := telemetry.NewSpan(traceID, "", s.addr, "replicate-push")
-		span.Target, span.Peer = doc, head
-		start := time.Now()
-		span.Start = s.now()
-		extra := make(httpx.Header)
-		extra.Set(headerRevokeDoc, key)
+		req := httpx.NewRequest("POST", replicatePath)
+		req.Body = payload
+		req.Header.Set(headerRevokeDoc, key)
 		if i+1 < len(chain) {
-			extra.Set(headerChain, strings.Join(chain[i+1:], ","))
+			req.Header.Set(headerChain, strings.Join(chain[i+1:], ","))
 		}
-		extra.Set(headerValidate, strconv.FormatUint(h, 16))
-		extra.Set(headerReplicas, strings.Join(intended, ","))
-		extra.Set(telemetry.TraceHeader, traceID)
-		extra.Set(telemetry.ParentHeader, span.ID)
-		s.piggybackTo(extra, head)
-		resp, err := s.client.PostTimeout(head, replicatePath, extra, payload, replicateTimeout)
-		span.Duration = time.Since(start)
+		req.Header.Set(headerValidate, strconv.FormatUint(h, 16))
+		req.Header.Set(headerReplicas, strings.Join(intended, ","))
+		resp, err := s.rpc(telemetry.Span{TraceID: traceID, Op: "replicate-push", Target: doc, Peer: head}, req, replicateTimeout)
 		if err != nil || resp.Status != 200 {
-			if err != nil {
-				span.Err = err.Error()
-			} else {
-				span.Status = resp.Status
-			}
-			s.tel.record(span)
 			s.tel.replicateChainSkips.Inc()
 			s.log.Printf("dcws %s: chain push %s to %s failed, promoting next link", s.Addr(), doc, head)
 			continue
 		}
-		span.Status = resp.Status
-		s.tel.record(span)
 		s.absorbPiggyback(resp.Header)
 		s.tel.replicatePushes.Inc()
 		s.tel.replicatePushBytes.Add(int64(len(payload)))
@@ -313,39 +187,24 @@ func (s *Server) relayChain(key, doc string, payload []byte, hashHex, replicas s
 		traceID = telemetry.NewTraceID()
 	}
 	for i, next := range chain {
-		span := telemetry.NewSpan(traceID, parent, s.addr, "replicate-relay")
-		span.Target, span.Peer = doc, next
-		start := time.Now()
-		span.Start = s.now()
-		extra := make(httpx.Header)
-		extra.Set(headerRevokeDoc, key)
+		req := httpx.NewRequest("POST", replicatePath)
+		req.Body = payload
+		req.Header.Set(headerRevokeDoc, key)
 		if i+1 < len(chain) {
-			extra.Set(headerChain, strings.Join(chain[i+1:], ","))
+			req.Header.Set(headerChain, strings.Join(chain[i+1:], ","))
 		}
 		if hashHex != "" {
-			extra.Set(headerValidate, hashHex)
+			req.Header.Set(headerValidate, hashHex)
 		}
 		if replicas != "" {
-			extra.Set(headerReplicas, replicas)
+			req.Header.Set(headerReplicas, replicas)
 		}
-		extra.Set(telemetry.TraceHeader, traceID)
-		extra.Set(telemetry.ParentHeader, span.ID)
-		s.piggybackTo(extra, next)
-		resp, err := s.client.PostTimeout(next, replicatePath, extra, payload, replicateTimeout)
-		span.Duration = time.Since(start)
+		resp, err := s.rpc(telemetry.Span{TraceID: traceID, ParentID: parent, Op: "replicate-relay", Target: doc, Peer: next}, req, replicateTimeout)
 		if err != nil || resp.Status != 200 {
-			if err != nil {
-				span.Err = err.Error()
-			} else {
-				span.Status = resp.Status
-			}
-			s.tel.record(span)
 			s.tel.replicateChainSkips.Inc()
 			s.log.Printf("dcws %s: chain relay %s to %s failed, promoting next link", s.Addr(), doc, next)
 			continue
 		}
-		span.Status = resp.Status
-		s.tel.record(span)
 		s.absorbPiggyback(resp.Header)
 		s.tel.replicateRelays.Inc()
 		return splitAddrs(resp.Header.Get(headerAcked))
@@ -363,26 +222,14 @@ func (s *Server) sendChainRevoke(hosts []string, doc string) []string {
 		return nil
 	}
 	head := hosts[0]
-	span := telemetry.NewSpan(telemetry.NewTraceID(), "", s.addr, "revoke-chain")
-	span.Target, span.Peer = doc, head
-	start := time.Now()
-	span.Start = s.now()
 	req := httpx.NewRequest("POST", revokePath)
 	req.Header.Set(headerRevokeDoc, key)
 	req.Header.Set(headerChain, strings.Join(hosts[1:], ","))
-	req.Header.Set(telemetry.TraceHeader, span.TraceID)
-	req.Header.Set(telemetry.ParentHeader, span.ID)
-	s.piggybackTo(req.Header, head)
-	resp, err := s.client.DoTimeout(head, req, s.params.MaintenanceTimeout)
-	span.Duration = time.Since(start)
+	resp, err := s.rpc(telemetry.Span{Op: "revoke-chain", Target: doc, Peer: head}, req, s.params.MaintenanceTimeout)
 	if err != nil {
-		span.Err = err.Error()
-		s.tel.record(span)
 		s.log.Printf("dcws %s: chain revoke %s at %s: %v", s.Addr(), doc, head, err)
 		return nil
 	}
-	span.Status = resp.Status
-	s.tel.record(span)
 	s.absorbPiggyback(resp.Header)
 	if resp.Status != 200 {
 		return nil
@@ -398,32 +245,16 @@ func (s *Server) relayRevoke(key string, chain []string, traceID, parent string)
 		traceID = telemetry.NewTraceID()
 	}
 	for i, next := range chain {
-		span := telemetry.NewSpan(traceID, parent, s.addr, "revoke-relay")
-		span.Target, span.Peer = key, next
-		start := time.Now()
-		span.Start = s.now()
 		req := httpx.NewRequest("POST", revokePath)
 		req.Header.Set(headerRevokeDoc, key)
 		if i+1 < len(chain) {
 			req.Header.Set(headerChain, strings.Join(chain[i+1:], ","))
 		}
-		req.Header.Set(telemetry.TraceHeader, traceID)
-		req.Header.Set(telemetry.ParentHeader, span.ID)
-		s.piggybackTo(req.Header, next)
-		resp, err := s.client.DoTimeout(next, req, s.params.MaintenanceTimeout)
-		span.Duration = time.Since(start)
+		resp, err := s.rpc(telemetry.Span{TraceID: traceID, ParentID: parent, Op: "revoke-relay", Target: key, Peer: next}, req, s.params.MaintenanceTimeout)
 		if err != nil || resp.Status != 200 {
-			if err != nil {
-				span.Err = err.Error()
-			} else {
-				span.Status = resp.Status
-			}
-			s.tel.record(span)
 			s.tel.replicateChainSkips.Inc()
 			continue
 		}
-		span.Status = resp.Status
-		s.tel.record(span)
 		s.absorbPiggyback(resp.Header)
 		return splitAddrs(resp.Header.Get(headerAcked))
 	}
@@ -445,8 +276,4 @@ func splitAddrs(v string) []string {
 }
 
 // HotRate reports a document's current serve-rate EWMA (tests, status).
-func (s *Server) HotRate(doc string) float64 {
-	s.hotMu.Lock()
-	defer s.hotMu.Unlock()
-	return s.hotRate[doc]
-}
+func (s *Server) HotRate(doc string) float64 { return s.ctl.HotRate(doc) }

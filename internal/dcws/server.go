@@ -166,7 +166,8 @@ type coopDoc struct {
 // request hot path never serializes behind maintenance work: coops (the
 // hosted-document set with its LRU), rcache (the rendered-document
 // cache, itself sharded), repMu for the replica tables, peerMu for the
-// failure-detector state, and hotMu for the replication hint table.
+// failure-detector state; the control plane (ctl) locks its own hot-
+// document state.
 type Server struct {
 	cfg    Config
 	params Params
@@ -177,7 +178,10 @@ type Server struct {
 	table  *glt.Table
 	stats  *metrics.ServerStats
 	ledger *policy.Ledger
-	gate   *policy.RateGate
+	// ctl decides every migration, replication, shrink and revocation
+	// (control.go); this server is its Plant (maintenance.go). It shares
+	// table and ledger.
+	ctl    *Controller
 	client *httpx.Client
 	res    *resilience.Registry
 	rcache *renderCache
@@ -204,13 +208,6 @@ type Server struct {
 	peerMu   sync.Mutex
 	pingFail map[string]int
 	downAt   map[string]time.Time // peers declared down, and when (§4.5)
-
-	hotMu    sync.Mutex
-	hotHints map[string]int64 // home side: migrated doc -> last reported coop hits
-	// hotRate is the per-document EWMA of the serve rate (hits/s, home
-	// window hits plus coop-reported hits) that triggers proactive chain
-	// replication when it crosses HotReplicateRate.
-	hotRate map[string]float64
 
 	// aeMu guards the adaptive anti-entropy cadence: the loop backs the
 	// interval off (up to 4x AntiEntropyInterval) while piggyback deltas
@@ -369,7 +366,6 @@ func New(cfg Config) (*Server, error) {
 		table:  table,
 		stats:  metrics.NewServerStats(rateWindow),
 		ledger: ledger,
-		gate:   policy.NewRateGate(params.StatsInterval, params.CoopMigrateInterval),
 		client: httpx.NewPooledClient(httpx.DialerFunc(cfg.Network.Dial), httpx.PoolConfig{
 			MaxIdlePerHost: poolMaxIdlePerPeer,
 			IdleTimeout:    poolIdleTimeout,
@@ -399,13 +395,17 @@ func New(cfg Config) (*Server, error) {
 		rrCounter: make(map[string]*uint32),
 		pingFail:  make(map[string]int),
 		downAt:    make(map[string]time.Time),
-		hotHints:  make(map[string]int64),
-		hotRate:   make(map[string]float64),
 		stopped:   make(chan struct{}),
 	}
 	s.aeInterval = params.AntiEntropyInterval
-	s.gate.HomeInterval = params.StatsInterval
-	s.gate.CoopInterval = params.CoopMigrateInterval
+	s.ctl = &Controller{
+		Self:   self,
+		Params: params,
+		Plant:  plant{s},
+		Table:  table,
+		Ledger: ledger,
+		Gate:   policy.NewRateGate(params.StatsInterval, params.CoopMigrateInterval),
+	}
 	// A tripped breaker means the peer's recent calls all failed: idle
 	// pooled connections to it are equally suspect, so flush them and let
 	// recovery re-dial fresh.
@@ -501,21 +501,24 @@ func (s *Server) Start() error {
 				s.log.Printf("dcws %s: serve: %v", s.Addr(), err)
 			}
 		}()
-		s.wg.Add(3)
-		go s.statsLoop()
-		go s.pingerLoop()
-		go s.validatorLoop()
+		// The statistics module (§5.1), the pinger and the co-op validator
+		// (§4.5), then the loops of the extensions that are switched on.
+		s.every(fixed(s.params.StatsInterval), s.runStatsTick)
+		s.every(fixed(s.params.PingerInterval), s.runPingerTick)
+		s.every(fixed(s.params.ValidateInterval), s.runValidatorTick)
 		if s.params.AntiEntropyInterval > 0 {
-			s.wg.Add(1)
-			go s.antiEntropyLoop()
+			s.every(s.antiEntropyWait, func() {
+				if !s.aeSkip() {
+					s.runAntiEntropyTick()
+				}
+			})
 		}
 		if s.wal != nil && s.params.SnapshotInterval > 0 {
-			s.wg.Add(1)
-			go s.snapshotLoop()
+			// writeSnapshot logs its own failure; the next round retries.
+			s.every(fixed(s.params.SnapshotInterval), func() { _ = s.writeSnapshot() })
 		}
 		if s.params.SLOCheckInterval > 0 {
-			s.wg.Add(1)
-			go s.sloLoop()
+			s.every(fixed(s.params.SLOCheckInterval), s.TickSLO)
 		}
 		if s.params.LeaseDuration > 0 {
 			// Re-subscribe for every home we host recovered documents for;
@@ -527,6 +530,29 @@ func (s *Server) Start() error {
 		s.log.Printf("dcws %s: started with %d documents", s.Addr(), s.ldg.Len())
 	})
 	return startErr
+}
+
+// fixed is a constant wait for every.
+func fixed(d time.Duration) func() time.Duration {
+	return func() time.Duration { return d }
+}
+
+// every starts a maintenance loop: tick runs each time wait() has elapsed
+// on the server's clock, until the server stops. wait is read before each
+// sleep, so a loop can adapt its cadence.
+func (s *Server) every(wait func() time.Duration, tick func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		for {
+			select {
+			case <-s.stopped:
+				return
+			case <-s.cfg.Clock.After(wait()):
+			}
+			tick()
+		}
+	}()
 }
 
 // Close stops the server and waits for its threads. With a WAL it writes
@@ -627,7 +653,7 @@ func (s *Server) DeleteDocument(name string) error {
 	}
 	s.ldg.Remove(cleaned)
 	s.rcache.invalidate(cleaned)
-	s.ledger.Forget(cleaned)
+	s.ctl.Forget(cleaned)
 	s.repMu.Lock()
 	delete(s.replicas, cleaned)
 	s.repMu.Unlock()

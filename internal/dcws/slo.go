@@ -207,21 +207,8 @@ func sortedOps(m map[string]*sloOpState) []string {
 	return out
 }
 
-// sloLoop drives the watcher on the configured clock.
-func (s *Server) sloLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stopped:
-			return
-		case <-s.cfg.Clock.After(s.params.SLOCheckInterval):
-		}
-		s.slo.check(s.now())
-	}
-}
-
-// TickSLO runs one SLO burn-rate evaluation synchronously (deterministic
-// harnesses and tests).
+// TickSLO runs one SLO burn-rate evaluation: the watcher's loop calls it
+// every SLOCheckInterval, deterministic harnesses and tests directly.
 func (s *Server) TickSLO() { s.slo.check(s.now()) }
 
 // check takes one cumulative sample, evaluates both windows, and triggers

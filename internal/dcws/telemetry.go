@@ -180,7 +180,7 @@ func newServerTelemetry() *serverTelemetry {
 		"hedge legs that lost the race to the primary or errored outright")
 
 	t.replicateTriggers = reg.Counter("dcws_replicate_hot_triggers_total",
-		"documents whose serve-rate EWMA crossed the chain-replication threshold")
+		"chain disseminations started because a document's serve-rate EWMA crossed the replication threshold")
 	t.replicatePushes = reg.Counter("dcws_replicate_pushes_total",
 		"chain uploads sent by this home server (one per dissemination round)")
 	t.replicatePushBytes = reg.Counter("dcws_replicate_push_bytes_total",

@@ -2,11 +2,10 @@ package sim
 
 import (
 	"sort"
-	"time"
+	"strings"
 
 	"dcws/internal/dcws"
 	"dcws/internal/glt"
-	"dcws/internal/policy"
 )
 
 // internalFetch performs a home-to-coop document transfer: the co-op server
@@ -63,27 +62,27 @@ func exchangeTables(a, b *simServer) {
 	b.table.Absorb(resp, w.now)
 }
 
-// absorbHotReport pulls the coop's per-document window hits for documents
-// this home owns into the replication hint table (X-DCWS-Hot equivalent).
+// absorbHotReport hands the home's control plane the coop's per-document
+// window hits for documents this home owns (X-DCWS-Hot equivalent).
 func (home *simServer) absorbHotReport(coop *simServer) {
+	var report map[string]int64
+	prefix := home.addr + "|"
 	for key, h := range coop.hosted {
-		if !h.present || h.windowHits == 0 {
+		if !h.present || h.windowHits == 0 || !strings.HasPrefix(key, prefix) {
 			continue
 		}
-		// key = home|name
-		if len(key) <= len(home.addr)+1 || key[:len(home.addr)] != home.addr {
-			continue
+		if report == nil {
+			report = make(map[string]int64)
 		}
-		name := key[len(home.addr)+1:]
-		if h.windowHits > home.hotHints[name] {
-			home.hotHints[name] = h.windowHits
-		}
+		report[key[len(prefix):]] = h.windowHits
+	}
+	if report != nil {
+		home.ctl.AbsorbHot(report)
 	}
 }
 
 // statsTick is one statistics interval (T_st) on one server: refresh the
-// load entry, revoke expired placements, replicate hot spots, attempt one
-// migration, and roll the hit windows. It mirrors dcws.Server.runStatsTick.
+// load entry, give the control plane its tick, and roll the hit windows.
 func (s *simServer) statsTick() {
 	w := s.w
 	// The published load metric is CPS by default; BPS suits large-file
@@ -100,11 +99,7 @@ func (s *simServer) statsTick() {
 	}
 	s.table.UpdateSelf(load, w.now)
 
-	s.revokeExpired(load)
-	if w.params.HotReplicateRate > 0 {
-		s.chainReplicateHot()
-	}
-	s.maybeMigrate(load)
+	s.ctl.Tick(w.now, load)
 
 	s.windowConns = 0
 	s.windowBytes = 0
@@ -116,87 +111,33 @@ func (s *simServer) statsTick() {
 	}
 }
 
-// maybeMigrate runs the migration trigger and Algorithm 1 (via the
-// production policy package).
-func (s *simServer) maybeMigrate(selfLoad float64) {
-	w := s.w
-	coop, ok := s.chooseCoop(selfLoad)
-	if !ok {
-		return
-	}
-	candidates := make([]policy.Candidate, 0, len(s.docNames))
-	for _, name := range s.docNames {
-		d := s.docs[name]
-		remote := 0
-		for _, from := range d.linkFrom {
-			if fd, ok := s.docs[from]; ok && fd.location != "" {
-				remote++
-			}
-		}
-		candidates = append(candidates, policy.Candidate{
-			Name:           name,
-			Load:           d.windowHits,
-			EntryPoint:     d.entry,
-			Migrated:       d.location != "",
-			RemoteLinkFrom: remote,
-			LinkTo:         len(d.spec.Links),
-		})
-	}
-	doc, ok := policy.SelectForMigration(candidates, w.params.MigrationThreshold)
-	if !ok {
-		return
-	}
-	if !s.gate.Allow(coop, w.now) {
-		return
-	}
-	s.migrate(doc, coop)
-}
-
-// chooseCoop walks peers in placement-preference order — headroom-ranked,
-// same-zone first — and picks the first one that satisfies the imbalance
-// trigger and the rate gate (identical logic to dcws.Server.chooseCoop).
-// With capacities absent the ranking degenerates to ascending load, which
-// reproduces the legacy least-loaded choice exactly.
-func (s *simServer) chooseCoop(selfLoad float64) (string, bool) {
-	if selfLoad <= 0 {
-		return "", false
-	}
-	exclude := map[string]bool{s.addr: true}
-	for _, e := range s.table.RankedByHeadroom(exclude, s.w.params.Zone) {
-		if selfLoad <= e.Load*dcws.ImbalanceRatio {
-			continue
-		}
-		if s.w.servers[e.Server] == nil {
-			continue
-		}
-		if s.gate.Eligible(e.Server, s.w.now) {
-			return e.Server, true
-		}
-	}
-	return "", false
-}
-
-// migrate performs the logical migration: location update, dirty
-// propagation over LinkFrom, ledger entry.
-func (s *simServer) migrate(name, coop string) {
-	d, ok := s.docs[name]
-	if !ok {
-		return
-	}
-	d.location = coop
+// relocate points a document at its new primary location ("" is home) and
+// dirties every page that links to it.
+func (s *simServer) relocate(d *simDoc, location string) {
+	d.location = location
 	d.version++
 	for _, from := range d.linkFrom {
 		if fd, ok := s.docs[from]; ok {
 			fd.dirty = true
 		}
 	}
+}
+
+// Migrate performs the logical migration: location update, dirty
+// propagation over LinkFrom, ledger entry.
+func (s *simServer) Migrate(name, coop string) {
+	d, ok := s.docs[name]
+	if !ok {
+		return
+	}
+	s.relocate(d, coop)
 	s.ledger.Record(name, coop, s.w.now)
 	s.replicas[name] = []string{coop}
 	s.migrations++
 	s.pushDirtied(d.linkFrom)
 }
 
-// pushDirtied mirrors the live server's invalidation push on link
+// pushDirtied models the live server's invalidation push on link
 // rewrites: when leases are on, every hosted copy of a just-dirtied
 // document gets the re-rendered form immediately instead of waiting for
 // its host's next validator poll.
@@ -209,10 +150,7 @@ func (s *simServer) pushDirtied(names []string) {
 		if !ok {
 			continue
 		}
-		hosts := s.replicas[name]
-		if len(hosts) == 0 && d.location != "" {
-			hosts = []string{d.location}
-		}
+		hosts := s.Replicas(name)
 		if len(hosts) == 0 {
 			continue
 		}
@@ -233,28 +171,9 @@ func (s *simServer) pushDirtied(names []string) {
 	}
 }
 
-// revoke returns a document home and tells its hosts to drop their copies.
-func (s *simServer) revoke(name string) {
-	d, ok := s.docs[name]
-	if !ok {
-		return
-	}
-	hosts := s.replicas[name]
-	if len(hosts) == 0 && d.location != "" {
-		hosts = []string{d.location}
-	}
-	d.location = ""
-	d.version++
-	for _, from := range d.linkFrom {
-		if fd, ok := s.docs[from]; ok {
-			fd.dirty = true
-		}
-	}
-	s.ledger.Forget(name)
-	delete(s.replicas, name)
-	delete(s.rr, name)
-	delete(s.hotHints, name)
-	delete(s.hotRate, name)
+// dropCopies makes hosts discard their copies of a document; with leases
+// on, each is told by a pushed revoke frame.
+func (s *simServer) dropCopies(name string, hosts []string) {
 	for _, hAddr := range hosts {
 		if host := s.w.servers[hAddr]; host != nil {
 			host.dropHosted(s.addr, name)
@@ -263,130 +182,74 @@ func (s *simServer) revoke(name string) {
 			}
 		}
 	}
+}
+
+// Revoke returns a document home and tells its hosts to drop their copies.
+func (s *simServer) Revoke(name string) {
+	d, ok := s.docs[name]
+	if !ok {
+		return
+	}
+	hosts := s.Replicas(name)
+	s.relocate(d, "")
+	s.ctl.Forget(name)
+	delete(s.replicas, name)
+	delete(s.rr, name)
+	s.dropCopies(name, hosts)
 	s.revocations++
 	s.pushDirtied(d.linkFrom)
 }
 
-// revokeExpired recalls placements older than T_home whose co-op is now
-// substantially busier than the home (§4.5 case 2).
-func (s *simServer) revokeExpired(selfLoad float64) {
-	for _, mig := range s.ledger.Expired(s.w.now, s.w.params.HomeReMigrateInterval) {
-		e, ok := s.table.Get(mig.Coop)
-		if !ok {
-			continue
-		}
-		if e.Load > selfLoad*dcws.ImbalanceRatio {
-			s.revoke(mig.Doc)
-		}
+// Shrink drops the tail of a document's replica chain: the dropped hosts
+// discard their copies and pages linking to the document re-rotate over
+// the replicas kept.
+func (s *simServer) Shrink(name string, keep int) {
+	d, reps := s.docs[name], s.replicas[name]
+	if d == nil || len(reps) <= keep {
+		return
 	}
+	s.replicas[name] = reps[:keep:keep]
+	s.dropCopies(name, reps[keep:])
+	s.relocate(d, reps[0])
+	s.pushDirtied(d.linkFrom)
 }
 
-// simSizeWeight mirrors the live server's size-aware replication weight
-// (dcws.sizeWeight): serve rates scale linearly with rendered size above
-// a 64 KiB pivot, capped at 2, and stay neutral below it — large
-// documents replicate earlier, small ones are never delayed.
-func simSizeWeight(size int64) float64 {
-	w := float64(size) / float64(64<<10)
-	if w <= 1 {
-		return 1
+// ChainReplicate installs a document on every link of the chain in ONE
+// dissemination — the home renders once and uploads once to the chain
+// head, and every link but the last relays that same payload downstream,
+// so the home's egress stays one document transfer regardless of the
+// fan-out. Simulated links never fail, so the whole chain acks.
+func (s *simServer) ChainReplicate(name string, chain []string) {
+	d, ok := s.docs[name]
+	if !ok {
+		return
 	}
-	if w > 2 {
-		return 2
+	if d.snapshot == nil || d.dirty {
+		s.rebuildSnapshot(d)
 	}
-	return w
-}
-
-// chainReplicateHot mirrors dcws.Server.maybeChainReplicate: fold this
-// window's serve rate (home hits plus the hottest co-op report) into a
-// per-document EWMA, and when a document crosses HotReplicateRate bring it
-// up to HotReplicaCount replicas in ONE dissemination — the home uploads
-// once to the chain head and each link relays to its successor, so the
-// home's egress stays one document transfer regardless of the fan-out.
-func (s *simServer) chainReplicateHot() {
-	w := s.w
-	dt := w.params.StatsInterval.Seconds()
-	for name, d := range s.docs {
-		rate := float64(d.windowHits+s.hotHints[name]) / dt
-		rate *= simSizeWeight(d.spec.Size)
-		next := 0.5*s.hotRate[name] + 0.5*rate
-		if next < 0.01 {
-			delete(s.hotRate, name)
-			continue
+	pushed := d.snapshot
+	for i, addr := range chain {
+		host := s.w.servers[addr]
+		host.hosted[s.addr+"|"+name] = &hostedDoc{
+			present: true,
+			doc:     pushed,
+			version: pushed.version,
 		}
-		s.hotRate[name] = next
+		if i < len(chain)-1 {
+			host.finish(reply{status: 200, bytes: d.spec.Size}, 0, func(reply) {})
+		}
 	}
-	names := make([]string, 0, len(s.hotRate))
-	for name := range s.hotRate {
-		names = append(names, name)
+	s.chainPushes++
+	s.chainPushBytes += d.spec.Size
+	s.finish(reply{status: 200, bytes: d.spec.Size}, s.cost.ParseCost, func(reply) {})
+	newReps := append(append([]string(nil), s.Replicas(name)...), chain...)
+	if d.location == "" {
+		s.ledger.Record(name, newReps[0], s.w.now)
+		s.migrations++
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		d := s.docs[name]
-		if d == nil || d.entry || s.hotRate[name] < w.params.HotReplicateRate {
-			continue
-		}
-		existing := s.replicas[name]
-		if len(existing) == 0 && d.location != "" {
-			existing = []string{d.location}
-		}
-		want := w.params.HotReplicaCount - len(existing)
-		if want <= 0 {
-			continue
-		}
-		exclude := map[string]bool{s.addr: true}
-		for _, r := range existing {
-			exclude[r] = true
-		}
-		var chain []string
-		for _, e := range s.table.RankedByHeadroom(exclude, w.params.Zone) {
-			if w.servers[e.Server] == nil {
-				continue
-			}
-			chain = append(chain, e.Server)
-			if len(chain) == want {
-				break
-			}
-		}
-		if len(chain) == 0 {
-			continue
-		}
-		// The home renders once and uploads once; every chain link but the
-		// last relays that same payload downstream.
-		if d.snapshot == nil || d.dirty {
-			s.rebuildSnapshot(d)
-		}
-		pushed := d.snapshot
-		for i, addr := range chain {
-			host := w.servers[addr]
-			host.hosted[s.addr+"|"+name] = &hostedDoc{
-				present: true,
-				doc:     pushed,
-				version: pushed.version,
-			}
-			if i < len(chain)-1 {
-				host.finish(reply{status: 200, bytes: d.spec.Size}, 0, func(reply) {})
-			}
-		}
-		s.chainPushes++
-		s.chainPushBytes += d.spec.Size
-		s.finish(reply{status: 200, bytes: d.spec.Size}, s.cost.ParseCost, func(reply) {})
-		newReps := append(append([]string(nil), existing...), chain...)
-		wasHome := d.location == ""
-		d.location = newReps[0]
-		d.version++
-		for _, from := range d.linkFrom {
-			if fd, ok := s.docs[from]; ok {
-				fd.dirty = true
-			}
-		}
-		if wasHome {
-			s.ledger.Record(name, newReps[0], w.now)
-			s.migrations++
-		}
-		s.replicas[name] = newReps
-		delete(s.hotHints, name)
-		s.pushDirtied(d.linkFrom)
-	}
+	s.relocate(d, newReps[0])
+	s.replicas[name] = newReps
+	s.pushDirtied(d.linkFrom)
 }
 
 // pingerTick refreshes stale load-table entries by probing peers — a tiny
@@ -422,17 +285,7 @@ func (s *simServer) validatorTick() {
 		if !h.present {
 			continue
 		}
-		sep := -1
-		for i := 0; i < len(key); i++ {
-			if key[i] == '|' {
-				sep = i
-				break
-			}
-		}
-		if sep < 0 {
-			continue
-		}
-		homeAddr, name := key[:sep], key[sep+1:]
+		homeAddr, name, _ := strings.Cut(key, "|")
 		home := w.servers[homeAddr]
 		if home == nil {
 			continue
@@ -482,26 +335,15 @@ func (s *simServer) validatorTick() {
 }
 
 // antiEntropyTick is the simulated form of the live anti-entropy safety
-// net: one full-table exchange with the peer whose last full exchange is
-// oldest, so entries capped out of every delta still reconverge.
+// net: one full-table exchange with the peer the control plane picks (the
+// one whose last full exchange is oldest), so entries capped out of every
+// delta still reconverge.
 func (s *simServer) antiEntropyTick() {
 	w := s.w
-	gossip := s.table.GossipPeers()
-	var best string
-	var bestAt time.Time
-	for _, p := range s.table.Servers() {
-		if p == s.addr || w.servers[p] == nil {
-			continue
-		}
-		at := gossip[p].LastFull
-		if best == "" || at.Before(bestAt) {
-			best, bestAt = p, at
-		}
-	}
-	if best == "" {
+	peer := w.servers[s.ctl.AntiEntropyPeer()]
+	if peer == nil {
 		return
 	}
-	peer := w.servers[best]
 	max := dcws.MaxPiggybackEntries
 	req := glt.DecodePiggyback(s.table.EncodePiggybackTo(peer.addr, w.now, max, true))
 	peer.table.Absorb(req, w.now)

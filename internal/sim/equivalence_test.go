@@ -1,131 +1,215 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"dcws/internal/clock"
 	"dcws/internal/dataset"
 	"dcws/internal/dcws"
+	"dcws/internal/glt"
 	"dcws/internal/httpx"
 	"dcws/internal/memnet"
 	"dcws/internal/naming"
 	"dcws/internal/store"
 )
 
-// TestSimMatchesLiveMigrationDecision cross-validates the simulator against
-// the production server: given the same site, the same per-document request
-// counts, and one idle co-op, both must select the same document for the
-// first migration. This is the evidence behind DESIGN.md's claim that the
-// simulator substitutes only hardware, not policy.
+// placementActions names what one statistics tick did to each document,
+// read off its replica set before and after — the same reading for both
+// drivers, so the two streams compare line for line.
+func placementActions(names []string, before, after map[string][]string) []string {
+	var out []string
+	for _, name := range names {
+		b, a := before[name], after[name]
+		switch {
+		case reflect.DeepEqual(a, b):
+		case len(a) == 0:
+			out = append(out, "revoke "+name)
+		case len(b) == 0 && len(a) == 1:
+			out = append(out, fmt.Sprintf("migrate %s -> %s", name, a[0]))
+		case len(a) > len(b):
+			out = append(out, fmt.Sprintf("chain %s -> %v", name, a[len(b):]))
+		default:
+			out = append(out, fmt.Sprintf("shrink %s to %v", name, a))
+		}
+	}
+	return out
+}
+
+// TestSimMatchesLiveMigrationDecision cross-validates the two drivers of
+// the control core: given the same site, the same request trace, three
+// idle co-ops and the same clock, the simulated home and a production
+// server must take the same actions tick for tick — a chain replication
+// and an Algorithm 1 migration under load, nothing while the chain cools,
+// a shrink to two replicas at T_home while it is still warm, and
+// revocation once the co-op is the busier side. This is the evidence
+// behind DESIGN.md's claim that the simulator substitutes only hardware,
+// not policy.
 func TestSimMatchesLiveMigrationDecision(t *testing.T) {
 	site := dataset.HotImage()
-	// The request trace: hammer one page and touch a few others.
-	trace := []string{
-		"/pages/p03.html", "/pages/p03.html", "/pages/p03.html",
-		"/pages/p03.html", "/pages/p03.html", "/pages/p03.html",
-		"/pages/p07.html", "/pages/p07.html",
-		"/pages/p11.html",
-		"/index.html",
+	// One document crosses the replication trigger, a second is merely the
+	// hottest of the rest; the entry point is busiest of all and stays put.
+	var trace []string
+	for i := 0; i < 100; i++ {
+		trace = append(trace, "/index.html")
+		if i < 80 {
+			trace = append(trace, "/pages/p03.html")
+		}
+		if i < 20 {
+			trace = append(trace, "/pages/p07.html")
+		}
+		if i < 5 {
+			trace = append(trace, "/pages/p11.html")
+		}
 	}
-	params := dcws.Params{MigrationThreshold: 1}
+	// Every loop interval is longer than the five minutes the test spans,
+	// so on the live side only the explicit TickStats calls ever run.
+	// Capacity is off because a live server measures it from wall-clock
+	// serve latency: with it on, the two load tables would rank the idle
+	// co-ops differently for a reason that is not policy.
+	params := dcws.Params{
+		CapacitySmoothing:     -1,
+		MigrationThreshold:    1,
+		StatsInterval:         10 * time.Minute,
+		PingerInterval:        time.Hour,
+		ValidateInterval:      time.Hour,
+		AntiEntropyInterval:   -1,
+		SLOCheckInterval:      -1,
+		HomeReMigrateInterval: 150 * time.Second,
+		PlacementMaxStaleness: -1,
+		HotReplicateRate:      0.05, // 80 hits / 600 s, halved by the EWMA: 0.067
+		HotReplicaCount:       3,
+	}
+	coops := []string{"coop1:81", "coop2:82", "coop3:83"}
+	start := time.Unix(0, 0)
 
 	// --- Simulator side ---
 	w := &World{
 		cfg:     Config{},
 		params:  params.WithDefaults(),
 		cost:    DefaultCostModel(),
-		now:     time.Unix(0, 0),
+		now:     start,
 		servers: make(map[string]*simServer),
 	}
 	w.stopAt = w.now.Add(time.Hour)
 	simHome := newSimServer(w, "home:80", w.params, w.cost)
 	simHome.loadSite(site)
-	simCoop := newSimServer(w, "coop:81", w.params, w.cost)
 	w.servers["home:80"] = simHome
-	w.servers["coop:81"] = simCoop
-	w.order = []string{"home:80", "coop:81"}
-	for _, ep := range site.EntryPoints {
-		if d, ok := simHome.docs[ep]; ok {
-			d.entry = true
-		}
+	w.order = []string{"home:80"}
+	for _, addr := range coops {
+		w.servers[addr] = newSimServer(w, addr, w.params, w.cost)
+		w.order = append(w.order, addr)
 	}
 	w.seedPeers()
-	for _, name := range trace {
-		simHome.serveHome(name)
-		simHome.windowConns++
-	}
-	simHome.statsTick()
-	simMigrated := ""
-	for name, d := range simHome.docs {
-		if d.location != "" {
-			simMigrated = name
-		}
-	}
 
 	// --- Live server side ---
 	fabric := memnet.NewFabric()
+	mc := clock.NewManual(start)
 	st := store.NewMem()
 	if err := site.Materialize(st, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	live, err := dcws.New(dcws.Config{
-		Origin:      naming.Origin{Host: "home", Port: 80},
-		Store:       st,
-		Network:     fabric,
-		Clock:       clock.NewManual(time.Unix(0, 0)),
-		EntryPoints: site.EntryPoints,
-		Peers:       []string{"coop:81"},
-		Params:      params,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := live.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer live.Close()
-	coop, err := dcws.New(dcws.Config{
-		Origin:  naming.Origin{Host: "coop", Port: 81},
-		Store:   store.NewMem(),
-		Network: fabric,
-		Clock:   clock.NewManual(time.Unix(0, 0)),
-		Peers:   []string{"home:80"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coop.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer coop.Close()
-
-	client := httpx.NewClient(httpx.DialerFunc(fabric.Dial))
-	for _, name := range trace {
-		if _, err := client.Get("home:80", name, nil); err != nil {
+	boot := func(host string, port int, st store.Store, entries, peers []string) *dcws.Server {
+		t.Helper()
+		srv, err := dcws.New(dcws.Config{
+			Origin:      naming.Origin{Host: host, Port: port},
+			Store:       st,
+			Network:     fabric,
+			Clock:       mc,
+			EntryPoints: entries,
+			Peers:       peers,
+			Params:      params,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv
 	}
-	live.TickStats()
-	liveMigrated := ""
-	for name := range live.Graph().Migrated() {
-		liveMigrated = name
+	live := boot("home", 80, st, site.EntryPoints, coops)
+	for i := range coops {
+		boot(fmt.Sprintf("coop%d", i+1), 81+i, store.NewMem(), nil, []string{"home:80"})
+	}
+	client := httpx.NewClient(httpx.DialerFunc(fabric.Dial))
+
+	var names []string
+	for _, d := range site.Docs {
+		names = append(names, d.Name)
+	}
+	sort.Strings(names)
+	placement := func(p interface{ Replicas(string) []string }) map[string][]string {
+		out := make(map[string][]string)
+		for _, name := range names {
+			if reps := p.Replicas(name); len(reps) > 0 {
+				out[name] = append([]string(nil), reps...)
+			}
+		}
+		return out
 	}
 
-	if simMigrated == "" || liveMigrated == "" {
-		t.Fatalf("no migration: sim=%q live=%q", simMigrated, liveMigrated)
+	// One step per statistics tick: the requests served since the last one,
+	// then how far the clock moves before the tick.
+	steps := []struct {
+		trace    []string
+		advance  time.Duration
+		coopLoad float64 // when set, coop1's load as the home's table sees it
+		want     []string
+	}{
+		{trace: trace, want: []string{
+			"chain /pages/p03.html -> [coop1:81 coop2:82 coop3:83]",
+			"migrate /pages/p07.html -> coop1:81",
+		}},
+		{advance: time.Minute}, // the chain cools: 0.033
+		{advance: time.Minute}, // 0.017
+		// Past T_home. The cooled chain is still warm, so it shrinks; the
+		// single placement stays, its co-op being no busier than the home.
+		{advance: time.Minute, want: []string{"shrink /pages/p03.html to [coop1:81 coop2:82]"}},
+		// The workload has moved to the co-op: both placements come home.
+		{advance: time.Minute, coopLoad: 5, want: []string{
+			"revoke /pages/p03.html",
+			"revoke /pages/p07.html",
+		}},
 	}
-	if simMigrated != liveMigrated {
-		t.Fatalf("decision divergence: sim migrated %q, live server migrated %q",
-			simMigrated, liveMigrated)
+	kinds := make(map[string]bool)
+	for i, step := range steps {
+		mc.Advance(step.advance)
+		w.now = w.now.Add(step.advance)
+		if step.coopLoad > 0 {
+			e := glt.Entry{Server: coops[0], Load: step.coopLoad, Updated: w.now}
+			simHome.table.Observe(e)
+			live.LoadTable().Observe(e)
+		}
+		for _, name := range step.trace {
+			simHome.serveHome(name)
+			simHome.windowConns++
+			if _, err := client.Get("home:80", name, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		simBefore, liveBefore := placement(simHome), placement(live)
+		simHome.statsTick()
+		live.TickStats()
+		simActs := placementActions(names, simBefore, placement(simHome))
+		liveActs := placementActions(names, liveBefore, placement(live))
+		if !reflect.DeepEqual(simActs, liveActs) {
+			t.Fatalf("tick %d: decision divergence:\n  sim:  %q\n  live: %q", i, simActs, liveActs)
+		}
+		if !reflect.DeepEqual(liveActs, step.want) {
+			t.Fatalf("tick %d: both drivers did %q, want %q", i, liveActs, step.want)
+		}
+		for _, a := range liveActs {
+			kinds[strings.Fields(a)[0]] = true
+		}
 	}
-	// Note: requesting a page also fetches its embedded image client-side
-	// in the full benchmark; this trace requests pages only, so both
-	// implementations see identical per-document hit counts and both must
-	// pick the hottest non-entry page by Algorithm 1.
-	if simMigrated != "/pages/p03.html" {
-		t.Fatalf("Algorithm 1 picked %q, want the hottest page /pages/p03.html", simMigrated)
+	if len(kinds) != 4 {
+		t.Fatalf("action stream covered %v, want migrate, chain, shrink and revoke", kinds)
 	}
 }
 

@@ -87,16 +87,15 @@ type simServer struct {
 	// rank placement targets by headroom; 0 when normalization is off.
 	capacity float64
 
-	// Home-side state (the production decision structures).
+	// Home-side state. ctl is the production control plane (dcws.Controller)
+	// with this server as its Plant; table and ledger are shared with it.
 	docs     map[string]*simDoc
 	docNames []string
 	table    *glt.Table
-	gate     *policy.RateGate
 	ledger   *policy.Ledger
+	ctl      *dcws.Controller
 	replicas map[string][]string
 	rr       map[string]int
-	hotHints map[string]int64
-	hotRate  map[string]float64 // per-document serve-rate EWMA (chain trigger)
 
 	// Co-op-side state.
 	hosted map[string]*hostedDoc
@@ -132,13 +131,18 @@ func newSimServer(w *World, addr string, params dcws.Params, cost CostModel) *si
 		queueLen: params.QueueLength,
 		docs:     make(map[string]*simDoc),
 		table:    glt.NewTable(addr),
-		gate:     policy.NewRateGate(params.StatsInterval, params.CoopMigrateInterval),
 		ledger:   policy.NewLedger(),
 		replicas: make(map[string][]string),
 		rr:       make(map[string]int),
-		hotHints: make(map[string]int64),
-		hotRate:  make(map[string]float64),
 		hosted:   make(map[string]*hostedDoc),
+	}
+	s.ctl = &dcws.Controller{
+		Self:   addr,
+		Params: params,
+		Plant:  s,
+		Table:  s.table,
+		Ledger: s.ledger,
+		Gate:   policy.NewRateGate(params.StatsInterval, params.CoopMigrateInterval),
 	}
 	// Mirror the live server's startup calibration: seed the gossiped
 	// capacity/zone self-metadata before the first exchange.
@@ -179,6 +183,46 @@ func (s *simServer) loadSite(site *dataset.Site) {
 		}
 	}
 }
+
+// Docs is the control plane's view of this server's documents
+// (dcws.Plant), in name order.
+func (s *simServer) Docs() []dcws.DocStat {
+	out := make([]dcws.DocStat, 0, len(s.docNames))
+	for _, name := range s.docNames {
+		d := s.docs[name]
+		remote := 0
+		for _, from := range d.linkFrom {
+			if fd, ok := s.docs[from]; ok && fd.location != "" {
+				remote++
+			}
+		}
+		out = append(out, dcws.DocStat{
+			Name:           name,
+			WindowHits:     d.windowHits,
+			Size:           d.spec.Size,
+			EntryPoint:     d.entry,
+			Location:       d.location,
+			RemoteLinkFrom: remote,
+			LinkTo:         len(d.spec.Links),
+		})
+	}
+	return out
+}
+
+// Replicas lists the co-ops hosting a document, primary first; callers
+// must not modify the result.
+func (s *simServer) Replicas(name string) []string {
+	if reps := s.replicas[name]; len(reps) > 0 {
+		return reps
+	}
+	if d, ok := s.docs[name]; ok && d.location != "" {
+		return []string{d.location}
+	}
+	return nil
+}
+
+// Usable: simulated peers never fail, so any server that exists will do.
+func (s *simServer) Usable(e glt.Entry) bool { return s.w.servers[e.Server] != nil }
 
 func maxTime(a, b time.Time) time.Time {
 	if a.After(b) {

@@ -76,7 +76,7 @@ func TestServeHomeStates(t *testing.T) {
 	// path (not the first-parse path) is exercised below.
 	s.serveHome("/pages/p00.html")
 	// Migrated document redirects with the coop address.
-	s.migrate("/big.jpg", "s2:80")
+	s.Migrate("/big.jpg", "s2:80")
 	rep, _ = s.serveHome("/big.jpg")
 	if rep.status != 301 || rep.loc.Addr != "s2:80" || rep.loc.Name != "/big.jpg" {
 		t.Fatalf("redirect = %+v", rep)
@@ -107,9 +107,9 @@ func TestServeHomeStates(t *testing.T) {
 func TestRevokeRestoresSnapshotLinks(t *testing.T) {
 	_, s := testServer(t)
 	s.loadSite(dataset.HotImage())
-	s.migrate("/big.jpg", "s2:80")
+	s.Migrate("/big.jpg", "s2:80")
 	s.serveHome("/pages/p00.html") // regenerate with coop link
-	s.revoke("/big.jpg")
+	s.Revoke("/big.jpg")
 	rep, _ := s.serveHome("/pages/p00.html")
 	for _, l := range rep.doc.links {
 		if l.t.Name == "/big.jpg" && l.t.Addr != "s1:80" {

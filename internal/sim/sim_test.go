@@ -496,7 +496,7 @@ func TestSimRevokeDropsHostedCopy(t *testing.T) {
 	w.servers["s2:80"] = coop
 	w.order = append(w.order, "s2:80")
 	home.loadSite(dataset.HotImage())
-	home.migrate("/big.jpg", "s2:80")
+	home.Migrate("/big.jpg", "s2:80")
 	// Materialize the copy at the coop via the internal fetch path.
 	gotReply := make(chan reply, 1)
 	coop.admitCoop(target{Addr: "s2:80", Home: "s1:80", Name: "/big.jpg"},
@@ -513,7 +513,7 @@ func TestSimRevokeDropsHostedCopy(t *testing.T) {
 	if len(coop.hosted) != 1 {
 		t.Fatalf("hosted = %d", len(coop.hosted))
 	}
-	home.revoke("/big.jpg")
+	home.Revoke("/big.jpg")
 	if len(coop.hosted) != 0 {
 		t.Fatal("revocation did not drop the hosted copy")
 	}

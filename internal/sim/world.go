@@ -385,7 +385,7 @@ func (w *World) warmPlace(hs *simServer) {
 		}
 		load[best] += weight(name)
 		if best != hs.addr {
-			hs.migrate(name, best)
+			hs.Migrate(name, best)
 		}
 	}
 	// Warm-start placements are historical, not measurement-time work:
