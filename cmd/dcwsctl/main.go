@@ -1,7 +1,8 @@
 // Command dcwsctl inspects and administers live DCWS servers through their
 // operational HTTP endpoints:
 //
-//	dcwsctl status 127.0.0.1:8080           traffic counters + load table
+//	dcwsctl status 127.0.0.1:8080           identity, placement, peer health,
+//	                                        then every metric by subsystem
 //	dcwsctl graph  127.0.0.1:8080           local document graph summary
 //	dcwsctl graph  -full 127.0.0.1:8080     every tuple
 //	dcwsctl metrics 127.0.0.1:8080          raw Prometheus exposition
@@ -26,9 +27,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -62,168 +65,11 @@ func main() {
 	case "status":
 		var st idcws.Status
 		getJSON(client, addr, "/~dcws/status", &st)
-		fmt.Printf("server       %s\n", st.Addr)
-		if st.Zone != "" || st.Capacity > 0 {
-			line := "placement   "
-			if st.Zone != "" {
-				line += fmt.Sprintf(" zone=%s", st.Zone)
-			}
-			if st.Capacity > 0 {
-				line += fmt.Sprintf(" capacity=%.0f docs/s", st.Capacity)
-			}
-			fmt.Println(line)
+		exp, err := checkExposition(getMetrics(client, addr))
+		if err != nil {
+			log.Fatalf("dcwsctl: %v", err)
 		}
-		fmt.Printf("documents    %d (%d migrated out, %d hosted for peers)\n",
-			st.Documents, len(st.MigratedOut), len(st.CoopHosted))
-		fmt.Printf("traffic      conns=%d bytes=%d cps=%.1f bps=%.0f\n",
-			st.Connections, st.Bytes, st.CPS, st.BPS)
-		fmt.Printf("maintenance  redirects=%d fetches=%d rebuilds=%d dropped=%d\n",
-			st.Redirects, st.Fetches, st.Rebuilds, st.Dropped)
-		fmt.Printf("serving      cache_hits=%d cache_misses=%d (%s) queue_depth=%d\n",
-			st.CacheHits, st.CacheMisses, hitRate(st.CacheHits, st.CacheMisses), st.QueueDepth)
-		fmt.Printf("resilience   retries=%d breaker_trips=%d\n", st.Retries, st.BreakerTrips)
-		fmt.Printf("conn pool    reuses=%d dials=%d (%.0f%% reused) retired=%d\n",
-			st.Pool.Reuses, st.Pool.Dials, 100*st.Pool.ReuseRatio, sumRetires(st.Pool.Retires))
-		fmt.Printf("hedging      launched=%d won=%d miss=%d wasted=%d\n",
-			st.Hedge.Launched, st.Hedge.Won, st.Hedge.Miss, st.Hedge.Wasted)
-		fmt.Printf("replication  hot_triggers=%d pushes=%d push_bytes=%d relays=%d stored=%d\n",
-			st.Replication.HotTriggers, st.Replication.Pushes, st.Replication.PushBytes,
-			st.Replication.Relays, st.Replication.Stored)
-		fmt.Printf("             chain_skips=%d revoke_chains=%d revoke_fallbacks=%d shrinks=%d\n",
-			st.Replication.ChainSkips, st.Replication.RevokeChains, st.Replication.RevokeFallbacks,
-			st.Invalidation.Shrinks)
-		if !st.Invalidation.Enabled {
-			fmt.Println("invalidation disabled (polling validation)")
-		} else {
-			iv := st.Invalidation
-			fmt.Printf("invalidation subscribers=%d/%d leased=%d pushes=%d acks=%d received=%d\n",
-				iv.Subscribers, iv.SubscribersKnown, iv.Leased, iv.Pushes, iv.Acks, iv.Received)
-			fmt.Printf("             lease_skips=%d validate_polls=%d lease_expired=%d reconnects=%d\n",
-				iv.LeaseSkips, iv.ValidatePolls, iv.LeaseExpired, iv.Reconnects)
-			fmt.Printf("             batches=%d batch_docs=%d seq_gaps=%d\n",
-				iv.Batches, iv.BatchDocs, iv.Gaps)
-		}
-		fmt.Printf("slo          alerting=%v checks=%d alerts=%d profiles=%d\n",
-			st.SLO.Alerting, st.SLO.Checks, st.SLO.Alerts, st.SLO.Profiles)
-		if len(st.SLO.Ops) > 0 {
-			ops := make([]string, 0, len(st.SLO.Ops))
-			for op := range st.SLO.Ops {
-				ops = append(ops, op)
-			}
-			sort.Strings(ops)
-			for _, op := range ops {
-				o := st.SLO.Ops[op]
-				fmt.Printf("             %-6s p50=%.4fs p99=%.4fs burn=%.2f/%.2f (short/long)\n",
-					op, o.P50Seconds, o.P99Seconds, o.BurnShort, o.BurnLong)
-			}
-			fmt.Printf("             shed rate=%.4f/%.4f burn=%.2f/%.2f (short/long)\n",
-				st.SLO.ShedRate["short"], st.SLO.ShedRate["long"],
-				st.SLO.ShedBurn["short"], st.SLO.ShedBurn["long"])
-		}
-		if !st.Durability.Enabled {
-			fmt.Println("durability   disabled (no WAL directory)")
-		} else {
-			d := st.Durability
-			fmt.Printf("durability   wal sync=%s lsn=%d snapshot_lsn=%d segments=%d\n",
-				d.SyncPolicy, d.LSN, d.SnapshotLSN, d.Segments)
-			fmt.Printf("             appends=%d bytes=%d syncs=%d snapshots=%d truncations=%d\n",
-				d.Appends, d.AppendedBytes, d.Syncs, d.Snapshots, d.Truncations)
-			if r := d.Recovery; r.Recovered {
-				fmt.Printf("             recovered in %.3fs: replayed=%d docs=%d coop=%d/%d kept/dropped\n",
-					r.Seconds, r.ReplayedRecs, r.DocsRestored, r.CoopRestored, r.CoopDropped)
-			}
-		}
-		fmt.Printf("glt          shards=%d version=%d entries=%d emits(delta/full/client)=%d/%d/%d anti_entropy=%d\n",
-			st.GLT.Shards, st.GLT.Version, st.GLT.Entries,
-			st.GLT.DeltaEmits, st.GLT.FullEmits, st.GLT.ClientEmits, st.GLT.AntiEntropyRounds)
-		fmt.Printf("             digest rounds=%d answered=%d shards_sent=%d pushbacks=%d\n",
-			st.GLT.DigestRounds, st.GLT.DigestResponses, st.GLT.DigestShardsSent,
-			st.GLT.DigestPushbacks)
-		if len(st.GLT.Peers) > 0 {
-			fmt.Println("glt gossip:")
-			peers := make([]string, 0, len(st.GLT.Peers))
-			for p := range st.GLT.Peers {
-				peers = append(peers, p)
-			}
-			sort.Strings(peers)
-			for _, p := range peers {
-				g := st.GLT.Peers[p]
-				line := fmt.Sprintf("  %-24s acked=%d seen=%d", p, g.Acked, g.Seen)
-				if g.LastFull != "" {
-					line += " last_full=" + g.LastFull
-				}
-				fmt.Println(line)
-			}
-		}
-		if len(st.Pool.Peers) > 0 {
-			fmt.Println("pool peers:")
-			peers := make([]string, 0, len(st.Pool.Peers))
-			for p := range st.Pool.Peers {
-				peers = append(peers, p)
-			}
-			sort.Strings(peers)
-			for _, p := range peers {
-				pp := st.Pool.Peers[p]
-				fmt.Printf("  %-24s open=%d idle=%d\n", p, pp.Open, pp.Idle)
-			}
-		}
-		if len(st.PeerResilience) > 0 {
-			fmt.Println("peer resilience:")
-			peers := make([]string, 0, len(st.PeerResilience))
-			for p := range st.PeerResilience {
-				peers = append(peers, p)
-			}
-			sort.Strings(peers)
-			for _, p := range peers {
-				pr := st.PeerResilience[p]
-				line := fmt.Sprintf("  %-24s %-9s retries=%d trips=%d rejections=%d",
-					p, pr.State, pr.Retries, pr.Trips, pr.Rejections)
-				if pr.LastTransition != "" {
-					line += " last_transition=" + pr.LastTransition
-				}
-				fmt.Println(line)
-			}
-		}
-		if len(st.PeerHealth) > 0 {
-			fmt.Println("peer health:")
-			peers := make([]string, 0, len(st.PeerHealth))
-			for p := range st.PeerHealth {
-				peers = append(peers, p)
-			}
-			sort.Strings(peers)
-			for _, p := range peers {
-				state := st.PeerHealth[p]
-				if b, ok := st.Breakers[p]; ok {
-					state += " (breaker " + b + ")"
-				}
-				fmt.Printf("  %-24s %s\n", p, state)
-			}
-		}
-		fmt.Println("load table:")
-		servers := make([]string, 0, len(st.LoadTable))
-		for s := range st.LoadTable {
-			servers = append(servers, s)
-		}
-		sort.Strings(servers)
-		for _, s := range servers {
-			// With capacity metadata the gossiped load is a utilization;
-			// render the full placement view the ranking actually uses.
-			if pl, ok := st.Placement[s]; ok && (pl.Capacity > 0 || pl.Zone != "") {
-				line := fmt.Sprintf("  %-24s load=%.2f", s, pl.Load)
-				if pl.Capacity > 0 {
-					line += fmt.Sprintf(" capacity=%.0f headroom=%.0f", pl.Capacity, pl.Headroom)
-				}
-				if pl.Zone != "" {
-					line += " zone=" + pl.Zone
-				}
-				fmt.Println(line)
-				continue
-			}
-			fmt.Printf("  %-24s %.2f\n", s, st.LoadTable[s])
-		}
-		for doc, coop := range st.MigratedOut {
-			fmt.Printf("migrated: %s -> %s\n", doc, coop)
-		}
+		renderStatus(os.Stdout, st, exp)
 	case "graph":
 		var dump idcws.GraphDump
 		getJSON(client, addr, "/~dcws/graph", &dump)
@@ -254,29 +100,23 @@ func main() {
 		fmt.Printf("dirty       %d\n", dirty)
 		fmt.Printf("total hits  %d\n", hits)
 	case "metrics":
-		resp, err := client.Get(addr, "/~dcws/metrics", nil)
-		if err != nil {
-			log.Fatalf("dcwsctl: %v", err)
-		}
-		if resp.Status != 200 {
-			log.Fatalf("dcwsctl: %s/~dcws/metrics answered %d", addr, resp.Status)
-		}
+		body := getMetrics(client, addr)
 		if !*check {
-			fmt.Print(string(resp.Body))
+			fmt.Print(body)
 			return
 		}
-		families, exemplars, err := checkExposition(string(resp.Body))
+		exp, err := checkExposition(body)
 		if err != nil {
 			log.Fatalf("dcwsctl: %v", err)
 		}
-		missing := missingFamilies(families)
+		missing := missingFamilies(exp.families)
 		if len(missing) > 0 {
 			log.Fatalf("dcwsctl: exposition missing metric families: %s", strings.Join(missing, ", "))
 		}
-		if exemplars == 0 {
+		if exp.exemplars == 0 {
 			log.Fatalf("dcwsctl: exposition carries no latency exemplars (serve a traced request first)")
 		}
-		fmt.Printf("ok: %d metric families, %d exemplars, all layers covered\n", len(families), exemplars)
+		fmt.Printf("ok: %d metric families, %d exemplars, all layers covered\n", len(exp.families), exp.exemplars)
 	case "trace":
 		if *cluster {
 			clusterTrace(client, addr, *traceID)
@@ -368,7 +208,7 @@ func clusterTrace(client *httpx.Client, addr, traceID string) {
 	if st.Addr != "" {
 		peerSet[st.Addr] = true
 	}
-	for p := range st.LoadTable {
+	for p := range st.Placement {
 		peerSet[p] = true
 	}
 	peers := make([]string, 0, len(peerSet))
@@ -484,15 +324,168 @@ func getJSON(client *httpx.Client, addr, path string, out interface{}) {
 	}
 }
 
-// checkExposition validates Prometheus text-format 0.0.4: every
-// non-comment line must be "name[{labels}] value" with a balanced label
-// block, every "# TYPE" comment well-formed, and every OpenMetrics-style
-// exemplar suffix ("... # {trace_id=\"x\"} value") complete. It returns the
-// set of family names declared or sampled and how many exemplars the
-// exposition carried.
-func checkExposition(body string) (map[string]bool, int, error) {
-	families := make(map[string]bool)
-	exemplars := 0
+// getMetrics fetches a server's Prometheus exposition.
+func getMetrics(client *httpx.Client, addr string) string {
+	resp, err := client.Get(addr, "/~dcws/metrics", nil)
+	if err != nil {
+		log.Fatalf("dcwsctl: %v", err)
+	}
+	if resp.Status != 200 {
+		log.Fatalf("dcwsctl: %s/~dcws/metrics answered %d", addr, resp.Status)
+	}
+	return string(resp.Body)
+}
+
+// renderStatus prints what /~dcws/status holds — identity, durable-tier
+// configuration, placement, peer health, migrations — then every family of
+// the exposition grouped by subsystem, the token after "dcws_". Families
+// print sorted by name, a family with several series as indented rows
+// sorted by label block, and a histogram as its _count and _sum, so a new
+// family shows up with no edit here and two renders of the same input are
+// identical.
+func renderStatus(w io.Writer, st idcws.Status, exp *exposition) {
+	fmt.Fprintf(w, "server       %s\n", st.Addr)
+	if st.Zone != "" {
+		fmt.Fprintf(w, "zone         %s\n", st.Zone)
+	}
+	if st.Leases {
+		fmt.Fprintln(w, "leases       on (push invalidation)")
+	} else {
+		fmt.Fprintln(w, "leases       off (polling validation)")
+	}
+	if st.WALSync == "" {
+		fmt.Fprintln(w, "wal          off (no WAL directory)")
+	} else {
+		fmt.Fprintf(w, "wal          sync=%s\n", st.WALSync)
+	}
+	if r := st.Recovery; r.Recovered {
+		fmt.Fprintf(w, "recovery     %.3fs: snapshot_lsn=%d replayed=%d docs=%d coop=%d/%d kept/dropped\n",
+			r.Seconds, r.SnapshotLSN, r.ReplayedRecs, r.DocsRestored, r.CoopRestored, r.CoopDropped)
+	}
+	fmt.Fprintf(w, "hosting      %d migrated out, %d hosted for peers\n", len(st.MigratedOut), len(st.CoopHosted))
+	if len(st.Placement) > 0 {
+		fmt.Fprintln(w, "placement:")
+		for _, p := range sortedKeys(st.Placement) {
+			// With capacity metadata the gossiped load is a utilization;
+			// print the full view the ranking uses.
+			pl := st.Placement[p]
+			line := fmt.Sprintf("  %-24s load=%.2f", p, pl.Load)
+			if pl.Capacity > 0 {
+				line += fmt.Sprintf(" capacity=%.0f headroom=%.0f", pl.Capacity, pl.Headroom)
+			}
+			if pl.Zone != "" {
+				line += " zone=" + pl.Zone
+			}
+			fmt.Fprintln(w, line)
+		}
+	}
+	if len(st.PeerHealth) > 0 {
+		fmt.Fprintln(w, "peer health:")
+		for _, p := range sortedKeys(st.PeerHealth) {
+			fmt.Fprintf(w, "  %-24s %s\n", p, st.PeerHealth[p])
+		}
+	}
+	for _, doc := range sortedKeys(st.MigratedOut) {
+		fmt.Fprintf(w, "migrated: %s -> %s\n", doc, st.MigratedOut[doc])
+	}
+
+	// Each sample joins the family its # TYPE line declared; a histogram
+	// keeps its _count and _sum and drops its buckets.
+	series := make(map[string][]sample)
+	for _, smp := range exp.samples {
+		if base, ok := strings.CutSuffix(smp.name, "_bucket"); ok && exp.types[base] == "histogram" {
+			continue
+		}
+		fam := smp.name
+		for _, suffix := range []string{"_count", "_sum"} {
+			if base, ok := strings.CutSuffix(smp.name, suffix); ok && exp.types[base] == "histogram" {
+				fam = base
+			}
+		}
+		series[fam] = append(series[fam], smp)
+	}
+	fams := sortedKeys(exp.types)
+	for fam := range series {
+		if _, ok := exp.types[fam]; !ok {
+			fams = append(fams, fam)
+		}
+	}
+	sort.Slice(fams, func(i, j int) bool {
+		if gi, gj := metricGroup(fams[i]), metricGroup(fams[j]); gi != gj {
+			return gi < gj
+		}
+		return fams[i] < fams[j]
+	})
+	group := ""
+	for _, fam := range fams {
+		if g := metricGroup(fam); g != group {
+			group = g
+			fmt.Fprintf(w, "\n%s\n", g)
+		}
+		name, rows := strings.TrimPrefix(fam, "dcws_"), series[fam]
+		switch {
+		case len(rows) == 0:
+			fmt.Fprintf(w, "  %-46s -\n", name)
+		case len(rows) == 1 && rows[0].name == fam && rows[0].labels == "":
+			fmt.Fprintf(w, "  %-46s %s\n", name, formatValue(rows[0].value))
+		default:
+			// One indented row per series, keyed by what tells them
+			// apart: the histogram suffix and the label block.
+			key := func(r sample) string {
+				suffix := strings.TrimPrefix(strings.TrimPrefix(r.name, fam), "_")
+				return strings.TrimSpace(suffix + " " + strings.Trim(r.labels, "{}"))
+			}
+			sort.Slice(rows, func(i, j int) bool { return key(rows[i]) < key(rows[j]) })
+			fmt.Fprintf(w, "  %s\n", name)
+			for _, r := range rows {
+				fmt.Fprintf(w, "    %-44s %s\n", key(r), formatValue(r.value))
+			}
+		}
+	}
+}
+
+func formatValue(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
+// metricGroup is the subsystem a series belongs to: the first name token
+// after the "dcws_" prefix.
+func metricGroup(name string) string {
+	g, _, _ := strings.Cut(strings.TrimPrefix(name, "dcws_"), "_")
+	return g
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// exposition is one parsed Prometheus text-format scrape.
+type exposition struct {
+	// families holds every name declared by a # TYPE or # HELP comment or
+	// sampled; types maps each # TYPE-declared family to its type.
+	families  map[string]bool
+	types     map[string]string
+	samples   []sample
+	exemplars int
+}
+
+// sample is one series line: metric name, label block (braces included;
+// "" when unlabelled) and value.
+type sample struct {
+	name, labels string
+	value        float64
+}
+
+// checkExposition validates Prometheus text-format 0.0.4 and parses it:
+// every non-comment line must be "name[{labels}] value" with a balanced
+// label block and a numeric value, every "# TYPE" comment well-formed, and
+// every OpenMetrics-style exemplar suffix ("... # {trace_id=\"x\"} value")
+// complete.
+func checkExposition(body string) (*exposition, error) {
+	exp := &exposition{families: make(map[string]bool), types: make(map[string]string)}
 	for i, line := range strings.Split(body, "\n") {
 		if line == "" {
 			continue
@@ -501,9 +494,12 @@ func checkExposition(body string) (map[string]bool, int, error) {
 			f := strings.Fields(line)
 			if len(f) >= 2 && (f[1] == "TYPE" || f[1] == "HELP") {
 				if len(f) < 3 {
-					return nil, 0, fmt.Errorf("line %d: truncated %s comment: %q", i+1, f[1], line)
+					return nil, fmt.Errorf("line %d: truncated %s comment: %q", i+1, f[1], line)
 				}
-				families[f[2]] = true
+				exp.families[f[2]] = true
+				if f[1] == "TYPE" && len(f) >= 4 {
+					exp.types[f[2]] = f[3]
+				}
 			}
 			continue
 		}
@@ -511,28 +507,33 @@ func checkExposition(body string) (map[string]bool, int, error) {
 			ex := line[idx+len(" # "):]
 			end := strings.IndexByte(ex, '}')
 			if end < 0 || strings.TrimSpace(ex[end+1:]) == "" {
-				return nil, 0, fmt.Errorf("line %d: malformed exemplar in %q", i+1, line)
+				return nil, fmt.Errorf("line %d: malformed exemplar in %q", i+1, line)
 			}
-			exemplars++
+			exp.exemplars++
 			line = line[:idx]
 		}
 		sp := strings.LastIndexByte(line, ' ')
 		if sp <= 0 || sp == len(line)-1 {
-			return nil, 0, fmt.Errorf("line %d: malformed sample %q", i+1, line)
+			return nil, fmt.Errorf("line %d: malformed sample %q", i+1, line)
 		}
-		name := line[:sp]
+		value, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: bad sample value in %q", i+1, line)
+		}
+		name, labels := line[:sp], ""
 		if b := strings.IndexByte(name, '{'); b >= 0 {
 			if !strings.HasSuffix(name, "}") {
-				return nil, 0, fmt.Errorf("line %d: unbalanced label block in %q", i+1, line)
+				return nil, fmt.Errorf("line %d: unbalanced label block in %q", i+1, line)
 			}
-			name = name[:b]
+			name, labels = name[:b], name[b:]
 		}
 		if name == "" {
-			return nil, 0, fmt.Errorf("line %d: empty metric name in %q", i+1, line)
+			return nil, fmt.Errorf("line %d: empty metric name in %q", i+1, line)
 		}
-		families[name] = true
+		exp.families[name] = true
+		exp.samples = append(exp.samples, sample{name: name, labels: labels, value: value})
 	}
-	return families, exemplars, nil
+	return exp, nil
 }
 
 // missingFamilies reports which instrumented layers are absent from a
@@ -560,22 +561,6 @@ func missingFamilies(families map[string]bool) []string {
 	}
 	sort.Strings(missing)
 	return missing
-}
-
-func sumRetires(retires map[string]int64) int64 {
-	var n int64
-	for _, v := range retires {
-		n += v
-	}
-	return n
-}
-
-func hitRate(hits, misses int64) string {
-	total := hits + misses
-	if total == 0 {
-		return "no lookups"
-	}
-	return fmt.Sprintf("%.0f%% hit", 100*float64(hits)/float64(total))
 }
 
 func orDash(s string) string {

@@ -10,7 +10,9 @@
 //	      -peers 127.0.0.1:8081 &
 //	dcwsd -addr 127.0.0.1:8081 -root ./coopdata -peers 127.0.0.1:8080 &
 //
-// Operational state is served at http://<addr>/~dcws/status.
+// Identity, placement and peer state are served at
+// http://<addr>/~dcws/status, every counter and gauge at
+// http://<addr>/~dcws/metrics.
 package main
 
 import (

@@ -58,8 +58,8 @@ type Config = idcws.Config
 // extensions. Zero fields take the DefaultParams value (Params.WithDefaults).
 type Params = idcws.Params
 
-// Status is a server's operational snapshot (also served as JSON at
-// /~dcws/status).
+// Status is a server's identity-and-placement snapshot (also served as
+// JSON at /~dcws/status); its counters live in the metrics registry.
 type Status = idcws.Status
 
 // Origin identifies a server as host:port.

@@ -43,7 +43,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	if !ok || !strings.Contains(string(body), "a.html") {
 		t.Fatalf("fetch via facade failed: %q %v", body, ok)
 	}
-	if srv.Status().Connections == 0 {
+	if n, _ := srv.Telemetry().Value("dcws_requests_total"); n == 0 {
 		t.Fatal("server status shows no traffic")
 	}
 }

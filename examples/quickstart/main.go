@@ -92,7 +92,11 @@ func main() {
 	// transparently followed by the browser.
 	body, finalURL, _ = browser(102).Fetch("http://home:80/article.html")
 	fmt.Printf("stale bookmark resolved via redirect to %s (%d bytes)\n", finalURL, len(body))
-	fmt.Printf("\nhome:  %v\n", home.Status().LoadTable)
+	loads := make(map[string]float64)
+	for addr, p := range home.Status().Placement {
+		loads[addr] = p.Load
+	}
+	fmt.Printf("\nhome:  %v\n", loads)
 	fmt.Printf("stats: %s\n", stats)
 }
 

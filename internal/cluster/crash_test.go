@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 
 	"dcws/internal/dataset"
@@ -167,34 +164,12 @@ func TestClusterCrashRecovery16Nodes(t *testing.T) {
 	}
 
 	// Recovery time is exposed through the metrics registry.
-	fams := metricValue(t, reborn, "dcws_recovery_last_seconds")
-	if fams <= 0 {
-		t.Fatalf("dcws_recovery_last_seconds = %v, want > 0", fams)
+	if v, _ := reborn.Telemetry().Value("dcws_recovery_last_seconds"); v <= 0 {
+		t.Fatalf("dcws_recovery_last_seconds = %v, want > 0", v)
 	}
-	if v := metricValue(t, reborn, "dcws_wal_enabled"); v != 1 {
+	if v, _ := reborn.Telemetry().Value("dcws_wal_enabled"); v != 1 {
 		t.Fatalf("dcws_wal_enabled = %v, want 1", v)
 	}
-}
-
-// metricValue scrapes one unlabeled series' value from the server's
-// Prometheus exposition.
-func metricValue(t *testing.T, s *dcws.Server, family string) float64 {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := s.Telemetry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(line, family+" ") {
-			v, err := strconv.ParseFloat(strings.TrimPrefix(line, family+" "), 64)
-			if err != nil {
-				t.Fatalf("parse %q: %v", line, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("family %s missing from exposition", family)
-	return 0
 }
 
 // TestClusterCleanShutdownFastRestart: a clean Close writes a snapshot, so

@@ -192,8 +192,8 @@ func TestClusterChainReplication(t *testing.T) {
 			if got := home.Replicas("/hot.gif"); !reflect.DeepEqual(got, want) {
 				t.Fatalf("replicas after a second hot window = %v, want %v", got, want)
 			}
-			if st := home.Status().Replication; st.Pushes != 1 {
-				t.Fatalf("home pushed %d chains, want 1", st.Pushes)
+			if pushes, _ := home.Telemetry().Value("dcws_replicate_pushes_total"); pushes != 1 {
+				t.Fatalf("home pushed %v chains, want 1", pushes)
 			}
 
 			// kill -9 the home: the replica set comes back from the WAL.

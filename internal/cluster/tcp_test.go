@@ -119,8 +119,8 @@ func TestRealTCPTwoNodeMigration(t *testing.T) {
 	if err := json.Unmarshal(resp.Body, &status); err != nil {
 		t.Fatalf("status not JSON: %v\n%s", err, resp.Body)
 	}
-	if status.Documents != 349 {
-		t.Fatalf("status documents = %d, want 349 (LOD)", status.Documents)
+	if docs, _ := home.Telemetry().Value("dcws_documents"); docs != 349 {
+		t.Fatalf("dcws_documents = %v, want 349 (LOD)", docs)
 	}
 	if len(status.MigratedOut) == 0 {
 		t.Fatal("status shows no migrations")

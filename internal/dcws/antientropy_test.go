@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dcws/internal/glt"
+	"dcws/internal/telemetry"
 )
 
 // TestAntiEntropyExchangeRepairsTable drives one synchronous anti-entropy
@@ -30,38 +31,33 @@ func TestAntiEntropyExchangeRepairsTable(t *testing.T) {
 		t.Fatalf("after anti-entropy home's ghost:99 = %+v, %v", got, ok)
 	}
 
-	st := home.Status()
-	if st.GLT.Shards != glt.DefaultShards {
-		t.Fatalf("status shards = %d", st.GLT.Shards)
+	if shards := home.metric("dcws_glt_shards"); shards != glt.DefaultShards {
+		t.Fatalf("shards = %v", shards)
 	}
-	if st.GLT.Entries != home.LoadTable().Len() || st.GLT.Entries < 3 {
-		t.Fatalf("status entries = %d (table %d)", st.GLT.Entries, home.LoadTable().Len())
+	if entries := home.metric("dcws_glt_entries"); entries != float64(home.LoadTable().Len()) || entries < 3 {
+		t.Fatalf("entries = %v (table %d)", entries, home.LoadTable().Len())
 	}
-	if st.GLT.Version == 0 {
-		t.Fatal("status version = 0")
+	if home.metric("dcws_glt_version") == 0 {
+		t.Fatal("version = 0")
 	}
-	if st.GLT.AntiEntropyRounds != 1 {
-		t.Fatalf("anti-entropy rounds = %d", st.GLT.AntiEntropyRounds)
+	if rounds := home.metric("dcws_glt_anti_entropy_rounds_total"); rounds != 1 {
+		t.Fatalf("anti-entropy rounds = %v", rounds)
 	}
-	if st.GLT.FullEmits < 1 {
-		t.Fatalf("full emits = %d", st.GLT.FullEmits)
+	if full := home.metric("dcws_glt_emits_total", telemetry.Label{Key: "kind", Value: "full"}); full < 1 {
+		t.Fatalf("full emits = %v", full)
 	}
-	row, ok := st.GLT.Peers["coop:81"]
-	if !ok {
-		t.Fatalf("status has no gossip row for coop:81: %+v", st.GLT.Peers)
-	}
-	if row.LastFull == "" {
+	toCoop := telemetry.Label{Key: "peer", Value: "coop:81"}
+	if home.metric("dcws_glt_peer_last_full_seconds", toCoop) == 0 {
 		t.Fatal("last_full not stamped after full exchange")
 	}
-	if row.Seen == 0 {
+	if home.metric("dcws_glt_peer_seen_version", toCoop) == 0 {
 		t.Fatal("peer's advertised version not recorded")
 	}
 
 	// The responder saw the !g marker and answered full: its gossip state
 	// for home carries the ack it learned from home's header.
-	coopRow, ok := coop.Status().GLT.Peers["home:80"]
-	if !ok || coopRow.Seen == 0 {
-		t.Fatalf("coop gossip row for home = %+v, %v", coopRow, ok)
+	if seen := coop.metric("dcws_glt_peer_seen_version", telemetry.Label{Key: "peer", Value: "home:80"}); seen == 0 {
+		t.Fatalf("coop gossip row for home: seen = %v", seen)
 	}
 }
 
@@ -80,8 +76,8 @@ func TestAdaptiveAntiEntropyCadence(t *testing.T) {
 	if home.aeSkip() {
 		t.Fatal("first cadence decision skipped the round")
 	}
-	if home.Status().GLT.AntiEntropyForced != 1 {
-		t.Fatalf("forced = %d, want 1", home.Status().GLT.AntiEntropyForced)
+	if forced := home.metric("dcws_glt_anti_entropy_forced_total"); forced != 1 {
+		t.Fatalf("forced = %v, want 1", forced)
 	}
 
 	// A full exchange gets the peer's ack current.
@@ -93,15 +89,12 @@ func TestAdaptiveAntiEntropyCadence(t *testing.T) {
 		if !home.aeSkip() {
 			t.Fatalf("quiet round %d not skipped", i)
 		}
-		home.aeMu.Lock()
-		got := home.aeInterval
-		home.aeMu.Unlock()
-		if got != want {
-			t.Fatalf("interval after quiet round %d = %v, want %v", i, got, want)
+		if got := home.metric("dcws_glt_anti_entropy_interval_seconds"); got != want.Seconds() {
+			t.Fatalf("interval after quiet round %d = %vs, want %v", i, got, want)
 		}
 	}
-	if skipped := home.Status().GLT.AntiEntropySkipped; skipped != 3 {
-		t.Fatalf("skipped = %d, want 3", skipped)
+	if skipped := home.metric("dcws_glt_anti_entropy_skipped_total"); skipped != 3 {
+		t.Fatalf("skipped = %v, want 3", skipped)
 	}
 
 	// Churn: the peer starts failing probes; the cadence resets and the
@@ -112,13 +105,10 @@ func TestAdaptiveAntiEntropyCadence(t *testing.T) {
 	if home.aeSkip() {
 		t.Fatal("churn round skipped")
 	}
-	home.aeMu.Lock()
-	got := home.aeInterval
-	home.aeMu.Unlock()
-	if got != base {
-		t.Fatalf("interval after churn = %v, want floor %v", got, base)
+	if got := home.metric("dcws_glt_anti_entropy_interval_seconds"); got != base.Seconds() {
+		t.Fatalf("interval after churn = %vs, want floor %v", got, base)
 	}
-	if forced := home.Status().GLT.AntiEntropyForced; forced != 2 {
-		t.Fatalf("forced = %d, want 2", forced)
+	if forced := home.metric("dcws_glt_anti_entropy_forced_total"); forced != 2 {
+		t.Fatalf("forced = %v, want 2", forced)
 	}
 }

@@ -149,10 +149,10 @@ func TestStatusExposesCacheAndQueueGauges(t *testing.T) {
 	w.addServer("home", 80, siteAB(), nil, Params{})
 	w.get("home:80", "/index.html")
 	w.get("home:80", "/index.html")
-	body := string(w.get("home:80", "/~dcws/status").Body)
-	for _, field := range []string{`"cache_hits"`, `"cache_misses"`, `"queue_depth"`} {
-		if !strings.Contains(body, field) {
-			t.Fatalf("status lacks %s: %s", field, body)
+	body := string(w.get("home:80", "/~dcws/metrics").Body)
+	for _, line := range []string{"dcws_render_cache_hits_total 1", "dcws_render_cache_misses_total 1", "dcws_httpx_queue_depth 0"} {
+		if !strings.Contains(body, "\n"+line+"\n") {
+			t.Fatalf("metrics lack %q:\n%s", line, body)
 		}
 	}
 }

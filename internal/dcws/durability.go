@@ -674,10 +674,6 @@ func (s *Server) writeSnapshot() error {
 	return nil
 }
 
-// WAL exposes the underlying log (status tooling, tests); nil when the
-// durable tier is disabled.
-func (s *Server) WAL() *wal.Log { return s.wal }
-
 // Recovery reports the last startup recovery's statistics (all zero when
 // the server started fresh or has no WAL).
 func (s *Server) Recovery() RecoveryInfo {

@@ -209,24 +209,24 @@ func TestSnapshotReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestStatusReportsDurability: the status snapshot carries the WAL block
-// when the tier is enabled and a zeroed one when it is not.
+// TestStatusReportsDurability: the status snapshot names the WAL sync
+// policy only when the tier is enabled, and the registry's dcws_wal_*
+// series carry its progress.
 func TestStatusReportsDurability(t *testing.T) {
 	w := newWorld(t)
 	plain := w.addServer("plain", 80, siteAB(), nil, Params{})
-	if st := plain.Status(); st.Durability.Enabled {
-		t.Fatal("durability reported enabled without a WAL")
+	if st := plain.Status(); st.WALSync != "" || plain.metric("dcws_wal_enabled") != 0 {
+		t.Fatalf("durability reported enabled without a WAL: sync=%q", st.WALSync)
 	}
 	durable := w.bootServer("durable", 81, store.NewMem(), nil, Params{}, t.TempDir()+"/wal")
 	if err := durable.UpdateDocument("/d.html", []byte("<html>d</html>")); err != nil {
 		t.Fatal(err)
 	}
-	st := durable.Status()
-	if !st.Durability.Enabled || st.Durability.SyncPolicy != "interval" {
-		t.Fatalf("durability block: %+v", st.Durability)
+	if st := durable.Status(); st.WALSync != "interval" || durable.metric("dcws_wal_enabled") != 1 {
+		t.Fatalf("durable server: sync=%q", st.WALSync)
 	}
-	if st.Durability.Appends == 0 || st.Durability.LSN == 0 {
-		t.Fatalf("WAL append not reflected in status: %+v", st.Durability)
+	if appends, lsn := durable.metric("dcws_wal_appends_total"), durable.metric("dcws_wal_lsn"); appends == 0 || lsn == 0 {
+		t.Fatalf("WAL append not reflected in metrics: appends=%v lsn=%v", appends, lsn)
 	}
 }
 

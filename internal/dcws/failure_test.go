@@ -11,6 +11,7 @@ import (
 	"dcws/internal/httpx"
 	"dcws/internal/naming"
 	"dcws/internal/resilience"
+	"dcws/internal/telemetry"
 )
 
 // TestHomeCrashCoopKeepsServing covers §4.5 case 4: "a co-op server should
@@ -183,8 +184,8 @@ func TestStatusReflectsMigrations(t *testing.T) {
 	if st.MigratedOut["/page.html"] != "coop:81" {
 		t.Fatalf("status migrated_out = %v", st.MigratedOut)
 	}
-	if st.Fetches == 0 {
-		t.Fatal("status fetches = 0")
+	if home.metric("dcws_fetches_total") == 0 {
+		t.Fatal("fetches = 0")
 	}
 	coopStatus := w.servers["coop:81"].Status()
 	if len(coopStatus.CoopHosted) != 1 {
@@ -599,11 +600,11 @@ func TestBreakerOpensAndFetchDegradesFast(t *testing.T) {
 	if resp.Status != 503 || !strings.Contains(string(resp.Body), "circuit open") {
 		t.Fatalf("open-circuit fetch = %d %q, want fast 503", resp.Status, resp.Body)
 	}
-	st := coop.Status()
-	if st.Breakers["ghost:80"] != "open" {
-		t.Fatalf("status breakers = %v", st.Breakers)
+	if state := coop.metric("dcws_resilience_peer_state",
+		telemetry.Label{Key: "peer", Value: "ghost:80"}); state != float64(resilience.Open) {
+		t.Fatalf("breaker state series = %v, want open", state)
 	}
-	if st.BreakerTrips == 0 {
+	if coop.metric("dcws_resilience_trips_total") == 0 {
 		t.Fatal("breaker trip not counted")
 	}
 }

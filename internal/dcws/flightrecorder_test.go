@@ -40,8 +40,8 @@ func TestHedgedFetchStitchedTree(t *testing.T) {
 	if err != nil || resp.Status != 200 {
 		t.Fatalf("hedged refetch = %v, %v", resp, err)
 	}
-	if st := coop2.Status(); st.Hedge.Launched != 1 || st.Hedge.Miss != 1 {
-		t.Fatalf("hedge counters = %+v, want launched=1 miss=1", st.Hedge)
+	if launched, miss := coop2.metric("dcws_hedge_launched_total"), coop2.metric("dcws_hedge_miss_total"); launched != 1 || miss != 1 {
+		t.Fatalf("hedge counters launched=%v miss=%v, want 1 and 1", launched, miss)
 	}
 
 	// Stitch exactly as `dcwsctl trace -cluster` does: collect every
@@ -184,8 +184,8 @@ func TestSLOBurnAlertCapturesProfiles(t *testing.T) {
 	srv.cfg.ProfileDir = dir
 
 	srv.TickSLO() // clean baseline sample
-	if st := srv.Status().SLO; st.Alerting || st.Checks != 1 {
-		t.Fatalf("baseline SLO status = %+v", st)
+	if alerting, checks := srv.metric("dcws_slo_alerting"), srv.metric("dcws_slo_checks_total"); alerting != 0 || checks != 1 {
+		t.Fatalf("baseline SLO: alerting=%v checks=%v", alerting, checks)
 	}
 
 	// A burst of serves far above the 250ms default target: burn rate
@@ -196,16 +196,17 @@ func TestSLOBurnAlertCapturesProfiles(t *testing.T) {
 	w.clock.Advance(time.Minute)
 	srv.TickSLO()
 
-	st := srv.Status().SLO
-	if !st.Alerting || st.Alerts != 1 {
-		t.Fatalf("SLO status after burst = %+v, want alerting", st)
+	if alerting, alerts := srv.metric("dcws_slo_alerting"), srv.metric("dcws_slo_alerts_total"); alerting != 1 || alerts != 1 {
+		t.Fatalf("SLO after burst: alerting=%v alerts=%v, want alerting", alerting, alerts)
 	}
-	op, ok := st.Ops["home"]
-	if !ok || !op.Alerting || op.BurnShort < sloBurnThreshold || op.BurnLong < sloBurnThreshold {
-		t.Fatalf("home op state = %+v, want both windows burning", op)
+	home := telemetry.Label{Key: "op", Value: "home"}
+	burnShort := srv.metric("dcws_slo_burn_rate", home, telemetry.Label{Key: "window", Value: "short"})
+	burnLong := srv.metric("dcws_slo_burn_rate", home, telemetry.Label{Key: "window", Value: "long"})
+	if burnShort < sloBurnThreshold || burnLong < sloBurnThreshold {
+		t.Fatalf("home burn = %v/%v (short/long), want both windows burning", burnShort, burnLong)
 	}
-	if op.P99Seconds < 0.5 {
-		t.Fatalf("home p99 = %v, want ~1s", op.P99Seconds)
+	if p99 := srv.metric("dcws_slo_latency_p99_seconds", home); p99 < 0.5 {
+		t.Fatalf("home p99 = %v, want ~1s", p99)
 	}
 	waitForProfiles(t, srv, 1)
 
@@ -258,12 +259,12 @@ func TestSLOBurnAlertCapturesProfiles(t *testing.T) {
 
 // waitForProfiles polls until the watcher has completed n capture rounds
 // (captures run on their own goroutine for the CPU-profile duration).
-func waitForProfiles(t *testing.T, srv *Server, n int64) {
+func waitForProfiles(t *testing.T, srv *Server, n float64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Status().SLO.Profiles < n {
+	for srv.metric("dcws_slo_profiles_total") < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("profiles = %d after 5s, want %d", srv.Status().SLO.Profiles, n)
+			t.Fatalf("profiles = %v after 5s, want %v", srv.metric("dcws_slo_profiles_total"), n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -74,9 +74,8 @@ func TestHedgedFetchReplicaWinsWhenHomeStalls(t *testing.T) {
 	if elapsed >= 250*time.Millisecond {
 		t.Fatalf("hedged refetch took %v; a stalled primary attempt alone takes 300ms", elapsed)
 	}
-	st := coop2.Status()
-	if st.Hedge.Launched != 1 || st.Hedge.Won != 1 || st.Hedge.Wasted != 0 {
-		t.Fatalf("hedge counters = %+v, want launched=1 won=1 wasted=0", st.Hedge)
+	if h := hedgeCounters(coop2); h != [4]float64{1, 1, 0, 0} {
+		t.Fatalf("hedge counters launched/won/miss/wasted = %v, want launched=1 won=1", h)
 	}
 	found := false
 	for _, sp := range coop2.Traces().Snapshot() {
@@ -100,9 +99,8 @@ func TestHedgeNotLaunchedWhenHomeFast(t *testing.T) {
 	if home.Stats().Fetches.Value() == fetchesBefore {
 		t.Fatal("refetch did not reach the home server")
 	}
-	st := coop2.Status()
-	if st.Hedge.Launched != 0 {
-		t.Fatalf("hedge launched %d times against a fast home", st.Hedge.Launched)
+	if launched := coop2.metric("dcws_hedge_launched_total"); launched != 0 {
+		t.Fatalf("hedge launched %v times against a fast home", launched)
 	}
 }
 
@@ -128,9 +126,19 @@ func TestHedgeMissCountedSeparately(t *testing.T) {
 	if resp := w.get("coop2:82", hedgeKey); resp.Status == 200 {
 		t.Fatal("refetch succeeded with no reachable source")
 	}
-	st := coop2.Status()
-	if st.Hedge.Launched != 1 || st.Hedge.Won != 0 || st.Hedge.Miss != 1 || st.Hedge.Wasted != 0 {
-		t.Fatalf("hedge counters = %+v, want launched=1 won=0 miss=1 wasted=0", st.Hedge)
+	if h := hedgeCounters(coop2); h != [4]float64{1, 0, 1, 0} {
+		t.Fatalf("hedge counters launched/won/miss/wasted = %v, want launched=1 miss=1", h)
+	}
+}
+
+// hedgeCounters reads a server's hedge outcome counters: launched, won,
+// miss, wasted.
+func hedgeCounters(s *Server) [4]float64 {
+	return [4]float64{
+		s.metric("dcws_hedge_launched_total"),
+		s.metric("dcws_hedge_won_total"),
+		s.metric("dcws_hedge_miss_total"),
+		s.metric("dcws_hedge_wasted_total"),
 	}
 }
 
@@ -269,9 +277,8 @@ func TestRevocationRacesHedgedFetch(t *testing.T) {
 	if resp.Status != 200 || !strings.Contains(string(resp.Body), "pic.gif") {
 		t.Fatalf("refetch = %d %q", resp.Status, resp.Body)
 	}
-	st := coop2.Status()
-	if st.Hedge.Launched != 1 || st.Hedge.Won != 0 || st.Hedge.Miss != 1 || st.Hedge.Wasted != 0 {
-		t.Fatalf("hedge counters = %+v, want launched=1 won=0 miss=1 wasted=0", st.Hedge)
+	if h := hedgeCounters(coop2); h != [4]float64{1, 0, 1, 0} {
+		t.Fatalf("hedge counters launched/won/miss/wasted = %v, want launched=1 miss=1", h)
 	}
 	// The 301 told coop2 it no longer hosts the document.
 	if _, ok := coop2.coops.view(hedgeKey); ok {
@@ -306,8 +313,8 @@ func TestHedgeMissDropsStaleSibling(t *testing.T) {
 	if resp := w.get("coop2:82", hedgeKey); resp.Status == 200 {
 		t.Fatal("refetch succeeded with no reachable source")
 	}
-	if st := coop2.Status(); st.Hedge.Miss != 1 {
-		t.Fatalf("hedge counters = %+v, want miss=1", st.Hedge)
+	if miss := coop2.metric("dcws_hedge_miss_total"); miss != 1 {
+		t.Fatalf("hedge miss = %v, want 1", miss)
 	}
 	if sibs := coop2.coops.siblingsOf(hedgeKey); len(sibs) != 0 {
 		t.Fatalf("siblings after miss = %v, want none", sibs)

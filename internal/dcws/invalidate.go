@@ -63,13 +63,12 @@ const (
 	frameInvalidateBatch byte = 6
 )
 
-// Invalidation frames (single and batch) carry a per-channel sequence
-// number as a trailing uvarint: the home stamps frames 1, 2, 3, … per
-// subscriber connection under the write mutex, so the co-op can detect a
-// dropped frame on a live channel — a gap — and resync by re-sending its
-// inventory (the home answers with catch-up invalidations for anything
-// whose hash is stale). Legacy frames without the trailing field decode
-// as sequence 0, which disables the check for that frame.
+// Invalidation frames (single and batch) end in a per-channel sequence
+// number, a uvarint: the home stamps frames 1, 2, 3, … per subscriber
+// connection under the write mutex, so the co-op can detect a dropped
+// frame on a live channel — a gap — and resync by re-sending its inventory
+// (the home answers with catch-up invalidations for anything whose hash is
+// stale).
 
 // Invalidation kinds carried by frameInvalidate.
 const (
@@ -112,7 +111,7 @@ type invDoc struct {
 }
 
 func decodeInventory(data []byte) ([]invDoc, error) {
-	n, data, err := getUvarint(data)
+	n, data, err := getDocCount(data)
 	if err != nil {
 		return nil, err
 	}
@@ -149,12 +148,10 @@ func decodeInvalidate(data []byte) (kind byte, name string, hash, seq uint64, er
 	if hash, data, err = getUvarint(data); err != nil {
 		return 0, "", 0, 0, err
 	}
-	// The sequence number is optional: a frame from a pre-numbering home
-	// simply ends here, and seq 0 means "unnumbered".
-	if len(data) > 0 {
-		seq, _, err = getUvarint(data)
+	if seq, _, err = getUvarint(data); err != nil {
+		return 0, "", 0, 0, err
 	}
-	return kind, name, hash, seq, err
+	return kind, name, hash, seq, nil
 }
 
 // encodeInvalidateBatch frames several documents' invalidations of one
@@ -176,7 +173,7 @@ func decodeInvalidateBatch(data []byte) (kind byte, docs []invDoc, seq uint64, e
 		return 0, nil, 0, errInvalFrame
 	}
 	kind = data[0]
-	n, data, err := getUvarint(data[1:])
+	n, data, err := getDocCount(data[1:])
 	if err != nil {
 		return 0, nil, 0, err
 	}
@@ -191,10 +188,24 @@ func decodeInvalidateBatch(data []byte) (kind byte, docs []invDoc, seq uint64, e
 		}
 		docs = append(docs, d)
 	}
-	if len(data) > 0 {
-		seq, _, err = getUvarint(data)
+	if seq, _, err = getUvarint(data); err != nil {
+		return 0, nil, 0, err
 	}
-	return kind, docs, seq, err
+	return kind, docs, seq, nil
+}
+
+// getDocCount reads a document count off a frame and bounds it by what
+// the rest of the payload can hold — every (name, hash) entry takes at
+// least two bytes — so a forged count cannot size an allocation.
+func getDocCount(data []byte) (uint64, []byte, error) {
+	n, data, err := getUvarint(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > uint64(len(data))/2 {
+		return 0, nil, errInvalFrame
+	}
+	return n, data, nil
 }
 
 var errInvalFrame = errStr("dcws: truncated invalidation frame")
@@ -277,8 +288,8 @@ func (h *invalHub) snapshot() map[string][]string {
 	return out
 }
 
-// subscriberCount reports connected and total subscribers (status,
-// metrics).
+// subscriberCount reports connected and total subscribers (the two
+// dcws_invalidate_subscribers* gauges).
 func (h *invalHub) subscriberCount() (connected, total int) {
 	h.mu.Lock()
 	for _, sub := range h.subs {
@@ -407,7 +418,7 @@ func (h *invalHub) register(sub *invalSubscriber, conn net.Conn, docs []invDoc) 
 	added := 0
 	for _, d := range docs {
 		if !s.subscribeAuthorized(d.name, sub.addr) {
-			s.writeInvalFrame(sub, conn, invalRevoke, d.name, 0)
+			writeInvalFrame(sub, conn, invalRevoke, d.name, 0)
 			continue
 		}
 		h.mu.Lock()
@@ -551,7 +562,8 @@ func (h *invalHub) pushBatch(kind byte, names []string) {
 		for _, n := range docs {
 			batch = append(batch, invDoc{name: n, hash: hashFor(n)})
 		}
-		if h.s.writeInvalBatch(sub, conns[sub], kind, batch) {
+		stamped := func() []byte { sub.seq++; return encodeInvalidateBatch(kind, batch, sub.seq) }
+		if writeFrame(&sub.writeMu, conns[sub], frameInvalidateBatch, stamped) {
 			h.s.tel.invalPushes.Inc()
 			h.s.tel.invalBatches.Inc()
 			h.s.tel.invalBatchDocs.Add(int64(len(batch)))
@@ -595,39 +607,34 @@ func (s *Server) pushTo(sub *invalSubscriber, kind byte, name string, hash uint6
 	if conn == nil {
 		return
 	}
-	if s.writeInvalFrame(sub, conn, kind, name, hash) {
+	if writeInvalFrame(sub, conn, kind, name, hash) {
 		s.tel.invalPushes.Inc()
 	}
 }
 
-// writeInvalFrame writes one frameInvalidate under the subscriber's write
-// mutex with a short real-time deadline (frames are tiny; a peer that
-// cannot drain them within it is effectively partitioned). The frame is
-// stamped with the channel's next sequence number. Returns whether the
-// write succeeded; on failure the connection is closed, which unblocks
-// its reader.
-func (s *Server) writeInvalFrame(sub *invalSubscriber, conn net.Conn, kind byte, name string, hash uint64) bool {
-	sub.writeMu.Lock()
-	defer sub.writeMu.Unlock()
-	sub.seq++
-	conn.SetWriteDeadline(time.Now().Add(invalWriteTimeout))
-	err := httpx.WriteFrame(conn, frameInvalidate, encodeInvalidate(kind, name, hash, sub.seq))
-	conn.SetWriteDeadline(time.Time{})
-	if err != nil {
-		conn.Close()
-		return false
-	}
-	return true
+// writeInvalFrame writes one frameInvalidate stamped with the channel's
+// next sequence number.
+func writeInvalFrame(sub *invalSubscriber, conn net.Conn, kind byte, name string, hash uint64) bool {
+	stamped := func() []byte { sub.seq++; return encodeInvalidate(kind, name, hash, sub.seq) }
+	return writeFrame(&sub.writeMu, conn, frameInvalidate, stamped)
 }
 
-// writeInvalBatch writes one frameInvalidateBatch, with the same locking,
-// deadline, and sequence-stamping rules as writeInvalFrame.
-func (s *Server) writeInvalBatch(sub *invalSubscriber, conn net.Conn, kind byte, docs []invDoc) bool {
-	sub.writeMu.Lock()
-	defer sub.writeMu.Unlock()
-	sub.seq++
+// writeFrame is the one write path of a subscription channel, in either
+// direction: it writes one frame under the channel's write mutex with a
+// short real-time deadline (frames are tiny; a peer that cannot drain one
+// within it is effectively partitioned). payload, nil for an empty frame,
+// runs under the mutex, so a sequence number it stamps matches wire
+// order. Returns whether the write succeeded; on failure the connection
+// is closed, which unblocks its reader.
+func writeFrame(mu *sync.Mutex, conn net.Conn, typ byte, payload func() []byte) bool {
+	mu.Lock()
+	defer mu.Unlock()
+	var data []byte
+	if payload != nil {
+		data = payload()
+	}
 	conn.SetWriteDeadline(time.Now().Add(invalWriteTimeout))
-	err := httpx.WriteFrame(conn, frameInvalidateBatch, encodeInvalidateBatch(kind, docs, sub.seq))
+	err := httpx.WriteFrame(conn, typ, data)
 	conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		conn.Close()
@@ -661,13 +668,7 @@ func (s *Server) heartbeatLoop(conn net.Conn, writeMu *sync.Mutex, lastRecv *ato
 			conn.Close()
 			return
 		}
-		writeMu.Lock()
-		conn.SetWriteDeadline(time.Now().Add(invalWriteTimeout))
-		err := httpx.WriteFrame(conn, framePing, nil)
-		conn.SetWriteDeadline(time.Time{})
-		writeMu.Unlock()
-		if err != nil {
-			conn.Close()
+		if !writeFrame(writeMu, conn, framePing, nil) {
 			return
 		}
 	}
@@ -815,14 +816,7 @@ func (s *Server) sendInventory(sc *subConn) {
 	if len(docs) == 0 {
 		return
 	}
-	sc.writeMu.Lock()
-	conn.SetWriteDeadline(time.Now().Add(invalWriteTimeout))
-	err := httpx.WriteFrame(conn, frameSubscribe, encodeInventory(docs))
-	conn.SetWriteDeadline(time.Time{})
-	sc.writeMu.Unlock()
-	if err != nil {
-		conn.Close()
-	}
+	writeFrame(&sc.writeMu, conn, frameSubscribe, func() []byte { return encodeInventory(docs) })
 }
 
 // readLoop consumes frames pushed by one home server. EVERY frame —
@@ -864,16 +858,12 @@ func (m *subManager) readLoop(sc *subConn, conn net.Conn, br *bufio.Reader, last
 }
 
 // checkSeq folds one received frame's sequence number into the channel's
-// gap detector: a numbered frame that is not the immediate successor of
+// gap detector: a frame that is not the immediate successor of
 // the previous one means a frame was lost on a live channel, so the coop
 // resyncs by re-sending its inventory (the home answers with catch-up
-// invalidations for every stale copy). The first numbered frame on a
-// connection just sets the baseline, and unnumbered (legacy) frames are
-// exempt.
+// invalidations for every stale copy). The first frame on a connection
+// just sets the baseline.
 func (m *subManager) checkSeq(sc *subConn, seq uint64) {
-	if seq == 0 {
-		return
-	}
 	last := sc.lastSeq
 	sc.lastSeq = seq
 	if last != 0 && seq != last+1 {
@@ -916,14 +906,7 @@ func (s *Server) applyInvalidation(sc *subConn, kind byte, name string) {
 	if conn == nil {
 		return
 	}
-	sc.writeMu.Lock()
-	conn.SetWriteDeadline(time.Now().Add(invalWriteTimeout))
-	werr := httpx.WriteFrame(conn, frameAck, encodeName(name))
-	conn.SetWriteDeadline(time.Time{})
-	sc.writeMu.Unlock()
-	if werr != nil {
-		conn.Close()
-	}
+	writeFrame(&sc.writeMu, conn, frameAck, func() []byte { return encodeName(name) })
 }
 
 // subscriptionLive reports whether the channel to homeAddr is currently

@@ -59,25 +59,23 @@ func TestPushInvalidationRefreshesHostedCopy(t *testing.T) {
 		return resp.Status == 200 && strings.Contains(string(resp.Body), "v2 content")
 	})
 
-	if st := home.Status().Invalidation; st.Pushes == 0 {
+	if home.metric("dcws_invalidate_pushes_total") == 0 {
 		t.Fatal("home pushed no invalidation frames")
 	}
-	cst := coop.Status().Invalidation
-	if cst.Received == 0 {
+	if coop.metric("dcws_invalidate_received_total") == 0 {
 		t.Fatal("coop received no invalidation frames")
 	}
-	if cst.ValidatePolls != 0 {
-		t.Fatalf("coop issued %d validation polls before any tick", cst.ValidatePolls)
+	if polls := coop.metric("dcws_validate_polls_total"); polls != 0 {
+		t.Fatalf("coop issued %v validation polls before any tick", polls)
 	}
 
 	// A validator tick under lease cover is a skip, not a poll.
 	coop.TickValidator()
-	cst = coop.Status().Invalidation
-	if cst.LeaseSkips == 0 {
+	if coop.metric("dcws_invalidate_lease_skips_total") == 0 {
 		t.Fatal("validator tick did not skip the leased copy")
 	}
-	if cst.ValidatePolls != 0 {
-		t.Fatalf("validator issued %d polls despite lease cover", cst.ValidatePolls)
+	if polls := coop.metric("dcws_validate_polls_total"); polls != 0 {
+		t.Fatalf("validator issued %v polls despite lease cover", polls)
 	}
 }
 
@@ -165,7 +163,7 @@ func TestLeasePartitionDegradedMode(t *testing.T) {
 		t.Fatalf("partitioned coop inside lease: %d %s", resp.Status, resp.Body)
 	}
 	coop.TickValidator()
-	if st := coop.Status().Invalidation; st.ValidatePolls == 0 {
+	if coop.metric("dcws_validate_polls_total") == 0 {
 		t.Fatal("validator did not fall back to polling with the channel down")
 	}
 
@@ -180,7 +178,7 @@ func TestLeasePartitionDegradedMode(t *testing.T) {
 	if resp := w.get("coop:81", "/~migrate/home/80/page.html"); resp.Status != 503 {
 		t.Fatalf("expired lease with home unreachable = %d, want 503", resp.Status)
 	}
-	if st := coop.Status().Invalidation; st.LeaseExpired == 0 {
+	if coop.metric("dcws_invalidate_lease_expired_total") == 0 {
 		t.Fatal("lease-expired fail-closed not counted")
 	}
 
@@ -194,7 +192,7 @@ func TestLeasePartitionDegradedMode(t *testing.T) {
 		w.clock.Advance(90 * time.Second)
 		return false
 	})
-	if st := coop.Status().Invalidation; st.Reconnects == 0 {
+	if coop.metric("dcws_invalidate_reconnects_total") == 0 {
 		t.Fatal("reconnect not counted")
 	}
 
@@ -205,7 +203,7 @@ func TestLeasePartitionDegradedMode(t *testing.T) {
 		resp := w.get("coop:81", "/~migrate/home/80/page.html")
 		return resp.Status == 200 && strings.Contains(string(resp.Body), "v2 content")
 	})
-	if st := coop.Status().Invalidation; st.Received == 0 {
+	if coop.metric("dcws_invalidate_received_total") == 0 {
 		t.Fatal("catch-up did not arrive over the push channel")
 	}
 }
@@ -258,15 +256,14 @@ func TestBatchInvalidationCoalescesMigrationStorm(t *testing.T) {
 		return true
 	})
 
-	st := home.Status().Invalidation
-	if st.Batches == 0 {
+	if home.metric("dcws_invalidate_batches_total") == 0 {
 		t.Fatal("migration storm produced no batch frame")
 	}
-	if st.BatchDocs < 3 {
-		t.Fatalf("batch frames carried %d documents, want >= 3", st.BatchDocs)
+	if docs := home.metric("dcws_invalidate_batch_docs_total"); docs < 3 {
+		t.Fatalf("batch frames carried %v documents, want >= 3", docs)
 	}
-	if got := coop.Status().Invalidation.Gaps; got != 0 {
-		t.Fatalf("coop detected %d sequence gaps on a lossless channel", got)
+	if got := coop.metric("dcws_invalidate_gaps_total"); got != 0 {
+		t.Fatalf("coop detected %v sequence gaps on a lossless channel", got)
 	}
 }
 
@@ -313,7 +310,7 @@ func TestInvalidationSeqGapForcesResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "sequence gap never detected", func() bool {
-		return coop.Status().Invalidation.Gaps > 0
+		return coop.metric("dcws_invalidate_gaps_total") > 0
 	})
 	// The gap-triggered inventory resync must converge the copy even if
 	// the "lost" frame were the only carrier of the update.

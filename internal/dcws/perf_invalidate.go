@@ -201,7 +201,7 @@ func MeasureInvalidation(nodes int) (InvalidateReport, error) {
 		}
 	}
 	for _, coop := range polling.coops {
-		rep.PollingRPCs += coop.Status().Invalidation.ValidatePolls
+		rep.PollingRPCs += int64(coop.metric("dcws_validate_polls_total"))
 	}
 	polling.close()
 
@@ -220,9 +220,8 @@ func MeasureInvalidation(nodes int) (InvalidateReport, error) {
 		}
 	}
 	for _, coop := range push.coops {
-		st := coop.Status().Invalidation
-		rep.PushRPCs += st.ValidatePolls
-		rep.LeaseSkips += st.LeaseSkips
+		rep.PushRPCs += int64(coop.metric("dcws_validate_polls_total"))
+		rep.LeaseSkips += int64(coop.metric("dcws_invalidate_lease_skips_total"))
 	}
 	denom := rep.PushRPCs
 	if denom < 1 {
@@ -251,9 +250,9 @@ func MeasureInvalidation(nodes int) (InvalidateReport, error) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	rep.Pushes = push.home.Status().Invalidation.Pushes
+	rep.Pushes = int64(push.home.metric("dcws_invalidate_pushes_total"))
 	for _, coop := range push.coops {
-		rep.Received += coop.Status().Invalidation.Received
+		rep.Received += int64(coop.metric("dcws_invalidate_received_total"))
 	}
 	return rep, nil
 }

@@ -107,10 +107,10 @@ func MeasureChainEgress(nodes, k int) (ChainEgressReport, error) {
 	}
 	home.TickStats()
 
-	rep.HomePushBytes = home.Status().Replication.PushBytes
+	rep.HomePushBytes = int64(home.metric("dcws_replicate_push_bytes_total"))
 	rep.Replicas = len(home.Replicas("/hot.html"))
 	for _, coop := range coops {
-		rep.Relays += coop.Status().Replication.Relays
+		rep.Relays += int64(coop.metric("dcws_replicate_relays_total"))
 	}
 	rep.HomeLazyFetches = home.Stats().Fetches.Value()
 	return rep, nil

@@ -46,18 +46,17 @@ func TestChainReplicationPushesOnce(t *testing.T) {
 		reps[0] != "coop1:81" || reps[1] != "coop2:82" {
 		t.Fatalf("replicas = %v, want [coop1:81 coop2:82]", reps)
 	}
-	st := home.Status().Replication
-	if st.HotTriggers != 1 || st.Pushes != 1 {
-		t.Fatalf("home replication = %+v, want 1 trigger and 1 push", st)
+	if triggers, pushes := home.metric("dcws_replicate_hot_triggers_total"), home.metric("dcws_replicate_pushes_total"); triggers != 1 || pushes != 1 {
+		t.Fatalf("home replication triggers=%v pushes=%v, want 1 and 1", triggers, pushes)
 	}
-	if st.PushBytes == 0 {
+	if home.metric("dcws_replicate_push_bytes_total") == 0 {
 		t.Fatal("home recorded no pushed bytes")
 	}
-	if r1 := coop1.Status().Replication; r1.Stored != 1 || r1.Relays != 1 {
-		t.Fatalf("coop1 replication = %+v, want stored=1 relays=1", r1)
+	if stored, relays := chainWork(coop1); stored != 1 || relays != 1 {
+		t.Fatalf("coop1 stored=%v relays=%v, want 1 and 1", stored, relays)
 	}
-	if r2 := coop2.Status().Replication; r2.Stored != 1 || r2.Relays != 0 {
-		t.Fatalf("coop2 replication = %+v, want stored=1 relays=0", r2)
+	if stored, relays := chainWork(coop2); stored != 1 || relays != 0 {
+		t.Fatalf("coop2 stored=%v relays=%v, want 1 and 0", stored, relays)
 	}
 	// The whole point: nobody lazily pulled from home.
 	if f := home.Stats().Fetches.Value(); f != 0 {
@@ -108,11 +107,14 @@ func TestChainSkipsDeadLink(t *testing.T) {
 		reps[0] != "coop1:81" || reps[1] != "coop3:83" {
 		t.Fatalf("replicas = %v, want [coop1:81 coop3:83]", reps)
 	}
-	if r1 := coop1.Status().Replication; r1.Stored != 1 || r1.Relays != 1 || r1.ChainSkips != 1 {
-		t.Fatalf("coop1 replication = %+v, want stored=1 relays=1 chain_skips=1", r1)
+	if stored, relays := chainWork(coop1); stored != 1 || relays != 1 {
+		t.Fatalf("coop1 stored=%v relays=%v, want 1 and 1", stored, relays)
 	}
-	if r3 := coop3.Status().Replication; r3.Stored != 1 {
-		t.Fatalf("coop3 replication = %+v, want stored=1", r3)
+	if skips := coop1.metric("dcws_replicate_chain_skips_total"); skips != 1 {
+		t.Fatalf("coop1 chain skips = %v, want 1", skips)
+	}
+	if stored, _ := chainWork(coop3); stored != 1 {
+		t.Fatalf("coop3 stored = %v, want 1", stored)
 	}
 	if resp := w.get("coop3:83", chainKey); resp.Status != 200 {
 		t.Fatalf("coop3 serve = %d", resp.Status)
@@ -139,9 +141,8 @@ func TestChainRevocationFanout(t *testing.T) {
 
 	home.revoke("/page.html")
 
-	st := home.Status().Replication
-	if st.RevokeChains != 1 || st.RevokeFallbacks != 0 {
-		t.Fatalf("revocation = %+v, want revoke_chains=1 revoke_fallbacks=0", st)
+	if chains, fallbacks := revocations(home); chains != 1 || fallbacks != 0 {
+		t.Fatalf("revoke_chains=%v revoke_fallbacks=%v, want 1 and 0", chains, fallbacks)
 	}
 	for name, coop := range map[string]*Server{"coop1": coop1, "coop2": coop2} {
 		if _, ok := coop.coops.view(chainKey); ok {
@@ -173,9 +174,8 @@ func TestChainRevocationFallsBackPerPeer(t *testing.T) {
 	home.client.Pool.FlushAddr("coop1:81")
 	home.revoke("/page.html")
 
-	st := home.Status().Replication
-	if st.RevokeChains != 1 || st.RevokeFallbacks != 2 {
-		t.Fatalf("revocation = %+v, want revoke_chains=1 revoke_fallbacks=2", st)
+	if chains, fallbacks := revocations(home); chains != 1 || fallbacks != 2 {
+		t.Fatalf("revoke_chains=%v revoke_fallbacks=%v, want 1 and 2", chains, fallbacks)
 	}
 	if _, ok := coop2.coops.view(chainKey); ok {
 		t.Fatal("reachable survivor still hosts the revoked copy")
@@ -250,9 +250,23 @@ func TestChainReplicationDisabled(t *testing.T) {
 
 	// The ordinary migration policy may still move the hot document (one
 	// replica via lazy fetch); what must not happen is any chain activity.
-	if st := home.Status().Replication; st.HotTriggers != 0 || st.Pushes != 0 || st.PushBytes != 0 {
-		t.Fatalf("replication counters = %+v, want all zero", st)
+	for _, name := range []string{"dcws_replicate_hot_triggers_total", "dcws_replicate_pushes_total", "dcws_replicate_push_bytes_total"} {
+		if v := home.metric(name); v != 0 {
+			t.Fatalf("%s = %v, want 0", name, v)
+		}
 	}
+}
+
+// chainWork reads the co-op side of chain replication: copies stored and
+// pushes relayed onward.
+func chainWork(s *Server) (stored, relays float64) {
+	return s.metric("dcws_replicate_stored_total"), s.metric("dcws_replicate_relays_total")
+}
+
+// revocations reads the home side of chain revocation: chain-ordered
+// fan-outs and per-peer fallbacks.
+func revocations(s *Server) (chains, fallbacks float64) {
+	return s.metric("dcws_replicate_revoke_chains_total"), s.metric("dcws_replicate_revoke_fallbacks_total")
 }
 
 // TestHotRateEWMADecays: the serve-rate EWMA halves each idle tick and

@@ -604,9 +604,6 @@ func (s *Server) Stats() *metrics.ServerStats { return s.stats }
 // Migrations exposes the home-side migration ledger.
 func (s *Server) Migrations() *policy.Ledger { return s.ledger }
 
-// Dropped reports connections answered 503 due to queue overflow.
-func (s *Server) Dropped() int64 { return s.httpSrv.Dropped() }
-
 // QueueDepth reports how many accepted connections are waiting in the
 // socket queue for a worker. The GLT load metric folds it in (queue-aware
 // load shedding): a backlogged server advertises itself as hotter and

@@ -78,7 +78,6 @@ type sloOpState struct {
 	p50, p99  float64 // short-window latency quantiles, seconds
 	burnShort float64
 	burnLong  float64
-	alerting  bool
 }
 
 const (
@@ -171,33 +170,6 @@ func newSLOWatcher(s *Server) *sloWatcher {
 	return w
 }
 
-// status snapshots the watcher's latest evaluation for /~dcws/status.
-func (w *sloWatcher) status() SLOStatus {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	st := SLOStatus{
-		Alerting: w.alerting,
-		Checks:   w.checks.Value(),
-		Alerts:   w.alerts.Value(),
-		Profiles: w.profiles.Value(),
-	}
-	if len(w.ops) > 0 {
-		st.Ops = make(map[string]SLOOpStatus, len(w.ops))
-		for op, os := range w.ops {
-			st.Ops[op] = SLOOpStatus{
-				P50Seconds: os.p50,
-				P99Seconds: os.p99,
-				BurnShort:  os.burnShort,
-				BurnLong:   os.burnLong,
-				Alerting:   os.alerting,
-			}
-		}
-		st.ShedRate = map[string]float64{"short": w.shed[windowShort], "long": w.shed[windowLong]}
-		st.ShedBurn = map[string]float64{"short": w.burn[windowShort], "long": w.burn[windowLong]}
-	}
-	return st
-}
-
 func sortedOps(m map[string]*sloOpState) []string {
 	out := make([]string, 0, len(m))
 	for op := range m {
@@ -253,8 +225,7 @@ func (w *sloWatcher) check(now time.Time) {
 		st.p99 = quantileSeconds(ds, 0.99)
 		st.burnShort = latencyBurn(ds)
 		st.burnLong = latencyBurn(dl)
-		st.alerting = st.burnShort >= sloBurnThreshold && st.burnLong >= sloBurnThreshold
-		alert = alert || st.alerting
+		alert = alert || (st.burnShort >= sloBurnThreshold && st.burnLong >= sloBurnThreshold)
 	}
 	w.shed[windowShort], w.burn[windowShort] = shedBurn(cur, baseShort)
 	w.shed[windowLong], w.burn[windowLong] = shedBurn(cur, baseLong)

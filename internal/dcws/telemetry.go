@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"dcws/internal/glt"
 	"dcws/internal/httpx"
 	"dcws/internal/metrics"
 	"dcws/internal/resilience"
@@ -334,6 +335,9 @@ func (t *serverTelemetry) bindServer(s *Server) {
 	reg.GaugeFunc("dcws_invalidate_subscribers",
 		"co-op servers holding a live invalidation subscription to this home",
 		func() float64 { c, _ := s.hub.subscriberCount(); return float64(c) })
+	reg.GaugeFunc("dcws_invalidate_subscribers_known",
+		"co-op servers with a durable subscription record here, connected or not",
+		func() float64 { _, n := s.hub.subscriberCount(); return float64(n) })
 	reg.GaugeFunc("dcws_invalidate_leased",
 		"hosted copies currently covered by an unexpired lease",
 		func() float64 { return float64(s.coops.leasedCount(s.now())) })
@@ -389,12 +393,7 @@ func (t *serverTelemetry) bindServer(s *Server) {
 		peerSamples(func(ps resilience.PeerStats) float64 { return float64(ps.Rejections) }))
 	reg.Collector("dcws_resilience_peer_last_transition_seconds",
 		"unix time of the breaker's last state change (0: never left closed)", "gauge",
-		peerSamples(func(ps resilience.PeerStats) float64 {
-			if ps.LastTransition.IsZero() {
-				return 0
-			}
-			return float64(ps.LastTransition.UnixNano()) / 1e9
-		}))
+		peerSamples(func(ps resilience.PeerStats) float64 { return unixSeconds(ps.LastTransition) }))
 
 	// Inter-server connection pool: reuse vs dial volume, retirements by
 	// cause, and per-peer open/idle gauges.
@@ -491,19 +490,31 @@ func (t *serverTelemetry) bindServer(s *Server) {
 			}
 			return out
 		})
-	reg.Collector("dcws_glt_peer_acked_version",
-		"highest table version each gossip peer has acknowledged", "gauge",
-		func() []telemetry.Sample {
+	gossipSamples := func(value func(glt.PeerGossip) float64) func() []telemetry.Sample {
+		return func() []telemetry.Sample {
 			gossip := s.table.GossipPeers()
 			out := make([]telemetry.Sample, 0, len(gossip))
 			for peer, g := range gossip {
 				out = append(out, telemetry.Sample{
 					Labels: []telemetry.Label{{Key: "peer", Value: peer}},
-					Value:  float64(g.Acked),
+					Value:  value(g),
 				})
 			}
 			return out
-		})
+		}
+	}
+	reg.Collector("dcws_glt_peer_acked_version",
+		"highest table version each gossip peer has acknowledged", "gauge",
+		gossipSamples(func(g glt.PeerGossip) float64 { return float64(g.Acked) }))
+	reg.Collector("dcws_glt_peer_seen_version",
+		"each gossip peer's own table version as last advertised to this server", "gauge",
+		gossipSamples(func(g glt.PeerGossip) float64 { return float64(g.Seen) }))
+	reg.Collector("dcws_glt_peer_last_full_seconds",
+		"unix time a full-table exchange last reached each gossip peer (0: never)", "gauge",
+		gossipSamples(func(g glt.PeerGossip) float64 { return unixSeconds(g.LastFull) }))
+	reg.GaugeFunc("dcws_glt_anti_entropy_interval_seconds",
+		"adaptive anti-entropy interval in force (1x to 4x the configured floor)",
+		func() float64 { return s.antiEntropyWait().Seconds() })
 	reg.Collector("dcws_glt_load",
 		"advertised load per server in the local view", "gauge",
 		func() []telemetry.Sample {
@@ -653,8 +664,28 @@ func spanJSON(spans []telemetry.Span) *httpx.Response {
 	return resp
 }
 
+// unixSeconds renders a timestamp as a gauge value: unix seconds, 0 for
+// the zero time.
+func unixSeconds(t time.Time) float64 {
+	if t.IsZero() {
+		return 0
+	}
+	return float64(t.UnixNano()) / 1e9
+}
+
 // Telemetry exposes the server's metrics registry (tests, embedding).
 func (s *Server) Telemetry() *telemetry.Registry { return s.tel.reg }
+
+// metric reads one of the server's series from its registry. It panics on
+// a name the registry does not hold, so a misspelt family cannot pass for
+// a zero count.
+func (s *Server) metric(name string, labels ...telemetry.Label) float64 {
+	v, ok := s.tel.reg.Value(name, labels...)
+	if !ok {
+		panic("dcws: no metric series " + name)
+	}
+	return v
+}
 
 // Traces exposes the server's trace-span ring.
 func (s *Server) Traces() *telemetry.Ring { return s.tel.ring }

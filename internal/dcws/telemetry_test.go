@@ -7,6 +7,7 @@ import (
 
 	"dcws/internal/glt"
 	"dcws/internal/httpx"
+	"dcws/internal/resilience"
 	"dcws/internal/telemetry"
 )
 
@@ -216,8 +217,9 @@ func TestTraceSpansUnderFaults(t *testing.T) {
 		t.Fatalf("attempts = %d, want %d", fetch.Attempts, coop.params.FetchAttempts)
 	}
 	// The per-peer retry counter saw the re-issued attempts.
-	if st := coop.Status(); st.PeerResilience["home:80"].Retries != int64(coop.params.FetchAttempts-1) {
-		t.Fatalf("peer resilience = %+v", st.PeerResilience)
+	if retries := coop.metric("dcws_resilience_peer_retries_total",
+		telemetry.Label{Key: "peer", Value: "home:80"}); retries != float64(coop.params.FetchAttempts-1) {
+		t.Fatalf("peer retries = %v, want %d", retries, coop.params.FetchAttempts-1)
 	}
 
 	w.fabric.SetDialFailRate("coop:81", "home:80", 0)
@@ -232,8 +234,9 @@ func TestTraceSpansUnderFaults(t *testing.T) {
 	}
 }
 
-// TestStatusPeerResilienceCounters checks satellite 1: /~dcws/status breaks
-// retries, trips, rejections, and the last transition time down by peer.
+// TestStatusPeerResilienceCounters checks that the registry breaks
+// retries, trips, rejections, breaker state and the last transition time
+// down by peer.
 func TestStatusPeerResilienceCounters(t *testing.T) {
 	w := newWorld(t)
 	home := w.addServer("home", 80, siteAB(), []string{"/index.html"}, Params{})
@@ -247,19 +250,19 @@ func TestStatusPeerResilienceCounters(t *testing.T) {
 	w.get("coop:81", "/~migrate/home/80/page.html")
 	w.get("coop:81", "/~migrate/home/80/page.html")
 
-	st := coop.Status()
-	pr, ok := st.PeerResilience["home:80"]
-	if !ok {
-		t.Fatalf("no peer_resilience row for home:80: %+v", st.PeerResilience)
+	peer := telemetry.Label{Key: "peer", Value: "home:80"}
+	for name, want := range map[string]float64{
+		"dcws_resilience_peer_state":            float64(resilience.Open),
+		"dcws_resilience_peer_trips_total":      1,
+		"dcws_resilience_peer_retries_total":    4,
+		"dcws_resilience_peer_rejections_total": 1,
+	} {
+		if got := coop.metric(name, peer); got != want {
+			t.Fatalf("%s{peer=home:80} = %v, want %v", name, got, want)
+		}
 	}
-	if pr.State != "open" || pr.Trips != 1 || pr.Retries != 4 || pr.Rejections != 1 {
-		t.Fatalf("peer resilience = %+v", pr)
-	}
-	if pr.LastTransition == "" {
+	if coop.metric("dcws_resilience_peer_last_transition_seconds", peer) == 0 {
 		t.Fatal("last_transition not recorded")
-	}
-	if st.Breakers["home:80"] != "open" {
-		t.Fatalf("breakers = %+v", st.Breakers)
 	}
 
 	// The same counters surface per peer in the exposition.

@@ -416,8 +416,8 @@ func (r *Registry) States() map[string]State {
 }
 
 // PeerSnapshots returns every known peer's per-peer resilience counters,
-// keyed by peer address — the data behind the per-peer rows in
-// /~dcws/status and the per-peer telemetry families.
+// keyed by peer address — the data behind the per-peer telemetry
+// families.
 func (r *Registry) PeerSnapshots() map[string]PeerStats {
 	r.mu.Lock()
 	peers := make([]string, 0, len(r.breakers))

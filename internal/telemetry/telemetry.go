@@ -204,6 +204,38 @@ func (r *Registry) Collector(name, help, typ string, fn func() []Sample) {
 	f.collect = fn
 }
 
+// Value reads one series by family name and label set: a counter or gauge
+// reads as its value, a histogram as its observation count. ok is false
+// when the registry holds no such series. A dynamic family is collected
+// on the spot, exactly as a scrape would.
+func (r *Registry) Value(name string, labels ...Label) (v float64, ok bool) {
+	key := renderLabels(labels)
+	r.mu.Lock()
+	var s *series
+	var collect func() []Sample
+	if f := r.byName[name]; f != nil {
+		s, collect = f.byKey[key], f.collect
+	}
+	r.mu.Unlock()
+	switch {
+	case s == nil:
+	case s.hist != nil:
+		return float64(s.hist.Snapshot().Count), true
+	case s.counter != nil:
+		return float64(s.counter.Value()), true
+	case s.fn != nil:
+		return s.fn(), true
+	}
+	if collect != nil {
+		for _, smp := range collect() {
+			if renderLabels(smp.Labels) == key {
+				return smp.Value, true
+			}
+		}
+	}
+	return 0, false
+}
+
 // WritePrometheus renders every family in the Prometheus text exposition
 // format (version 0.0.4): "# HELP" and "# TYPE" comments followed by one
 // sample line per series, histograms expanded into cumulative _bucket /

@@ -59,6 +59,45 @@ func TestGaugeAndCounterFunc(t *testing.T) {
 	}
 }
 
+func TestValueReadsEverySeriesKind(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("dcws_plain_total", "plain").Add(5)
+	r.Counter("dcws_code_total", "per-code", Label{"code", "503"}).Inc()
+	r.GaugeFunc("dcws_depth", "gauge", func() float64 { return 2.5 })
+	r.Histogram("dcws_lat_seconds", "hist", Label{"kind", "home"}).Observe(time.Millisecond)
+	r.Collector("dcws_peer_state", "dynamic", "gauge", func() []Sample {
+		return []Sample{{Labels: []Label{{"peer", "a:1"}, {"zone", "east"}}, Value: 7}}
+	})
+	for _, tc := range []struct {
+		name   string
+		labels []Label
+		want   float64
+	}{
+		{"dcws_plain_total", nil, 5},
+		{"dcws_code_total", []Label{{"code", "503"}}, 1},
+		{"dcws_depth", nil, 2.5},
+		{"dcws_lat_seconds", []Label{{"kind", "home"}}, 1},
+		// Label order does not matter.
+		{"dcws_peer_state", []Label{{"zone", "east"}, {"peer", "a:1"}}, 7},
+	} {
+		if got, ok := r.Value(tc.name, tc.labels...); !ok || got != tc.want {
+			t.Errorf("Value(%s%v) = %v, %v; want %v", tc.name, tc.labels, got, ok, tc.want)
+		}
+	}
+	for _, miss := range []struct {
+		name   string
+		labels []Label
+	}{
+		{"dcws_absent_total", nil},
+		{"dcws_code_total", []Label{{"code", "200"}}},
+		{"dcws_peer_state", []Label{{"peer", "b:2"}}},
+	} {
+		if _, ok := r.Value(miss.name, miss.labels...); ok {
+			t.Errorf("Value(%s%v) found a series that does not exist", miss.name, miss.labels)
+		}
+	}
+}
+
 func TestHistogramExposition(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("dcws_latency_seconds", "request latency", Label{"kind", "home"})
