@@ -620,7 +620,9 @@ func (s *Server) CacheCounts() (hits, misses int64) { return s.rcache.counts() }
 
 // UpdateDocument replaces a home document's content at run time (the
 // administrator edit case of §4.5). The LDG is reparsed for the document
-// and co-op copies become stale until their next validation.
+// and an invalidation is pushed at once to every co-op subscribed to this
+// home (leases on, DESIGN §15); a co-op without a live subscription finds
+// the change at its next validation.
 func (s *Server) UpdateDocument(name string, content []byte) error {
 	cleaned, err := store.CleanName(name)
 	if err != nil {
@@ -638,8 +640,9 @@ func (s *Server) UpdateDocument(name string, content []byte) error {
 	return nil
 }
 
-// DeleteDocument removes a home document at run time. Peers hosting a
-// migrated copy learn of the removal through their next validation pass.
+// DeleteDocument removes a home document at run time. Subscribed co-ops
+// hosting a copy are told at once and drop it (leases on, DESIGN §15);
+// others learn of the removal through their next validation pass.
 func (s *Server) DeleteDocument(name string) error {
 	cleaned, err := store.CleanName(name)
 	if err != nil {

@@ -230,8 +230,9 @@ func (c *countingConn) Write(p []byte) (int, error) {
 }
 
 // WriteBuffers implements buffersWriter: the vector goes to the wrapped
-// connection — one writev when that is a TCP connection — and the bytes it
-// took are counted like any other write.
+// connection — one writev when that is a TCP connection, issued by the
+// connection itself when memnet.TCP made it — and the bytes it took are
+// counted like any other write.
 func (c *countingConn) WriteBuffers(v *net.Buffers) (int64, error) {
 	n, err := writeBuffers(c.Conn, v)
 	c.out.Add(n)

@@ -59,15 +59,17 @@ func referenceWire(resp *Response) []byte {
 	return b.Bytes()
 }
 
-// tcpPair returns the two ends of a loopback TCP connection.
-func tcpPair(t *testing.T) (client, server *net.TCPConn) {
+// tcpPair returns the two ends of a loopback TCP connection made through
+// memnet.TCP, so both carry the data path production connections do.
+func tcpPair(t *testing.T) (client, server net.Conn) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	n := memnet.TCP{}
+	l, err := n.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("no TCP: %v", err)
 	}
 	defer l.Close()
-	c, err := net.Dial("tcp", l.Addr().String())
+	c, err := n.Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func tcpPair(t *testing.T) (client, server *net.TCPConn) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close(); s.Close() })
-	return c.(*net.TCPConn), s.(*net.TCPConn)
+	return c, s
 }
 
 // memPair returns the two ends of an in-memory connection.
@@ -146,7 +148,9 @@ func TestWriteResponseWire(t *testing.T) {
 			// A send buffer far smaller than the large bodies, and a reader
 			// that starts late: the vectored write is partial and must be
 			// continued.
-			srv.SetWriteBuffer(16 << 10)
+			if err := srv.(interface{ SetWriteBuffer(int) error }).SetWriteBuffer(16 << 10); err != nil {
+				t.Fatal(err)
+			}
 			got := readAfter(cli, len(want), 20*time.Millisecond)
 			cc := &callCounter{countingConn: &countingConn{Conn: srv}}
 			srv.SetWriteDeadline(time.Now().Add(10 * time.Second))
@@ -248,7 +252,7 @@ func (o byteObserver) Request(status int, bytesIn, bytesOut int64, d time.Durati
 // and checks that Observer.Request reports exactly the bytes the client
 // received, for every body size.
 func TestObserverCountsVectoredBytes(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := memnet.TCP{}.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("no TCP: %v", err)
 	}

@@ -43,10 +43,11 @@ func putWireBuf(wb *wireBuf) {
 
 // buffersWriter is implemented by connections that take a vectored write
 // under a name of their own: the server's byte-counting wrapper, which
-// forwards it to the connection it wraps, and memnet.Conn. A
-// *net.TCPConn needs no such method — net.Buffers.WriteTo reaches writev
-// on it directly — but a wrapper that merely embeds net.Conn hides that
-// fast path unless it forwards it.
+// forwards it to the connection it wraps; memnet.Conn; and the TCP
+// connections memnet.TCP hands out, which issue the writev themselves. A
+// bare *net.TCPConn needs no such method — net.Buffers.WriteTo reaches
+// writev on it directly — but a wrapper that merely embeds net.Conn hides
+// either fast path unless it forwards it.
 type buffersWriter interface {
 	WriteBuffers(v *net.Buffers) (int64, error)
 }

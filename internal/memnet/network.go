@@ -19,15 +19,39 @@ type Network interface {
 	Dial(addr string) (net.Conn, error)
 }
 
-// TCP is the Network backed by the operating system's TCP stack.
+// TCP is the Network backed by the operating system's TCP stack. Every
+// connection it accepts or dials carries the raw data path of
+// tcp_linux.go where there is one.
 type TCP struct{}
 
 // Listen implements Network.
-func (TCP) Listen(a string) (net.Listener, error) { return net.Listen("tcp", a) }
+func (TCP) Listen(a string) (net.Listener, error) {
+	l, err := net.Listen("tcp", a)
+	if err != nil {
+		return nil, err
+	}
+	return tcpListener{l.(*net.TCPListener)}, nil
+}
 
 // Dial implements Network.
 func (TCP) Dial(a string) (net.Conn, error) {
-	return net.DialTimeout("tcp", a, 10*time.Second)
+	c, err := net.DialTimeout("tcp", a, 10*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	return wrapTCP(c.(*net.TCPConn)), nil
+}
+
+// tcpListener hands out accepted connections through wrapTCP.
+type tcpListener struct{ *net.TCPListener }
+
+// Accept implements net.Listener.
+func (l tcpListener) Accept() (net.Conn, error) {
+	c, err := l.AcceptTCP()
+	if err != nil {
+		return nil, err
+	}
+	return wrapTCP(c), nil
 }
 
 // Fabric is an in-memory Network. Addresses are arbitrary strings
