@@ -17,6 +17,7 @@ type coopView struct {
 	name    string
 	present bool
 	hash    uint64
+	size    int64 // of the present copy; zero while absent
 	// leased / leaseUntil mirror the record's lease state (push
 	// invalidation); a never-leased record reports leased == false.
 	leased     bool
@@ -76,7 +77,7 @@ func (cs *coopSet) view(key string) (coopView, bool) {
 func (cd *coopDoc) viewLocked() coopView {
 	return coopView{
 		home: cd.home, name: cd.name, present: cd.present, hash: cd.hash,
-		leased: cd.leased, leaseUntil: cd.leaseUntil,
+		size: cd.presentSize(), leased: cd.leased, leaseUntil: cd.leaseUntil,
 	}
 }
 

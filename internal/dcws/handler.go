@@ -3,11 +3,13 @@ package dcws
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"dcws/internal/glt"
+	"dcws/internal/graph"
 	"dcws/internal/httpx"
 	"dcws/internal/metrics"
 	"dcws/internal/naming"
@@ -275,8 +277,8 @@ func (s *Server) serveAsHome(req *httpx.Request) *httpx.Response {
 	// Existence is the document graph's answer: no file-system call stands
 	// between a request and a render-cache hit or a 301. A file that
 	// vanished behind the server's back surfaces as store.ErrNotFound on
-	// the cache miss that goes looking for it (loadFailure).
-	loc, dirty, gen, known := s.ldg.ServeInfo(name)
+	// the cache miss or open that goes looking for it (loadFailure).
+	loc, dirty, gen, size, known := s.ldg.ServeInfoSize(name)
 	if !known {
 		return status(404, "no such document: "+name)
 	}
@@ -307,37 +309,85 @@ func (s *Server) serveAsHome(req *httpx.Request) *httpx.Response {
 		}
 		// Revoked between the ServeInfo snapshot and the replica lookup:
 		// the document is home again — refresh the snapshot and serve it.
-		_, dirty, gen, _ = s.ldg.ServeInfo(name)
+		_, dirty, gen, size, _ = s.ldg.ServeInfoSize(name)
 	}
 
-	data, err := s.loadLocal(name, dirty, gen)
+	b, err := s.loadLocal(name, dirty, gen, size)
 	if err != nil {
 		return loadFailure(name, err)
 	}
 	s.ldg.RecordHit(name)
+	return s.respond(req.Method, name, b)
+}
+
+// docBody is a document body on its way into a response: shared bytes,
+// or the open file and its size for a body sent with sendfile.
+type docBody struct {
+	data []byte
+	file *os.File
+	size int64
+}
+
+func bytesBody(data []byte) docBody { return docBody{data: data, size: int64(len(data))} }
+
+// sendsFile reports whether a stored body of the given size — the size the
+// server's own records hold, so the choice costs no I/O — is sent from its
+// file: the store opens files and the body is at least store.LargeBody.
+func (s *Server) sendsFile(size int64) bool {
+	return s.files != nil && size >= store.LargeBody
+}
+
+// loadStored reads the stored document key for a response: its file when
+// sendsFile(size), else its shared bytes.
+func (s *Server) loadStored(key string, size int64) (docBody, error) {
+	if s.sendsFile(size) {
+		f, n, err := s.files.OpenFile(key)
+		return docBody{file: f, size: n}, err
+	}
+	data, err := store.GetShared(s.cfg.Store, key)
+	return bytesBody(data), err
+}
+
+// respond answers a GET or HEAD for the document name with b and counts
+// the bytes served. A file body is closed here for a HEAD, and by the HTTP
+// server once a GET's response has been written.
+func (s *Server) respond(method, name string, b docBody) *httpx.Response {
 	resp := httpx.NewResponse(200)
 	resp.Header.Set("Content-Type", httpx.ContentTypeFor(name))
-	if req.Method == "HEAD" {
+	switch {
+	case method == "HEAD":
 		// GET responses let the wire writer derive Content-Length from the
 		// body; HEAD has no body, so it must be explicit.
-		resp.Header.Set("Content-Length", strconv.Itoa(len(data)))
-	} else {
-		resp.Body = data
+		resp.Header.Set("Content-Length", strconv.FormatInt(b.size, 10))
+		if b.file != nil {
+			b.file.Close()
+		}
+	case b.file != nil:
+		resp.File, resp.FileSize = b.file, b.size
+	default:
+		resp.Body = b.data
 	}
-	s.stats.ObserveRequest(s.now(), int64(len(data)))
+	s.stats.ObserveRequest(s.now(), b.size)
 	return resp
 }
 
-// loadLocal returns a home document's bytes — shared and immutable —
-// regenerating its hyperlinks first if the Dirty bit is set (§4.3:
-// regeneration is postponed until the latest possible time). Clean
-// documents come from the rendered-document cache when possible; the
-// caller's (dirty, gen) snapshot keys the lookup, so a concurrent
+// loadLocal returns a home document's body, regenerating its hyperlinks
+// first if it is HTML and the Dirty bit is set (§4.3: regeneration is
+// postponed until the latest possible time). Any other document large
+// enough to be sent from its file is opened and never enters the render
+// cache. The rest come from the rendered-document cache when possible;
+// the caller's (dirty, gen) snapshot keys the lookup, so a concurrent
 // migration that dirties the document can never yield a stale hit.
-func (s *Server) loadLocal(name string, dirty bool, gen uint64) ([]byte, error) {
+func (s *Server) loadLocal(name string, dirty bool, gen uint64, size int64) (docBody, error) {
+	if s.sendsFile(size) && (!dirty || !graph.IsHTML(name)) {
+		if dirty {
+			s.ldg.ClearDirty(name) // no hyperlinks to regenerate
+		}
+		return s.loadStored(name, size)
+	}
 	if dirty {
 		if data, err := s.regenerate(name, gen); err == nil {
-			return data, nil
+			return bytesBody(data), nil
 		} else {
 			s.log.Printf("dcws %s: regenerate %s: %v", s.Addr(), name, err)
 			// Fall through to the stored copy; stale links still work via
@@ -345,14 +395,14 @@ func (s *Server) loadLocal(name string, dirty bool, gen uint64) ([]byte, error) 
 		}
 	}
 	if data, _, ok := s.rcache.get(name, renderHome, gen); ok {
-		return data, nil
+		return bytesBody(data), nil
 	}
 	data, err := store.GetShared(s.cfg.Store, name)
 	if err != nil {
-		return nil, err
+		return docBody{}, err
 	}
 	s.rcache.put(name, renderHome, gen, data, 0)
-	return data, nil
+	return bytesBody(data), nil
 }
 
 // loadFailure maps a failed read of a home document to its response: a
@@ -487,26 +537,21 @@ func (s *Server) serveAsCoop(req *httpx.Request, traceID, spanID string) *httpx.
 		}
 	}
 
-	data, err := store.GetShared(s.cfg.Store, key)
+	// v.size is zero for a copy fetched just now, which is then served
+	// from bytes once; present copies of at least store.LargeBody are sent
+	// from their files.
+	b, err := s.loadStored(key, v.size)
 	if err != nil {
 		// Copy vanished (e.g. revoked between check and read): refetch once.
 		s.coops.markAbsent(key)
 		if resp := s.fetchFromHome(key, home, docName, traceID, spanID); resp != nil {
 			return resp
 		}
-		if data, err = store.GetShared(s.cfg.Store, key); err != nil {
+		if b, err = s.loadStored(key, 0); err != nil {
 			return status(500, err.Error())
 		}
 	}
-	resp := httpx.NewResponse(200)
-	resp.Header.Set("Content-Type", httpx.ContentTypeFor(docName))
-	if req.Method == "HEAD" {
-		resp.Header.Set("Content-Length", strconv.Itoa(len(data)))
-	} else {
-		resp.Body = data
-	}
-	s.stats.ObserveRequest(s.now(), int64(len(data)))
-	return resp
+	return s.respond(req.Method, docName, b)
 }
 
 // serveHedged answers a sibling replica's hedged fetch for a document both
@@ -519,17 +564,14 @@ func (s *Server) serveHedged(key string, home naming.Origin, docName string) *ht
 	if !ok || !v.present {
 		return status(404, "no local copy")
 	}
-	data, err := store.GetShared(s.cfg.Store, key)
+	b, err := s.loadStored(key, v.size)
 	if err != nil {
 		s.coops.markAbsent(key)
 		return status(404, "no local copy")
 	}
 	s.coops.touch(key, home, docName, s.now())
-	resp := httpx.NewResponse(200)
-	resp.Header.Set("Content-Type", httpx.ContentTypeFor(docName))
+	resp := s.respond("GET", docName, b)
 	resp.Header.Set(headerValidate, strconv.FormatUint(v.hash, 16))
-	resp.Body = data
-	s.stats.ObserveRequest(s.now(), int64(len(data)))
 	return resp
 }
 

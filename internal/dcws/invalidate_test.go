@@ -343,3 +343,42 @@ func TestSizeWeight(t *testing.T) {
 		}
 	}
 }
+
+// TestMigratedAliasNotServedStale: ".../home/080/..." and ".../home/+80/..."
+// used to decode to the same document as ".../home/80/...", so a co-op
+// hosted a second copy under each alias key. Push invalidation refreshes
+// only the key Encode builds, while channel liveness renewed every lease
+// from that home, so an alias went on serving the old version for as long
+// as the channel lived. After the push, no alias may return the old bytes.
+func TestMigratedAliasNotServedStale(t *testing.T) {
+	w := newWorld(t)
+	docs := map[string]string{"/page.html": "<html>v1 content</html>"}
+	home := w.addServer("home", 80, docs, []string{"/page.html"}, leaseParams())
+	coop := w.addServer("coop", 81, nil, nil, leaseParams())
+
+	home.migrate("/page.html", "coop:81")
+	const canonical = "/~migrate/home/80/page.html"
+	aliases := []string{"/~migrate/home/080/page.html", "/~migrate/home/+80/page.html"}
+	if resp := w.get("coop:81", canonical); resp.Status != 200 {
+		t.Fatalf("first touch = %d, want 200", resp.Status)
+	}
+	for _, alias := range aliases {
+		w.get("coop:81", alias)
+	}
+	waitFor(t, 5*time.Second, "subscription channel never came up", func() bool {
+		return coop.subs.subscriptionLive("home:80")
+	})
+
+	if err := home.UpdateDocument("/page.html", []byte("<html>v2 content</html>")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "pushed invalidation never refreshed the copy", func() bool {
+		resp := w.get("coop:81", canonical)
+		return resp.Status == 200 && strings.Contains(string(resp.Body), "v2 content")
+	})
+	for _, alias := range aliases {
+		if resp := w.get("coop:81", alias); strings.Contains(string(resp.Body), "v1 content") {
+			t.Errorf("GET %s after the push = %d with the old version", alias, resp.Status)
+		}
+	}
+}

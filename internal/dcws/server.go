@@ -174,6 +174,11 @@ type Server struct {
 	log    *log.Logger
 	addr   string // cached Origin.Addr()
 
+	// files is cfg.Store when it opens documents as files (store.Dir),
+	// else nil: bodies of at least store.LargeBody then leave by
+	// sendfile (handler.go, sendsFile).
+	files store.FileOpener
+
 	ldg    *graph.LDG
 	table  *glt.Table
 	stats  *metrics.ServerStats
@@ -356,12 +361,14 @@ func New(cfg Config) (*Server, error) {
 	if logger == nil {
 		logger = log.New(discard{}, "", 0)
 	}
+	files, _ := cfg.Store.(store.FileOpener)
 
 	s := &Server{
 		cfg:    cfg,
 		params: params,
 		log:    logger,
 		addr:   self,
+		files:  files,
 		ldg:    ldg,
 		table:  table,
 		stats:  metrics.NewServerStats(rateWindow),

@@ -328,17 +328,24 @@ func (g *LDG) Location(name string) (string, bool) {
 	return e.location, true
 }
 
-// ServeInfo returns everything the request hot path needs about name in
-// one lock acquisition: its location, Dirty bit, and generation. ok is
-// false for unknown documents.
-func (g *LDG) ServeInfo(name string) (location string, dirty bool, gen uint64, ok bool) {
+// ServeInfoSize returns everything the request hot path needs about name
+// in one lock acquisition: its location, Dirty bit, generation, and size —
+// which decides, before any I/O, whether the body is sent from its file.
+// ok is false for unknown documents.
+func (g *LDG) ServeInfoSize(name string) (location string, dirty bool, gen uint64, size int64, ok bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	e, found := g.docs[name]
 	if !found {
-		return "", false, 0, false
+		return "", false, 0, 0, false
 	}
-	return e.location, e.dirty, e.gen, true
+	return e.location, e.dirty, e.gen, e.size, true
+}
+
+// ServeInfo is ServeInfoSize without the size.
+func (g *LDG) ServeInfo(name string) (location string, dirty bool, gen uint64, ok bool) {
+	location, dirty, gen, _, ok = g.ServeInfoSize(name)
+	return location, dirty, gen, ok
 }
 
 // Generation returns the invalidation generation for name (0 for unknown

@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 )
 
@@ -175,6 +176,16 @@ type Response struct {
 	Header Header
 	Body   []byte
 
+	// File, when non-nil, is the body in place of Body: the first FileSize
+	// bytes of the file, which also give Content-Length. A connection that
+	// can send a file (a TCP connection of memnet.TCP on Linux) sends it
+	// with sendfile(2); any other writer gets it read once into memory. A
+	// file that turns out shorter than FileSize fails the write, it is
+	// never padded. The server closes File once the response is written
+	// or the write has failed.
+	File     *os.File
+	FileSize int64
+
 	// Hijack, when non-nil, transfers ownership of the connection to the
 	// handler after this response is written — the upgrade path for
 	// long-lived framed channels (a 101 handshake followed by WriteFrame/
@@ -189,6 +200,14 @@ type Response struct {
 // map.
 func NewResponse(status int) *Response {
 	return &Response{Status: status, Proto: "HTTP/1.0", Header: make(Header)}
+}
+
+// bodySize is the length of the response's body, from File or Body.
+func (r *Response) bodySize() int64 {
+	if r.File != nil {
+		return r.FileSize
+	}
+	return int64(len(r.Body))
 }
 
 // StatusText returns the reason phrase for the status codes DCWS uses.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"log"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -239,6 +240,15 @@ func (c *countingConn) WriteBuffers(v *net.Buffers) (int64, error) {
 	return n, err
 }
 
+// SendFile implements fileSender the same way: head and file go to the
+// wrapped connection — sendfile(2) when memnet.TCP made it — and the bytes
+// sent are counted.
+func (c *countingConn) SendFile(head []byte, f *os.File, n int64) (int64, error) {
+	m, err := sendFile(c.Conn, head, f, n)
+	c.out.Add(m)
+	return m, err
+}
+
 // dropConn answers a queued-out connection with 503 and closes it.
 func dropConn(conn net.Conn) {
 	defer conn.Close()
@@ -309,6 +319,12 @@ func (s *Server) serveConn(qc queuedConn) {
 		}
 		conn.SetWriteDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		werr := WriteResponse(conn, resp)
+		if resp.File != nil {
+			// Written, failed or cut off by the deadline: the body file's
+			// life ends with its one write, whatever becomes of the
+			// connection.
+			resp.File.Close()
+		}
 		if s.cfg.AccessLog != nil {
 			trace := "-"
 			if s.cfg.TraceHeader != "" {
@@ -318,7 +334,7 @@ func (s *Server) serveConn(qc queuedConn) {
 			}
 			s.cfg.AccessLog.Printf("%s %s %s %d %d %.3fms trace=%s",
 				req.RemoteAddr, req.Method, req.Path, resp.Status,
-				len(resp.Body), float64(time.Since(start).Microseconds())/1000, trace)
+				resp.bodySize(), float64(time.Since(start).Microseconds())/1000, trace)
 		}
 		if obs != nil {
 			// Bufio read-ahead may attribute a pipelined follow-up request's

@@ -2,12 +2,16 @@ package httpx
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -250,38 +254,223 @@ func (o byteObserver) Request(status int, bytesIn, bytesOut int64, d time.Durati
 
 // TestObserverCountsVectoredBytes drives a real server over loopback TCP
 // and checks that Observer.Request reports exactly the bytes the client
-// received, for every body size.
+// received, for every body size, with the body in memory (/b/<size>) and
+// in a file (/f/<size>), and that the server has closed the file by the
+// time the client has the response.
 func TestObserverCountsVectoredBytes(t *testing.T) {
 	l, err := memnet.TCP{}.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("no TCP: %v", err)
 	}
 	obs := byteObserver{out: make(chan int64, 1)}
+	files := make(chan *os.File, 1)
 	srv := NewServer(ServerConfig{Observer: obs}, HandlerFunc(func(req *Request) *Response {
-		n, _ := strconv.Atoi(req.Path[1:])
+		n, _ := strconv.Atoi(req.Path[3:])
+		if strings.HasPrefix(req.Path, "/f/") {
+			resp := fileResponse(t, n)
+			files <- resp.File
+			return resp
+		}
 		return wireResponse(n)
 	}))
 	go srv.Serve(l)
 	defer srv.Close()
+	for _, path := range []string{"/b/", "/f/"} {
+		for _, n := range wireBodySizes {
+			conn, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(conn, "GET %s%d HTTP/1.0\r\n\r\n", path, n)
+			raw, err := io.ReadAll(conn)
+			conn.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp := wireResponse(n)
+			resp.Header.Set("Connection", "close")
+			if want := referenceWire(resp); !bytes.Equal(raw, want) {
+				t.Errorf("%s%d: received %d bytes, want the %d of the reference serialization", path, n, len(raw), len(want))
+			}
+			if out := <-obs.out; out != int64(len(raw)) {
+				t.Errorf("%s%d: observer saw %d bytes out, client received %d", path, n, out, len(raw))
+			}
+			if path == "/f/" {
+				if _, err := (<-files).Stat(); !errors.Is(err, os.ErrClosed) {
+					t.Errorf("%s%d: body file still open after the response (Stat: %v)", path, n, err)
+				}
+			}
+		}
+	}
+}
+
+// TestServerClosesFileOfAbortedResponse: a client that resets the
+// connection before a file body is sent makes the write fail, and the
+// server closes the file anyway.
+func TestServerClosesFileOfAbortedResponse(t *testing.T) {
+	l, err := memnet.TCP{}.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no TCP: %v", err)
+	}
+	files := make(chan *os.File, 1)
+	srv := NewServer(ServerConfig{}, HandlerFunc(func(req *Request) *Response {
+		resp := fileResponse(t, 32<<20)
+		files <- resp.File
+		return resp
+	}))
+	go srv.Serve(l)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "GET /big HTTP/1.0\r\n\r\n")
+	f := <-files
+	if _, err := io.ReadFull(conn, make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	conn.(*net.TCPConn).SetLinger(0)
+	conn.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, err := f.Stat(); errors.Is(err, os.ErrClosed) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the server never closed the body file of a response the client cut off")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// fileResponse is wireResponse(n) with its body in a file.
+func fileResponse(t *testing.T, n int) *Response {
+	resp := wireResponse(n)
+	name := filepath.Join(t.TempDir(), "body")
+	if err := os.WriteFile(name, resp.Body, 0o644); err != nil {
+		t.Error(err)
+	}
+	f, err := os.Open(name)
+	if err != nil {
+		t.Error(err)
+	}
+	resp.Body, resp.File, resp.FileSize = nil, f, int64(n)
+	return resp
+}
+
+// messageCounter counts the messages handed to the connection it wraps:
+// plain writes and vectored writes.
+type messageCounter struct {
+	net.Conn
+	messages int
+}
+
+func (c *messageCounter) Write(p []byte) (int, error) {
+	c.messages++
+	return c.Conn.Write(p)
+}
+
+func (c *messageCounter) WriteBuffers(v *net.Buffers) (int64, error) {
+	c.messages++
+	return writeBuffers(c.Conn, v)
+}
+
+// fileMessageCounter also counts SendFile calls, which it hands to the
+// wrapped connection's own SendFile.
+type fileMessageCounter struct{ *messageCounter }
+
+func (c fileMessageCounter) SendFile(head []byte, f *os.File, n int64) (int64, error) {
+	c.messages++
+	return c.Conn.(fileSender).SendFile(head, f, n)
+}
+
+// TestWriteResponseFileBody: a file body puts on the wire exactly the
+// bytes of the same response with the body in memory — over a raw TCP
+// connection (one SendFile call where the platform has one), over memnet
+// (one message, so injected latency is charged once) and into a
+// bytes.Buffer — and the byte count feeding Observer.Request is exact.
+func TestWriteResponseFileBody(t *testing.T) {
 	for _, n := range wireBodySizes {
-		conn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
+		want := referenceWire(wireResponse(n))
+
+		t.Run(fmt.Sprintf("tcp/%d", n), func(t *testing.T) {
+			cli, srv := tcpPair(t)
+			if err := srv.(interface{ SetWriteBuffer(int) error }).SetWriteBuffer(16 << 10); err != nil {
+				t.Fatal(err)
+			}
+			got := readAfter(cli, len(want), 20*time.Millisecond)
+			mc := &messageCounter{Conn: srv}
+			var conn net.Conn = mc
+			if _, ok := srv.(fileSender); ok {
+				conn = fileMessageCounter{mc}
+			}
+			cc := &countingConn{Conn: conn}
+			srv.SetWriteDeadline(time.Now().Add(10 * time.Second))
+			if err := WriteResponse(cc, fileResponse(t, n)); err != nil {
+				t.Fatal(err)
+			}
+			if mc.messages != 1 {
+				t.Errorf("%d calls reached the connection, want one", mc.messages)
+			}
+			if out := cc.out.Load(); out != int64(len(want)) {
+				t.Errorf("counted %d bytes out, want %d", out, len(want))
+			}
+			if !bytes.Equal(<-got, want) {
+				t.Error("bytes on the wire differ from the byte-body serialization")
+			}
+		})
+
+		t.Run(fmt.Sprintf("memnet/%d", n), func(t *testing.T) {
+			cli, srv := memPair(t)
+			got := readAfter(cli, len(want), 0)
+			mc := &messageCounter{Conn: srv}
+			cc := &countingConn{Conn: mc}
+			if err := WriteResponse(cc, fileResponse(t, n)); err != nil {
+				t.Fatal(err)
+			}
+			if mc.messages != 1 {
+				t.Errorf("%d messages, want one", mc.messages)
+			}
+			if out := cc.out.Load(); out != int64(len(want)) {
+				t.Errorf("counted %d bytes out, want %d", out, len(want))
+			}
+			if !bytes.Equal(<-got, want) {
+				t.Error("bytes on the wire differ from the byte-body serialization")
+			}
+		})
+
+		t.Run(fmt.Sprintf("buffer/%d", n), func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteResponse(&buf, fileResponse(t, n)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Error("serialized bytes differ from the byte-body serialization")
+			}
+		})
+	}
+}
+
+// TestWriteResponseShortFileFails: a file that holds fewer bytes than its
+// FileSize fails the write on every writer; the body is never padded.
+func TestWriteResponseShortFileFails(t *testing.T) {
+	tcpCli, tcp := tcpPair(t)
+	memCli, mem := memPair(t)
+	go io.Copy(io.Discard, tcpCli) // until the pairs' cleanup closes them
+	go io.Copy(io.Discard, memCli)
+	tcp.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	writers := map[string]io.Writer{
+		"tcp":    &countingConn{Conn: tcp},
+		"memnet": &countingConn{Conn: mem},
+		"buffer": new(bytes.Buffer),
+	}
+	for name, w := range writers {
+		resp := fileResponse(t, 4<<10)
+		resp.FileSize *= 2
+		if err := WriteResponse(w, resp); err == nil {
+			t.Errorf("%s: a file shorter than its FileSize was written without error", name)
 		}
-		fmt.Fprintf(conn, "GET /%d HTTP/1.0\r\n\r\n", n)
-		raw, err := io.ReadAll(conn)
-		conn.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := wireResponse(n)
-		resp.Header.Set("Connection", "close")
-		if want := referenceWire(resp); !bytes.Equal(raw, want) {
-			t.Errorf("body %d: received %d bytes, want the %d of the reference serialization", n, len(raw), len(want))
-		}
-		if out := <-obs.out; out != int64(len(raw)) {
-			t.Errorf("body %d: observer saw %d bytes out, client received %d", n, out, len(raw))
-		}
+		resp.File.Close()
 	}
 }
 

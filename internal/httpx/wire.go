@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,6 +60,31 @@ func writeBuffers(w io.Writer, v *net.Buffers) (int64, error) {
 		return bw.WriteBuffers(v)
 	}
 	return v.WriteTo(w)
+}
+
+// fileSender is implemented by connections that take a message head and a
+// file body together: the TCP connections memnet.TCP hands out on Linux,
+// which send the file with sendfile(2), and the server's byte-counting
+// wrapper, which forwards the call. SendFile returns the bytes sent, head
+// included, and fails if f holds fewer than n bytes.
+type fileSender interface {
+	SendFile(head []byte, f *os.File, n int64) (int64, error)
+}
+
+// sendFile sends head and the first n bytes of f to w as one message: in
+// one SendFile call if w takes one, and otherwise as head plus the body
+// read once with ReadAt, through writeMessage — one message on memnet, so
+// injected latency is charged once, as for a byte body.
+func sendFile(w io.Writer, head []byte, f *os.File, n int64) (int64, error) {
+	if fs, ok := w.(fileSender); ok {
+		return fs.SendFile(head, f, n)
+	}
+	body := make([]byte, n)
+	if _, err := f.ReadAt(body, 0); err != nil {
+		return 0, fmt.Errorf("httpx: read body file: %w", err)
+	}
+	wb := wireBuf{head: head}
+	return wb.writeMessage(w, body)
 }
 
 // readerPool recycles the bufio.Readers that parse inbound messages
@@ -352,8 +378,8 @@ func WriteRequest(w io.Writer, req *Request) error {
 	buf = append(buf, ' ')
 	buf = append(buf, proto...)
 	buf = append(buf, '\r', '\n')
-	wb.head = appendHeader(buf, req.Header, len(req.Body))
-	err := wb.writeMessage(w, req.Body)
+	wb.head = appendHeader(buf, req.Header, int64(len(req.Body)))
+	_, err := wb.writeMessage(w, req.Body)
 	putWireBuf(wb)
 	return err
 }
@@ -396,7 +422,8 @@ func ReadResponseFor(r *bufio.Reader, method string) (*Response, error) {
 }
 
 // WriteResponse serializes resp to w, always emitting Content-Length so
-// connections can be kept alive.
+// connections can be kept alive. A File body is sent from its file (see
+// Response.File); WriteResponse does not close it.
 func WriteResponse(w io.Writer, resp *Response) error {
 	proto := resp.Proto
 	if proto == "" {
@@ -410,8 +437,13 @@ func WriteResponse(w io.Writer, resp *Response) error {
 	buf = append(buf, ' ')
 	buf = append(buf, StatusText(resp.Status)...)
 	buf = append(buf, '\r', '\n')
-	wb.head = appendHeader(buf, resp.Header, len(resp.Body))
-	err := wb.writeMessage(w, resp.Body)
+	wb.head = appendHeader(buf, resp.Header, resp.bodySize())
+	var err error
+	if resp.File != nil {
+		_, err = sendFile(w, wb.head, resp.File, resp.FileSize)
+	} else {
+		_, err = wb.writeMessage(w, resp.Body)
+	}
 	putWireBuf(wb)
 	return err
 }
@@ -420,7 +452,7 @@ func WriteResponse(w io.Writer, resp *Response) error {
 // Content-Length (when absent) and the blank separator line. Keys are
 // ordered deterministically; typical header maps fit the stack-resident
 // key array, so serialization allocates nothing beyond the message buffer.
-func appendHeader(buf []byte, h Header, bodyLen int) []byte {
+func appendHeader(buf []byte, h Header, bodyLen int64) []byte {
 	var arr [16]string
 	var keys []string
 	if len(h) <= len(arr) {
@@ -452,7 +484,7 @@ func appendHeader(buf []byte, h Header, bodyLen int) []byte {
 	}
 	if !wroteCL {
 		buf = append(buf, "Content-Length: "...)
-		buf = strconv.AppendInt(buf, int64(bodyLen), 10)
+		buf = strconv.AppendInt(buf, bodyLen, 10)
 		buf = append(buf, '\r', '\n')
 	}
 	return append(buf, '\r', '\n')
@@ -464,18 +496,18 @@ func appendHeader(buf []byte, h Header, bodyLen int) []byte {
 // cannot take a vector get head, then body, straight from the caller's
 // (possibly cached and shared) slice. Partial writes are continued and
 // write deadlines honored by the connection underneath, exactly as for a
-// plain Write.
-func (wb *wireBuf) writeMessage(w io.Writer, body []byte) error {
+// plain Write. It returns the bytes written.
+func (wb *wireBuf) writeMessage(w io.Writer, body []byte) (int64, error) {
 	if len(body) == 0 {
-		_, err := w.Write(wb.head)
-		return err
+		n, err := w.Write(wb.head)
+		return int64(n), err
 	}
 	wb.vec[0], wb.vec[1] = wb.head, body
 	wb.bufs = wb.vec[:]
-	_, err := writeBuffers(w, &wb.bufs)
+	n, err := writeBuffers(w, &wb.bufs)
 	// Drop whatever the write did not consume, so the pool never pins a
 	// document body.
 	wb.vec = [2][]byte{}
 	wb.bufs = nil
-	return err
+	return n, err
 }

@@ -1,11 +1,13 @@
-//go:build linux
+//go:build linux && !386
 
 package memnet
 
 import (
+	"errors"
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"syscall"
 	"unsafe"
@@ -32,10 +34,17 @@ import (
 // ordered only by bytes crossing a socket inside one process, goes
 // unreported on this path.
 //
-// The read and write callbacks are method values bound once per
-// connection and all their state lives in the struct, so a call allocates
-// nothing. rmu and wmu guard that state: like net.Conn, the connection
-// may be read and written from several goroutines at once.
+// SendFile sends a message head and a file body: the head with a raw
+// send(2), the body with sendfile(2) from the page cache, never copied
+// through the process.
+//
+// The callbacks are method values bound once per connection and all their
+// state lives in the struct, so a call allocates nothing. rmu and wmu
+// guard that state: like net.Conn, the connection may be read and written
+// from several goroutines at once.
+//
+// The build excludes 386, whose socket calls go through socketcall(2) and
+// have no system call number of their own; there tcp_other.go applies.
 type rawTCPConn struct {
 	*net.TCPConn
 	rc syscall.RawConn
@@ -52,9 +61,21 @@ type rawTCPConn struct {
 	widx    int
 	woff    int
 	wn      int64
+	wcall   string // the system call werrno came from
 	werrno  syscall.Errno
 	iov     [16]syscall.Iovec
 	writeFn func(fd uintptr) bool
+
+	// SendFile's state, also under wmu: the head still to send, the file,
+	// the body offset sendfile has reached (the kernel advances it), the
+	// body size promised, whether the file ended before it, and the
+	// callback, bound on the first SendFile.
+	fhead  []byte
+	ffd    int
+	foff   int64
+	fsize  int64
+	fshort bool
+	sendFn func(fd uintptr) bool
 }
 
 // wrapTCP returns c with the raw data path, or c itself should its socket
@@ -135,13 +156,18 @@ func (c *rawTCPConn) writev(vec [][]byte) (int64, error) {
 	c.wvec, c.widx, c.woff, c.wn, c.werrno = vec, 0, 0, 0, 0
 	err := c.rc.Write(c.writeFn)
 	c.wvec = nil
+	return c.wn, c.writeError(err)
+}
+
+// writeError maps the outcome of a write callback to Write's error.
+func (c *rawTCPConn) writeError(err error) error {
 	switch {
 	case err != nil:
-		return c.wn, c.opError("write", err)
+		return c.opError("write", err)
 	case c.werrno != 0:
-		return c.wn, c.opError("write", os.NewSyscallError("writev", c.werrno))
+		return c.opError("write", os.NewSyscallError(c.wcall, c.werrno))
 	}
-	return c.wn, nil
+	return nil
 }
 
 // writevRaw is the write callback: writev(2) until the vector is drained,
@@ -173,7 +199,7 @@ func (c *rawTCPConn) writevRaw(fd uintptr) bool {
 		case syscall.EAGAIN:
 			return false
 		}
-		c.werrno = e
+		c.wcall, c.werrno = "writev", e
 		return true
 	}
 }
@@ -191,6 +217,85 @@ func (c *rawTCPConn) advance(n int) {
 		c.widx++
 		c.woff = 0
 	}
+}
+
+// errShortFile is SendFile's error when the file ends before the size it
+// was promised to hold: the peer has been told a Content-Length the file
+// can no longer fill, so the connection must be closed, not padded.
+var errShortFile = errors.New("sendfile: file shorter than its promised size")
+
+// SendFile sends head, then the first n bytes of f, as one message, and
+// returns how many bytes the socket took. The head goes with one raw
+// send(2) flagged MSG_MORE, so it leaves in the segment that carries the
+// start of the body; the body goes with sendfile(2) from offset 0, from the
+// page cache to the socket without passing through the process. The file
+// offset is passed explicitly, so f's own position is neither used nor
+// moved. A file holding fewer than n bytes fails the call with
+// errShortFile. Deadlines and Close work as for Write. The caller keeps f
+// open until SendFile returns.
+func (c *rawTCPConn) SendFile(head []byte, f *os.File, n int64) (int64, error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.sendFn == nil {
+		// Bound on first use: most connections (RPC, subscriptions,
+		// small documents) never send a file.
+		c.sendFn = c.sendfileRaw
+	}
+	c.fhead, c.ffd, c.foff, c.fsize, c.fshort = head, int(f.Fd()), 0, n, false
+	c.wn, c.werrno = 0, 0
+	err := c.rc.Write(c.sendFn)
+	runtime.KeepAlive(f)
+	c.fhead = nil
+	if err == nil && c.fshort {
+		return c.wn, c.opError("write", errShortFile)
+	}
+	return c.wn, c.writeError(err)
+}
+
+// sendfileRaw is SendFile's callback. send(2) is a socket call on a
+// non-blocking socket and never blocks, so it is issued raw, and EINTR
+// retries it. sendfile(2) is not: it reads the file, and on a page-cache
+// miss it waits for the disk; a raw call would hold the process's P —
+// the only one on a node pinned to one CPU — through that wait, where
+// syscall.Sendfile (a Syscall6) lets the runtime hand the P on.
+func (c *rawTCPConn) sendfileRaw(fd uintptr) bool {
+	for len(c.fhead) > 0 {
+		var flags uintptr
+		if c.fsize > 0 {
+			flags = syscall.MSG_MORE
+		}
+		r, _, e := syscall.RawSyscall6(syscall.SYS_SENDTO, fd, uintptr(unsafe.Pointer(&c.fhead[0])), uintptr(len(c.fhead)), flags, 0, 0)
+		switch e {
+		case 0:
+			c.wn += int64(r)
+			c.fhead = c.fhead[r:]
+			continue
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		}
+		c.wcall, c.werrno = "sendto", e
+		return true
+	}
+	for c.foff < c.fsize {
+		r, err := syscall.Sendfile(int(fd), c.ffd, &c.foff, int(c.fsize-c.foff))
+		switch {
+		case err == nil && r == 0:
+			c.fshort = true
+			return true
+		case err == nil:
+			c.wn += int64(r)
+			continue
+		case err == syscall.EINTR:
+			continue
+		case err == syscall.EAGAIN:
+			return false
+		}
+		c.wcall, c.werrno = "sendfile", err.(syscall.Errno)
+		return true
+	}
+	return true
 }
 
 // opError wraps err as net does for the named operation. An error from the

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"path/filepath"
 	"runtime"
 	"syscall"
 	"testing"
@@ -31,7 +32,7 @@ func tcpConnPair(t *testing.T) (client, server net.Conn) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close(); s.Close() })
-	if runtime.GOOS == "linux" {
+	if runtime.GOOS == "linux" && runtime.GOARCH != "386" {
 		for _, conn := range []net.Conn{c, s} {
 			if _, ok := conn.(vectorWriter); !ok {
 				t.Fatalf("TCP handed out a %T, want the raw data path", conn)
@@ -245,5 +246,173 @@ func TestTCPDataPathAllocatesNothing(t *testing.T) {
 	roundTrip()
 	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 		t.Fatalf("%v allocations per Write+Read+WriteBuffers+Read, want 0", allocs)
+	}
+}
+
+// fileSender is the file-body method the raw path adds.
+type fileSender interface {
+	SendFile(head []byte, f *os.File, n int64) (int64, error)
+}
+
+// sendFileConn returns c as a fileSender, or skips the test where the
+// platform's connections have no SendFile.
+func sendFileConn(t *testing.T, c net.Conn) fileSender {
+	t.Helper()
+	fs, ok := c.(fileSender)
+	if !ok {
+		t.Skipf("%T has no SendFile on this platform", c)
+	}
+	return fs
+}
+
+// bodyFile writes data to a fresh file and returns it opened for reading,
+// closed when the test ends.
+func bodyFile(t *testing.T, data []byte) *os.File {
+	t.Helper()
+	name := filepath.Join(t.TempDir(), "body")
+	if err := os.WriteFile(name, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
+}
+
+var sendFileHead = []byte("HTTP/1.0 200 OK\r\nContent-Length: 2097152\r\n\r\n")
+
+// TestTCPSendFile: head and a 2 MB file body pushed through a 16 KiB send
+// buffer to a reader that starts late arrive whole and in order, the count
+// is exact, and the file's own offset is left where it was.
+func TestTCPSendFile(t *testing.T) {
+	c, s := tcpConnPair(t)
+	fs := sendFileConn(t, s)
+	setSendBuffer(t, s, 16<<10)
+	body := patternBytes(2 << 20)
+	f := bodyFile(t, body)
+	want := append(append([]byte(nil), sendFileHead...), body...)
+	got := make(chan []byte, 1)
+	go func() {
+		time.Sleep(20 * time.Millisecond) // let the sender fill the buffers first
+		b := make([]byte, len(want))
+		io.ReadFull(c, b)
+		got <- b
+	}()
+	s.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	n, err := fs.SendFile(sendFileHead, f, int64(len(body)))
+	if err != nil || n != int64(len(want)) {
+		t.Fatalf("SendFile = %d, %v; want %d, nil", n, err, len(want))
+	}
+	if !bytes.Equal(<-got, want) {
+		t.Fatal("head and file body arrived garbled")
+	}
+	if pos, err := f.Seek(0, io.SeekCurrent); err != nil || pos != 0 {
+		t.Fatalf("file offset after SendFile = %d, %v; want 0", pos, err)
+	}
+}
+
+// TestTCPSendFileEmptyBody: a head with no body is not held back for body
+// bytes that will never come.
+func TestTCPSendFileEmptyBody(t *testing.T) {
+	c, s := tcpConnPair(t)
+	fs := sendFileConn(t, s)
+	if n, err := fs.SendFile(sendFileHead, bodyFile(t, nil), 0); err != nil || n != int64(len(sendFileHead)) {
+		t.Fatalf("SendFile = %d, %v", n, err)
+	}
+	c.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	b := make([]byte, len(sendFileHead))
+	if _, err := io.ReadFull(c, b); err != nil || !bytes.Equal(b, sendFileHead) {
+		t.Fatalf("head read %q, %v", b, err)
+	}
+}
+
+// TestTCPSendFileWriteDeadline: a file sent to a peer that does not read
+// stops at the deadline with a timeout, and the count is exactly what the
+// peer then receives.
+func TestTCPSendFileWriteDeadline(t *testing.T) {
+	c, s := tcpConnPair(t)
+	fs := sendFileConn(t, c)
+	setSendBuffer(t, c, 16<<10)
+	body := patternBytes(8 << 20)
+	c.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
+	n, err := fs.SendFile(sendFileHead, bodyFile(t, body), int64(len(body)))
+	wantTimeout(t, "SendFile", err)
+	if n <= int64(len(sendFileHead)) || n >= int64(len(sendFileHead)+len(body)) {
+		t.Fatalf("sent %d bytes before the deadline", n)
+	}
+	c.Close()
+	got, err := io.ReadAll(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]byte(nil), sendFileHead...), body...)[:n]
+	if int64(len(got)) != n || !bytes.Equal(got, want) {
+		t.Fatalf("sender counted %d bytes, peer received %d", n, len(got))
+	}
+}
+
+// TestTCPSendFileShortFile: a file holding fewer bytes than promised fails
+// the call once its bytes are sent; it neither pads the body nor waits.
+func TestTCPSendFileShortFile(t *testing.T) {
+	c, s := tcpConnPair(t)
+	fs := sendFileConn(t, s)
+	go io.Copy(io.Discard, c) // until tcpConnPair's cleanup closes c
+	body := patternBytes(100 << 10)
+	s.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	n, err := fs.SendFile(sendFileHead, bodyFile(t, body), 2*int64(len(body)))
+	if !errors.Is(err, errShortFile) {
+		t.Fatalf("SendFile of a short file = %v, want errShortFile", err)
+	}
+	if want := int64(len(sendFileHead) + len(body)); n != want {
+		t.Fatalf("sent %d bytes, want the %d the file held", n, want)
+	}
+}
+
+// TestTCPCloseUnblocksSendFile: Close from another goroutine ends a
+// SendFile waiting on a peer that does not read.
+func TestTCPCloseUnblocksSendFile(t *testing.T) {
+	c, _ := tcpConnPair(t)
+	fs := sendFileConn(t, c)
+	setSendBuffer(t, c, 16<<10)
+	body := patternBytes(8 << 20)
+	f := bodyFile(t, body)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := fs.SendFile(sendFileHead, f, int64(len(body)))
+		errc <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the send park in the poller
+	c.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("pending SendFile after Close = %v, want net.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not unblock a pending SendFile")
+	}
+}
+
+// TestTCPSendFileAllocatesNothing: once warm, SendFile allocates nothing
+// per call.
+func TestTCPSendFileAllocatesNothing(t *testing.T) {
+	c, s := tcpConnPair(t)
+	fs := sendFileConn(t, s)
+	body := patternBytes(4 << 10)
+	f := bodyFile(t, body)
+	buf := make([]byte, len(sendFileHead)+len(body))
+	roundTrip := func() {
+		if _, err := fs.SendFile(sendFileHead, f, int64(len(body))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Fatalf("%v allocations per SendFile+Read, want 0", allocs)
 	}
 }

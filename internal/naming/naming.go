@@ -70,7 +70,10 @@ func Encode(home Origin, docPath string) (string, error) {
 
 // Decode recovers the home server and original document path from a
 // migrated path. It returns ErrNotMigrated when the path does not start
-// with the ~migrate component.
+// with the ~migrate component. A path that Encode of the result would not
+// reproduce is rejected, so one migrated document has one name: a port
+// written "080" or "+80" would otherwise alias ".../80/..." and make a
+// co-op host a second copy that invalidations never reach.
 func Decode(path string) (Origin, string, error) {
 	if !IsMigrated(path) {
 		return Origin{}, "", ErrNotMigrated
@@ -88,8 +91,11 @@ func Decode(path string) (Origin, string, error) {
 	if slash2 <= 0 {
 		return Origin{}, "", fmt.Errorf("naming: missing home port in %q", path)
 	}
-	port, err := strconv.Atoi(rest[:slash2])
-	if err != nil || port <= 0 || port > 65535 {
+	// Encode writes the port in canonical decimal: a leading digit 1-9,
+	// then digits, which Atoi checks.
+	digits := rest[:slash2]
+	port, err := strconv.Atoi(digits)
+	if err != nil || digits[0] < '1' || digits[0] > '9' || port > 65535 {
 		return Origin{}, "", fmt.Errorf("naming: bad home port in %q", path)
 	}
 	doc := rest[slash2:]
@@ -126,13 +132,12 @@ func SplitURL(raw string) (addr, path string, err error) {
 	if !strings.HasPrefix(raw, scheme) {
 		return "", "", fmt.Errorf("naming: unsupported URL %q", raw)
 	}
-	rest := raw[len(scheme):]
-	slash := strings.IndexByte(rest, '/')
-	if slash < 0 {
-		return rest, "/", nil
+	host, path := raw[len(scheme):], "/"
+	if slash := strings.IndexByte(host, '/'); slash >= 0 {
+		host, path = host[:slash], host[slash:]
 	}
-	if slash == 0 {
+	if host == "" {
 		return "", "", fmt.Errorf("naming: missing host in URL %q", raw)
 	}
-	return rest[:slash], rest[slash:], nil
+	return host, path, nil
 }

@@ -48,6 +48,10 @@ func TestDecodeMalformed(t *testing.T) {
 		"/~migrate/host/0/doc.html",
 		"/~migrate/host/99999/doc.html",
 		"/~migrate/host/80",
+		// Ports Encode never writes: they would alias ".../80/...".
+		"/~migrate/host/080/doc.html",
+		"/~migrate/host/+80/doc.html",
+		"/~migrate/host/-80/doc.html",
 	}
 	for _, p := range bad {
 		if _, _, err := Decode(p); err == nil {
@@ -128,6 +132,7 @@ func TestSplitURL(t *testing.T) {
 		{"/relative/path.html", "", "/relative/path.html", false},
 		{"ftp://h/x", "", "", true},
 		{"http:///nohost", "", "", true},
+		{"http://", "", "", true},
 	}
 	for _, c := range cases {
 		addr, path, err := SplitURL(c.in)

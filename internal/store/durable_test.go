@@ -2,12 +2,14 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestDirPutLeftoverTempIgnored: a crash mid-Put leaves a temp file
@@ -105,126 +107,151 @@ func TestDirGetSharedSmallCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
 	d.Put("/small.html", []byte("tiny"))
-	got, err := d.GetShared("/small.html")
+	got, err := GetShared(d, "/small.html")
 	if err != nil || string(got) != "tiny" {
 		t.Fatalf("GetShared small: %q, %v", got, err)
 	}
 }
 
-func TestDirGetSharedLargeMmap(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("mmap unsupported on this platform")
-	}
+// TestDirGetSharedLargeCopies: a Dir has no zero-copy path, so a body of
+// any size comes back as a private copy its reader may keep, and change,
+// without touching the store.
+func TestDirGetSharedLargeCopies(t *testing.T) {
 	d, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	big := bytes.Repeat([]byte("0123456789abcdef"), mmapThreshold/16+16)
+	big := bytes.Repeat([]byte("0123456789abcdef"), LargeBody/16+16)
 	if err := d.Put("/big.bin", big); err != nil {
 		t.Fatal(err)
 	}
-	a, err := d.GetShared("/big.bin")
-	if err != nil {
-		t.Fatal(err)
+	a, err := GetShared(d, "/big.bin")
+	if err != nil || !bytes.Equal(a, big) {
+		t.Fatalf("GetShared large: %d bytes, %v", len(a), err)
 	}
-	if !bytes.Equal(a, big) {
-		t.Fatal("mmap body mismatch")
-	}
-	b, err := d.GetShared("/big.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &a[0] != &b[0] {
-		t.Fatal("second GetShared did not reuse the cached mapping")
-	}
-	if len(d.maps) != 1 {
-		t.Fatalf("mapping cache holds %d entries, want 1", len(d.maps))
+	a[0] = 'X'
+	b, err := GetShared(d, "/big.bin")
+	if err != nil || !bytes.Equal(b, big) {
+		t.Fatal("a reader's change to its body reached the stored document")
 	}
 }
 
-// TestDirGetSharedRetireOnPut: replacing a document retires its mapping —
-// the old slice stays readable (grace period) while new readers see the
-// new content.
-func TestDirGetSharedRetireOnPut(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("mmap unsupported on this platform")
+// TestDirGetSharedSurvivesTruncate: a writer outside the store that
+// truncates a document in place must not take down a process still
+// reading a body it got earlier. A body that maps the file faults on the
+// first read past the new end, and a fault is fatal to the process unless
+// the goroutine asked to panic on faults, as this one does so that the
+// test can report it.
+func TestDirGetSharedSurvivesTruncate(t *testing.T) {
+	root := t.TempDir()
+	d, err := NewDir(root)
+	if err != nil {
+		t.Fatal(err)
 	}
+	big := bytes.Repeat([]byte("page"), 1<<18)
+	if err := d.Put("/big.bin", big); err != nil {
+		t.Fatal(err)
+	}
+	body, err := GetShared(d, "/big.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(root, "big.bin"), 0); err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("reading the body after its file shrank faulted: %v", r)
+		}
+	}()
+	for i := 0; i < len(body); i += 4096 {
+		if body[i] != big[i] {
+			t.Fatalf("byte %d changed after the file shrank", i)
+		}
+	}
+}
+
+// readFileAll reads the n bytes of f from offset 0.
+func readFileAll(t *testing.T, f *os.File, n int64) []byte {
+	t.Helper()
+	b, err := io.ReadAll(io.NewSectionReader(f, 0, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDirOpenFileAcrossPut: OpenFile returns the document's file and its
+// size. A file opened before a Put keeps the content it was opened with —
+// Put renames a new file into place — and the next OpenFile sees the new
+// one.
+func TestDirOpenFileAcrossPut(t *testing.T) {
 	d, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	v1 := bytes.Repeat([]byte("v1v1"), mmapThreshold/4+64)
-	v2 := bytes.Repeat([]byte("v2v2"), mmapThreshold/4+64)
-	d.Put("/doc.bin", v1)
-	old, err := d.GetShared("/doc.bin")
+	v1 := bytes.Repeat([]byte("v1"), LargeBody)
+	v2 := bytes.Repeat([]byte("v2v2"), LargeBody/2+64)
+	if err := d.Put("/doc.bin", v1); err != nil {
+		t.Fatal(err)
+	}
+	old, n, err := d.OpenFile("/doc.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rename gives the new content a new inode; mtime may be equal at
-	// coarse resolution, so nudge it to make the staleness check fire.
+	defer old.Close()
 	if err := d.Put("/doc.bin", v2); err != nil {
 		t.Fatal(err)
 	}
-	p, _ := d.path("/doc.bin")
-	os.Chtimes(p, time.Now(), time.Now().Add(time.Second))
-	cur, err := d.GetShared("/doc.bin")
+	cur, m, err := d.OpenFile("/doc.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(cur, v2) {
-		t.Fatal("GetShared served stale content after Put")
+	defer cur.Close()
+	if n != int64(len(v1)) || m != int64(len(v2)) {
+		t.Fatalf("sizes %d and %d, want %d and %d", n, m, len(v1), len(v2))
 	}
-	if !bytes.Equal(old, v1) {
-		t.Fatal("retired mapping no longer readable within grace period")
+	if !bytes.Equal(readFileAll(t, old, n), v1) {
+		t.Fatal("a file opened before Put changed content")
 	}
-	d.mu.Lock()
-	retired := len(d.retired)
-	d.mu.Unlock()
-	if retired == 0 {
-		t.Fatal("old mapping was not retired")
-	}
-	// Force the sweep past the grace period; the retired mapping unmaps.
-	d.mu.Lock()
-	for _, m := range d.retired {
-		m.retiredAt = m.retiredAt.Add(-2 * retireGrace)
-	}
-	d.sweepRetiredLocked(time.Now())
-	retired = len(d.retired)
-	d.mu.Unlock()
-	if retired != 0 {
-		t.Fatalf("sweep left %d retired mappings", retired)
+	if !bytes.Equal(readFileAll(t, cur, m), v2) {
+		t.Fatal("OpenFile after Put returned the old content")
 	}
 }
 
-func TestDirGetSharedDeleteRetires(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("mmap unsupported on this platform")
-	}
+// TestDirOpenFileMissing: a document that is not there — never written, or
+// deleted — is ErrNotFound, and OpenFile refuses what Get refuses: names
+// escaping the root, the reserved .tmp suffix, and anything that is not a
+// regular file.
+func TestDirOpenFileMissing(t *testing.T) {
 	d, err := NewDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	big := bytes.Repeat([]byte("x"), mmapThreshold+128)
-	d.Put("/gone.bin", big)
-	if _, err := d.GetShared("/gone.bin"); err != nil {
-		t.Fatal(err)
-	}
+	d.Put("/gone.bin", bytes.Repeat([]byte("x"), LargeBody+128))
+	d.Put("/sub/doc.html", []byte("<html></html>"))
 	if err := d.Delete("/gone.bin"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.GetShared("/gone.bin"); err == nil {
-		t.Fatal("GetShared served a deleted document")
+	for _, name := range []string{"/gone.bin", "/never.bin"} {
+		f, _, err := d.OpenFile(name)
+		if !errors.Is(err, ErrNotFound) {
+			t.Errorf("OpenFile(%q) = %v, want ErrNotFound", name, err)
+		}
+		if f != nil {
+			f.Close()
+		}
 	}
-	d.mu.Lock()
-	live, retired := len(d.maps), len(d.retired)
-	d.mu.Unlock()
-	if live != 0 || retired != 1 {
-		t.Fatalf("after delete: %d live, %d retired mappings", live, retired)
+	for _, name := range []string{"/../escape.bin", "/sub/.put-1.tmp", "", "/sub"} {
+		f, _, err := d.OpenFile(name)
+		if err == nil || errors.Is(err, ErrNotFound) {
+			t.Errorf("OpenFile(%q) = %v, want a refusal", name, err)
+		}
+		if f != nil {
+			f.Close()
+		}
 	}
 }
 
@@ -233,8 +260,7 @@ func TestDirGetSharedConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	big := bytes.Repeat([]byte("concurrency"), mmapThreshold/11+32)
+	big := bytes.Repeat([]byte("concurrency"), LargeBody/11+32)
 	for i := 0; i < 4; i++ {
 		d.Put(fmt.Sprintf("/doc-%d.bin", i), big)
 	}
@@ -245,7 +271,7 @@ func TestDirGetSharedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				name := fmt.Sprintf("/doc-%d.bin", i%4)
-				data, err := d.GetShared(name)
+				data, err := GetShared(d, name)
 				if err != nil {
 					t.Errorf("GetShared: %v", err)
 					return

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // ErrNotFound is returned when a document does not exist in the store.
@@ -47,14 +46,30 @@ type SharedGetter interface {
 }
 
 // GetShared returns the named document's bytes without copying when st
-// supports the zero-copy path, falling back to an ordinary Get. The
-// result must be treated as immutable.
+// supports the zero-copy path, falling back to an ordinary Get — a
+// private copy, which is what a Dir returns. The result must be treated
+// as immutable.
 func GetShared(st Store, name string) ([]byte, error) {
 	if sg, ok := st.(SharedGetter); ok {
 		return sg.GetShared(name)
 	}
 	return st.Get(name)
 }
+
+// FileOpener is implemented by stores whose documents are files, so that a
+// large body can be sent straight from the page cache (sendfile(2))
+// instead of through the process. OpenFile opens the named document for
+// reading and returns it with its size, taken by fstat on the open
+// descriptor; the caller closes the file. A missing document is
+// ErrNotFound.
+type FileOpener interface {
+	OpenFile(name string) (*os.File, int64, error)
+}
+
+// LargeBody is the body size from which a server sends a document of a
+// FileOpener store from its file rather than from bytes. Below it a copy
+// costs less than opening, and such bodies stay in the server's caches.
+const LargeBody = 64 << 10
 
 // CleanName normalizes a document name to a rooted, slash-separated path
 // with no dot segments. It returns an error for names that escape the root.
@@ -208,37 +223,12 @@ func (m *Mem) Size(name string) (int64, error) {
 	return int64(len(data)), nil
 }
 
-// Dir is a Store backed by a directory tree on the real filesystem.
-// Large documents are served zero-copy through a per-file mmap cache (see
-// GetShared); writes are crash-atomic (see Put).
+// Dir is a Store backed by a directory tree on the real filesystem. Get
+// returns a private copy; a large body is served from its file through
+// OpenFile. Writes are crash-atomic (see Put).
 type Dir struct {
 	root string
-
-	mu      sync.Mutex
-	maps    map[string]*mapping // live mappings by absolute path
-	retired []*mapping          // unmapped only after a grace period
-	closed  bool
 }
-
-// mapping is one mmap'd document body. Once created its data is
-// immutable: Put never rewrites a document file in place (temp + rename
-// gives the new content a new inode), so readers holding the slice are
-// safe until the pages are unmapped.
-type mapping struct {
-	data      []byte
-	size      int64
-	mtime     time.Time
-	retiredAt time.Time
-}
-
-// mmapThreshold is the body size below which GetShared copies instead of
-// mapping — page-granular mmap bookkeeping costs more than a small copy.
-const mmapThreshold = 64 << 10
-
-// retireGrace is how long a superseded mapping stays valid after being
-// retired, protecting readers that obtained the shared slice just before
-// the document was replaced.
-const retireGrace = time.Minute
 
 // NewDir returns a store rooted at dir, creating it if necessary.
 func NewDir(dir string) (*Dir, error) {
@@ -249,7 +239,7 @@ func NewDir(dir string) (*Dir, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Dir{root: abs, maps: make(map[string]*mapping)}, nil
+	return &Dir{root: abs}, nil
 }
 
 func (d *Dir) path(name string) (string, error) {
@@ -278,108 +268,35 @@ func (d *Dir) Get(name string) ([]byte, error) {
 	return data, err
 }
 
-// GetShared implements SharedGetter. Bodies at or above mmapThreshold are
-// served from an mmap of the document file — no copy, no heap allocation
-// for the body — keyed by path and validated against the file's current
-// size and mtime. Smaller bodies, and platforms without mmap support, fall
-// back to an ordinary read. The returned slice is immutable (Put replaces
-// files by rename, never in place) and stays mapped for at least
-// retireGrace after the document changes.
-func (d *Dir) GetShared(name string) ([]byte, error) {
+// OpenFile implements FileOpener. The file is opened per call and never
+// cached. Put replaces a document by rename, so an open file keeps the
+// content it was opened with; only a writer outside the store can shrink
+// it, and a sender must then fail rather than pad (see httpx.Response).
+func (d *Dir) OpenFile(name string) (*os.File, int64, error) {
 	p, err := d.path(name)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	info, err := os.Stat(p)
+	f, err := os.Open(p)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if info.Size() < mmapThreshold || !mmapSupported {
-		return d.Get(name)
+	info, err := f.Stat()
+	if err == nil && !info.Mode().IsRegular() {
+		err = fmt.Errorf("store: %s is not a regular file", name)
 	}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return d.Get(name)
-	}
-	d.sweepRetiredLocked(time.Now())
-	if m, ok := d.maps[p]; ok {
-		if m.size == info.Size() && m.mtime.Equal(info.ModTime()) {
-			data := m.data
-			d.mu.Unlock()
-			return data, nil
-		}
-		d.retireLocked(p)
-	}
-	d.mu.Unlock()
-
-	data, err := mmapFile(p, info.Size())
 	if err != nil {
-		return d.Get(name) // mmap failure is not fatal; copy instead
+		f.Close()
+		return nil, 0, err
 	}
-	m := &mapping{data: data, size: info.Size(), mtime: info.ModTime()}
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		munmapFile(data)
-		return d.Get(name)
-	}
-	if prev, ok := d.maps[p]; ok {
-		// Lost a race with another GetShared; serve the winner's mapping.
-		d.mu.Unlock()
-		munmapFile(data)
-		return prev.data, nil
-	}
-	d.maps[p] = m
-	d.mu.Unlock()
-	return data, nil
+	return f, info.Size(), nil
 }
 
-// retireLocked moves the mapping for p (if any) to the retired list; the
-// pages stay valid for retireGrace so in-flight readers finish safely.
-func (d *Dir) retireLocked(p string) {
-	if m, ok := d.maps[p]; ok {
-		m.retiredAt = time.Now()
-		d.retired = append(d.retired, m)
-		delete(d.maps, p)
-	}
-}
-
-// sweepRetiredLocked unmaps retired mappings older than the grace period.
-func (d *Dir) sweepRetiredLocked(now time.Time) {
-	kept := d.retired[:0]
-	for _, m := range d.retired {
-		if now.Sub(m.retiredAt) >= retireGrace {
-			munmapFile(m.data)
-		} else {
-			kept = append(kept, m)
-		}
-	}
-	d.retired = kept
-}
-
-// Close unmaps every cached document body. Callers must not use slices
-// previously returned by GetShared after Close.
-func (d *Dir) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil
-	}
-	d.closed = true
-	for p, m := range d.maps {
-		munmapFile(m.data)
-		delete(d.maps, p)
-	}
-	for _, m := range d.retired {
-		munmapFile(m.data)
-	}
-	d.retired = nil
-	return nil
-}
+// Close releases nothing: a Dir holds no open files between calls.
+func (d *Dir) Close() error { return nil }
 
 // Put implements Store. The write is crash-atomic: data goes to a
 // uniquely named temp file, is fsynced, renamed over the target, and the
@@ -418,9 +335,6 @@ func (d *Dir) Put(name string, data []byte) error {
 		return err
 	}
 	syncDir(parent)
-	d.mu.Lock()
-	d.retireLocked(p)
-	d.mu.Unlock()
 	return nil
 }
 
@@ -430,9 +344,6 @@ func (d *Dir) Delete(name string) error {
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
-	d.retireLocked(p)
-	d.mu.Unlock()
 	err = os.Remove(p)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
