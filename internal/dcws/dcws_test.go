@@ -22,6 +22,10 @@ type testWorld struct {
 	servers map[string]*Server
 	client  *httpx.Client
 	t       *testing.T
+	// noLoops starts servers listening but without their maintenance
+	// loops, so the test's explicit ticks are the only ones: otherwise a
+	// loop woken by clock.Advance races the tick the test runs next.
+	noLoops bool
 }
 
 func newWorld(t *testing.T) *testWorld {
@@ -75,7 +79,11 @@ func (w *testWorld) addServerOn(st store.Store, host string, port int, docs map[
 	for _, s := range w.servers {
 		s.LoadTable().Observe(glt.Entry{Server: srv.Addr(), Load: 0, Updated: time.Time{}})
 	}
-	if err := srv.Start(); err != nil {
+	start := srv.Start
+	if w.noLoops {
+		start = srv.listenAndServe
+	}
+	if err := start(); err != nil {
 		w.t.Fatal(err)
 	}
 	w.t.Cleanup(func() { srv.Close() })

@@ -424,6 +424,7 @@ func TestFlakyLinkFetchesSurviveRetries(t *testing.T) {
 // piggybacked load (re-admitted, breaker reset) → migrations resume.
 func TestPartitionSuspectDownThenRecovery(t *testing.T) {
 	w := newWorld(t)
+	w.noLoops = true
 	home, coop := migrateAndServe(t, w)
 	w.get("coop:81", "/~migrate/home/80/page.html")
 
@@ -497,6 +498,7 @@ func TestPartitionSuspectDownThenRecovery(t *testing.T) {
 // peer; old entries relayed by third parties are scrubbed.
 func TestStaleEchoDoesNotResurrectDownPeer(t *testing.T) {
 	w := newWorld(t)
+	w.noLoops = true
 	home, _ := migrateAndServe(t, w)
 	w.fabric.Partition("home:80", "coop:81")
 	before := w.clock.Now()

@@ -304,8 +304,10 @@ func (h *invalHub) subscriberCount() (connected, total int) {
 
 // handleSubscribe answers a co-op's GET /~dcws/subscribe with a 101 whose
 // Hijack takes over the connection for framed traffic. The hijack
-// callback runs on a bounded httpx worker and must not block: it spawns
-// the reader and heartbeat goroutines and returns immediately.
+// callback runs on the connection's own httpx goroutine, after its worker
+// slot is released. The HTTP server waits for that goroutine when it
+// stops, so the callback must not block: it spawns the reader and
+// heartbeat goroutines and returns immediately.
 func (h *invalHub) handleSubscribe(req *httpx.Request) *httpx.Response {
 	if h.s.params.LeaseDuration <= 0 {
 		return status(404, "push invalidation disabled")
@@ -324,7 +326,7 @@ func (h *invalHub) handleSubscribe(req *httpx.Request) *httpx.Response {
 
 // attach binds an upgraded connection to the subscriber record for addr,
 // replacing any previous connection, and spawns its reader and heartbeat
-// goroutines. Runs on an httpx worker; must not block.
+// goroutines. Runs as the hijack callback; must not block.
 func (h *invalHub) attach(addr string, conn net.Conn, br *bufio.Reader) {
 	h.mu.Lock()
 	sub, ok := h.subs[addr]

@@ -496,47 +496,58 @@ func (s *Server) Origin() naming.Origin { return s.cfg.Origin }
 func (s *Server) Start() error {
 	var startErr error
 	s.startOnce.Do(func() {
-		l, err := s.cfg.Network.Listen(s.Addr())
-		if err != nil {
-			startErr = fmt.Errorf("dcws: listen %s: %w", s.Addr(), err)
-			return
+		if startErr = s.listenAndServe(); startErr == nil {
+			s.startLoops()
 		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if err := s.httpSrv.Serve(l); err != nil {
-				s.log.Printf("dcws %s: serve: %v", s.Addr(), err)
-			}
-		}()
-		// The statistics module (§5.1), the pinger and the co-op validator
-		// (§4.5), then the loops of the extensions that are switched on.
-		s.every(fixed(s.params.StatsInterval), s.runStatsTick)
-		s.every(fixed(s.params.PingerInterval), s.runPingerTick)
-		s.every(fixed(s.params.ValidateInterval), s.runValidatorTick)
-		if s.params.AntiEntropyInterval > 0 {
-			s.every(s.antiEntropyWait, func() {
-				if !s.aeSkip() {
-					s.runAntiEntropyTick()
-				}
-			})
-		}
-		if s.wal != nil && s.params.SnapshotInterval > 0 {
-			// writeSnapshot logs its own failure; the next round retries.
-			s.every(fixed(s.params.SnapshotInterval), func() { _ = s.writeSnapshot() })
-		}
-		if s.params.SLOCheckInterval > 0 {
-			s.every(fixed(s.params.SLOCheckInterval), s.TickSLO)
-		}
-		if s.params.LeaseDuration > 0 {
-			// Re-subscribe for every home we host recovered documents for;
-			// fresh admissions subscribe from their own fetch paths.
-			for _, home := range s.coops.homes() {
-				s.subs.ensureSubscribed(home)
-			}
-		}
-		s.log.Printf("dcws %s: started with %d documents", s.Addr(), s.ldg.Len())
 	})
 	return startErr
+}
+
+// listenAndServe opens the listener and serves it in the background.
+func (s *Server) listenAndServe() error {
+	l, err := s.cfg.Network.Listen(s.Addr())
+	if err != nil {
+		return fmt.Errorf("dcws: listen %s: %w", s.Addr(), err)
+	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		if err := s.httpSrv.Serve(l); err != nil {
+			s.log.Printf("dcws %s: serve: %v", s.Addr(), err)
+		}
+	}()
+	return nil
+}
+
+// startLoops launches the background maintenance: the statistics module
+// (§5.1), the pinger and the co-op validator (§4.5), then the loops of the
+// extensions that are switched on.
+func (s *Server) startLoops() {
+	s.every(fixed(s.params.StatsInterval), s.runStatsTick)
+	s.every(fixed(s.params.PingerInterval), s.runPingerTick)
+	s.every(fixed(s.params.ValidateInterval), s.runValidatorTick)
+	if s.params.AntiEntropyInterval > 0 {
+		s.every(s.antiEntropyWait, func() {
+			if !s.aeSkip() {
+				s.runAntiEntropyTick()
+			}
+		})
+	}
+	if s.wal != nil && s.params.SnapshotInterval > 0 {
+		// writeSnapshot logs its own failure; the next round retries.
+		s.every(fixed(s.params.SnapshotInterval), func() { _ = s.writeSnapshot() })
+	}
+	if s.params.SLOCheckInterval > 0 {
+		s.every(fixed(s.params.SLOCheckInterval), s.TickSLO)
+	}
+	if s.params.LeaseDuration > 0 {
+		// Re-subscribe for every home we host recovered documents for;
+		// fresh admissions subscribe from their own fetch paths.
+		for _, home := range s.coops.homes() {
+			s.subs.ensureSubscribed(home)
+		}
+	}
+	s.log.Printf("dcws %s: started with %d documents", s.Addr(), s.ldg.Len())
 }
 
 // fixed is a constant wait for every.

@@ -131,8 +131,9 @@ type Request struct {
 	Proto  string // "HTTP/1.0" or "HTTP/1.1"
 	Header Header
 	Body   []byte
-	// RemoteAddr is filled in by the server for handler use.
-	RemoteAddr string
+	// RemoteAddr is filled in by the server for handler use. It stays a
+	// net.Addr so that only whoever needs the text pays to format it.
+	RemoteAddr net.Addr
 }
 
 // NewRequest returns a GET request for path with an empty header map.

@@ -371,18 +371,17 @@ func TestCancelTokenAbortsInFlight(t *testing.T) {
 	}
 }
 
-// TestServerParkResume exercises the off-worker idle parking: a kept-alive
-// connection outlives the on-worker hold, parks, and is resumed by a later
-// request on the same pooled connection.
-func TestServerParkResume(t *testing.T) {
-	_, client, _ := startKeepAliveServer(t, ServerConfig{KeepAliveHold: time.Millisecond}, PoolConfig{}, okHandler("again"))
+// TestServerKeepAliveAfterIdle: a kept-alive connection that sits idle
+// between requests is served again on the same pooled connection.
+func TestServerKeepAliveAfterIdle(t *testing.T) {
+	_, client, _ := startKeepAliveServer(t, ServerConfig{}, PoolConfig{}, okHandler("again"))
 	if _, err := client.Get(srvAddr, "/x", nil); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // let the hold expire and the conn park
+	time.Sleep(50 * time.Millisecond)
 	resp, err := client.Get(srvAddr, "/x", nil)
 	if err != nil {
-		t.Fatalf("request over parked connection: %v", err)
+		t.Fatalf("request over idle connection: %v", err)
 	}
 	if resp.Status != 200 || string(resp.Body) != "again" {
 		t.Fatalf("got %d %q", resp.Status, resp.Body)
@@ -392,21 +391,20 @@ func TestServerParkResume(t *testing.T) {
 	}
 }
 
-// TestServerCloseSweepsParkedConns: closing a server with a connection
-// parked on a long idle timeout must return promptly. The shutdown sweep
-// expires every parked deadline, and the watcher goroutine must not
-// re-arm a future deadline over the sweep and sit out the idle timeout.
-func TestServerCloseSweepsParkedConns(t *testing.T) {
+// TestServerCloseSweepsIdleConns: closing a server with an idle kept-alive
+// connection on a long read timeout must return promptly. The shutdown
+// sweep expires every live read deadline, and the connection's goroutine
+// must not re-arm a future deadline over the sweep and sit out the timeout.
+func TestServerCloseSweepsIdleConns(t *testing.T) {
 	fabric := memnet.NewFabric()
 	l, err := fabric.Listen(srvAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(ServerConfig{
-		KeepAlive:     true,
-		KeepAliveHold: time.Millisecond,
-		IdleTimeout:   time.Minute,
-	}, okHandler("park"))
+		KeepAlive:   true,
+		ReadTimeout: time.Minute,
+	}, okHandler("idle"))
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(l) }()
 	client := NewPooledClient(DialerFunc(fabric.Named("cli").Dial), PoolConfig{})
@@ -414,7 +412,7 @@ func TestServerCloseSweepsParkedConns(t *testing.T) {
 	if _, err := client.Get(srvAddr, "/x", nil); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // let the hold expire and the conn park
+	time.Sleep(20 * time.Millisecond) // let the connection settle into its idle wait
 	srv.Close()
 	select {
 	case err := <-served:
@@ -422,7 +420,7 @@ func TestServerCloseSweepsParkedConns(t *testing.T) {
 			t.Fatalf("Serve returned %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Serve did not return; a parked connection held shutdown hostage")
+		t.Fatal("Serve did not return; an idle connection held shutdown hostage")
 	}
 }
 
@@ -435,7 +433,7 @@ func TestPoolSoak(t *testing.T) {
 		return resp
 	})
 	_, client, _ := startKeepAliveServer(t,
-		ServerConfig{Workers: 8, KeepAliveHold: time.Millisecond},
+		ServerConfig{Workers: 8},
 		PoolConfig{MaxIdlePerHost: 2, IdleTimeout: 20 * time.Millisecond, MaxLifetime: 200 * time.Millisecond},
 		echo)
 	var wg sync.WaitGroup

@@ -1,7 +1,6 @@
 package httpx
 
 import (
-	"bufio"
 	"errors"
 	"log"
 	"net"
@@ -13,7 +12,7 @@ import (
 )
 
 // Handler processes one request and returns the response to send. Handlers
-// must be safe for concurrent use by multiple worker goroutines.
+// must be safe for concurrent use: up to Workers of them run at once.
 type Handler interface {
 	Serve(req *Request) *Response
 }
@@ -26,15 +25,17 @@ func (f HandlerFunc) Serve(req *Request) *Response { return f(req) }
 
 // Observer receives server life-cycle events for telemetry. Methods must
 // be safe for concurrent use and fast: they run on the accept loop and the
-// worker hot path. A nil Observer disables observation entirely.
+// request hot path. A nil Observer disables observation entirely.
 type Observer interface {
-	// ConnQueued fires when an accepted connection enters the socket queue.
+	// ConnQueued fires when an accepted connection is admitted to the
+	// socket queue.
 	ConnQueued()
 	// ConnDropped fires when a connection is answered 503 because the
 	// socket queue was full.
 	ConnDropped()
-	// QueueWait reports how long a connection sat in the socket queue
-	// before a worker picked it up.
+	// QueueWait reports how long a ready request sat in the socket queue
+	// before it took a worker slot: since admission for a connection's
+	// first request, since its first byte arrived for a kept-alive one.
 	QueueWait(d time.Duration)
 	// Request reports one completed exchange: the response status, the
 	// bytes read from and written to the connection while serving it, and
@@ -45,27 +46,20 @@ type Observer interface {
 // ServerConfig mirrors the thread and queue parameters of the paper's
 // Table 1.
 type ServerConfig struct {
-	// Workers is the number of worker goroutines (N_wk, default 12).
+	// Workers is the number of worker slots (N_wk, default 12): at most
+	// this many requests are read, handled and written at once.
 	Workers int
-	// QueueLength is the socket queue capacity for backlogged requests
-	// (L_sq, default 100). When the queue is full new connections are
-	// dropped gracefully with a 503 response.
+	// QueueLength is the socket queue capacity (L_sq, default 100): while
+	// this many ready requests wait for a worker slot, new connections
+	// are dropped gracefully with a 503 response.
 	QueueLength int
-	// ReadTimeout bounds how long a worker waits for a request on an
-	// accepted connection.
+	// ReadTimeout bounds how long a connection may take to deliver each
+	// request, idle time before it included: an idle kept-alive
+	// connection is closed after it (default 30s).
 	ReadTimeout time.Duration
 	// KeepAlive allows multiple requests per connection when the client
 	// asks for it.
 	KeepAlive bool
-	// KeepAliveHold is how long a worker waits on a kept-alive connection
-	// for the next request before parking it off-worker, so back-to-back
-	// RPCs stay on the fast path without pinning a bounded worker slot
-	// through think time (default 5ms; negative parks immediately).
-	KeepAliveHold time.Duration
-	// IdleTimeout is how long a parked keep-alive connection may sit idle
-	// before it is closed (default ReadTimeout; negative disables parking,
-	// closing idle connections as soon as KeepAliveHold expires).
-	IdleTimeout time.Duration
 	// ErrorLog receives accept and protocol errors; nil discards them.
 	ErrorLog *log.Logger
 	// AccessLog receives one line per completed exchange (remote, method,
@@ -90,18 +84,17 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 30 * time.Second
 	}
-	if c.KeepAliveHold == 0 {
-		c.KeepAliveHold = 5 * time.Millisecond
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = c.ReadTimeout
-	}
 	return c
 }
 
 // Server is the multithreaded HTTP front-end of §5.1: one accept loop (the
-// "front-end thread"), a bounded pending-connection queue, and a pool of
-// worker goroutines. Connections that arrive while the queue is full are
+// "front-end thread"), N_wk worker slots and a socket queue of L_sq ready
+// requests. Every admitted connection is served by a goroutine of its own
+// for its whole life; between requests that goroutine waits in the network
+// poller and holds no slot. A request holds a slot from the moment it is
+// ready until its response is written, so at most Workers handlers run at
+// once. Ready requests that hold no slot, on fresh connections or kept-alive
+// ones, are the socket queue: a connection that arrives while it is full is
 // answered 503 and closed, the paper's graceful drop behaviour.
 type Server struct {
 	cfg     ServerConfig
@@ -110,23 +103,22 @@ type Server struct {
 	mu       sync.Mutex
 	listener net.Listener
 	closed   bool
-	wg       sync.WaitGroup
+	// conns is the set of live connections the shutdown sweep wakes;
+	// wg counts their goroutines.
+	conns map[net.Conn]struct{}
+	wg    sync.WaitGroup
 
-	// queue is the socket queue, published once by Serve. It is read on
-	// every response (QueueDepth feeds the advertised load), so readers
-	// must not contend on mu with Serve and Close.
-	queue atomic.Pointer[chan queuedConn]
-
-	// resume carries parked keep-alive connections that received data
-	// back to the workers; done stops parking at shutdown. resume is
-	// unbuffered and never closed, so parked-connection watchers hand off
-	// directly to a worker or bail out on done.
-	resume   chan queuedConn
+	// slots is the worker-slot semaphore: a request holds a slot by
+	// having sent into it.
+	slots chan struct{}
+	// waiting counts ready requests that hold no slot: the socket queue.
+	// It is read on every response (QueueDepth feeds the advertised load),
+	// so it is an atomic rather than under mu.
+	waiting atomic.Int64
+	// done closes when Serve stops; connection goroutines check it after
+	// re-arming their read deadline and while waiting for a slot.
 	done     chan struct{}
 	doneOnce sync.Once
-	parkWg   sync.WaitGroup
-	parkedMu sync.Mutex
-	parked   map[net.Conn]struct{}
 
 	// dropped counts connections refused with 503 due to a full queue.
 	dropped atomic.Int64
@@ -134,12 +126,13 @@ type Server struct {
 
 // NewServer returns a server that dispatches to handler.
 func NewServer(cfg ServerConfig, handler Handler) *Server {
+	cfg = cfg.withDefaults()
 	return &Server{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		handler: handler,
-		resume:  make(chan queuedConn),
+		conns:   make(map[net.Conn]struct{}),
+		slots:   make(chan struct{}, cfg.Workers),
 		done:    make(chan struct{}),
-		parked:  make(map[net.Conn]struct{}),
 	}
 }
 
@@ -153,14 +146,7 @@ func (s *Server) Serve(l net.Listener) error {
 		return errors.New("httpx: server closed")
 	}
 	s.listener = l
-	queue := make(chan queuedConn, s.cfg.QueueLength)
-	s.queue.Store(&queue)
 	s.mu.Unlock()
-
-	for i := 0; i < s.cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker(queue)
-	}
 
 	for {
 		conn, err := l.Accept()
@@ -168,47 +154,63 @@ func (s *Server) Serve(l net.Listener) error {
 			s.mu.Lock()
 			closed := s.closed
 			s.mu.Unlock()
-			// Stop parking first so idle keep-alive connections close
-			// instead of re-entering the worker loop, then let the workers
-			// drain the queue and exit.
-			s.doneOnce.Do(func() { close(s.done) })
-			s.closeParked()
-			close(queue)
-			s.wg.Wait()
-			s.parkWg.Wait()
+			s.stop()
 			if closed {
 				return nil
 			}
 			return err
 		}
-		select {
-		case queue <- queuedConn{conn: conn, at: time.Now()}:
-			if s.cfg.Observer != nil {
-				s.cfg.Observer.ConnQueued()
-			}
-		default:
+		if s.waiting.Load() >= int64(s.cfg.QueueLength) {
 			// Socket queue full: graceful 503 drop (§5.2).
 			s.dropped.Add(1)
 			if s.cfg.Observer != nil {
 				s.cfg.Observer.ConnDropped()
 			}
 			go dropConn(conn)
+			continue
 		}
+		// Admitted: the connection counts as waiting until it holds a slot.
+		s.waiting.Add(1)
+		if s.cfg.Observer != nil {
+			s.cfg.Observer.ConnQueued()
+		}
+		s.mu.Lock()
+		s.conns[conn] = struct{}{}
+		s.mu.Unlock()
+		s.wg.Add(1)
+		go s.serveConn(conn, time.Now())
 	}
 }
 
-// queuedConn is one socket-queue slot: the accepted connection and its
-// enqueue time, so workers can report queue wait. A parked keep-alive
-// connection re-enters the workers through the same struct, carrying its
-// buffered reader, formatted remote address and byte-count watermarks
-// across the idle wait; br is nil for freshly accepted connections.
-type queuedConn struct {
-	conn net.Conn
-	at   time.Time
+// stop ends service once the accept loop has failed. Closing done stops
+// connections waiting for a slot; expiring every live read deadline wakes
+// those waiting for a request. A connection that re-arms its deadline after
+// the sweep checks done next, so none waits out ReadTimeout.
+func (s *Server) stop() {
+	s.doneOnce.Do(func() { close(s.done) })
+	s.mu.Lock()
+	for c := range s.conns {
+		c.SetReadDeadline(time.Now().Add(-time.Second))
+	}
+	s.mu.Unlock()
+	s.wg.Wait()
+}
 
-	br              *bufio.Reader
-	remote          string
-	prevIn, prevOut int64
+// stopping reports whether Serve has stopped.
+func (s *Server) stopping() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// forget drops conn from the live set: it is closed or hijacked.
+func (s *Server) forget(conn net.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
 }
 
 // countingConn counts the bytes crossing a connection so per-request wire
@@ -260,56 +262,54 @@ func dropConn(conn net.Conn) {
 	WriteResponse(conn, resp)
 }
 
-func (s *Server) worker(queue chan queuedConn) {
+// serveConn serves one admitted connection for its whole life; at is when
+// it was admitted. Each request waits in the poller holding nothing, counts
+// as waiting once it is ready, is read, handled and written under a worker
+// slot, and gives the slot back before the next one is awaited.
+func (s *Server) serveConn(raw net.Conn, at time.Time) {
 	defer s.wg.Done()
-	for {
-		var qc queuedConn
-		select {
-		case q, ok := <-queue:
-			if !ok {
-				return
-			}
-			qc = q
-		case qc = <-s.resume:
-		}
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.QueueWait(time.Since(qc.at))
-		}
-		s.serveConn(qc)
-	}
-}
-
-func (s *Server) serveConn(qc queuedConn) {
 	obs := s.cfg.Observer
-	conn := qc.conn
+	conn := raw
 	var cc *countingConn
-	if qc.br == nil {
-		if obs != nil {
-			cc = &countingConn{Conn: conn}
-			conn = cc
-		}
-		qc.br = getReader(conn)
-		// Formatting the address allocates; a connection has one.
-		qc.remote = conn.RemoteAddr().String()
-	} else {
-		// Resumed from the parked set: the connection is already wrapped.
-		cc, _ = conn.(*countingConn)
+	if obs != nil {
+		cc = &countingConn{Conn: conn}
+		conn = cc
 	}
-	br := qc.br
-	prevIn, prevOut := qc.prevIn, qc.prevOut
-	for {
+	br := getReader(conn)
+	remote := conn.RemoteAddr()
+	var prevIn, prevOut int64
+	for kept := false; ; kept = true {
+		// One read deadline covers the wait for the request and its
+		// parse. done is checked after arming it, here and in acquire: a
+		// shutdown sweep that came before is seen there, one that comes
+		// after expires it.
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		if kept {
+			if s.stopping() {
+				break
+			}
+			if _, err := br.Peek(1); err != nil {
+				break
+			}
+			s.waiting.Add(1)
+			at = time.Now()
+		}
+		if !s.acquire() {
+			break
+		}
+		if obs != nil {
+			obs.QueueWait(time.Since(at))
+		}
 		req, err := ReadRequest(br)
 		if err != nil {
 			if errors.Is(err, ErrMalformed) || errors.Is(err, ErrLineTooLong) {
 				WriteResponse(conn, errorResponse(400))
 			}
-			putReader(br)
-			conn.Close()
-			return
+			<-s.slots
+			break
 		}
 		start := time.Now()
-		req.RemoteAddr = qc.remote
+		req.RemoteAddr = remote
 		resp := s.dispatch(req)
 		keep := s.cfg.KeepAlive && wantsKeepAlive(req)
 		if keep {
@@ -343,115 +343,42 @@ func (s *Server) serveConn(qc queuedConn) {
 			obs.Request(resp.Status, in-prevIn, out-prevOut, time.Since(start))
 			prevIn, prevOut = in, out
 		}
+		<-s.slots // the response is written: release the worker slot
 		if resp.Hijack != nil && werr == nil {
-			// Protocol upgrade: the handler takes the connection. Clear the
-			// per-request deadlines so the hijacker starts from a blank
-			// slate, keep the buffered reader (it may hold read-ahead
-			// frames), and never touch the connection again here.
+			// Protocol upgrade: the handler takes the connection, on this
+			// goroutine and holding no slot. Clear the per-request deadlines
+			// so the hijacker starts from a blank slate, keep the buffered
+			// reader (it may hold read-ahead frames), and never touch the
+			// connection again here.
+			s.forget(raw)
 			conn.SetReadDeadline(time.Time{})
 			conn.SetWriteDeadline(time.Time{})
 			resp.Hijack(conn, br)
 			return
 		}
 		if werr != nil || !keep {
-			putReader(br)
-			conn.Close()
-			return
+			break
 		}
-		if br.Buffered() > 0 {
-			// Pipelined follow-up already waiting.
-			continue
-		}
-		// Hold briefly for the next request of a bursty exchange, then
-		// park the idle connection off-worker so it does not pin one of
-		// the bounded worker slots (§5.1 sizes them for active requests).
-		if s.cfg.KeepAliveHold > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.KeepAliveHold))
-			if _, err := br.Peek(1); err == nil {
-				continue
-			} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
-				putReader(br)
-				conn.Close()
-				return
-			}
-		}
-		s.park(queuedConn{conn: conn, br: br, remote: qc.remote, prevIn: prevIn, prevOut: prevOut})
-		return
 	}
+	s.forget(raw)
+	putReader(br)
+	conn.Close()
 }
 
-// park hands an idle keep-alive connection to a watcher goroutine that
-// waits (up to IdleTimeout) for its next request and then re-enqueues it
-// to the workers, or closes it on timeout, error, or server shutdown.
-func (s *Server) park(qc queuedConn) {
-	if s.cfg.IdleTimeout < 0 {
-		s.discard(qc)
-		return
-	}
-	s.parkedMu.Lock()
-	s.parked[qc.conn] = struct{}{}
-	s.parkedMu.Unlock()
-	// Check done only after registering: shutdown closes done and then
-	// sweeps the parked set, so a connection is either swept or sees done
-	// here — never silently left waiting out its idle timeout.
-	select {
-	case <-s.done:
-		s.parkedMu.Lock()
-		delete(s.parked, qc.conn)
-		s.parkedMu.Unlock()
-		s.discard(qc)
-		return
-	default:
-	}
-	s.parkWg.Add(1)
-	go func() {
-		defer s.parkWg.Done()
-		qc.conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		// Re-check done now that the idle deadline is armed: closeParked
-		// may have expired the deadline in the window before the line
-		// above overwrote it with a future one, and shutdown must not wait
-		// out IdleTimeout behind an undone sweep. closeParked always runs
-		// after done is closed, so this check observes every sweep.
+// acquire moves a ready request out of the socket queue into a worker
+// slot, waiting for one to free up. It fails once Serve has stopped; the
+// request leaves the queue either way.
+func (s *Server) acquire() bool {
+	ok := !s.stopping()
+	if ok {
 		select {
+		case s.slots <- struct{}{}:
 		case <-s.done:
-			s.parkedMu.Lock()
-			delete(s.parked, qc.conn)
-			s.parkedMu.Unlock()
-			s.discard(qc)
-			return
-		default:
+			ok = false
 		}
-		_, err := qc.br.Peek(1)
-		s.parkedMu.Lock()
-		delete(s.parked, qc.conn)
-		s.parkedMu.Unlock()
-		if err != nil {
-			s.discard(qc)
-			return
-		}
-		qc.at = time.Now()
-		select {
-		case <-s.done:
-			s.discard(qc)
-		case s.resume <- qc:
-		}
-	}()
-}
-
-// discard releases a parked connection's reader and closes it.
-func (s *Server) discard(qc queuedConn) {
-	putReader(qc.br)
-	qc.conn.Close()
-}
-
-// closeParked wakes every parked connection's watcher by expiring its
-// read deadline, so shutdown does not wait out idle timeouts.
-func (s *Server) closeParked() {
-	s.parkedMu.Lock()
-	for c := range s.parked {
-		c.SetReadDeadline(time.Now().Add(-time.Second))
 	}
-	s.parkedMu.Unlock()
+	s.waiting.Add(-1)
+	return ok
 }
 
 func (s *Server) dispatch(req *Request) (resp *Response) {
@@ -507,16 +434,10 @@ func errorResponse(status int) *Response {
 // queue was full.
 func (s *Server) Dropped() int64 { return s.dropped.Load() }
 
-// QueueDepth reports how many accepted connections currently sit in the
-// socket queue waiting for a worker — the early-warning signal the
-// queue-aware load metric folds in. Zero before Serve starts.
-func (s *Server) QueueDepth() int {
-	q := s.queue.Load()
-	if q == nil {
-		return 0
-	}
-	return len(*q)
-}
+// QueueDepth reports how many ready requests sit in the socket queue
+// holding no worker slot, on fresh connections and kept-alive ones alike —
+// the early-warning signal the queue-aware load metric folds in.
+func (s *Server) QueueDepth() int { return int(s.waiting.Load()) }
 
 // Close stops accepting connections and waits for in-flight requests.
 func (s *Server) Close() error {

@@ -1,7 +1,13 @@
 package httpx
 
 import (
+	"bufio"
+	"fmt"
 	"log"
+	"net"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -206,6 +212,135 @@ func TestServerKeepAlive(t *testing.T) {
 	}
 	if got := strings.Count(string(all), "HTTP/1.0 200"); got != 2 {
 		t.Fatalf("saw %d responses on one keep-alive connection, want 2", got)
+	}
+}
+
+// TestServerWorkerSlotsBoundHandlers: connections are many, worker slots
+// few. Six kept-alive requests against two slots run at most two handlers
+// at once, and every one completes.
+func TestServerWorkerSlotsBoundHandlers(t *testing.T) {
+	var mu sync.Mutex
+	running, peak := 0, 0
+	release := make(chan struct{})
+	h := HandlerFunc(func(req *Request) *Response {
+		if req.Path == "/block" {
+			mu.Lock()
+			running++
+			peak = max(peak, running)
+			mu.Unlock()
+			<-release
+			mu.Lock()
+			running--
+			mu.Unlock()
+		}
+		return NewResponse(200)
+	})
+	fabric, _, srv := startKeepAliveServer(t, ServerConfig{Workers: 2}, PoolConfig{}, h)
+	clients := keptAliveClients(t, fabric, 6)
+	wait := getAll(t, clients, "/block")
+	waitQueueDepth(t, srv, 4, "4 kept-alive requests beyond the 2 worker slots")
+	close(release)
+	wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if peak != 2 {
+		t.Fatalf("peak concurrent handlers = %d, want 2 (Workers)", peak)
+	}
+}
+
+// TestServerCloseLeaksNothing opens 200 loopback-TCP connections — idle
+// after a kept-alive exchange, reset by the client while idle, or reset
+// while their response is pending — closes the server, and checks that
+// every goroutine and file descriptor the exchange made is gone. The
+// collector is off meanwhile: a finalizer closing a leaked socket would
+// hide the leak.
+func TestServerCloseLeaksNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	baseFDs, baseG := fds(), runtime.NumGoroutine()
+
+	l, err := memnet.TCP{}.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no TCP: %v", err)
+	}
+	const n = 200
+	arrived := make(chan struct{}, n)
+	release := make(chan struct{})
+	body := make([]byte, 1<<20)
+	srv := NewServer(ServerConfig{KeepAlive: true, Workers: n, ReadTimeout: time.Minute},
+		HandlerFunc(func(req *Request) *Response {
+			resp := NewResponse(200)
+			if req.Path == "/cut" {
+				arrived <- struct{}{}
+				<-release
+				resp.Body = body
+			}
+			return resp
+		}))
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+
+	reset := func(c net.Conn) {
+		c.(*net.TCPConn).SetLinger(0)
+		c.Close()
+	}
+	var idle, cut []net.Conn
+	for i := 0; i < n; i++ {
+		c, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			fmt.Fprint(c, "GET /cut HTTP/1.1\r\n\r\n")
+			cut = append(cut, c)
+			continue
+		}
+		fmt.Fprint(c, "GET /x HTTP/1.1\r\n\r\n")
+		if resp, err := ReadResponse(bufio.NewReader(c)); err != nil || resp.Status != 200 {
+			t.Fatalf("conn %d: %v %v", i, resp, err)
+		}
+		if i%3 == 1 {
+			reset(c)
+		} else {
+			idle = append(idle, c)
+		}
+	}
+	for range cut {
+		<-arrived
+	}
+	for _, c := range cut {
+		reset(c)
+	}
+	close(release)
+
+	srv.Close()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve returned %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve did not return within 2s of Close")
+	}
+	for _, c := range idle {
+		c.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		f, g := fds(), runtime.NumGoroutine()
+		if f <= baseFDs && g <= baseG {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after Close: %d fds (baseline %d), %d goroutines (baseline %d)", f, baseFDs, g, baseG)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -300,8 +300,8 @@ func (c *rawTCPConn) sendfileRaw(fd uintptr) bool {
 
 // opError wraps err as net does for the named operation. An error from the
 // RawConn — a deadline, a closed connection — is already an *net.OpError,
-// whose Timeout the server's keep-alive Peek reads; it keeps that and
-// only loses its "raw-" prefix.
+// whose Timeout callers read; it keeps that and only loses its "raw-"
+// prefix.
 func (c *rawTCPConn) opError(op string, err error) error {
 	if oe, ok := err.(*net.OpError); ok {
 		oe.Op = op
