@@ -134,7 +134,7 @@ func (s *Server) Capacity() float64 {
 
 // normalizeLoad converts a raw load figure to a fraction of capacity when
 // normalization is on. With it off — or before calibration — the raw
-// figure passes through, which is exactly the legacy wire format.
+// figure passes through in the short entry form, the paper's raw load.
 func (s *Server) normalizeLoad(load float64) float64 {
 	if !s.params.CapacityEnabled() {
 		return load

@@ -746,7 +746,7 @@ func TestRelativeLinksRewrittenOnMigration(t *testing.T) {
 // it (DESIGN.md "Configuration"), and a new field has to be argued for by
 // raising this number.
 func TestParamsFieldCount(t *testing.T) {
-	if n := reflect.TypeOf(Params{}).NumField(); n != 34 {
-		t.Fatalf("Params has %d fields, want 34", n)
+	if n := reflect.TypeOf(Params{}).NumField(); n != 32 {
+		t.Fatalf("Params has %d fields, want 32", n)
 	}
 }

@@ -172,8 +172,6 @@ func TestSLOBurnAlertCapturesProfiles(t *testing.T) {
 	dir := t.TempDir()
 	w := newWorld(t)
 	srv := w.addServer("home", 80, siteAB(), []string{"/index.html"}, Params{
-		SLOWindowShort:    time.Minute,
-		SLOWindowLong:     10 * time.Minute,
 		SLOProfileSeconds: 10 * time.Millisecond,
 		ProfileRingSize:   1,
 		// Only the explicit TickSLO calls below evaluate: the watcher's own

@@ -3,6 +3,7 @@ package dcws
 import (
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -10,22 +11,28 @@ import (
 // panics with "makeslice: cap out of range".
 const hugeCount = 1 << 60
 
-// TestDecodeHugeDocCountRejected: a subscribe or batch frame whose count
-// claims more documents than its payload could carry is an error, not an
-// allocation. The count comes off the wire inside the home's readLoop, so
-// a panic there would take the whole process down.
+// TestDecodeHugeDocCountRejected: a subscribe or invalidation frame whose
+// count claims more documents than its payload could carry is an error,
+// not an allocation. The count comes off the wire inside a readLoop, so a
+// panic there would take the whole process down.
 func TestDecodeHugeDocCountRejected(t *testing.T) {
 	if _, err := decodeInventory(binary.AppendUvarint(nil, hugeCount)); err != errInvalFrame {
 		t.Fatalf("decodeInventory(count 2^60) err = %v, want errInvalFrame", err)
 	}
-	batch := binary.AppendUvarint([]byte{invalUpdate}, hugeCount)
-	if _, _, _, err := decodeInvalidateBatch(batch); err != errInvalFrame {
-		t.Fatalf("decodeInvalidateBatch(count 2^60) err = %v, want errInvalFrame", err)
+	// Names alone bound the invalidation count at one byte per name, so
+	// 2^60 is still out of reach of any payload.
+	inval := append(binary.AppendUvarint([]byte{invalUpdate}, hugeCount), make([]byte, 64)...)
+	if _, _, _, err := decodeInvalidate(inval); err != errInvalFrame {
+		t.Fatalf("decodeInvalidate(count 2^60) err = %v, want errInvalFrame", err)
 	}
-	// The bound is exact: three one-byte entries fit in six bytes.
+	// The bounds are exact: three minimal inventory entries fit in six
+	// bytes, and three empty names plus a sequence number in four.
 	three := encodeInventory([]invDoc{{"", 0}, {"", 1}, {"", 2}})
 	if docs, err := decodeInventory(three); err != nil || len(docs) != 3 {
 		t.Fatalf("decodeInventory(3 minimal entries) = %v, %v", docs, err)
+	}
+	if _, names, _, err := decodeInvalidate(encodeInvalidate(invalDelete, []string{"", "", ""}, 1)); err != nil || len(names) != 3 {
+		t.Fatalf("decodeInvalidate(3 empty names) = %q, %v", names, err)
 	}
 }
 
@@ -37,14 +44,14 @@ func FuzzInvalidationFrames(f *testing.F) {
 	docs := []invDoc{{"/a.html", 7}, {"/img/b.gif", 1 << 40}}
 	f.Add(encodeInventory(docs))
 	f.Add(encodeInventory(nil))
-	f.Add(encodeInvalidate(invalUpdate, "/index.html", 99, 1))
-	f.Add(encodeInvalidate(invalRevoke, "/x", 0, 1<<33))
-	f.Add(encodeInvalidateBatch(invalUpdate, docs, 5))
+	f.Add(encodeInvalidate(invalUpdate, []string{"/index.html"}, 1))
+	f.Add(encodeInvalidate(invalRevoke, []string{"/x"}, 1<<33))
+	f.Add(encodeInvalidate(invalUpdate, []string{"/a.html", "/img/b.gif"}, 5))
 	f.Add(encodeName("/page.html"))
 	f.Add(encodeSubRecord("coop:81", "/page.html"))
 	f.Add(binary.AppendUvarint(nil, hugeCount))
 	f.Add(binary.AppendUvarint([]byte{invalUpdate}, hugeCount))
-	whole := encodeInvalidateBatch(invalDelete, docs, 9)
+	whole := encodeInvalidate(invalDelete, []string{"/a.html", "/img/b.gif"}, 9)
 	f.Add(whole[:len(whole)-1]) // sequence number torn off
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
@@ -56,17 +63,10 @@ func FuzzInvalidationFrames(f *testing.F) {
 				t.Fatalf("inventory round trip: %v -> %v, %v", got, again, err)
 			}
 		}
-		if kind, name, hash, seq, err := decodeInvalidate(b); err == nil {
-			k2, n2, h2, s2, err := decodeInvalidate(encodeInvalidate(kind, name, hash, seq))
-			if err != nil || k2 != kind || n2 != name || h2 != hash || s2 != seq {
-				t.Fatalf("invalidate round trip: %d %q %d %d -> %d %q %d %d, %v",
-					kind, name, hash, seq, k2, n2, h2, s2, err)
-			}
-		}
-		if kind, got, seq, err := decodeInvalidateBatch(b); err == nil {
-			k2, again, s2, err := decodeInvalidateBatch(encodeInvalidateBatch(kind, got, seq))
-			if err != nil || k2 != kind || s2 != seq || !sameDocs(again, got) {
-				t.Fatalf("batch round trip: %d %v %d -> %d %v %d, %v", kind, got, seq, k2, again, s2, err)
+		if kind, names, seq, err := decodeInvalidate(b); err == nil {
+			k2, again, s2, err := decodeInvalidate(encodeInvalidate(kind, names, seq))
+			if err != nil || k2 != kind || s2 != seq || !slices.Equal(again, names) {
+				t.Fatalf("invalidate round trip: %d %q %d -> %d %q %d, %v", kind, names, seq, k2, again, s2, err)
 			}
 		}
 		if name, err := decodeName(b); err == nil {

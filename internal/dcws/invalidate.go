@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,9 @@ import (
 // flow: each co-op opens ONE long-lived upgraded connection per home
 // server (a 101 handshake on /~dcws/subscribe, then length-prefixed
 // frames), the home remembers which documents each subscriber hosts and
-// pushes an invalidation frame the moment a document changes, and every
+// pushes an invalidation frame the moment a document changes — one frame
+// type, naming one document or every document a change dirtied, with no
+// content hash because the co-op re-validates by conditional GET — and every
 // hosted copy holds a lease of Params.LeaseDuration renewed implicitly by
 // channel liveness. While the channel is live and the lease unexpired the
 // validator skips the copy entirely; when the channel drops — or goes
@@ -41,9 +44,13 @@ const (
 	// subscriber and answers with catch-up invalidations for any document
 	// whose current hash differs (changes missed while disconnected).
 	frameSubscribe byte = 1
-	// frameInvalidate (home -> coop): one document changed — a kind byte
-	// (invalUpdate/invalDelete/invalRevoke), the home-side name, and the
-	// new content hash (zero for delete/revoke).
+	// frameInvalidate (home -> coop): documents changed — a kind byte
+	// (invalUpdate/invalDelete/invalRevoke), a uvarint count, the
+	// home-side names, and the channel sequence number. One frame carries
+	// one document or a migration's whole link-rewrite storm, so a
+	// subscriber gets one frame per change, not one per document. No
+	// content hash rides along: the coop re-validates an update by
+	// conditional GET.
 	frameInvalidate byte = 2
 	// framePing (either direction): empty keepalive; receipt renews every
 	// lease held from the peer.
@@ -55,20 +62,13 @@ const (
 	// document (evicted past re-fetch, or forgotten); the home stops
 	// pushing for it.
 	frameUnsubscribe byte = 5
-	// frameInvalidateBatch (home -> coop): several documents changed at
-	// once — one migration's link-rewrite storm coalesced into a single
-	// frame per subscriber instead of a frame per document. Payload: a
-	// kind byte, a uvarint count, then per document the home-side name and
-	// new content hash, and the trailing channel sequence number.
-	frameInvalidateBatch byte = 6
 )
 
-// Invalidation frames (single and batch) end in a per-channel sequence
-// number, a uvarint: the home stamps frames 1, 2, 3, … per subscriber
-// connection under the write mutex, so the co-op can detect a dropped
-// frame on a live channel — a gap — and resync by re-sending its inventory
-// (the home answers with catch-up invalidations for anything whose hash is
-// stale).
+// Invalidation frames end in a per-channel sequence number, a uvarint: the
+// home stamps frames 1, 2, 3, … per subscriber connection under the write
+// mutex, so the co-op can detect a dropped frame on a live channel — a gap
+// — and resync by re-sending its inventory (the home answers with catch-up
+// invalidations for anything whose hash is stale).
 
 // Invalidation kinds carried by frameInvalidate.
 const (
@@ -111,7 +111,7 @@ type invDoc struct {
 }
 
 func decodeInventory(data []byte) ([]invDoc, error) {
-	n, data, err := getDocCount(data)
+	n, data, err := getDocCount(data, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -129,80 +129,51 @@ func decodeInventory(data []byte) ([]invDoc, error) {
 	return docs, nil
 }
 
-func encodeInvalidate(kind byte, name string, hash, seq uint64) []byte {
-	buf := make([]byte, 0, len(name)+20)
+// encodeInvalidate frames one kind of invalidation for names: kind byte,
+// uvarint count, the names, trailing sequence number.
+func encodeInvalidate(kind byte, names []string, seq uint64) []byte {
+	buf := make([]byte, 0, 16*len(names)+12)
 	buf = append(buf, kind)
-	buf = putStr(buf, name)
-	buf = binary.AppendUvarint(buf, hash)
-	return binary.AppendUvarint(buf, seq)
-}
-
-func decodeInvalidate(data []byte) (kind byte, name string, hash, seq uint64, err error) {
-	if len(data) < 1 {
-		return 0, "", 0, 0, errInvalFrame
-	}
-	kind = data[0]
-	if name, data, err = getStr(data[1:]); err != nil {
-		return 0, "", 0, 0, err
-	}
-	if hash, data, err = getUvarint(data); err != nil {
-		return 0, "", 0, 0, err
-	}
-	if seq, _, err = getUvarint(data); err != nil {
-		return 0, "", 0, 0, err
-	}
-	return kind, name, hash, seq, nil
-}
-
-// encodeInvalidateBatch frames several documents' invalidations of one
-// kind: kind byte, uvarint count, per-document name and hash, trailing
-// sequence number.
-func encodeInvalidateBatch(kind byte, docs []invDoc, seq uint64) []byte {
-	buf := make([]byte, 0, 16*len(docs)+12)
-	buf = append(buf, kind)
-	buf = binary.AppendUvarint(buf, uint64(len(docs)))
-	for _, d := range docs {
-		buf = putStr(buf, d.name)
-		buf = binary.AppendUvarint(buf, d.hash)
+	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	for _, n := range names {
+		buf = putStr(buf, n)
 	}
 	return binary.AppendUvarint(buf, seq)
 }
 
-func decodeInvalidateBatch(data []byte) (kind byte, docs []invDoc, seq uint64, err error) {
+func decodeInvalidate(data []byte) (kind byte, names []string, seq uint64, err error) {
 	if len(data) < 1 {
 		return 0, nil, 0, errInvalFrame
 	}
 	kind = data[0]
-	n, data, err := getDocCount(data[1:])
+	n, data, err := getDocCount(data[1:], 1)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	docs = make([]invDoc, 0, n)
+	names = make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
-		var d invDoc
-		if d.name, data, err = getStr(data); err != nil {
+		var name string
+		if name, data, err = getStr(data); err != nil {
 			return 0, nil, 0, err
 		}
-		if d.hash, data, err = getUvarint(data); err != nil {
-			return 0, nil, 0, err
-		}
-		docs = append(docs, d)
+		names = append(names, name)
 	}
 	if seq, _, err = getUvarint(data); err != nil {
 		return 0, nil, 0, err
 	}
-	return kind, docs, seq, nil
+	return kind, names, seq, nil
 }
 
 // getDocCount reads a document count off a frame and bounds it by what
-// the rest of the payload can hold — every (name, hash) entry takes at
-// least two bytes — so a forged count cannot size an allocation.
-func getDocCount(data []byte) (uint64, []byte, error) {
+// the rest of the payload can hold — every entry takes at least minEntry
+// bytes (a name's length byte, plus a hash byte in an inventory) — so a
+// forged count cannot size an allocation.
+func getDocCount(data []byte, minEntry uint64) (uint64, []byte, error) {
 	n, data, err := getUvarint(data)
 	if err != nil {
 		return 0, nil, err
 	}
-	if n > uint64(len(data))/2 {
+	if n > uint64(len(data))/minEntry {
 		return 0, nil, errInvalFrame
 	}
 	return n, data, nil
@@ -407,20 +378,20 @@ func (h *invalHub) readLoop(sub *invalSubscriber, conn net.Conn, br *bufio.Reade
 	}
 }
 
-// register records which documents a subscriber hosts and sends catch-up
-// invalidations for any whose current content differs from the hash the
-// coop reported — the changes it missed while disconnected. Documents the
-// coop is no longer authorized for get a revoke frame instead.
+// register records which documents a subscriber hosts and catches it up
+// on any whose current content differs from the hash the coop reported —
+// the changes it missed while disconnected. Documents the coop is no
+// longer authorized for are revoked instead.
 func (h *invalHub) register(sub *invalSubscriber, conn net.Conn, docs []invDoc) {
 	s := h.s
 	start := time.Now()
 	span := telemetry.NewSpan(telemetry.NewTraceID(), "", s.addr, "subscribe")
 	span.Peer = sub.addr
 	span.Start = s.now()
-	added := 0
+	var stale, unauthorized []string
 	for _, d := range docs {
 		if !s.subscribeAuthorized(d.name, sub.addr) {
-			writeInvalFrame(sub, conn, invalRevoke, d.name, 0)
+			unauthorized = append(unauthorized, d.name)
 			continue
 		}
 		h.mu.Lock()
@@ -430,13 +401,17 @@ func (h *invalHub) register(sub *invalSubscriber, conn net.Conn, docs []invDoc) 
 		if fresh {
 			s.walAppend(recSubAdd, encodeSubRecord(sub.addr, d.name))
 		}
-		added++
 		if cur, ok := s.migrationHash(d.name); ok && cur != d.hash {
-			// Missed an update while disconnected: catch it up now.
-			s.pushTo(sub, invalUpdate, d.name, cur)
+			stale = append(stale, d.name)
 		}
 	}
-	span.Target = "docs=" + strconv.Itoa(added)
+	// The unauthorized documents are not in the subscription, so the
+	// revoke goes straight to this channel.
+	if len(unauthorized) > 0 {
+		h.send(sub, conn, invalRevoke, unauthorized)
+	}
+	h.push(invalUpdate, stale, []string{sub.addr})
+	span.Target = "docs=" + strconv.Itoa(len(docs)-len(unauthorized))
 	span.Duration = time.Since(start)
 	s.tel.record(span)
 }
@@ -477,148 +452,67 @@ func (s *Server) migrationHash(name string) (uint64, bool) {
 	return h, true
 }
 
-// push fans one invalidation out to every connected subscriber hosting
-// the document. The hash is computed lazily — only when some connected
-// subscriber actually holds the doc — and only for updates (delete and
-// revoke carry zero). Safe to call with no server locks held.
-func (h *invalHub) push(kind byte, name string) {
-	if h == nil || h.s.params.LeaseDuration <= 0 {
-		return
-	}
-	h.mu.Lock()
-	var targets []*invalSubscriber
-	var dropped []string
-	for _, sub := range h.subs {
-		if sub.conn != nil && sub.docs[name] {
-			targets = append(targets, sub)
-		}
-		// Hosting ends with a delete or revoke: the subscription entry
-		// goes too, connected or not, so a later reconnect is not caught
-		// up on a document it must no longer serve.
-		if kind != invalUpdate && sub.docs[name] {
-			delete(sub.docs, name)
-			dropped = append(dropped, sub.addr)
-		}
-	}
-	h.mu.Unlock()
-	for _, addr := range dropped {
-		h.s.walAppend(recSubDel, encodeSubRecord(addr, name))
-	}
-	if len(targets) == 0 {
-		return
-	}
-	var hash uint64
-	if kind == invalUpdate {
-		hash, _ = h.s.migrationHash(name)
-	}
-	for _, sub := range targets {
-		h.s.pushTo(sub, kind, name, hash)
-	}
-}
-
-// pushBatch fans a set of same-kind invalidations out, coalescing the
-// documents each connected subscriber hosts into one multi-document frame
-// — one migration's link-rewrite storm becomes one frame per subscriber
-// instead of a frame per rewritten document. Hashes are computed lazily
-// and shared across subscribers. A subscriber holding just one of the
-// documents gets a plain frame; the batch framing buys nothing there.
-func (h *invalHub) pushBatch(kind byte, names []string) {
+// push fans one kind of invalidation for names out to the subscribers
+// hosting them: each connected one gets a single frame carrying its
+// share, whether that is one document or a migration's whole link-rewrite
+// storm. A delete or revoke also ends hosting, so the subscription
+// entries go, connected or not, each with its recSubDel, and a later
+// reconnect is not caught up on a document it must no longer serve. only,
+// when non-nil, limits the fan-out to those subscribers (a shrink tells
+// the dropped hosts alone). Safe to call with no server locks held.
+func (h *invalHub) push(kind byte, names, only []string) {
 	if h == nil || h.s.params.LeaseDuration <= 0 || len(names) == 0 {
 		return
 	}
+	type target struct {
+		sub   *invalSubscriber
+		conn  net.Conn
+		names []string
+	}
+	var targets []target
+	var dropped [][]byte // recSubDel payloads
 	h.mu.Lock()
-	targets := make(map[*invalSubscriber][]string)
-	conns := make(map[*invalSubscriber]net.Conn)
-	for _, sub := range h.subs {
-		if sub.conn == nil {
+	for addr, sub := range h.subs {
+		if only != nil && !slices.Contains(only, addr) {
 			continue
 		}
+		var mine []string
 		for _, n := range names {
-			if sub.docs[n] {
-				targets[sub] = append(targets[sub], n)
+			if !sub.docs[n] {
+				continue
+			}
+			mine = append(mine, n)
+			if kind != invalUpdate {
+				delete(sub.docs, n)
+				dropped = append(dropped, encodeSubRecord(addr, n))
 			}
 		}
-		if len(targets[sub]) > 0 {
-			conns[sub] = sub.conn
+		if len(mine) > 0 && sub.conn != nil {
+			targets = append(targets, target{sub, sub.conn, mine})
 		}
 	}
 	h.mu.Unlock()
-	if len(targets) == 0 {
-		return
+	for _, rec := range dropped {
+		h.s.walAppend(recSubDel, rec)
 	}
-	hashes := make(map[string]uint64)
-	hashFor := func(n string) uint64 {
-		if v, ok := hashes[n]; ok {
-			return v
-		}
-		v, _ := h.s.migrationHash(n)
-		hashes[n] = v
-		return v
-	}
-	for sub, docs := range targets {
-		if len(docs) == 1 {
-			h.s.pushTo(sub, kind, docs[0], hashFor(docs[0]))
-			continue
-		}
-		batch := make([]invDoc, 0, len(docs))
-		for _, n := range docs {
-			batch = append(batch, invDoc{name: n, hash: hashFor(n)})
-		}
-		stamped := func() []byte { sub.seq++; return encodeInvalidateBatch(kind, batch, sub.seq) }
-		if writeFrame(&sub.writeMu, conns[sub], frameInvalidateBatch, stamped) {
-			h.s.tel.invalPushes.Inc()
-			h.s.tel.invalBatches.Inc()
-			h.s.tel.invalBatchDocs.Add(int64(len(batch)))
-		}
+	for _, t := range targets {
+		h.send(t.sub, t.conn, kind, t.names)
 	}
 }
 
-// pushRevokeTo sends revoke frames for name to a specific subset of
-// subscribers — the partial-shrink path, where the kept replicas must NOT
-// be told to drop their copies. Their subscription entries go too.
-func (h *invalHub) pushRevokeTo(name string, addrs []string) {
-	if h == nil || h.s.params.LeaseDuration <= 0 {
+// send writes one invalidation frame to one subscriber, stamped with the
+// channel's next sequence number. A write failure closes the connection;
+// the coop reconnects with backoff and catches up.
+func (h *invalHub) send(sub *invalSubscriber, conn net.Conn, kind byte, names []string) {
+	stamped := func() []byte { sub.seq++; return encodeInvalidate(kind, names, sub.seq) }
+	if !writeFrame(&sub.writeMu, conn, frameInvalidate, stamped) {
 		return
 	}
-	for _, addr := range addrs {
-		h.mu.Lock()
-		sub := h.subs[addr]
-		var had, send bool
-		if sub != nil && sub.docs[name] {
-			had = true
-			delete(sub.docs, name)
-			send = sub.conn != nil
-		}
-		h.mu.Unlock()
-		if !had {
-			continue
-		}
-		h.s.walAppend(recSubDel, encodeSubRecord(addr, name))
-		if send {
-			h.s.pushTo(sub, invalRevoke, name, 0)
-		}
+	h.s.tel.invalPushes.Inc()
+	if len(names) > 1 {
+		h.s.tel.invalBatches.Inc()
+		h.s.tel.invalBatchDocs.Add(int64(len(names)))
 	}
-}
-
-// pushTo sends one invalidation frame to one subscriber. Write failures
-// close the connection; the coop reconnects with backoff and catches up.
-func (s *Server) pushTo(sub *invalSubscriber, kind byte, name string, hash uint64) {
-	s.hub.mu.Lock()
-	conn := sub.conn
-	s.hub.mu.Unlock()
-	if conn == nil {
-		return
-	}
-	if writeInvalFrame(sub, conn, kind, name, hash) {
-		s.tel.invalPushes.Inc()
-	}
-}
-
-// writeInvalFrame writes one frameInvalidate stamped with the channel's
-// next sequence number.
-func writeInvalFrame(sub *invalSubscriber, conn net.Conn, kind byte, name string, hash uint64) bool {
-	stamped := func() []byte { sub.seq++; return encodeInvalidate(kind, name, hash, sub.seq) }
-	return writeFrame(&sub.writeMu, conn, frameInvalidate, stamped)
 }
 
 // writeFrame is the one write path of a subscription channel, in either
@@ -836,22 +730,14 @@ func (m *subManager) readLoop(sc *subConn, conn net.Conn, br *bufio.Reader, last
 		s.coops.renewHome(sc.home, s.now().Add(s.params.LeaseDuration))
 		switch typ {
 		case frameInvalidate:
-			kind, name, _, seq, derr := decodeInvalidate(payload)
+			kind, names, seq, derr := decodeInvalidate(payload)
 			if derr != nil {
 				return
 			}
 			m.checkSeq(sc, seq)
 			s.tel.invalReceived.Inc()
-			s.applyInvalidation(sc, kind, name)
-		case frameInvalidateBatch:
-			kind, docs, seq, derr := decodeInvalidateBatch(payload)
-			if derr != nil {
-				return
-			}
-			m.checkSeq(sc, seq)
-			s.tel.invalReceived.Inc()
-			for _, d := range docs {
-				s.applyInvalidation(sc, kind, d.name)
+			for _, name := range names {
+				s.applyInvalidation(sc, kind, name)
 			}
 		case framePing:
 			// Renewal above is the work.

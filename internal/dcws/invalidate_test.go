@@ -1,11 +1,15 @@
 package dcws
 
 import (
+	"bufio"
+	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"dcws/internal/httpx"
+	"dcws/internal/store"
 )
 
 // leaseParams is the test configuration for push invalidation: leases on,
@@ -264,6 +268,114 @@ func TestBatchInvalidationCoalescesMigrationStorm(t *testing.T) {
 	}
 	if got := coop.metric("dcws_invalidate_gaps_total"); got != 0 {
 		t.Fatalf("coop detected %v sequence gaps on a lossless channel", got)
+	}
+}
+
+// TestPushFanOut pins the one invalidation fan-out on a WAL-backed home
+// with three subscribers, two connected and one not: a storm reaches each
+// connected host as one frame with its share, a one-document update is one
+// frame, a shrink tells only the dropped hosts, and a delete ends every
+// subscription to the document, connected or not, with one recSubDel per
+// removal.
+func TestPushFanOut(t *testing.T) {
+	w := newWorld(t)
+	home := w.bootServer("home", 80, store.NewMem(), nil, leaseParams(), t.TempDir())
+	hosted := []string{"/x.html", "/y.html", "/z.html"}
+	subs := map[string]*invalSubscriber{}
+	got := map[string]chan []string{} // names of each frame, per connected host
+	for _, addr := range []string{"a:81", "b:82", "c:83"} {
+		sub := &invalSubscriber{addr: addr, docs: map[string]bool{}}
+		for _, d := range hosted {
+			sub.docs[d] = true
+		}
+		if addr != "c:83" {
+			near, far := net.Pipe()
+			t.Cleanup(func() { near.Close(); far.Close() })
+			sub.conn = near
+			got[addr] = make(chan []string, 8) // room for every frame the test sends
+			go func(ch chan []string) {
+				br := bufio.NewReader(far)
+				for {
+					typ, payload, err := httpx.ReadFrame(br)
+					if err != nil {
+						return
+					}
+					if _, names, _, err := decodeInvalidate(payload); typ == frameInvalidate && err == nil {
+						ch <- names
+					}
+				}
+			}(got[addr])
+		}
+		subs[addr] = sub
+		home.hub.mu.Lock()
+		home.hub.subs[addr] = sub
+		home.hub.mu.Unlock()
+	}
+	// frames returns how many frames each host has been sent so far; the
+	// sequence number counts them.
+	frames := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for addr, sub := range subs {
+			sub.writeMu.Lock()
+			out[addr] = sub.seq
+			sub.writeMu.Unlock()
+		}
+		return out
+	}
+	expect := func(step string, want map[string][]string) {
+		t.Helper()
+		for addr, names := range want {
+			select {
+			case g := <-got[addr]:
+				if !slices.Equal(g, names) {
+					t.Fatalf("%s: %s got %q, want %q", step, addr, g, names)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: %s got no frame", step, addr)
+			}
+		}
+	}
+	walBefore := home.wal.Appends()
+
+	// A storm: each connected host gets its share in one frame.
+	home.hub.push(invalUpdate, []string{"/x.html", "/y.html", "/w.html"}, nil)
+	expect("storm", map[string][]string{"a:81": {"/x.html", "/y.html"}, "b:82": {"/x.html", "/y.html"}})
+	// A one-document update: one frame each.
+	home.hub.push(invalUpdate, []string{"/x.html"}, nil)
+	expect("update", map[string][]string{"a:81": {"/x.html"}, "b:82": {"/x.html"}})
+	if f := frames(); f["a:81"] != 2 || f["b:82"] != 2 || f["c:83"] != 0 {
+		t.Fatalf("frames after two updates = %v, want a:2 b:2 c:0", f)
+	}
+	if n := home.metric("dcws_invalidate_batches_total"); n != 2 {
+		t.Fatalf("batches = %v, want 2 (the storm's frames only)", n)
+	}
+	if n := home.wal.Appends() - walBefore; n != 0 {
+		t.Fatalf("updates wrote %d WAL records, want 0", n)
+	}
+
+	// A shrink dropping b and c: only b is told, and both lose /y.html.
+	home.hub.push(invalRevoke, []string{"/y.html"}, []string{"b:82", "c:83"})
+	expect("shrink", map[string][]string{"b:82": {"/y.html"}})
+	if f := frames(); f["a:81"] != 2 || f["b:82"] != 3 {
+		t.Fatalf("frames after shrink = %v, want a:2 b:3", f)
+	}
+	if !subs["a:81"].docs["/y.html"] || subs["b:82"].docs["/y.html"] || subs["c:83"].docs["/y.html"] {
+		t.Fatal("shrink removed the wrong subscriptions")
+	}
+	if n := home.wal.Appends() - walBefore; n != 2 {
+		t.Fatalf("shrink wrote %d WAL records, want 2", n)
+	}
+
+	// A delete ends every subscription to the document.
+	home.hub.push(invalDelete, []string{"/z.html"}, nil)
+	expect("delete", map[string][]string{"a:81": {"/z.html"}, "b:82": {"/z.html"}})
+	for addr, sub := range subs {
+		if sub.docs["/z.html"] {
+			t.Fatalf("%s still subscribed to a deleted document", addr)
+		}
+	}
+	if n := home.wal.Appends() - walBefore; n != 5 {
+		t.Fatalf("shrink and delete wrote %d WAL records, want 5", n)
 	}
 }
 

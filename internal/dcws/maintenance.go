@@ -119,15 +119,8 @@ func (s *Server) migrate(doc, coop string) {
 	s.tel.migrations.Inc()
 	// Link-rewritten referrers changed content: push so subscribed co-ops
 	// hosting them refresh now instead of waiting out their lease.
-	s.pushDirtied(dirtied)
+	s.hub.push(invalUpdate, dirtied, nil)
 	s.log.Printf("dcws %s: migrated %s -> %s (dirtied %d)", s.Addr(), doc, coop, len(dirtied))
-}
-
-// pushDirtied fans update invalidations out for documents whose rendered
-// content changed as a side effect (link rewrites on migrate / revoke /
-// replicate), batching each subscriber's share into one frame.
-func (s *Server) pushDirtied(dirtied []string) {
-	s.hub.pushBatch(invalUpdate, dirtied)
 }
 
 // shrinkReplicas trims a document's replica set down to keep hosts (the
@@ -153,8 +146,8 @@ func (s *Server) shrinkReplicas(doc string, keep int) {
 	}
 	s.revokeHosts(doc, droppedHosts)
 	// Pushed revoke frames cover subscribed hosts the RPC path missed.
-	s.hub.pushRevokeTo(doc, droppedHosts)
-	s.pushDirtied(dirtied)
+	s.hub.push(invalRevoke, []string{doc}, droppedHosts)
+	s.hub.push(invalUpdate, dirtied, nil)
 	s.tel.replicateShrinks.Inc()
 	s.log.Printf("dcws %s: shrank %s to %v (dropped %v)", s.Addr(), doc, kept, droppedHosts)
 }
@@ -184,8 +177,8 @@ func (s *Server) revoke(doc string) {
 	s.revokeHosts(doc, hosts)
 	// Subscribed hosts drop the copy on the pushed frame even when the
 	// revoke RPC path missed them; referrers with rewritten links refresh.
-	s.hub.push(invalRevoke, doc)
-	s.pushDirtied(dirtied)
+	s.hub.push(invalRevoke, []string{doc}, nil)
+	s.hub.push(invalUpdate, dirtied, nil)
 	s.tel.revokes.Inc()
 	s.log.Printf("dcws %s: revoked %s from %v", s.Addr(), doc, hosts)
 }

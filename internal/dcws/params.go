@@ -173,10 +173,6 @@ type Params struct {
 	// behaviour).
 	CapacitySmoothing float64
 
-	// SLOWindowShort is the fast burn-rate window (default 1 m).
-	SLOWindowShort time.Duration
-	// SLOWindowLong is the slow burn-rate window (default 10 m).
-	SLOWindowLong time.Duration
 	// SLOCheckInterval paces the SLO watcher's rolling-window evaluation
 	// (default 10 s; negative disables the watcher).
 	SLOCheckInterval time.Duration
@@ -219,8 +215,6 @@ func DefaultParams() Params {
 		HotReplicateRate:      50,
 		HotReplicaCount:       2,
 		CapacitySmoothing:     0.2,
-		SLOWindowShort:        time.Minute,
-		SLOWindowLong:         10 * time.Minute,
 		SLOCheckInterval:      10 * time.Second,
 		SLOProfileSeconds:     5 * time.Second,
 		ProfileRingSize:       4,
@@ -253,7 +247,6 @@ func (p Params) WithDefaults() Params {
 	fillUnset(&p.ProbeAttempts, d.ProbeAttempts)
 	fillUnset(&p.BreakerThreshold, d.BreakerThreshold)
 	fillUnset(&p.HotReplicaCount, d.HotReplicaCount)
-	fillUnset(&p.SLOWindowShort, d.SLOWindowShort)
 	fillUnset(&p.SLOProfileSeconds, d.SLOProfileSeconds)
 	fillUnset(&p.ProfileRingSize, d.ProfileRingSize)
 
@@ -269,14 +262,6 @@ func (p Params) WithDefaults() Params {
 
 	if p.WALSync == "" {
 		p.WALSync = d.WALSync
-	}
-	// The long window must exceed the short one for the two-window burn
-	// rule to mean anything.
-	if p.SLOWindowLong <= p.SLOWindowShort {
-		p.SLOWindowLong = d.SLOWindowLong
-		if p.SLOWindowLong <= p.SLOWindowShort {
-			p.SLOWindowLong = 10 * p.SLOWindowShort
-		}
 	}
 	return p
 }

@@ -82,7 +82,7 @@ func (s *Server) chainReplicate(doc string, chain []string) {
 		s.tel.migrations.Inc()
 	}
 	s.walAppend(recReplicas, encodeReplicas(doc, newReps))
-	s.pushDirtied(dirtied)
+	s.hub.push(invalUpdate, dirtied, nil)
 	s.log.Printf("dcws %s: chain-replicated %s -> %v (%d of %d links acked, %d bytes uploaded once)",
 		s.Addr(), doc, acked, len(acked), len(chain), len(payload))
 }

@@ -654,7 +654,7 @@ func (s *Server) UpdateDocument(name string, content []byte) error {
 	s.walAppend(recDocPut, encodeNameRecord(cleaned))
 	// Push invalidation: subscribed co-ops learn of the change now, not at
 	// their next validation tick.
-	s.hub.push(invalUpdate, cleaned)
+	s.hub.push(invalUpdate, []string{cleaned}, nil)
 	return nil
 }
 
@@ -676,7 +676,7 @@ func (s *Server) DeleteDocument(name string) error {
 	delete(s.replicas, cleaned)
 	s.repMu.Unlock()
 	s.walAppend(recDocDelete, encodeNameRecord(cleaned))
-	s.hub.push(invalDelete, cleaned)
+	s.hub.push(invalDelete, []string{cleaned}, nil)
 	return nil
 }
 

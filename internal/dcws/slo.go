@@ -29,6 +29,12 @@ const (
 	// sloBurnThreshold is the multiple of the sustainable burn rate both
 	// windows must reach before the watcher alerts.
 	sloBurnThreshold = 4.0
+	// sloWindowShort is the fast burn-rate window: it proves a problem
+	// is live, and paces profile captures.
+	sloWindowShort = time.Minute
+	// sloWindowLong is the slow burn-rate window: it proves a problem is
+	// sustained rather than a blip.
+	sloWindowLong = 10 * time.Minute
 )
 
 // SLO watcher: multi-window burn-rate alerting with automatic profile
@@ -186,7 +192,6 @@ func (s *Server) TickSLO() { s.slo.check(s.now()) }
 // check takes one cumulative sample, evaluates both windows, and triggers
 // a profile capture on a sustained alert.
 func (w *sloWatcher) check(now time.Time) {
-	p := w.s.params
 	cur := sloSample{
 		at: now,
 		hists: map[string]metrics.HistogramSnapshot{
@@ -203,14 +208,14 @@ func (w *sloWatcher) check(now time.Time) {
 	w.samples = append(w.samples, cur)
 	// Keep exactly one sample at or past the long-window horizon — it is
 	// the long baseline — and drop everything older.
-	cutoff := now.Add(-p.SLOWindowLong)
+	cutoff := now.Add(-sloWindowLong)
 	drop := 0
 	for drop < len(w.samples)-1 && !w.samples[drop+1].at.After(cutoff) {
 		drop++
 	}
 	w.samples = w.samples[drop:]
 	baseLong := w.samples[0]
-	baseShort := w.baselineLocked(now.Add(-p.SLOWindowShort))
+	baseShort := w.baselineLocked(now.Add(-sloWindowShort))
 
 	alert := false
 	for op, curH := range cur.hists {
@@ -239,7 +244,7 @@ func (w *sloWatcher) check(now time.Time) {
 		// One capture per short window at most: profiles are for the
 		// incident's onset, not a per-tick stream of identical dumps.
 		if w.s.cfg.ProfileDir != "" && !w.capturing &&
-			(w.lastCapture.IsZero() || now.Sub(w.lastCapture) >= p.SLOWindowShort) {
+			(w.lastCapture.IsZero() || now.Sub(w.lastCapture) >= sloWindowShort) {
 			w.capturing = true
 			w.lastCapture = now
 			capture = true

@@ -453,9 +453,6 @@ func (t *serverTelemetry) bindServer(s *Server) {
 	reg.GaugeFunc("dcws_glt_header_entries",
 		"load entries carried by the most recently emitted piggyback header",
 		func() float64 { return float64(s.table.LastHeaderEntries()) })
-	reg.CounterFunc("dcws_glt_header_regens_total",
-		"times the cached full-table encoding was rebuilt",
-		func() float64 { return float64(s.table.HeaderRegens()) })
 	reg.CounterFunc("dcws_glt_delta_regens_total",
 		"times a per-peer delta encoding was rebuilt",
 		func() float64 { return float64(s.table.DeltaRegens()) })

@@ -15,23 +15,10 @@ func TestDecodePiggybackMetadata(t *testing.T) {
 	if len(p.Entries) != 1 || p.Entries[0].Server != "b:80" {
 		t.Fatalf("entries not decoded alongside metadata: %+v", p.Entries)
 	}
-	// Legacy headers decode with zero metadata.
+	// A client header decodes with zero metadata.
 	p = DecodePiggyback("b:80=1.5@1000")
 	if p.From != "" || p.HasAck || p.Full || len(p.Entries) != 1 {
-		t.Fatalf("legacy header grew metadata: %+v", p)
-	}
-}
-
-func TestMetadataInvisibleToLegacyDecoder(t *testing.T) {
-	// An old decoder must skip the '!' metadata items and still read the
-	// entries, so mixed-version clusters interoperate.
-	tab := NewTable("a:80")
-	tab.UpdateSelf(2.5, time.UnixMilli(5000))
-	tab.Observe(Entry{Server: "c:80", Load: 1, Updated: time.UnixMilli(4000)})
-	h := tab.EncodePiggybackTo("b:80", time.UnixMilli(5000), 0, false)
-	entries := DecodeHeader(h)
-	if len(entries) != 2 {
-		t.Fatalf("legacy decode of delta header: got %d entries (%q), want 2", len(entries), h)
+		t.Fatalf("client header grew metadata: %+v", p)
 	}
 }
 
@@ -44,20 +31,20 @@ func TestDeltaOmitsAckedEntries(t *testing.T) {
 	// First exchange: b has acked nothing, so it gets everything.
 	h1 := a.EncodePiggybackTo("b:80", now, 0, false)
 	b.Absorb(DecodePiggyback(h1), now)
-	if got := len(DecodeHeader(h1)); got != 2 {
+	if got := len(entriesOf(h1)); got != 2 {
 		t.Fatalf("first delta carried %d entries (%q), want 2", got, h1)
 	}
 	// b's reply acks a's version; after a absorbs it, the next delta to
 	// b is empty.
 	a.Absorb(DecodePiggyback(b.EncodePiggybackTo("a:80", now, 0, false)), now)
 	h2 := a.EncodePiggybackTo("b:80", now, 0, false)
-	if got := len(DecodeHeader(h2)); got != 0 {
+	if got := len(entriesOf(h2)); got != 0 {
 		t.Fatalf("post-ack delta carried %d entries (%q), want 0", got, h2)
 	}
 	// A new observation flows in the next delta, alone.
 	a.Observe(Entry{Server: "d:80", Load: 4, Updated: now.Add(time.Second)})
 	h3 := a.EncodePiggybackTo("b:80", now, 0, false)
-	es := DecodeHeader(h3)
+	es := entriesOf(h3)
 	if len(es) != 1 || es[0].Server != "d:80" {
 		t.Fatalf("incremental delta = %q, want just d:80", h3)
 	}
@@ -81,7 +68,7 @@ func TestDeltaCapAdvertisesOnlySentVersions(t *testing.T) {
 		}
 		b.Absorb(p, now)
 		a.Absorb(DecodePiggyback(b.EncodePiggybackTo("a:80", now, 4, false)), now)
-		if len(DecodeHeader(a.EncodePiggybackTo("b:80", now, 4, false))) == 0 {
+		if len(entriesOf(a.EncodePiggybackTo("b:80", now, 4, false))) == 0 {
 			break
 		}
 	}
@@ -118,7 +105,7 @@ func TestFullExchangeIgnoresAcks(t *testing.T) {
 	b.Absorb(DecodePiggyback(a.EncodePiggybackTo("b:80", now, 0, false)), now)
 	a.Absorb(DecodePiggyback(b.EncodePiggybackTo("a:80", now, 0, false)), now)
 	b.Remove("c:80")
-	if len(DecodeHeader(a.EncodePiggybackTo("b:80", now, 0, false))) != 0 {
+	if len(entriesOf(a.EncodePiggybackTo("b:80", now, 0, false))) != 0 {
 		t.Fatal("precondition: delta should be drained")
 	}
 	full := DecodePiggyback(a.EncodePiggybackTo("b:80", now, 0, true))
@@ -169,7 +156,7 @@ func TestAckFromPreviousLifeResets(t *testing.T) {
 	a.Absorb(Piggyback{From: "b:80", Version: 9, Ack: 1 << 40, HasAck: true}, now)
 	a.Observe(Entry{Server: "c:80", Load: 3, Updated: now})
 	h := a.EncodePiggybackTo("b:80", now, 0, false)
-	if len(DecodeHeader(h)) == 0 {
+	if len(entriesOf(h)) == 0 {
 		t.Fatalf("foreign-life ack suppressed the delta: %q", h)
 	}
 }
@@ -182,7 +169,7 @@ func TestClientHeaderSelfOnlyAndCached(t *testing.T) {
 		tab.Observe(Entry{Server: fmt.Sprintf("s%03d:80", i), Load: 1, Updated: now})
 	}
 	h := tab.EncodeClientHeader()
-	es := DecodeHeader(h)
+	es := entriesOf(h)
 	if len(es) != 1 || es[0].Server != "a:80" || es[0].Load != 2.5 {
 		t.Fatalf("client header = %q, want self entry only", h)
 	}

@@ -14,9 +14,9 @@ func TestCapacityZoneRoundTrip(t *testing.T) {
 	tab.SetSelfInfo(120.5, "us-east")
 	tab.UpdateSelf(0.25, at(10))
 	tab.Observe(Entry{Server: "s2:80", Load: 0.5, Updated: at(9), Capacity: 30, Zone: "eu-west"})
-	tab.Observe(Entry{Server: "s3:80", Load: 3, Updated: at(8)}) // legacy, no meta
+	tab.Observe(Entry{Server: "s3:80", Load: 3, Updated: at(8)}) // no capacity, no zone
 
-	p := DecodePiggyback(tab.EncodeHeader())
+	p := DecodePiggyback(encodeAll(tab))
 	if len(p.Entries) != 3 {
 		t.Fatalf("entries = %d, want 3: %+v", len(p.Entries), p.Entries)
 	}
@@ -31,32 +31,42 @@ func TestCapacityZoneRoundTrip(t *testing.T) {
 		t.Fatalf("s2 entry lost meta: %+v", e)
 	}
 	if e := byServer["s3:80"]; e.Capacity != 0 || e.Zone != "" || e.Load != 3 {
-		t.Fatalf("legacy entry grew meta: %+v", e)
+		t.Fatalf("plain entry grew meta: %+v", e)
 	}
 }
 
-func TestCapacityMetaDoesNotBreakLegacyEntryParse(t *testing.T) {
-	// A legacy decoder sees the '!c' item as an unknown metadata key and
-	// skips it; the plain entries around it must parse unchanged. The
-	// modern decoder must not invent entries from unmatched meta either.
-	h := "s1:80=0.25@10000,!c=s1:80@120.5@us-east,s2:80=3@8000,!c=ghost:80@5@z"
-	entries := DecodeHeader(h)
-	if len(entries) != 2 {
-		t.Fatalf("entries = %+v, want s1 and s2 only", entries)
+// TestInlineEntryMeta: capacity and zone ride inside the entry, and an
+// entry whose inline fields are malformed is skipped whole rather than
+// half-read.
+func TestInlineEntryMeta(t *testing.T) {
+	h := "s1:80=0.25@10000@120.5@us-east,s2:80=3@8000,s3:80=1@9000@0@eu," +
+		"bad1:80=1@2@3,bad2:80=1@2@3@z@5,bad3:80=1@2@NaN@z,bad4:80=1@2@-1@z," +
+		"bad5:80=1@2@+Inf@z,bad6:80=1@2@5@a=b,bad7:80=1@2@5@a b"
+	byServer := map[string]Entry{}
+	for _, e := range entriesOf(h) {
+		byServer[e.Server] = e
 	}
-	for _, e := range entries {
-		switch e.Server {
-		case "s1:80":
-			if e.Load != 0.25 || e.Capacity != 120.5 || e.Zone != "us-east" {
-				t.Fatalf("s1 = %+v", e)
-			}
-		case "s2:80":
-			if e.Load != 3 || e.Capacity != 0 {
-				t.Fatalf("s2 = %+v", e)
-			}
-		default:
-			t.Fatalf("phantom entry %+v", e)
-		}
+	if len(byServer) != 3 {
+		t.Fatalf("entries = %+v, want s1, s2 and s3 only", byServer)
+	}
+	if e := byServer["s1:80"]; e.Load != 0.25 || e.Capacity != 120.5 || e.Zone != "us-east" {
+		t.Fatalf("s1 = %+v", e)
+	}
+	if e := byServer["s2:80"]; e.Load != 3 || e.Capacity != 0 || e.Zone != "" {
+		t.Fatalf("s2 = %+v", e)
+	}
+	if e := byServer["s3:80"]; e.Capacity != 0 || e.Zone != "eu" {
+		t.Fatalf("s3 = %+v", e)
+	}
+	// An entry without capacity or zone keeps the short form.
+	tab := NewTable("s1:80")
+	tab.UpdateSelf(2, at(10))
+	if h := tab.EncodeClientHeader(); h != "s1:80=2@10000" {
+		t.Fatalf("plain self entry encoded as %q", h)
+	}
+	tab.SetSelfInfo(0, "z")
+	if h := tab.EncodeClientHeader(); !strings.HasSuffix(h, "@0@z") {
+		t.Fatalf("zone-only self entry encoded as %q", h)
 	}
 }
 
@@ -89,7 +99,7 @@ func TestSanitizedZoneSurvivesRoundTrip(t *testing.T) {
 	if e.Zone != "racka1" {
 		t.Fatalf("stored zone = %q", e.Zone)
 	}
-	p := DecodePiggyback(tab.EncodeHeader())
+	p := DecodePiggyback(encodeAll(tab))
 	if len(p.Entries) != 1 || p.Entries[0].Zone != "racka1" {
 		t.Fatalf("decoded = %+v", p.Entries)
 	}

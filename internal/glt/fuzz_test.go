@@ -1,7 +1,7 @@
 package glt
 
 import (
-	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -27,6 +27,16 @@ func FuzzDecodePiggyback(f *testing.F) {
 		"!f=self:1,self:1=1e308@99999",
 		strings.Repeat("s:1=1@1,", 300),
 		"!x=1@2,!!=3,!",
+		// The inline capacity@zone form and its malformed neighbours.
+		"a:80=0.5@1000@120.5@us-east,b:80=1@2000@0@",
+		"a:80=0.5@1000@NaN@z,b:80=0.5@1000@-1@z,c:80=0.5@1000@+Inf@z",
+		"a:80=0.5@1000@4@,b:80=0.5@1000@0@z",
+		"a:80=0.5@1000@4@us=east,b:80=0.5@1000@4@us east,c:80=1@2@3@z\t",
+		"a:80=0.5@1000@4,b:80=0.5@1000@4@z@9",
+		// The '!d' digest item: well-formed, placeholder, and broken quads.
+		"!f=a:80,!v=3,!d=0.2.3e8.ffee;5.1.0.1,b:80=1@2",
+		"!d=-,!d=;;,!d=1.2.3,!d=x.y.z.w,!d=-1.-1.-1.-1",
+		"!d=15.9223372036854775807.7fffffffffffffff.ffffffffffffffff",
 	} {
 		f.Add(seed)
 	}
@@ -36,8 +46,8 @@ func FuzzDecodePiggyback(f *testing.F) {
 			if e.Server == "" {
 				t.Fatalf("decoded empty server name from %q", v)
 			}
-			if math.IsNaN(e.Load) || math.IsInf(e.Load, 0) || e.Load < 0 {
-				t.Fatalf("decoded poison load %v from %q", e.Load, v)
+			if !finiteNonNegative(e.Load) || !finiteNonNegative(e.Capacity) {
+				t.Fatalf("decoded poison load %v or capacity %v from %q", e.Load, e.Capacity, v)
 			}
 			if strings.ContainsAny(e.Server, ",") {
 				t.Fatalf("decoded server %q containing a separator from %q", e.Server, v)
@@ -45,6 +55,13 @@ func FuzzDecodePiggyback(f *testing.F) {
 		}
 		if strings.ContainsAny(p.From, "=@ ,") {
 			t.Fatalf("decoded malformed sender %q from %q", p.From, v)
+		}
+		if p.HasDigests {
+			re := DecodePiggyback(string(appendDigests(nil, p.Digests)))
+			if !re.HasDigests || len(re.Digests) != len(p.Digests) ||
+				(len(p.Digests) > 0 && !reflect.DeepEqual(re.Digests, p.Digests)) {
+				t.Fatalf("digests of %q re-decoded as %+v, want %+v", v, re.Digests, p.Digests)
+			}
 		}
 
 		// Absorbing the decoded payload must leave the table usable and
@@ -62,10 +79,23 @@ func FuzzDecodePiggyback(f *testing.F) {
 		if len(tab.RankedByHeadroom(nil, "")) < 1 {
 			t.Fatalf("absorbing %q broke RankedByHeadroom", v)
 		}
-		// The table must still encode and the result must survive a
-		// decode round trip without inventing entries.
-		if re := DecodeHeader(tab.EncodeHeader()); len(re) != tab.Len() {
-			t.Fatalf("after absorbing %q, re-encode lost entries: %d vs %d", v, len(re), tab.Len())
+		// Every absorbed entry, re-encoded for a peer that has acked
+		// nothing, must decode to an equal Entry, capacity and zone
+		// included. The peer name holds a ',' so it can never collide
+		// with a decoded server.
+		again := map[string]Entry{}
+		for _, e := range DecodePiggyback(tab.EncodePiggybackTo("un,known:0", now, 0, false)).Entries {
+			again[e.Server] = e
+		}
+		for _, want := range tab.Snapshot() {
+			if want.Server == "self:1" {
+				continue
+			}
+			got, ok := again[want.Server]
+			if !ok || got.Load != want.Load || !got.Updated.Equal(want.Updated) ||
+				got.Capacity != want.Capacity || got.Zone != want.Zone {
+				t.Fatalf("after absorbing %q, %+v re-decoded as %+v (present %v)", v, want, got, ok)
+			}
 		}
 		_ = tab.EncodePiggybackTo(p.From, now, 12, false)
 	})

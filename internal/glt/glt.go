@@ -11,19 +11,22 @@
 // the highest version that peer has acknowledged (echoed back in the
 // peer's own header) and piggybacks only entries newer than that, capped
 // and stalest-first, with a periodic anti-entropy exchange as the safety
-// net. Metadata items in the header start with '!' and are skipped by the
-// entry parser, so old decoders interoperate with new encoders.
+// net.
 //
-// Two metadata extensions ride on that rule. A '!c' item carries a
-// server's calibrated capacity and zone label alongside its load entry,
-// so placement can rank peers by absolute headroom (capacity x spare
-// fraction) and prefer zone-local targets; entries stay parseable by
-// legacy decoders, which simply skip the item. A '!d' item carries
-// per-shard content digests for push-pull anti-entropy: the requester
-// sends one digest per stripe, the responder ships back only the entries
-// of stripes whose digests differ (plus its own digests for them), and
-// the requester pushes back any stripe still diverged — so the safety
-// net's cost is proportional to divergence, not to cluster size.
+// The header is a comma-separated list with one form per item. A load
+// entry is server=load@ms, or server=load@ms@capacity@zone when the
+// server advertises a calibrated capacity or a zone label, so placement
+// can rank peers by absolute headroom (capacity x spare fraction) and
+// prefer zone-local targets. Gossip metadata items start with '!': the
+// sender (!f), its version (!v), its ack (!a), a full-exchange request
+// (!g) and shard digests (!d). Every server of a group runs the same
+// binary, so each item has exactly this one form.
+//
+// The '!d' digests drive push-pull anti-entropy: the requester sends one
+// digest per stripe, the responder ships back only the entries of
+// stripes whose digests differ (plus its own digests for them), and the
+// requester pushes back any stripe still diverged — so the safety net's
+// cost is proportional to divergence, not to cluster size.
 package glt
 
 import (
@@ -65,8 +68,8 @@ type Entry struct {
 	Updated time.Time
 	// Capacity is the server's self-calibrated achievable throughput in
 	// the load metric's units (connections/s). Zero means the server
-	// never advertised one (a legacy sender); placement then falls back
-	// to a unit capacity, which reduces headroom ranking to plain
+	// advertises none (capacity normalization off); placement then falls
+	// back to a unit capacity, which reduces headroom ranking to plain
 	// least-load ordering.
 	Capacity float64
 	// Zone is the server's locality/failure-domain label ("" when
@@ -76,8 +79,8 @@ type Entry struct {
 }
 
 // EffectiveCapacity is the capacity used for ranking: the advertised one,
-// or 1 for entries that never gossiped a capacity, so an all-legacy
-// cluster degenerates to the paper's raw least-load ordering.
+// or 1 for entries that gossip none, so a cluster with capacity
+// normalization off degenerates to the paper's raw least-load ordering.
 func (e Entry) EffectiveCapacity() float64 {
 	if e.Capacity > 0 {
 		return e.Capacity
@@ -89,7 +92,7 @@ func (e Entry) EffectiveCapacity() float64 {
 // unused load fraction. With utilization loads it is "how many more
 // connections per second this machine can absorb" — the quantity a
 // migration or chain-replication target should maximize. It goes negative
-// for overloaded (or legacy raw-load) entries, which still orders them
+// for overloaded (or raw-load) entries, which still orders them
 // correctly: descending headroom then equals ascending load.
 func (e Entry) Headroom() float64 {
 	return e.EffectiveCapacity() * (1 - e.Load)
@@ -154,10 +157,10 @@ type PeerGossip struct {
 
 // Piggyback is a decoded X-DCWS-Load header value: the entry list plus
 // the gossip metadata items ("!f" sender, "!v" advertised version, "!a"
-// ack, "!g" full exchange). Headers from old encoders decode with only
-// Entries set.
+// ack, "!g" full exchange, "!d" digests). A client header decodes with
+// only Entries set.
 type Piggyback struct {
-	// From is the sender's address ("" for legacy or client headers).
+	// From is the sender's address ("" for client headers).
 	From string
 	// Version is the table version the sender advertised: the highest
 	// version V such that every record the recipient has not acked, up
@@ -217,14 +220,6 @@ type Table struct {
 	// freshness telemetry).
 	merged atomic.Int64
 
-	// encMu guards the cached full-table header encoding.
-	encMu      sync.Mutex
-	encVersion uint64
-	encValid   bool
-	encoded    string
-	encEntries int
-	regens     atomic.Int64 // times the cached full encoding was rebuilt
-
 	// clientMu guards the cached self-entry-only header attached to
 	// plain client responses, keyed by the self record's version.
 	clientMu    sync.Mutex
@@ -281,9 +276,8 @@ func (t *Table) shardFor(server string) *shard {
 func (t *Table) Self() string { return t.self }
 
 // SetSelfInfo records the owning server's calibrated capacity and zone
-// label. Both are folded into every subsequent self entry and travel as
-// a '!c' metadata item next to it, so legacy decoders still parse the
-// plain entry. A change rewrites the self entry in place (same load and
+// label. Both are folded into every subsequent self entry and travel
+// inline in it. A change rewrites the self entry in place (same load and
 // wire timestamp semantics as RefreshSelf) so peers pick the new figures
 // up on the next exchange.
 func (t *Table) SetSelfInfo(capacity float64, zone string) {
@@ -609,10 +603,6 @@ func (t *Table) ShardSizes() []int {
 	return out
 }
 
-// HeaderRegens reports how many times the cached full-table encoding had
-// to be rebuilt because the table changed.
-func (t *Table) HeaderRegens() int64 { return t.regens.Load() }
-
 // DeltaRegens reports how many times a per-peer delta encoding had to be
 // rebuilt (cache key: table version, peer ack, full flag, cap).
 func (t *Table) DeltaRegens() int64 { return t.deltaRegens.Load() }
@@ -626,8 +616,8 @@ func (t *Table) HeaderBytes() int { return int(t.lastBytes.Load()) }
 func (t *Table) LastHeaderEntries() int { return int(t.lastEntries.Load()) }
 
 // DeltaEmits, FullEmits and ClientEmits count emitted headers by kind:
-// per-peer deltas, full-table exchanges (legacy EncodeHeader or
-// anti-entropy), and self-entry-only client headers.
+// per-peer deltas, full-table and digest anti-entropy exchanges, and
+// self-entry-only client headers.
 func (t *Table) DeltaEmits() int64  { return t.deltaEmits.Load() }
 func (t *Table) FullEmits() int64   { return t.fullEmits.Load() }
 func (t *Table) ClientEmits() int64 { return t.clientEmits.Load() }
@@ -713,35 +703,23 @@ func (t *Table) Absorb(p Piggyback, now time.Time) {
 // not be reallocated per call.
 var encodeBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// appendEntry serializes one entry as server=load@unixMilli. Addresses
-// contain no '=' ',' or '@' so the encoding needs no escaping.
+// appendEntry serializes one entry as server=load@unixMilli, or as
+// server=load@unixMilli@capacity@zone when the entry carries a capacity
+// or a zone. Addresses contain no '=' ',' or '@', and sanitizeZone keeps
+// them out of zones, so the encoding needs no escaping.
 func appendEntry(buf []byte, e Entry) []byte {
 	buf = append(buf, e.Server...)
 	buf = append(buf, '=')
 	buf = strconv.AppendFloat(buf, e.Load, 'g', -1, 64)
 	buf = append(buf, '@')
 	buf = strconv.AppendInt(buf, e.Updated.UnixMilli(), 10)
-	return buf
-}
-
-// appendEntryWithMeta serializes one entry, followed — when the entry
-// carries a capacity or zone — by its ",!c=server@capacity@zone" metadata
-// item. The capacity rides as a separate '!'-item rather than a suffix on
-// the entry because a legacy decoder parses everything after the entry's
-// '@' as the timestamp: a suffix would make it drop the whole entry,
-// while an unknown '!' key is skipped cleanly.
-func appendEntryWithMeta(buf []byte, e Entry) []byte {
-	buf = appendEntry(buf, e)
 	if e.Capacity <= 0 && e.Zone == "" {
 		return buf
 	}
-	buf = append(buf, ",!c="...)
-	buf = append(buf, e.Server...)
 	buf = append(buf, '@')
 	buf = strconv.AppendFloat(buf, e.Capacity, 'g', -1, 64)
 	buf = append(buf, '@')
-	buf = append(buf, sanitizeZone(e.Zone)...)
-	return buf
+	return append(buf, sanitizeZone(e.Zone)...)
 }
 
 // sanitizeZone strips the characters that would corrupt the header
@@ -769,44 +747,6 @@ func (t *Table) noteEmit(kind *atomic.Int64, entries, bytes int) {
 	t.lastBytes.Store(int64(bytes))
 }
 
-// EncodeHeader serializes the complete table in the legacy format:
-//
-//	server=load@unixMilli,server=load@unixMilli,...
-//
-// The encoding is cached against the table version: with the hot path's
-// quantized, throttled self-refresh (RefreshSelf) the table is unchanged
-// between most requests and re-encoding costs a version compare. Delta
-// gossip replaces this on the inter-server path; it remains for tooling,
-// benchmarks, and wire compatibility.
-func (t *Table) EncodeHeader() string {
-	t.encMu.Lock()
-	defer t.encMu.Unlock()
-	// Snapshot the version before scanning: a concurrent write during
-	// the scan leaves the cache tagged older than the live version, so
-	// the next call rebuilds rather than serving a stale entry.
-	v := t.version.Load()
-	if t.encValid && t.encVersion == v {
-		t.noteEmit(&t.fullEmits, t.encEntries, len(t.encoded))
-		return t.encoded
-	}
-	entries := t.Snapshot()
-	bp := encodeBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	for i, e := range entries {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendEntryWithMeta(buf, e)
-	}
-	out := string(buf)
-	*bp = buf
-	encodeBufPool.Put(bp)
-	t.encoded, t.encVersion, t.encValid, t.encEntries = out, v, true, len(entries)
-	t.regens.Add(1)
-	t.noteEmit(&t.fullEmits, len(entries), len(out))
-	return out
-}
-
 // EncodeClientHeader serializes only the owning server's entry, for
 // plain client responses: clients cannot ack versions, so sending them
 // the whole cluster's table is wasted bytes that grow O(cluster). The
@@ -826,7 +766,7 @@ func (t *Table) EncodeClientHeader() string {
 		return out
 	}
 	bp := encodeBufPool.Get().(*[]byte)
-	buf := appendEntryWithMeta((*bp)[:0], rec.e)
+	buf := appendEntry((*bp)[:0], rec.e)
 	out := string(buf)
 	*bp = buf
 	encodeBufPool.Put(bp)
@@ -908,7 +848,7 @@ func (t *Table) EncodePiggybackTo(peer string, now time.Time, max int, full bool
 	}
 	for _, rec := range cands {
 		buf = append(buf, ',')
-		buf = appendEntryWithMeta(buf, rec.e)
+		buf = appendEntry(buf, rec.e)
 	}
 	out := string(buf)
 	*bp = buf
@@ -1130,7 +1070,7 @@ func (t *Table) EncodeDigestResponse(peer string, remote []ShardDigest) (string,
 	buf = appendDigests(buf, local)
 	for _, e := range entries {
 		buf = append(buf, ',')
-		buf = appendEntryWithMeta(buf, e)
+		buf = appendEntry(buf, e)
 	}
 	out := string(buf)
 	*bp = buf
@@ -1166,7 +1106,7 @@ func (t *Table) EncodeShardEntriesTo(peer string, shardIdx []int) string {
 	buf := t.appendGossipMeta((*bp)[:0], peer)
 	for _, e := range entries {
 		buf = append(buf, ',')
-		buf = appendEntryWithMeta(buf, e)
+		buf = appendEntry(buf, e)
 	}
 	out := string(buf)
 	*bp = buf
@@ -1175,40 +1115,6 @@ func (t *Table) EncodeShardEntriesTo(peer string, shardIdx []int) string {
 	t.lastEntries.Store(int64(len(entries)))
 	t.lastBytes.Store(int64(len(out)))
 	return out
-}
-
-// DecodeHeader parses the entry list of a piggyback header value.
-// Malformed items are skipped — extension headers from foreign
-// implementations must never wedge the server.
-func DecodeHeader(v string) []Entry {
-	return DecodePiggyback(v).Entries
-}
-
-// entryMeta is a decoded '!c' item: the capacity and zone advertised for
-// one server, re-associated with its entry after the scan.
-type entryMeta struct {
-	capacity float64
-	zone     string
-}
-
-// decodeEntryMeta parses a '!c' value: server@capacity@zone. The zone may
-// be empty; addresses contain no '@' so the first two separators are
-// unambiguous.
-func decodeEntryMeta(val string) (string, entryMeta, bool) {
-	i := strings.IndexByte(val, '@')
-	if i <= 0 {
-		return "", entryMeta{}, false
-	}
-	server, rest := val[:i], val[i+1:]
-	j := strings.IndexByte(rest, '@')
-	if j < 0 {
-		return "", entryMeta{}, false
-	}
-	capacity, err := strconv.ParseFloat(rest[:j], 64)
-	if err != nil || capacity < 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
-		return "", entryMeta{}, false
-	}
-	return server, entryMeta{capacity: capacity, zone: rest[j+1:]}, true
 }
 
 // decodeDigests parses a '!d' value: shard.count.maxMs.hash quads (all
@@ -1246,7 +1152,6 @@ func DecodePiggyback(v string) Piggyback {
 	if v == "" {
 		return p
 	}
-	var meta map[string]entryMeta
 	for _, part := range strings.Split(v, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -1274,49 +1179,54 @@ func DecodePiggyback(v string) Piggyback {
 				if val == "1" {
 					p.Full = true
 				}
-			case 'c':
-				if server, m, ok := decodeEntryMeta(val); ok {
-					if meta == nil {
-						meta = make(map[string]entryMeta)
-					}
-					meta[server] = m
-				}
 			case 'd':
 				p.Digests = decodeDigests(val)
 				p.HasDigests = true
 			}
 			continue
 		}
-		eq := strings.LastIndexByte(part, '=')
-		at := strings.LastIndexByte(part, '@')
-		if eq <= 0 || at <= eq+1 || at == len(part)-1 {
-			continue
-		}
-		load, err := strconv.ParseFloat(part[eq+1:at], 64)
-		if err != nil || load < 0 || math.IsNaN(load) || math.IsInf(load, 0) {
-			continue
-		}
-		ms, err := strconv.ParseInt(part[at+1:], 10, 64)
-		if err != nil {
-			continue
-		}
-		p.Entries = append(p.Entries, Entry{
-			Server:  part[:eq],
-			Load:    load,
-			Updated: time.UnixMilli(ms),
-		})
-	}
-	// Re-associate '!c' items with their entries by server name. Items
-	// are emitted adjacent to their entry but order is not relied on, and
-	// an item without a matching entry is dropped — it cannot create a
-	// phantom server.
-	if meta != nil {
-		for i := range p.Entries {
-			if m, ok := meta[p.Entries[i].Server]; ok {
-				p.Entries[i].Capacity = m.capacity
-				p.Entries[i].Zone = m.zone
-			}
+		if e, ok := decodeEntry(part); ok {
+			p.Entries = append(p.Entries, e)
 		}
 	}
 	return p
+}
+
+// decodeEntry parses one load entry, server=load@unixMilli or
+// server=load@unixMilli@capacity@zone. Loads and capacities must be
+// finite and non-negative, and a zone must be in the wire form
+// sanitizeZone produces; anything else is malformed.
+func decodeEntry(part string) (Entry, bool) {
+	server, rest, _ := strings.Cut(part, "=")
+	loadStr, rest, _ := strings.Cut(rest, "@")
+	msStr, meta, inline := strings.Cut(rest, "@")
+	if server == "" || msStr == "" {
+		return Entry{}, false
+	}
+	load, err := strconv.ParseFloat(loadStr, 64)
+	if err != nil || !finiteNonNegative(load) {
+		return Entry{}, false
+	}
+	ms, err := strconv.ParseInt(msStr, 10, 64)
+	if err != nil {
+		return Entry{}, false
+	}
+	e := Entry{Server: server, Load: load, Updated: time.UnixMilli(ms)}
+	if inline {
+		capStr, zone, ok := strings.Cut(meta, "@")
+		if !ok || sanitizeZone(zone) != zone {
+			return Entry{}, false
+		}
+		if e.Capacity, err = strconv.ParseFloat(capStr, 64); err != nil || !finiteNonNegative(e.Capacity) {
+			return Entry{}, false
+		}
+		e.Zone = zone
+	}
+	return e, true
+}
+
+// finiteNonNegative rejects the NaN, infinite and negative figures a
+// forged header could use to poison placement.
+func finiteNonNegative(v float64) bool {
+	return v >= 0 && !math.IsInf(v, 0)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -107,12 +108,21 @@ func TestServersSorted(t *testing.T) {
 	}
 }
 
+// entriesOf decodes the load entries of a header value.
+func entriesOf(v string) []Entry { return DecodePiggyback(v).Entries }
+
+// encodeAll encodes every entry of the table: the delta to a peer that
+// has acknowledged nothing.
+func encodeAll(tab *Table) string {
+	return tab.EncodePiggybackTo("unacked:0", time.Time{}, 0, false)
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tab := NewTable("s1:80")
 	tab.UpdateSelf(12.5, at(1000))
 	tab.Observe(Entry{Server: "s2:80", Load: 0, Updated: at(2000)})
 	tab.Observe(Entry{Server: "far.example.com:8080", Load: 1234.75, Updated: at(3000)})
-	decoded := DecodeHeader(tab.EncodeHeader())
+	decoded := entriesOf(encodeAll(tab))
 	if len(decoded) != 3 {
 		t.Fatalf("decoded %d entries: %v", len(decoded), decoded)
 	}
@@ -137,14 +147,14 @@ func TestDecodeHeaderMalformed(t *testing.T) {
 		"s=1@2,t=2@3,bad,", // valid + invalid mixed
 	}
 	for _, v := range cases {
-		got := DecodeHeader(v)
+		got := entriesOf(v)
 		for _, e := range got {
 			if e.Server == "" || e.Load < 0 {
-				t.Errorf("DecodeHeader(%q) produced invalid entry %+v", v, e)
+				t.Errorf("decoding %q produced invalid entry %+v", v, e)
 			}
 		}
 	}
-	if got := DecodeHeader("s=1@2,t=2@3,bad,"); len(got) != 2 {
+	if got := entriesOf("s=1@2,t=2@3,bad,"); len(got) != 2 {
 		t.Fatalf("mixed decode = %v", got)
 	}
 }
@@ -204,7 +214,8 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 			})
 		}
 		want := tab.Snapshot()
-		got := DecodeHeader(tab.EncodeHeader())
+		got := entriesOf(encodeAll(tab))
+		sort.Slice(got, func(i, j int) bool { return got[i].Server < got[j].Server })
 		if len(got) != len(want) {
 			return false
 		}
@@ -219,33 +230,6 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEncodeHeaderCachedByVersion(t *testing.T) {
-	tab := NewTable("a:80")
-	now := time.Unix(1000, 0)
-	tab.UpdateSelf(3, now)
-	h1 := tab.EncodeHeader()
-	h2 := tab.EncodeHeader()
-	if h1 != h2 {
-		t.Fatalf("unchanged table encoded differently: %q vs %q", h1, h2)
-	}
-	if got := tab.HeaderRegens(); got != 1 {
-		t.Fatalf("HeaderRegens = %d, want 1 (second call cached)", got)
-	}
-	if tab.HeaderBytes() != len(h1) {
-		t.Fatalf("HeaderBytes = %d, want %d", tab.HeaderBytes(), len(h1))
-	}
-	// A change invalidates the cache exactly once.
-	tab.Observe(Entry{Server: "b:81", Load: 5, Updated: now})
-	h3 := tab.EncodeHeader()
-	if h3 == h1 {
-		t.Fatal("changed table served the stale encoding")
-	}
-	tab.EncodeHeader()
-	if got := tab.HeaderRegens(); got != 2 {
-		t.Fatalf("HeaderRegens = %d, want 2", got)
 	}
 }
 

@@ -58,7 +58,7 @@ func (g *gossipNet) note(h string, full bool) {
 	if len(h) > g.maxDeltaBytes {
 		g.maxDeltaBytes = len(h)
 	}
-	if n := len(DecodeHeader(h)); n > g.maxDeltaEntries {
+	if n := len(entriesOf(h)); n > g.maxDeltaEntries {
 		g.maxDeltaEntries = n
 	}
 }
@@ -177,7 +177,7 @@ func TestConcurrentShardMerge(t *testing.T) {
 					tab.RefreshSelf(rng.Float64(), at, time.Second)
 					_ = tab.EncodeClientHeader()
 				case 5:
-					_ = tab.EncodeHeader()
+					_ = tab.EncodePiggybackTo(srv, at, 0, true)
 					_ = tab.Snapshot()
 					_ = tab.RankedByHeadroom(nil, "")
 				case 6:

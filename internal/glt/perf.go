@@ -137,9 +137,9 @@ func BenchGossipExchangeBaseline(servers int) func(*testing.B) {
 				n++
 				at := benchBase.Add(time.Duration(n) * time.Millisecond)
 				send.UpdateSelf(float64(n%50)+0.5, at)
-				recv.Merge(DecodeHeader(send.EncodeHeader()))
+				recv.Merge(DecodePiggyback(send.EncodeHeader()).Entries)
 				recv.UpdateSelf(float64(n%40)+0.5, at)
-				send.Merge(DecodeHeader(recv.EncodeHeader()))
+				send.Merge(DecodePiggyback(recv.EncodeHeader()).Entries)
 			}
 		})
 	}
@@ -172,17 +172,18 @@ func BenchGossipExchangeSharded(servers, max int) func(*testing.B) {
 	}
 }
 
-// HeaderSizes reports piggyback header sizes at a cluster size: the full
-// legacy table encoding and the worst-case capped delta (a peer that has
-// acked nothing, so the delta carries its full cap of entries plus the
-// gossip metadata). The acceptance gate compares the capped delta at 256
-// servers against the full table at 16.
+// HeaderSizes reports piggyback header sizes at a cluster size: the
+// frozen baseline's full-table encoding and the worst-case capped delta
+// (a peer that has acked nothing, so the delta carries its full cap of
+// entries plus the gossip metadata). The acceptance gate compares the
+// capped delta at 256 servers against the full table at 16.
 func HeaderSizes(servers, max int) (fullBytes, deltaBytes int) {
+	full := seedBaseline(benchAddr(0), servers)
+	full.UpdateSelf(0.5, benchBase)
 	t := seedSharded(benchAddr(0), servers)
 	t.UpdateSelf(0.5, benchBase)
-	full := t.EncodeHeader()
 	delta := t.EncodePiggybackTo(benchAddr(1), benchBase, max, false)
-	return len(full), len(delta)
+	return len(full.EncodeHeader()), len(delta)
 }
 
 // DigestExchangeSizes measures one anti-entropy exchange between two

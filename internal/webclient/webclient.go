@@ -102,12 +102,9 @@ type Client struct {
 	cfg    Config
 	client *httpx.Client
 	rng    *rand.Rand
-	cache  map[string]cachedDoc
-}
-
-type cachedDoc struct {
-	body []byte
-	html bool
+	// cache holds the bodies fetched in the current access sequence,
+	// keyed by URL.
+	cache map[string][]byte
 }
 
 // New returns a client ready to run sequences.
@@ -126,7 +123,7 @@ func New(cfg Config) (*Client, error) {
 		// reusing connections mirrors what real browsers do.
 		client: httpx.NewPooledClient(cfg.Dialer, httpx.PoolConfig{MaxIdlePerHost: cfg.ImageHelpers}),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		cache:  make(map[string]cachedDoc),
+		cache:  make(map[string][]byte),
 	}, nil
 }
 
@@ -148,7 +145,7 @@ func (c *Client) Run(stop <-chan struct{}) {
 // RunSequence performs one access sequence of Algorithm 2: reset the cache,
 // start at a random entry point, and follow random(1..MaxSteps) links.
 func (c *Client) RunSequence(stop <-chan struct{}) {
-	c.cache = make(map[string]cachedDoc) // reset cache
+	c.cache = make(map[string][]byte) // reset cache
 	current := c.cfg.EntryURLs[c.rng.Intn(len(c.cfg.EntryURLs))]
 	steps := 1 + c.rng.Intn(c.cfg.MaxSteps)
 	for i := 0; i < steps; i++ {
@@ -168,8 +165,8 @@ func (c *Client) RunSequence(stop <-chan struct{}) {
 			break // dead end: restart from an entry point next sequence
 		}
 		current = next
-		if c.cfg.ThinkTime > 0 {
-			c.cfg.Clock.Sleep(c.cfg.ThinkTime)
+		if c.cfg.ThinkTime > 0 && !c.wait(c.cfg.ThinkTime, stop) {
+			return
 		}
 	}
 	c.cfg.Stats.Sequences.Inc()
@@ -178,7 +175,7 @@ func (c *Client) RunSequence(stop <-chan struct{}) {
 // ResetCache clears the client-side cache, as happens at the start of each
 // access sequence.
 func (c *Client) ResetCache() {
-	c.cache = make(map[string]cachedDoc)
+	c.cache = make(map[string][]byte)
 }
 
 // Fetch retrieves one absolute URL the way a sequence step does — following
@@ -188,14 +185,25 @@ func (c *Client) Fetch(url string) (body []byte, finalURL string, ok bool) {
 	return c.fetch(url, nil)
 }
 
-// fetch retrieves a URL, following redirects and backing off exponentially
+// fetch retrieves a URL through the sequence cache.
+func (c *Client) fetch(url string, stop <-chan struct{}) (body []byte, finalURL string, ok bool) {
+	if body, hit := c.cache[url]; hit {
+		return body, url, true
+	}
+	body, finalURL, ok = c.get(url, stop)
+	if ok {
+		c.cache[url] = body
+		c.cache[finalURL] = body
+	}
+	return body, finalURL, ok
+}
+
+// get retrieves a URL, following redirects and backing off exponentially
 // on 503 drops ("a client thread sleeps for a second at the first drop, two
 // seconds at the second drop, four seconds at the third", §5.2). It returns
-// the body and the final URL after redirects.
-func (c *Client) fetch(url string, stop <-chan struct{}) (body []byte, finalURL string, ok bool) {
-	if d, hit := c.cache[url]; hit {
-		return d.body, url, true
-	}
+// the body and the final URL after redirects. Closing stop ends it, in the
+// middle of a backoff too. get leaves the cache to its callers.
+func (c *Client) get(url string, stop <-chan struct{}) (body []byte, finalURL string, ok bool) {
 	backoff := time.Second
 	redirects := 0
 	cur := url
@@ -219,10 +227,6 @@ func (c *Client) fetch(url string, stop <-chan struct{}) (body []byte, finalURL 
 		case 200:
 			c.cfg.Stats.Connections.Inc()
 			c.cfg.Stats.Bytes.Add(int64(len(resp.Body)))
-			c.cache[url] = cachedDoc{body: resp.Body, html: graph.IsHTML(path)}
-			if cur != url {
-				c.cache[cur] = c.cache[url]
-			}
 			return resp.Body, cur, true
 		case 301, 302:
 			c.cfg.Stats.Redirects.Inc()
@@ -235,17 +239,27 @@ func (c *Client) fetch(url string, stop <-chan struct{}) (body []byte, finalURL 
 			cur = absolutize(addr, loc)
 		case 503:
 			c.cfg.Stats.Drops.Inc()
-			c.cfg.Clock.Sleep(backoff)
-			backoff *= 2
-			if backoff > c.cfg.MaxBackoff {
-				backoff = c.cfg.MaxBackoff
+			if !c.wait(backoff, stop) {
+				return nil, "", false
 			}
+			backoff = min(2*backoff, c.cfg.MaxBackoff)
 		default:
 			c.cfg.Stats.Errors.Inc()
 			return nil, "", false
 		}
 	}
 	return nil, "", false
+}
+
+// wait pauses for d on the configured clock, and reports false when stop
+// closes first.
+func (c *Client) wait(d time.Duration, stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return false
+	case <-c.cfg.Clock.After(d):
+		return true
+	}
 }
 
 // fetchImages requests the document's embedded images in parallel using the
@@ -288,70 +302,17 @@ func (c *Client) fetchImages(baseURL string, doc *hypertext.Document, stop <-cha
 		go func() {
 			defer wg.Done()
 			for j := range ch {
-				body, finalURL, ok := c.fetchUncachedImage(j.url, stop)
+				body, finalURL, ok := c.get(j.url, stop)
 				if ok {
 					mu.Lock()
-					c.cache[j.url] = cachedDoc{body: body}
-					if finalURL != j.url {
-						c.cache[finalURL] = cachedDoc{body: body}
-					}
+					c.cache[j.url] = body
+					c.cache[finalURL] = body
 					mu.Unlock()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// fetchUncachedImage is fetch without cache interaction (the caller guards
-// the cache map, which is not safe for concurrent use).
-func (c *Client) fetchUncachedImage(url string, stop <-chan struct{}) ([]byte, string, bool) {
-	backoff := time.Second
-	cur := url
-	redirects := 0
-	for attempt := 0; attempt < 12; attempt++ {
-		select {
-		case <-stop:
-			return nil, "", false
-		default:
-		}
-		addr, path, err := naming.SplitURL(cur)
-		if err != nil || addr == "" {
-			c.cfg.Stats.Errors.Inc()
-			return nil, "", false
-		}
-		resp, err := c.client.Get(addr, path, nil)
-		if err != nil {
-			c.cfg.Stats.Errors.Inc()
-			return nil, "", false
-		}
-		switch resp.Status {
-		case 200:
-			c.cfg.Stats.Connections.Inc()
-			c.cfg.Stats.Bytes.Add(int64(len(resp.Body)))
-			return resp.Body, cur, true
-		case 301, 302:
-			c.cfg.Stats.Redirects.Inc()
-			loc := resp.Header.Get("Location")
-			if loc == "" || redirects >= 5 {
-				c.cfg.Stats.Errors.Inc()
-				return nil, "", false
-			}
-			redirects++
-			cur = absolutize(addr, loc)
-		case 503:
-			c.cfg.Stats.Drops.Inc()
-			c.cfg.Clock.Sleep(backoff)
-			backoff *= 2
-			if backoff > c.cfg.MaxBackoff {
-				backoff = c.cfg.MaxBackoff
-			}
-		default:
-			c.cfg.Stats.Errors.Inc()
-			return nil, "", false
-		}
-	}
-	return nil, "", false
 }
 
 // pickLink selects a random navigable anchor or frame from the document.

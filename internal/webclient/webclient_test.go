@@ -85,7 +85,7 @@ func TestCacheSuppressesRefetchWithinSequence(t *testing.T) {
 	})
 	// Long walk over a 3-page site: without a cache, connections would far
 	// exceed the distinct document count (3 pages + 2 images).
-	c.cache = make(map[string]cachedDoc)
+	c.cache = make(map[string][]byte)
 	current := "http://site:80/index.html"
 	for i := 0; i < 25; i++ {
 		body, finalURL, ok := c.fetch(current, nil)
@@ -153,6 +153,46 @@ func TestBackoffOn503(t *testing.T) {
 	}
 	if stats.Drops.Value() != 2 {
 		t.Fatalf("drops = %d, want 2", stats.Drops.Value())
+	}
+}
+
+// TestRunStopsDuringBackoff: closing stop while the client sits out a 503
+// backoff ends Run at once. The manual clock never advances, so a backoff
+// that ignored stop would hold Run for good.
+func TestRunStopsDuringBackoff(t *testing.T) {
+	fabric := memnet.NewFabric()
+	l, _ := fabric.Listen("busy:80")
+	srv := httpx.NewServer(httpx.ServerConfig{}, httpx.HandlerFunc(func(*httpx.Request) *httpx.Response {
+		return httpx.NewResponse(503)
+	}))
+	go srv.Serve(l)
+	defer srv.Close()
+
+	manual := clock.NewManual(time.Unix(0, 0))
+	stats := &Stats{}
+	c, _ := New(Config{
+		Dialer:    httpx.DialerFunc(fabric.Dial),
+		Clock:     manual,
+		EntryURLs: []string{"http://busy:80/index.html"},
+		Seed:      1,
+		Stats:     stats,
+	})
+	defer c.Close()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		c.Run(stop)
+		close(done)
+	}()
+	waitWaiters(t, manual, 1) // the first drop's backoff
+	close(stop)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run kept backing off after stop closed")
+	}
+	if got := stats.Drops.Value(); got != 1 {
+		t.Fatalf("drops = %d, want 1", got)
 	}
 }
 
