@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"dcws/internal/httpx"
 	"dcws/internal/naming"
@@ -233,13 +232,11 @@ func TestRenderCacheBudget(t *testing.T) {
 func TestCoopSetBudgetEviction(t *testing.T) {
 	cs := newCoopSet()
 	origin := naming.Origin{Host: "home", Port: 80}
-	now := time.Unix(1000, 0)
 	for _, k := range []string{"a", "b", "c"} {
-		cs.touch(k, origin, "/"+k, now)
-		cs.markFetched(k, 40, 0, now)
-		now = now.Add(time.Second)
+		cs.touch(k, origin, "/"+k)
+		cs.markFetched(coopSeed{key: k, home: origin, name: "/" + k, size: 40})
 	}
-	cs.touch("a", origin, "/a", now) // a becomes most recently used
+	cs.touch("a", origin, "/a") // a becomes most recently used
 	if got := cs.presentBytes(); got != 120 {
 		t.Fatalf("presentBytes = %d, want 120", got)
 	}

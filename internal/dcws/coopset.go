@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -41,10 +42,9 @@ func newCoopSet() *coopSet {
 }
 
 // touch returns the record for key, creating it if unknown, and performs
-// all per-request accounting — windowHit bump, lastUsed, LRU position —
-// in the same critical section (formerly three separate lock
-// acquisitions per request).
-func (cs *coopSet) touch(key string, home naming.Origin, name string, now time.Time) coopView {
+// all per-request accounting — windowHit bump and LRU position — in the
+// same critical section.
+func (cs *coopSet) touch(key string, home naming.Origin, name string) coopView {
 	cs.mu.Lock()
 	cd, ok := cs.docs[key]
 	if !ok {
@@ -52,7 +52,6 @@ func (cs *coopSet) touch(key string, home naming.Origin, name string, now time.T
 		cs.docs[key] = cd
 	}
 	cd.windowHit++
-	cd.lastUsed = now
 	if cd.elem != nil {
 		cs.lru.MoveToFront(cd.elem)
 	}
@@ -81,29 +80,42 @@ func (cd *coopDoc) viewLocked() coopView {
 	}
 }
 
-// markFetched records that the physical copy for key is now in the store.
-func (cs *coopSet) markFetched(key string, size int64, hash uint64, now time.Time) {
+// host creates c's record if it is unknown, and records the copy present
+// when c says so. Only a copy that arrives unasked needs it: a chain push,
+// which admitCopy then stores, or recovery, whose surviving copies join
+// the LRU as most recent (there is no better ordering signal than "it
+// survived"). It counts no hit: only a client request does.
+func (cs *coopSet) host(c coopSeed) {
 	cs.mu.Lock()
-	if cd, ok := cs.docs[key]; ok {
-		cs.bytes += size - cd.presentSize()
-		cd.present = true
-		cd.hash = hash
-		cd.fetched = now
-		cd.lastUsed = now
-		cd.size = size
-		if cd.elem == nil {
-			cd.elem = cs.lru.PushFront(cd)
-		} else {
-			cs.lru.MoveToFront(cd.elem)
-		}
+	if _, ok := cs.docs[c.key]; !ok {
+		cs.docs[c.key] = &coopDoc{key: c.key, home: c.home, name: c.name}
 	}
 	cs.mu.Unlock()
+	if c.present {
+		cs.markFetched(c)
+	}
 }
 
-// refresh updates the hash/size bookkeeping after a validator pass
-// replaced the stored copy.
-func (cs *coopSet) refresh(key string, size int64, hash uint64, now time.Time) {
-	cs.markFetched(key, size, hash, now)
+// markFetched records that the physical copy c describes is now in the
+// store. It reports false, changing nothing, when the record is gone: the
+// copy was revoked while its bytes were on the way.
+func (cs *coopSet) markFetched(c coopSeed) bool {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	cd, ok := cs.docs[c.key]
+	if !ok {
+		return false
+	}
+	cs.bytes += c.size - cd.presentSize()
+	cd.present = true
+	cd.hash = c.hash
+	cd.size = c.size
+	if cd.elem == nil {
+		cd.elem = cs.lru.PushFront(cd)
+	} else {
+		cs.lru.MoveToFront(cd.elem)
+	}
+	return true
 }
 
 // markAbsent records that the physical copy for key is gone (evicted or
@@ -293,62 +305,56 @@ func (cs *coopSet) rollWindows() {
 	cs.mu.Unlock()
 }
 
-// hotReport returns "name=hits" parts for every hosted document of the
-// given home server with a non-zero window hit count, sorted (the
-// replication extension's piggybacked hot-spot report).
-func (cs *coopSet) hotReport(homeAddr string) []string {
-	var parts []string
+// hotReport returns the X-DCWS-Hot value for one home server: the window
+// hits of every document hosted from it that has any (the replication
+// extension's piggybacked hot-spot report).
+func (cs *coopSet) hotReport(homeAddr string) string {
+	hits := make(map[string]int64)
 	cs.mu.RLock()
 	for _, cd := range cs.docs {
 		if cd.windowHit > 0 && cd.home.Addr() == homeAddr {
-			parts = append(parts, cd.name+"="+strconv.FormatInt(cd.windowHit, 10))
+			hits[cd.name] = cd.windowHit
 		}
 	}
 	cs.mu.RUnlock()
-	sort.Strings(parts)
-	return parts
+	return encodeHot(hits)
 }
 
-// restore re-installs a hosted-document record during crash recovery.
-// Present copies join the LRU as most-recent (recovery has no better
-// ordering signal than "it survived").
-func (cs *coopSet) restore(seed coopSeed, now time.Time) {
-	cs.mu.Lock()
-	cd, ok := cs.docs[seed.key]
-	if !ok {
-		cd = &coopDoc{key: seed.key, home: seed.home, name: seed.name}
-		cs.docs[seed.key] = cd
+// A hot report is "name=hits" pairs joined by ',' and sorted. A name's '%'
+// and ',' are percent-escaped, so the separator never occurs inside one;
+// every other byte of the name travels as is.
+var (
+	hotEscape   = strings.NewReplacer("%", "%25", ",", "%2C")
+	hotUnescape = strings.NewReplacer("%25", "%", "%2C", ",")
+)
+
+func encodeHot(hits map[string]int64) string {
+	parts := make([]string, 0, len(hits))
+	for name, n := range hits {
+		parts = append(parts, hotEscape.Replace(name)+"="+strconv.FormatInt(n, 10))
 	}
-	if seed.present {
-		cs.bytes += seed.size - cd.presentSize()
-		cd.present = true
-		cd.size = seed.size
-		cd.hash = seed.hash
-		cd.fetched = now
-		cd.lastUsed = now
-		if cd.elem == nil {
-			cd.elem = cs.lru.PushFront(cd)
+	sort.Strings(parts)
+	return strings.Join(parts, ",")
+}
+
+// decodeHot reads a hot report back. Malformed pairs and zero counts are
+// skipped, and a name reported twice keeps its larger count.
+func decodeHot(v string) map[string]int64 {
+	report := make(map[string]int64)
+	for _, part := range strings.Split(v, ",") {
+		eq := strings.LastIndexByte(part, '=')
+		if eq <= 0 {
+			continue
+		}
+		hits, err := strconv.ParseInt(part[eq+1:], 10, 64)
+		if err != nil {
+			continue
+		}
+		if name := hotUnescape.Replace(part[:eq]); hits > report[name] {
+			report[name] = hits
 		}
 	}
-	cs.mu.Unlock()
-}
-
-// seedOf captures one hosted-document record in durable form.
-func (cs *coopSet) seedOf(key string) (coopSeed, bool) {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	cd, ok := cs.docs[key]
-	if !ok {
-		return coopSeed{}, false
-	}
-	return coopSeed{
-		key:     cd.key,
-		home:    cd.home,
-		name:    cd.name,
-		present: cd.present,
-		size:    cd.presentSize(),
-		hash:    cd.hash,
-	}, true
+	return report
 }
 
 // snapshotSeeds captures every hosted-document record in durable form,

@@ -213,7 +213,7 @@ func decodeReplicas(data []byte) (doc string, addrs []string, err error) {
 		return
 	}
 	var n uint64
-	if n, data, err = getUvarint(data); err != nil {
+	if n, data, err = getDocCount(data, 1); err != nil {
 		return
 	}
 	for i := uint64(0); i < n; i++ {
@@ -335,7 +335,7 @@ func decodeServerSnapshot(data []byte) (*recoveredState, error) {
 		fromSnapshot: true,
 	}
 
-	count, data, err := getUvarint(data)
+	count, data, err := getDocCount(data, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +371,7 @@ func decodeServerSnapshot(data []byte) (*recoveredState, error) {
 		rec.coops[c.key] = &c
 	}
 
-	if count, data, err = getUvarint(data); err != nil {
+	if count, data, err = getDocCount(data, 1); err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < count; i++ {
@@ -389,7 +389,7 @@ func decodeServerSnapshot(data []byte) (*recoveredState, error) {
 		rec.ledger.Record(doc, coop, time.Unix(0, int64(ns)))
 	}
 
-	if count, data, err = getUvarint(data); err != nil {
+	if count, data, err = getDocCount(data, 1); err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < count; i++ {
@@ -398,7 +398,7 @@ func decodeServerSnapshot(data []byte) (*recoveredState, error) {
 		if doc, data, err = getStr(data); err != nil {
 			return nil, err
 		}
-		if nAddrs, data, err = getUvarint(data); err != nil {
+		if nAddrs, data, err = getDocCount(data, 1); err != nil {
 			return nil, err
 		}
 		addrs := make([]string, 0, nAddrs)
@@ -412,7 +412,7 @@ func decodeServerSnapshot(data []byte) (*recoveredState, error) {
 		rec.replicas[doc] = addrs
 	}
 
-	if count, data, err = getUvarint(data); err != nil {
+	if count, data, err = getDocCount(data, 1); err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < count; i++ {
@@ -424,7 +424,7 @@ func decodeServerSnapshot(data []byte) (*recoveredState, error) {
 	}
 
 	if version >= 2 {
-		if count, data, err = getUvarint(data); err != nil {
+		if count, data, err = getDocCount(data, 1); err != nil {
 			return nil, err
 		}
 		for i := uint64(0); i < count; i++ {
@@ -433,7 +433,7 @@ func decodeServerSnapshot(data []byte) (*recoveredState, error) {
 			if addr, data, err = getStr(data); err != nil {
 				return nil, err
 			}
-			if nDocs, data, err = getUvarint(data); err != nil {
+			if nDocs, data, err = getDocCount(data, 1); err != nil {
 				return nil, err
 			}
 			docs := make([]string, 0, nDocs)
@@ -645,18 +645,6 @@ func (s *Server) walAppend(typ uint8, data []byte) {
 	}
 	if _, err := s.wal.Append(typ, data); err != nil {
 		s.log.Printf("dcws %s: wal append type %d: %v", s.Addr(), typ, err)
-	}
-}
-
-// walCoopAdmit logs a hosted copy's admission or refresh, reading the
-// record's durable fields back from the coopSet so the log always
-// carries what the set actually holds.
-func (s *Server) walCoopAdmit(key string) {
-	if s.wal == nil {
-		return
-	}
-	if seed, ok := s.coops.seedOf(key); ok && seed.present {
-		s.walAppend(recCoopAdmit, encodeCoopAdmit(seed))
 	}
 }
 

@@ -2,9 +2,16 @@ package dcws
 
 import (
 	"encoding/binary"
+	"maps"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
+	"time"
+
+	"dcws/internal/graph"
+	"dcws/internal/naming"
+	"dcws/internal/store"
 )
 
 // hugeCount is a document count no frame can hold: sizing a slice by it
@@ -86,4 +93,90 @@ func FuzzInvalidationFrames(f *testing.F) {
 // sameDocs compares decoded inventories, treating nil and empty alike.
 func sameDocs(a, b []invDoc) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// FuzzPeerHeaders drives the decoders of the comma-separated peer headers.
+// A hot report (X-DCWS-Hot) must round-trip whatever it decodes, and any
+// single document name must survive encoding whole. An address list
+// (X-DCWS-Chain, X-DCWS-Acked, X-DCWS-Replicas) never yields an empty
+// address or one holding the separator.
+func FuzzPeerHeaders(f *testing.F) {
+	f.Add("/a.html=3,/b.gif=1")
+	f.Add("/a%2Cb.html=2,/100%25.html=1")
+	f.Add("/a,b.html=2")
+	f.Add("=5,/x=,/y=-1,/z=+7,/z=9")
+	f.Add("coop1:81, coop2:82,,")
+	f.Add("%")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, v string) {
+		got := decodeHot(v)
+		if again := decodeHot(encodeHot(got)); !maps.Equal(again, got) {
+			t.Fatalf("hot round trip: %v -> %q -> %v", got, encodeHot(got), again)
+		}
+		if v != "" {
+			one := map[string]int64{v: 1}
+			if again := decodeHot(encodeHot(one)); !maps.Equal(again, one) {
+				t.Fatalf("name %q: encoded %q, decoded %v", v, encodeHot(one), again)
+			}
+		}
+		for _, a := range splitAddrs(v) {
+			if a == "" || strings.Contains(a, ",") {
+				t.Fatalf("splitAddrs(%q) yielded %q", v, a)
+			}
+		}
+	})
+}
+
+// hugeReplicaSnapshot is a snapshot whose one replica entry claims 2^60
+// addresses: sized by that count, the address slice panics.
+func hugeReplicaSnapshot() []byte {
+	ldg := graph.New().EncodeSnapshot()
+	b := append([]byte{serverSnapVersion}, binary.AppendUvarint(nil, uint64(len(ldg)))...)
+	b = append(b, ldg...)
+	b = append(b, 0, 0, 1) // no hosted copies, no ledger, one replica entry
+	b = putStr(b, "/a.html")
+	b = binary.AppendUvarint(b, hugeCount)
+	return append(b, make([]byte, 16)...)
+}
+
+// TestSnapshotHugeCountRejected: a forged count in a snapshot is an error,
+// not an allocation; recovery reads the snapshot before anything else, so
+// a panic there would keep the server from starting.
+func TestSnapshotHugeCountRejected(t *testing.T) {
+	if _, err := decodeServerSnapshot(hugeReplicaSnapshot()); err != errInvalFrame {
+		t.Fatalf("decodeServerSnapshot(replica count 2^60) err = %v, want errInvalFrame", err)
+	}
+}
+
+// FuzzServerSnapshot drives the snapshot decoder and the WAL record
+// decoders with the same arbitrary bytes: none may panic.
+func FuzzServerSnapshot(f *testing.F) {
+	st := store.NewMem()
+	st.Put("/index.html", []byte(`<a href="/a.html">a</a>`))
+	st.Put("/a.html", []byte(`<a href="/index.html">home</a>`))
+	s := perfServer(f, st, naming.Origin{Host: "home", Port: 80})
+	s.migrate("/a.html", "coop:81")
+	s.relocate("/a.html", []string{"coop:81", "coop:82"})
+	s.hub.restore("coop:81", []string{"/a.html"})
+	peer := naming.Origin{Host: "peer", Port: 80}
+	key, _ := naming.Encode(peer, "/b.html")
+	s.coops.host(coopSeed{key: key, home: peer, name: "/b.html"})
+	if err := s.admitCopy(key, []byte("b"), nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(s.encodeServerSnapshot())
+	f.Add(hugeReplicaSnapshot())
+	f.Add(encodeCoopAdmit(coopSeed{key: key, home: peer, name: "/b.html", present: true, size: 1, hash: 7}))
+	f.Add(encodeMigrate("/a.html", "coop:81", time.Unix(1, 2)))
+	f.Add(encodeReplicas("/a.html", []string{"coop:81", "coop:82"}))
+	f.Add(append(putStr(nil, "/a.html"), binary.AppendUvarint(nil, hugeCount)...))
+	f.Add(encodeSubRecord("coop:81", "/a.html"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		decodeServerSnapshot(b)
+		decodeCoopAdmit(b)
+		decodeMigrate(b)
+		decodeReplicas(b)
+		decodeSubRecord(b)
+	})
 }

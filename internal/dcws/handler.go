@@ -148,41 +148,6 @@ func (s *Server) handlePing() *httpx.Response {
 	return resp
 }
 
-// handleRevoke is the co-op side of revocation (§4.5): the home server asks
-// us to stop hosting one of its documents.
-func (s *Server) handleRevoke(req *httpx.Request) *httpx.Response {
-	if req.Method != "POST" {
-		return status(405, "revoke requires POST")
-	}
-	key := req.Header.Get(headerRevokeDoc)
-	if key == "" || !naming.IsMigrated(key) {
-		return status(400, "missing or invalid "+headerRevokeDoc+" header")
-	}
-	cleaned, err := store.CleanName(key)
-	if err != nil {
-		return status(400, err.Error())
-	}
-	hosted := s.coops.remove(cleaned)
-	if hosted {
-		if err := s.cfg.Store.Delete(cleaned); err != nil {
-			s.log.Printf("dcws %s: delete revoked copy %s: %v", s.Addr(), cleaned, err)
-		}
-		s.walAppend(recCoopForget, encodeNameRecord(cleaned))
-	}
-	s.log.Printf("dcws %s: revoked %s", s.Addr(), cleaned)
-	// Chain-ordered revocation: relay down the remaining replica hosts and
-	// answer the home with the aggregated ack list, self included, so one
-	// home RPC revokes the whole set.
-	acked := []string{s.addr}
-	if rest := splitAddrs(req.Header.Get(headerChain)); len(rest) > 0 {
-		acked = append(acked, s.relayRevoke(key, rest,
-			req.Header.Get(telemetry.TraceHeader), req.Header.Get(telemetry.ParentHeader))...)
-	}
-	resp := status(200, "revoked")
-	resp.Header.Set(headerAcked, strings.Join(acked, ","))
-	return resp
-}
-
 // handleRecall is the operator-facing recall endpoint: the home server
 // revokes every document currently migrated to the named co-op (§4.5 crash
 // recovery, triggered manually, e.g. before taking a co-op down for
@@ -421,21 +386,7 @@ func loadFailure(name string, err error) *httpx.Response {
 // generation, so steady-state validator passes cost a cache lookup and a
 // hash comparison instead of a parse-and-render.
 func (s *Server) serveFetch(req *httpx.Request, name string, gen uint64) *httpx.Response {
-	coopAddr := req.Header.Get(headerFetch)
-	authorized := false
-	if mig, ok := s.ledger.Get(name); ok && mig.Coop == coopAddr {
-		authorized = true
-	} else {
-		s.repMu.RLock()
-		for _, r := range s.replicas[name] {
-			if r == coopAddr {
-				authorized = true
-				break
-			}
-		}
-		s.repMu.RUnlock()
-	}
-	if !authorized {
+	if !s.hostsCopy(name, req.Header.Get(headerFetch)) {
 		// The document is not (or no longer) assigned to this co-op; point
 		// at its authoritative location so the coop can relay the redirect.
 		resp := httpx.NewResponse(301)
@@ -511,10 +462,10 @@ func (s *Server) serveAsCoop(req *httpx.Request, traceID, spanID string) *httpx.
 	}
 
 	// One critical section per request: lookup (creating the record for a
-	// first-touch lazy migration), the windowHit bump, the lastUsed stamp,
-	// and the LRU re-ordering all happen inside coopSet.touch.
+	// first-touch lazy migration), the windowHit bump and the LRU
+	// re-ordering all happen inside coopSet.touch.
 	now := s.now()
-	v := s.coops.touch(key, home, docName, now)
+	v := s.coops.touch(key, home, docName)
 
 	if s.params.LeaseDuration > 0 && v.present && v.leased && !v.leaseUntil.After(now) {
 		// The copy's lease expired without renewal — the home is
@@ -569,7 +520,7 @@ func (s *Server) serveHedged(key string, home naming.Origin, docName string) *ht
 		s.coops.markAbsent(key)
 		return status(404, "no local copy")
 	}
-	s.coops.touch(key, home, docName, s.now())
+	s.coops.touch(key, home, docName)
 	resp := s.respond("GET", docName, b)
 	resp.Header.Set(headerValidate, strconv.FormatUint(v.hash, 16))
 	return resp
@@ -779,41 +730,22 @@ func (s *Server) fetchFailure(homeAddr, docName string, err error) *httpx.Respon
 	return status(503, "home server unreachable")
 }
 
-// finishFetch applies a fetch leg's response: 200 stores the copy, 301
-// relays the redirect and forgets the document, anything else becomes a
+// finishFetch applies a fetch leg's response: 200 admits the copy, 301
+// relays the redirect and drops the document, anything else becomes a
 // 502. Returns nil on success, mirroring fetchFromHome's contract.
 func (s *Server) finishFetch(key string, resp *httpx.Response) *httpx.Response {
 	s.absorbPiggyback(resp.Header)
-	s.absorbReplicas(key, resp.Header)
 	switch resp.Status {
 	case 200:
-		if err := s.cfg.Store.Put(key, resp.Body); err != nil {
+		if err := s.admitCopy(key, resp.Body, resp.Header); err != nil {
 			return status(500, err.Error())
 		}
-		var h uint64
-		if v := resp.Header.Get(headerValidate); v != "" {
-			h, _ = strconv.ParseUint(v, 16, 64)
-		} else {
-			h = contentHash(resp.Body)
-		}
-		s.coops.markFetched(key, int64(len(resp.Body)), h, s.now())
 		s.stats.Fetches.Inc()
-		s.walCoopAdmit(key)
-		s.enforceCoopBudget(key)
-		if s.params.LeaseDuration > 0 {
-			// A fresh validation is as good as a pushed frame.
-			s.coops.renewLease(key, s.now().Add(s.params.LeaseDuration))
-			if home, _, err := naming.Decode(key); err == nil {
-				s.subs.ensureSubscribed(home.Addr())
-			}
-		}
 		return nil
 	case 301:
 		// Not assigned to us (revoked or re-migrated): relay the redirect
-		// and forget the document.
-		if s.coops.remove(key) {
-			s.walAppend(recCoopForget, encodeNameRecord(key))
-		}
+		// and stop hosting the document.
+		s.dropCopy(key)
 		out := httpx.NewResponse(301)
 		out.Header.Set("Location", resp.Header.Get("Location"))
 		s.stats.Redirects.Inc()
@@ -823,36 +755,74 @@ func (s *Server) finishFetch(key string, resp *httpx.Response) *httpx.Response {
 	}
 }
 
-// absorbReplicas learns a document's sibling replicas from the home's
-// X-DCWS-Replicas response header (this server excluded).
-func (s *Server) absorbReplicas(key string, h httpx.Header) {
-	v := h.Get(headerReplicas)
-	if v == "" {
-		return
+// admitCopy is the one way a copy enters this co-op: a lazy fetch, a hedge
+// win, a chain push, and a validator or pushed-update refetch. It stores
+// the bytes and records the copy present under the home's hash
+// (X-DCWS-Validate, else the bytes' own), learns its sibling replicas from
+// X-DCWS-Replicas, logs the admission and enforces Params.CoopCacheBytes.
+// With leases on, the copy is leased — a fresh copy is as good as a pushed
+// frame — and its home's subscription made sure of. An admission is not a
+// hit: only a client request counts toward the hot report. A copy whose
+// record is gone was revoked while its bytes were on the way, and its home
+// sends this host no updates for it: the bytes are dropped.
+func (s *Server) admitCopy(key string, body []byte, hdr httpx.Header) error {
+	home, name, err := naming.Decode(key)
+	if err != nil {
+		return err
 	}
-	var sibs []string
-	for _, r := range strings.Split(v, ",") {
-		if r = strings.TrimSpace(r); r != "" && r != s.addr {
-			sibs = append(sibs, r)
+	if err := s.cfg.Store.Put(key, body); err != nil {
+		return err
+	}
+	c := coopSeed{key: key, home: home, name: name, present: true, size: int64(len(body))}
+	if c.hash, _ = strconv.ParseUint(hdr.Get(headerValidate), 16, 64); c.hash == 0 {
+		c.hash = contentHash(body)
+	}
+	now := s.now()
+	if !s.coops.markFetched(c) {
+		if err := s.cfg.Store.Delete(key); err != nil {
+			s.log.Printf("dcws %s: delete revoked copy %s: %v", s.Addr(), key, err)
 		}
+		return nil
 	}
-	s.coops.setSiblings(key, sibs)
+	s.absorbReplicas(key, hdr)
+	s.walAppend(recCoopAdmit, encodeCoopAdmit(c))
+	// §4.5: hosted data is kept until disk space forces it out. The least
+	// recently used copies other than this one go; they stay hosted, and
+	// the next request for one fetches it again.
+	for _, old := range s.coops.evictOver(s.params.CoopCacheBytes, key) {
+		if err := s.cfg.Store.Delete(old); err != nil {
+			s.log.Printf("dcws %s: evict %s: %v", s.Addr(), old, err)
+		}
+		s.walAppend(recCoopEvict, encodeNameRecord(old))
+		s.log.Printf("dcws %s: evicted %s (co-op cache over %d bytes)", s.Addr(), old, s.params.CoopCacheBytes)
+	}
+	if s.params.LeaseDuration > 0 {
+		s.coops.renewLease(key, now.Add(s.params.LeaseDuration))
+		s.subs.ensureSubscribed(home.Addr())
+	}
+	return nil
 }
 
-// enforceCoopBudget evicts least-recently-used hosted copies until the
-// co-op cache fits within Params.CoopCacheBytes (§4.5: data is kept until
-// disk space forces it out). The copy named by keep — typically the one
-// just fetched — is never evicted, and evicted documents remain logically
-// hosted: the next request lazily re-fetches them. The coopSet keeps a
-// running byte total and an LRU list, so this costs O(evictions) rather
-// than a full-map scan under lock.
-func (s *Server) enforceCoopBudget(keep string) {
-	for _, key := range s.coops.evictOver(s.params.CoopCacheBytes, keep) {
-		if err := s.cfg.Store.Delete(key); err != nil {
-			s.log.Printf("dcws %s: evict %s: %v", s.Addr(), key, err)
-		}
-		s.walAppend(recCoopEvict, encodeNameRecord(key))
-		s.log.Printf("dcws %s: evicted %s (co-op cache over %d bytes)", s.Addr(), key, s.params.CoopCacheBytes)
+// dropCopy is the one way a copy leaves this co-op for good: a revocation
+// (RPC, chain relay or pushed frame), a pushed delete, and a home that
+// answers a fetch or validation with anything but the copy. It forgets the
+// record, deletes the stored bytes and logs the forget; a key not hosted
+// is left alone.
+func (s *Server) dropCopy(key string) {
+	if !s.coops.remove(key) {
+		return
+	}
+	if err := s.cfg.Store.Delete(key); err != nil {
+		s.log.Printf("dcws %s: delete dropped copy %s: %v", s.Addr(), key, err)
+	}
+	s.walAppend(recCoopForget, encodeNameRecord(key))
+}
+
+// absorbReplicas learns a document's sibling replicas from the home's
+// X-DCWS-Replicas header (this server excluded).
+func (s *Server) absorbReplicas(key string, h httpx.Header) {
+	if v := h.Get(headerReplicas); v != "" {
+		s.coops.setSiblings(key, removeAddr(splitAddrs(v), s.addr))
 	}
 }
 

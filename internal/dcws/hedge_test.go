@@ -233,7 +233,7 @@ func TestEvictSiblingOnPeerDown(t *testing.T) {
 	_, _, _, coop2 := hedgeWorld(t, Params{})
 	// A second hosted document also listing coop1 as a sibling.
 	otherKey := "/~migrate/home/80/pic.gif"
-	coop2.coops.touch(otherKey, naming.Origin{Host: "home", Port: 80}, "/pic.gif", coop2.now())
+	coop2.coops.touch(otherKey, naming.Origin{Host: "home", Port: 80}, "/pic.gif")
 	coop2.coops.setSiblings(otherKey, []string{"coop1:81", "coop3:99"})
 
 	coop2.declareDown("coop1:81")

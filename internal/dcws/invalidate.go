@@ -164,10 +164,10 @@ func decodeInvalidate(data []byte) (kind byte, names []string, seq uint64, err e
 	return kind, names, seq, nil
 }
 
-// getDocCount reads a document count off a frame and bounds it by what
-// the rest of the payload can hold — every entry takes at least minEntry
-// bytes (a name's length byte, plus a hash byte in an inventory) — so a
-// forged count cannot size an allocation.
+// getDocCount reads an entry count off a frame, WAL record or snapshot
+// and bounds it by what the rest of the payload can hold — every entry
+// takes at least minEntry bytes (a name's length byte, plus a hash byte in
+// an inventory) — so a forged count cannot size an allocation.
 func getDocCount(data []byte, minEntry uint64) (uint64, []byte, error) {
 	n, data, err := getUvarint(data)
 	if err != nil {
@@ -179,7 +179,7 @@ func getDocCount(data []byte, minEntry uint64) (uint64, []byte, error) {
 	return n, data, nil
 }
 
-var errInvalFrame = errStr("dcws: truncated invalidation frame")
+var errInvalFrame = errStr("dcws: truncated payload")
 
 type errStr string
 
@@ -390,7 +390,7 @@ func (h *invalHub) register(sub *invalSubscriber, conn net.Conn, docs []invDoc) 
 	span.Start = s.now()
 	var stale, unauthorized []string
 	for _, d := range docs {
-		if !s.subscribeAuthorized(d.name, sub.addr) {
+		if !s.hostsCopy(d.name, sub.addr) {
 			unauthorized = append(unauthorized, d.name)
 			continue
 		}
@@ -416,20 +416,17 @@ func (h *invalHub) register(sub *invalSubscriber, conn net.Conn, docs []invDoc) 
 	s.tel.record(span)
 }
 
-// subscribeAuthorized mirrors serveFetch's authorization: the coop must be
-// the document's assigned co-op or a member of its replica set.
-func (s *Server) subscribeAuthorized(name, coopAddr string) bool {
+// hostsCopy reports whether coopAddr may host a copy of the home document
+// name — fetch it, validate it, subscribe to it: it must be the document's
+// assigned co-op, a member of its replica set, or a link a chain push is
+// on its way to.
+func (s *Server) hostsCopy(name, coopAddr string) bool {
 	if mig, ok := s.ledger.Get(name); ok && mig.Coop == coopAddr {
 		return true
 	}
 	s.repMu.RLock()
 	defer s.repMu.RUnlock()
-	for _, r := range s.replicas[name] {
-		if r == coopAddr {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.replicas[name], coopAddr) || slices.Contains(s.pushing[name], coopAddr)
 }
 
 // migrationHash returns the current migration-prepared content hash for a
@@ -613,8 +610,8 @@ var reconnectPolicy = resilience.Policy{
 }
 
 // ensureSubscribed starts (or pokes) the subscription loop for a home.
-// Called from every path that admits a hosted document: lazy fetch, chain
-// replication, and recovery. Cheap when the loop already runs.
+// Called from admitCopy, the one path that admits a hosted document, and
+// from recovery. Cheap when the loop already runs.
 func (m *subManager) ensureSubscribed(homeAddr string) {
 	if m == nil || m.s.params.LeaseDuration <= 0 {
 		return
@@ -677,6 +674,13 @@ func (m *subManager) subscribeLoop(sc *subConn) {
 		sc.mu.Lock()
 		sc.conn = conn
 		sc.mu.Unlock()
+		select {
+		case <-s.stopped:
+			// Shutdown's closeAll ran before sc.conn was set.
+			conn.Close()
+			return
+		default:
+		}
 		s.coops.renewHome(sc.home, s.now().Add(s.params.LeaseDuration))
 		s.sendInventory(sc)
 		var lastRecv atomic.Int64
@@ -781,10 +785,7 @@ func (s *Server) applyInvalidation(sc *subConn, kind byte, name string) {
 	case invalUpdate:
 		s.validateOne(key)
 	case invalDelete, invalRevoke:
-		if s.coops.remove(key) {
-			s.cfg.Store.Delete(key)
-			s.walAppend(recCoopForget, encodeNameRecord(key))
-		}
+		s.dropCopy(key)
 	}
 	span.Duration = time.Since(start)
 	s.tel.record(span)

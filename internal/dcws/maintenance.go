@@ -2,8 +2,8 @@ package dcws
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -99,113 +99,124 @@ func (s *Server) docStats() []DocStat {
 	return out
 }
 
-// migrate performs the logical migration of §4.2: update the tuple's
-// Location, dirty the LinkFrom documents, and record the migration. The
-// physical copy moves lazily when the co-op server first needs it.
+// migrate performs the logical migration of §4.2: the document moves to
+// coop and the migration is recorded. The physical copy moves lazily when
+// the co-op server first needs it.
 func (s *Server) migrate(doc, coop string) {
-	dirtied, err := s.ldg.MarkMigrated(doc, coop)
-	if err != nil {
+	if err := s.relocate(doc, []string{coop}); err != nil {
 		s.log.Printf("dcws %s: migrate %s: %v", s.Addr(), doc, err)
 		return
 	}
 	at := s.now()
 	s.ledger.Record(doc, coop, at)
-	s.repMu.Lock()
-	s.replicas[doc] = []string{coop}
-	s.rrCounter[doc] = new(uint32)
-	s.repMu.Unlock()
-	s.rcache.invalidate(doc)
 	s.walAppend(recMigrate, encodeMigrate(doc, coop, at))
 	s.tel.migrations.Inc()
-	// Link-rewritten referrers changed content: push so subscribed co-ops
-	// hosting them refresh now instead of waiting out their lease.
-	s.hub.push(invalUpdate, dirtied, nil)
-	s.log.Printf("dcws %s: migrated %s -> %s (dirtied %d)", s.Addr(), doc, coop, len(dirtied))
+	s.log.Printf("dcws %s: migrated %s -> %s", s.Addr(), doc, coop)
 }
 
 // shrinkReplicas trims a document's replica set down to keep hosts (the
-// primary co-op stays; the chain tail goes), revoking the dropped copies
-// and re-dirtying referrers so regenerated links rotate over the smaller
-// set.
+// primary co-op stays; the chain tail goes) and revokes the dropped copies.
 func (s *Server) shrinkReplicas(doc string, keep int) {
-	s.repMu.Lock()
-	reps := s.replicas[doc]
+	reps := s.Replicas(doc)
 	if len(reps) <= keep {
-		s.repMu.Unlock()
 		return
 	}
-	kept := append([]string(nil), reps[:keep]...)
-	droppedHosts := append([]string(nil), reps[keep:]...)
-	s.replicas[doc] = kept
-	s.repMu.Unlock()
-	s.rcache.invalidate(doc)
-	s.walAppend(recReplicas, encodeReplicas(doc, kept))
-	dirtied, err := s.ldg.MarkMigrated(doc, kept[0])
-	if err != nil {
+	kept, dropped := reps[:keep:keep], reps[keep:]
+	if err := s.relocate(doc, kept); err != nil {
 		s.log.Printf("dcws %s: shrink %s: %v", s.Addr(), doc, err)
+		return
 	}
-	s.revokeHosts(doc, droppedHosts)
+	s.walAppend(recReplicas, encodeReplicas(doc, kept))
+	s.revokeHosts(doc, dropped)
 	// Pushed revoke frames cover subscribed hosts the RPC path missed.
-	s.hub.push(invalRevoke, []string{doc}, droppedHosts)
-	s.hub.push(invalUpdate, dirtied, nil)
+	s.hub.push(invalRevoke, []string{doc}, dropped)
 	s.tel.replicateShrinks.Inc()
-	s.log.Printf("dcws %s: shrank %s to %v (dropped %v)", s.Addr(), doc, kept, droppedHosts)
+	s.log.Printf("dcws %s: shrank %s to %v (dropped %v)", s.Addr(), doc, kept, dropped)
 }
 
-// revoke returns a document to this home server: the LDG is updated (the
-// LinkFrom documents become dirty and will be regenerated pointing home),
-// the control plane forgets the placement, and each hosting co-op is asked
-// to discard its copy.
+// revoke returns a document to this home server: the control plane
+// forgets the placement, and each hosting co-op is asked to discard its
+// copy.
 func (s *Server) revoke(doc string) {
-	s.repMu.Lock()
-	hosts := append([]string(nil), s.replicas[doc]...)
-	delete(s.replicas, doc)
-	delete(s.rrCounter, doc)
-	s.repMu.Unlock()
-	s.rcache.invalidate(doc)
-	if len(hosts) == 0 {
-		if mig, ok := s.ledger.Get(doc); ok {
-			hosts = []string{mig.Coop}
-		}
-	}
-	dirtied, err := s.ldg.MarkRevoked(doc)
-	if err != nil {
+	hosts := s.Replicas(doc)
+	if err := s.relocate(doc, nil); err != nil {
 		s.log.Printf("dcws %s: revoke %s: %v", s.Addr(), doc, err)
 	}
 	s.ctl.Forget(doc)
 	s.walAppend(recRevoke, encodeNameRecord(doc))
 	s.revokeHosts(doc, hosts)
 	// Subscribed hosts drop the copy on the pushed frame even when the
-	// revoke RPC path missed them; referrers with rewritten links refresh.
+	// revoke RPC path missed them.
 	s.hub.push(invalRevoke, []string{doc}, nil)
-	s.hub.push(invalUpdate, dirtied, nil)
 	s.tel.revokes.Inc()
 	s.log.Printf("dcws %s: revoked %s from %v", s.Addr(), doc, hosts)
 }
 
+// relocate is the one re-placement step at the home: reps becomes doc's
+// replica set (primary first; none returns it home), its rendered copies
+// are dropped, the LDG moves it, and the referrers whose links that
+// rewrote are pushed to subscribed co-ops so they refresh now instead of
+// waiting out their lease. An unknown document is an error; one being
+// placed is then left alone.
+func (s *Server) relocate(doc string, reps []string) error {
+	var dirtied []string
+	var err error
+	if len(reps) == 0 {
+		dirtied, err = s.ldg.MarkRevoked(doc)
+	} else if dirtied, err = s.ldg.MarkMigrated(doc, reps[0]); err != nil {
+		return err
+	}
+	s.repMu.Lock()
+	if len(reps) == 0 {
+		delete(s.replicas, doc)
+		delete(s.rrCounter, doc)
+	} else {
+		s.replicas[doc] = reps
+		if s.rrCounter[doc] == nil {
+			s.rrCounter[doc] = new(uint32)
+		}
+	}
+	s.repMu.Unlock()
+	s.rcache.invalidate(doc)
+	s.hub.push(invalUpdate, dirtied, nil)
+	return err
+}
+
 // revokeHosts asks hosts to discard their copies of doc. Several hosts are
 // revoked along the dissemination chain: one RPC to the head, relayed host
-// to host, acks aggregated back up. Hosts the chain missed (dead links)
-// fall back to per-peer revokes, whose failures the validator eventually
-// cleans up anyway.
+// to host, acks aggregated back up. The home does not promote past a dead
+// head: every host the chain missed gets a revoke of its own instead,
+// whose failures the validator eventually cleans up anyway.
 func (s *Server) revokeHosts(doc string, hosts []string) {
+	key, err := naming.Encode(s.cfg.Origin, doc)
+	if err != nil {
+		return
+	}
+	revoke := func(int) *httpx.Request {
+		req := httpx.NewRequest("POST", revokePath)
+		req.Header.Set(headerRevokeDoc, key)
+		return req
+	}
+	span := telemetry.Span{Op: "revoke-chain", Target: doc}
 	remaining := hosts
 	if len(hosts) > 1 {
 		s.tel.replicateRevokeChains.Inc()
-		ackSet := make(map[string]bool)
-		for _, a := range s.sendChainRevoke(hosts, doc) {
-			ackSet[a] = true
-		}
+		acked := s.walkChain(span, hosts, s.params.MaintenanceTimeout, func(i int) *httpx.Request {
+			if i > 0 {
+				return nil
+			}
+			return revoke(i)
+		})
 		remaining = nil
 		for _, h := range hosts {
-			if !ackSet[h] {
+			if !slices.Contains(acked, h) {
 				remaining = append(remaining, h)
 			}
 		}
 		s.tel.replicateRevokeFallbacks.Add(int64(len(remaining)))
 	}
-	for _, coop := range remaining {
-		s.sendRevoke(coop, doc)
+	for _, host := range remaining {
+		s.walkChain(span, []string{host}, s.params.MaintenanceTimeout, revoke)
 	}
 }
 
@@ -245,23 +256,6 @@ func (s *Server) rpc(span telemetry.Span, req *httpx.Request, timeout time.Durat
 	return s.traced(span, req.Header, func(*telemetry.Span) (*httpx.Response, error) {
 		return s.client.DoTimeout(span.Peer, req, timeout)
 	})
-}
-
-// sendRevoke tells one co-op server to discard its copy of doc. Failure is
-// tolerable: the copy simply ages out at the next validation.
-func (s *Server) sendRevoke(coop, doc string) {
-	key, err := naming.Encode(s.cfg.Origin, doc)
-	if err != nil {
-		return
-	}
-	req := httpx.NewRequest("POST", revokePath)
-	req.Header.Set(headerRevokeDoc, key)
-	resp, err := s.rpc(telemetry.Span{Op: "revoke-rpc", Target: doc, Peer: coop}, req, s.params.MaintenanceTimeout)
-	if err != nil {
-		s.log.Printf("dcws %s: revoke %s at %s: %v", s.Addr(), doc, coop, err)
-		return
-	}
-	s.absorbPiggyback(resp.Header)
 }
 
 // RecallFrom revokes every document currently migrated to the given co-op
@@ -562,79 +556,42 @@ func (s *Server) validateOne(key string) string {
 		return "error"
 	}
 	s.absorbPiggyback(resp.Header)
-	// Validation responses carry the document's replica set too, keeping the
-	// hedge-sibling list fresh between fetches.
-	s.absorbReplicas(key, resp.Header)
+	outcome := "current"
 	switch resp.Status {
 	case 304:
-		// Copy is current.
-		s.renewAfterValidate(key)
-		s.tel.validation("current")
-		return "current"
+		// Validation responses carry the document's replica set too, keeping
+		// the hedge-sibling list fresh between fetches; a vouched-for copy
+		// is re-leased, exactly as a pushed frame would.
+		s.absorbReplicas(key, resp.Header)
+		if s.params.LeaseDuration > 0 {
+			s.coops.renewLease(key, s.now().Add(s.params.LeaseDuration))
+		}
 	case 200:
-		if err := s.cfg.Store.Put(key, resp.Body); err != nil {
+		if err := s.admitCopy(key, resp.Body, resp.Header); err != nil {
 			s.log.Printf("dcws %s: refresh %s: %v", s.Addr(), key, err)
 			return "error"
 		}
-		var h uint64
-		if val := resp.Header.Get(headerValidate); val != "" {
-			h, _ = strconv.ParseUint(val, 16, 64)
-		} else {
-			h = contentHash(resp.Body)
-		}
-		s.coops.refresh(key, int64(len(resp.Body)), h, s.now())
-		s.walCoopAdmit(key)
-		s.enforceCoopBudget(key)
-		s.renewAfterValidate(key)
-		s.tel.validation("refreshed")
-		return "refreshed"
+		outcome = "refreshed"
 	default:
 		// Revoked or re-migrated behind our back: stop hosting.
-		if s.coops.remove(key) {
-			s.walAppend(recCoopForget, encodeNameRecord(key))
-		}
-		s.cfg.Store.Delete(key)
-		s.tel.validation("dropped")
-		return "dropped"
+		s.dropCopy(key)
+		outcome = "dropped"
 	}
-}
-
-// renewAfterValidate re-leases a copy the home just vouched for: a
-// successful conditional GET proves the home reachable and the copy
-// fresh, which is exactly what a pushed frame proves.
-func (s *Server) renewAfterValidate(key string) {
-	if s.params.LeaseDuration > 0 {
-		s.coops.renewLease(key, s.now().Add(s.params.LeaseDuration))
-	}
+	s.tel.validation(outcome)
+	return outcome
 }
 
 // attachHotReport piggybacks this coop's hottest hosted documents for the
 // given home server onto an outgoing request (replication extension).
 func (s *Server) attachHotReport(h httpx.Header, homeAddr string) {
-	if parts := s.coops.hotReport(homeAddr); len(parts) > 0 {
-		h.Set(headerHot, strings.Join(parts, ","))
+	if v := s.coops.hotReport(homeAddr); v != "" {
+		h.Set(headerHot, v)
 	}
 }
 
 // absorbHot hands a piggybacked hot-document report to the control plane.
 func (s *Server) absorbHot(h httpx.Header) {
-	v := h.Get(headerHot)
-	if v == "" {
-		return
+	if v := h.Get(headerHot); v != "" {
+		s.ctl.AbsorbHot(decodeHot(v))
 	}
-	report := make(map[string]int64)
-	for _, part := range strings.Split(v, ",") {
-		eq := strings.LastIndexByte(part, '=')
-		if eq <= 0 {
-			continue
-		}
-		hits, err := strconv.ParseInt(part[eq+1:], 10, 64)
-		if err != nil || hits < 0 {
-			continue
-		}
-		if doc := part[:eq]; hits > report[doc] {
-			report[doc] = hits
-		}
-	}
-	s.ctl.AbsorbHot(report)
 }

@@ -86,10 +86,11 @@ func BenchServeCoop(b *testing.B) {
 	}
 	st := store.NewMem()
 	st.Put("/index.html", perfDoc(nil, 2<<10))
-	data := perfDoc(nil, 100<<10)
-	st.Put(key, data)
 	s := perfServer(b, st, naming.Origin{Host: "bench-coop", Port: 80})
-	s.seedCoopDoc(key, home, "/hosted.html", int64(len(data)))
+	s.coops.host(coopSeed{key: key, home: home, name: "/hosted.html"})
+	if err := s.admitCopy(key, perfDoc(nil, 100<<10), nil); err != nil {
+		b.Fatal(err)
+	}
 	req := httpx.NewRequest("GET", key)
 	if resp := s.handle(req); resp.Status != 200 {
 		b.Fatalf("warmup status %d", resp.Status)
@@ -102,13 +103,6 @@ func BenchServeCoop(b *testing.B) {
 			b.Fatalf("status %d", resp.Status)
 		}
 	}
-}
-
-// seedCoopDoc installs a physically present co-op record directly,
-// letting benchmarks skip the lazy-fetch network round trip.
-func (s *Server) seedCoopDoc(key string, home naming.Origin, name string, size int64) {
-	s.coops.touch(key, home, name, s.now())
-	s.coops.markFetched(key, size, 0, s.now())
 }
 
 // BenchRegenCached measures the migration-prepared rendering path: the

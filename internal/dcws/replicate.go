@@ -47,218 +47,170 @@ func (s *Server) chainReplicate(doc string, chain []string) {
 	if err != nil {
 		return
 	}
-	intended := append(append(make([]string, 0, len(existing)+len(chain)), existing...), chain...)
-	acked := s.pushChain(key, doc, payload, contentHash(payload), chain, intended)
+	hash := strconv.FormatUint(contentHash(payload), 16)
+	intended := strings.Join(append(append(make([]string, 0, len(existing)+len(chain)), existing...), chain...), ",")
+	s.repMu.Lock()
+	s.pushing[doc] = chain
+	s.repMu.Unlock()
+	defer func() {
+		s.repMu.Lock()
+		delete(s.pushing, doc)
+		s.repMu.Unlock()
+	}()
+	acked := s.walkChain(telemetry.Span{Op: "replicate-push", Target: doc}, chain, replicateTimeout, func(int) *httpx.Request {
+		req := httpx.NewRequest("POST", replicatePath)
+		req.Body = payload
+		req.Header.Set(headerRevokeDoc, key)
+		req.Header.Set(headerValidate, hash)
+		req.Header.Set(headerReplicas, intended)
+		return req
+	})
 	if len(acked) == 0 {
 		return
 	}
+	s.tel.replicatePushes.Inc()
+	s.tel.replicatePushBytes.Add(int64(len(payload)))
 	// Install the replica set from the acks only: a chain member that was
 	// skipped (link failure) holds no copy and must not receive 301s.
 	newReps := append(append(make([]string, 0, len(existing)+len(acked)), existing...), acked...)
-	now := s.now()
-	wasHome := loc == ""
-	var dirtied []string
-	if wasHome {
-		if dirtied, err = s.ldg.MarkMigrated(doc, newReps[0]); err != nil {
-			s.log.Printf("dcws %s: chain replicate %s: %v", s.Addr(), doc, err)
-			return
-		}
-		s.ledger.Record(doc, newReps[0], now)
-	} else if dirtied, err = s.ldg.MarkMigrated(doc, loc); err != nil {
-		// Re-dirty the LinkFrom set so regenerated links rotate across the
-		// enlarged replica set.
+	if err := s.relocate(doc, newReps); err != nil {
 		s.log.Printf("dcws %s: chain replicate %s: %v", s.Addr(), doc, err)
 		return
 	}
-	s.repMu.Lock()
-	s.replicas[doc] = newReps
-	if s.rrCounter[doc] == nil {
-		s.rrCounter[doc] = new(uint32)
-	}
-	s.repMu.Unlock()
-	s.rcache.invalidate(doc)
-	if wasHome {
+	if loc == "" {
+		now := s.now()
+		s.ledger.Record(doc, newReps[0], now)
 		s.walAppend(recMigrate, encodeMigrate(doc, newReps[0], now))
 		s.tel.migrations.Inc()
 	}
 	s.walAppend(recReplicas, encodeReplicas(doc, newReps))
-	s.hub.push(invalUpdate, dirtied, nil)
 	s.log.Printf("dcws %s: chain-replicated %s -> %v (%d of %d links acked, %d bytes uploaded once)",
 		s.Addr(), doc, acked, len(acked), len(chain), len(payload))
 }
 
-// pushChain uploads the rendered document once, to the first reachable
-// chain member; that member stores its copy and relays the remaining
-// chain to its successor. Unreachable heads are skipped (the next member
-// is promoted), so one dead peer costs a retry, not the round. It returns
-// the addresses that acked storing a copy, in chain order.
-func (s *Server) pushChain(key, doc string, payload []byte, h uint64, chain, intended []string) []string {
-	traceID := telemetry.NewTraceID()
-	for i, head := range chain {
-		req := httpx.NewRequest("POST", replicatePath)
-		req.Body = payload
-		req.Header.Set(headerRevokeDoc, key)
+// walkChain is the one chain loop, run by the home and by every relaying
+// link, for pushes and revocations alike: it sends build's request to the
+// first link of chain that answers 200 within timeout, handing it the rest
+// of the chain to relay, and returns that link's aggregated acks (nil when
+// none answered). A link that fails is skipped and the next one promoted;
+// a nil request from build ends the walk early. All attempts share one
+// trace.
+func (s *Server) walkChain(span telemetry.Span, chain []string, timeout time.Duration, build func(i int) *httpx.Request) []string {
+	if span.TraceID == "" {
+		span.TraceID = telemetry.NewTraceID()
+	}
+	for i, link := range chain {
+		req := build(i)
+		if req == nil {
+			break
+		}
 		if i+1 < len(chain) {
 			req.Header.Set(headerChain, strings.Join(chain[i+1:], ","))
 		}
-		req.Header.Set(headerValidate, strconv.FormatUint(h, 16))
-		req.Header.Set(headerReplicas, strings.Join(intended, ","))
-		resp, err := s.rpc(telemetry.Span{TraceID: traceID, Op: "replicate-push", Target: doc, Peer: head}, req, replicateTimeout)
+		span.Peer = link
+		resp, err := s.rpc(span, req, timeout)
 		if err != nil || resp.Status != 200 {
 			s.tel.replicateChainSkips.Inc()
-			s.log.Printf("dcws %s: chain push %s to %s failed, promoting next link", s.Addr(), doc, head)
+			s.log.Printf("dcws %s: %s %s at %s failed, promoting next link", s.Addr(), span.Op, span.Target, link)
 			continue
 		}
 		s.absorbPiggyback(resp.Header)
-		s.tel.replicatePushes.Inc()
-		s.tel.replicatePushBytes.Add(int64(len(payload)))
 		return splitAddrs(resp.Header.Get(headerAcked))
 	}
 	return nil
 }
 
-// handleReplicate is the co-op side of a chain push: store the copy as if
-// it had been lazily fetched, relay the remaining chain to the first
-// reachable successor, and answer with the aggregated ack list (self plus
-// everything downstream).
+// handleReplicate is the co-op side of a chain push: admit the copy, relay
+// the remaining chain to the first reachable successor, and answer with
+// the aggregated ack list (self plus everything downstream).
 func (s *Server) handleReplicate(req *httpx.Request) *httpx.Response {
-	if req.Method != "POST" {
-		return status(405, "replicate requires POST")
-	}
-	key := req.Header.Get(headerRevokeDoc)
-	if key == "" || !naming.IsMigrated(key) {
-		return status(400, "missing or invalid "+headerRevokeDoc+" header")
-	}
-	cleaned, err := store.CleanName(key)
-	if err != nil {
-		return status(400, err.Error())
-	}
-	home, docName, err := naming.Decode(cleaned)
-	if err != nil {
-		return status(400, err.Error())
-	}
-	if home == s.cfg.Origin {
-		return status(400, "cannot host a replica of my own document")
+	c, resp := s.copyKey(req)
+	if resp != nil {
+		return resp
 	}
 	if len(req.Body) == 0 {
 		return status(400, "empty replicate body")
 	}
-	hashHex := req.Header.Get(headerValidate)
-	var h uint64
-	if hashHex != "" {
-		h, _ = strconv.ParseUint(hashHex, 16, 64)
-	}
-	if h == 0 {
-		h = contentHash(req.Body)
-	}
-	if err := s.cfg.Store.Put(cleaned, req.Body); err != nil {
+	// A pushed copy arrives unasked, so it makes its own record.
+	s.coops.host(c)
+	if err := s.admitCopy(c.key, req.Body, req.Header); err != nil {
 		return status(500, err.Error())
 	}
-	now := s.now()
-	s.coops.touch(cleaned, home, docName, now)
-	s.coops.markFetched(cleaned, int64(len(req.Body)), h, now)
-	s.absorbReplicas(cleaned, req.Header)
-	s.walCoopAdmit(cleaned)
-	s.enforceCoopBudget(cleaned)
-	if s.params.LeaseDuration > 0 {
-		s.coops.renewLease(cleaned, now.Add(s.params.LeaseDuration))
-		s.subs.ensureSubscribed(home.Addr())
-	}
 	s.tel.replicateStored.Inc()
-
-	acked := []string{s.addr}
-	if rest := splitAddrs(req.Header.Get(headerChain)); len(rest) > 0 {
-		down := s.relayChain(cleaned, docName, req.Body, hashHex,
-			req.Header.Get(headerReplicas), rest,
-			req.Header.Get(telemetry.TraceHeader), req.Header.Get(telemetry.ParentHeader))
-		acked = append(acked, down...)
+	resp, relayed := s.relayChain(req, "replicate-relay", c.key, "replicated", replicateTimeout, func(int) *httpx.Request {
+		next := httpx.NewRequest("POST", replicatePath)
+		next.Body = req.Body
+		next.Header.Set(headerRevokeDoc, c.key)
+		for _, h := range []string{headerValidate, headerReplicas} {
+			if v := req.Header.Get(h); v != "" {
+				next.Header.Set(h, v)
+			}
+		}
+		return next
+	})
+	if relayed {
+		s.tel.replicateRelays.Inc()
 	}
-	resp := status(200, "replicated")
-	resp.Header.Set(headerAcked, strings.Join(acked, ","))
 	return resp
 }
 
-// relayChain forwards a chain push to the first reachable successor,
-// CDTP-style: this link has stored its copy and now pays one upload so
-// the home does not have to. Failed successors are skipped — they end up
-// outside the acked set and the home leaves them out of the replica set.
-func (s *Server) relayChain(key, doc string, payload []byte, hashHex, replicas string, chain []string, traceID, parent string) []string {
-	if traceID == "" {
-		traceID = telemetry.NewTraceID()
+// handleRevoke is the co-op side of revocation (§4.5): the home server asks
+// us to stop hosting one of its documents, and the revocation is relayed
+// down the remaining replica hosts.
+func (s *Server) handleRevoke(req *httpx.Request) *httpx.Response {
+	c, resp := s.copyKey(req)
+	if resp != nil {
+		return resp
 	}
-	for i, next := range chain {
-		req := httpx.NewRequest("POST", replicatePath)
-		req.Body = payload
-		req.Header.Set(headerRevokeDoc, key)
-		if i+1 < len(chain) {
-			req.Header.Set(headerChain, strings.Join(chain[i+1:], ","))
-		}
-		if hashHex != "" {
-			req.Header.Set(headerValidate, hashHex)
-		}
-		if replicas != "" {
-			req.Header.Set(headerReplicas, replicas)
-		}
-		resp, err := s.rpc(telemetry.Span{TraceID: traceID, ParentID: parent, Op: "replicate-relay", Target: doc, Peer: next}, req, replicateTimeout)
-		if err != nil || resp.Status != 200 {
-			s.tel.replicateChainSkips.Inc()
-			s.log.Printf("dcws %s: chain relay %s to %s failed, promoting next link", s.Addr(), doc, next)
-			continue
-		}
-		s.absorbPiggyback(resp.Header)
-		s.tel.replicateRelays.Inc()
-		return splitAddrs(resp.Header.Get(headerAcked))
-	}
-	return nil
+	s.dropCopy(c.key)
+	s.log.Printf("dcws %s: revoked %s", s.Addr(), c.key)
+	resp, _ = s.relayChain(req, "revoke-relay", c.key, "revoked", s.params.MaintenanceTimeout, func(int) *httpx.Request {
+		next := httpx.NewRequest("POST", revokePath)
+		next.Header.Set(headerRevokeDoc, c.key)
+		return next
+	})
+	return resp
 }
 
-// sendChainRevoke asks the chain head to revoke doc and relay the
-// revocation down the remaining hosts, answering with the aggregated ack
-// list. It returns the hosts that confirmed; nil means the head itself
-// was unreachable and the caller falls back to per-peer revokes.
-func (s *Server) sendChainRevoke(hosts []string, doc string) []string {
-	key, err := naming.Encode(s.cfg.Origin, doc)
+// copyKey reads the hosted copy a replicate or revoke RPC names in
+// X-DCWS-Doc; a non-nil response rejects the request.
+func (s *Server) copyKey(req *httpx.Request) (coopSeed, *httpx.Response) {
+	if req.Method != "POST" {
+		return coopSeed{}, status(405, req.Path+" requires POST")
+	}
+	key := req.Header.Get(headerRevokeDoc)
+	if key == "" || !naming.IsMigrated(key) {
+		return coopSeed{}, status(400, "missing or invalid "+headerRevokeDoc+" header")
+	}
+	key, err := store.CleanName(key)
 	if err != nil {
-		return nil
+		return coopSeed{}, status(400, err.Error())
 	}
-	head := hosts[0]
-	req := httpx.NewRequest("POST", revokePath)
-	req.Header.Set(headerRevokeDoc, key)
-	req.Header.Set(headerChain, strings.Join(hosts[1:], ","))
-	resp, err := s.rpc(telemetry.Span{Op: "revoke-chain", Target: doc, Peer: head}, req, s.params.MaintenanceTimeout)
+	home, name, err := naming.Decode(key)
 	if err != nil {
-		s.log.Printf("dcws %s: chain revoke %s at %s: %v", s.Addr(), doc, head, err)
-		return nil
+		return coopSeed{}, status(400, err.Error())
 	}
-	s.absorbPiggyback(resp.Header)
-	if resp.Status != 200 {
-		return nil
+	if home == s.cfg.Origin {
+		return coopSeed{}, status(400, "cannot host a copy of my own document")
 	}
-	return splitAddrs(resp.Header.Get(headerAcked))
+	return coopSeed{key: key, home: home, name: name}, nil
 }
 
-// relayRevoke forwards a chain revocation to the first reachable
-// successor and returns the downstream ack list. Unreachable links are
-// skipped; the home covers them with per-peer fallback revokes.
-func (s *Server) relayRevoke(key string, chain []string, traceID, parent string) []string {
-	if traceID == "" {
-		traceID = telemetry.NewTraceID()
+// relayChain finishes a chain RPC at this link, CDTP-style: having applied
+// it here, the link walks the rest of the chain the caller handed on,
+// inside the caller's trace, and answers with the acks of itself and
+// everything downstream. relayed reports whether any downstream link
+// acked.
+func (s *Server) relayChain(req *httpx.Request, op, key, msg string, timeout time.Duration, build func(int) *httpx.Request) (resp *httpx.Response, relayed bool) {
+	acked := []string{s.addr}
+	if rest := splitAddrs(req.Header.Get(headerChain)); len(rest) > 0 {
+		span := telemetry.Span{TraceID: req.Header.Get(telemetry.TraceHeader),
+			ParentID: req.Header.Get(telemetry.ParentHeader), Op: op, Target: key}
+		acked = append(acked, s.walkChain(span, rest, timeout, build)...)
 	}
-	for i, next := range chain {
-		req := httpx.NewRequest("POST", revokePath)
-		req.Header.Set(headerRevokeDoc, key)
-		if i+1 < len(chain) {
-			req.Header.Set(headerChain, strings.Join(chain[i+1:], ","))
-		}
-		resp, err := s.rpc(telemetry.Span{TraceID: traceID, ParentID: parent, Op: "revoke-relay", Target: key, Peer: next}, req, s.params.MaintenanceTimeout)
-		if err != nil || resp.Status != 200 {
-			s.tel.replicateChainSkips.Inc()
-			continue
-		}
-		s.absorbPiggyback(resp.Header)
-		return splitAddrs(resp.Header.Get(headerAcked))
-	}
-	return nil
+	resp = status(200, msg)
+	resp.Header.Set(headerAcked, strings.Join(acked, ","))
+	return resp, len(acked) > 1
 }
 
 // splitAddrs parses a comma-separated address list header value.

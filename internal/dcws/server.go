@@ -142,8 +142,6 @@ type coopDoc struct {
 	name      string // original document name at home
 	present   bool   // physically fetched
 	hash      uint64 // content hash for validation
-	fetched   time.Time
-	lastUsed  time.Time // most recent request (LRU eviction order)
 	size      int64
 	windowHit int64         // hits this window (for hot-spot reporting)
 	elem      *list.Element // position in the coopSet LRU (present copies)
@@ -209,6 +207,10 @@ type Server struct {
 	repMu     sync.RWMutex
 	replicas  map[string][]string // home side: doc -> replica coop addrs (incl. primary)
 	rrCounter map[string]*uint32  // round-robin counters for replica links
+	// pushing: doc -> the links a chain push is in flight to. A link may
+	// subscribe to its new copy before the acks come back and the replica
+	// set names it; hostsCopy lets it.
+	pushing map[string][]string
 
 	peerMu   sync.Mutex
 	pingFail map[string]int
@@ -400,6 +402,7 @@ func New(cfg Config) (*Server, error) {
 		wal:       wlog,
 		replicas:  replicas,
 		rrCounter: make(map[string]*uint32),
+		pushing:   make(map[string][]string),
 		pingFail:  make(map[string]int),
 		downAt:    make(map[string]time.Time),
 		stopped:   make(chan struct{}),
@@ -427,9 +430,8 @@ func New(cfg Config) (*Server, error) {
 	}, httpx.HandlerFunc(s.handle))
 	s.tel.reg.SetSeriesLimit(params.MetricsSeriesLimit)
 	if rec != nil {
-		now := s.now()
 		for _, seed := range rec.coops {
-			s.coops.restore(*seed, now)
+			s.coops.host(*seed)
 		}
 		recStats.seconds = time.Since(recStart).Seconds()
 		s.recovery = recStats

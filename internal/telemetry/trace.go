@@ -82,7 +82,7 @@ type Span struct {
 	// Server is the address of the server that recorded the span.
 	Server string `json:"server"`
 	// Op names the operation: serve-home, serve-coop, serve-fetch,
-	// fetch-home, validate, revoke-rpc, probe, ...
+	// fetch-home, validate, revoke-chain, probe, ...
 	Op string `json:"op"`
 	// Target is the document path or control endpoint involved.
 	Target string `json:"target,omitempty"`
