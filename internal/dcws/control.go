@@ -285,7 +285,7 @@ func (c *Controller) Forget(doc string) {
 	c.hotMu.Unlock()
 }
 
-// AntiEntropyPeer selects the usable peer whose last full exchange is
+// AntiEntropyPeer selects the usable peer whose last anti-entropy round is
 // oldest (never-exchanged peers first, then by address for determinism),
 // "" when there is none. Usable is asked about the address alone: staleness
 // is a property of a load reading, and refreshing readings is what the

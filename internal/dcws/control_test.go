@@ -312,11 +312,21 @@ func TestControllerPlacementAndPeerChoice(t *testing.T) {
 	if got := ctl.AntiEntropyPeer(); got != "a:80" {
 		t.Fatalf("anti-entropy peer = %q, want a:80", got)
 	}
-	tab.EncodePiggybackTo("a:80", now, MaxPiggybackEntries, true) // a full exchange with a
+	// A digest round with peer, which answers that nothing diverged.
+	reconcile := func(peer string, at time.Time) {
+		if _, err := tab.Reconcile(peer, func(string) (glt.Piggyback, error) {
+			p := glt.DecodePiggyback("!f=" + peer + ",!v=1,!d=-")
+			tab.Absorb(p, at)
+			return p, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reconcile("a:80", now)
 	if got := ctl.AntiEntropyPeer(); got != "c:80" {
 		t.Fatalf("anti-entropy peer after exchanging with a = %q, want c:80 (b is unusable)", got)
 	}
-	tab.EncodePiggybackTo("c:80", now.Add(time.Second), MaxPiggybackEntries, true)
+	reconcile("c:80", now.Add(time.Second))
 	if got := ctl.AntiEntropyPeer(); got != "a:80" {
 		t.Fatalf("anti-entropy peer = %q, want a:80 (oldest exchange)", got)
 	}

@@ -221,14 +221,12 @@ func (s *Server) revokeHosts(doc string, hosts []string) {
 }
 
 // traced runs one maintenance exchange with span.Peer under a client-side
-// span: every such RPC carries the trace and parent IDs and the load-table
-// piggyback, and records its span with the outcome. The caller names
-// span.Op, Target and Peer — plus TraceID and ParentID when relaying inside
-// someone else's trace — and stamps hdr onto whatever call sends. A load
-// header the caller already set (the digest round's) is left in place.
-// Absorbing the reply stays with the caller: the pinger folds replies in
-// only after every probe has returned, and the digest round needs the
-// decoded piggyback.
+// span: every such RPC carries the trace and parent IDs, and records its
+// span with the outcome. The caller names span.Op, Target and Peer — plus
+// TraceID and ParentID when relaying inside someone else's trace — and
+// stamps hdr onto whatever call sends. The load header and absorbing the
+// reply stay with the caller: the pinger folds replies in only after every
+// probe has returned, and the digest round sends its own load headers.
 func (s *Server) traced(span telemetry.Span, hdr httpx.Header, call func(*telemetry.Span) (*httpx.Response, error)) (*httpx.Response, error) {
 	if span.TraceID == "" {
 		span.TraceID = telemetry.NewTraceID()
@@ -236,9 +234,6 @@ func (s *Server) traced(span telemetry.Span, hdr httpx.Header, call func(*teleme
 	span.ID, span.Server, span.Start = telemetry.NewSpanID(), s.addr, s.now()
 	hdr.Set(telemetry.TraceHeader, span.TraceID)
 	hdr.Set(telemetry.ParentHeader, span.ID)
-	if hdr.Get(glt.HeaderName) == "" {
-		s.piggybackTo(hdr, span.Peer)
-	}
 	start := time.Now()
 	resp, err := call(&span)
 	span.Duration = time.Since(start)
@@ -251,8 +246,10 @@ func (s *Server) traced(span telemetry.Span, hdr httpx.Header, call func(*teleme
 	return resp, err
 }
 
-// rpc is traced for the common case of one request with one deadline.
+// rpc is traced for the common case of one request with one deadline,
+// carrying the load-table delta.
 func (s *Server) rpc(span telemetry.Span, req *httpx.Request, timeout time.Duration) (*httpx.Response, error) {
+	s.piggybackTo(req.Header, span.Peer)
 	return s.traced(span, req.Header, func(*telemetry.Span) (*httpx.Response, error) {
 		return s.client.DoTimeout(span.Peer, req, timeout)
 	})
@@ -311,6 +308,7 @@ func (s *Server) runPingerTick() {
 		go func(i int, peer string) {
 			defer wg.Done()
 			extra := make(httpx.Header)
+			s.piggybackTo(extra, peer)
 			resp, err := s.traced(telemetry.Span{Op: "probe", Target: pingPath, Peer: peer}, extra,
 				func(span *telemetry.Span) (resp *httpx.Response, err error) {
 					err = s.res.Probe(s.probePolicy, peer, func() error {
@@ -373,137 +371,41 @@ func (s *Server) declareDown(peer string) {
 	s.log.Printf("dcws %s: declared %s down, recalled %d documents", s.Addr(), peer, n)
 }
 
-// The anti-entropy loop is the safety net under delta piggybacking: it
-// reconciles load tables with the peer whose last exchange is oldest, so
-// entries lost to dropped responses, capped deltas, or peer restarts
-// reconverge within one sweep of the cluster even if no delta ever
-// carries them again. The cadence adapts: while the piggyback
-// channel alone keeps every healthy peer's acked version current, each
-// quiet round doubles the wait (capped at 4x AntiEntropyInterval) and the
-// exchange is skipped; any churn — a suspect or down peer, a
-// peer-set change — snaps the interval back to the floor and forces the
-// next round. antiEntropyWait is the wait before the next round.
-func (s *Server) antiEntropyWait() time.Duration {
-	s.aeMu.Lock()
-	defer s.aeMu.Unlock()
-	return s.aeInterval
-}
-
-// aeSkip decides one adaptive-cadence round: it reports whether the
-// exchange can be skipped, and adjusts the interval for the
-// next round (backing off while deltas suffice, resetting under churn).
-func (s *Server) aeSkip() bool {
-	base := s.params.AntiEntropyInterval
-	var peers []string
-	for _, p := range s.table.Servers() {
-		if p != s.addr {
-			peers = append(peers, p)
-		}
-	}
-	churn := false
-	for _, p := range peers {
-		if s.peerSuspect(p) {
-			churn = true
-			break
-		}
-	}
-	s.peerMu.Lock()
-	if len(s.downAt) > 0 {
-		churn = true
-	}
-	s.peerMu.Unlock()
-	ver := s.table.Version()
-	gossip := s.table.GossipPeers()
-
-	s.aeMu.Lock()
-	defer s.aeMu.Unlock()
-	if !churn && !equalStrings(peers, s.aeLastPeers) {
-		churn = true
-	}
-	prevVer := s.aeLastVer
-	s.aeLastPeers = peers
-	s.aeLastVer = ver
-	if churn {
-		s.aeInterval = base
-		s.tel.aeForced.Inc()
-		return false
-	}
-	// Quiet only counts when every peer acked everything that existed at
-	// the LAST cadence decision: a version bumped mid-interval gets one
-	// more interval to propagate through deltas before it forces a round.
-	current := prevVer > 0 && len(peers) > 0
-	for _, p := range peers {
-		if gossip[p].Acked < prevVer {
-			current = false
-			break
-		}
-	}
-	if current {
-		s.aeInterval = min(s.aeInterval*2, 4*base)
-		s.tel.aeSkipped.Inc()
-		return true
-	}
-	s.aeInterval = base
-	return false
-}
-
-// equalStrings reports whether two sorted string slices are equal.
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// runAntiEntropyTick performs one anti-entropy exchange with the push-pull
-// digest protocol: the request carries per-shard version-vector digests of
-// this table (no entries), the peer answers with only the stripes whose
-// vectors differ, and a third leg pushes back any stripes where this side
-// was the fresher one.
+// runAntiEntropyTick is the safety net under delta piggybacking: one
+// push-pull digest round (glt.Table.Reconcile) with the peer whose last
+// exchange is oldest, so entries lost to dropped responses, capped deltas,
+// or peer restarts reconverge within one sweep of the cluster even if no
+// delta ever carries them again. Both legs ride the ping path under one
+// span.
 func (s *Server) runAntiEntropyTick() {
 	peer := s.ctl.AntiEntropyPeer()
 	if peer == "" {
 		return
 	}
 	s.tel.antiEntropyRounds.Inc()
-	extra := make(httpx.Header)
-	extra.Set(glt.HeaderName, s.table.EncodeDigestTo(peer))
-	_, err := s.traced(telemetry.Span{Op: "anti-entropy-digest", Target: pingPath, Peer: peer}, extra,
-		func(span *telemetry.Span) (*httpx.Response, error) {
-			resp, err := s.client.GetTimeout(peer, pingPath, extra, s.params.MaintenanceTimeout)
-			if err != nil {
-				return nil, err
-			}
-			p := s.absorbPiggyback(resp.Header)
-			if !p.HasDigests {
-				// Every server in a group runs this binary, so a reply
-				// without digests is a malformed or foreign answer: whatever
-				// entries it carried are merged, and the round ends.
-				s.log.Printf("dcws %s: anti-entropy with %s: reply carried no digests", s.Addr(), peer)
-				return resp, nil
-			}
-			s.tel.digestRounds.Inc()
-			// Third leg: ship the stripes where our vector is still ahead
-			// of the peer's (it told us its digests precisely so we can
-			// tell).
-			if back := s.table.StillDiverged(p.Digests); len(back) > 0 {
-				s.tel.digestPushbacks.Inc()
-				s.tel.digestShardsSent.Add(int64(len(back)))
-				push := make(httpx.Header)
-				push.Set(telemetry.TraceHeader, span.TraceID)
-				push.Set(telemetry.ParentHeader, span.ID)
-				push.Set(glt.HeaderName, s.table.EncodeShardEntriesTo(peer, back))
-				if resp2, err := s.client.GetTimeout(peer, pingPath, push, s.params.MaintenanceTimeout); err == nil {
-					s.absorbPiggyback(resp2.Header)
+	hdr := make(httpx.Header)
+	var pushed int
+	_, err := s.traced(telemetry.Span{Op: "anti-entropy-digest", Target: pingPath, Peer: peer}, hdr,
+		func(*telemetry.Span) (last *httpx.Response, err error) {
+			pushed, err = s.table.Reconcile(peer, func(v string) (glt.Piggyback, error) {
+				hdr.Set(glt.HeaderName, v)
+				resp, err := s.client.GetTimeout(peer, pingPath, hdr, s.params.MaintenanceTimeout)
+				if err != nil {
+					return glt.Piggyback{}, err
 				}
-			}
-			return resp, nil
+				last = resp
+				return s.absorbPiggyback(resp.Header), nil
+			})
+			return last, err
 		})
+	// A failed push-back leg still completed the digest round.
+	if err == nil || pushed > 0 {
+		s.tel.digestRounds.Inc()
+	}
+	if pushed > 0 {
+		s.tel.digestPushbacks.Inc()
+		s.tel.digestShardsSent.Add(int64(pushed))
+	}
 	if err != nil {
 		s.log.Printf("dcws %s: anti-entropy with %s: %v", s.Addr(), peer, err)
 	}

@@ -216,15 +216,6 @@ type Server struct {
 	pingFail map[string]int
 	downAt   map[string]time.Time // peers declared down, and when (§4.5)
 
-	// aeMu guards the adaptive anti-entropy cadence: the loop backs the
-	// interval off (up to 4x AntiEntropyInterval) while piggyback deltas
-	// keep every healthy peer's acked version current, and snaps back to
-	// the floor under churn (peer-set change, suspect or down peers).
-	aeMu        sync.Mutex
-	aeInterval  time.Duration
-	aeLastVer   uint64   // table version at the last cadence decision
-	aeLastPeers []string // peer set at the last cadence decision (sorted)
-
 	// capMu guards the measured service capacity (docs/s) and the serve-
 	// histogram totals the per-tick delta is computed against. See
 	// capacity.go.
@@ -407,7 +398,6 @@ func New(cfg Config) (*Server, error) {
 		downAt:    make(map[string]time.Time),
 		stopped:   make(chan struct{}),
 	}
-	s.aeInterval = params.AntiEntropyInterval
 	s.ctl = &Controller{
 		Self:   self,
 		Params: params,
@@ -525,22 +515,18 @@ func (s *Server) listenAndServe() error {
 // (§5.1), the pinger and the co-op validator (§4.5), then the loops of the
 // extensions that are switched on.
 func (s *Server) startLoops() {
-	s.every(fixed(s.params.StatsInterval), s.runStatsTick)
-	s.every(fixed(s.params.PingerInterval), s.runPingerTick)
-	s.every(fixed(s.params.ValidateInterval), s.runValidatorTick)
+	s.every(s.params.StatsInterval, s.runStatsTick)
+	s.every(s.params.PingerInterval, s.runPingerTick)
+	s.every(s.params.ValidateInterval, s.runValidatorTick)
 	if s.params.AntiEntropyInterval > 0 {
-		s.every(s.antiEntropyWait, func() {
-			if !s.aeSkip() {
-				s.runAntiEntropyTick()
-			}
-		})
+		s.every(s.params.AntiEntropyInterval, s.runAntiEntropyTick)
 	}
 	if s.wal != nil && s.params.SnapshotInterval > 0 {
 		// writeSnapshot logs its own failure; the next round retries.
-		s.every(fixed(s.params.SnapshotInterval), func() { _ = s.writeSnapshot() })
+		s.every(s.params.SnapshotInterval, func() { _ = s.writeSnapshot() })
 	}
 	if s.params.SLOCheckInterval > 0 {
-		s.every(fixed(s.params.SLOCheckInterval), s.TickSLO)
+		s.every(s.params.SLOCheckInterval, s.TickSLO)
 	}
 	if s.params.LeaseDuration > 0 {
 		// Re-subscribe for every home we host recovered documents for;
@@ -552,15 +538,9 @@ func (s *Server) startLoops() {
 	s.log.Printf("dcws %s: started with %d documents", s.Addr(), s.ldg.Len())
 }
 
-// fixed is a constant wait for every.
-func fixed(d time.Duration) func() time.Duration {
-	return func() time.Duration { return d }
-}
-
-// every starts a maintenance loop: tick runs each time wait() has elapsed
-// on the server's clock, until the server stops. wait is read before each
-// sleep, so a loop can adapt its cadence.
-func (s *Server) every(wait func() time.Duration, tick func()) {
+// every starts a maintenance loop: tick runs each time wait has elapsed
+// on the server's clock, until the server stops.
+func (s *Server) every(wait time.Duration, tick func()) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -568,7 +548,7 @@ func (s *Server) every(wait func() time.Duration, tick func()) {
 			select {
 			case <-s.stopped:
 				return
-			case <-s.cfg.Clock.After(wait()):
+			case <-s.cfg.Clock.After(wait):
 			}
 			tick()
 		}

@@ -90,12 +90,6 @@ type serverTelemetry struct {
 	replicateRevokeChains    *telemetry.Counter
 	replicateRevokeFallbacks *telemetry.Counter
 
-	// Adaptive anti-entropy cadence: rounds skipped because piggyback
-	// deltas already had every peer current, and rounds forced back to the
-	// floor interval by churn.
-	aeSkipped *telemetry.Counter
-	aeForced  *telemetry.Counter
-
 	// Push invalidation with leases. On the home: pushes sent and acks
 	// received. On the co-op: frames received, reconnect attempts, copies
 	// skipped by the validator under lease cover vs polls actually issued,
@@ -196,11 +190,6 @@ func newServerTelemetry() *serverTelemetry {
 		"revocations fanned out along the replica chain")
 	t.replicateRevokeFallbacks = reg.Counter("dcws_replicate_revoke_fallbacks_total",
 		"per-peer fallback revokes for hosts the revocation chain missed")
-
-	t.aeSkipped = reg.Counter("dcws_glt_anti_entropy_skipped_total",
-		"anti-entropy rounds skipped because every peer had acked the current table")
-	t.aeForced = reg.Counter("dcws_glt_anti_entropy_forced_total",
-		"anti-entropy backoff resets forced by churn (peer-set change or suspect peers)")
 
 	t.invalPushes = reg.Counter("dcws_invalidate_pushes_total",
 		"invalidation frames pushed to subscribed co-ops by this home server")
@@ -507,11 +496,8 @@ func (t *serverTelemetry) bindServer(s *Server) {
 		"each gossip peer's own table version as last advertised to this server", "gauge",
 		gossipSamples(func(g glt.PeerGossip) float64 { return float64(g.Seen) }))
 	reg.Collector("dcws_glt_peer_last_full_seconds",
-		"unix time a full-table exchange last reached each gossip peer (0: never)", "gauge",
+		"unix time an anti-entropy exchange last reached each gossip peer (0: never)", "gauge",
 		gossipSamples(func(g glt.PeerGossip) float64 { return unixSeconds(g.LastFull) }))
-	reg.GaugeFunc("dcws_glt_anti_entropy_interval_seconds",
-		"adaptive anti-entropy interval in force (1x to 4x the configured floor)",
-		func() float64 { return s.antiEntropyWait().Seconds() })
 	reg.Collector("dcws_glt_load",
 		"advertised load per server in the local view", "gauge",
 		func() []telemetry.Sample {

@@ -8,8 +8,9 @@ import (
 )
 
 func TestDecodePiggybackMetadata(t *testing.T) {
-	p := DecodePiggyback("!f=a:80,!v=42,!a=7,!g=1,b:80=1.5@1000")
-	if p.From != "a:80" || p.Version != 42 || !p.HasAck || p.Ack != 7 || !p.Full {
+	p := DecodePiggyback("!f=a:80,!v=42,!a=7,!d=3.2.ff,b:80=1.5@1000")
+	if p.From != "a:80" || p.Version != 42 || !p.HasAck || p.Ack != 7 || !p.HasDigests ||
+		len(p.Digests) != 1 || p.Digests[0] != (ShardDigest{Shard: 3, Count: 2, Hash: 0xff}) {
 		t.Fatalf("metadata not decoded: %+v", p)
 	}
 	if len(p.Entries) != 1 || p.Entries[0].Server != "b:80" {
@@ -17,7 +18,7 @@ func TestDecodePiggybackMetadata(t *testing.T) {
 	}
 	// A client header decodes with zero metadata.
 	p = DecodePiggyback("b:80=1.5@1000")
-	if p.From != "" || p.HasAck || p.Full || len(p.Entries) != 1 {
+	if p.From != "" || p.HasAck || p.HasDigests || len(p.Entries) != 1 {
 		t.Fatalf("client header grew metadata: %+v", p)
 	}
 }
@@ -93,34 +94,6 @@ func TestDeltaStalestFirst(t *testing.T) {
 	p := DecodePiggyback(a.EncodePiggybackTo("b:80", time.UnixMilli(2000), 2, false))
 	if len(p.Entries) != 2 || p.Entries[0].Server != "s0:80" || p.Entries[1].Server != "s1:80" {
 		t.Fatalf("capped delta not stalest-first: %+v", p.Entries)
-	}
-}
-
-func TestFullExchangeIgnoresAcks(t *testing.T) {
-	a, b := NewTable("a:80"), NewTable("b:80")
-	now := time.UnixMilli(1000)
-	a.Observe(Entry{Server: "c:80", Load: 3, Updated: now})
-	// Converge, then corrupt b by removing an entry behind a's back —
-	// the delta path will never resend it, the full exchange must.
-	b.Absorb(DecodePiggyback(a.EncodePiggybackTo("b:80", now, 0, false)), now)
-	a.Absorb(DecodePiggyback(b.EncodePiggybackTo("a:80", now, 0, false)), now)
-	b.Remove("c:80")
-	if len(entriesOf(a.EncodePiggybackTo("b:80", now, 0, false))) != 0 {
-		t.Fatal("precondition: delta should be drained")
-	}
-	full := DecodePiggyback(a.EncodePiggybackTo("b:80", now, 0, true))
-	if !full.Full {
-		t.Fatalf("full exchange missing !g marker")
-	}
-	b.Absorb(full, now)
-	if !b.Known("c:80") {
-		t.Fatal("full exchange did not restore the removed entry")
-	}
-	if lf := a.GossipPeers()["b:80"].LastFull; !lf.Equal(now) {
-		t.Fatalf("sender lastFull = %v, want %v", lf, now)
-	}
-	if lf := b.GossipPeers()["a:80"].LastFull; !lf.Equal(now) {
-		t.Fatalf("receiver lastFull = %v, want %v", lf, now)
 	}
 }
 
@@ -227,7 +200,7 @@ func TestEmitCountersByKind(t *testing.T) {
 	now := time.UnixMilli(1000)
 	tab.EncodeClientHeader()
 	tab.EncodePiggybackTo("b:80", now, 0, false)
-	tab.EncodePiggybackTo("b:80", now, 0, true)
+	tab.EncodeDigestTo("b:80")
 	if tab.ClientEmits() != 1 || tab.DeltaEmits() != 1 || tab.FullEmits() != 1 {
 		t.Fatalf("emit counters client=%d delta=%d full=%d, want 1 each",
 			tab.ClientEmits(), tab.DeltaEmits(), tab.FullEmits())

@@ -197,12 +197,15 @@ func TestDigestPlaceholderRoundTrip(t *testing.T) {
 	if !p.HasDigests || len(p.Digests) != 0 {
 		t.Fatalf("placeholder decode = %+v", p)
 	}
-	p = DecodePiggyback("!f=a:80,!v=1,!d=3.2.1a2b.deadbeef;7.1.0.1")
+	p = DecodePiggyback("!f=a:80,!v=1,!d=3.2.deadbeef;7.1.1;9.1.0.1")
 	if !p.HasDigests || len(p.Digests) != 2 {
-		t.Fatalf("digest decode = %+v", p)
+		t.Fatalf("digest decode = %+v (the four-field item must be skipped)", p)
 	}
-	if d := p.Digests[0]; d.Shard != 3 || d.Count != 2 || d.MaxMs != 0x1a2b || d.Hash != 0xdeadbeef {
+	if d := p.Digests[0]; d.Shard != 3 || d.Count != 2 || d.Hash != 0xdeadbeef {
 		t.Fatalf("digest[0] = %+v", d)
+	}
+	if h := string(appendDigests(nil, p.Digests)); h != "!d=3.2.deadbeef;7.1.1" {
+		t.Fatalf("digests re-encoded as %q", h)
 	}
 }
 
@@ -331,5 +334,122 @@ func TestDigestExchangeSizesGate(t *testing.T) {
 	}
 	if digestBytes >= fullBytes {
 		t.Fatalf("digest exchange (%dB) not smaller than full exchange (%dB)", digestBytes, fullBytes)
+	}
+}
+
+// TestReconcile runs one Reconcile round from a to b, with b answering as
+// the live handler does, over tables diverged in each way the safety net
+// must repair.
+func TestReconcile(t *testing.T) {
+	now := benchBase.Add(time.Minute)
+	fresh := func(addr string, load float64) Entry {
+		return Entry{Server: addr, Load: load, Updated: now}
+	}
+	// Two third-party servers in distinct stripes.
+	probe := NewTable("")
+	x, y := benchAddr(2), ""
+	for i := 3; y == ""; i++ {
+		if shardIndex(probe, benchAddr(i)) != shardIndex(probe, x) {
+			y = benchAddr(i)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		setup   func(a, b *Table)
+		foreign bool // b answers with a plain delta, no digests
+		legs    int
+		pushed  int
+		check   func(a, b *Table) bool
+	}{
+		{name: "converged", legs: 1},
+		{
+			name:  "requester behind",
+			setup: func(a, b *Table) { b.Observe(fresh(x, 9.5)) },
+			legs:  1,
+			check: func(a, b *Table) bool { e, _ := a.Get(x); return e.Load == 9.5 },
+		},
+		{
+			name:   "responder behind",
+			setup:  func(a, b *Table) { a.Observe(fresh(x, 8.5)) },
+			legs:   2,
+			pushed: 1,
+			check:  func(a, b *Table) bool { e, _ := b.Get(x); return e.Load == 8.5 },
+		},
+		{
+			name:   "both behind in different stripes",
+			setup:  func(a, b *Table) { a.Observe(fresh(x, 8.5)); b.Observe(fresh(y, 7.5)) },
+			legs:   2,
+			pushed: 1,
+			check: func(a, b *Table) bool {
+				ex, _ := b.Get(x)
+				ey, _ := a.Get(y)
+				return ex.Load == 8.5 && ey.Load == 7.5
+			},
+		},
+		{
+			name:    "reply without digests",
+			setup:   func(a, b *Table) { a.Observe(fresh(x, 8.5)) },
+			foreign: true,
+			legs:    1,
+		},
+		{
+			// The delta stream has drained (b acked everything a holds),
+			// so only the digest round can restore an entry b lost.
+			name: "entry no delta resends",
+			setup: func(a, b *Table) {
+				a.Observe(fresh(x, 8.5))
+				b.Absorb(DecodePiggyback(a.EncodePiggybackTo(b.Self(), now, 0, false)), now)
+				a.Absorb(DecodePiggyback(b.EncodePiggybackTo(a.Self(), now, 0, false)), now)
+				b.Remove(x)
+				if len(entriesOf(a.EncodePiggybackTo(b.Self(), now, 0, false))) != 0 {
+					t.Fatal("precondition: delta should be drained")
+				}
+			},
+			legs:   2,
+			pushed: 1,
+			check:  func(a, b *Table) bool { e, ok := b.Get(x); return ok && e.Load == 8.5 },
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a := seedSharded(benchAddr(0), 16)
+			b := seedSharded(benchAddr(1), 16)
+			a.UpdateSelf(0.5, benchBase)
+			b.UpdateSelf(1.5, benchBase)
+			if c.setup != nil {
+				c.setup(a, b)
+			}
+			legs := 0
+			pushed, err := a.Reconcile(b.Self(), func(hdr string) (Piggyback, error) {
+				legs++
+				resp, _ := b.answer(hdr, now)
+				if c.foreign {
+					resp = b.EncodePiggybackTo(a.Self(), now, 12, false)
+				}
+				p := DecodePiggyback(resp)
+				a.Absorb(p, now)
+				return p, nil
+			})
+			if legs != c.legs || pushed != c.pushed {
+				t.Fatalf("legs, pushed = %d, %d; want %d, %d", legs, pushed, c.legs, c.pushed)
+			}
+			if c.foreign {
+				if err == nil {
+					t.Fatal("a reply without digests was accepted")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := a.DiffShards(b.Digests()); len(d) != 0 {
+				t.Fatalf("stripes %v still diverged", d)
+			}
+			if c.check != nil && !c.check(a, b) {
+				t.Fatal("the diverged entry was not repaired")
+			}
+			if !a.GossipPeers()[b.Self()].LastFull.Equal(now) || !b.GossipPeers()[a.Self()].LastFull.Equal(now) {
+				t.Fatal("the round did not stamp lastFull on both sides")
+			}
+		})
 	}
 }

@@ -33,10 +33,12 @@ func FuzzDecodePiggyback(f *testing.F) {
 		"a:80=0.5@1000@4@,b:80=0.5@1000@0@z",
 		"a:80=0.5@1000@4@us=east,b:80=0.5@1000@4@us east,c:80=1@2@3@z\t",
 		"a:80=0.5@1000@4,b:80=0.5@1000@4@z@9",
-		// The '!d' digest item: well-formed, placeholder, and broken quads.
-		"!f=a:80,!v=3,!d=0.2.3e8.ffee;5.1.0.1,b:80=1@2",
-		"!d=-,!d=;;,!d=1.2.3,!d=x.y.z.w,!d=-1.-1.-1.-1",
-		"!d=15.9223372036854775807.7fffffffffffffff.ffffffffffffffff",
+		// The '!d' digest item: well-formed, placeholder, and broken
+		// triples, and four-field items, which are skipped.
+		"!f=a:80,!v=3,!d=0.2.ffee;5.1.1,b:80=1@2",
+		"!d=-,!d=;;,!d=1.2,!d=x.y.z,!d=-1.-1.-1",
+		"!d=15.9223372036854775807.ffffffffffffffff",
+		"!d=0.2.3e8.ffee;5.1.0.1;7.1.1",
 	} {
 		f.Add(seed)
 	}

@@ -18,18 +18,19 @@
 // server advertises a calibrated capacity or a zone label, so placement
 // can rank peers by absolute headroom (capacity x spare fraction) and
 // prefer zone-local targets. Gossip metadata items start with '!': the
-// sender (!f), its version (!v), its ack (!a), a full-exchange request
-// (!g) and shard digests (!d). Every server of a group runs the same
-// binary, so each item has exactly this one form.
+// sender (!f), its version (!v), its ack (!a) and shard digests (!d).
+// Every server of a group runs the same binary, so each item has exactly
+// this one form.
 //
-// The '!d' digests drive push-pull anti-entropy: the requester sends one
-// digest per stripe, the responder ships back only the entries of
-// stripes whose digests differ (plus its own digests for them), and the
-// requester pushes back any stripe still diverged — so the safety net's
-// cost is proportional to divergence, not to cluster size.
+// The '!d' digests drive push-pull anti-entropy (Reconcile): the
+// requester sends one digest per stripe, the responder ships back only
+// the entries of stripes whose digests differ (plus its own digests for
+// them), and the requester pushes back any stripe still diverged — so the
+// safety net's cost is proportional to divergence, not to cluster size.
 package glt
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"strconv"
@@ -116,7 +117,7 @@ type shard struct {
 
 // peerState is the gossip bookkeeping for one peer: what it has
 // acknowledged receiving from us, what we last saw of its version (our
-// ack to it), when we last exchanged full tables, and the cached delta
+// ack to it), when we last ran anti-entropy with it, and the cached delta
 // encoding.
 type peerState struct {
 	mu sync.Mutex
@@ -127,8 +128,8 @@ type peerState struct {
 	// seen is the table version the peer last advertised (!v); it is
 	// echoed back to the peer as our !a.
 	seen uint64
-	// lastFull is when a full-table (anti-entropy) exchange with this
-	// peer last happened, in either direction.
+	// lastFull is when an anti-entropy (digest) exchange with this peer
+	// last happened, in either direction.
 	lastFull time.Time
 
 	// Cached delta encoding, valid for one (version, acked, full, max)
@@ -150,15 +151,14 @@ type PeerGossip struct {
 	Acked uint64
 	// Seen is the table version the peer last advertised.
 	Seen uint64
-	// LastFull is when the last full-table anti-entropy exchange with
-	// the peer completed (zero when never).
+	// LastFull is when the last anti-entropy exchange with the peer
+	// completed (zero when never).
 	LastFull time.Time
 }
 
 // Piggyback is a decoded X-DCWS-Load header value: the entry list plus
 // the gossip metadata items ("!f" sender, "!v" advertised version, "!a"
-// ack, "!g" full exchange, "!d" digests). A client header decodes with
-// only Entries set.
+// ack, "!d" digests). A client header decodes with only Entries set.
 type Piggyback struct {
 	// From is the sender's address ("" for client headers).
 	From string
@@ -170,9 +170,6 @@ type Piggyback struct {
 	// the recipient; HasAck reports whether it was present.
 	Ack    uint64
 	HasAck bool
-	// Full marks a full-table anti-entropy payload; the responder to a
-	// Full request replies in full.
-	Full bool
 	// Entries is the piggybacked load-entry list.
 	Entries []Entry
 	// Digests is the per-shard digest list of a push-pull anti-entropy
@@ -193,9 +190,6 @@ type ShardDigest struct {
 	Shard int
 	// Count is how many entries the stripe holds.
 	Count int
-	// MaxMs is the newest entry timestamp in the stripe (Unix
-	// milliseconds; 0 for an empty stripe).
-	MaxMs int64
 	// Hash is the stripe's content fingerprint.
 	Hash uint64
 }
@@ -616,7 +610,7 @@ func (t *Table) HeaderBytes() int { return int(t.lastBytes.Load()) }
 func (t *Table) LastHeaderEntries() int { return int(t.lastEntries.Load()) }
 
 // DeltaEmits, FullEmits and ClientEmits count emitted headers by kind:
-// per-peer deltas, full-table and digest anti-entropy exchanges, and
+// per-peer deltas, the legs of digest anti-entropy exchanges, and
 // self-entry-only client headers.
 func (t *Table) DeltaEmits() int64  { return t.deltaEmits.Load() }
 func (t *Table) FullEmits() int64   { return t.fullEmits.Load() }
@@ -661,7 +655,7 @@ func (t *Table) peer(addr string) *peerState {
 // state for the sender: its advertised version becomes our ack to it,
 // its ack (bounded by our own version, so an ack from a previous life of
 // this table resets instead of wedging gossip) becomes the delta floor
-// for what we send next, and a full exchange stamps lastFull.
+// for what we send next, and a digest-bearing header stamps lastFull.
 func (t *Table) Absorb(p Piggyback, now time.Time) {
 	t.Merge(p.Entries)
 	if p.From == "" || p.From == t.self {
@@ -689,7 +683,7 @@ func (t *Table) Absorb(p Piggyback, now time.Time) {
 			ps.acked = p.Ack
 		}
 	}
-	if p.Full || p.HasDigests {
+	if p.HasDigests {
 		// A digest-bearing header is an anti-entropy touch: either the
 		// request leg (responder side) or the response leg (requester
 		// side) of the push-pull exchange.
@@ -779,7 +773,7 @@ func (t *Table) EncodeClientHeader() string {
 // EncodePiggybackTo serializes the delta this peer has not yet
 // acknowledged, newest entries last:
 //
-//	!f=self,!v=V,[!a=A,][!g=1,]server=load@unixMilli,...
+//	!f=self,!v=V,[!a=A,]server=load@unixMilli,...
 //
 // The advertised version V is chosen so that every record the peer has
 // not acked with version ≤ V is included (or is the peer's own entry,
@@ -787,9 +781,10 @@ func (t *Table) EncodeClientHeader() string {
 // ascending — stalest information first — and when more than max remain
 // the list is cut there and V drops to the last included record's
 // version, so acks never cover entries that were never sent. full
-// ignores the ack floor and the cap and adds !g=1, requesting a full
-// table in return — the anti-entropy exchange. max <= 0 means uncapped.
-func (t *Table) EncodePiggybackTo(peer string, now time.Time, max int, full bool) string {
+// ignores the ack floor and the cap, encoding the whole table. max <= 0
+// means uncapped. The time argument is unused; callers in the benchmark
+// module still pass it.
+func (t *Table) EncodePiggybackTo(peer string, _ time.Time, max int, full bool) string {
 	ps := t.peer(peer)
 	var acked, seen uint64
 	if ps != nil {
@@ -799,14 +794,7 @@ func (t *Table) EncodePiggybackTo(peer string, now time.Time, max int, full bool
 	}
 	v0 := t.version.Load()
 	if ps != nil && ps.encValid && ps.encVer == v0 && ps.encAck == acked && ps.encFull == full && ps.encMax == max {
-		if full {
-			ps.lastFull = now
-		}
-		kind := &t.deltaEmits
-		if full {
-			kind = &t.fullEmits
-		}
-		t.noteEmit(kind, ps.encEntries, len(ps.enc))
+		t.noteEmit(&t.deltaEmits, ps.encEntries, len(ps.enc))
 		return ps.enc
 	}
 	floor := acked
@@ -843,9 +831,6 @@ func (t *Table) EncodePiggybackTo(peer string, now time.Time, max int, full bool
 		buf = append(buf, ",!a="...)
 		buf = strconv.AppendUint(buf, seen, 10)
 	}
-	if full {
-		buf = append(buf, ",!g=1"...)
-	}
 	for _, rec := range cands {
 		buf = append(buf, ',')
 		buf = appendEntry(buf, rec.e)
@@ -856,23 +841,16 @@ func (t *Table) EncodePiggybackTo(peer string, now time.Time, max int, full bool
 	if ps != nil {
 		ps.enc, ps.encVer, ps.encAck, ps.encFull, ps.encMax = out, v0, acked, full, max
 		ps.encEntries, ps.encValid = len(cands), true
-		if full {
-			ps.lastFull = now
-		}
 	}
 	t.deltaRegens.Add(1)
-	kind := &t.deltaEmits
-	if full {
-		kind = &t.fullEmits
-	}
-	t.noteEmit(kind, len(cands), len(out))
+	t.noteEmit(&t.deltaEmits, len(cands), len(out))
 	return out
 }
 
 // ---- push-pull shard-digest anti-entropy --------------------------------
 //
-// The protocol replaces the full-table safety-net exchange with three
-// legs, each cost-proportional to divergence:
+// Reconcile runs the safety net's three legs, each cost-proportional to
+// divergence:
 //
 //	requester: !d=<digest of every non-empty stripe>          (no entries)
 //	responder: !d=<its digests of the diverged stripes>, plus the
@@ -920,9 +898,6 @@ func (t *Table) digestShard(i int) ShardDigest {
 	for _, rec := range sh.entries {
 		d.Count++
 		d.Hash ^= entryHash(rec.e)
-		if ms := rec.e.Updated.UnixMilli(); ms > d.MaxMs {
-			d.MaxMs = ms
-		}
 	}
 	sh.mu.RUnlock()
 	return d
@@ -963,9 +938,9 @@ func (t *Table) DiffShards(remote []ShardDigest) []int {
 	return out
 }
 
-// appendDigests serializes digests as a '!d' item:
-// shard.count.maxMs.hash quads joined by ';' (count decimal, maxMs and
-// hash hex). An empty list emits the "-" placeholder so the item stays
+// appendDigests serializes digests as a '!d' item: shard.count.hash
+// triples joined by ';' (shard and count decimal, hash hex). An empty
+// list emits the "-" placeholder so the item stays
 // wire-visible — its presence is what tells the requester the responder
 // ran the digest protocol.
 func appendDigests(buf []byte, ds []ShardDigest) []byte {
@@ -980,8 +955,6 @@ func appendDigests(buf []byte, ds []ShardDigest) []byte {
 		buf = strconv.AppendInt(buf, int64(d.Shard), 10)
 		buf = append(buf, '.')
 		buf = strconv.AppendInt(buf, int64(d.Count), 10)
-		buf = append(buf, '.')
-		buf = strconv.AppendInt(buf, d.MaxMs, 16)
 		buf = append(buf, '.')
 		buf = strconv.AppendUint(buf, d.Hash, 16)
 	}
@@ -1117,9 +1090,37 @@ func (t *Table) EncodeShardEntriesTo(peer string, shardIdx []int) string {
 	return out
 }
 
-// decodeDigests parses a '!d' value: shard.count.maxMs.hash quads (all
-// base-16 except the stripe index) joined by ';'. Malformed quads are
-// skipped.
+// errNoDigests is Reconcile's error for a reply that carried no '!d'
+// item: every server of a group runs the digest protocol, so such a reply
+// is malformed or foreign.
+var errNoDigests = errors.New("reply carried no digests")
+
+// Reconcile runs one push-pull anti-entropy round with peer, the only
+// requester of the digest protocol. send carries one X-DCWS-Load value to
+// peer and returns its decoded reply, which the caller has already
+// absorbed into this table. The first leg sends this table's digests;
+// the reply must carry the peer's digests of the diverged stripes (or the
+// round fails with whatever entries it carried merged), and the stripes
+// still diverged after absorbing it are pushed back in a second send.
+// pushed is how many stripes the push-back leg carried.
+func (t *Table) Reconcile(peer string, send func(hdr string) (Piggyback, error)) (pushed int, err error) {
+	reply, err := send(t.EncodeDigestTo(peer))
+	if err != nil {
+		return 0, err
+	}
+	if !reply.HasDigests {
+		return 0, errNoDigests
+	}
+	back := t.StillDiverged(reply.Digests)
+	if len(back) == 0 {
+		return 0, nil
+	}
+	_, err = send(t.EncodeShardEntriesTo(peer, back))
+	return len(back), err
+}
+
+// decodeDigests parses a '!d' value: shard.count.hash triples joined by
+// ';'. Malformed triples are skipped.
 func decodeDigests(val string) []ShardDigest {
 	var out []ShardDigest
 	for _, item := range strings.Split(val, ";") {
@@ -1127,18 +1128,16 @@ func decodeDigests(val string) []ShardDigest {
 			continue
 		}
 		f := strings.Split(item, ".")
-		if len(f) != 4 {
+		if len(f) != 3 {
 			continue
 		}
 		shardIdx, err1 := strconv.Atoi(f[0])
 		count, err2 := strconv.Atoi(f[1])
-		maxMs, err3 := strconv.ParseInt(f[2], 16, 64)
-		hash, err4 := strconv.ParseUint(f[3], 16, 64)
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil ||
-			shardIdx < 0 || count < 0 {
+		hash, err3 := strconv.ParseUint(f[2], 16, 64)
+		if err1 != nil || err2 != nil || err3 != nil || shardIdx < 0 || count < 0 {
 			continue
 		}
-		out = append(out, ShardDigest{Shard: shardIdx, Count: count, MaxMs: maxMs, Hash: hash})
+		out = append(out, ShardDigest{Shard: shardIdx, Count: count, Hash: hash})
 	}
 	return out
 }
@@ -1174,10 +1173,6 @@ func DecodePiggyback(v string) Piggyback {
 			case 'a':
 				if n, err := strconv.ParseUint(val, 10, 64); err == nil {
 					p.Ack, p.HasAck = n, true
-				}
-			case 'g':
-				if val == "1" {
-					p.Full = true
 				}
 			case 'd':
 				p.Digests = decodeDigests(val)

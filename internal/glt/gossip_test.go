@@ -1,6 +1,7 @@
 package glt
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -38,23 +39,39 @@ func newGossipNet(n int, seed int64, drop float64, cap_ int) *gossipNet {
 // leg dropped independently with probability drop, mirroring the live
 // ordering: the request is encoded before b absorbs it, the response
 // after.
-func (g *gossipNet) exchange(a, b int, now time.Time, full bool) {
-	hreq := g.tabs[a].EncodePiggybackTo(g.addr[b], now, g.cap, full)
-	g.note(hreq, full)
+func (g *gossipNet) exchange(a, b int, now time.Time) {
+	hreq := g.tabs[a].EncodePiggybackTo(g.addr[b], now, g.cap, false)
+	g.note(hreq)
 	if g.rng.Float64() >= g.drop {
 		g.tabs[b].Absorb(DecodePiggyback(hreq), now)
-		hresp := g.tabs[b].EncodePiggybackTo(g.addr[a], now, g.cap, full)
-		g.note(hresp, full)
+		hresp := g.tabs[b].EncodePiggybackTo(g.addr[a], now, g.cap, false)
+		g.note(hresp)
 		if g.rng.Float64() >= g.drop {
 			g.tabs[a].Absorb(DecodePiggyback(hresp), now)
 		}
 	}
 }
 
-func (g *gossipNet) note(h string, full bool) {
-	if full {
-		return // anti-entropy payloads are O(cluster) by design
-	}
+// reconcile runs one anti-entropy round from a to b under the same drops:
+// a dropped request or reply fails the leg, and the round with it.
+func (g *gossipNet) reconcile(a, b int, now time.Time) {
+	_, _ = g.tabs[a].Reconcile(g.addr[b], func(hdr string) (Piggyback, error) {
+		if g.rng.Float64() < g.drop {
+			return Piggyback{}, errDropped
+		}
+		resp, _ := g.tabs[b].answer(hdr, now)
+		if g.rng.Float64() < g.drop {
+			return Piggyback{}, errDropped
+		}
+		p := DecodePiggyback(resp)
+		g.tabs[a].Absorb(p, now)
+		return p, nil
+	})
+}
+
+var errDropped = errors.New("dropped")
+
+func (g *gossipNet) note(h string) {
 	if len(h) > g.maxDeltaBytes {
 		g.maxDeltaBytes = len(h)
 	}
@@ -65,7 +82,7 @@ func (g *gossipNet) note(h string, full bool) {
 
 // round advances the cluster once: every server measures itself, runs
 // delta exchanges with fanout random peers, and (when ae is true) one
-// full anti-entropy exchange with a rotating partner.
+// anti-entropy round with a rotating partner.
 func (g *gossipNet) round(r int, fanout int, ae bool, refresh bool) time.Time {
 	now := time.UnixMilli(int64(1_000_000 + r*1000))
 	n := len(g.tabs)
@@ -78,12 +95,12 @@ func (g *gossipNet) round(r int, fanout int, ae bool, refresh bool) time.Time {
 			if j >= i {
 				j++
 			}
-			g.exchange(i, j, now, false)
+			g.exchange(i, j, now)
 		}
 		if ae {
 			j := (i + 1 + r) % n
 			if j != i {
-				g.exchange(i, j, now, true)
+				g.reconcile(i, j, now)
 			}
 		}
 	}
@@ -177,7 +194,10 @@ func TestConcurrentShardMerge(t *testing.T) {
 					tab.RefreshSelf(rng.Float64(), at, time.Second)
 					_ = tab.EncodeClientHeader()
 				case 5:
-					_ = tab.EncodePiggybackTo(srv, at, 0, true)
+					_, _ = tab.Reconcile(srv, func(hdr string) (Piggyback, error) {
+						resp, _ := tab.answer(hdr, at)
+						return DecodePiggyback(resp), nil
+					})
 					_ = tab.Snapshot()
 					_ = tab.RankedByHeadroom(nil, "")
 				case 6:

@@ -188,14 +188,11 @@ func HeaderSizes(servers, max int) (fullBytes, deltaBytes int) {
 
 // DigestExchangeSizes measures one anti-entropy exchange between two
 // n-server tables that agree on everything except the entries of
-// `diverged` servers (chosen to land in distinct stripes), under both
-// protocols. fullBytes is the two-leg full-table exchange the digest
-// protocol replaces (requester's !g request plus the responder's full
-// reply); digestBytes is the complete push-pull digest exchange — request
-// digests, shard-targeted response, and any push-back leg — measured
-// against live tables so it includes every byte the wire would carry. It
-// also reports how many stripes the digest protocol identified as
-// diverged.
+// `diverged` servers (chosen to land in distinct stripes). digestBytes is
+// every byte of a Reconcile round, both directions of every leg, against
+// live tables; fullBytes is the comparator the digest protocol is gated
+// against: each side sending its whole table. It also reports how many
+// stripes the responder found diverged.
 func DigestExchangeSizes(servers, diverged int) (digestBytes, fullBytes, divergedShards int) {
 	build := func() (*Table, *Table) {
 		a := seedSharded(benchAddr(0), servers)
@@ -220,30 +217,38 @@ func DigestExchangeSizes(servers, diverged int) (digestBytes, fullBytes, diverge
 		}
 		return a, b
 	}
+	now := benchBase.Add(2 * time.Minute)
 
-	// Full-table exchange: a asks with !g, b replies with its whole table.
+	// Full-table exchange: each side sends its whole table.
 	a, b := build()
-	req := a.EncodePiggybackTo(b.Self(), benchBase.Add(2*time.Minute), 0, true)
-	b.Absorb(DecodePiggyback(req), benchBase.Add(2*time.Minute))
-	resp := b.EncodePiggybackTo(a.Self(), benchBase.Add(2*time.Minute), 0, true)
-	a.Absorb(DecodePiggyback(resp), benchBase.Add(2*time.Minute))
+	req := a.EncodePiggybackTo(b.Self(), now, 0, true)
+	b.Absorb(DecodePiggyback(req), now)
+	resp := b.EncodePiggybackTo(a.Self(), now, 0, true)
 	fullBytes = len(req) + len(resp)
 
 	// Push-pull digest exchange on fresh tables with the same divergence.
 	a, b = build()
-	dreq := a.EncodeDigestTo(b.Self())
-	p := DecodePiggyback(dreq)
-	b.Absorb(p, benchBase.Add(2*time.Minute))
-	dresp, nDiff := b.EncodeDigestResponse(a.Self(), p.Digests)
-	rp := DecodePiggyback(dresp)
-	a.Absorb(rp, benchBase.Add(2*time.Minute))
-	digestBytes = len(dreq) + len(dresp)
-	if back := a.StillDiverged(rp.Digests); len(back) > 0 {
-		push := a.EncodeShardEntriesTo(b.Self(), back)
-		b.Absorb(DecodePiggyback(push), benchBase.Add(2*time.Minute))
-		digestBytes += len(push)
+	_, _ = a.Reconcile(b.Self(), func(hdr string) (Piggyback, error) {
+		resp, diff := b.answer(hdr, now)
+		digestBytes += len(hdr) + len(resp)
+		divergedShards += diff
+		p := DecodePiggyback(resp)
+		a.Absorb(p, now)
+		return p, nil
+	})
+	return digestBytes, fullBytes, divergedShards
+}
+
+// answer absorbs a request header and returns the reply the live handler
+// sends for it: the digest response (and how many stripes diverged) to a
+// digest request, otherwise the delta under the live cap of 12 entries.
+func (t *Table) answer(hdr string, now time.Time) (string, int) {
+	req := DecodePiggyback(hdr)
+	t.Absorb(req, now)
+	if req.HasDigests {
+		return t.EncodeDigestResponse(req.From, req.Digests)
 	}
-	return digestBytes, fullBytes, nDiff
+	return t.EncodePiggybackTo(req.From, now, 12, false), 0
 }
 
 // shardIndex exposes a table's stripe assignment for an address (perf

@@ -335,22 +335,30 @@ func (s *simServer) validatorTick() {
 }
 
 // antiEntropyTick is the simulated form of the live anti-entropy safety
-// net: one full-table exchange with the peer the control plane picks (the
-// one whose last full exchange is oldest), so entries capped out of every
-// delta still reconverge.
+// net: the live server's push-pull digest round (glt.Table.Reconcile) with
+// the peer the control plane picks (the one whose last exchange is
+// oldest), so entries capped out of every delta still reconverge. The
+// peer answers as the live handler does: a digest response to digests,
+// otherwise its delta.
 func (s *simServer) antiEntropyTick() {
 	w := s.w
 	peer := w.servers[s.ctl.AntiEntropyPeer()]
 	if peer == nil {
 		return
 	}
-	max := dcws.MaxPiggybackEntries
-	req := glt.DecodePiggyback(s.table.EncodePiggybackTo(peer.addr, w.now, max, true))
-	peer.table.Absorb(req, w.now)
-	// The live responder sees the !g marker and answers with its own full
-	// table.
-	resp := glt.DecodePiggyback(peer.table.EncodePiggybackTo(s.addr, w.now, max, true))
-	s.table.Absorb(resp, w.now)
+	_, _ = s.table.Reconcile(peer.addr, func(hdr string) (glt.Piggyback, error) {
+		req := glt.DecodePiggyback(hdr)
+		peer.table.Absorb(req, w.now)
+		var resp string
+		if req.HasDigests {
+			resp, _ = peer.table.EncodeDigestResponse(s.addr, req.Digests)
+		} else {
+			resp = peer.table.EncodePiggybackTo(s.addr, w.now, dcws.MaxPiggybackEntries, false)
+		}
+		p := glt.DecodePiggyback(resp)
+		s.table.Absorb(p, w.now)
+		return p, nil
+	})
 }
 
 // seedPeers initializes every server's load table with every other server,

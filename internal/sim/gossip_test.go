@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -45,8 +46,8 @@ func TestGossipSweepConverges64(t *testing.T) {
 	maxEntries := 0
 	// Churn: every round each server refreshes its own load and runs two
 	// random delta exchanges; every eighth round it also runs the
-	// anti-entropy tick (full exchanges are O(cluster) by design, so they
-	// are excluded from the delta bound).
+	// anti-entropy tick (its legs carry whole stripes, so they are
+	// excluded from the delta bound).
 	for round := 0; round < 40; round++ {
 		w.now = w.now.Add(w.params.StatsInterval)
 		for _, addr := range w.order {
@@ -76,7 +77,7 @@ func TestGossipSweepConverges64(t *testing.T) {
 		t.Fatalf("a delta header carried %d entries, cap %d", maxEntries, cap)
 	}
 
-	// Quiesce: stop updating loads and let one full anti-entropy sweep
+	// Quiesce: stop updating loads and let one anti-entropy sweep
 	// finish propagation, then every view must match the owner's own entry.
 	for round := 0; round < 3; round++ {
 		w.now = w.now.Add(w.params.AntiEntropyInterval)
@@ -99,5 +100,28 @@ func TestGossipSweepConverges64(t *testing.T) {
 				t.Fatalf("%s's view of %s = %+v, owner has %+v", holder, subject, got, own)
 			}
 		}
+	}
+}
+
+// TestAntiEntropyTickIsDigestRound: the simulator's anti-entropy tick is
+// the live server's digest round. Between converged tables the requester
+// sends digests and no entries; between diverged ones the round ends with
+// equal stripe digests on both sides.
+func TestAntiEntropyTickIsDigestRound(t *testing.T) {
+	w := gossipWorld(t, 2)
+	a, b := w.servers[w.order[0]], w.servers[w.order[1]]
+	a.antiEntropyTick() // converges the pair
+	a.antiEntropyTick()
+	if got := a.table.LastHeaderEntries(); got != 0 {
+		t.Fatalf("a quiet round's last request carried %d entries, want 0", got)
+	}
+
+	w.now = w.now.Add(time.Minute)
+	a.table.UpdateSelf(0.25, w.now)
+	b.table.UpdateSelf(0.75, w.now)
+	b.table.Observe(glt.Entry{Server: "ghost:99", Load: 0.5, Updated: w.now})
+	a.antiEntropyTick()
+	if da, db := a.table.Digests(), b.table.Digests(); !reflect.DeepEqual(da, db) {
+		t.Fatalf("digests after the round: %+v vs %+v", da, db)
 	}
 }
