@@ -200,7 +200,7 @@ func TestEmitCountersByKind(t *testing.T) {
 	now := time.UnixMilli(1000)
 	tab.EncodeClientHeader()
 	tab.EncodePiggybackTo("b:80", now, 0, false)
-	tab.EncodeDigestTo("b:80")
+	tab.encodeDigestTo("b:80")
 	if tab.ClientEmits() != 1 || tab.DeltaEmits() != 1 || tab.FullEmits() != 1 {
 		t.Fatalf("emit counters client=%d delta=%d full=%d, want 1 each",
 			tab.ClientEmits(), tab.DeltaEmits(), tab.FullEmits())

@@ -211,7 +211,7 @@ func TestDigestPlaceholderRoundTrip(t *testing.T) {
 
 func TestDigestRequestCarriesNoEntries(t *testing.T) {
 	tab := seedSharded("a:80", 32)
-	h := tab.EncodeDigestTo("b:80")
+	h := tab.encodeDigestTo("b:80")
 	p := DecodePiggyback(h)
 	if len(p.Entries) != 0 {
 		t.Fatalf("digest request carried entries: %+v", p.Entries)
@@ -255,7 +255,7 @@ func TestDigestExchangeConverges(t *testing.T) {
 	a.Observe(Entry{Server: benchAddr(11), Load: 8.5, Updated: now, Capacity: 44, Zone: "z1"})
 	a.Observe(Entry{Server: "newcomer.cluster:80", Load: 0.5, Updated: now})
 
-	req := a.EncodeDigestTo(b.Self())
+	req := a.encodeDigestTo(b.Self())
 	p := DecodePiggyback(req)
 	b.Absorb(p, now)
 	resp, diff := b.EncodeDigestResponse(a.Self(), p.Digests)
@@ -264,11 +264,11 @@ func TestDigestExchangeConverges(t *testing.T) {
 	}
 	rp := DecodePiggyback(resp)
 	a.Absorb(rp, now)
-	back := a.StillDiverged(rp.Digests)
+	back := a.stillDiverged(rp.Digests)
 	if len(back) == 0 {
 		t.Fatalf("push-back leg empty; a's fresher facts would never reach b")
 	}
-	b.Absorb(DecodePiggyback(a.EncodeShardEntriesTo(b.Self(), back)), now)
+	b.Absorb(DecodePiggyback(a.encodeShardEntriesTo(b.Self(), back)), now)
 
 	if d := a.DiffShards(b.Digests()); len(d) != 0 {
 		t.Fatalf("tables still diverged after exchange: %v", d)
@@ -291,7 +291,7 @@ func TestDigestExchangeSkipsConvergedStripes(t *testing.T) {
 	b.UpdateSelf(1.5, benchBase)
 	b.Observe(Entry{Server: benchAddr(9), Load: 20.5, Updated: benchBase.Add(time.Second)})
 
-	p := DecodePiggyback(a.EncodeDigestTo(b.Self()))
+	p := DecodePiggyback(a.encodeDigestTo(b.Self()))
 	resp, diff := b.EncodeDigestResponse(a.Self(), p.Digests)
 	if diff != 1 {
 		t.Fatalf("diff = %d, want exactly the perturbed stripe", diff)
@@ -421,7 +421,7 @@ func TestReconcile(t *testing.T) {
 			legs := 0
 			pushed, err := a.Reconcile(b.Self(), func(hdr string) (Piggyback, error) {
 				legs++
-				resp, _ := b.answer(hdr, now)
+				resp, _ := b.answer(hdr, now, liveDeltaCap)
 				if c.foreign {
 					resp = b.EncodePiggybackTo(a.Self(), now, 12, false)
 				}

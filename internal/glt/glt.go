@@ -132,12 +132,11 @@ type peerState struct {
 	// last happened, in either direction.
 	lastFull time.Time
 
-	// Cached delta encoding, valid for one (version, acked, full, max)
+	// Cached delta encoding, valid for one (version, acked, max)
 	// tuple. In steady state the table version and the peer's ack are
 	// both stable between requests, so serving costs a compare.
 	encVer     uint64
 	encAck     uint64
-	encFull    bool
 	encMax     int
 	encEntries int
 	enc        string
@@ -598,7 +597,7 @@ func (t *Table) ShardSizes() []int {
 }
 
 // DeltaRegens reports how many times a per-peer delta encoding had to be
-// rebuilt (cache key: table version, peer ack, full flag, cap).
+// rebuilt (cache key: table version, peer ack, cap).
 func (t *Table) DeltaRegens() int64 { return t.deltaRegens.Load() }
 
 // HeaderBytes reports the size of the most recently emitted piggyback
@@ -780,11 +779,10 @@ func (t *Table) EncodeClientHeader() string {
 // which it holds authoritatively): candidates are sorted by version
 // ascending — stalest information first — and when more than max remain
 // the list is cut there and V drops to the last included record's
-// version, so acks never cover entries that were never sent. full
-// ignores the ack floor and the cap, encoding the whole table. max <= 0
-// means uncapped. The time argument is unused; callers in the benchmark
-// module still pass it.
-func (t *Table) EncodePiggybackTo(peer string, _ time.Time, max int, full bool) string {
+// version, so acks never cover entries that were never sent. max <= 0
+// means uncapped. The time and bool arguments are unused; callers in the
+// benchmark module still pass them.
+func (t *Table) EncodePiggybackTo(peer string, _ time.Time, max int, _ bool) string {
 	ps := t.peer(peer)
 	var acked, seen uint64
 	if ps != nil {
@@ -793,13 +791,9 @@ func (t *Table) EncodePiggybackTo(peer string, _ time.Time, max int, full bool) 
 		acked, seen = ps.acked, ps.seen
 	}
 	v0 := t.version.Load()
-	if ps != nil && ps.encValid && ps.encVer == v0 && ps.encAck == acked && ps.encFull == full && ps.encMax == max {
+	if ps != nil && ps.encValid && ps.encVer == v0 && ps.encAck == acked && ps.encMax == max {
 		t.noteEmit(&t.deltaEmits, ps.encEntries, len(ps.enc))
 		return ps.enc
-	}
-	floor := acked
-	if full {
-		floor = 0
 	}
 	var cands []entryRec
 	for i := range t.shards {
@@ -809,7 +803,7 @@ func (t *Table) EncodePiggybackTo(peer string, _ time.Time, max int, full bool) 
 			// ver > v0 means the write raced past our version snapshot;
 			// advertising v0 while omitting it would let the peer ack an
 			// entry it never received, so it waits for the next delta.
-			if rec.ver > floor && rec.ver <= v0 && rec.e.Server != peer {
+			if rec.ver > acked && rec.ver <= v0 && rec.e.Server != peer {
 				cands = append(cands, rec)
 			}
 		}
@@ -817,7 +811,7 @@ func (t *Table) EncodePiggybackTo(peer string, _ time.Time, max int, full bool) 
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].ver < cands[j].ver })
 	adv := v0
-	if !full && max > 0 && len(cands) > max {
+	if max > 0 && len(cands) > max {
 		cands = cands[:max]
 		adv = cands[len(cands)-1].ver
 	}
@@ -839,7 +833,7 @@ func (t *Table) EncodePiggybackTo(peer string, _ time.Time, max int, full bool) 
 	*bp = buf
 	encodeBufPool.Put(bp)
 	if ps != nil {
-		ps.enc, ps.encVer, ps.encAck, ps.encFull, ps.encMax = out, v0, acked, full, max
+		ps.enc, ps.encVer, ps.encAck, ps.encMax = out, v0, acked, max
 		ps.encEntries, ps.encValid = len(cands), true
 	}
 	t.deltaRegens.Add(1)
@@ -986,12 +980,12 @@ func (t *Table) appendGossipMeta(buf []byte, peer string) []byte {
 	return buf
 }
 
-// EncodeDigestTo serializes the digest-request leg of a push-pull
+// encodeDigestTo serializes the digest-request leg of a push-pull
 // anti-entropy exchange: gossip metadata plus a digest of every non-empty
 // stripe, and no entries. Entries skipped by the advertised version are
 // safe: any content the peer lacks surfaces as a stripe divergence and
 // ships in the response or push-back leg.
-func (t *Table) EncodeDigestTo(peer string) string {
+func (t *Table) encodeDigestTo(peer string) string {
 	bp := encodeBufPool.Get().(*[]byte)
 	buf := t.appendGossipMeta((*bp)[:0], peer)
 	buf = append(buf, ',')
@@ -1054,10 +1048,10 @@ func (t *Table) EncodeDigestResponse(peer string, remote []ShardDigest) (string,
 	return out, len(diff)
 }
 
-// StillDiverged returns the subset of the responder's reported stripes
+// stillDiverged returns the subset of the responder's reported stripes
 // whose local digest still disagrees after the response was absorbed —
 // the stripes the requester must push back.
-func (t *Table) StillDiverged(remote []ShardDigest) []int {
+func (t *Table) stillDiverged(remote []ShardDigest) []int {
 	var out []int
 	for _, rd := range remote {
 		if rd.Shard < 0 || rd.Shard >= len(t.shards) {
@@ -1071,9 +1065,9 @@ func (t *Table) StillDiverged(remote []ShardDigest) []int {
 	return out
 }
 
-// EncodeShardEntriesTo serializes the push-back leg: the entries of the
+// encodeShardEntriesTo serializes the push-back leg: the entries of the
 // given stripes, under the usual gossip metadata, with no digest item.
-func (t *Table) EncodeShardEntriesTo(peer string, shardIdx []int) string {
+func (t *Table) encodeShardEntriesTo(peer string, shardIdx []int) string {
 	entries := t.shardEntries(shardIdx, peer)
 	bp := encodeBufPool.Get().(*[]byte)
 	buf := t.appendGossipMeta((*bp)[:0], peer)
@@ -1095,8 +1089,9 @@ func (t *Table) EncodeShardEntriesTo(peer string, shardIdx []int) string {
 // is malformed or foreign.
 var errNoDigests = errors.New("reply carried no digests")
 
-// Reconcile runs one push-pull anti-entropy round with peer, the only
-// requester of the digest protocol. send carries one X-DCWS-Load value to
+// Reconcile runs one push-pull anti-entropy round with peer. It is the
+// only requester of the digest protocol: the legs' encoders are
+// unexported. send carries one X-DCWS-Load value to
 // peer and returns its decoded reply, which the caller has already
 // absorbed into this table. The first leg sends this table's digests;
 // the reply must carry the peer's digests of the diverged stripes (or the
@@ -1104,18 +1099,18 @@ var errNoDigests = errors.New("reply carried no digests")
 // still diverged after absorbing it are pushed back in a second send.
 // pushed is how many stripes the push-back leg carried.
 func (t *Table) Reconcile(peer string, send func(hdr string) (Piggyback, error)) (pushed int, err error) {
-	reply, err := send(t.EncodeDigestTo(peer))
+	reply, err := send(t.encodeDigestTo(peer))
 	if err != nil {
 		return 0, err
 	}
 	if !reply.HasDigests {
 		return 0, errNoDigests
 	}
-	back := t.StillDiverged(reply.Digests)
+	back := t.stillDiverged(reply.Digests)
 	if len(back) == 0 {
 		return 0, nil
 	}
-	_, err = send(t.EncodeShardEntriesTo(peer, back))
+	_, err = send(t.encodeShardEntriesTo(peer, back))
 	return len(back), err
 }
 

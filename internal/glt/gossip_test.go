@@ -59,7 +59,7 @@ func (g *gossipNet) reconcile(a, b int, now time.Time) {
 		if g.rng.Float64() < g.drop {
 			return Piggyback{}, errDropped
 		}
-		resp, _ := g.tabs[b].answer(hdr, now)
+		resp, _ := g.tabs[b].answer(hdr, now, liveDeltaCap)
 		if g.rng.Float64() < g.drop {
 			return Piggyback{}, errDropped
 		}
@@ -195,7 +195,7 @@ func TestConcurrentShardMerge(t *testing.T) {
 					_ = tab.EncodeClientHeader()
 				case 5:
 					_, _ = tab.Reconcile(srv, func(hdr string) (Piggyback, error) {
-						resp, _ := tab.answer(hdr, at)
+						resp, _ := tab.answer(hdr, at, liveDeltaCap)
 						return DecodePiggyback(resp), nil
 					})
 					_ = tab.Snapshot()

@@ -219,17 +219,18 @@ func DigestExchangeSizes(servers, diverged int) (digestBytes, fullBytes, diverge
 	}
 	now := benchBase.Add(2 * time.Minute)
 
-	// Full-table exchange: each side sends its whole table.
+	// Full-table exchange: neither fresh table has an ack from the other,
+	// so an uncapped delta is each side's whole table.
 	a, b := build()
-	req := a.EncodePiggybackTo(b.Self(), now, 0, true)
+	req := a.EncodePiggybackTo(b.Self(), now, 0, false)
 	b.Absorb(DecodePiggyback(req), now)
-	resp := b.EncodePiggybackTo(a.Self(), now, 0, true)
+	resp := b.EncodePiggybackTo(a.Self(), now, 0, false)
 	fullBytes = len(req) + len(resp)
 
 	// Push-pull digest exchange on fresh tables with the same divergence.
 	a, b = build()
 	_, _ = a.Reconcile(b.Self(), func(hdr string) (Piggyback, error) {
-		resp, diff := b.answer(hdr, now)
+		resp, diff := b.answer(hdr, now, liveDeltaCap)
 		digestBytes += len(hdr) + len(resp)
 		divergedShards += diff
 		p := DecodePiggyback(resp)
@@ -239,16 +240,20 @@ func DigestExchangeSizes(servers, diverged int) (digestBytes, fullBytes, diverge
 	return digestBytes, fullBytes, divergedShards
 }
 
+// liveDeltaCap is the live server's delta cap, dcws.MaxPiggybackEntries,
+// which this package cannot import.
+const liveDeltaCap = 12
+
 // answer absorbs a request header and returns the reply the live handler
 // sends for it: the digest response (and how many stripes diverged) to a
-// digest request, otherwise the delta under the live cap of 12 entries.
-func (t *Table) answer(hdr string, now time.Time) (string, int) {
+// digest request, otherwise the delta capped at max entries.
+func (t *Table) answer(hdr string, now time.Time, max int) (string, int) {
 	req := DecodePiggyback(hdr)
 	t.Absorb(req, now)
 	if req.HasDigests {
 		return t.EncodeDigestResponse(req.From, req.Digests)
 	}
-	return t.EncodePiggybackTo(req.From, now, 12, false), 0
+	return t.EncodePiggybackTo(req.From, now, max, false), 0
 }
 
 // shardIndex exposes a table's stripe assignment for an address (perf
