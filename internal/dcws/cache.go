@@ -3,6 +3,7 @@ package dcws
 import (
 	"container/list"
 	"hash/maphash"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -125,6 +126,9 @@ func (c *renderCache) put(name string, kind renderKind, gen uint64, data []byte,
 		e.gen, e.data, e.hash = gen, data, hash
 		sh.lru.MoveToFront(e.elem)
 	} else {
+		// A new entry keeps its own copy of name, which may be a
+		// substring of the request head it came from.
+		key.name = strings.Clone(name)
 		e := &renderEntry{key: key, gen: gen, data: data, hash: hash}
 		e.elem = sh.lru.PushFront(e)
 		sh.entries[key] = e

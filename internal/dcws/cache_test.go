@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dcws/internal/httpx"
 	"dcws/internal/naming"
@@ -253,5 +254,49 @@ func TestCoopSetBudgetEviction(t *testing.T) {
 	}
 	if cs.count() != 3 {
 		t.Fatalf("count = %d, want 3 (eviction is physical, not logical)", cs.count())
+	}
+}
+
+// pointsInto reports whether s's bytes lie inside src's.
+func pointsInto(s, src string) bool {
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	return p >= lo && p < lo+uintptr(len(src))
+}
+
+// TestCachedNamesAreCopies: the render cache and the hosted-document set
+// keep their own copy of a name that arrives as a substring of a request
+// head, so an entry never keeps that whole head alive.
+func TestCachedNamesAreCopies(t *testing.T) {
+	head := strings.Clone("GET /~migrate/home/80/doc.html HTTP/1.1\r\nHost: coop:80\r\n\r\n")
+	key := head[4 : strings.IndexByte(head[4:], ' ')+4]
+	home, name, err := naming.Decode(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rc := newRenderCache(1 << 20)
+	rc.put(name, renderHome, 1, []byte("x"), 0)
+	rc.put(name, renderHome, 2, []byte("y"), 0) // an update keeps the stored copy
+	sh := rc.shard(name)
+	for k, e := range sh.entries {
+		if pointsInto(k.name, head) || pointsInto(e.key.name, head) {
+			t.Errorf("render cache key %q points into the request head", k.name)
+		}
+	}
+
+	for _, insert := range []func(cs *coopSet){
+		func(cs *coopSet) { cs.touch(key, home, name) },
+		func(cs *coopSet) { cs.host(coopSeed{key: key, home: home, name: name}) },
+	} {
+		cs := newCoopSet()
+		insert(cs)
+		cs.touch(key, home, name)
+		for k, cd := range cs.docs {
+			for _, s := range []string{k, cd.key, cd.name, cd.home.Host} {
+				if pointsInto(s, head) {
+					t.Errorf("co-op record string %q points into the request head", s)
+				}
+			}
+		}
 	}
 }

@@ -46,11 +46,7 @@ func newCoopSet() *coopSet {
 // same critical section.
 func (cs *coopSet) touch(key string, home naming.Origin, name string) coopView {
 	cs.mu.Lock()
-	cd, ok := cs.docs[key]
-	if !ok {
-		cd = &coopDoc{key: key, home: home, name: name}
-		cs.docs[key] = cd
-	}
+	cd := cs.ensureLocked(key, home, name)
 	cd.windowHit++
 	if cd.elem != nil {
 		cs.lru.MoveToFront(cd.elem)
@@ -58,6 +54,20 @@ func (cs *coopSet) touch(key string, home naming.Origin, name string) coopView {
 	v := cd.viewLocked()
 	cs.mu.Unlock()
 	return v
+}
+
+// ensureLocked returns key's record, creating it if unknown; lock held. A
+// new record keeps private copies of its strings: they arrive as
+// substrings of a request head or a pushed frame, which a record must not
+// keep alive.
+func (cs *coopSet) ensureLocked(key string, home naming.Origin, name string) *coopDoc {
+	cd, ok := cs.docs[key]
+	if !ok {
+		home.Host = strings.Clone(home.Host)
+		cd = &coopDoc{key: strings.Clone(key), home: home, name: strings.Clone(name)}
+		cs.docs[cd.key] = cd
+	}
+	return cd
 }
 
 // view returns the record for key without touching its accounting.
@@ -87,9 +97,7 @@ func (cd *coopDoc) viewLocked() coopView {
 // survived"). It counts no hit: only a client request does.
 func (cs *coopSet) host(c coopSeed) {
 	cs.mu.Lock()
-	if _, ok := cs.docs[c.key]; !ok {
-		cs.docs[c.key] = &coopDoc{key: c.key, home: c.home, name: c.name}
-	}
+	cs.ensureLocked(c.key, c.home, c.name)
 	cs.mu.Unlock()
 	if c.present {
 		cs.markFetched(c)

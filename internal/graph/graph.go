@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,15 +52,17 @@ type Doc struct {
 	Gen uint64
 }
 
-// entry is the mutable tuple behind the lock.
+// entry is the mutable tuple behind the lock. name is the graph's only
+// stored copy of the document's name, and the edges point at entries, so
+// nothing the graph keeps aliases a parsed page or a request.
 type entry struct {
 	name       string
 	location   string
 	size       int64
 	hits       int64
 	windowHits int64
-	linkTo     map[string]bool
-	linkFrom   map[string]bool
+	linkTo     []*entry
+	linkFrom   []*entry
 	dirty      bool
 	entryPoint bool
 	gen        uint64
@@ -116,8 +119,8 @@ func ResolveLink(base, raw string) string {
 }
 
 // Build scans st, parses every HTML document, and constructs the graph.
-// Non-HTML documents become leaf nodes. Dangling links (to documents not in
-// the store) are recorded in LinkTo but create no node.
+// Non-HTML documents become leaf nodes. A dangling link (to a document not
+// in the store) is recorded in LinkTo and creates a zero-size node.
 func Build(st store.Store) (*LDG, error) {
 	return BuildWithResolver(st, ResolveLink)
 }
@@ -150,65 +153,81 @@ func BuildWithResolver(st store.Store, resolve func(base, raw string) string) (*
 		if err != nil {
 			return nil, err
 		}
-		for _, raw := range hypertext.ExtractLinks(string(data)) {
-			target := resolve(name, raw)
-			if target == "" || target == name {
-				continue
-			}
-			g.linkLocked(name, target)
-		}
+		g.linkLocked(g.ensureLocked(name), linkTargets(name, data, resolve))
 	}
 	return g, nil
 }
 
-// ensureLocked returns the entry for name, creating it if absent.
+// linkTargets resolves every hyperlink in an HTML page's content; "" marks
+// a link that names no document here. It needs no lock.
+func linkTargets(name string, content []byte, resolve func(base, raw string) string) []string {
+	raws := hypertext.ExtractLinks(string(content))
+	targets := make([]string, len(raws))
+	for i, raw := range raws {
+		targets[i] = resolve(name, raw)
+	}
+	return targets
+}
+
+// ensureLocked returns the entry for name, creating it if absent. A new
+// entry takes its own copy of name: callers pass substrings of page bodies
+// and request heads, which the graph must not keep alive.
 func (g *LDG) ensureLocked(name string) *entry {
 	e, ok := g.docs[name]
 	if !ok {
-		e = &entry{
-			name:     name,
-			linkTo:   make(map[string]bool),
-			linkFrom: make(map[string]bool),
-		}
-		g.docs[name] = e
+		e = &entry{name: strings.Clone(name)}
+		g.docs[e.name] = e
 	}
 	return e
 }
 
-// linkLocked records a hyperlink from -> to, keeping LinkTo and LinkFrom
-// mutually consistent.
-func (g *LDG) linkLocked(from, to string) {
-	fe := g.ensureLocked(from)
-	te := g.ensureLocked(to)
-	fe.linkTo[to] = true
-	te.linkFrom[from] = true
+// linkLocked replaces e's outgoing edges with one edge to each distinct
+// target (sorted in place; "" and e itself are skipped), keeping every
+// LinkFrom list the exact inverse of the LinkTo lists.
+func (g *LDG) linkLocked(e *entry, targets []string) {
+	for _, te := range e.linkTo {
+		te.linkFrom = unlink(te.linkFrom, e)
+	}
+	slices.Sort(targets)
+	targets = slices.Compact(targets)
+	e.linkTo = make([]*entry, 0, len(targets))
+	for _, to := range targets {
+		if to == "" || to == e.name {
+			continue
+		}
+		te := g.ensureLocked(to)
+		e.linkTo = append(e.linkTo, te)
+		te.linkFrom = append(te.linkFrom, e)
+	}
+}
+
+// unlink swap-deletes e from an edge list, which holds it at most once.
+func unlink(es []*entry, e *entry) []*entry {
+	for i, x := range es {
+		if x == e {
+			last := len(es) - 1
+			es[i], es[last] = es[last], nil
+			return es[:last]
+		}
+	}
+	return es
 }
 
 // AddDoc inserts or refreshes a document node, reparsing its links from
 // content when it is HTML. Existing outgoing links are replaced; incoming
 // links are preserved. Used when an administrator changes page content.
+// The page is parsed before the write lock is taken.
 func (g *LDG) AddDoc(name string, size int64, content []byte) {
+	var targets []string
+	if IsHTML(name) && content != nil {
+		targets = linkTargets(name, content, ResolveLink)
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	e := g.ensureLocked(name)
 	e.size = size
 	e.gen++
-	// Drop old outgoing links.
-	for to := range e.linkTo {
-		if te, ok := g.docs[to]; ok {
-			delete(te.linkFrom, name)
-		}
-	}
-	e.linkTo = make(map[string]bool)
-	if IsHTML(name) && content != nil {
-		for _, raw := range hypertext.ExtractLinks(string(content)) {
-			target := ResolveLink(name, raw)
-			if target == "" || target == name {
-				continue
-			}
-			g.linkLocked(name, target)
-		}
-	}
+	g.linkLocked(e, targets)
 }
 
 // Has reports whether the graph contains a tuple for name.
@@ -237,18 +256,19 @@ func (e *entry) snapshot() Doc {
 		Size:       e.size,
 		Hits:       e.hits,
 		WindowHits: e.windowHits,
-		LinkTo:     sortedKeys(e.linkTo),
-		LinkFrom:   sortedKeys(e.linkFrom),
+		LinkTo:     edgeNames(e.linkTo),
+		LinkFrom:   edgeNames(e.linkFrom),
 		Dirty:      e.dirty,
 		EntryPoint: e.entryPoint,
 		Gen:        e.gen,
 	}
 }
 
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// edgeNames returns the sorted names of an edge list's entries.
+func edgeNames(es []*entry) []string {
+	out := make([]string, len(es))
+	for i, x := range es {
+		out[i] = x.name
 	}
 	sort.Strings(out)
 	return out
@@ -299,12 +319,10 @@ func (g *LDG) MarkMigrated(name, coop string) ([]string, error) {
 	e.location = coop
 	e.gen++
 	dirtied := make([]string, 0, len(e.linkFrom))
-	for from := range e.linkFrom {
-		if fe, ok := g.docs[from]; ok {
-			fe.dirty = true
-			fe.gen++
-			dirtied = append(dirtied, from)
-		}
+	for _, fe := range e.linkFrom {
+		fe.dirty = true
+		fe.gen++
+		dirtied = append(dirtied, fe.name)
 	}
 	sort.Strings(dirtied)
 	return dirtied, nil
@@ -431,8 +449,8 @@ func (g *LDG) RemoteLinkFromCount(name string) (int, error) {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownDoc, name)
 	}
 	n := 0
-	for from := range e.linkFrom {
-		if fe, ok := g.docs[from]; ok && fe.location != "" {
+	for _, fe := range e.linkFrom {
+		if fe.location != "" {
 			n++
 		}
 	}

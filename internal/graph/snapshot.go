@@ -45,7 +45,7 @@ func (g *LDG) EncodeSnapshot() []byte {
 			flags |= 2
 		}
 		buf = append(buf, flags)
-		targets := sortedKeys(e.linkTo)
+		targets := edgeNames(e.linkTo)
 		buf = binary.AppendUvarint(buf, uint64(len(targets)))
 		for _, to := range targets {
 			buf = appendString(buf, to)
@@ -108,13 +108,15 @@ func DecodeSnapshot(data []byte) (*LDG, error) {
 		if nLinks, data, err = readUvarint(data); err != nil {
 			return nil, err
 		}
+		var targets []string
 		for j := uint64(0); j < nLinks; j++ {
 			var to string
 			if to, data, err = readString(data); err != nil {
 				return nil, err
 			}
-			g.linkLocked(name, to)
+			targets = append(targets, to)
 		}
+		g.linkLocked(e, targets)
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("graph: %d trailing snapshot bytes", len(data))
@@ -133,19 +135,13 @@ func (g *LDG) Remove(name string) []string {
 	if !ok {
 		return nil
 	}
+	g.linkLocked(e, nil)
 	var dirtied []string
-	for to := range e.linkTo {
-		if te, ok := g.docs[to]; ok {
-			delete(te.linkFrom, name)
-		}
-	}
-	for from := range e.linkFrom {
-		if fe, ok := g.docs[from]; ok {
-			delete(fe.linkTo, name)
-			fe.dirty = true
-			fe.gen++
-			dirtied = append(dirtied, from)
-		}
+	for _, fe := range e.linkFrom {
+		fe.linkTo = unlink(fe.linkTo, e)
+		fe.dirty = true
+		fe.gen++
+		dirtied = append(dirtied, fe.name)
 	}
 	delete(g.docs, name)
 	sort.Strings(dirtied)

@@ -158,12 +158,15 @@ func (m *Mem) GetShared(name string) ([]byte, error) {
 	return data, nil
 }
 
-// Put implements Store.
+// Put implements Store. The stored key is a copy of name, which may be a
+// substring of a request head; a map assignment replaces the stored key
+// even when it is already present, so every Put copies it.
 func (m *Mem) Put(name string, data []byte) error {
 	name, err := CleanName(name)
 	if err != nil {
 		return err
 	}
+	name = strings.Clone(name)
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	m.mu.Lock()

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // storeImpls returns fresh instances of every Store implementation.
@@ -293,6 +295,24 @@ func TestStoreRoundTripProperty(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestMemKeyIsACopy: a stored name never points into the string it was
+// taken from (a request head), on the first Put and on a replacing one.
+func TestMemKeyIsACopy(t *testing.T) {
+	head := strings.Clone("POST /doc.html HTTP/1.1\r\n\r\n")
+	m := NewMem()
+	for i := 0; i < 2; i++ {
+		if err := m.Put(head[5:14], []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(head)))
+	for k := range m.docs {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(k))); p >= lo && p < lo+uintptr(len(head)) {
+			t.Errorf("stored key %q points into the request head", k)
 		}
 	}
 }
