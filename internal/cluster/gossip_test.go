@@ -71,7 +71,7 @@ func TestClusterGossipConverges64UnderDrops(t *testing.T) {
 					t.Fatalf("%s lost its own entry", subject.Addr())
 				}
 				got, ok := holder.LoadTable().Get(subject.Addr())
-				if !ok || got.Load != own.Load || !got.Updated.Equal(own.Updated) {
+				if !ok || got.Load != own.Load || got.Stamp != own.Stamp {
 					return false
 				}
 			}

@@ -146,13 +146,6 @@ func (s *Server) normalizeLoad(load float64) float64 {
 	return load / c
 }
 
-// advertisedLoad is the figure the server gossips: the quantized raw load
-// (quantizing before normalizing keeps the header-stability property of
-// loadQuantum independent of the capacity scale) divided by capacity.
-func (s *Server) advertisedLoad(now time.Time) float64 {
-	return s.normalizeLoad(quantizeLoad(s.loadMetric(now)))
-}
-
 // roundCapacity rounds to three significant figures so jitter in the EWMA
 // does not bump the gossiped self entry — and therefore re-ship it to
 // every peer — on every tick.

@@ -87,13 +87,18 @@ func (c *Controller) Tick(now time.Time, load float64) {
 	c.migrate(now, load)
 }
 
-// expire walks placements older than T_home and recalls any whose co-op is
-// now busier than this server by the imbalance ratio (§4.5 case 2: the
-// workload shifted and the placement no longer helps). A chain of more
-// than two replicas gets a middle path: while still hot it is left alone
-// whatever the co-op's load, and a merely warm one — cooled below the
-// trigger but not to zero — shrinks to two replicas instead of losing the
-// whole chain, so the next warm-up re-disseminates one copy, not k.
+// expire walks placements older than T_home and recalls the first whose
+// co-op is now busier than this server by the imbalance ratio (§4.5 case
+// 2: the workload shifted and the placement no longer helps). Like
+// migrate, it moves at most one document per tick: every expired
+// placement is compared with the same one-window load figure, so
+// recalling all of them at once would let a single low window undo the
+// whole placement and drop the cluster back to its cold-start
+// throughput. A chain of more than two replicas gets a middle path: while
+// still hot it is left alone whatever the co-op's load, and a merely warm
+// one — cooled below the trigger but not to zero — shrinks to two
+// replicas instead of losing the whole chain, so the next warm-up
+// re-disseminates one copy, not k.
 func (c *Controller) expire(now time.Time, load float64) {
 	rate := c.Params.HotReplicateRate
 	for _, mig := range c.Ledger.Expired(now, c.Params.HomeReMigrateInterval) {
@@ -109,6 +114,7 @@ func (c *Controller) expire(now time.Time, load float64) {
 		}
 		if e, ok := c.Table.Get(mig.Coop); ok && e.Load > load*imbalanceRatio {
 			c.Plant.Revoke(mig.Doc)
+			return
 		}
 	}
 }
@@ -286,15 +292,20 @@ func (c *Controller) Forget(doc string) {
 }
 
 // AntiEntropyPeer selects the usable peer whose last anti-entropy round is
-// oldest (never-exchanged peers first, then by address for determinism),
-// "" when there is none. Usable is asked about the address alone: staleness
+// oldest (never-exchanged peers first), "" when there is none. Ties go to
+// the first peer after this server in address order, wrapping around: a
+// plain address tie-break would send every server of a group to the same
+// peer in the same round, and a server that only meets equally stale
+// peers stays stale. Usable is asked about the address alone: staleness
 // is a property of a load reading, and refreshing readings is what the
 // exchange is for.
 func (c *Controller) AntiEntropyPeer() string {
 	gossip := c.Table.GossipPeers()
+	servers := c.Table.Servers()
+	i := sort.SearchStrings(servers, c.Self)
 	var best string
 	var bestAt time.Time
-	for _, p := range c.Table.Servers() {
+	for _, p := range append(servers[i:], servers[:i]...) {
 		if p == c.Self || !c.Plant.Usable(glt.Entry{Server: p}) {
 			continue
 		}

@@ -224,6 +224,19 @@ func TestControllerDecisions(t *testing.T) {
 			},
 		},
 		{
+			// Every expired placement is judged against one window's load,
+			// so one low window must not recall them all at once.
+			name:   "T_home: at most one recall per tick",
+			docs:   []DocStat{hits("/a.html", 0), hits("/b.html", 0)},
+			peers:  []glt.Entry{peer("a:80", 50, "")},
+			placed: map[string][]string{"/a.html": {"a:80"}, "/b.html": {"a:80"}},
+			steps: []controlStep{
+				{after: 301 * time.Second, load: 1, want: []string{"revoke /a.html"}},
+				{after: 10 * time.Second, load: 1, want: []string{"revoke /b.html"}},
+				{after: 10 * time.Second, load: 1},
+			},
+		},
+		{
 			name:   "T_home, cold chain: revoked only once the co-op is busier by the ratio",
 			params: chain(10, 3),
 			docs:   []DocStat{hits("/cold.html", 0)},

@@ -640,7 +640,8 @@ func TestExpiredMigrationRevokedWhenCoopOverloaded(t *testing.T) {
 	w.get("coop:81", "/~migrate/home/80/page.html")
 	// Age the migration beyond T_home and make the coop look overloaded.
 	w.clock.Advance(301 * time.Second)
-	home.LoadTable().Observe(glt.Entry{Server: "coop:81", Load: 1000, Updated: w.clock.Now()})
+	cur, _ := home.LoadTable().Get("coop:81")
+	home.LoadTable().Observe(glt.Entry{Server: "coop:81", Load: 1000, Stamp: cur.Stamp + 1, Updated: w.clock.Now()})
 	home.runStatsTick()
 	if loc, _ := home.Graph().Location("/page.html"); loc != "" {
 		t.Fatalf("overloaded-coop migration not revoked: %q", loc)

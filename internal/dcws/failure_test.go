@@ -493,15 +493,20 @@ func TestPartitionSuspectDownThenRecovery(t *testing.T) {
 	}
 }
 
-// TestStaleEchoDoesNotResurrectDownPeer guards the re-admission rule:
-// only a load entry measured AFTER the down declaration re-admits a
-// peer; old entries relayed by third parties are scrubbed.
-func TestStaleEchoDoesNotResurrectDownPeer(t *testing.T) {
-	w := newWorld(t)
+// downedCoop boots home and coop, lets home hear one entry the coop
+// published, then partitions them until home declares the coop down. It
+// returns that entry: the stamp home recorded at the declaration.
+func downedCoop(t *testing.T, w *testWorld) (*Server, glt.Entry) {
+	t.Helper()
 	w.noLoops = true
-	home, _ := migrateAndServe(t, w)
+	home, coop := migrateAndServe(t, w)
+	coop.runStatsTick()
+	w.get("coop:81", "/~migrate/home/80/page.html") // the lazy fetch carries the entry
+	last, ok := home.LoadTable().Get("coop:81")
+	if !ok || last.Stamp == 0 {
+		t.Fatalf("setup: home holds %+v, not the coop's published entry", last)
+	}
 	w.fabric.Partition("home:80", "coop:81")
-	before := w.clock.Now()
 	for i := 0; i < 5; i++ {
 		w.clock.Advance(30 * time.Second)
 		home.runPingerTick()
@@ -509,32 +514,68 @@ func TestStaleEchoDoesNotResurrectDownPeer(t *testing.T) {
 	if home.LoadTable().Known("coop:81") {
 		t.Fatal("setup: peer not declared down")
 	}
+	return home, last
+}
 
-	// A pre-crash entry echoed by some other server must not resurrect
-	// the dead peer.
-	stale := make(httpx.Header)
-	stale.Set(glt.HeaderName, fmt.Sprintf("coop:81=0.5@%d", before.UnixMilli()))
-	if _, err := w.client.Get("home:80", "/index.html", stale); err != nil {
+// sendLoad makes one client request to home carrying the given
+// X-DCWS-Load value.
+func sendLoad(t *testing.T, w *testWorld, v string) {
+	t.Helper()
+	h := make(httpx.Header)
+	h.Set(glt.HeaderName, v)
+	if _, err := w.client.Get("home:80", "/index.html", h); err != nil {
 		t.Fatal(err)
 	}
-	if home.LoadTable().Known("coop:81") {
-		t.Fatal("stale echo resurrected a down peer")
+}
+
+// TestStaleEchoDoesNotResurrectDownPeer guards the re-admission rule for
+// relayed entries: only a stamp above the one recorded at the down
+// declaration re-admits a peer (it published after it was declared
+// down); an entry at or below it, relayed by a third party, is scrubbed.
+func TestStaleEchoDoesNotResurrectDownPeer(t *testing.T) {
+	w := newWorld(t)
+	home, last := downedCoop(t, w)
+
+	// A pre-crash entry echoed by some other server, even with another
+	// load, must not resurrect the dead peer.
+	for _, stamp := range []int64{last.Stamp - 1, last.Stamp} {
+		sendLoad(t, w, fmt.Sprintf("coop:81=0.5@%d", stamp))
+		if home.LoadTable().Known("coop:81") {
+			t.Fatalf("stale echo at stamp %d (recorded %d) resurrected a down peer", stamp, last.Stamp)
+		}
 	}
 
-	// A load entry measured after the declaration proves recovery — even
-	// with the partition still up (re-admission rides on piggybacked
-	// load, not on probing).
-	w.clock.Advance(time.Minute)
-	fresh := make(httpx.Header)
-	fresh.Set(glt.HeaderName, fmt.Sprintf("coop:81=0.5@%d", w.clock.Now().UnixMilli()))
-	if _, err := w.client.Get("home:80", "/index.html", fresh); err != nil {
-		t.Fatal(err)
-	}
+	// An entry stamped after the declaration proves recovery — even with
+	// the partition still up (re-admission rides on piggybacked load, not
+	// on probing), and whatever the clocks read.
+	sendLoad(t, w, fmt.Sprintf("coop:81=0.5@%d", last.Stamp+1))
 	if !home.LoadTable().Known("coop:81") {
-		t.Fatal("fresh entry did not re-admit the recovered peer")
+		t.Fatal("higher-stamped entry did not re-admit the recovered peer")
 	}
 	if home.peerSuspect("coop:81") {
 		t.Fatal("re-admitted peer still suspect (pingFail/breaker not reset)")
+	}
+}
+
+// TestDirectContactReadmitsSkewedRestart: a down peer that restarted with
+// its clock behind publishes stamps below the one recorded at its
+// declaration, which no relay could re-admit it with. A header the peer
+// sent itself (!f) proves it alive whatever its stamps say, so home
+// re-admits it and adopts the entry it sent.
+func TestDirectContactReadmitsSkewedRestart(t *testing.T) {
+	w := newWorld(t)
+	home, last := downedCoop(t, w)
+
+	sendLoad(t, w, fmt.Sprintf("!f=coop:81,!v=1,coop:81=0.5@%d", last.Stamp-10_000))
+	got, ok := home.LoadTable().Get("coop:81")
+	if !ok || got.Load != 0.5 || got.Stamp != last.Stamp-10_000 {
+		t.Fatalf("direct contact from a skewed restart: home holds %+v, %v", got, ok)
+	}
+	if home.peerSuspect("coop:81") {
+		t.Fatal("re-admitted peer still suspect (pingFail/breaker not reset)")
+	}
+	if st := home.Status(); st.PeerHealth["coop:81"] != "ok" {
+		t.Fatalf("peer health after re-admission = %q, want ok", st.PeerHealth["coop:81"])
 	}
 }
 

@@ -72,23 +72,14 @@ func (s *Server) handle(req *httpx.Request) *httpx.Response {
 	default:
 		resp = s.serveAsHome(req)
 	}
-	// A peer identified itself in the request header: answer with the
-	// delta it has not acked. A digest frame gets the digest response —
-	// our digests of the diverged stripes plus those stripes' entries —
-	// which is what makes anti-entropy proportional to divergence instead
-	// of table size. Plain clients get the constant-size self entry — they
-	// cannot ack deltas, and relaying the whole cluster's table to
-	// browsers is O(cluster) bytes for nothing.
-	switch {
-	case from != "" && pig.HasDigests:
-		hdr, diff := s.table.EncodeDigestResponse(from, pig.Digests)
-		resp.Header.Set(glt.HeaderName, hdr)
+	// The load table answers the caller's piggyback: a peer's digest frame
+	// with the digest response, any other peer header with the delta it
+	// has not acked, a plain client with the constant-size self entry.
+	hdr, diff := s.table.Answer(pig, MaxPiggybackEntries)
+	resp.Header.Set(glt.HeaderName, hdr)
+	if from != "" && pig.HasDigests {
 		s.tel.digestResponses.Inc()
 		s.tel.digestShardsSent.Add(int64(diff))
-	case from != "":
-		s.piggybackTo(resp.Header, from)
-	default:
-		s.piggybackClient(resp.Header)
 	}
 	resp.Header.Set(telemetry.TraceHeader, traceID)
 	if op != "" {

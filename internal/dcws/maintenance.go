@@ -14,7 +14,7 @@ import (
 )
 
 // runStatsTick is one activation of the statistics module (§5.1): every
-// T_st it refreshes this server's load entry, hands the control plane its
+// T_st it publishes this server's load entry, hands the control plane its
 // tick (expired placements, hot-document replication, migration), and rolls
 // the hit windows. Tests and the cluster harness call it directly to drive
 // the server deterministically.
@@ -29,11 +29,10 @@ func (s *Server) runStatsTick() {
 	// fraction of capacity, the same unit peers advertise, so the
 	// imbalance trigger compares like with like.
 	load := s.normalizeLoad(s.loadMetric(now))
-	// Forced (maxAge 0) so the self entry's timestamp advances every tick
-	// even when the quantized load is unchanged: peers re-admit a
-	// recovered server only on entries measured after its down
-	// declaration. The control plane decides on the raw load.
-	s.table.RefreshSelf(s.advertisedLoad(now), now, 0)
+	// The tick is the one publisher of the self entry, and it publishes
+	// the figure the control plane decides on. Every tick is a new stamp
+	// (the heartbeat peers' staleness checks hear).
+	s.table.UpdateSelf(load, now)
 
 	s.ctl.Tick(now, load)
 	s.ldg.RollWindow()
@@ -349,15 +348,16 @@ func (s *Server) runPingerTick() {
 
 // declareDown marks a peer dead: its documents are recalled and its load
 // table entry removed so it is never chosen as a migration target. The
-// declaration time is recorded; only a load entry measured after it can
-// re-admit the peer (see reconcileDownPeers).
+// peer's last stamp is recorded; only a relayed entry stamped above it,
+// or a header from the peer itself, re-admits it (see reconcileDownPeers).
 func (s *Server) declareDown(peer string) {
+	last, _ := s.table.Get(peer)
 	s.peerMu.Lock()
-	if _, already := s.downAt[peer]; already {
+	if _, already := s.downStamp[peer]; already {
 		s.peerMu.Unlock()
 		return
 	}
-	s.downAt[peer] = s.now()
+	s.downStamp[peer] = last.Stamp
 	delete(s.pingFail, peer)
 	s.peerMu.Unlock()
 	s.tel.declaredDown.Inc()

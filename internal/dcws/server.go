@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"sync"
 	"time"
 
@@ -214,7 +213,9 @@ type Server struct {
 
 	peerMu   sync.Mutex
 	pingFail map[string]int
-	downAt   map[string]time.Time // peers declared down, and when (§4.5)
+	// downStamp holds the peers declared down (§4.5), each with the last
+	// stamp heard of it then: only a higher one re-admits it from a relay.
+	downStamp map[string]int64
 
 	// capMu guards the measured service capacity (docs/s) and the serve-
 	// histogram totals the per-tick delta is computed against. See
@@ -395,7 +396,7 @@ func New(cfg Config) (*Server, error) {
 		rrCounter: make(map[string]*uint32),
 		pushing:   make(map[string][]string),
 		pingFail:  make(map[string]int),
-		downAt:    make(map[string]time.Time),
+		downStamp: make(map[string]int64),
 		stopped:   make(chan struct{}),
 	}
 	s.ctl = &Controller{
@@ -688,15 +689,6 @@ const (
 	// queueLoadFactor is how many load units each connection backlogged in
 	// the socket queue adds to the CPS/BPS rate.
 	queueLoadFactor = 1.0
-	// loadQuantum is the step the advertised load is rounded to, so the
-	// piggyback header — and its cached encoding — stays stable while the
-	// true load wobbles within one step. Migration decisions use the raw
-	// metric.
-	loadQuantum = 1.0
-	// piggybackRefresh throttles self-entry refreshes on the serve path:
-	// while the quantized load is unchanged and the entry is younger than
-	// this, the table (and the encoded header) is left alone.
-	piggybackRefresh = time.Second
 	// MaxPiggybackEntries caps how many load entries one inter-server
 	// X-DCWS-Load delta carries, keeping header size near-constant as the
 	// cluster grows; entries the peer has not acked queue stalest-first
@@ -717,29 +709,12 @@ func (s *Server) loadMetric(now time.Time) float64 {
 	return load
 }
 
-// quantizeLoad rounds a load value to the nearest loadQuantum multiple.
-func quantizeLoad(load float64) float64 {
-	return math.Round(load/loadQuantum) * loadQuantum
-}
-
 // piggybackTo attaches the load-table delta this peer has not yet acked
-// to an outgoing header map. The self entry is refreshed with the
-// quantized load, throttled by piggybackRefresh, so in steady state the
-// table version is unchanged and the per-peer encoding cache answers with
-// a version compare.
+// to an outgoing header map. It only encodes: the statistics tick is the
+// one publisher of the self entry, so between ticks the table version is
+// unchanged and the per-peer encoding cache answers with a compare.
 func (s *Server) piggybackTo(h httpx.Header, peer string) {
-	now := s.now()
-	s.table.RefreshSelf(s.advertisedLoad(now), now, piggybackRefresh)
-	h.Set(glt.HeaderName, s.table.EncodePiggybackTo(peer, now, MaxPiggybackEntries, false))
-}
-
-// piggybackClient attaches the self-entry-only header to a plain client
-// response. Clients cannot ack deltas, so they get the one entry that is
-// always fresh here — constant-size however large the cluster is.
-func (s *Server) piggybackClient(h httpx.Header) {
-	now := s.now()
-	s.table.RefreshSelf(s.advertisedLoad(now), now, piggybackRefresh)
-	h.Set(glt.HeaderName, s.table.EncodeClientHeader())
+	h.Set(glt.HeaderName, s.table.EncodePiggybackTo(peer, s.now(), MaxPiggybackEntries, false))
 }
 
 // absorbPiggyback merges piggybacked load information from an incoming
@@ -751,38 +726,46 @@ func (s *Server) absorbPiggyback(h httpx.Header) glt.Piggyback {
 	if v := h.Get(glt.HeaderName); v != "" {
 		p = glt.DecodePiggyback(v)
 		s.table.Absorb(p, s.now())
-		s.reconcileDownPeers(p.Entries)
+		s.reconcileDownPeers(p)
 	}
 	s.absorbHot(h)
 	return p
 }
 
-// reconcileDownPeers checks piggybacked entries against the declared-down
-// list (§4.5 recovery): an entry measured after the peer was declared
-// down proves it came back, so it is re-admitted with its failure
-// trackers (ping failures, circuit breaker) reset and becomes eligible
-// for migrations again. A stale echo of a dead peer's old entry — other
-// servers may keep relaying it long after the crash — is scrubbed from
-// the table so a dead peer is never falsely resurrected.
-func (s *Server) reconcileDownPeers(entries []glt.Entry) {
+// reconcileDownPeers checks a piggyback against the declared-down list
+// (§4.5 recovery). A header the peer sent itself proves it came back,
+// whatever its stamps say (its clock may have restarted behind). So does
+// a relayed entry stamped above the one recorded at the declaration: the
+// peer published after it was declared down. Either way it is re-admitted
+// with its failure trackers (ping failures, circuit breaker) reset and
+// becomes eligible for migrations again. Any other relayed entry of a
+// down peer is a stale echo — other servers may keep relaying it long
+// after the crash — and is scrubbed from the table so a dead peer is
+// never falsely resurrected. No clock reading enters the decision.
+func (s *Server) reconcileDownPeers(p glt.Piggyback) {
 	s.peerMu.Lock()
-	if len(s.downAt) == 0 {
+	if len(s.downStamp) == 0 {
 		s.peerMu.Unlock()
 		return
 	}
 	var readmit, scrub []string
-	for _, e := range entries {
-		downSince, down := s.downAt[e.Server]
-		if !down {
-			continue
-		}
-		if e.Updated.After(downSince) {
-			delete(s.downAt, e.Server)
-			delete(s.pingFail, e.Server)
+	_, direct := s.downStamp[p.From]
+	if direct {
+		readmit = append(readmit, p.From)
+	}
+	for _, e := range p.Entries {
+		last, down := s.downStamp[e.Server]
+		switch {
+		case !down || e.Server == p.From:
+		case e.Stamp > last:
 			readmit = append(readmit, e.Server)
-		} else {
+		default:
 			scrub = append(scrub, e.Server)
 		}
+	}
+	for _, peer := range readmit {
+		delete(s.downStamp, peer)
+		delete(s.pingFail, peer)
 	}
 	s.peerMu.Unlock()
 	for _, p := range readmit {
@@ -791,6 +774,13 @@ func (s *Server) reconcileDownPeers(entries []glt.Entry) {
 	}
 	for _, p := range scrub {
 		s.table.Remove(p)
+	}
+	if direct {
+		// The peer's own entry may not be in its header (it last sent it
+		// before the declaration). Until it next publishes, it rejoins as
+		// a configured peer does at boot: known, load unknown. A real
+		// entry always wins over this stamp-0 one.
+		s.table.Observe(glt.Entry{Server: p.From, Updated: s.now()})
 	}
 }
 
@@ -802,7 +792,7 @@ func (s *Server) reconcileDownPeers(entries []glt.Entry) {
 func (s *Server) peerSuspect(peer string) bool {
 	s.peerMu.Lock()
 	fails := s.pingFail[peer]
-	_, down := s.downAt[peer]
+	_, down := s.downStamp[peer]
 	s.peerMu.Unlock()
 	if down || fails > 0 {
 		return true
@@ -814,9 +804,9 @@ func (s *Server) peerSuspect(peer string) bool {
 // probe: consecutive ping failures, down state, and the circuit breaker.
 func (s *Server) recoverPeer(peer string) {
 	s.peerMu.Lock()
-	_, wasDown := s.downAt[peer]
+	_, wasDown := s.downStamp[peer]
 	hadFailures := s.pingFail[peer] > 0
-	delete(s.downAt, peer)
+	delete(s.downStamp, peer)
 	delete(s.pingFail, peer)
 	s.peerMu.Unlock()
 	s.res.Reset(peer)

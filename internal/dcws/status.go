@@ -89,7 +89,7 @@ func (s *Server) Status() Status {
 		}
 	}
 	s.peerMu.Lock()
-	for p := range s.downAt {
+	for p := range s.downStamp {
 		st.PeerHealth[p] = "down"
 	}
 	s.peerMu.Unlock()

@@ -434,7 +434,7 @@ func (t *serverTelemetry) bindServer(s *Server) {
 		"peer entries applied from piggybacked headers",
 		func() float64 { return float64(s.table.Merged()) })
 	reg.GaugeFunc("dcws_glt_oldest_entry_age_seconds",
-		"age of the stalest peer entry in the load table",
+		"seconds since this server last heard news of its stalest peer",
 		func() float64 { return s.table.OldestAge(s.now()).Seconds() })
 	reg.GaugeFunc("dcws_glt_header_bytes",
 		"size of the most recently emitted X-DCWS-Load piggyback header",

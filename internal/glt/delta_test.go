@@ -27,7 +27,7 @@ func TestDeltaOmitsAckedEntries(t *testing.T) {
 	a, b := NewTable("a:80"), NewTable("b:80")
 	now := time.UnixMilli(1000)
 	a.UpdateSelf(1, now)
-	a.Observe(Entry{Server: "c:80", Load: 3, Updated: now})
+	a.Observe(Entry{Server: "c:80", Load: 3, Stamp: 1000})
 
 	// First exchange: b has acked nothing, so it gets everything.
 	h1 := a.EncodePiggybackTo("b:80", now, 0, false)
@@ -43,7 +43,7 @@ func TestDeltaOmitsAckedEntries(t *testing.T) {
 		t.Fatalf("post-ack delta carried %d entries (%q), want 0", got, h2)
 	}
 	// A new observation flows in the next delta, alone.
-	a.Observe(Entry{Server: "d:80", Load: 4, Updated: now.Add(time.Second)})
+	a.Observe(Entry{Server: "d:80", Load: 4, Stamp: 2000})
 	h3 := a.EncodePiggybackTo("b:80", now, 0, false)
 	es := entriesOf(h3)
 	if len(es) != 1 || es[0].Server != "d:80" {
@@ -58,7 +58,7 @@ func TestDeltaCapAdvertisesOnlySentVersions(t *testing.T) {
 	a, b := NewTable("a:80"), NewTable("b:80")
 	now := time.UnixMilli(1000)
 	for i := 0; i < 9; i++ {
-		a.Observe(Entry{Server: fmt.Sprintf("s%02d:80", i), Load: float64(i), Updated: now})
+		a.Observe(Entry{Server: fmt.Sprintf("s%02d:80", i), Load: float64(i), Stamp: 1000})
 	}
 	rounds := 0
 	for ; rounds < 10; rounds++ {
@@ -86,7 +86,7 @@ func TestDeltaCapAdvertisesOnlySentVersions(t *testing.T) {
 func TestDeltaStalestFirst(t *testing.T) {
 	a := NewTable("a:80")
 	for i := 0; i < 6; i++ {
-		a.Observe(Entry{Server: fmt.Sprintf("s%d:80", i), Load: 1, Updated: time.UnixMilli(int64(1000 + i))})
+		a.Observe(Entry{Server: fmt.Sprintf("s%d:80", i), Load: 1, Stamp: int64(1000 + i)})
 	}
 	a.UpdateSelf(1, time.UnixMilli(2000))
 	// Entries were written in order (self refreshed last), so the capped
@@ -100,10 +100,10 @@ func TestDeltaStalestFirst(t *testing.T) {
 func TestPeerRestartResetsGossip(t *testing.T) {
 	now := time.UnixMilli(1000)
 	a := NewTable("a:80")
-	a.Observe(Entry{Server: "c:80", Load: 3, Updated: now})
+	a.Observe(Entry{Server: "c:80", Load: 3, Stamp: 1000})
 	b1 := NewTable("b:80")
-	b1.Observe(Entry{Server: "d:80", Load: 1, Updated: now})
-	b1.Observe(Entry{Server: "e:80", Load: 1, Updated: now})
+	b1.Observe(Entry{Server: "d:80", Load: 1, Stamp: 1000})
+	b1.Observe(Entry{Server: "e:80", Load: 1, Stamp: 1000})
 
 	// Converge a <-> b1, then restart b as a fresh table.
 	b1.Absorb(DecodePiggyback(a.EncodePiggybackTo("b:80", now, 0, false)), now)
@@ -127,7 +127,7 @@ func TestAckFromPreviousLifeResets(t *testing.T) {
 	now := time.UnixMilli(1000)
 	a.UpdateSelf(1, now)
 	a.Absorb(Piggyback{From: "b:80", Version: 9, Ack: 1 << 40, HasAck: true}, now)
-	a.Observe(Entry{Server: "c:80", Load: 3, Updated: now})
+	a.Observe(Entry{Server: "c:80", Load: 3, Stamp: 1000})
 	h := a.EncodePiggybackTo("b:80", now, 0, false)
 	if len(entriesOf(h)) == 0 {
 		t.Fatalf("foreign-life ack suppressed the delta: %q", h)
@@ -139,7 +139,7 @@ func TestClientHeaderSelfOnlyAndCached(t *testing.T) {
 	now := time.UnixMilli(1000)
 	tab.UpdateSelf(2.5, now)
 	for i := 0; i < 100; i++ {
-		tab.Observe(Entry{Server: fmt.Sprintf("s%03d:80", i), Load: 1, Updated: now})
+		tab.Observe(Entry{Server: fmt.Sprintf("s%03d:80", i), Load: 1, Stamp: 1000})
 	}
 	h := tab.EncodeClientHeader()
 	es := entriesOf(h)
@@ -148,7 +148,7 @@ func TestClientHeaderSelfOnlyAndCached(t *testing.T) {
 	}
 	// Merging peer entries must not invalidate the client-header cache;
 	// only a self change may.
-	tab.Observe(Entry{Server: "zzz:80", Load: 9, Updated: now.Add(time.Second)})
+	tab.Observe(Entry{Server: "zzz:80", Load: 9, Stamp: 2000})
 	if h2 := tab.EncodeClientHeader(); h2 != h {
 		t.Fatalf("client header churned on peer merge: %q -> %q", h, h2)
 	}
@@ -161,7 +161,7 @@ func TestClientHeaderSelfOnlyAndCached(t *testing.T) {
 func TestRemoveDropsGossipState(t *testing.T) {
 	a := NewTable("a:80")
 	now := time.UnixMilli(1000)
-	a.Absorb(Piggyback{From: "b:80", Version: 5, Entries: []Entry{{Server: "b:80", Load: 1, Updated: now}}}, now)
+	a.Absorb(Piggyback{From: "b:80", Version: 5, Entries: []Entry{{Server: "b:80", Load: 1, Stamp: 1000}}}, now)
 	if _, ok := a.GossipPeers()["b:80"]; !ok {
 		t.Fatal("precondition: gossip state for b:80 missing")
 	}
@@ -174,7 +174,7 @@ func TestRemoveDropsGossipState(t *testing.T) {
 func TestShardSizesCoverTable(t *testing.T) {
 	tab := NewTable("a:80")
 	for i := 0; i < 63; i++ {
-		tab.Observe(Entry{Server: fmt.Sprintf("s%03d:80", i), Load: 1, Updated: time.UnixMilli(1000)})
+		tab.Observe(Entry{Server: fmt.Sprintf("s%03d:80", i), Load: 1, Stamp: 1000})
 	}
 	if tab.ShardCount() != DefaultShards {
 		t.Fatalf("ShardCount = %d, want %d", tab.ShardCount(), DefaultShards)

@@ -13,8 +13,8 @@ func TestCapacityZoneRoundTrip(t *testing.T) {
 	tab := NewTable("s1:80")
 	tab.SetSelfInfo(120.5, "us-east")
 	tab.UpdateSelf(0.25, at(10))
-	tab.Observe(Entry{Server: "s2:80", Load: 0.5, Updated: at(9), Capacity: 30, Zone: "eu-west"})
-	tab.Observe(Entry{Server: "s3:80", Load: 3, Updated: at(8)}) // no capacity, no zone
+	tab.Observe(Entry{Server: "s2:80", Load: 0.5, Stamp: 9, Capacity: 30, Zone: "eu-west"})
+	tab.Observe(Entry{Server: "s3:80", Load: 3, Stamp: 8}) // no capacity, no zone
 
 	p := DecodePiggyback(encodeAll(tab))
 	if len(p.Entries) != 3 {
@@ -76,8 +76,8 @@ func TestSetSelfInfoAdvancesWireStamp(t *testing.T) {
 	before, _ := tab.Get("s1:80")
 	tab.SetSelfInfo(40, "z1")
 	after, _ := tab.Get("s1:80")
-	if !after.Updated.After(before.Updated) {
-		t.Fatalf("stamp did not advance: %v -> %v", before.Updated, after.Updated)
+	if after.Stamp != before.Stamp+1 {
+		t.Fatalf("stamp did not advance by one: %d -> %d", before.Stamp, after.Stamp)
 	}
 	if after.Capacity != 40 || after.Zone != "z1" || after.Load != 0.5 {
 		t.Fatalf("self entry = %+v", after)
@@ -86,7 +86,7 @@ func TestSetSelfInfoAdvancesWireStamp(t *testing.T) {
 	v := tab.Version()
 	tab.SetSelfInfo(40, "z1")
 	again, _ := tab.Get("s1:80")
-	if !again.Updated.Equal(after.Updated) || tab.Version() != v {
+	if again != after || tab.Version() != v {
 		t.Fatalf("no-op SetSelfInfo churned the entry")
 	}
 }
@@ -120,8 +120,8 @@ func TestRankedByHeadroom(t *testing.T) {
 			// load -> headroom 9. Raw-load ranking would pick small.
 			name: "headroom beats raw load",
 			entries: []Entry{
-				{Server: "big:80", Load: 0.6, Updated: at(5), Capacity: 100},
-				{Server: "small:80", Load: 0.1, Updated: at(5), Capacity: 10},
+				{Server: "big:80", Load: 0.6, Stamp: 5, Capacity: 100},
+				{Server: "small:80", Load: 0.1, Stamp: 5, Capacity: 10},
 			},
 			exclude: self,
 			want:    []string{"big:80", "small:80"},
@@ -131,9 +131,9 @@ func TestRankedByHeadroom(t *testing.T) {
 			// order, ties broken by address.
 			name: "no capacities: ascending load, ties by address",
 			entries: []Entry{
-				{Server: "c:80", Load: 3, Updated: at(5)},
-				{Server: "a:80", Load: 1, Updated: at(5)},
-				{Server: "b:80", Load: 1, Updated: at(5)},
+				{Server: "c:80", Load: 3, Stamp: 5},
+				{Server: "a:80", Load: 1, Stamp: 5},
+				{Server: "b:80", Load: 1, Stamp: 5},
 			},
 			exclude: self,
 			want:    []string{"a:80", "b:80", "c:80"},
@@ -141,15 +141,15 @@ func TestRankedByHeadroom(t *testing.T) {
 		{
 			name: "excluding the winner promotes the runner-up",
 			entries: []Entry{
-				{Server: "s2:80", Load: 20, Updated: at(1)},
-				{Server: "s3:80", Load: 5, Updated: at(1)},
+				{Server: "s2:80", Load: 20, Stamp: 1},
+				{Server: "s3:80", Load: 5, Stamp: 1},
 			},
 			exclude: map[string]bool{"self:80": true, "s3:80": true},
 			want:    []string{"s2:80"},
 		},
 		{
 			name:    "everyone excluded",
-			entries: []Entry{{Server: "s2:80", Load: 20, Updated: at(1)}},
+			entries: []Entry{{Server: "s2:80", Load: 20, Stamp: 1}},
 			exclude: map[string]bool{"self:80": true, "s2:80": true},
 		},
 		{name: "empty table", exclude: self},
@@ -170,9 +170,9 @@ func TestRankedByHeadroom(t *testing.T) {
 
 func TestRankedByHeadroomZoneFirst(t *testing.T) {
 	tab := NewTable("self:80")
-	tab.Observe(Entry{Server: "far-roomy:80", Load: 0.1, Updated: at(5), Capacity: 100, Zone: "z2"})
-	tab.Observe(Entry{Server: "near-busy:80", Load: 0.8, Updated: at(5), Capacity: 10, Zone: "z1"})
-	tab.Observe(Entry{Server: "near-ok:80", Load: 0.4, Updated: at(5), Capacity: 10, Zone: "z1"})
+	tab.Observe(Entry{Server: "far-roomy:80", Load: 0.1, Stamp: 5, Capacity: 100, Zone: "z2"})
+	tab.Observe(Entry{Server: "near-busy:80", Load: 0.8, Stamp: 5, Capacity: 10, Zone: "z1"})
+	tab.Observe(Entry{Server: "near-ok:80", Load: 0.4, Stamp: 5, Capacity: 10, Zone: "z1"})
 	ranked := tab.RankedByHeadroom(map[string]bool{"self:80": true}, "z1")
 	want := []string{"near-ok:80", "near-busy:80", "far-roomy:80"}
 	if len(ranked) != 3 {
@@ -231,7 +231,7 @@ func TestDiffShardsBothDirections(t *testing.T) {
 		t.Fatalf("identical tables diverge: %v", diff)
 	}
 	// An entry only b has must surface as a divergence for a too.
-	b.Observe(Entry{Server: "extra.cluster:80", Load: 1, Updated: benchBase.Add(time.Second)})
+	b.Observe(Entry{Server: "extra.cluster:80", Load: 1, Stamp: benchBase.Add(time.Second).UnixMilli()})
 	if diff := a.DiffShards(b.Digests()); len(diff) != 1 {
 		t.Fatalf("one-sided extra entry: diff = %v", diff)
 	}
@@ -251,14 +251,14 @@ func TestDigestExchangeConverges(t *testing.T) {
 	b.UpdateSelf(1.5, benchBase)
 	// b knows fresher facts about one server; a about another; and a
 	// holds a server b has never heard of.
-	b.Observe(Entry{Server: benchAddr(7), Load: 9.5, Updated: now})
-	a.Observe(Entry{Server: benchAddr(11), Load: 8.5, Updated: now, Capacity: 44, Zone: "z1"})
-	a.Observe(Entry{Server: "newcomer.cluster:80", Load: 0.5, Updated: now})
+	b.Observe(Entry{Server: benchAddr(7), Load: 9.5, Stamp: now.UnixMilli()})
+	a.Observe(Entry{Server: benchAddr(11), Load: 8.5, Stamp: now.UnixMilli(), Capacity: 44, Zone: "z1"})
+	a.Observe(Entry{Server: "newcomer.cluster:80", Load: 0.5, Stamp: now.UnixMilli()})
 
 	req := a.encodeDigestTo(b.Self())
 	p := DecodePiggyback(req)
 	b.Absorb(p, now)
-	resp, diff := b.EncodeDigestResponse(a.Self(), p.Digests)
+	resp, diff := b.Answer(p, liveDeltaCap)
 	if diff == 0 {
 		t.Fatalf("responder saw no divergence")
 	}
@@ -289,10 +289,10 @@ func TestDigestExchangeSkipsConvergedStripes(t *testing.T) {
 	b := seedSharded(benchAddr(1), 64)
 	a.UpdateSelf(0.5, benchBase)
 	b.UpdateSelf(1.5, benchBase)
-	b.Observe(Entry{Server: benchAddr(9), Load: 20.5, Updated: benchBase.Add(time.Second)})
+	b.Observe(Entry{Server: benchAddr(9), Load: 20.5, Stamp: benchBase.Add(time.Second).UnixMilli()})
 
 	p := DecodePiggyback(a.encodeDigestTo(b.Self()))
-	resp, diff := b.EncodeDigestResponse(a.Self(), p.Digests)
+	resp, diff := b.Answer(p, liveDeltaCap)
 	if diff != 1 {
 		t.Fatalf("diff = %d, want exactly the perturbed stripe", diff)
 	}
@@ -343,7 +343,7 @@ func TestDigestExchangeSizesGate(t *testing.T) {
 func TestReconcile(t *testing.T) {
 	now := benchBase.Add(time.Minute)
 	fresh := func(addr string, load float64) Entry {
-		return Entry{Server: addr, Load: load, Updated: now}
+		return Entry{Server: addr, Load: load, Stamp: now.UnixMilli()}
 	}
 	// Two third-party servers in distinct stripes.
 	probe := NewTable("")
@@ -421,7 +421,7 @@ func TestReconcile(t *testing.T) {
 			legs := 0
 			pushed, err := a.Reconcile(b.Self(), func(hdr string) (Piggyback, error) {
 				legs++
-				resp, _ := b.answer(hdr, now, liveDeltaCap)
+				resp, _ := respond(b, hdr, now)
 				if c.foreign {
 					resp = b.EncodePiggybackTo(a.Self(), now, 12, false)
 				}

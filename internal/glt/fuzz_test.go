@@ -23,6 +23,7 @@ func FuzzDecodePiggyback(f *testing.F) {
 		"!v=18446744073709551615,!a=18446744073709551616",
 		"a:80=NaN@1,b:80=+Inf@2,c:80=-Inf@3,d:80=-0@4",
 		"self:1=99@9223372036854775807",
+		"a:80=1@-5,b:80=1@-0,c:80=1@-9223372036854775808",
 		"=1@2,@,=@,x=@1,x=1@",
 		"!f=self:1,self:1=1e308@99999",
 		strings.Repeat("s:1=1@1,", 300),
@@ -67,12 +68,14 @@ func FuzzDecodePiggyback(f *testing.F) {
 		}
 
 		// Absorbing the decoded payload must leave the table usable and
-		// the self entry untouched.
+		// the self entry's content untouched: an echo can only lift its
+		// stamp (refutation), never its load, capacity or zone.
 		tab := NewTable("self:1")
 		self0, _ := tab.Get("self:1")
 		now := time.UnixMilli(50_000)
 		tab.Absorb(p, now)
-		if self, ok := tab.Get("self:1"); !ok || self != self0 {
+		if self, ok := tab.Get("self:1"); !ok || self.Load != self0.Load || self.Capacity != self0.Capacity ||
+			self.Zone != self0.Zone || self.Stamp < self0.Stamp {
 			t.Fatalf("absorbing %q moved the self entry to %+v", v, self)
 		}
 		if tab.Len() < 1 {
@@ -82,8 +85,8 @@ func FuzzDecodePiggyback(f *testing.F) {
 			t.Fatalf("absorbing %q broke RankedByHeadroom", v)
 		}
 		// Every absorbed entry, re-encoded for a peer that has acked
-		// nothing, must decode to an equal Entry, capacity and zone
-		// included. The peer name holds a ',' so it can never collide
+		// nothing, must decode to an equal Entry, stamp, capacity and
+		// zone included. The peer name holds a ',' so it can never collide
 		// with a decoded server.
 		again := map[string]Entry{}
 		for _, e := range DecodePiggyback(tab.EncodePiggybackTo("un,known:0", now, 0, false)).Entries {
@@ -94,8 +97,7 @@ func FuzzDecodePiggyback(f *testing.F) {
 				continue
 			}
 			got, ok := again[want.Server]
-			if !ok || got.Load != want.Load || !got.Updated.Equal(want.Updated) ||
-				got.Capacity != want.Capacity || got.Zone != want.Zone {
+			if !ok || !sameWire(got, want) || got.Stamp < 0 {
 				t.Fatalf("after absorbing %q, %+v re-decoded as %+v (present %v)", v, want, got, ok)
 			}
 		}

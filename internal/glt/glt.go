@@ -1,8 +1,10 @@
 // Package glt implements the Global Load Table of §3.3: each server's
 // best-effort local view of every cooperating server's load. Entries are
 // piggybacked on ordinary HTTP transfers as the X-DCWS-Load extension
-// header, so communicating load costs no extra connections; a freshest-
-// timestamp-wins merge keeps the views convergent without coordination.
+// header, so communicating load costs no extra connections; a highest-
+// stamp-wins merge keeps the views convergent without coordination. The
+// stamp is assigned by the entry's owner, so no merge ever compares two
+// machines' clocks.
 //
 // The table is hash-sharded into fixed stripes so concurrent merges from
 // worker goroutines contend per stripe instead of on one table lock, and
@@ -14,7 +16,7 @@
 // net.
 //
 // The header is a comma-separated list with one form per item. A load
-// entry is server=load@ms, or server=load@ms@capacity@zone when the
+// entry is server=load@stamp, or server=load@stamp@capacity@zone when the
 // server advertises a calibrated capacity or a zone label, so placement
 // can rank peers by absolute headroom (capacity x spare fraction) and
 // prefer zone-local targets. Gossip metadata items start with '!': the
@@ -54,8 +56,8 @@ const DefaultShards = 16
 // cap, unknown senders are served stateless full deltas.
 const maxPeerStates = 4096
 
-// Entry is one (Server, LoadMetric) tuple with the freshness timestamp used
-// for best-effort merging.
+// Entry is one (Server, LoadMetric) tuple with the owner's stamp that
+// orders it and the local time it was last heard of.
 type Entry struct {
 	// Server is the server's address ("host:port").
 	Server string
@@ -64,8 +66,13 @@ type Entry struct {
 	// the fraction of that capacity in use — so heterogeneous machines
 	// advertise comparable figures.
 	Load float64
-	// Updated is when the load figure was measured, by the measuring
-	// server's clock.
+	// Stamp is the entry's owner-assigned version: the owner raises it on
+	// every publication, the highest stamp wins every merge, and it is the
+	// only ordering field on the wire.
+	Stamp int64
+	// Updated is local: when this table last heard news of the server (an
+	// accepted entry, or a header the server sent itself). It never
+	// travels and orders nothing; staleness checks alone read it.
 	Updated time.Time
 	// Capacity is the server's self-calibrated achievable throughput in
 	// the load metric's units (connections/s). Zero means the server
@@ -199,7 +206,7 @@ type Table struct {
 	shards []shard
 
 	// selfMu guards the owning server's advertised capacity and zone,
-	// folded into the self entry by UpdateSelf/RefreshSelf. They change
+	// folded into the self entry by UpdateSelf. They change
 	// rarely (calibration ticks), never on the request hot path.
 	selfMu       sync.Mutex
 	selfCapacity float64
@@ -270,9 +277,8 @@ func (t *Table) Self() string { return t.self }
 
 // SetSelfInfo records the owning server's calibrated capacity and zone
 // label. Both are folded into every subsequent self entry and travel
-// inline in it. A change rewrites the self entry in place (same load and
-// wire timestamp semantics as RefreshSelf) so peers pick the new figures
-// up on the next exchange.
+// inline in it. A change republishes the self entry under the next stamp
+// (same load) so peers pick the new figures up on the next exchange.
 func (t *Table) SetSelfInfo(capacity float64, zone string) {
 	if capacity < 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
 		capacity = 0
@@ -289,89 +295,54 @@ func (t *Table) SetSelfInfo(capacity float64, zone string) {
 	}
 	sh := t.shardFor(t.self)
 	sh.mu.Lock()
-	cur := sh.entries[t.self]
-	e := cur.e
-	e.Server = t.self
+	e := sh.entries[t.self].e
 	e.Capacity, e.Zone = capacity, zone
-	if cur.e.Server != "" {
-		// The wire-visible timestamp must advance when the advertised
-		// content changes, or relays tie on freshest-wins and keep
-		// whichever copy they saw first (see bumpSelfStamp).
-		e.Updated = bumpSelfStamp(cur.e.Updated, cur.e.Updated)
-	}
+	e.Stamp = nextStamp(e.Stamp, 0)
 	sh.entries[t.self] = entryRec{e: e, ver: t.version.Add(1)}
 	sh.mu.Unlock()
 }
 
-// selfInfo returns the capacity and zone to stamp on a fresh self entry.
-func (t *Table) selfInfo() (float64, string) {
-	t.selfMu.Lock()
-	defer t.selfMu.Unlock()
-	return t.selfCapacity, t.selfZone
-}
-
-// bumpSelfStamp pushes at forward just far enough that the entry's
-// wire-visible (millisecond) timestamp strictly advances past prev when
-// the advertised value changes. Two self advertisements carrying different
-// loads at the same wire timestamp would tie in every relay's
-// freshest-wins merge — each relay keeps whichever copy it saw first, and
-// the cluster never reconverges on the owner's value.
-func bumpSelfStamp(prev, at time.Time) time.Time {
-	if at.UnixMilli() > prev.UnixMilli() {
-		return at
+// nextStamp is the one rule by which an owner advances its stamp: past
+// prev, and at least hint. The wall clock is only a starting hint, so a
+// restarted owner resumes near its old stamps and refutation (Observe)
+// lifts it past any it is still behind. It saturates at the largest
+// stamp instead of wrapping.
+func nextStamp(prev, hint int64) int64 {
+	if prev < math.MaxInt64 {
+		prev++
 	}
-	return time.UnixMilli(prev.UnixMilli() + 1)
+	return max(prev, hint)
 }
 
-// UpdateSelf records the owning server's own load measurement.
+// UpdateSelf publishes the owning server's own load measurement under a
+// new stamp: every call is news, which is what makes the statistics tick
+// a heartbeat.
 func (t *Table) UpdateSelf(load float64, at time.Time) {
-	capacity, zone := t.selfInfo()
+	t.selfMu.Lock()
+	capacity, zone := t.selfCapacity, t.selfZone
+	t.selfMu.Unlock()
 	sh := t.shardFor(t.self)
 	sh.mu.Lock()
-	cur := sh.entries[t.self]
-	if cur.e.Server != "" && at.UnixMilli() <= cur.e.Updated.UnixMilli() {
-		if load == cur.e.Load {
-			at = cur.e.Updated
-		} else {
-			at = bumpSelfStamp(cur.e.Updated, at)
-		}
-	}
+	stamp := nextStamp(sh.entries[t.self].e.Stamp, at.UnixMilli())
 	sh.entries[t.self] = entryRec{
-		e:   Entry{Server: t.self, Load: load, Updated: at, Capacity: capacity, Zone: zone},
+		e:   Entry{Server: t.self, Load: load, Stamp: stamp, Updated: at, Capacity: capacity, Zone: zone},
 		ver: t.version.Add(1),
 	}
 	sh.mu.Unlock()
 }
 
-// RefreshSelf updates the owning server's entry only when the load value
-// changed or the existing entry is older than maxAge — the request hot
-// path uses it with a quantized load so the piggyback header (and its
-// cached encodings) stays stable across requests instead of churning on
-// every response. maxAge <= 0 forces the refresh. Reports whether the
-// entry changed.
-func (t *Table) RefreshSelf(load float64, now time.Time, maxAge time.Duration) bool {
-	capacity, zone := t.selfInfo()
-	sh := t.shardFor(t.self)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := sh.entries[t.self]
-	if maxAge > 0 && cur.e.Load == load && now.Sub(cur.e.Updated) < maxAge {
-		return false
-	}
-	if cur.e.Server != "" && load != cur.e.Load {
-		now = bumpSelfStamp(cur.e.Updated, now)
-	}
-	sh.entries[t.self] = entryRec{
-		e:   Entry{Server: t.self, Load: load, Updated: now, Capacity: capacity, Zone: zone},
-		ver: t.version.Add(1),
-	}
-	return true
+// sameWire reports whether two entries are identical on the wire.
+func sameWire(a, b Entry) bool {
+	return a.Server == b.Server && a.Load == b.Load && a.Stamp == b.Stamp &&
+		a.Capacity == b.Capacity && a.Zone == b.Zone
 }
 
-// Observe merges one entry, keeping whichever of the existing and new
-// entries is fresher. The server's own entry is never overwritten by a
-// peer's echo — our own measurement is authoritative, so even a
-// forged future-dated echo cannot move it.
+// Observe merges one entry: the higher stamp wins, and a tie keeps the
+// entry already held. The server's own entry is never overwritten by a
+// peer's echo — its own measurement is authoritative. An echo of it at or
+// above its stamp that differs from it (an entry from before a restart,
+// or a forgery) is refuted instead: the owner republishes its own load
+// under a stamp past the echo, which every relay then prefers.
 func (t *Table) Observe(e Entry) {
 	if e.Server == "" {
 		return
@@ -380,20 +351,21 @@ func (t *Table) Observe(e Entry) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cur, ok := sh.entries[e.Server]
-	if ok && (e.Server == t.self || !e.Updated.After(cur.e.Updated)) {
+	if e.Server == t.self {
+		// At the largest stamp the jump saturates; republishing the same
+		// stamp would only churn the version.
+		next := nextStamp(e.Stamp, 0)
+		if e.Stamp >= cur.e.Stamp && next != cur.e.Stamp && !sameWire(e, cur.e) {
+			cur.e.Stamp = next
+			sh.entries[t.self] = entryRec{e: cur.e, ver: t.version.Add(1)}
+		}
+		return
+	}
+	if ok && e.Stamp <= cur.e.Stamp {
 		return
 	}
 	sh.entries[e.Server] = entryRec{e: e, ver: t.version.Add(1)}
-	if e.Server != t.self {
-		t.merged.Add(1)
-	}
-}
-
-// Merge merges every entry in the list (e.g. a decoded piggyback header).
-func (t *Table) Merge(entries []Entry) {
-	for _, e := range entries {
-		t.Observe(e)
-	}
+	t.merged.Add(1)
 }
 
 // Get returns the entry for server and whether it is known.
@@ -499,7 +471,7 @@ func (t *Table) RankedByHeadroom(exclude map[string]bool, zone string) []Entry {
 	return all
 }
 
-// StaleServers returns servers whose entries are older than maxAge as of
+// StaleServers returns servers not heard of for longer than maxAge as of
 // now — the servers the pinger thread must contact artificially (§4.5).
 // The owning server itself is never reported stale.
 func (t *Table) StaleServers(now time.Time, maxAge time.Duration) []string {
@@ -556,9 +528,9 @@ func (t *Table) Len() int {
 // headers since startup — the GLT merge-freshness counter.
 func (t *Table) Merged() int64 { return t.merged.Load() }
 
-// OldestAge reports the age of the stalest peer entry as of now (0 when
-// no peers are known) — a gauge of how fresh this server's view of the
-// cluster is.
+// OldestAge reports how long ago, as of now, this server last heard news
+// of its stalest peer (0 when no peers are known) — a gauge of how fresh
+// its view of the cluster is.
 func (t *Table) OldestAge(now time.Time) time.Duration {
 	var oldest time.Duration
 	for i := range t.shards {
@@ -655,11 +627,23 @@ func (t *Table) peer(addr string) *peerState {
 // its ack (bounded by our own version, so an ack from a previous life of
 // this table resets instead of wedging gossip) becomes the delta floor
 // for what we send next, and a digest-bearing header stamps lastFull.
+// Every entry it accepts is heard of at now, and so is the sender itself
+// (direct contact), without a version bump: Updated never travels.
 func (t *Table) Absorb(p Piggyback, now time.Time) {
-	t.Merge(p.Entries)
+	for _, e := range p.Entries {
+		e.Updated = now
+		t.Observe(e)
+	}
 	if p.From == "" || p.From == t.self {
 		return
 	}
+	sh := t.shardFor(p.From)
+	sh.mu.Lock()
+	if rec, ok := sh.entries[p.From]; ok {
+		rec.e.Updated = now
+		sh.entries[p.From] = rec
+	}
+	sh.mu.Unlock()
 	ps := t.peer(p.From)
 	if ps == nil {
 		return
@@ -696,8 +680,8 @@ func (t *Table) Absorb(p Piggyback, now time.Time) {
 // not be reallocated per call.
 var encodeBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// appendEntry serializes one entry as server=load@unixMilli, or as
-// server=load@unixMilli@capacity@zone when the entry carries a capacity
+// appendEntry serializes one entry as server=load@stamp, or as
+// server=load@stamp@capacity@zone when the entry carries a capacity
 // or a zone. Addresses contain no '=' ',' or '@', and sanitizeZone keeps
 // them out of zones, so the encoding needs no escaping.
 func appendEntry(buf []byte, e Entry) []byte {
@@ -705,7 +689,7 @@ func appendEntry(buf []byte, e Entry) []byte {
 	buf = append(buf, '=')
 	buf = strconv.AppendFloat(buf, e.Load, 'g', -1, 64)
 	buf = append(buf, '@')
-	buf = strconv.AppendInt(buf, e.Updated.UnixMilli(), 10)
+	buf = strconv.AppendInt(buf, e.Stamp, 10)
 	if e.Capacity <= 0 && e.Zone == "" {
 		return buf
 	}
@@ -772,7 +756,7 @@ func (t *Table) EncodeClientHeader() string {
 // EncodePiggybackTo serializes the delta this peer has not yet
 // acknowledged, newest entries last:
 //
-//	!f=self,!v=V,[!a=A,]server=load@unixMilli,...
+//	!f=self,!v=V,[!a=A,]server=load@stamp,...
 //
 // The advertised version V is chosen so that every record the peer has
 // not acked with version ≤ V is included (or is the peer's own entry,
@@ -856,8 +840,8 @@ func (t *Table) EncodePiggybackTo(peer string, _ time.Time, max int, _ bool) str
 // sides agree which entries each digest covers without exchanging names.
 
 // entryHash fingerprints one entry for shard digests, over its
-// wire-visible values (millisecond timestamp, exact float bits), so a
-// table and a peer that merged the same headers agree on the hash.
+// wire-visible values (stamp, exact float bits), so a table and a peer
+// that merged the same headers agree on the hash.
 func entryHash(e Entry) uint64 {
 	h := uint64(14695981039346656037)
 	step := func(b byte) {
@@ -874,7 +858,7 @@ func entryHash(e Entry) uint64 {
 		}
 	}
 	put64(math.Float64bits(e.Load))
-	put64(uint64(e.Updated.UnixMilli()))
+	put64(uint64(e.Stamp))
 	put64(math.Float64bits(e.Capacity))
 	for i := 0; i < len(e.Zone); i++ {
 		step(e.Zone[i])
@@ -999,9 +983,10 @@ func (t *Table) encodeDigestTo(peer string) string {
 	return out
 }
 
-// shardEntries collects the entries of the given stripes, excluding the
-// peer's own entry (the peer holds it authoritatively).
-func (t *Table) shardEntries(shardIdx []int, peer string) []Entry {
+// shardEntries collects the entries of the given stripes. Unlike a
+// delta it includes the peer's own entry: a diverged copy of it is how an
+// owner hears an entry from a previous life and refutes it.
+func (t *Table) shardEntries(shardIdx []int) []Entry {
 	var out []Entry
 	for _, i := range shardIdx {
 		if i < 0 || i >= len(t.shards) {
@@ -1010,9 +995,7 @@ func (t *Table) shardEntries(shardIdx []int, peer string) []Entry {
 		sh := &t.shards[i]
 		sh.mu.RLock()
 		for _, rec := range sh.entries {
-			if rec.e.Server != peer {
-				out = append(out, rec.e)
-			}
+			out = append(out, rec.e)
 		}
 		sh.mu.RUnlock()
 	}
@@ -1020,17 +1003,17 @@ func (t *Table) shardEntries(shardIdx []int, peer string) []Entry {
 	return out
 }
 
-// EncodeDigestResponse serializes the responder leg: given the
+// encodeDigestResponse serializes the responder leg: given the
 // requester's digests, it carries the responder's own digests of the
 // diverged stripes plus the entries of exactly those stripes. It returns
 // the header value and how many stripes diverged.
-func (t *Table) EncodeDigestResponse(peer string, remote []ShardDigest) (string, int) {
+func (t *Table) encodeDigestResponse(peer string, remote []ShardDigest) (string, int) {
 	diff := t.DiffShards(remote)
 	local := make([]ShardDigest, 0, len(diff))
 	for _, i := range diff {
 		local = append(local, t.digestShard(i))
 	}
-	entries := t.shardEntries(diff, peer)
+	entries := t.shardEntries(diff)
 	bp := encodeBufPool.Get().(*[]byte)
 	buf := t.appendGossipMeta((*bp)[:0], peer)
 	buf = append(buf, ',')
@@ -1068,7 +1051,7 @@ func (t *Table) stillDiverged(remote []ShardDigest) []int {
 // encodeShardEntriesTo serializes the push-back leg: the entries of the
 // given stripes, under the usual gossip metadata, with no digest item.
 func (t *Table) encodeShardEntriesTo(peer string, shardIdx []int) string {
-	entries := t.shardEntries(shardIdx, peer)
+	entries := t.shardEntries(shardIdx)
 	bp := encodeBufPool.Get().(*[]byte)
 	buf := t.appendGossipMeta((*bp)[:0], peer)
 	for _, e := range entries {
@@ -1082,6 +1065,23 @@ func (t *Table) encodeShardEntriesTo(peer string, shardIdx []int) string {
 	t.lastEntries.Store(int64(len(entries)))
 	t.lastBytes.Store(int64(len(out)))
 	return out
+}
+
+// Answer is the one responder of the gossip protocol: given a request
+// piggyback already absorbed into this table, it returns the header value
+// to answer with. A peer's digest request gets the digest response (and
+// diverged is how many stripes differed), any other peer header the delta
+// capped at max entries, and a client — no sender — the constant-size
+// self entry: it cannot ack deltas, and relaying the cluster's table to
+// browsers is O(cluster) bytes for nothing.
+func (t *Table) Answer(req Piggyback, max int) (hdr string, diverged int) {
+	switch {
+	case req.From == "":
+		return t.EncodeClientHeader(), 0
+	case req.HasDigests:
+		return t.encodeDigestResponse(req.From, req.Digests)
+	}
+	return t.EncodePiggybackTo(req.From, time.Time{}, max, false), 0
 }
 
 // errNoDigests is Reconcile's error for a reply that carried no '!d'
@@ -1182,26 +1182,26 @@ func DecodePiggyback(v string) Piggyback {
 	return p
 }
 
-// decodeEntry parses one load entry, server=load@unixMilli or
-// server=load@unixMilli@capacity@zone. Loads and capacities must be
-// finite and non-negative, and a zone must be in the wire form
-// sanitizeZone produces; anything else is malformed.
+// decodeEntry parses one load entry, server=load@stamp or
+// server=load@stamp@capacity@zone. Loads and capacities must be finite
+// and non-negative, stamps non-negative, and a zone must be in the wire
+// form sanitizeZone produces; anything else is malformed.
 func decodeEntry(part string) (Entry, bool) {
 	server, rest, _ := strings.Cut(part, "=")
 	loadStr, rest, _ := strings.Cut(rest, "@")
-	msStr, meta, inline := strings.Cut(rest, "@")
-	if server == "" || msStr == "" {
+	stampStr, meta, inline := strings.Cut(rest, "@")
+	if server == "" || stampStr == "" {
 		return Entry{}, false
 	}
 	load, err := strconv.ParseFloat(loadStr, 64)
 	if err != nil || !finiteNonNegative(load) {
 		return Entry{}, false
 	}
-	ms, err := strconv.ParseInt(msStr, 10, 64)
-	if err != nil {
+	stamp, err := strconv.ParseInt(stampStr, 10, 64)
+	if err != nil || stamp < 0 {
 		return Entry{}, false
 	}
-	e := Entry{Server: server, Load: load, Updated: time.UnixMilli(ms)}
+	e := Entry{Server: server, Load: load, Stamp: stamp}
 	if inline {
 		capStr, zone, ok := strings.Cut(meta, "@")
 		if !ok || sanitizeZone(zone) != zone {

@@ -1,6 +1,7 @@
 package glt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -16,7 +17,7 @@ func TestUpdateSelfAndGet(t *testing.T) {
 	tab := NewTable("s1:80")
 	tab.UpdateSelf(42.5, at(10))
 	e, ok := tab.Get("s1:80")
-	if !ok || e.Load != 42.5 || !e.Updated.Equal(at(10)) {
+	if !ok || e.Load != 42.5 || e.Stamp != at(10).UnixMilli() || !e.Updated.Equal(at(10)) {
 		t.Fatalf("Get = %+v, %v", e, ok)
 	}
 	if tab.Self() != "s1:80" {
@@ -24,34 +25,35 @@ func TestUpdateSelfAndGet(t *testing.T) {
 	}
 }
 
-func TestObserveFreshestWins(t *testing.T) {
+func TestObserveHighestStampWins(t *testing.T) {
 	tab := NewTable("s1:80")
-	tab.Observe(Entry{Server: "s2:80", Load: 10, Updated: at(5)})
-	tab.Observe(Entry{Server: "s2:80", Load: 99, Updated: at(3)}) // stale
+	tab.Observe(Entry{Server: "s2:80", Load: 10, Stamp: 5})
+	// A lower stamp loses even when its local receipt time is later.
+	tab.Observe(Entry{Server: "s2:80", Load: 99, Stamp: 3, Updated: at(100)})
 	e, _ := tab.Get("s2:80")
 	if e.Load != 10 {
 		t.Fatalf("stale entry overwrote fresh one: %+v", e)
 	}
-	tab.Observe(Entry{Server: "s2:80", Load: 7, Updated: at(8)}) // fresher
+	tab.Observe(Entry{Server: "s2:80", Load: 7, Stamp: 8}) // fresher
 	e, _ = tab.Get("s2:80")
 	if e.Load != 7 {
 		t.Fatalf("fresh entry ignored: %+v", e)
 	}
 }
 
-func TestObserveEqualTimestampIgnored(t *testing.T) {
+func TestObserveEqualStampIgnored(t *testing.T) {
 	tab := NewTable("s1:80")
-	tab.Observe(Entry{Server: "s2:80", Load: 10, Updated: at(5)})
-	tab.Observe(Entry{Server: "s2:80", Load: 20, Updated: at(5)})
+	tab.Observe(Entry{Server: "s2:80", Load: 10, Stamp: 5})
+	tab.Observe(Entry{Server: "s2:80", Load: 20, Stamp: 5})
 	e, _ := tab.Get("s2:80")
 	if e.Load != 10 {
-		t.Fatalf("equal-timestamp entry replaced original: %+v", e)
+		t.Fatalf("equal-stamp entry replaced original: %+v", e)
 	}
 }
 
 func TestObserveEmptyServerIgnored(t *testing.T) {
 	tab := NewTable("s1:80")
-	tab.Observe(Entry{Server: "", Load: 5, Updated: at(1)})
+	tab.Observe(Entry{Server: "", Load: 5, Stamp: 1})
 	if len(tab.Snapshot()) != 1 {
 		t.Fatal("empty server name created an entry")
 	}
@@ -60,19 +62,75 @@ func TestObserveEmptyServerIgnored(t *testing.T) {
 func TestSelfEchoDoesNotRegress(t *testing.T) {
 	tab := NewTable("s1:80")
 	tab.UpdateSelf(50, at(10))
+	before, _ := tab.Get("s1:80")
 	// A peer echoes an old measurement of ourselves.
-	tab.Observe(Entry{Server: "s1:80", Load: 5, Updated: at(2)})
+	tab.Observe(Entry{Server: "s1:80", Load: 5, Stamp: at(2).UnixMilli()})
 	e, _ := tab.Get("s1:80")
-	if e.Load != 50 {
+	if e != before {
 		t.Fatalf("peer echo regressed self entry: %+v", e)
+	}
+}
+
+// An echo of the owner's entry at its own stamp but with other content
+// (a relay holding an entry from before a restart that reused the stamp)
+// is refuted: the owner keeps its load and jumps its stamp past the echo,
+// so every relay prefers the owner's copy.
+func TestEqualStampSelfEchoRefuted(t *testing.T) {
+	tab := NewTable("s1:80")
+	tab.UpdateSelf(50, at(10))
+	own, _ := tab.Get("s1:80")
+	v := tab.Version()
+	tab.Observe(Entry{Server: "s1:80", Load: 5, Stamp: own.Stamp})
+	e, _ := tab.Get("s1:80")
+	if e.Load != 50 || e.Stamp != own.Stamp+1 || tab.Version() == v {
+		t.Fatalf("equal-stamp echo not refuted: %+v (was %+v)", e, own)
+	}
+	// An exact echo of the owner's own entry is no news.
+	v = tab.Version()
+	tab.Observe(Entry{Server: "s1:80", Load: 50, Stamp: e.Stamp})
+	if again, _ := tab.Get("s1:80"); again != e || tab.Version() != v {
+		t.Fatalf("exact self echo churned the entry: %+v", again)
+	}
+	// A higher-stamped echo is jumped past too, and the next publication
+	// continues from there rather than from the clock.
+	tab.Observe(Entry{Server: "s1:80", Load: 50, Stamp: e.Stamp + 100})
+	tab.UpdateSelf(60, at(10))
+	if got, _ := tab.Get("s1:80"); got.Stamp != e.Stamp+102 || got.Load != 60 {
+		t.Fatalf("stamp after refutation = %+v, want %d", got, e.Stamp+102)
+	}
+}
+
+// A forged echo at the largest stamp the decoder accepts must neither
+// wrap the owner's stamp negative nor panic. It can pin the relays' copy
+// (a tie keeps the held entry), as a forged future timestamp could; the
+// load table does not authenticate its senders.
+func TestForgedTopStampSelfEchoSaturates(t *testing.T) {
+	tab := NewTable("s1:80")
+	tab.UpdateSelf(50, at(10))
+	forged := DecodePiggyback(fmt.Sprintf("s1:80=9@%d", int64(math.MaxInt64)))
+	if len(forged.Entries) != 1 {
+		t.Fatalf("largest stamp rejected: %+v", forged)
+	}
+	tab.Absorb(forged, at(11))
+	e, _ := tab.Get("s1:80")
+	if e.Load != 50 || e.Stamp != math.MaxInt64 {
+		t.Fatalf("after top-stamp echo: %+v", e)
+	}
+	v := tab.Version()
+	tab.Absorb(forged, at(12))
+	tab.UpdateSelf(70, at(13))
+	e, _ = tab.Get("s1:80")
+	if e.Load != 70 || e.Stamp != math.MaxInt64 || tab.Version() != v+1 {
+		t.Fatalf("saturated stamp moved or churned: %+v (version %d -> %d)", e, v, tab.Version())
 	}
 }
 
 func TestStaleServers(t *testing.T) {
 	tab := NewTable("s1:80")
 	tab.UpdateSelf(1, at(100))
-	tab.Observe(Entry{Server: "s2:80", Load: 1, Updated: at(115)})
-	tab.Observe(Entry{Server: "s3:80", Load: 1, Updated: at(10)})
+	// Staleness reads the local receipt time, never the owner's stamp.
+	tab.Absorb(Piggyback{Entries: []Entry{{Server: "s2:80", Load: 1, Stamp: 1}}}, at(115))
+	tab.Absorb(Piggyback{Entries: []Entry{{Server: "s3:80", Load: 1, Stamp: at(1000).UnixMilli()}}}, at(10))
 	stale := tab.StaleServers(at(130), 20*time.Second)
 	if !reflect.DeepEqual(stale, []string{"s3:80"}) {
 		t.Fatalf("stale = %v", stale)
@@ -88,7 +146,7 @@ func TestStaleServers(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	tab := NewTable("s1:80")
-	tab.Observe(Entry{Server: "s2:80", Load: 1, Updated: at(1)})
+	tab.Observe(Entry{Server: "s2:80", Load: 1, Stamp: 1})
 	tab.Remove("s2:80")
 	if _, ok := tab.Get("s2:80"); ok {
 		t.Fatal("entry not removed")
@@ -101,7 +159,7 @@ func TestRemove(t *testing.T) {
 
 func TestServersSorted(t *testing.T) {
 	tab := NewTable("zz:80")
-	tab.Observe(Entry{Server: "aa:80", Load: 1, Updated: at(1)})
+	tab.Observe(Entry{Server: "aa:80", Load: 1, Stamp: 1})
 	got := tab.Servers()
 	if !reflect.DeepEqual(got, []string{"aa:80", "zz:80"}) {
 		t.Fatalf("Servers = %v", got)
@@ -120,16 +178,16 @@ func encodeAll(tab *Table) string {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tab := NewTable("s1:80")
 	tab.UpdateSelf(12.5, at(1000))
-	tab.Observe(Entry{Server: "s2:80", Load: 0, Updated: at(2000)})
-	tab.Observe(Entry{Server: "far.example.com:8080", Load: 1234.75, Updated: at(3000)})
-	decoded := entriesOf(encodeAll(tab))
-	if len(decoded) != 3 {
-		t.Fatalf("decoded %d entries: %v", len(decoded), decoded)
+	tab.Observe(Entry{Server: "s2:80", Load: 0, Stamp: 2000})
+	tab.Observe(Entry{Server: "far.example.com:8080", Load: 1234.75, Stamp: 3000, Updated: at(1)})
+	p := DecodePiggyback(encodeAll(tab))
+	if len(p.Entries) != 3 {
+		t.Fatalf("decoded %d entries: %v", len(p.Entries), p.Entries)
 	}
 	other := NewTable("s9:80")
-	other.Merge(decoded)
+	other.Absorb(p, at(5))
 	e, ok := other.Get("far.example.com:8080")
-	if !ok || e.Load != 1234.75 || !e.Updated.Equal(at(3000)) {
+	if !ok || e.Load != 1234.75 || e.Stamp != 3000 || !e.Updated.Equal(at(5)) {
 		t.Fatalf("merged entry = %+v, %v", e, ok)
 	}
 }
@@ -144,6 +202,7 @@ func TestDecodeHeaderMalformed(t *testing.T) {
 		"s=@2",             // missing load
 		"s=1@",             // empty timestamp
 		"s=-5@2",           // negative load
+		"s=5@-2",           // negative stamp
 		"s=1@2,t=2@3,bad,", // valid + invalid mixed
 	}
 	for _, v := range cases {
@@ -159,7 +218,8 @@ func TestDecodeHeaderMalformed(t *testing.T) {
 	}
 }
 
-// Property: merge is idempotent and order-insensitive (freshest-wins CRDT).
+// Property: merge is idempotent and order-insensitive (highest-stamp-wins
+// CRDT).
 func TestMergeCRDTProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -167,28 +227,32 @@ func TestMergeCRDTProperty(t *testing.T) {
 		entries := make([]Entry, n)
 		for i := range entries {
 			entries[i] = Entry{
-				Server:  string(rune('a'+rng.Intn(4))) + ":80",
-				Load:    math.Trunc(rng.Float64() * 100),
-				Updated: at(int64(rng.Intn(50))),
+				Server: string(rune('a'+rng.Intn(4))) + ":80",
+				Load:   math.Trunc(rng.Float64() * 100),
+				Stamp:  int64(rng.Intn(50)),
+			}
+		}
+		merge := func(tab *Table, entries []Entry) {
+			for _, e := range entries {
+				tab.Observe(e)
 			}
 		}
 		t1 := NewTable("me:1")
-		t1.Merge(entries)
-		t1.Merge(entries) // idempotent
+		merge(t1, entries)
+		merge(t1, entries) // idempotent
 		t2 := NewTable("me:1")
 		shuffled := make([]Entry, n)
 		copy(shuffled, entries)
 		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		t2.Merge(shuffled)
+		merge(t2, shuffled)
 		s1, s2 := t1.Snapshot(), t2.Snapshot()
 		if len(s1) != len(s2) {
 			return false
 		}
 		for i := range s1 {
-			// Equal-timestamp conflicts may keep either load; compare
-			// server and timestamp, and load only when timestamps are
-			// unique within the input.
-			if s1[i].Server != s2[i].Server || !s1[i].Updated.Equal(s2[i].Updated) {
+			// Equal-stamp conflicts may keep either load; compare server
+			// and stamp.
+			if s1[i].Server != s2[i].Server || s1[i].Stamp != s2[i].Stamp {
 				return false
 			}
 		}
@@ -208,9 +272,9 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 		n := rng.Intn(8)
 		for i := 0; i < n; i++ {
 			tab.Observe(Entry{
-				Server:  string(rune('a'+i)) + ":80",
-				Load:    rng.Float64() * 1e6,
-				Updated: at(int64(rng.Intn(10000))),
+				Server: string(rune('a'+i)) + ":80",
+				Load:   rng.Float64() * 1e6,
+				Stamp:  rng.Int63(),
 			})
 		}
 		want := tab.Snapshot()
@@ -222,7 +286,7 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 		for i := range want {
 			if got[i].Server != want[i].Server ||
 				got[i].Load != want[i].Load ||
-				!got[i].Updated.Equal(want[i].Updated) {
+				got[i].Stamp != want[i].Stamp {
 				return false
 			}
 		}
@@ -233,40 +297,12 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestRefreshSelfThrottles(t *testing.T) {
-	tab := NewTable("a:80")
-	now := time.Unix(1000, 0)
-	if !tab.RefreshSelf(2, now, time.Second) {
-		t.Fatal("first refresh must apply")
-	}
-	// Same load, within maxAge: no change, header cache stays valid.
-	if tab.RefreshSelf(2, now.Add(100*time.Millisecond), time.Second) {
-		t.Fatal("throttled refresh applied")
-	}
-	e, _ := tab.Get("a:80")
-	if !e.Updated.Equal(now) {
-		t.Fatalf("Updated moved forward under throttle: %v", e.Updated)
-	}
-	// Changed load applies immediately even within maxAge.
-	if !tab.RefreshSelf(3, now.Add(200*time.Millisecond), time.Second) {
-		t.Fatal("load change suppressed")
-	}
-	// Old load but maxAge elapsed: timestamp refresh applies.
-	if !tab.RefreshSelf(3, now.Add(2*time.Second), time.Second) {
-		t.Fatal("aged entry not refreshed")
-	}
-	// maxAge <= 0 forces the update.
-	if !tab.RefreshSelf(3, now.Add(2*time.Second), 0) {
-		t.Fatal("forced refresh suppressed")
-	}
-}
-
 func TestMergedCounter(t *testing.T) {
 	tab := NewTable("a:80")
 	now := time.Unix(1000, 0)
-	tab.Observe(Entry{Server: "b:81", Load: 1, Updated: now})
-	tab.Observe(Entry{Server: "b:81", Load: 1, Updated: now}) // stale: ignored
-	tab.Observe(Entry{Server: "b:81", Load: 2, Updated: now.Add(time.Second)})
+	tab.Observe(Entry{Server: "b:81", Load: 1, Stamp: 1, Updated: now})
+	tab.Observe(Entry{Server: "b:81", Load: 1, Stamp: 1, Updated: now}) // stale: ignored
+	tab.Observe(Entry{Server: "b:81", Load: 2, Stamp: 2, Updated: now.Add(time.Second)})
 	tab.UpdateSelf(9, now) // self updates are not merges
 	if got := tab.Merged(); got != 2 {
 		t.Fatalf("Merged = %d, want 2", got)

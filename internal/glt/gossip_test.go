@@ -35,6 +35,14 @@ func newGossipNet(n int, seed int64, drop float64, cap_ int) *gossipNet {
 	return g
 }
 
+// respond absorbs a request header into t and answers it as the live
+// handler does.
+func respond(t *Table, hdr string, now time.Time) (string, int) {
+	req := DecodePiggyback(hdr)
+	t.Absorb(req, now)
+	return t.Answer(req, liveDeltaCap)
+}
+
 // exchange runs one request/response piggyback cycle from a to b, each
 // leg dropped independently with probability drop, mirroring the live
 // ordering: the request is encoded before b absorbs it, the response
@@ -43,8 +51,9 @@ func (g *gossipNet) exchange(a, b int, now time.Time) {
 	hreq := g.tabs[a].EncodePiggybackTo(g.addr[b], now, g.cap, false)
 	g.note(hreq)
 	if g.rng.Float64() >= g.drop {
-		g.tabs[b].Absorb(DecodePiggyback(hreq), now)
-		hresp := g.tabs[b].EncodePiggybackTo(g.addr[a], now, g.cap, false)
+		req := DecodePiggyback(hreq)
+		g.tabs[b].Absorb(req, now)
+		hresp, _ := g.tabs[b].Answer(req, g.cap)
 		g.note(hresp)
 		if g.rng.Float64() >= g.drop {
 			g.tabs[a].Absorb(DecodePiggyback(hresp), now)
@@ -59,7 +68,7 @@ func (g *gossipNet) reconcile(a, b int, now time.Time) {
 		if g.rng.Float64() < g.drop {
 			return Piggyback{}, errDropped
 		}
-		resp, _ := g.tabs[b].answer(hdr, now, liveDeltaCap)
+		resp, _ := respond(g.tabs[b], hdr, now)
 		if g.rng.Float64() < g.drop {
 			return Piggyback{}, errDropped
 		}
@@ -108,13 +117,14 @@ func (g *gossipNet) round(r int, fanout int, ae bool, refresh bool) time.Time {
 }
 
 // converged reports the first pair (holder, subject) whose view of
-// subject's load entry is not byte-identical to subject's own, or ok.
+// subject's load entry is not identical on the wire (stamp included) to
+// subject's own, or ok.
 func (g *gossipNet) converged() (int, int, bool) {
 	for j := range g.tabs {
 		truth, _ := g.tabs[j].Get(g.addr[j])
 		for i := range g.tabs {
 			got, ok := g.tabs[i].Get(g.addr[j])
-			if !ok || got != truth {
+			if !ok || !sameWire(got, truth) {
 				return i, j, false
 			}
 		}
@@ -164,6 +174,48 @@ func testGossipConvergence(t *testing.T, n, churnRounds, settleRounds int) {
 func TestGossipConvergence64(t *testing.T)  { testGossipConvergence(t, 64, 6, 40) }
 func TestGossipConvergence256(t *testing.T) { testGossipConvergence(t, 256, 4, 60) }
 
+// TestRestartBehindClockReconverges: an owner restarts as a fresh table
+// whose clock reads 10 s behind the last stamp it published, and
+// publishes a new load. Every peer still holds the old entry under the
+// higher stamp, so no peer can prefer the new one until the owner hears
+// its old entry in a digest round and refutes it by jumping its stamp
+// past it. Then every peer adopts the new entry within a few rounds.
+func TestRestartBehindClockReconverges(t *testing.T) {
+	const n, maxRounds = 8, 4
+	g := newGossipNet(n, 1, 0, liveDeltaCap)
+	var now time.Time
+	for r := 0; r < 10; r++ {
+		// Three rounds of load changes, then rounds that only gossip.
+		now = g.round(r, 2, true, r < 3)
+	}
+	if i, j, ok := g.converged(); !ok {
+		t.Fatalf("precondition: %s has not converged on %s", g.addr[i], g.addr[j])
+	}
+	old, _ := g.tabs[0].Get(g.addr[0])
+
+	g.tabs[0] = NewTable(g.addr[0])
+	behind := time.UnixMilli(old.Stamp).Add(-10 * time.Second)
+	g.tabs[0].UpdateSelf(42.5, behind)
+	for r := 1; r <= maxRounds; r++ {
+		now = now.Add(time.Second)
+		for i := range g.tabs {
+			g.reconcile(i, (i+1+r%(n-1))%n, now)
+		}
+		if _, _, ok := g.converged(); ok {
+			own, _ := g.tabs[0].Get(g.addr[0])
+			if own.Load != 42.5 || own.Stamp <= old.Stamp {
+				t.Fatalf("converged on %+v, want load 42.5 above stamp %d", own, old.Stamp)
+			}
+			t.Logf("restarted owner adopted by every peer after %d rounds", r)
+			return
+		}
+	}
+	i, j, _ := g.converged()
+	got, _ := g.tabs[i].Get(g.addr[j])
+	truth, _ := g.tabs[j].Get(g.addr[j])
+	t.Fatalf("after %d rounds %s holds %+v for %s, which publishes %+v", maxRounds, g.addr[i], got, g.addr[j], truth)
+}
+
 // TestConcurrentShardMerge hammers one table from many goroutines across
 // every operation the serve and maintenance paths use — the -race soak
 // for the sharded design.
@@ -182,20 +234,21 @@ func TestConcurrentShardMerge(t *testing.T) {
 				at := time.UnixMilli(int64(1_000_000 + n))
 				switch n % 7 {
 				case 0:
-					tab.Observe(Entry{Server: srv, Load: rng.Float64() * 10, Updated: at})
+					tab.Observe(Entry{Server: srv, Load: rng.Float64() * 10, Stamp: int64(n)})
 				case 1:
-					tab.Merge([]Entry{{Server: srv, Load: 1, Updated: at}, {Server: "x:80", Load: 2, Updated: at}})
+					tab.Observe(Entry{Server: srv, Load: 1, Stamp: int64(n)})
+					tab.Observe(Entry{Server: "x:80", Load: 2, Stamp: int64(n)})
 				case 2:
 					tab.Absorb(DecodePiggyback(tab.EncodePiggybackTo(srv, at, 12, false)), at)
 				case 3:
 					tab.Absorb(Piggyback{From: srv, Version: uint64(n), Ack: uint64(n % 100), HasAck: true,
-						Entries: []Entry{{Server: srv, Load: 3, Updated: at}}}, at)
+						Entries: []Entry{{Server: srv, Load: 3, Stamp: int64(n)}}}, at)
 				case 4:
-					tab.RefreshSelf(rng.Float64(), at, time.Second)
+					tab.UpdateSelf(rng.Float64(), at)
 					_ = tab.EncodeClientHeader()
 				case 5:
 					_, _ = tab.Reconcile(srv, func(hdr string) (Piggyback, error) {
-						resp, _ := tab.answer(hdr, at, liveDeltaCap)
+						resp, _ := respond(tab, hdr, at)
 						return DecodePiggyback(resp), nil
 					})
 					_ = tab.Snapshot()

@@ -37,7 +37,7 @@ func newBaselineTable(self string) *baselineTable {
 
 func (t *baselineTable) UpdateSelf(load float64, at time.Time) {
 	t.mu.Lock()
-	t.entries[t.self] = Entry{Server: t.self, Load: load, Updated: at}
+	t.entries[t.self] = Entry{Server: t.self, Load: load, Stamp: at.UnixMilli()}
 	t.version++
 	t.mu.Unlock()
 }
@@ -49,7 +49,7 @@ func (t *baselineTable) Observe(e Entry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur, ok := t.entries[e.Server]
-	if ok && !e.Updated.After(cur.Updated) {
+	if ok && e.Stamp <= cur.Stamp {
 		return
 	}
 	t.entries[e.Server] = e
@@ -95,22 +95,31 @@ func (t *baselineTable) EncodeHeader() string {
 // header-size probes use, so byte counts are comparable across runs.
 func benchAddr(i int) string { return fmt.Sprintf("srv%03d.cluster:8080", i) }
 
-// benchBase is a fixed wall-clock origin so encoded timestamps — and
+// benchBase is a fixed wall-clock origin so encoded stamps — and
 // therefore header byte counts — are stable.
 var benchBase = time.UnixMilli(1_722_844_800_000)
+
+// seedEntry is server i's entry as every seeded table holds it.
+func seedEntry(i int) Entry {
+	return Entry{Server: benchAddr(i), Load: float64(i%50) + 0.5, Stamp: benchBase.UnixMilli()}
+}
 
 func seedBaseline(self string, servers int) *baselineTable {
 	t := newBaselineTable(self)
 	for i := 0; i < servers; i++ {
-		t.Observe(Entry{Server: benchAddr(i), Load: float64(i%50) + 0.5, Updated: benchBase})
+		t.Observe(seedEntry(i))
 	}
 	return t
 }
 
+// seedSharded seeds every server but self, whose entry only its own
+// UpdateSelf publishes (an echo of it would be refuted).
 func seedSharded(self string, servers int) *Table {
 	t := NewTable(self)
 	for i := 0; i < servers; i++ {
-		t.Observe(Entry{Server: benchAddr(i), Load: float64(i%50) + 0.5, Updated: benchBase})
+		if benchAddr(i) != self {
+			t.Observe(seedEntry(i))
+		}
 	}
 	return t
 }
@@ -212,7 +221,7 @@ func DigestExchangeSizes(servers, diverged int) (digestBytes, fullBytes, diverge
 				continue
 			}
 			usedShards[sh] = true
-			b.Observe(Entry{Server: addr, Load: 40.5, Updated: benchBase.Add(time.Minute)})
+			b.Observe(Entry{Server: addr, Load: 40.5, Stamp: benchBase.Add(time.Minute).UnixMilli()})
 			n++
 		}
 		return a, b
@@ -230,7 +239,9 @@ func DigestExchangeSizes(servers, diverged int) (digestBytes, fullBytes, diverge
 	// Push-pull digest exchange on fresh tables with the same divergence.
 	a, b = build()
 	_, _ = a.Reconcile(b.Self(), func(hdr string) (Piggyback, error) {
-		resp, diff := b.answer(hdr, now, liveDeltaCap)
+		req := DecodePiggyback(hdr)
+		b.Absorb(req, now)
+		resp, diff := b.Answer(req, liveDeltaCap)
 		digestBytes += len(hdr) + len(resp)
 		divergedShards += diff
 		p := DecodePiggyback(resp)
@@ -243,18 +254,6 @@ func DigestExchangeSizes(servers, diverged int) (digestBytes, fullBytes, diverge
 // liveDeltaCap is the live server's delta cap, dcws.MaxPiggybackEntries,
 // which this package cannot import.
 const liveDeltaCap = 12
-
-// answer absorbs a request header and returns the reply the live handler
-// sends for it: the digest response (and how many stripes diverged) to a
-// digest request, otherwise the delta capped at max entries.
-func (t *Table) answer(hdr string, now time.Time, max int) (string, int) {
-	req := DecodePiggyback(hdr)
-	t.Absorb(req, now)
-	if req.HasDigests {
-		return t.EncodeDigestResponse(req.From, req.Digests)
-	}
-	return t.EncodePiggybackTo(req.From, now, max, false), 0
-}
 
 // shardIndex exposes a table's stripe assignment for an address (perf
 // and test helpers only).

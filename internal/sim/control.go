@@ -58,8 +58,8 @@ func exchangeTables(a, b *simServer) {
 	max := dcws.MaxPiggybackEntries
 	req := glt.DecodePiggyback(b.table.EncodePiggybackTo(a.addr, w.now, max, false))
 	a.table.Absorb(req, w.now)
-	resp := glt.DecodePiggyback(a.table.EncodePiggybackTo(b.addr, w.now, max, false))
-	b.table.Absorb(resp, w.now)
+	hdr, _ := a.table.Answer(req, max)
+	b.table.Absorb(glt.DecodePiggyback(hdr), w.now)
 }
 
 // absorbHotReport hands the home's control plane the coop's per-document
@@ -338,8 +338,7 @@ func (s *simServer) validatorTick() {
 // net: the live server's push-pull digest round (glt.Table.Reconcile) with
 // the peer the control plane picks (the one whose last exchange is
 // oldest), so entries capped out of every delta still reconverge. The
-// peer answers as the live handler does: a digest response to digests,
-// otherwise its delta.
+// peer answers through the live handler's responder, glt.Table.Answer.
 func (s *simServer) antiEntropyTick() {
 	w := s.w
 	peer := w.servers[s.ctl.AntiEntropyPeer()]
@@ -349,12 +348,7 @@ func (s *simServer) antiEntropyTick() {
 	_, _ = s.table.Reconcile(peer.addr, func(hdr string) (glt.Piggyback, error) {
 		req := glt.DecodePiggyback(hdr)
 		peer.table.Absorb(req, w.now)
-		var resp string
-		if req.HasDigests {
-			resp, _ = peer.table.EncodeDigestResponse(s.addr, req.Digests)
-		} else {
-			resp = peer.table.EncodePiggybackTo(s.addr, w.now, dcws.MaxPiggybackEntries, false)
-		}
+		resp, _ := peer.table.Answer(req, dcws.MaxPiggybackEntries)
 		p := glt.DecodePiggyback(resp)
 		s.table.Absorb(p, w.now)
 		return p, nil

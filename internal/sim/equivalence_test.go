@@ -171,20 +171,20 @@ func TestSimMatchesLiveMigrationDecision(t *testing.T) {
 		// Past T_home. The cooled chain is still warm, so it shrinks; the
 		// single placement stays, its co-op being no busier than the home.
 		{advance: time.Minute, want: []string{"shrink /pages/p03.html to [coop1:81 coop2:82]"}},
-		// The workload has moved to the co-op: both placements come home.
-		{advance: time.Minute, coopLoad: 5, want: []string{
-			"revoke /pages/p03.html",
-			"revoke /pages/p07.html",
-		}},
+		// The workload has moved to the co-op: both placements come home,
+		// one per tick.
+		{advance: time.Minute, coopLoad: 5, want: []string{"revoke /pages/p03.html"}},
+		{advance: time.Minute, want: []string{"revoke /pages/p07.html"}},
 	}
 	kinds := make(map[string]bool)
 	for i, step := range steps {
 		mc.Advance(step.advance)
 		w.now = w.now.Add(step.advance)
 		if step.coopLoad > 0 {
-			e := glt.Entry{Server: coops[0], Load: step.coopLoad, Updated: w.now}
-			simHome.table.Observe(e)
-			live.LoadTable().Observe(e)
+			for _, tab := range []*glt.Table{simHome.table, live.LoadTable()} {
+				cur, _ := tab.Get(coops[0])
+				tab.Observe(glt.Entry{Server: coops[0], Load: step.coopLoad, Stamp: cur.Stamp + 1, Updated: w.now})
+			}
 		}
 		for _, name := range step.trace {
 			simHome.serveHome(name)

@@ -96,7 +96,7 @@ func TestGossipSweepConverges64(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s lost %s entirely", holder, subject)
 			}
-			if got.Load != own.Load || !got.Updated.Equal(own.Updated) {
+			if got.Load != own.Load || got.Stamp != own.Stamp {
 				t.Fatalf("%s's view of %s = %+v, owner has %+v", holder, subject, got, own)
 			}
 		}
