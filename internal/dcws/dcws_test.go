@@ -688,8 +688,8 @@ func TestResolveDocRefForms(t *testing.T) {
 		{"/index.html", "ftp://x/y", ""},
 	}
 	for _, c := range cases {
-		if got := home.resolveDocRef(c.base, c.raw); got != c.want {
-			t.Errorf("resolveDocRef(%q, %q) = %q, want %q", c.base, c.raw, got, c.want)
+		if got := home.resolve(c.base, c.raw); got != c.want {
+			t.Errorf("resolve(%q, %q) = %q, want %q", c.base, c.raw, got, c.want)
 		}
 	}
 }

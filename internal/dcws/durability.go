@@ -1,6 +1,7 @@
 package dcws
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,7 +20,10 @@ import (
 // (serveAsHome/loadLocal) appends nothing.
 const (
 	// recDocPut: a home document's content was created or replaced
-	// (payload: name). The bytes live in the store; replay reparses them.
+	// (payload: name, body). The record is the update's one durable write:
+	// the body reaches the store at the next snapshot (Server.staged), and
+	// replay stages it again. A record of name alone, as an
+	// older server wrote it, replays from the bytes in the store.
 	recDocPut uint8 = 1
 	// recDocDelete: a home document was removed (payload: name).
 	recDocDelete uint8 = 2
@@ -77,6 +81,10 @@ type recoveredState struct {
 	// subscribers maps co-op addr → document names it was subscribed to
 	// for invalidation pushes when the server went down.
 	subscribers map[string][]string
+	// staged maps a home document to the body its last replayed recDocPut
+	// carries: the server stages it again, and its record stays in the log
+	// until the next snapshot writes it to the store.
+	staged map[string][]byte
 
 	fromSnapshot bool
 	snapshotLSN  uint64
@@ -134,6 +142,31 @@ func getStr(data []byte) (string, []byte, error) {
 
 func encodeNameRecord(name string) []byte {
 	return putStr(make([]byte, 0, len(name)+2), name)
+}
+
+// encodeDocPut frames a recDocPut: the name, then the body with its
+// length.
+func encodeDocPut(name string, body []byte) []byte {
+	buf := putStr(make([]byte, 0, len(name)+len(body)+12), name)
+	buf = binary.AppendUvarint(buf, uint64(len(body)))
+	return append(buf, body...)
+}
+
+// decodeDocPut is the inverse of encodeDocPut. hasBody is false for a
+// record of the name alone. body aliases data; a forged body length is an
+// error, never an allocation.
+func decodeDocPut(data []byte) (name string, body []byte, hasBody bool, err error) {
+	if name, data, err = getStr(data); err != nil || len(data) == 0 {
+		return name, nil, false, err
+	}
+	n, data, err := getUvarint(data)
+	if err != nil {
+		return "", nil, false, err
+	}
+	if n != uint64(len(data)) {
+		return "", nil, false, errors.New("dcws: doc put body length does not match its record")
+	}
+	return name, data, true, nil
 }
 
 func encodeCoopAdmit(c coopSeed) []byte {
@@ -332,6 +365,7 @@ func decodeServerSnapshot(data []byte) (*recoveredState, error) {
 		ledger:       policy.NewLedger(),
 		replicas:     make(map[string][]string),
 		subscribers:  make(map[string][]string),
+		staged:       make(map[string][]byte),
 		fromSnapshot: true,
 	}
 
@@ -454,9 +488,12 @@ func decodeServerSnapshot(data []byte) (*recoveredState, error) {
 
 // recoverState loads the newest snapshot (or builds the LDG from the store
 // when none exists) and replays every WAL record appended since, yielding
-// the state a crashed server had accumulated. The store itself is the
-// document byte authority; the WAL carries the metadata that §4.5 would
-// otherwise force the cluster to revoke and rebuild.
+// the state a crashed server had accumulated. The snapshot's document
+// bytes are in the store (the snapshot flushed its staged bodies first);
+// every body updated since rides its recDocPut, and the WAL carries the
+// metadata that §4.5 would otherwise force the cluster to revoke and
+// rebuild. resolve is the server's link resolver, the one every graph
+// write uses.
 func recoverState(wlog *wal.Log, st store.Store, resolve func(base, raw string) string) (*recoveredState, error) {
 	var rec *recoveredState
 	phase := time.Now()
@@ -478,13 +515,14 @@ func recoverState(wlog *wal.Log, st store.Store, resolve func(base, raw string) 
 			ledger:      policy.NewLedger(),
 			replicas:    make(map[string][]string),
 			subscribers: make(map[string][]string),
+			staged:      make(map[string][]byte),
 		}
 	}
 	rec.snapshotDur = time.Since(phase)
 	phase = time.Now()
 	err := wlog.Replay(func(r wal.Record) error {
 		rec.replayed++
-		return rec.apply(r, st)
+		return rec.apply(r, st, resolve)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dcws: replay WAL: %w", err)
@@ -493,30 +531,36 @@ func recoverState(wlog *wal.Log, st store.Store, resolve func(base, raw string) 
 	return rec, nil
 }
 
-// apply folds one replayed record into the recovering state. Decode
-// failures on individual records are tolerated (the record is skipped):
-// a WAL written by a newer version must not brick an older server.
-func (rec *recoveredState) apply(r wal.Record, st store.Store) error {
+// apply folds one replayed record into the recovering state. Every record
+// sets the state it names, so replaying one whose effect the snapshot
+// already holds changes nothing (WriteSnapshot). Decode failures on
+// individual records are tolerated (the record is skipped): a WAL written
+// by a newer version must not brick an older server. Replay writes
+// nothing to the store: a replayed body is staged again (rec.staged).
+func (rec *recoveredState) apply(r wal.Record, st store.Store, resolve func(base, raw string) string) error {
 	switch r.Type {
 	case recDocPut:
-		name, _, err := getStr(r.Data)
+		name, body, hasBody, err := decodeDocPut(r.Data)
 		if err != nil {
 			return nil
 		}
-		size, err := st.Size(name)
-		if err != nil {
-			return nil // deleted again later; a recDocDelete follows
+		size := int64(len(body))
+		if hasBody {
+			body = bytes.Clone(body) // r.Data is reused
+			rec.staged[name] = body
+		} else {
+			delete(rec.staged, name) // the store holds this body
+			if size, body, err = storedPage(st, name); err != nil {
+				return nil // deleted again later; a recDocDelete follows
+			}
 		}
-		var content []byte
-		if graph.IsHTML(name) {
-			content, _ = st.Get(name)
-		}
-		rec.ldg.AddDoc(name, size, content)
+		rec.ldg.AddDoc(name, size, pageLinks(name, body, resolve))
 	case recDocDelete:
 		name, _, err := getStr(r.Data)
 		if err != nil {
 			return nil
 		}
+		delete(rec.staged, name)
 		rec.ldg.Remove(name)
 	case recCoopAdmit:
 		c, err := decodeCoopAdmit(r.Data)
@@ -595,8 +639,8 @@ func (rec *recoveredState) apply(r wal.Record, st store.Store) error {
 // in the store: hosted copies whose bytes are gone flip to absent (they
 // re-fetch lazily), orphaned /~migrate files with no hosting record are
 // deleted, and home documents that appeared while the server was down are
-// parsed into the graph.
-func (rec *recoveredState) reconcile(st store.Store, stats *recoveryStats) error {
+// parsed into the graph with resolve.
+func (rec *recoveredState) reconcile(st store.Store, stats *recoveryStats, resolve func(base, raw string) string) error {
 	names, err := st.List()
 	if err != nil {
 		return err
@@ -610,15 +654,11 @@ func (rec *recoveredState) reconcile(st store.Store, stats *recoveryStats) error
 			continue
 		}
 		if !rec.ldg.Has(name) {
-			size, err := st.Size(name)
+			size, body, err := storedPage(st, name)
 			if err != nil {
 				continue
 			}
-			var content []byte
-			if graph.IsHTML(name) {
-				content, _ = st.Get(name)
-			}
-			rec.ldg.AddDoc(name, size, content)
+			rec.ldg.AddDoc(name, size, pageLinks(name, body, resolve))
 			stats.docsRestored++
 		}
 	}
@@ -632,6 +672,17 @@ func (rec *recoveredState) reconcile(st store.Store, stats *recoveryStats) error
 		}
 	}
 	return nil
+}
+
+// storedPage reads a home document's size from the store, and its bytes
+// when it is HTML (the only kind whose links the graph needs).
+func storedPage(st store.Store, name string) (int64, []byte, error) {
+	size, err := st.Size(name)
+	if err != nil || !graph.IsHTML(name) {
+		return size, nil, err
+	}
+	body, err := st.Get(name)
+	return int64(len(body)), body, err
 }
 
 // ---- live appends -------------------------------------------------------
@@ -649,17 +700,90 @@ func (s *Server) walAppend(typ uint8, data []byte) {
 }
 
 // writeSnapshot persists the full server state and prunes obsolete WAL
-// segments. Called by the snapshot loop, on clean shutdown, and by
-// TickSnapshot in deterministic tests.
+// segments. Called by the snapshot loop and on clean shutdown. The covered
+// LSN is read first, under updMu, which an update holds from its record
+// to its staged body: every record at or below it has taken its effect,
+// so the staged bodies flushed and the state encoded after it hold them
+// all, and whatever is appended meanwhile stays in the log to be
+// replayed. A body that cannot be flushed keeps its record: no snapshot
+// is written.
 func (s *Server) writeSnapshot() error {
 	if s.wal == nil {
 		return nil
 	}
-	if err := s.wal.WriteSnapshot(s.encodeServerSnapshot()); err != nil {
+	s.updMu.Lock()
+	covered, appended := s.wal.LSN(), s.wal.AppendedBytes()
+	s.updMu.Unlock()
+	err := s.flushStaged()
+	if err == nil {
+		err = s.wal.WriteSnapshot(covered, s.encodeServerSnapshot())
+	}
+	if err != nil {
 		s.log.Printf("dcws %s: write snapshot: %v", s.Addr(), err)
 		return err
 	}
+	s.snapAppended.Store(appended)
 	return nil
+}
+
+// ---- staged bodies ------------------------------------------------------
+
+// A server with a WAL keeps in Server.staged the home documents whose
+// newest body is durable only in its recDocPut record. An update writes
+// the record and stages the body; the next snapshot, or Close, writes it
+// through Store.Put and unstages it (flushStaged). Until then every read
+// of the document's bytes answers from there (homeBody), and its file,
+// which holds an older body or none, is never sent.
+
+// stagedBody returns name's staged body, if one is staged. The bytes are
+// shared and immutable.
+func (s *Server) stagedBody(name string) ([]byte, bool) {
+	if s.staged == nil || !s.staged.Has(name) {
+		return nil, false
+	}
+	data, err := s.staged.GetShared(name)
+	return data, err == nil
+}
+
+// homeBody returns a home document's bytes: its staged body while one is
+// staged, else the store's. The bytes are shared and immutable.
+func (s *Server) homeBody(name string) ([]byte, error) {
+	if data, ok := s.stagedBody(name); ok {
+		return data, nil
+	}
+	return store.GetShared(s.cfg.Store, name)
+}
+
+// flushStaged writes every staged body through Store.Put and unstages it,
+// one document at a time under updMu, so an update or delete of the same
+// document is ordered before or after its write, never across it.
+func (s *Server) flushStaged() error {
+	names, err := s.staged.List()
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		s.updMu.Lock()
+		err := s.flushStagedLocked(name)
+		s.updMu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flushStagedLocked writes name's staged body, if any, through Store.Put
+// and unstages it. updMu must be held.
+func (s *Server) flushStagedLocked(name string) error {
+	data, ok := s.stagedBody(name)
+	if !ok {
+		return nil
+	}
+	if err := s.cfg.Store.Put(name, data); err != nil {
+		return fmt.Errorf("dcws: write staged %s: %w", name, err)
+	}
+	return s.staged.Delete(name)
 }
 
 // Recovery reports the last startup recovery's statistics (all zero when

@@ -10,10 +10,12 @@ import (
 	"dcws/internal/store"
 )
 
-// countingStore counts every call that reaches the store it wraps.
+// countingStore counts every call that reaches the store it wraps, and
+// its writes apart.
 type countingStore struct {
 	store.Store
 	calls atomic.Int64
+	puts  atomic.Int64
 }
 
 func (c *countingStore) Get(name string) ([]byte, error) {
@@ -28,6 +30,7 @@ func (c *countingStore) GetShared(name string) ([]byte, error) {
 
 func (c *countingStore) Put(name string, data []byte) error {
 	c.calls.Add(1)
+	c.puts.Add(1)
 	return c.Store.Put(name, data)
 }
 

@@ -1,6 +1,7 @@
 package dcws
 
 import (
+	"bytes"
 	"encoding/binary"
 	"maps"
 	"reflect"
@@ -171,6 +172,9 @@ func FuzzServerSnapshot(f *testing.F) {
 	f.Add(encodeReplicas("/a.html", []string{"coop:81", "coop:82"}))
 	f.Add(append(putStr(nil, "/a.html"), binary.AppendUvarint(nil, hugeCount)...))
 	f.Add(encodeSubRecord("coop:81", "/a.html"))
+	f.Add(encodeDocPut("/a.html", []byte(`<a href="/index.html">v2</a>`)))
+	f.Add(encodeDocPut("/a.html", nil))
+	f.Add(append(binary.AppendUvarint(putStr(nil, "/a.html"), hugeCount), "<html>"...))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		decodeServerSnapshot(b)
@@ -178,5 +182,13 @@ func FuzzServerSnapshot(f *testing.F) {
 		decodeMigrate(b)
 		decodeReplicas(b)
 		decodeSubRecord(b)
+		// A body is accepted only when its length is exactly what the
+		// record holds after the name, and it round-trips.
+		if name, body, hasBody, err := decodeDocPut(b); err == nil && hasBody {
+			n2, b2, has2, err := decodeDocPut(encodeDocPut(name, body))
+			if err != nil || n2 != name || !has2 || !bytes.Equal(b2, body) {
+				t.Fatalf("doc put round trip: %q %q -> %q %q, %v", name, body, n2, b2, err)
+			}
+		}
 	})
 }

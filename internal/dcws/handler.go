@@ -210,8 +210,13 @@ func (s *Server) handleUpdate(req *httpx.Request) *httpx.Response {
 	if name == "" {
 		return status(400, "missing "+headerRevokeDoc+" header naming the document")
 	}
-	if err := s.UpdateDocument(name, req.Body); err != nil {
+	if _, err := store.CleanName(name); err != nil {
 		return status(400, err.Error())
+	}
+	// The error says whether the update changed nothing or was applied
+	// without becoming durable; neither is the client's fault.
+	if err := s.UpdateDocument(name, req.Body); err != nil {
+		return status(500, err.Error())
 	}
 	return status(200, fmt.Sprintf("updated %s (%d bytes)", name, len(req.Body)))
 }
@@ -331,13 +336,18 @@ func (s *Server) respond(method, name string, b docBody) *httpx.Response {
 // first if it is HTML and the Dirty bit is set (§4.3: regeneration is
 // postponed until the latest possible time). Any other document large
 // enough to be sent from its file is opened and never enters the render
-// cache. The rest come from the rendered-document cache when possible;
-// the caller's (dirty, gen) snapshot keys the lookup, so a concurrent
-// migration that dirties the document can never yield a stale hit.
+// cache, unless its newest body is staged (its file is older), which is
+// served from bytes. The rest come from the rendered-document cache when
+// possible; the caller's (dirty, gen) snapshot keys the lookup, so a
+// concurrent migration that dirties the document can never yield a stale
+// hit.
 func (s *Server) loadLocal(name string, dirty bool, gen uint64, size int64) (docBody, error) {
 	if s.sendsFile(size) && (!dirty || !graph.IsHTML(name)) {
 		if dirty {
 			s.ldg.ClearDirty(name) // no hyperlinks to regenerate
+		}
+		if data, ok := s.stagedBody(name); ok {
+			return bytesBody(data), nil
 		}
 		return s.loadStored(name, size)
 	}
@@ -353,7 +363,7 @@ func (s *Server) loadLocal(name string, dirty bool, gen uint64, size int64) (doc
 	if data, _, ok := s.rcache.get(name, renderHome, gen); ok {
 		return bytesBody(data), nil
 	}
-	data, err := store.GetShared(s.cfg.Store, name)
+	data, err := s.homeBody(name)
 	if err != nil {
 		return docBody{}, err
 	}
@@ -789,7 +799,7 @@ func (s *Server) admitCopy(key string, body []byte, hdr httpx.Header) error {
 	}
 	if s.params.LeaseDuration > 0 {
 		s.coops.renewLease(key, now.Add(s.params.LeaseDuration))
-		s.subs.ensureSubscribed(home.Addr())
+		s.subs.ensureSubscribed(home.Addr(), invDoc{name: name, hash: c.hash})
 	}
 	return nil
 }

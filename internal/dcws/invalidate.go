@@ -429,6 +429,17 @@ func (s *Server) hostsCopy(name, coopAddr string) bool {
 	return slices.Contains(s.replicas[name], coopAddr) || slices.Contains(s.pushing[name], coopAddr)
 }
 
+// copiesOut reports whether some co-op may host a copy of the home
+// document name (hostsCopy for any co-op).
+func (s *Server) copiesOut(name string) bool {
+	if _, ok := s.ledger.Get(name); ok {
+		return true
+	}
+	s.repMu.RLock()
+	defer s.repMu.RUnlock()
+	return len(s.replicas[name]) > 0 || len(s.pushing[name]) > 0
+}
+
 // migrationHash returns the current migration-prepared content hash for a
 // home document, rendering on a cache miss. ok is false when the document
 // is unknown or fails to render.
@@ -609,10 +620,12 @@ var reconnectPolicy = resilience.Policy{
 	Jitter:    0.2,
 }
 
-// ensureSubscribed starts (or pokes) the subscription loop for a home.
-// Called from admitCopy, the one path that admits a hosted document, and
-// from recovery. Cheap when the loop already runs.
-func (m *subManager) ensureSubscribed(homeAddr string) {
+// ensureSubscribed starts the subscription loop for a home, whose
+// connection sends the whole inventory, or, when the loop already runs,
+// subscribes the documents admitted (one entry per admission) over the
+// live channel. Called from admitCopy, the one path that admits a hosted
+// document, and from recovery, which admits nothing.
+func (m *subManager) ensureSubscribed(homeAddr string, admitted ...invDoc) {
 	if m == nil || m.s.params.LeaseDuration <= 0 {
 		return
 	}
@@ -624,9 +637,9 @@ func (m *subManager) ensureSubscribed(homeAddr string) {
 	}
 	m.mu.Unlock()
 	if ok {
-		// Loop already running: send an incremental inventory for any
-		// newly admitted docs over the live channel.
-		m.s.sendInventory(sc)
+		// Loop already running. A channel not yet connected sends the
+		// inventory, admitted documents included, once it is.
+		m.s.sendSubscribe(sc, admitted)
 		return
 	}
 	s := m.s
@@ -702,18 +715,23 @@ func (m *subManager) subscribeLoop(sc *subConn) {
 	}
 }
 
-// sendInventory sends the coop's current hosted-document inventory for
-// sc.home as a frameSubscribe — full on connect, and re-sent on each new
-// admission (idempotent on the home side; known docs just re-register).
+// sendInventory sends the coop's whole hosted-document inventory for
+// sc.home as a frameSubscribe: on connect, and on a sequence gap. The home
+// side is idempotent; known docs just re-register.
 func (s *Server) sendInventory(sc *subConn) {
+	s.sendSubscribe(sc, s.coops.inventory(sc.home))
+}
+
+// sendSubscribe sends docs as one frameSubscribe over sc's live channel;
+// nothing when it is not connected or docs is empty.
+func (s *Server) sendSubscribe(sc *subConn, docs []invDoc) {
+	if len(docs) == 0 {
+		return
+	}
 	sc.mu.Lock()
 	conn := sc.conn
 	sc.mu.Unlock()
 	if conn == nil {
-		return
-	}
-	docs := s.coops.inventory(sc.home)
-	if len(docs) == 0 {
 		return
 	}
 	writeFrame(&sc.writeMu, conn, frameSubscribe, func() []byte { return encodeInventory(docs) })

@@ -63,7 +63,7 @@ func quietUpdate(t *testing.T, home *Server) {
 	if err := home.cfg.Store.Put("/page.html", body); err != nil {
 		t.Fatal(err)
 	}
-	home.ldg.AddDoc("/page.html", int64(len(body)), body)
+	home.ldg.AddDoc("/page.html", int64(len(body)), pageLinks("/page.html", body, home.resolve))
 }
 
 // waitRegistered waits until the home holds coop's subscription to

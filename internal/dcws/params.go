@@ -103,10 +103,13 @@ type Params struct {
 	MetricsSeriesLimit int
 
 	// WALSync selects the write-ahead-log fsync policy when Config.WALDir
-	// is set: "always" fsyncs every append (group-committed), "interval"
-	// fsyncs on a timer (default), "none" never fsyncs (the OS page cache
-	// is the only durability; a process crash still loses nothing because
-	// appends are single write(2) calls).
+	// is set, and with it what an acknowledged change survives, a document
+	// update included (its record carries the body; DESIGN §12): "always"
+	// fsyncs every append before it returns (group-committed), so it
+	// survives an OS crash; "interval" (default) fsyncs on a 100 ms timer,
+	// so an OS crash loses at most that interval; "none" never fsyncs. In
+	// every mode a process crash (kill -9) loses nothing, because an append
+	// is one write(2) call.
 	WALSync string
 	// SnapshotInterval paces full-state snapshots that bound recovery
 	// replay time and let old WAL segments be pruned. Default 5 m;

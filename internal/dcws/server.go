@@ -1,17 +1,20 @@
 package dcws
 
 import (
+	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
 	"log"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dcws/internal/clock"
 	"dcws/internal/glt"
 	"dcws/internal/graph"
 	"dcws/internal/httpx"
+	"dcws/internal/hypertext"
 	"dcws/internal/memnet"
 	"dcws/internal/metrics"
 	"dcws/internal/naming"
@@ -91,6 +94,12 @@ const (
 	// rotates.
 	walSyncInterval = 100 * time.Millisecond
 	walSegmentBytes = 16 << 20
+	// walSnapshotBytes is how far the log may grow, since its last
+	// snapshot or the server's start, before the next snapshot is taken
+	// early, checked every walGrowthCheck: update records carry bodies,
+	// and this bounds the log's disk use and the replay a restart pays.
+	walSnapshotBytes = 64 << 20
+	walGrowthCheck   = time.Second
 )
 
 // Config assembles a server's identity and dependencies.
@@ -176,10 +185,13 @@ type Server struct {
 	// sendfile (handler.go, sendsFile).
 	files store.FileOpener
 
-	ldg    *graph.LDG
-	table  *glt.Table
-	stats  *metrics.ServerStats
-	ledger *policy.Ledger
+	ldg *graph.LDG
+	// resolve is originResolver(cfg.Origin), the one link resolver of
+	// every graph write and link rewrite.
+	resolve func(base, raw string) string
+	table   *glt.Table
+	stats   *metrics.ServerStats
+	ledger  *policy.Ledger
 	// ctl decides every migration, replication, shrink and revocation
 	// (control.go); this server is its Plant (maintenance.go). It shares
 	// table and ledger.
@@ -227,6 +239,16 @@ type Server struct {
 
 	wal      *wal.Log // nil when the durable tier is disabled
 	recovery recoveryStats
+	// staged holds the home-document bodies durable only in the WAL until
+	// the next snapshot (durability.go; nil without a WAL). updMu orders
+	// updates and deletes of home documents with their WAL records,
+	// regeneration's write-back, and the snapshot's flush of staged
+	// bodies.
+	staged *store.Mem
+	updMu  sync.Mutex
+	// snapAppended is the log's AppendedBytes (counted from the server's
+	// start) at the newest snapshot's covered LSN.
+	snapAppended atomic.Int64
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -289,7 +311,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		reconcileStart := time.Now()
-		if err := rec.reconcile(cfg.Store, &recStats); err != nil {
+		if err := rec.reconcile(cfg.Store, &recStats, resolver); err != nil {
 			wlog.Close()
 			return nil, fmt.Errorf("dcws: reconcile recovered state: %w", err)
 		}
@@ -358,15 +380,16 @@ func New(cfg Config) (*Server, error) {
 	files, _ := cfg.Store.(store.FileOpener)
 
 	s := &Server{
-		cfg:    cfg,
-		params: params,
-		log:    logger,
-		addr:   self,
-		files:  files,
-		ldg:    ldg,
-		table:  table,
-		stats:  metrics.NewServerStats(rateWindow),
-		ledger: ledger,
+		cfg:     cfg,
+		params:  params,
+		log:     logger,
+		addr:    self,
+		files:   files,
+		ldg:     ldg,
+		resolve: resolver,
+		table:   table,
+		stats:   metrics.NewServerStats(rateWindow),
+		ledger:  ledger,
 		client: httpx.NewPooledClient(httpx.DialerFunc(cfg.Network.Dial), httpx.PoolConfig{
 			MaxIdlePerHost: poolMaxIdlePerPeer,
 			IdleTimeout:    poolIdleTimeout,
@@ -398,6 +421,12 @@ func New(cfg Config) (*Server, error) {
 		pingFail:  make(map[string]int),
 		downStamp: make(map[string]int64),
 		stopped:   make(chan struct{}),
+	}
+	if wlog != nil {
+		s.staged = store.NewMem()
+		for name, body := range rec.staged {
+			s.staged.Put(name, body) // a Mem put of a clean name cannot fail
+		}
 	}
 	s.ctl = &Controller{
 		Self:   self,
@@ -525,6 +554,11 @@ func (s *Server) startLoops() {
 	if s.wal != nil && s.params.SnapshotInterval > 0 {
 		// writeSnapshot logs its own failure; the next round retries.
 		s.every(s.params.SnapshotInterval, func() { _ = s.writeSnapshot() })
+		s.every(walGrowthCheck, func() {
+			if s.wal.AppendedBytes()-s.snapAppended.Load() >= walSnapshotBytes {
+				_ = s.writeSnapshot()
+			}
+		})
 	}
 	if s.params.SLOCheckInterval > 0 {
 		s.every(s.params.SLOCheckInterval, s.TickSLO)
@@ -620,24 +654,106 @@ func (s *Server) CoopDocCount() int { return s.coops.count() }
 func (s *Server) CacheCounts() (hits, misses int64) { return s.rcache.counts() }
 
 // UpdateDocument replaces a home document's content at run time (the
-// administrator edit case of §4.5). The LDG is reparsed for the document
-// and an invalidation is pushed at once to every co-op subscribed to this
-// home (leases on, DESIGN §15); a co-op without a live subscription finds
-// the change at its next validation.
+// administrator edit case of §4.5). The body is parsed once: its resolved
+// links replace the document's in the LDG and, when a co-op may host the
+// document, the same parse renders the copy co-ops refetch, cached under
+// the new generation. An invalidation is then pushed at once to every
+// co-op subscribed to this home (leases on, DESIGN §15); a co-op without a
+// live subscription finds the change at its next validation.
+//
+// With a WAL the update's one durable write is its recDocPut, which
+// carries the body: the update returns once the record is as durable as
+// Params.WALSync promises (DESIGN §12), and the body is staged until the
+// next snapshot writes it to the store. Should the record fail, the body
+// is written to the store at once. Without a WAL the store is the only
+// durable copy, and the body is written through Store.Put. The durable
+// write comes first: when it fails the update changes nothing and returns
+// the error. Only a failed sync under "always", found after the update
+// took effect, can leave it applied but not durable (commitUpdate).
 func (s *Server) UpdateDocument(name string, content []byte) error {
 	cleaned, err := store.CleanName(name)
 	if err != nil {
 		return err
 	}
-	if err := s.cfg.Store.Put(cleaned, content); err != nil {
+	body := bytes.Clone(content) // the render cache may keep it
+	var doc *hypertext.Document
+	var linkTo []string
+	if graph.IsHTML(cleaned) {
+		doc = hypertext.Parse(string(body))
+		linkTo = graph.LinkTargets(cleaned, doc, s.resolve)
+	}
+	s.updMu.Lock()
+	var lsn uint64
+	if s.wal == nil {
+		err = s.cfg.Store.Put(cleaned, body)
+	} else if lsn, err = s.wal.Write(recDocPut, encodeDocPut(cleaned, body)); err == nil {
+		s.staged.Put(cleaned, body) // a Mem put of a clean name cannot fail
+	} else {
+		err = s.storeUnloggedLocked(cleaned, body, err)
+	}
+	if err != nil {
+		s.updMu.Unlock()
 		return err
 	}
-	s.ldg.AddDoc(cleaned, int64(len(content)), content)
+	gen := s.ldg.AddDoc(cleaned, int64(len(body)), linkTo)
 	s.rcache.invalidate(cleaned)
-	s.walAppend(recDocPut, encodeNameRecord(cleaned))
+	s.updMu.Unlock()
+	if lsn != 0 {
+		// Waiting outside updMu lets concurrent updates share one
+		// group-committed fsync under "always", and keeps regeneration's
+		// write-back from waiting on it.
+		if err := s.commitUpdate(cleaned, lsn); err != nil {
+			return err
+		}
+	}
+	if s.copiesOut(cleaned) {
+		data := body
+		if doc != nil {
+			data = s.migrationCopy(cleaned, doc, body)
+		}
+		s.rcache.put(cleaned, renderMigration, gen, data, contentHash(data))
+	}
 	// Push invalidation: subscribed co-ops learn of the change now, not at
 	// their next validation tick.
 	s.hub.push(invalUpdate, []string{cleaned}, nil)
+	return nil
+}
+
+// commitUpdate waits for the update record at lsn to be as durable as
+// WALSync promises. Should the sync fail, the body staged for name now,
+// the record's or a later update's, is written to the store instead; if
+// that fails too, the update is applied but not durable, and the error
+// says so.
+func (s *Server) commitUpdate(name string, lsn uint64) error {
+	err := s.wal.Commit(lsn)
+	if err == nil {
+		return nil
+	}
+	s.updMu.Lock()
+	defer s.updMu.Unlock()
+	data, ok := s.stagedBody(name)
+	if !ok {
+		return nil // deleted since, or a snapshot wrote it to the store
+	}
+	if err := s.storeUnloggedLocked(name, data, err); err != nil {
+		return fmt.Errorf("dcws: update %s applied but not durable: %w", name, err)
+	}
+	return nil
+}
+
+// storeUnloggedLocked writes through Store.Put an update body whose
+// recDocPut failed with recErr (a body over the WAL's record bound, a
+// failed write or sync), and unstages any other body, which would shadow
+// the file. A record of the name alone then tells replay that the store
+// holds the body, so the older body's record is not replayed over it.
+// updMu must be held.
+func (s *Server) storeUnloggedLocked(name string, body []byte, recErr error) error {
+	s.log.Printf("dcws %s: wal record for %s: %v; writing it to the store", s.Addr(), name, recErr)
+	if err := s.cfg.Store.Put(name, body); err != nil {
+		return fmt.Errorf("dcws: update %s not stored: %w", name, err)
+	}
+	s.staged.Delete(name) // a Mem delete cannot fail
+	s.walAppend(recDocPut, encodeNameRecord(name))
 	return nil
 }
 
@@ -649,16 +765,22 @@ func (s *Server) DeleteDocument(name string) error {
 	if err != nil {
 		return err
 	}
+	s.updMu.Lock()
 	if err := s.cfg.Store.Delete(cleaned); err != nil {
+		s.updMu.Unlock()
 		return err
+	}
+	if s.staged != nil {
+		s.staged.Delete(cleaned) // a Mem delete cannot fail
 	}
 	s.ldg.Remove(cleaned)
 	s.rcache.invalidate(cleaned)
+	s.walAppend(recDocDelete, encodeNameRecord(cleaned))
+	s.updMu.Unlock()
 	s.ctl.Forget(cleaned)
 	s.repMu.Lock()
 	delete(s.replicas, cleaned)
 	s.repMu.Unlock()
-	s.walAppend(recDocDelete, encodeNameRecord(cleaned))
 	s.hub.push(invalDelete, []string{cleaned}, nil)
 	return nil
 }

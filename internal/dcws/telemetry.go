@@ -11,6 +11,7 @@ import (
 	"dcws/internal/httpx"
 	"dcws/internal/metrics"
 	"dcws/internal/resilience"
+	"dcws/internal/store"
 	"dcws/internal/telemetry"
 	"dcws/internal/wal"
 )
@@ -558,6 +559,18 @@ func (t *serverTelemetry) bindServer(s *Server) {
 	reg.GaugeFunc("dcws_wal_segments",
 		"WAL segment files currently on disk",
 		walStat(func(l *wal.Log) float64 { return float64(l.Segments()) }))
+	reg.GaugeFunc("dcws_wal_staged_bodies",
+		"updated home documents whose body is durable only in the WAL until the next snapshot",
+		walStat(func(*wal.Log) float64 {
+			names, _ := s.staged.List() // a Mem list cannot fail
+			return float64(len(names))
+		}))
+	reg.GaugeFunc("dcws_wal_staged_bytes",
+		"bytes of the home-document bodies staged until the next snapshot",
+		walStat(func(*wal.Log) float64 {
+			n, _ := store.TotalBytes(s.staged) // nor can a Mem size
+			return float64(n)
+		}))
 
 	reg.GaugeFunc("dcws_recovery_last_seconds",
 		"wall time the last startup recovery took (0: cold start)",

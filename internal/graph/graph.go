@@ -153,15 +153,17 @@ func BuildWithResolver(st store.Store, resolve func(base, raw string) string) (*
 		if err != nil {
 			return nil, err
 		}
-		g.linkLocked(g.ensureLocked(name), linkTargets(name, data, resolve))
+		g.linkLocked(g.ensureLocked(name), LinkTargets(name, hypertext.Parse(string(data)), resolve))
 	}
 	return g, nil
 }
 
-// linkTargets resolves every hyperlink in an HTML page's content; "" marks
-// a link that names no document here. It needs no lock.
-func linkTargets(name string, content []byte, resolve func(base, raw string) string) []string {
-	raws := hypertext.ExtractLinks(string(content))
+// LinkTargets resolves every hyperlink of the parsed page name with
+// resolve; "" marks a link that names no document here. Its result is
+// what AddDoc takes, so a caller that parses a page for another reason
+// too parses it once.
+func LinkTargets(name string, doc *hypertext.Document, resolve func(base, raw string) string) []string {
+	raws := doc.LinkURLs()
 	targets := make([]string, len(raws))
 	for i, raw := range raws {
 		targets[i] = resolve(name, raw)
@@ -213,21 +215,21 @@ func unlink(es []*entry, e *entry) []*entry {
 	return es
 }
 
-// AddDoc inserts or refreshes a document node, reparsing its links from
-// content when it is HTML. Existing outgoing links are replaced; incoming
-// links are preserved. Used when an administrator changes page content.
-// The page is parsed before the write lock is taken.
-func (g *LDG) AddDoc(name string, size int64, content []byte) {
-	var targets []string
-	if IsHTML(name) && content != nil {
-		targets = linkTargets(name, content, ResolveLink)
-	}
+// AddDoc inserts or refreshes a document node whose content now links to
+// linkTo, the resolved targets of its hyperlinks (LinkTargets; "" entries
+// are skipped, nil for a page without links or a non-HTML document).
+// Existing outgoing links are replaced; incoming links are preserved. It
+// advances the document's generation and returns the new one, under which
+// a caller may cache what it rendered from the same content. Used when an
+// administrator changes page content. linkTo is sorted in place.
+func (g *LDG) AddDoc(name string, size int64, linkTo []string) uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	e := g.ensureLocked(name)
 	e.size = size
 	e.gen++
-	g.linkLocked(e, targets)
+	g.linkLocked(e, linkTo)
+	return e.gen
 }
 
 // Has reports whether the graph contains a tuple for name.

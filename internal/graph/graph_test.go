@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dcws/internal/hypertext"
 	"dcws/internal/store"
 )
 
@@ -173,10 +174,20 @@ func TestRemoteLinkFromCount(t *testing.T) {
 	}
 }
 
+// addPage is AddDoc for a document's content: an HTML page's links are
+// resolved by ResolveLink, any other document links nowhere.
+func addPage(g *LDG, name string, size int64, content []byte) {
+	var linkTo []string
+	if IsHTML(name) {
+		linkTo = LinkTargets(name, hypertext.Parse(string(content)), ResolveLink)
+	}
+	g.AddDoc(name, size, linkTo)
+}
+
 func TestAddDocReplacesLinks(t *testing.T) {
 	g, _ := Build(paperStore(t))
 	// B now links only to C.
-	g.AddDoc("/B.html", 40, []byte(`<a href="/C.html">C</a>`))
+	addPage(g, "/B.html", 40, []byte(`<a href="/C.html">C</a>`))
 	b, _ := g.Get("/B.html")
 	if !reflect.DeepEqual(b.LinkTo, []string{"/C.html"}) {
 		t.Fatalf("B.LinkTo = %v", b.LinkTo)

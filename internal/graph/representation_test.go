@@ -57,7 +57,7 @@ func TestGraphRetainsNoDocumentText(t *testing.T) {
 		g := New()
 		for i := 0; i < pages; i++ {
 			body := bigPage(i, pages, size)
-			g.AddDoc(fmt.Sprintf("/p%d.html", i), int64(len(body)), body)
+			addPage(g, fmt.Sprintf("/p%d.html", i), int64(len(body)), body)
 		}
 		return g
 	}
@@ -236,7 +236,7 @@ func TestGraphMatchesModelProperty(t *testing.T) {
 					}
 				}
 				size := int64(rng.Intn(1000))
-				g.AddDoc(name, size, []byte(page.String()))
+				addPage(g, name, size, []byte(page.String()))
 				d := m.ensure(name)
 				d.size, d.linkTo = size, map[string]bool{}
 				d.gen++

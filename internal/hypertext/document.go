@@ -171,11 +171,6 @@ func (d *Document) Title() string {
 // the parsing-overhead experiment.
 func (d *Document) TokenCount() int { return len(d.tokens) }
 
-// ExtractLinks is a convenience that parses src and returns its link URLs.
-func ExtractLinks(src string, kinds ...LinkKind) []string {
-	return Parse(src).LinkURLs(kinds...)
-}
-
 // RewriteHTML parses src, applies the link mapping, and renders the result.
 // It returns the rewritten HTML and the number of replaced occurrences.
 func RewriteHTML(src string, mapping map[string]string) (string, int) {

@@ -198,7 +198,7 @@ func TestScriptContentNotParsedAsTags(t *testing.T) {
 
 func TestCommentedLinksIgnored(t *testing.T) {
 	src := `<!-- <a href="/commented.html">x</a> --><a href="/live.html">y</a>`
-	urls := ExtractLinks(src, LinkAnchor)
+	urls := Parse(src).LinkURLs(LinkAnchor)
 	if len(urls) != 1 || urls[0] != "/live.html" {
 		t.Fatalf("links = %v", urls)
 	}
@@ -206,7 +206,7 @@ func TestCommentedLinksIgnored(t *testing.T) {
 
 func TestEmptyHrefIgnored(t *testing.T) {
 	src := `<a href="">empty</a><a>none</a>`
-	if urls := ExtractLinks(src); len(urls) != 0 {
+	if urls := Parse(src).LinkURLs(); len(urls) != 0 {
 		t.Fatalf("links = %v, want none", urls)
 	}
 }

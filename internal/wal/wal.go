@@ -113,11 +113,16 @@ type Record struct {
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("wal: log closed")
 
+// ErrTooLarge is returned by Write and Append for a record over
+// maxRecordBytes.
+var ErrTooLarge = errors.New("wal: record too large")
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const (
-	recHeaderSize       = 8 // u32 length + u32 crc
-	maxRecordBytes      = 64 << 20
+	recHeaderSize       = 8        // u32 length + u32 crc
+	maxRecordBytes      = 64 << 20 // one record's type byte and payload
+	maxKeptBufBytes     = 1 << 20  // Write keeps its encode buffer up to this
 	defaultSegmentBytes = 16 << 20
 	defaultSyncInterval = 100 * time.Millisecond
 	segPrefix           = "wal-"
@@ -133,8 +138,8 @@ type segment struct {
 	count uint64 // records it holds (tail segment: maintained live)
 }
 
-// Log is an append-only record log with snapshot support. Append, Sync,
-// and WriteSnapshot are safe for concurrent use.
+// Log is an append-only record log with snapshot support. Append, Write,
+// Commit, Sync, and WriteSnapshot are safe for concurrent use.
 type Log struct {
 	opts   Options
 	logf   *log.Logger
@@ -150,6 +155,7 @@ type Log struct {
 	lsn     atomic.Uint64 // last appended LSN
 	snapLSN atomic.Uint64 // LSN covered by the newest valid snapshot
 	snap    []byte        // newest snapshot payload (loaded at Open)
+	snapMu  sync.Mutex    // serializes WriteSnapshot
 
 	// group-commit state
 	syncMu   sync.Mutex
@@ -377,22 +383,42 @@ func (l *Log) newSegmentLocked(first uint64) error {
 
 // Append adds one record and returns its LSN. The record reaches the
 // kernel before Append returns; under SyncAlways it also reaches stable
-// storage (group-committed with concurrent appenders).
+// storage (group-committed with concurrent appenders). It is Write
+// followed by Commit.
 func (l *Log) Append(typ uint8, data []byte) (uint64, error) {
+	lsn, err := l.Write(typ, data)
+	if err != nil {
+		return lsn, err
+	}
+	return lsn, l.Commit(lsn)
+}
+
+// Write adds one record and returns its LSN once the record has reached
+// the kernel (one write(2)), whatever the sync policy: a caller that must
+// order the record under a lock of its own writes it there and waits for
+// Commit after releasing the lock, so that lock is not held across an
+// fsync. A record larger than maxRecordBytes is refused with ErrTooLarge
+// and nothing is written: the scan at Open would take it for a torn write.
+func (l *Log) Write(typ uint8, data []byte) (uint64, error) {
 	if l.closed.Load() {
 		return 0, ErrClosed
+	}
+	n := 1 + len(data)
+	if n > maxRecordBytes {
+		return 0, ErrTooLarge
 	}
 	l.mu.Lock()
 	if l.active == nil {
 		l.mu.Unlock()
 		return 0, ErrClosed
 	}
-	n := 1 + len(data)
 	need := recHeaderSize + n
-	if cap(l.buf) < need {
-		l.buf = make([]byte, 0, need+need/2)
+	var b []byte
+	if cap(l.buf) >= need {
+		b = l.buf[:need]
+	} else {
+		b = make([]byte, need, min(need+need/2, max(need, maxKeptBufBytes)))
 	}
-	b := l.buf[:need]
 	binary.LittleEndian.PutUint32(b[0:4], uint32(n))
 	b[recHeaderSize] = typ
 	copy(b[recHeaderSize+1:], data)
@@ -401,7 +427,9 @@ func (l *Log) Append(typ uint8, data []byte) (uint64, error) {
 		l.mu.Unlock()
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	l.buf = b[:0]
+	if cap(b) <= maxKeptBufBytes {
+		l.buf = b[:0] // a large record's buffer is not kept
+	}
 	l.activeSz += int64(need)
 	lsn := l.lsn.Add(1)
 	l.segments[len(l.segments)-1].count++
@@ -414,12 +442,18 @@ func (l *Log) Append(typ uint8, data []byte) (uint64, error) {
 	l.mu.Unlock()
 	l.appends.Add(1)
 	l.appendBytes.Add(int64(need))
-	if l.opts.Sync == SyncAlways {
-		if err := l.commitTo(lsn); err != nil {
-			return lsn, err
-		}
-	}
 	return lsn, nil
+}
+
+// Commit makes the record at lsn as durable as the policy promises before
+// it returns: under SyncAlways it waits for the group-committed fsync that
+// covers lsn; under SyncInterval and SyncNone the record is already where
+// they promise it (in the kernel) and Commit returns at once.
+func (l *Log) Commit(lsn uint64) error {
+	if l.opts.Sync != SyncAlways {
+		return nil
+	}
+	return l.commitTo(lsn)
 }
 
 // rotateLocked fsyncs and closes the active segment and starts the next
@@ -568,22 +602,37 @@ func (l *Log) Replay(fn func(Record) error) error {
 }
 
 // WriteSnapshot atomically persists a state snapshot covering every record
-// appended so far: the payload is written to a temp file, fsynced, renamed
-// into place, and the directory fsynced; only then are the now-obsolete
-// segments and older snapshots removed. A crash at any point leaves either
-// the old snapshot or the new one.
-func (l *Log) WriteSnapshot(data []byte) error {
+// up to and including LSN covered. The caller reads covered (LSN) before
+// it captures the state, so every record at or below it is reflected in
+// data; records appended while the state was being captured lie above it,
+// stay in the log and are replayed on top of the snapshot, which is why
+// each record must be an idempotent set of the state it names. The payload
+// is written to a temp file, fsynced, renamed into place, and the
+// directory fsynced; only then are the segments wholly at or below covered
+// and the older snapshot removed. A crash at any point leaves either the
+// old snapshot or the new one. Concurrent calls are serialized.
+func (l *Log) WriteSnapshot(covered uint64, data []byte) error {
 	if l.closed.Load() {
 		return ErrClosed
 	}
+	l.snapMu.Lock()
+	defer l.snapMu.Unlock()
 	// Rotate first so every record the snapshot covers sits in a closed
-	// (durable) segment and the tail starts exactly at lsn+1.
+	// (durable) segment.
 	l.mu.Lock()
 	if l.active == nil {
 		l.mu.Unlock()
 		return ErrClosed
 	}
 	lsn := l.lsn.Load()
+	if covered > lsn {
+		l.mu.Unlock()
+		return fmt.Errorf("wal: snapshot covers LSN %d beyond the last appended %d", covered, lsn)
+	}
+	if covered < l.snapLSN.Load() {
+		l.mu.Unlock()
+		return nil // a newer snapshot already covers more
+	}
 	// An empty tail already starts at lsn+1 (its would-be successor has
 	// the same name), so only rotate when it holds records.
 	if l.segments[len(l.segments)-1].count > 0 {
@@ -592,15 +641,23 @@ func (l *Log) WriteSnapshot(data []byte) error {
 			return err
 		}
 	}
-	obsolete := append([]segment(nil), l.segments[:len(l.segments)-1]...)
-	l.segments = l.segments[len(l.segments)-1:]
+	// Closed segments are ordered by LSN: the obsolete ones are a prefix.
+	n := 0
+	for _, seg := range l.segments[:len(l.segments)-1] {
+		if seg.first+seg.count > covered+1 {
+			break
+		}
+		n++
+	}
+	obsolete := append([]segment(nil), l.segments[:n]...)
+	l.segments = append([]segment(nil), l.segments[n:]...)
 	l.mu.Unlock()
 
 	framed := make([]byte, recHeaderSize+len(data))
 	binary.LittleEndian.PutUint32(framed[0:4], uint32(len(data)))
 	binary.LittleEndian.PutUint32(framed[4:8], crc32.Checksum(data, castagnoli))
 	copy(framed[recHeaderSize:], data)
-	final := filepath.Join(l.dir, fmt.Sprintf("%s%016x%s", snapPrefix, lsn, snapSuffix))
+	final := filepath.Join(l.dir, fmt.Sprintf("%s%016x%s", snapPrefix, covered, snapSuffix))
 	tmp, err := os.CreateTemp(l.dir, "snap-*.tmp")
 	if err != nil {
 		return err
@@ -625,14 +682,14 @@ func (l *Log) WriteSnapshot(data []byte) error {
 	}
 	syncDir(l.dir)
 	prevSnap := l.snapLSN.Load()
-	l.snapLSN.Store(lsn)
+	l.snapLSN.Store(covered)
 	l.snapshots.Add(1)
-	// Prune: segments fully covered by the new snapshot and the previous
+	// Prune: segments wholly covered by the new snapshot and the previous
 	// snapshot file.
 	for _, seg := range obsolete {
 		os.Remove(seg.path)
 	}
-	if prevSnap != lsn {
+	if prevSnap != covered {
 		os.Remove(filepath.Join(l.dir, fmt.Sprintf("%s%016x%s", snapPrefix, prevSnap, snapSuffix)))
 	}
 	return nil

@@ -124,7 +124,7 @@ func TestSnapshotReplaySince(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Append(1, []byte{byte(i)})
 	}
-	if err := l.WriteSnapshot([]byte("state@10")); err != nil {
+	if err := l.WriteSnapshot(l.LSN(), []byte("state@10")); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	for i := 10; i < 15; i++ {
@@ -149,6 +149,46 @@ func TestSnapshotReplaySince(t *testing.T) {
 	}
 }
 
+// TestSnapshotCoversOnlyWhatItCaptured: records appended between the
+// moment a caller reads the LSN and captures its state, and the moment it
+// hands the snapshot over, are not in the snapshot. They must survive: the
+// snapshot covers the LSN read first, only segments wholly at or below it
+// are pruned, and replay returns every record above it.
+func TestSnapshotCoversOnlyWhatItCaptured(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, func(o *Options) { o.SegmentBytes = 64 })
+	payload := bytes.Repeat([]byte("z"), 24)
+	for i := 0; i < 10; i++ {
+		l.Append(1, payload)
+	}
+	covered := l.LSN()
+	for i := 10; i < 14; i++ {
+		l.Append(2, []byte{byte(i)})
+	}
+	if err := l.WriteSnapshot(covered, []byte("state@10")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteSnapshot(covered+100, nil); err == nil {
+		t.Fatal("WriteSnapshot accepted an LSN beyond the log")
+	}
+	l.Abandon()
+
+	l2 := openT(t, dir)
+	defer l2.Close()
+	if _, lsn, ok := l2.SnapshotData(); !ok || lsn != covered {
+		t.Fatalf("snapshot covers %d (ok=%v), want %d", lsn, ok, covered)
+	}
+	recs := collect(t, l2)
+	if len(recs) != 4 {
+		t.Fatalf("replayed %d records above the snapshot, want 4: %+v", len(recs), recs)
+	}
+	for i, r := range recs {
+		if r.LSN != covered+uint64(i)+1 || r.Type != 2 || r.Data[0] != byte(10+i) {
+			t.Fatalf("record %d = %+v", i, r)
+		}
+	}
+}
+
 func TestSnapshotPrunesOldSegmentsAndSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, func(o *Options) { o.SegmentBytes = 128 })
@@ -156,13 +196,13 @@ func TestSnapshotPrunesOldSegmentsAndSnapshots(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Append(1, payload)
 	}
-	if err := l.WriteSnapshot([]byte("first")); err != nil {
+	if err := l.WriteSnapshot(l.LSN(), []byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
 		l.Append(1, payload)
 	}
-	if err := l.WriteSnapshot([]byte("second")); err != nil {
+	if err := l.WriteSnapshot(l.LSN(), []byte("second")); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -301,7 +341,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir)
 	l.Append(1, []byte("a"))
-	if err := l.WriteSnapshot([]byte("good")); err != nil {
+	if err := l.WriteSnapshot(l.LSN(), []byte("good")); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -406,7 +446,7 @@ func TestConcurrentAppendSnapshotSoak(t *testing.T) {
 				return
 			default:
 			}
-			if err := l.WriteSnapshot([]byte(fmt.Sprintf("snap-%d", i))); err != nil {
+			if err := l.WriteSnapshot(l.LSN(), []byte(fmt.Sprintf("snap-%d", i))); err != nil {
 				t.Errorf("WriteSnapshot: %v", err)
 				return
 			}
@@ -495,7 +535,39 @@ func TestClosedLogRejectsAppend(t *testing.T) {
 	if _, err := l.Append(1, nil); err != ErrClosed {
 		t.Fatalf("Append after Close: %v, want ErrClosed", err)
 	}
-	if err := l.WriteSnapshot(nil); err != ErrClosed {
+	if err := l.WriteSnapshot(l.LSN(), nil); err != ErrClosed {
 		t.Fatalf("WriteSnapshot after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestAppendRefusesOversizedRecord: a record the scan at Open would take
+// for a torn write is refused and writes nothing, so it cannot cost the
+// records after it; a large record within the bound survives a crash
+// without its encode buffer staying behind.
+func TestAppendRefusesOversizedRecord(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir)
+	if _, err := l.Append(1, make([]byte, maxRecordBytes)); err != ErrTooLarge {
+		t.Fatalf("Append of a %d-byte record = %v, want ErrTooLarge", 1+maxRecordBytes, err)
+	}
+	if l.LSN() != 0 || l.AppendedBytes() != 0 {
+		t.Fatalf("the refused record left LSN %d, %d bytes", l.LSN(), l.AppendedBytes())
+	}
+	large := bytes.Repeat([]byte{0xab}, 2*maxKeptBufBytes)
+	for _, data := range [][]byte{[]byte("before"), large, []byte("after")} {
+		if _, err := l.Append(2, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := cap(l.buf); c > maxKeptBufBytes {
+		t.Fatalf("Append kept a %d-byte buffer after a large record", c)
+	}
+	l.Abandon()
+
+	l2 := openT(t, dir)
+	defer l2.Close()
+	recs := collect(t, l2)
+	if len(recs) != 3 || string(recs[0].Data) != "before" || !bytes.Equal(recs[1].Data, large) || string(recs[2].Data) != "after" {
+		t.Fatalf("replayed %d records, want before, the large one, after", len(recs))
 	}
 }
