@@ -383,6 +383,12 @@ func flakySite(n int) map[string]string {
 func TestFlakyLinkFetchesSurviveRetries(t *testing.T) {
 	const nDocs = 16
 	w := newWorld(t)
+	// Only the test's own requests and ticks may dial across the flaky
+	// link. With the maintenance loops running, clock.Advance wakes
+	// anti-entropy and the validator: their exchanges keep the co-op's
+	// entry fresh (so the pinger probes nothing) and take the fabric's
+	// seeded dial failures on RPCs that a later tick, not a retry, repeats.
+	w.noLoops = true
 	params := Params{FetchAttempts: 8, ProbeAttempts: 3, BreakerThreshold: 20}
 	home := w.addServer("home", 80, flakySite(nDocs), []string{"/index.html"}, params)
 	coop := w.addServer("coop", 81, nil, nil, params)

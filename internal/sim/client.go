@@ -1,263 +1,93 @@
 package sim
 
 import (
-	"math/rand"
 	"time"
+
+	"dcws/internal/webclient"
 )
 
-// simClient is one Algorithm 2 client thread: random entry point,
-// random(1..25) navigation steps, a per-sequence cache, parallel image
-// helpers (window of 4), exponential 503 backoff.
+// simClient is one Algorithm 2 client thread: a webclient.Walker, which
+// owns every rule of the algorithm, driven by the event heap.
 type simClient struct {
-	id  int
-	rng *rand.Rand
-
-	cache     map[string]*servedDoc // fetched documents by identity key
-	imgCache  map[string]bool
-	stepsLeft int
-	cur       target
-	curDoc    *servedDoc
-	backoff   time.Duration
-	redirects int
-	fetchAt   time.Time // when the current navigation fetch began
-
-	// image fan-out state
-	imgQueue    []target
-	imgInFlight int
+	walk    *webclient.Walker
+	fetchAt time.Time // when the current page's first attempt was sent
 }
 
-// clientStartSequence begins a fresh access sequence: reset cache, pick an
-// entry point, draw the step budget.
-func (w *World) clientStartSequence(c *simClient) {
-	if !w.now.Before(w.stopAt) {
-		return
-	}
-	c.cache = make(map[string]*servedDoc)
-	c.imgCache = make(map[string]bool)
-	c.stepsLeft = 1 + c.rng.Intn(25)
-	c.cur = w.pickEntry(c)
-	c.redirects = 0
-	c.backoff = time.Second
-	w.clientFetchCurrent(c)
-}
-
-// pickEntry selects a random entry point, applying the mode's addressing:
-// RR-DNS pins the sequence to one replica, the router mode addresses the
-// virtual router IP.
-func (w *World) pickEntry(c *simClient) target {
-	switch w.cfg.Mode {
-	case ModeRRDNS:
-		// One DNS resolution per sequence, answers rotated round-robin and
-		// cached for the sequence (the coarse granularity of §1).
-		server := w.order[w.rrDNS%len(w.order)]
+// clientStart begins a client's next sequence. Under RR-DNS it resolves
+// the site once, the answers rotated round-robin (the coarse granularity
+// of §1).
+func (w *World) clientStart(c *simClient) {
+	if w.cfg.Mode == ModeRRDNS {
+		c.walk.Entries = w.entries[w.rrDNS%len(w.entries)]
 		w.rrDNS++
-		ep := w.cfg.Site.EntryPoints[c.rng.Intn(len(w.cfg.Site.EntryPoints))]
-		return target{Addr: server, Home: server, Name: ep}
-	case ModeRouter:
-		ep := w.cfg.Site.EntryPoints[c.rng.Intn(len(w.cfg.Site.EntryPoints))]
-		return target{Addr: w.router, Home: w.router, Name: ep}
-	default:
-		if len(w.entriesBySite) > 1 {
-			// Federated: pick a site (optionally skewed toward the
-			// first), then one of its entry points.
-			var site []target
-			if w.cfg.SkewFirst > 0 && c.rng.Float64() < w.cfg.SkewFirst {
-				site = w.entriesBySite[0]
-			} else if w.cfg.SkewFirst > 0 {
-				site = w.entriesBySite[1+c.rng.Intn(len(w.entriesBySite)-1)]
-			} else {
-				site = w.entriesBySite[c.rng.Intn(len(w.entriesBySite))]
-			}
-			return site[c.rng.Intn(len(site))]
-		}
-		return w.entries[c.rng.Intn(len(w.entries))]
 	}
+	w.clientPump(c)
 }
 
-// clientFetchCurrent requests the current document unless cached.
-func (w *World) clientFetchCurrent(c *simClient) {
+// clientPump makes the walker's moves until it waits for a reply or a
+// pause. Once a sequence ends, the next starts 1 ms later.
+func (w *World) clientPump(c *simClient) {
 	if !w.now.Before(w.stopAt) {
 		return
 	}
-	if doc, hit := c.cache[c.cur.key()]; hit {
-		c.curDoc = doc
-		w.clientStartImages(c)
+	for {
+		req, step := c.walk.Next()
+		switch step {
+		case webclient.Send:
+			if req.Delay > 0 { // a 503's backoff
+				w.schedule(req.Delay, func() { w.clientSend(c, req) })
+			} else {
+				w.clientSend(c, req)
+			}
+			continue
+		case webclient.Pause:
+			w.schedule(req.Delay, func() { w.clientPump(c) })
+		case webclient.End:
+			w.res.Sequences++
+			w.schedule(time.Millisecond, func() { w.clientStart(c) })
+		}
 		return
 	}
-	if c.fetchAt.IsZero() {
+}
+
+// clientSend sends one request of the walk.
+func (w *World) clientSend(c *simClient, req webclient.Request) {
+	if !w.now.Before(w.stopAt) {
+		return
+	}
+	if !req.Image && req.First() {
 		c.fetchAt = w.now
 	}
-	w.dispatch(c.cur, func(rep reply) { w.clientOnDocReply(c, rep) })
+	if w.onSend != nil {
+		w.onSend(req)
+	}
+	w.dispatch(req.Ref, func(rep reply) { w.clientReply(c, req, rep) })
 }
 
-// clientOnDocReply handles the response for a navigation fetch.
-func (w *World) clientOnDocReply(c *simClient, rep reply) {
+// clientReply counts a reply and hands it to the walker. Latency is a
+// page's, from its first attempt to its 200.
+func (w *World) clientReply(c *simClient, req webclient.Request, rep reply) {
 	if !w.now.Before(w.stopAt) {
 		return
 	}
 	switch rep.status {
 	case 200:
-		if !c.fetchAt.IsZero() {
-			w.res.Latency.Observe(w.now.Sub(c.fetchAt))
-			c.fetchAt = time.Time{}
-		}
-		c.backoff = time.Second
-		c.redirects = 0
 		w.res.Connections++
 		w.res.Bytes += rep.bytes
-		if rep.doc != nil {
-			c.cache[c.cur.key()] = rep.doc
-			c.curDoc = rep.doc
-			w.clientStartImages(c)
-			return
+		if !req.Image {
+			w.res.Latency.Observe(w.now.Sub(c.fetchAt))
 		}
-		// A non-HTML entry (e.g. Sequoia raster reached directly): no
-		// links to follow, sequence step ends here.
-		w.clientEndSequence(c)
 	case 301:
 		w.res.Redirects++
-		c.redirects++
-		if c.redirects > 5 {
-			w.res.Errors++
-			c.fetchAt = time.Time{}
-			w.clientEndSequence(c)
-			return
-		}
-		c.cur = rep.loc
-		w.clientFetchCurrent(c)
 	case 503:
 		w.res.Drops++
-		d := c.backoff
-		c.backoff *= 2
-		if c.backoff > 32*time.Second {
-			c.backoff = 32 * time.Second
-		}
-		w.schedule(d, func() { w.clientFetchCurrent(c) })
-	default:
+	}
+	var links, images []target
+	if rep.doc != nil {
+		links, images = w.route(rep.doc.links), w.route(rep.doc.images)
+	}
+	if c.walk.OnReply(req, rep.status, rep.loc, links, images) {
 		w.res.Errors++
-		c.fetchAt = time.Time{}
-		w.clientEndSequence(c)
 	}
-}
-
-// clientStartImages launches the parallel image helper window over the
-// current document's uncached embedded images.
-func (w *World) clientStartImages(c *simClient) {
-	c.imgQueue = c.imgQueue[:0]
-	for _, l := range c.curDoc.links {
-		if !l.image {
-			continue
-		}
-		t := w.clientTargetFor(c, l.t)
-		if c.imgCache[t.key()] {
-			continue
-		}
-		c.imgCache[t.key()] = true
-		c.imgQueue = append(c.imgQueue, t)
-	}
-	c.imgInFlight = 0
-	if len(c.imgQueue) == 0 {
-		w.clientNextStep(c)
-		return
-	}
-	// Four helper threads (§5.2).
-	for i := 0; i < 4 && len(c.imgQueue) > 0; i++ {
-		w.clientIssueImage(c)
-	}
-}
-
-// clientIssueImage pops one queued image and fetches it.
-func (w *World) clientIssueImage(c *simClient) {
-	t := c.imgQueue[0]
-	c.imgQueue = c.imgQueue[1:]
-	c.imgInFlight++
-	w.clientFetchImage(c, t, time.Second)
-}
-
-// clientFetchImage performs one image transfer with redirect following and
-// backoff, then advances the helper window.
-func (w *World) clientFetchImage(c *simClient, t target, backoff time.Duration) {
-	if !w.now.Before(w.stopAt) {
-		return
-	}
-	w.dispatch(t, func(rep reply) {
-		switch rep.status {
-		case 200:
-			w.res.Connections++
-			w.res.Bytes += rep.bytes
-		case 301:
-			w.res.Redirects++
-			w.clientFetchImage(c, rep.loc, backoff)
-			return
-		case 503:
-			w.res.Drops++
-			next := backoff * 2
-			if next > 32*time.Second {
-				next = 32 * time.Second
-			}
-			w.schedule(backoff, func() { w.clientFetchImage(c, t, next) })
-			return
-		default:
-			w.res.Errors++
-		}
-		c.imgInFlight--
-		if len(c.imgQueue) > 0 {
-			w.clientIssueImage(c)
-			return
-		}
-		if c.imgInFlight == 0 {
-			w.clientNextStep(c)
-		}
-	})
-}
-
-// clientNextStep picks a random anchor from the current document and
-// navigates to it, or ends the sequence.
-func (w *World) clientNextStep(c *simClient) {
-	if !w.now.Before(w.stopAt) {
-		return
-	}
-	c.stepsLeft--
-	if c.stepsLeft <= 0 {
-		w.clientEndSequence(c)
-		return
-	}
-	var anchors []servedLink
-	for _, l := range c.curDoc.links {
-		if !l.image {
-			anchors = append(anchors, l)
-		}
-	}
-	if len(anchors) == 0 {
-		w.clientEndSequence(c)
-		return
-	}
-	pick := anchors[c.rng.Intn(len(anchors))]
-	c.cur = w.clientTargetFor(c, pick.t)
-	c.redirects = 0
-	delay := w.cost.ClientStepDelay + w.cfg.ThinkTime
-	if delay > 0 {
-		w.schedule(delay, func() { w.clientFetchCurrent(c) })
-		return
-	}
-	w.clientFetchCurrent(c)
-}
-
-// clientTargetFor maps a served link to the address the client will dial:
-// in router mode everything goes to the virtual IP; otherwise the link's
-// embedded address is used (that embedded address is the whole mechanism
-// of DCWS).
-func (w *World) clientTargetFor(c *simClient, t target) target {
-	if w.cfg.Mode == ModeRouter {
-		return target{Addr: w.router, Home: w.router, Name: t.Name}
-	}
-	return t
-}
-
-// clientEndSequence finishes one sequence and immediately starts the next.
-func (w *World) clientEndSequence(c *simClient) {
-	w.res.Sequences++
-	if w.now.Before(w.stopAt) {
-		w.schedule(time.Millisecond, func() { w.clientStartSequence(c) })
-	}
+	w.clientPump(c)
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"dcws/internal/memnet"
 	"dcws/internal/naming"
 	"dcws/internal/store"
+	"dcws/internal/webclient"
 )
 
 // placementActions names what one statistics tick did to each document,
@@ -237,4 +239,120 @@ func TestSimAndLiveResolveSameParams(t *testing.T) {
 			t.Errorf("%s: WithDefaults is not idempotent: %+v then %+v", name, live, again)
 		}
 	}
+}
+
+// TestSimWalkMatchesLiveClient cross-validates the two drivers of the
+// Algorithm 2 walker: with one seed, one site and one server that never
+// sheds, the simulator's event-heap driver and the live webclient over
+// the in-memory fabric must send the same documents in the same order.
+// The live client's image helpers race one another to the wire, so
+// within each run of images the order is compared as a set; which page
+// comes next, and which images each page loads, must match exactly. LOD
+// pages carry up to 40 images; MAPUG pages repeat their navigation
+// anchors, which both drivers must keep as written.
+func TestSimWalkMatchesLiveClient(t *testing.T) {
+	for _, site := range []*dataset.Site{dataset.LOD(), dataset.MAPUG()} {
+		t.Run(site.Name, func(t *testing.T) { walkMatchesLive(t, site) })
+	}
+}
+
+func walkMatchesLive(t *testing.T, site *dataset.Site) {
+	const seed = 42
+	// --- Simulator side: one client, one server. ---
+	w, err := newWorld(Config{Site: site, Servers: 1, Clients: 1, Duration: 2 * time.Minute, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var simSent []string
+	w.onSend = func(req webclient.Request) { simSent = append(simSent, sentAs(req.Ref.Name, req.Image)) }
+	w.build()
+	w.start()
+	w.drain(w.stopAt)
+	if w.res.Drops != 0 || w.res.Errors != 0 || w.res.Sequences < 20 {
+		t.Fatalf("simulated run: %d drops, %d errors, %d sequences", w.res.Drops, w.res.Errors, w.res.Sequences)
+	}
+
+	// --- Live side: the materialized site behind an httpx server. ---
+	st := store.NewMem()
+	if err := site.Materialize(st, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	fabric := memnet.NewFabric()
+	l, err := fabric.Listen("home:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var liveSent []string
+	srv := httpx.NewServer(httpx.ServerConfig{}, httpx.HandlerFunc(func(req *httpx.Request) *httpx.Response {
+		mu.Lock()
+		liveSent = append(liveSent, sentAs(req.Path, !site.Doc(req.Path).IsHTML()))
+		mu.Unlock()
+		body, err := st.Get(req.Path)
+		if err != nil {
+			return httpx.NewResponse(404)
+		}
+		resp := httpx.NewResponse(200)
+		resp.Body = body
+		return resp
+	}))
+	go srv.Serve(l)
+	defer srv.Close()
+	stats := &webclient.Stats{}
+	client, err := webclient.New(webclient.Config{
+		Dialer:    httpx.DialerFunc(fabric.Dial),
+		EntryURLs: []string{"http://home:80" + site.EntryPoints[0]},
+		Seed:      seed + 17, // the walker seed the world gives client 0
+		Stats:     stats,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for i := int64(0); i < w.res.Sequences; i++ {
+		client.RunSequence(nil)
+	}
+	if stats.Drops.Value() != 0 || stats.Errors.Value() != 0 {
+		t.Fatalf("live run: %s", stats)
+	}
+
+	sim, live := imageRunsSorted(simSent), imageRunsSorted(liveSent)
+	if len(live) > len(sim) {
+		t.Fatalf("live client sent %d requests in %d sequences, the simulator %d", len(live), w.res.Sequences, len(sim))
+	}
+	for i := range live {
+		if live[i] != sim[i] {
+			t.Fatalf("request %d of %d: live %s, simulated %s", i, len(live), live[i], sim[i])
+		}
+	}
+	images := 0
+	for _, s := range live {
+		if strings.HasPrefix(s, "image") {
+			images++
+		}
+	}
+	if images == 0 || images == len(live) {
+		t.Fatalf("%d of %d requests are images; the walk needs both kinds", images, len(live))
+	}
+}
+
+func sentAs(name string, image bool) string {
+	if image {
+		return "image " + name
+	}
+	return "page " + name
+}
+
+// imageRunsSorted sorts each run of consecutive image requests.
+func imageRunsSorted(sent []string) []string {
+	out := append([]string(nil), sent...)
+	for i := 0; i < len(out); {
+		j := i
+		for j < len(out) && strings.HasPrefix(out[j], "image") {
+			j++
+		}
+		sort.Strings(out[i:j])
+		i = max(j, i+1)
+	}
+	return out
 }

@@ -8,35 +8,26 @@ import (
 	"dcws/internal/dcws"
 	"dcws/internal/glt"
 	"dcws/internal/policy"
+	"dcws/internal/webclient"
 )
 
 // target addresses one document request: which server to contact, which
 // home server owns the document, and the document's name there. Addr ==
 // Home is a plain request; Addr != Home is a ~migrate request at a co-op.
-type target struct {
-	Addr string
-	Home string
-	Name string
-}
+// It is the walker's Ref, so a served link goes to the client unconverted.
+type target = webclient.Ref
 
-// key is the cache/hosting key of a target's document identity.
-func (t target) key() string { return t.Home + "|" + t.Name }
-
-// servedLink is one hyperlink of a served document, already resolved to the
-// host assigned at regeneration time — exactly what a client browser would
-// see in the rewritten HTML.
-type servedLink struct {
-	t     target
-	image bool
-}
+// hostKey is a co-op's key for a target's document identity.
+func hostKey(t target) string { return t.Home + "|" + t.Name }
 
 // servedDoc is the simulated payload of a 200 response for an HTML page:
-// its size and its hyperlinks as of the serving copy's rewrite version.
+// its size and its hyperlinks as of the serving copy's rewrite version,
+// each already resolved to the host assigned at regeneration time —
+// exactly what a client browser would see in the rewritten HTML.
 type servedDoc struct {
-	name    string
-	home    string
 	size    int64
-	links   []servedLink
+	links   []target // navigable links, in document order
+	images  []target // embedded images, in document order
 	version int
 }
 
@@ -328,24 +319,25 @@ func (s *simServer) serveHome(name string) (reply, time.Duration) {
 // current migration state — the simulated equivalent of parsing the HTML,
 // rewriting moved links, and re-rendering (§4.3).
 func (s *simServer) rebuildSnapshot(d *simDoc) {
-	links := make([]servedLink, 0, len(d.spec.Links))
+	var links, images []target
 	for _, l := range d.spec.Links {
 		addr := s.addr
 		if td, ok := s.docs[l.URL]; ok && td.location != "" {
 			addr = s.pickReplica(l.URL)
 		}
-		links = append(links, servedLink{
-			t:     target{Addr: addr, Home: s.addr, Name: l.URL},
-			image: l.Image,
-		})
+		t := target{Addr: addr, Home: s.addr, Name: l.URL}
+		if l.Image {
+			images = append(images, t)
+		} else {
+			links = append(links, t)
+		}
 	}
 	d.version++
 	d.dirty = false
 	d.snapshot = &servedDoc{
-		name:    d.spec.Name,
-		home:    s.addr,
 		size:    d.spec.Size,
 		links:   links,
+		images:  images,
 		version: d.version,
 	}
 }
@@ -371,7 +363,7 @@ func (s *simServer) pickReplica(name string) string {
 // admitCoop serves a ~migrate request, lazily fetching the document from
 // its home server on first touch (§4.2).
 func (s *simServer) admitCoop(t target, done func(reply)) {
-	key := t.key()
+	key := hostKey(t)
 	h, ok := s.hosted[key]
 	if !ok {
 		h = &hostedDoc{}
@@ -416,5 +408,5 @@ func (s *simServer) admitCoop(t target, done func(reply)) {
 
 // dropHosted discards a hosted copy (revocation).
 func (s *simServer) dropHosted(home, name string) {
-	delete(s.hosted, home+"|"+name)
+	delete(s.hosted, hostKey(target{Home: home, Name: name}))
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -97,9 +96,9 @@ func TestServeHomeStates(t *testing.T) {
 	if extra < s.cost.RegenCost {
 		t.Fatalf("regen extra = %v", extra)
 	}
-	for _, l := range rep.doc.links {
-		if l.t.Name == "/big.jpg" && l.t.Addr != "s2:80" {
-			t.Fatalf("regenerated link not rewritten: %+v", l.t)
+	for _, l := range rep.doc.images {
+		if l.Name == "/big.jpg" && l.Addr != "s2:80" {
+			t.Fatalf("regenerated link not rewritten: %+v", l)
 		}
 	}
 }
@@ -111,9 +110,9 @@ func TestRevokeRestoresSnapshotLinks(t *testing.T) {
 	s.serveHome("/pages/p00.html") // regenerate with coop link
 	s.Revoke("/big.jpg")
 	rep, _ := s.serveHome("/pages/p00.html")
-	for _, l := range rep.doc.links {
-		if l.t.Name == "/big.jpg" && l.t.Addr != "s1:80" {
-			t.Fatalf("revoked link still points at coop: %+v", l.t)
+	for _, l := range rep.doc.images {
+		if l.Name == "/big.jpg" && l.Addr != "s1:80" {
+			t.Fatalf("revoked link still points at coop: %+v", l)
 		}
 	}
 	if s.revocations != 1 {
@@ -123,7 +122,7 @@ func TestRevokeRestoresSnapshotLinks(t *testing.T) {
 
 func TestWalkCensusCoversEntryAndHotDocs(t *testing.T) {
 	site := dataset.MAPUG()
-	hits := walkCensus(site, 500, rand.New(rand.NewSource(1)))
+	hits := walkCensus(site, 500, 1)
 	if hits["/index.html"] < 400 {
 		t.Fatalf("entry hits = %v, want ~1 per sequence", hits["/index.html"])
 	}

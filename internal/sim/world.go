@@ -10,6 +10,7 @@ import (
 	"dcws/internal/dataset"
 	"dcws/internal/dcws"
 	"dcws/internal/metrics"
+	"dcws/internal/webclient"
 )
 
 // Mode selects the load-balancing architecture under test.
@@ -177,9 +178,11 @@ type World struct {
 	servers map[string]*simServer
 	order   []string
 	router  string // non-empty in ModeRouter
-	entries []target
-	// entriesBySite groups entry targets per federated site.
-	entriesBySite [][]target
+	// entries are where client sequences start: one value, or under
+	// RR-DNS one per server, rotated per sequence.
+	entries []webclient.Entries
+	// onSend, when set, sees every request a client sends.
+	onSend func(webclient.Request)
 
 	res       *Result
 	lastConns int64
@@ -281,15 +284,11 @@ func (w *World) build() {
 			w.servers[addr] = s
 			w.order = append(w.order, addr)
 		}
+		e := webclient.Entries{SkewFirst: cfg.SkewFirst}
 		for i, site := range sites {
-			home := w.order[i]
-			var eps []target
-			for _, ep := range site.EntryPoints {
-				eps = append(eps, target{Addr: home, Home: home, Name: ep})
-			}
-			w.entriesBySite = append(w.entriesBySite, eps)
-			w.entries = append(w.entries, eps...)
+			e.Sites = append(e.Sites, entryRefs(site, w.order[i]))
 		}
+		w.entries = []webclient.Entries{e}
 		if cfg.WarmStart && cfg.Servers > 1 && len(sites) == 1 {
 			w.warmPlace(w.servers[w.order[0]])
 		}
@@ -300,8 +299,8 @@ func (w *World) build() {
 			s.loadSite(cfg.Site)
 			w.servers[addr] = s
 			w.order = append(w.order, addr)
+			w.entries = append(w.entries, webclient.Entries{Sites: [][]target{entryRefs(cfg.Site, addr)}})
 		}
-		// Entries resolve per sequence; see clientStartSequence.
 	case ModeRouter:
 		w.router = "router:80"
 		r := newSimServer(w, w.router, w.params, w.cost)
@@ -310,6 +309,7 @@ func (w *World) build() {
 		r.workers = make([]time.Time, 64)
 		w.servers[w.router] = r
 		w.order = append(w.order, w.router)
+		w.entries = []webclient.Entries{{Sites: [][]target{entryRefs(cfg.Site, w.router)}}}
 		for i := 0; i < cfg.Servers; i++ {
 			addr := serverAddr(i)
 			s := newSimServer(w, addr, w.params, w.serverCost(i))
@@ -321,6 +321,15 @@ func (w *World) build() {
 	w.seedPeers()
 }
 
+// entryRefs addresses a site's entry points at one server.
+func entryRefs(site *dataset.Site, addr string) []target {
+	out := make([]target, len(site.EntryPoints))
+	for i, ep := range site.EntryPoints {
+		out[i] = target{Addr: addr, Home: addr, Name: ep}
+	}
+	return out
+}
+
 // warmPlace approximates the converged placement a long-running system
 // reaches: every non-entry document is assigned greedily — hottest first,
 // to the least-loaded server — across ALL servers including the home, with
@@ -330,7 +339,7 @@ func (w *World) build() {
 // every page weighs what it is actually requested (about once per access
 // sequence, thanks to the client cache), not its raw fan-in.
 func (w *World) warmPlace(hs *simServer) {
-	hits := walkCensus(w.cfg.Site, 2000, rand.New(rand.NewSource(w.cfg.Seed+99)))
+	hits := walkCensus(w.cfg.Site, 2000, w.cfg.Seed+99)
 	weight := func(name string) float64 { return hits[name] + 1 }
 
 	// On a heterogeneous group the converged placement is capacity-
@@ -393,45 +402,19 @@ func (w *World) warmPlace(hs *simServer) {
 	hs.migrations = 0
 }
 
-// walkCensus dry-runs the Algorithm 2 client over the site specification —
-// no servers, no timing — and counts per-document requests: entry start,
-// random(1..25) anchor steps, embedded images fetched once per sequence.
-func walkCensus(site *dataset.Site, sequences int, rng *rand.Rand) map[string]float64 {
-	byName := make(map[string]*dataset.Doc, len(site.Docs))
-	for i := range site.Docs {
-		byName[site.Docs[i].Name] = &site.Docs[i]
-	}
+// walkCensus dry-runs the Algorithm 2 walker over the site specification
+// for the given number of sequences and counts the requests it sends per
+// document: each page or image at most once per sequence (the client
+// cache).
+func walkCensus(site *dataset.Site, sequences int, seed int64) map[string]float64 {
 	hits := make(map[string]float64, len(site.Docs))
-	for s := 0; s < sequences; s++ {
-		cached := make(map[string]bool)
-		cur := site.EntryPoints[rng.Intn(len(site.EntryPoints))]
-		steps := 1 + rng.Intn(25)
-		for i := 0; i < steps; i++ {
-			doc := byName[cur]
-			if doc == nil {
-				break
-			}
-			if !cached[cur] {
-				cached[cur] = true
-				hits[cur]++
-			}
-			var anchors []string
-			for _, l := range doc.Links {
-				if l.Image {
-					if !cached[l.URL] {
-						cached[l.URL] = true
-						hits[l.URL]++
-					}
-					continue
-				}
-				anchors = append(anchors, l.URL)
-			}
-			if len(anchors) == 0 {
-				break
-			}
-			cur = anchors[rng.Intn(len(anchors))]
+	webclient.DryWalk(site, seed, func(seq int, r webclient.Request) bool {
+		if seq == sequences {
+			return false
 		}
-	}
+		hits[r.Ref.Name]++
+		return true
+	})
 	return hits
 }
 
@@ -448,10 +431,11 @@ func (w *World) start() {
 	}
 	w.scheduleEvery(w.cfg.SampleEvery, w.sample)
 	for i := 0; i < w.cfg.Clients; i++ {
-		c := &simClient{id: i, rng: rand.New(rand.NewSource(w.cfg.Seed + int64(i)*7919 + 17))}
+		c := &simClient{walk: webclient.NewWalker(w.cfg.Seed+int64(i)*7919+17, w.entries[0])}
+		c.walk.Think = w.cost.ClientStepDelay + w.cfg.ThinkTime
 		// Stagger client starts over the first second.
 		d := time.Duration(w.rng.Int63n(int64(time.Second)))
-		w.schedule(d, func() { w.clientStartSequence(c) })
+		w.schedule(d, func() { w.clientStart(c) })
 	}
 }
 
@@ -513,6 +497,19 @@ func (w *World) dispatch(t target, done func(reply)) {
 		return
 	}
 	w.schedule(w.cost.RTT/2, func() { s.admit(t, done) })
+}
+
+// route maps a page's links to where the client sends them: the virtual IP
+// in router mode, else the address in the link (the mechanism of DCWS).
+func (w *World) route(refs []target) []target {
+	if w.cfg.Mode != ModeRouter {
+		return refs
+	}
+	out := make([]target, len(refs))
+	for i, t := range refs {
+		out[i] = target{Addr: w.router, Home: w.router, Name: t.Name}
+	}
+	return out
 }
 
 // dispatchViaRouter models the centralized router baseline: the router

@@ -2,14 +2,12 @@ package webclient
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strings"
 	"time"
 
 	"dcws/internal/clock"
 	"dcws/internal/httpx"
-	"dcws/internal/naming"
 )
 
 // The paper's §6 notes that the evaluation did not use "actual access logs
@@ -101,40 +99,22 @@ type ReplayConfig struct {
 type Replayer struct {
 	cfg    ReplayConfig
 	client *Client
+	addr   string // BaseURL's server
 }
 
 // NewReplayer validates the configuration and builds a replayer.
 func NewReplayer(cfg ReplayConfig) (*Replayer, error) {
-	if cfg.Dialer == nil {
-		return nil, fmt.Errorf("webclient: replay Dialer is required")
-	}
-	addr, _, err := naming.SplitURL(cfg.BaseURL)
-	if err != nil || addr == "" {
-		return nil, fmt.Errorf("webclient: replay BaseURL %q is not an absolute http URL", cfg.BaseURL)
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.Real{}
-	}
-	if cfg.Stats == nil {
-		cfg.Stats = &Stats{}
-	}
-	c, err := New(Config{
-		Dialer:    cfg.Dialer,
-		Clock:     cfg.Clock,
-		EntryURLs: []string{cfg.BaseURL},
-		Stats:     cfg.Stats,
-	})
+	c, err := New(Config{Dialer: cfg.Dialer, Clock: cfg.Clock, EntryURLs: []string{cfg.BaseURL}, Stats: cfg.Stats})
 	if err != nil {
 		return nil, err
 	}
-	return &Replayer{cfg: cfg, client: c}, nil
+	return &Replayer{cfg: cfg, client: c, addr: c.walk.Entries.Sites[0][0].Addr}, nil
 }
 
-// Replay issues every entry in order and reports how many succeeded. The
-// client cache is bypassed — a log line means a request actually reached
-// the server, so each entry is replayed as a real transfer.
+// Replay issues every entry in order and reports how many succeeded. Each
+// entry is a Fetch: a log line means a request actually reached the
+// server, so no client cache applies.
 func (r *Replayer) Replay(entries []LogEntry, stop <-chan struct{}) (succeeded int) {
-	addr, _, _ := naming.SplitURL(r.cfg.BaseURL)
 	var prev time.Time
 	for _, e := range entries {
 		select {
@@ -143,13 +123,12 @@ func (r *Replayer) Replay(entries []LogEntry, stop <-chan struct{}) (succeeded i
 		default:
 		}
 		if r.cfg.Timed && !prev.IsZero() && !e.At.IsZero() && e.At.After(prev) {
-			r.cfg.Clock.Sleep(e.At.Sub(prev))
+			r.client.cfg.Clock.Sleep(e.At.Sub(prev))
 		}
 		if !e.At.IsZero() {
 			prev = e.At
 		}
-		r.client.ResetCache()
-		if _, _, ok := r.client.Fetch("http://" + addr + e.Path); ok {
+		if _, _, ok := r.client.Fetch("http://" + r.addr + e.Path); ok {
 			succeeded++
 		}
 	}
@@ -157,4 +136,4 @@ func (r *Replayer) Replay(entries []LogEntry, stop <-chan struct{}) (succeeded i
 }
 
 // Stats returns the replay measurements.
-func (r *Replayer) Stats() *Stats { return r.cfg.Stats }
+func (r *Replayer) Stats() *Stats { return r.client.cfg.Stats }

@@ -3,18 +3,16 @@ package webclient
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"dcws/internal/dataset"
 )
 
 // SynthesizeLog produces a Common Log Format access log by dry-running the
-// Algorithm 2 client behaviour over a data set specification: entry-point
-// start, random link walk, per-sequence caching, images fetched on first
-// reference. Together with Replayer it closes the loop the paper's future
-// work asks for ("we have not used actual access logs for the
-// experiments"): generate a log offline, replay it against a live group.
+// Algorithm 2 walker over a data set specification (DryWalk). Together
+// with Replayer it closes the loop the paper's future work asks for ("we
+// have not used actual access logs for the experiments"): generate a log
+// offline, replay it against a live group.
 //
 // requests bounds the number of emitted entries; timestamps advance by
 // gap between consecutive requests starting at start.
@@ -22,53 +20,54 @@ func SynthesizeLog(site *dataset.Site, requests int, seed int64, start time.Time
 	if requests <= 0 || site == nil || len(site.EntryPoints) == 0 {
 		return nil
 	}
-	byName := make(map[string]*dataset.Doc, len(site.Docs))
-	for i := range site.Docs {
-		byName[site.Docs[i].Name] = &site.Docs[i]
-	}
-	rng := rand.New(rand.NewSource(seed))
 	var out []LogEntry
-	at := start
-	emit := func(path string) bool {
-		out = append(out, LogEntry{Path: path, At: at})
-		at = at.Add(gap)
-		return len(out) >= requests
-	}
-	for len(out) < requests {
-		cached := make(map[string]bool)
-		cur := site.EntryPoints[rng.Intn(len(site.EntryPoints))]
-		steps := 1 + rng.Intn(25)
-		for i := 0; i < steps; i++ {
-			doc := byName[cur]
-			if doc == nil {
-				break
-			}
-			if !cached[cur] {
-				cached[cur] = true
-				if emit(cur) {
-					return out
-				}
-			}
-			var anchors []string
-			for _, l := range doc.Links {
-				if l.Image {
-					if !cached[l.URL] {
-						cached[l.URL] = true
-						if emit(l.URL) {
-							return out
-						}
-					}
-					continue
-				}
-				anchors = append(anchors, l.URL)
-			}
-			if len(anchors) == 0 {
-				break
-			}
-			cur = anchors[rng.Intn(len(anchors))]
-		}
-	}
+	DryWalk(site, seed, func(_ int, r Request) bool {
+		out = append(out, LogEntry{Path: r.Ref.Name, At: start.Add(time.Duration(len(out)) * gap)})
+		return len(out) < requests
+	})
 	return out
+}
+
+// DryWalk drives a Walker over a site specification, with no servers and
+// no clock: each request is answered at once from the specification (a
+// document it lacks is a 404). sent sees every request with the number of
+// its sequence, from 0; the walk stops when sent returns false.
+func DryWalk(site *dataset.Site, seed int64, sent func(sequence int, r Request) bool) {
+	pages := make(map[string]page, len(site.Docs))
+	for _, d := range site.Docs {
+		var p page
+		for _, l := range d.Links {
+			if l.Image {
+				p.images = append(p.images, Ref{Name: l.URL})
+			} else {
+				p.links = append(p.links, Ref{Name: l.URL})
+			}
+		}
+		pages[d.Name] = p
+	}
+	entries := make([]Ref, len(site.EntryPoints))
+	for i, ep := range site.EntryPoints {
+		entries[i] = Ref{Name: ep}
+	}
+	// With no think time and every request answered before the next move,
+	// the walk never pauses or waits.
+	w := NewWalker(seed, Entries{Sites: [][]Ref{entries}})
+	for seq := 0; ; {
+		r, step := w.Next()
+		if step == End {
+			seq++
+			continue
+		}
+		if !sent(seq, r) {
+			return
+		}
+		p, ok := pages[r.Ref.Name]
+		status := 200
+		if !ok {
+			status = 404
+		}
+		w.OnReply(r, status, Ref{}, p.links, p.images)
+	}
 }
 
 // WriteCommonLog writes entries in Common Log Format, the inverse of

@@ -13,17 +13,17 @@
 //	        current <- the link
 //
 // A per-sequence client-side cache models browser caching (reducing image
-// hot spots and increasing stale-link redirections), four helper goroutines
-// model browser image parallelism, and 503 drops trigger exponential
-// backoff, all as specified in the paper.
+// hot spots and increasing stale-link redirections), four image requests
+// in flight model browser image parallelism, and 503 drops trigger
+// exponential backoff, all as specified in the paper. The rules are
+// written once, in Walker; Client drives it over HTTP, the simulator
+// drives it from its event heap, and DryWalk over a site specification.
 package webclient
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"dcws/internal/clock"
@@ -63,17 +63,9 @@ type Config struct {
 	EntryURLs []string
 	// Seed makes the random walk reproducible.
 	Seed int64
-	// MaxSteps bounds a sequence's length: each sequence performs
-	// random(1..MaxSteps) navigation steps (paper: 25).
-	MaxSteps int
-	// ImageHelpers is the number of parallel image-fetching goroutines
-	// (paper: 4).
-	ImageHelpers int
 	// ThinkTime, when non-zero, inserts a pause between navigation steps —
 	// the user think time extension discussed in §6.
 	ThinkTime time.Duration
-	// MaxBackoff caps the exponential 503 backoff.
-	MaxBackoff time.Duration
 	// Stats receives measurements; required.
 	Stats *Stats
 }
@@ -82,29 +74,19 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = clock.Real{}
 	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 25
-	}
-	if c.ImageHelpers <= 0 {
-		c.ImageHelpers = 4
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 32 * time.Second
-	}
 	if c.Stats == nil {
 		c.Stats = &Stats{}
 	}
 	return c
 }
 
-// Client is one simulated browsing user.
+// Client is one simulated browsing user: a Walker, which owns every rule
+// of Algorithm 2, driven over HTTP. The client only sends requests,
+// resolves URLs and hands replies back to the walker.
 type Client struct {
 	cfg    Config
 	client *httpx.Client
-	rng    *rand.Rand
-	// cache holds the bodies fetched in the current access sequence,
-	// keyed by URL.
-	cache map[string][]byte
+	walk   *Walker
 }
 
 // New returns a client ready to run sequences.
@@ -116,14 +98,23 @@ func New(cfg Config) (*Client, error) {
 	if len(cfg.EntryURLs) == 0 {
 		return nil, errors.New("webclient: at least one entry URL is required")
 	}
+	entries := make([]Ref, len(cfg.EntryURLs))
+	for i, u := range cfg.EntryURLs {
+		ref, ok := refOf(u)
+		if !ok {
+			return nil, fmt.Errorf("webclient: entry URL %q is not http://host:port/path", u)
+		}
+		entries[i] = ref
+	}
+	walk := NewWalker(cfg.Seed, Entries{Sites: [][]Ref{entries}})
+	walk.Think = cfg.ThinkTime
 	return &Client{
 		cfg: cfg,
 		// Keep-alive pooling sized to the image-helper parallelism: one
 		// sequence fetches a page plus its images from the same server, so
 		// reusing connections mirrors what real browsers do.
-		client: httpx.NewPooledClient(cfg.Dialer, httpx.PoolConfig{MaxIdlePerHost: cfg.ImageHelpers}),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		cache:  make(map[string][]byte),
+		client: httpx.NewPooledClient(cfg.Dialer, httpx.PoolConfig{MaxIdlePerHost: imageHelpers}),
+		walk:   walk,
 	}, nil
 }
 
@@ -142,118 +133,131 @@ func (c *Client) Run(stop <-chan struct{}) {
 	}
 }
 
-// RunSequence performs one access sequence of Algorithm 2: reset the cache,
-// start at a random entry point, and follow random(1..MaxSteps) links.
+// RunSequence performs one access sequence of Algorithm 2. Closing stop
+// ends it early, uncounted.
 func (c *Client) RunSequence(stop <-chan struct{}) {
-	c.cache = make(map[string][]byte) // reset cache
-	current := c.cfg.EntryURLs[c.rng.Intn(len(c.cfg.EntryURLs))]
-	steps := 1 + c.rng.Intn(c.cfg.MaxSteps)
-	for i := 0; i < steps; i++ {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		body, finalURL, ok := c.fetch(current, stop)
-		if !ok {
-			break
-		}
-		doc := hypertext.Parse(string(body))
-		c.fetchImages(finalURL, doc, stop)
-		next, ok := c.pickLink(finalURL, doc)
-		if !ok {
-			break // dead end: restart from an entry point next sequence
-		}
-		current = next
-		if c.cfg.ThinkTime > 0 && !c.wait(c.cfg.ThinkTime, stop) {
-			return
-		}
+	if _, ok := c.run(c.walk, stop, true); ok {
+		c.cfg.Stats.Sequences.Inc()
 	}
-	c.cfg.Stats.Sequences.Inc()
 }
 
 // ResetCache clears the client-side cache, as happens at the start of each
-// access sequence.
-func (c *Client) ResetCache() {
-	c.cache = make(map[string][]byte)
-}
+// access sequence; a sequence under way is abandoned.
+func (c *Client) ResetCache() { c.walk.Reset() }
 
-// Fetch retrieves one absolute URL the way a sequence step does — following
-// redirects, backing off on 503 — and reports the body and final URL. It is
-// the single-document entry point used by harnesses and tools.
+// Fetch retrieves one absolute URL the way a sequence step requests a page
+// — following redirects, backing off on 503 — and reports the body and
+// final URL. It is a walk of its own that starts at url and follows no
+// link, so it always sends. It is the single-document entry point used by
+// harnesses and tools.
 func (c *Client) Fetch(url string) (body []byte, finalURL string, ok bool) {
-	return c.fetch(url, nil)
+	ref, ok := refOf(url)
+	if !ok {
+		c.cfg.Stats.Errors.Inc()
+		return nil, "", false
+	}
+	page, _ := c.run(NewWalker(0, Entries{Sites: [][]Ref{{ref}}}), nil, false)
+	if page.status != 200 {
+		return nil, "", false
+	}
+	return page.body, urlOf(page.req.Ref), true
 }
 
-// fetch retrieves a URL through the sequence cache.
-func (c *Client) fetch(url string, stop <-chan struct{}) (body []byte, finalURL string, ok bool) {
-	if body, hit := c.cache[url]; hit {
-		return body, url, true
-	}
-	body, finalURL, ok = c.get(url, stop)
-	if ok {
-		c.cache[url] = body
-		c.cache[finalURL] = body
-	}
-	return body, finalURL, ok
+// reply is one answered request.
+type reply struct {
+	req      Request
+	status   int // 0 for a transport failure
+	body     []byte
+	location Ref
+	stopped  bool // stop closed before the request was sent
 }
 
-// get retrieves a URL, following redirects and backing off exponentially
-// on 503 drops ("a client thread sleeps for a second at the first drop, two
-// seconds at the second drop, four seconds at the third", §5.2). It returns
-// the body and the final URL after redirects. Closing stop ends it, in the
-// middle of a backoff too. get leaves the cache to its callers.
-func (c *Client) get(url string, stop <-chan struct{}) (body []byte, finalURL string, ok bool) {
-	backoff := time.Second
-	redirects := 0
-	cur := url
-	for attempt := 0; attempt < 12; attempt++ {
-		select {
-		case <-stop:
-			return nil, "", false
-		default:
+// run drives a walker through one sequence, one goroutine per request so
+// that images load in parallel; replies come back to this goroutine, the
+// walker's only caller. Unless follow is set, the walker sees no page's
+// links. run reports the last page received (status 0 when none was), and
+// false when stop closed first.
+func (c *Client) run(walk *Walker, stop <-chan struct{}, follow bool) (page reply, ok bool) {
+	replies := make(chan reply, imageHelpers) // one slot per request in flight
+	inFlight := 0
+	for {
+		req, step := walk.Next()
+		switch step {
+		case Send:
+			inFlight++
+			go func() { replies <- c.send(req, stop) }()
+			continue
+		case Pause:
+			if c.wait(req.Delay, stop) {
+				continue
+			}
+			walk.Reset()
+			return page, false
+		case End:
+			return page, true
 		}
-		addr, path, err := naming.SplitURL(cur)
-		if err != nil || addr == "" {
-			c.cfg.Stats.Errors.Inc()
-			return nil, "", false
+		rep := <-replies
+		inFlight--
+		if rep.stopped {
+			for ; inFlight > 0; inFlight-- {
+				<-replies
+			}
+			walk.Reset()
+			return page, false
 		}
-		resp, err := c.client.Get(addr, path, nil)
-		if err != nil {
-			c.cfg.Stats.Errors.Inc()
-			return nil, "", false
-		}
-		switch resp.Status {
+		var links, images []Ref
+		switch rep.status {
 		case 200:
 			c.cfg.Stats.Connections.Inc()
-			c.cfg.Stats.Bytes.Add(int64(len(resp.Body)))
-			return resp.Body, cur, true
+			c.cfg.Stats.Bytes.Add(int64(len(rep.body)))
+			if !rep.req.Image {
+				page = rep
+				if follow {
+					links, images = linksOf(urlOf(rep.req.Ref), rep.body)
+				}
+			}
 		case 301, 302:
 			c.cfg.Stats.Redirects.Inc()
-			loc := resp.Header.Get("Location")
-			if loc == "" || redirects >= 5 {
-				c.cfg.Stats.Errors.Inc()
-				return nil, "", false
-			}
-			redirects++
-			cur = absolutize(addr, loc)
 		case 503:
 			c.cfg.Stats.Drops.Inc()
-			if !c.wait(backoff, stop) {
-				return nil, "", false
-			}
-			backoff = min(2*backoff, c.cfg.MaxBackoff)
-		default:
+		}
+		if walk.OnReply(rep.req, rep.status, rep.location, links, images) {
 			c.cfg.Stats.Errors.Inc()
-			return nil, "", false
 		}
 	}
-	return nil, "", false
+}
+
+// send waits out a request's backoff and sends it.
+func (c *Client) send(req Request, stop <-chan struct{}) reply {
+	rep := reply{req: req}
+	if !c.wait(req.Delay, stop) {
+		rep.stopped = true
+		return rep
+	}
+	resp, err := c.client.Get(req.Ref.Addr, pathOf(req.Ref), nil)
+	if err != nil {
+		return rep
+	}
+	rep.status, rep.body = resp.Status, resp.Body
+	if loc := resp.Header.Get("Location"); loc != "" {
+		// A Location the client cannot read stays zero: the walker fails
+		// the redirect.
+		rep.location, _ = refOf(absolutize(req.Ref.Addr, loc))
+	}
+	return rep
 }
 
 // wait pauses for d on the configured clock, and reports false when stop
 // closes first.
 func (c *Client) wait(d time.Duration, stop <-chan struct{}) bool {
+	if d <= 0 {
+		select {
+		case <-stop:
+			return false
+		default:
+			return true
+		}
+	}
 	select {
 	case <-stop:
 		return false
@@ -262,73 +266,49 @@ func (c *Client) wait(d time.Duration, stop <-chan struct{}) bool {
 	}
 }
 
-// fetchImages requests the document's embedded images in parallel using the
-// configured number of helper goroutines, skipping cached ones, and waits
-// for all of them ("request all embedded images in parallel ... wait until
-// all the requested documents arrive").
-func (c *Client) fetchImages(baseURL string, doc *hypertext.Document, stop <-chan struct{}) {
-	imgs := doc.LinkURLs(hypertext.LinkImage)
-	if len(imgs) == 0 {
-		return
-	}
-	type job struct{ url string }
-	var jobs []job
-	var mu sync.Mutex
-	for _, raw := range imgs {
-		u := resolveAgainst(baseURL, raw)
-		if u == "" {
-			continue
+// linksOf parses a page and resolves its navigable links (anchors and
+// frames) and embedded images against its URL, in document order,
+// duplicates kept; links the client cannot follow are left out.
+func linksOf(pageURL string, body []byte) (links, images []Ref) {
+	for _, l := range hypertext.Parse(string(body)).Links() {
+		ref, ok := refOf(resolveAgainst(pageURL, l.URL))
+		switch {
+		case !ok:
+		case l.Kind == hypertext.LinkImage:
+			images = append(images, ref)
+		default:
+			links = append(links, ref)
 		}
-		if _, hit := c.cache[u]; hit {
-			continue
-		}
-		jobs = append(jobs, job{u})
 	}
-	if len(jobs) == 0 {
-		return
-	}
-	ch := make(chan job, len(jobs))
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	helpers := c.cfg.ImageHelpers
-	if helpers > len(jobs) {
-		helpers = len(jobs)
-	}
-	var wg sync.WaitGroup
-	for h := 0; h < helpers; h++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				body, finalURL, ok := c.get(j.url, stop)
-				if ok {
-					mu.Lock()
-					c.cache[j.url] = body
-					c.cache[finalURL] = body
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	return links, images
 }
 
-// pickLink selects a random navigable anchor or frame from the document.
-func (c *Client) pickLink(baseURL string, doc *hypertext.Document) (string, bool) {
-	candidates := doc.LinkURLs(hypertext.LinkAnchor, hypertext.LinkFrame)
-	var resolved []string
-	for _, raw := range candidates {
-		if u := resolveAgainst(baseURL, raw); u != "" {
-			resolved = append(resolved, u)
-		}
+// refOf reads an absolute URL as a walk target: a ~migrate path names its
+// document at the home server it encodes, any other path names a
+// document at the server addressed.
+func refOf(url string) (Ref, bool) {
+	addr, path, err := naming.SplitURL(url)
+	if err != nil || addr == "" {
+		return Ref{}, false
 	}
-	if len(resolved) == 0 {
-		return "", false
+	if home, name, err := naming.Decode(path); err == nil && home.Addr() != addr {
+		return Ref{Addr: addr, Home: home.Addr(), Name: name}, true
 	}
-	return resolved[c.rng.Intn(len(resolved))], true
+	return Ref{Addr: addr, Home: addr, Name: path}, true
 }
+
+// pathOf is the request path of a walk target, refOf's inverse.
+func pathOf(r Ref) string {
+	if r.Home == r.Addr {
+		return r.Name
+	}
+	home, _ := naming.ParseOrigin(r.Home) // refOf read it from a valid path
+	path, _ := naming.Encode(home, r.Name)
+	return path
+}
+
+// urlOf is the absolute URL of a walk target.
+func urlOf(r Ref) string { return "http://" + r.Addr + pathOf(r) }
 
 // resolveAgainst turns a raw link from a document at baseURL into an
 // absolute URL, or "" for unsupported schemes.

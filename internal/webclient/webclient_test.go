@@ -1,6 +1,7 @@
 package webclient
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,7 +10,6 @@ import (
 
 	"dcws/internal/clock"
 	"dcws/internal/httpx"
-	"dcws/internal/hypertext"
 	"dcws/internal/memnet"
 )
 
@@ -74,34 +74,26 @@ func TestSequenceWalksSite(t *testing.T) {
 }
 
 func TestCacheSuppressesRefetchWithinSequence(t *testing.T) {
-	fabric, _ := miniSite(t)
+	fabric, served := miniSite(t)
 	stats := &Stats{}
 	c, _ := New(Config{
 		Dialer:    httpx.DialerFunc(fabric.Dial),
 		EntryURLs: []string{"http://site:80/index.html"},
 		Seed:      7,
-		MaxSteps:  25,
 		Stats:     stats,
 	})
-	// Long walk over a 3-page site: without a cache, connections would far
+	// The walk's first draw is its step budget: seed 7 takes 12 steps over
+	// a site with no dead end. Without the cache, connections would far
 	// exceed the distinct document count (3 pages + 2 images).
-	c.cache = make(map[string][]byte)
-	current := "http://site:80/index.html"
-	for i := 0; i < 25; i++ {
-		body, finalURL, ok := c.fetch(current, nil)
-		if !ok {
-			t.Fatal("fetch failed")
-		}
-		doc := parseDoc(body)
-		c.fetchImages(finalURL, doc, nil)
-		next, ok := c.pickLink(finalURL, doc)
-		if !ok {
-			break
-		}
-		current = next
+	if steps := 1 + rand.New(rand.NewSource(7)).Intn(maxSteps); steps != 12 {
+		t.Fatalf("seed 7 walks %d steps", steps)
 	}
+	c.RunSequence(nil)
 	if got := stats.Connections.Value(); got > 5 {
 		t.Fatalf("connections = %d; cache not effective (site has 5 distinct docs)", got)
+	}
+	if got := atomic.LoadInt64(served); got != stats.Connections.Value() {
+		t.Fatalf("server saw %d requests, client counted %d", got, stats.Connections.Value())
 	}
 }
 
@@ -135,7 +127,7 @@ func TestBackoffOn503(t *testing.T) {
 	})
 	done := make(chan struct{})
 	go func() {
-		body, _, ok := c.fetch("http://busy:80/index.html", nil)
+		body, _, ok := c.Fetch("http://busy:80/index.html")
 		if !ok || !strings.Contains(string(body), "finally") {
 			t.Errorf("fetch after backoff failed: %q, %v", body, ok)
 		}
@@ -233,7 +225,7 @@ func TestRedirectFollowing(t *testing.T) {
 		Seed:      1,
 		Stats:     stats,
 	})
-	body, finalURL, ok := c.fetch("http://redir:80/old.html", nil)
+	body, finalURL, ok := c.Fetch("http://redir:80/old.html")
 	if !ok || !strings.Contains(string(body), "new home") {
 		t.Fatalf("fetch = %q, %v", body, ok)
 	}
@@ -262,7 +254,7 @@ func TestRedirectLoopAborts(t *testing.T) {
 		Seed:      1,
 		Stats:     stats,
 	})
-	if _, _, ok := c.fetch("http://loop:80/x.html", nil); ok {
+	if _, _, ok := c.Fetch("http://loop:80/x.html"); ok {
 		t.Fatal("redirect loop did not abort")
 	}
 	if stats.Errors.Value() == 0 {
@@ -341,8 +333,7 @@ func TestThinkTimeExtension(t *testing.T) {
 		Dialer:    httpx.DialerFunc(fabric.Dial),
 		Clock:     manual,
 		EntryURLs: []string{"http://site:80/index.html"},
-		Seed:      99, // chosen walk has >= 2 steps
-		MaxSteps:  25,
+		Seed:      99, // a budget of 18 steps
 		ThinkTime: 5 * time.Second,
 		Stats:     stats,
 	})
@@ -364,9 +355,6 @@ func TestThinkTimeExtension(t *testing.T) {
 	}
 	<-done
 }
-
-// parseDoc parses a fetched body the way RunSequence does.
-func parseDoc(body []byte) *hypertext.Document { return hypertext.Parse(string(body)) }
 
 func TestStatsString(t *testing.T) {
 	s := &Stats{}
@@ -418,8 +406,8 @@ func TestImageFetchRedirectsAndDrops(t *testing.T) {
 		Clock:     manual,
 		EntryURLs: []string{"http://img:80/page.html"},
 		Seed:      1,
-		MaxSteps:  1,
-		Stats:     stats,
+		Stats:     stats, // the page has no anchors: one step
+
 	})
 	done := make(chan struct{})
 	go func() {
