@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dcws/internal/glt"
+	"dcws/internal/graph"
 	"dcws/internal/policy"
 )
 
@@ -15,26 +16,19 @@ import (
 // same factor.
 const imbalanceRatio = 1.2
 
-// DocStat is what the control plane reads of one home document.
+// DocStat is what the control plane reads of one home document: Algorithm
+// 1's inputs (its Load being this window's home serves) and the size the
+// replication trigger weighs them by. Controller.docStats computes them.
 type DocStat struct {
-	Name       string
-	WindowHits int64 // home serves in the current statistics window
-	Size       int64
-	EntryPoint bool
-	Location   string // primary co-op, "" while at home
-	// RemoteLinkFrom counts LinkFrom documents that are themselves
-	// migrated; LinkTo counts outgoing links (Algorithm 1 steps 4 and 5).
-	RemoteLinkFrom int
-	LinkTo         int
+	policy.Candidate
+	Size int64
 }
 
-// Plant is the host a Controller steers: three readings of its state and
-// the four effects a decision can have. dcws.Server implements it over the
-// LDG and inter-server RPCs, the simulator over its document model and
-// event queue; neither decides anything.
+// Plant is the host a Controller steers: two readings of its state and
+// the four effects a decision can have. dcws.Server implements it over
+// inter-server RPCs, the simulator over its event queue; neither decides
+// anything. The documents themselves are read from Controller.Graph.
 type Plant interface {
-	// Docs snapshots every home document.
-	Docs() []DocStat
 	// Replicas lists the co-ops hosting doc, primary first; empty at home.
 	Replicas(doc string) []string
 	// Usable reports whether the peer behind a load-table entry may be
@@ -57,13 +51,15 @@ type Plant interface {
 
 // Controller is the control plane of one home server: every decision to
 // migrate, replicate, shrink or revoke, written once for the live server
-// and the simulator. It is transport-free — it reads the load table and
-// the Plant, and acts only through the Plant's effects. Fill the exported
-// fields before first use; Params must already be resolved (WithDefaults).
+// and the simulator. It is transport-free — it reads the document graph,
+// the load table and the Plant, and acts only through the Plant's effects.
+// Fill the exported fields before first use; Params must already be
+// resolved (WithDefaults).
 type Controller struct {
 	Self   string
 	Params Params
 	Plant  Plant
+	Graph  *graph.LDG
 	Table  *glt.Table
 	Ledger *policy.Ledger
 	Gate   *policy.RateGate
@@ -164,22 +160,41 @@ func (c *Controller) migrate(now time.Time, load float64) {
 	if len(coops) == 0 {
 		return
 	}
-	docs := c.Plant.Docs()
+	docs := c.docStats()
 	cands := make([]policy.Candidate, len(docs))
 	for i, d := range docs {
-		cands[i] = policy.Candidate{
-			Name:           d.Name,
-			Load:           d.WindowHits,
-			EntryPoint:     d.EntryPoint,
-			Migrated:       d.Location != "",
-			RemoteLinkFrom: d.RemoteLinkFrom,
-			LinkTo:         d.LinkTo,
-		}
+		cands[i] = d.Candidate
 	}
 	doc, ok := policy.SelectForMigration(cands, c.Params.MigrationThreshold)
 	if ok && c.Gate.Allow(coops[0], now) {
 		c.Plant.Migrate(doc, coops[0])
 	}
+}
+
+// docStats reads Algorithm 1's inputs off a snapshot of the graph, one row
+// per document in name order.
+func (c *Controller) docStats() []DocStat {
+	docs := c.Graph.Snapshot()
+	remote := make(map[string]int)
+	for _, d := range docs {
+		if d.Location != "" {
+			for _, to := range d.LinkTo {
+				remote[to]++
+			}
+		}
+	}
+	out := make([]DocStat, len(docs))
+	for i, d := range docs {
+		out[i] = DocStat{Size: d.Size, Candidate: policy.Candidate{
+			Name:           d.Name,
+			Load:           d.WindowHits,
+			EntryPoint:     d.EntryPoint,
+			Migrated:       d.Location != "",
+			RemoteLinkFrom: remote[d.Name],
+			LinkTo:         len(d.LinkTo),
+		}}
+	}
+	return out
 }
 
 // sizeWeight scales a document's serve rate by its rendered size before
@@ -222,12 +237,12 @@ func (c *Controller) replicate() {
 		ewma float64
 	}
 	var hot []hotDoc
-	docs := c.Plant.Docs()
+	docs := c.docStats()
 	interval := c.Params.StatsInterval.Seconds()
 	c.hotMu.Lock()
 	rates := make(map[string]float64, len(c.hotRate))
 	for _, d := range docs {
-		r := float64(d.WindowHits+hints[d.Name]) / interval
+		r := float64(d.Load+hints[d.Name]) / interval
 		r *= sizeWeight(d.Size)
 		ewma := 0.5*c.hotRate[d.Name] + 0.5*r
 		if ewma < 0.01 {

@@ -7,17 +7,17 @@ import (
 	"time"
 
 	"dcws/internal/glt"
+	"dcws/internal/graph"
 	"dcws/internal/policy"
 )
 
 // fakePlant is a recording Plant: no server, no fabric, no event queue. It
 // applies each effect to its own placement state the way a real plant
-// does (ledger, replica sets), so multi-tick scenarios evolve, and logs
-// the effect as one line.
+// does (graph location, ledger, replica sets), so multi-tick scenarios
+// evolve, and logs the effect as one line.
 type fakePlant struct {
 	ctl      *Controller
 	now      time.Time
-	docs     []DocStat
 	replicas map[string][]string
 	unusable map[string]bool
 	// chainRoom, when set, is how many more chain pushes each peer can take
@@ -26,27 +26,41 @@ type fakePlant struct {
 	log       []string
 }
 
-func (p *fakePlant) Docs() []DocStat {
-	out := append([]DocStat(nil), p.docs...)
-	for i := range out {
-		if reps := p.replicas[out[i].Name]; len(reps) > 0 {
-			out[i].Location = reps[0]
+// testDoc is one document of a scenario: its window hits, size and
+// entry-point bit.
+type testDoc struct {
+	name       string
+	hits, size int64
+	entryPoint bool
+}
+
+// graphOf builds the small graph a scenario's documents describe.
+func graphOf(docs []testDoc) *graph.LDG {
+	g := graph.New()
+	for _, d := range docs {
+		g.AddDoc(d.name, d.size, nil)
+		g.SetEntryPoint(d.name, d.entryPoint)
+		for i := int64(0); i < d.hits; i++ {
+			g.RecordHit(d.name)
 		}
 	}
-	return out
+	return g
 }
+
 func (p *fakePlant) Replicas(doc string) []string { return p.replicas[doc] }
 func (p *fakePlant) Usable(e glt.Entry) bool      { return !p.unusable[e.Server] }
 
 func (p *fakePlant) Migrate(doc, coop string) {
 	p.log = append(p.log, fmt.Sprintf("migrate %s -> %s", doc, coop))
 	p.replicas[doc] = []string{coop}
+	p.ctl.Graph.MarkMigrated(doc, coop)
 	p.ctl.Ledger.Record(doc, coop, p.now)
 }
 
 func (p *fakePlant) ChainReplicate(doc string, chain []string) {
 	p.log = append(p.log, fmt.Sprintf("chain %s -> %v", doc, chain))
 	if len(p.replicas[doc]) == 0 {
+		p.ctl.Graph.MarkMigrated(doc, chain[0])
 		p.ctl.Ledger.Record(doc, chain[0], p.now)
 	}
 	p.replicas[doc] = append(append([]string(nil), p.replicas[doc]...), chain...)
@@ -66,6 +80,7 @@ func (p *fakePlant) Shrink(doc string, keep int) {
 func (p *fakePlant) Revoke(doc string) {
 	p.log = append(p.log, "revoke "+doc)
 	delete(p.replicas, doc)
+	p.ctl.Graph.MarkRevoked(doc)
 	p.ctl.Forget(doc)
 }
 
@@ -83,7 +98,7 @@ func peer(addr string, load float64, zone string) glt.Entry {
 	return glt.Entry{Server: addr, Load: load, Zone: zone}
 }
 
-func hits(doc string, n int64) DocStat { return DocStat{Name: doc, WindowHits: n, Size: 4096} }
+func hits(doc string, n int64) testDoc { return testDoc{name: doc, hits: n, size: 4096} }
 
 func report(doc string, n int64) func(*fakePlant) {
 	return func(p *fakePlant) { p.ctl.AbsorbHot(map[string]int64{doc: n}) }
@@ -114,7 +129,7 @@ func TestControllerDecisions(t *testing.T) {
 	cases := []struct {
 		name   string
 		params Params
-		docs   []DocStat
+		docs   []testDoc
 		peers  []glt.Entry
 		placed map[string][]string // replica sets at the start, recorded at t0
 		room   map[string]int
@@ -122,7 +137,7 @@ func TestControllerDecisions(t *testing.T) {
 	}{
 		{
 			name:  "trigger not met: nothing moves",
-			docs:  []DocStat{hits("/x.html", 50)},
+			docs:  []testDoc{hits("/x.html", 50)},
 			peers: []glt.Entry{peer("a:80", 10, "")},
 			steps: []controlStep{
 				{load: 12}, // 12 <= 10 x 1.2
@@ -132,7 +147,7 @@ func TestControllerDecisions(t *testing.T) {
 		},
 		{
 			name:  "unusable peer skipped",
-			docs:  []DocStat{hits("/x.html", 50)},
+			docs:  []testDoc{hits("/x.html", 50)},
 			peers: []glt.Entry{peer("a:80", 0, ""), peer("b:80", 5, "")},
 			steps: []controlStep{
 				{prep: setUsable("a:80", false), load: 100, want: []string{"migrate /x.html -> b:80"}},
@@ -140,7 +155,7 @@ func TestControllerDecisions(t *testing.T) {
 		},
 		{
 			name:  "rate gates: one per T_st out, one per T_coop in",
-			docs:  []DocStat{hits("/x.html", 50), hits("/y.html", 40), hits("/z.html", 30)},
+			docs:  []testDoc{hits("/x.html", 50), hits("/y.html", 40), hits("/z.html", 30)},
 			peers: []glt.Entry{peer("a:80", 0, ""), peer("b:80", 5, "")},
 			steps: []controlStep{
 				{load: 100, want: []string{"migrate /x.html -> a:80"}},
@@ -153,7 +168,7 @@ func TestControllerDecisions(t *testing.T) {
 		{
 			name:   "zone: local first, spill when it is unusable, return when it heals",
 			params: zoned,
-			docs:   []DocStat{hits("/1.html", 9), hits("/2.html", 8), hits("/3.html", 7)},
+			docs:   []testDoc{hits("/1.html", 9), hits("/2.html", 8), hits("/3.html", 7)},
 			peers:  []glt.Entry{peer("east1:80", 5, "east"), peer("west1:80", 0, "west")},
 			steps: []controlStep{
 				{load: 100, want: []string{"migrate /1.html -> east1:80"}},
@@ -166,14 +181,14 @@ func TestControllerDecisions(t *testing.T) {
 		{
 			name:   "entry points neither migrate nor replicate",
 			params: chain(1, 2),
-			docs:   []DocStat{{Name: "/index.html", WindowHits: 5000, Size: 1 << 20, EntryPoint: true}},
+			docs:   []testDoc{{name: "/index.html", hits: 5000, size: 1 << 20, entryPoint: true}},
 			peers:  []glt.Entry{peer("a:80", 0, ""), peer("b:80", 0, "")},
 			steps:  []controlStep{{load: 100}, {after: 10 * time.Second, load: 100}},
 		},
 		{
 			name:   "chain grows to HotReplicaCount and no further",
 			params: chain(1, 3),
-			docs:   []DocStat{hits("/hot.html", 100), hits("/moved.html", 100)},
+			docs:   []testDoc{hits("/hot.html", 100), hits("/moved.html", 100)},
 			peers:  []glt.Entry{peer("a:80", 0, ""), peer("b:80", 1, ""), peer("c:80", 2, ""), peer("d:80", 3, "")},
 			placed: map[string][]string{"/moved.html": {"d:80"}},
 			steps: []controlStep{
@@ -185,7 +200,7 @@ func TestControllerDecisions(t *testing.T) {
 		{
 			name:   "drift 2: the hottest document gets the chain when one target is left",
 			params: chain(1, 2),
-			docs:   []DocStat{hits("/a-warm.html", 30), hits("/z-hot.html", 90)},
+			docs:   []testDoc{hits("/a-warm.html", 30), hits("/z-hot.html", 90)},
 			peers:  []glt.Entry{peer("only:80", 0, "")},
 			room:   map[string]int{"only:80": 1},
 			steps: []controlStep{
@@ -195,7 +210,7 @@ func TestControllerDecisions(t *testing.T) {
 		{
 			name:   "drift 1: hints are gone after the tick that read them",
 			params: chain(100, 2),
-			docs:   []DocStat{hits("/page.html", 0)},
+			docs:   []testDoc{hits("/page.html", 0)},
 			peers:  []glt.Entry{peer("a:80", 0, ""), peer("b:80", 0, "")},
 			placed: map[string][]string{"/page.html": {"a:80"}},
 			steps: []controlStep{
@@ -210,7 +225,7 @@ func TestControllerDecisions(t *testing.T) {
 		{
 			name:   "drift 3: at T_home a hot chain is kept, a warm one shrinks, then loads decide",
 			params: chain(10, 3),
-			docs:   []DocStat{hits("/hot.html", 0)},
+			docs:   []testDoc{hits("/hot.html", 0)},
 			peers:  []glt.Entry{peer("a:80", 100, ""), peer("b:80", 100, ""), peer("c:80", 100, "")},
 			placed: map[string][]string{"/hot.html": {"a:80", "b:80", "c:80"}},
 			steps: []controlStep{
@@ -227,7 +242,7 @@ func TestControllerDecisions(t *testing.T) {
 			// Every expired placement is judged against one window's load,
 			// so one low window must not recall them all at once.
 			name:   "T_home: at most one recall per tick",
-			docs:   []DocStat{hits("/a.html", 0), hits("/b.html", 0)},
+			docs:   []testDoc{hits("/a.html", 0), hits("/b.html", 0)},
 			peers:  []glt.Entry{peer("a:80", 50, "")},
 			placed: map[string][]string{"/a.html": {"a:80"}, "/b.html": {"a:80"}},
 			steps: []controlStep{
@@ -239,7 +254,7 @@ func TestControllerDecisions(t *testing.T) {
 		{
 			name:   "T_home, cold chain: revoked only once the co-op is busier by the ratio",
 			params: chain(10, 3),
-			docs:   []DocStat{hits("/cold.html", 0)},
+			docs:   []testDoc{hits("/cold.html", 0)},
 			peers:  []glt.Entry{peer("a:80", 12, ""), peer("b:80", 50, ""), peer("c:80", 50, "")},
 			placed: map[string][]string{"/cold.html": {"a:80", "b:80", "c:80"}},
 			steps: []controlStep{
@@ -257,12 +272,13 @@ func TestControllerDecisions(t *testing.T) {
 				params = base
 			}
 			params = params.WithDefaults()
-			plant := &fakePlant{now: now, docs: c.docs, replicas: map[string][]string{},
+			plant := &fakePlant{now: now, replicas: map[string][]string{},
 				unusable: map[string]bool{}, chainRoom: c.room}
 			ctl := &Controller{
 				Self:   "home:80",
 				Params: params,
 				Plant:  plant,
+				Graph:  graphOf(c.docs),
 				Table:  glt.NewTable("home:80"),
 				Ledger: policy.NewLedger(),
 				Gate:   policy.NewRateGate(params.StatsInterval, params.CoopMigrateInterval),
@@ -273,6 +289,7 @@ func TestControllerDecisions(t *testing.T) {
 			}
 			for doc, reps := range c.placed {
 				plant.replicas[doc] = reps
+				ctl.Graph.MarkMigrated(doc, reps[0])
 				ctl.Ledger.Record(doc, reps[0], now)
 			}
 			for i, st := range c.steps {

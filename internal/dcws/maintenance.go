@@ -42,11 +42,10 @@ func (s *Server) runStatsTick() {
 }
 
 // plant is the live server as the control plane sees it (Plant): readings
-// come from the LDG, the replica table and the failure detector; effects
-// are the LDG/WAL updates and inter-server RPCs below and in replicate.go.
+// come from the replica table and the failure detector; effects are the
+// LDG/WAL updates and inter-server RPCs below and in replicate.go.
 type plant struct{ s *Server }
 
-func (p plant) Docs() []DocStat              { return p.s.docStats() }
 func (p plant) Replicas(doc string) []string { return p.s.Replicas(doc) }
 func (p plant) Usable(e glt.Entry) bool {
 	return !p.s.peerSuspect(e.Server) && !p.s.entryStale(e)
@@ -66,36 +65,6 @@ func (s *Server) entryStale(e glt.Entry) bool {
 		return false
 	}
 	return s.now().Sub(e.Updated) > max
-}
-
-// docStats converts the LDG snapshot into the control plane's view.
-func (s *Server) docStats() []DocStat {
-	docs := s.ldg.Snapshot()
-	migrated := make(map[string]bool, len(docs))
-	for _, d := range docs {
-		if d.Location != "" {
-			migrated[d.Name] = true
-		}
-	}
-	out := make([]DocStat, 0, len(docs))
-	for _, d := range docs {
-		remote := 0
-		for _, from := range d.LinkFrom {
-			if migrated[from] {
-				remote++
-			}
-		}
-		out = append(out, DocStat{
-			Name:           d.Name,
-			WindowHits:     d.WindowHits,
-			Size:           d.Size,
-			EntryPoint:     d.EntryPoint,
-			Location:       d.Location,
-			RemoteLinkFrom: remote,
-			LinkTo:         len(d.LinkTo),
-		})
-	}
-	return out
 }
 
 // migrate performs the logical migration of §4.2: the document moves to

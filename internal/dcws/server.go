@@ -432,6 +432,7 @@ func New(cfg Config) (*Server, error) {
 		Self:   self,
 		Params: params,
 		Plant:  plant{s},
+		Graph:  ldg,
 		Table:  table,
 		Ledger: ledger,
 		Gate:   policy.NewRateGate(params.StatsInterval, params.CoopMigrateInterval),

@@ -306,10 +306,16 @@ func quantileSeconds(d metrics.HistogramSnapshot, q float64) float64 {
 // and is serialized by the capturing flag.
 func (w *sloWatcher) capture() {
 	defer w.s.wg.Done()
+	// The flag is cleared before the capture is counted: a check that sees
+	// the new count must be free to start the next capture.
+	captured := false
 	defer func() {
 		w.mu.Lock()
 		w.capturing = false
 		w.mu.Unlock()
+		if captured {
+			w.profiles.Inc()
+		}
 	}()
 	dir := w.s.cfg.ProfileDir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -350,8 +356,8 @@ func (w *sloWatcher) capture() {
 		}
 		hf.Close()
 	}
-	w.profiles.Inc()
 	w.pruneProfiles(dir)
+	captured = true
 	w.s.log.Printf("dcws %s: slo burn alert: captured %s", w.s.Addr(), cpuPath)
 }
 

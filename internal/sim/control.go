@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -25,26 +26,12 @@ func (w *World) internalFetch(coop *simServer, t target, done func(reply)) {
 		home.absorbHotReport(coop)
 
 		d, ok := home.docs[t.Name]
-		authorized := false
-		if ok && d.location != "" {
-			if d.location == coop.addr {
-				authorized = true
-			}
-			for _, r := range home.replicas[t.Name] {
-				if r == coop.addr {
-					authorized = true
-				}
-			}
-		}
-		if !authorized {
+		if !ok || !slices.Contains(home.Replicas(t.Name), coop.addr) {
 			home.finish(reply{status: 301, bytes: home.cost.RedirectBytes}, 0, done)
 			return
 		}
-		if d.snapshot == nil || d.dirty {
-			home.rebuildSnapshot(d)
-		}
 		home.fetches++
-		home.finish(reply{status: 200, bytes: d.spec.Size, doc: d.snapshot}, home.cost.ParseCost, done)
+		home.finish(reply{status: 200, bytes: d.spec.Size, doc: home.rendered(t.Name, d)}, home.cost.ParseCost, done)
 	})
 }
 
@@ -103,38 +90,30 @@ func (s *simServer) statsTick() {
 
 	s.windowConns = 0
 	s.windowBytes = 0
-	for _, d := range s.docs {
-		d.windowHits = 0
-	}
+	s.ldg.RollWindow()
 	for _, h := range s.hosted {
 		h.windowHits = 0
 	}
 }
 
-// relocate points a document at its new primary location ("" is home) and
-// dirties every page that links to it.
-func (s *simServer) relocate(d *simDoc, location string) {
-	d.location = location
-	d.version++
-	for _, from := range d.linkFrom {
-		if fd, ok := s.docs[from]; ok {
-			fd.dirty = true
-		}
-	}
+// relocate points a document at its new primary location ("" is home),
+// dirtying every page that links to it, and pushes those pages' new
+// renderings.
+func (s *simServer) relocate(name, location string) {
+	dirtied, _ := s.ldg.MarkMigrated(name, location)
+	s.pushDirtied(dirtied)
 }
 
 // Migrate performs the logical migration: location update, dirty
 // propagation over LinkFrom, ledger entry.
 func (s *simServer) Migrate(name, coop string) {
-	d, ok := s.docs[name]
-	if !ok {
+	if s.docs[name] == nil {
 		return
 	}
-	s.relocate(d, coop)
 	s.ledger.Record(name, coop, s.w.now)
 	s.replicas[name] = []string{coop}
 	s.migrations++
-	s.pushDirtied(d.linkFrom)
+	s.relocate(name, coop)
 }
 
 // pushDirtied models the live server's invalidation push on link
@@ -146,25 +125,18 @@ func (s *simServer) pushDirtied(names []string) {
 		return
 	}
 	for _, name := range names {
-		d, ok := s.docs[name]
-		if !ok {
+		d, hosts := s.docs[name], s.Replicas(name)
+		if d == nil || len(hosts) == 0 {
 			continue
 		}
-		hosts := s.Replicas(name)
-		if len(hosts) == 0 {
-			continue
-		}
-		if d.snapshot == nil || d.dirty {
-			s.rebuildSnapshot(d)
-		}
+		cur := s.rendered(name, d)
 		for _, hAddr := range hosts {
 			host := s.w.servers[hAddr]
 			if host == nil {
 				continue
 			}
-			if h, ok := host.hosted[s.addr+"|"+name]; ok && h.present && h.version != d.version {
-				h.doc = d.snapshot
-				h.version = d.snapshot.version
+			if h, ok := host.hosted[s.addr+"|"+name]; ok && h.present && !h.doc.current(cur) {
+				h.doc = cur
 				s.invalPushes++
 			}
 		}
@@ -186,32 +158,29 @@ func (s *simServer) dropCopies(name string, hosts []string) {
 
 // Revoke returns a document home and tells its hosts to drop their copies.
 func (s *simServer) Revoke(name string) {
-	d, ok := s.docs[name]
-	if !ok {
+	if s.docs[name] == nil {
 		return
 	}
 	hosts := s.Replicas(name)
-	s.relocate(d, "")
 	s.ctl.Forget(name)
 	delete(s.replicas, name)
 	delete(s.rr, name)
 	s.dropCopies(name, hosts)
 	s.revocations++
-	s.pushDirtied(d.linkFrom)
+	s.relocate(name, "")
 }
 
 // Shrink drops the tail of a document's replica chain: the dropped hosts
 // discard their copies and pages linking to the document re-rotate over
 // the replicas kept.
 func (s *simServer) Shrink(name string, keep int) {
-	d, reps := s.docs[name], s.replicas[name]
-	if d == nil || len(reps) <= keep {
+	reps := s.replicas[name]
+	if len(reps) <= keep {
 		return
 	}
 	s.replicas[name] = reps[:keep:keep]
 	s.dropCopies(name, reps[keep:])
-	s.relocate(d, reps[0])
-	s.pushDirtied(d.linkFrom)
+	s.relocate(name, reps[0])
 }
 
 // ChainReplicate installs a document on every link of the chain in ONE
@@ -224,17 +193,10 @@ func (s *simServer) ChainReplicate(name string, chain []string) {
 	if !ok {
 		return
 	}
-	if d.snapshot == nil || d.dirty {
-		s.rebuildSnapshot(d)
-	}
-	pushed := d.snapshot
+	pushed := s.rendered(name, d)
 	for i, addr := range chain {
 		host := s.w.servers[addr]
-		host.hosted[s.addr+"|"+name] = &hostedDoc{
-			present: true,
-			doc:     pushed,
-			version: pushed.version,
-		}
+		host.hosted[s.addr+"|"+name] = &hostedDoc{present: true, doc: pushed}
 		if i < len(chain)-1 {
 			host.finish(reply{status: 200, bytes: d.spec.Size}, 0, func(reply) {})
 		}
@@ -242,14 +204,14 @@ func (s *simServer) ChainReplicate(name string, chain []string) {
 	s.chainPushes++
 	s.chainPushBytes += d.spec.Size
 	s.finish(reply{status: 200, bytes: d.spec.Size}, s.cost.ParseCost, func(reply) {})
-	newReps := append(append([]string(nil), s.Replicas(name)...), chain...)
-	if d.location == "" {
+	existing := s.Replicas(name)
+	newReps := append(append([]string(nil), existing...), chain...)
+	if len(existing) == 0 {
 		s.ledger.Record(name, newReps[0], s.w.now)
 		s.migrations++
 	}
-	s.relocate(d, newReps[0])
 	s.replicas[name] = newReps
-	s.pushDirtied(d.linkFrom)
+	s.relocate(name, newReps[0])
 }
 
 // pingerTick refreshes stale load-table entries by probing peers — a tiny
@@ -304,32 +266,22 @@ func (s *simServer) validatorTick() {
 		}
 		exchangeTables(home, s)
 		home.absorbHotReport(s)
-		stillOurs := d.location == s.addr
-		for _, r := range home.replicas[name] {
-			if r == s.addr {
-				stillOurs = true
-			}
-		}
-		if !stillOurs {
+		if !slices.Contains(home.Replicas(name), s.addr) {
 			s.dropHosted(homeAddr, name)
 			continue
 		}
 		// The live validator re-renders a dirty document before answering
-		// (its hyperlinks re-rotate over current replica sets), so the
-		// version comparison must see the post-render version.
-		if d.snapshot == nil || d.dirty {
-			home.rebuildSnapshot(d)
-		}
-		if d.version == h.version {
+		// (its hyperlinks re-rotate over current replica sets) and compares
+		// content, so an unchanged rendering is a 304.
+		cur := home.rendered(name, d)
+		if h.doc.current(cur) {
 			// 304: conditional check only.
 			home.finish(reply{status: 200, bytes: 256}, 0, func(reply) {})
 			continue
 		}
 		hh := h
-		doc := d.snapshot
-		home.finish(reply{status: 200, bytes: d.spec.Size, doc: doc}, 0, func(rep reply) {
+		home.finish(reply{status: 200, bytes: d.spec.Size, doc: cur}, 0, func(rep reply) {
 			hh.doc = rep.doc
-			hh.version = rep.doc.version
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -87,59 +88,8 @@ func TestSimMatchesLiveMigrationDecision(t *testing.T) {
 		HotReplicaCount:       3,
 	}
 	coops := []string{"coop1:81", "coop2:82", "coop3:83"}
-	start := time.Unix(0, 0)
-
-	// --- Simulator side ---
-	w := &World{
-		cfg:     Config{},
-		params:  params.WithDefaults(),
-		cost:    DefaultCostModel(),
-		now:     start,
-		servers: make(map[string]*simServer),
-	}
-	w.stopAt = w.now.Add(time.Hour)
-	simHome := newSimServer(w, "home:80", w.params, w.cost)
-	simHome.loadSite(site)
-	w.servers["home:80"] = simHome
-	w.order = []string{"home:80"}
-	for _, addr := range coops {
-		w.servers[addr] = newSimServer(w, addr, w.params, w.cost)
-		w.order = append(w.order, addr)
-	}
-	w.seedPeers()
-
-	// --- Live server side ---
-	fabric := memnet.NewFabric()
-	mc := clock.NewManual(start)
-	st := store.NewMem()
-	if err := site.Materialize(st, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	boot := func(host string, port int, st store.Store, entries, peers []string) *dcws.Server {
-		t.Helper()
-		srv, err := dcws.New(dcws.Config{
-			Origin:      naming.Origin{Host: host, Port: port},
-			Store:       st,
-			Network:     fabric,
-			Clock:       mc,
-			EntryPoints: entries,
-			Peers:       peers,
-			Params:      params,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		return srv
-	}
-	live := boot("home", 80, st, site.EntryPoints, coops)
-	for i := range coops {
-		boot(fmt.Sprintf("coop%d", i+1), 81+i, store.NewMem(), nil, []string{"home:80"})
-	}
-	client := httpx.NewClient(httpx.DialerFunc(fabric.Dial))
+	d := newDrivers(t, site, params, coops)
+	w, simHome, live, mc := d.w, d.sim, d.live, d.clock
 
 	var names []string
 	for _, d := range site.Docs {
@@ -189,11 +139,7 @@ func TestSimMatchesLiveMigrationDecision(t *testing.T) {
 			}
 		}
 		for _, name := range step.trace {
-			simHome.serveHome(name)
-			simHome.windowConns++
-			if _, err := client.Get("home:80", name, nil); err != nil {
-				t.Fatal(err)
-			}
+			d.serve(t, name)
 		}
 		simBefore, liveBefore := placement(simHome), placement(live)
 		simHome.statsTick()
@@ -212,6 +158,133 @@ func TestSimMatchesLiveMigrationDecision(t *testing.T) {
 	}
 	if len(kinds) != 4 {
 		t.Fatalf("action stream covered %v, want migrate, chain, shrink and revoke", kinds)
+	}
+}
+
+// drivers is one home server under both drivers of the control core: a
+// simulated home with idle simulated co-ops, and a production server with
+// idle production co-ops on an in-memory fabric, both on the same site,
+// Params and manual clock start.
+type drivers struct {
+	w      *World
+	sim    *simServer
+	live   *dcws.Server
+	clock  *clock.Manual
+	client *httpx.Client
+}
+
+func newDrivers(t *testing.T, site *dataset.Site, params dcws.Params, coops []string) *drivers {
+	t.Helper()
+	start := time.Unix(0, 0)
+
+	// --- Simulator side ---
+	w := &World{
+		cfg:     Config{},
+		params:  params.WithDefaults(),
+		cost:    DefaultCostModel(),
+		now:     start,
+		servers: make(map[string]*simServer),
+	}
+	w.stopAt = w.now.Add(time.Hour)
+	simHome := newSimServer(w, "home:80", w.params, w.cost)
+	simHome.loadSite(site)
+	w.servers["home:80"] = simHome
+	w.order = []string{"home:80"}
+	for _, addr := range coops {
+		w.servers[addr] = newSimServer(w, addr, w.params, w.cost)
+		w.order = append(w.order, addr)
+	}
+	w.seedPeers()
+
+	// --- Live server side ---
+	fabric := memnet.NewFabric()
+	mc := clock.NewManual(start)
+	st := store.NewMem()
+	if err := site.Materialize(st, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	boot := func(host string, port int, st store.Store, entries, peers []string) *dcws.Server {
+		t.Helper()
+		srv, err := dcws.New(dcws.Config{
+			Origin:      naming.Origin{Host: host, Port: port},
+			Store:       st,
+			Network:     fabric,
+			Clock:       mc,
+			EntryPoints: entries,
+			Peers:       peers,
+			Params:      params,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv
+	}
+	live := boot("home", 80, st, site.EntryPoints, coops)
+	for _, addr := range coops {
+		host, port, _ := strings.Cut(addr, ":")
+		n, err := strconv.Atoi(port)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boot(host, n, store.NewMem(), nil, []string{"home:80"})
+	}
+	return &drivers{w: w, sim: simHome, live: live, clock: mc, client: httpx.NewClient(httpx.DialerFunc(fabric.Dial))}
+}
+
+// serve has both homes serve one request for name.
+func (d *drivers) serve(t *testing.T, name string) {
+	t.Helper()
+	d.sim.serveHome(name)
+	d.sim.windowConns++
+	if _, err := d.client.Get("home:80", name, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSimMatchesLiveStep5Input pins Algorithm 1 step 5's input in both
+// drivers: LinkTo counts the distinct documents a page links to, as the
+// graph keeps them. Two candidates tie on load and on remote LinkFrom; the
+// page that links one target three times links fewer documents than the
+// page with two distinct targets, though its raw link list is longer, so
+// both drivers must move it.
+func TestSimMatchesLiveStep5Input(t *testing.T) {
+	leaf := func(name string) dataset.Doc { return dataset.Doc{Name: name, Size: 1024} }
+	site := &dataset.Site{Name: "Step5", EntryPoints: []string{"/index.html"}, Docs: []dataset.Doc{
+		{Name: "/index.html", Size: 1024, Links: []dataset.Link{{URL: "/a.html"}, {URL: "/b.html"}}},
+		{Name: "/a.html", Size: 1024, Links: []dataset.Link{{URL: "/t1.html"}, {URL: "/t1.html"}, {URL: "/t1.html"}}},
+		{Name: "/b.html", Size: 1024, Links: []dataset.Link{{URL: "/t1.html"}, {URL: "/t2.html"}}},
+		leaf("/t1.html"), leaf("/t2.html"),
+	}}
+	params := dcws.Params{
+		CapacitySmoothing:     -1,
+		MigrationThreshold:    1,
+		StatsInterval:         10 * time.Minute,
+		PingerInterval:        time.Hour,
+		ValidateInterval:      time.Hour,
+		AntiEntropyInterval:   -1,
+		SLOCheckInterval:      -1,
+		PlacementMaxStaleness: -1,
+		HotReplicateRate:      -1,
+	}
+	d := newDrivers(t, site, params, []string{"coop1:81"})
+	for i := 0; i < 10; i++ {
+		d.serve(t, "/a.html")
+		d.serve(t, "/b.html")
+	}
+	d.sim.statsTick()
+	d.live.TickStats()
+	for _, name := range []string{"/a.html", "/b.html"} {
+		simReps, liveReps := d.sim.Replicas(name), d.live.Replicas(name)
+		if !reflect.DeepEqual(simReps, liveReps) {
+			t.Fatalf("%s: simulator placed it on %v, live server on %v", name, simReps, liveReps)
+		}
+	}
+	if got := d.live.Replicas("/a.html"); !reflect.DeepEqual(got, []string{"coop1:81"}) {
+		t.Fatalf("/a.html placed on %v, want [coop1:81] (one distinct link beats two)", got)
 	}
 }
 

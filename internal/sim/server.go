@@ -1,12 +1,13 @@
 package sim
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"dcws/internal/dataset"
 	"dcws/internal/dcws"
 	"dcws/internal/glt"
+	"dcws/internal/graph"
 	"dcws/internal/policy"
 	"dcws/internal/webclient"
 )
@@ -21,14 +22,20 @@ type target = webclient.Ref
 func hostKey(t target) string { return t.Home + "|" + t.Name }
 
 // servedDoc is the simulated payload of a 200 response for an HTML page:
-// its size and its hyperlinks as of the serving copy's rewrite version,
-// each already resolved to the host assigned at regeneration time —
-// exactly what a client browser would see in the rewritten HTML.
+// its size and its hyperlinks as last rendered, each already resolved to
+// the host assigned at regeneration time — exactly what a client browser
+// would see in the rewritten HTML.
 type servedDoc struct {
-	size    int64
-	links   []target // navigable links, in document order
-	images  []target // embedded images, in document order
-	version int
+	size   int64
+	links  []target // navigable links, in document order
+	images []target // embedded images, in document order
+}
+
+// current reports whether a copy rendered as d still matches the home's
+// rendering now: the live validator compares content hashes, and a
+// simulated page's content is its rewritten links.
+func (d *servedDoc) current(cur *servedDoc) bool {
+	return d == cur || slices.Equal(d.links, cur.links) && slices.Equal(d.images, cur.images)
 }
 
 // reply is a simulated HTTP response.
@@ -39,17 +46,12 @@ type reply struct {
 	loc    target     // redirect target for 301
 }
 
-// simDoc is the home-side state of one document (the LDG tuple, §3.3).
+// simDoc is what a home keeps of one document beside its graph tuple
+// (§3.3, in graph.LDG): the specification it renders from and its last
+// rendering.
 type simDoc struct {
-	spec       *dataset.Doc
-	location   string // co-op address, "" while at home
-	dirty      bool
-	entry      bool
-	hits       int64
-	windowHits int64
-	linkFrom   []string
-	snapshot   *servedDoc // current regenerated form
-	version    int        // bumped on every regeneration/content change
+	spec     *dataset.Doc
+	snapshot *servedDoc
 }
 
 // hostedDoc is the co-op-side state of one document hosted for a peer.
@@ -57,7 +59,6 @@ type hostedDoc struct {
 	present    bool
 	fetching   bool
 	doc        *servedDoc
-	version    int
 	windowHits int64
 	waiters    []func(reply)
 }
@@ -78,10 +79,11 @@ type simServer struct {
 	// rank placement targets by headroom; 0 when normalization is off.
 	capacity float64
 
-	// Home-side state. ctl is the production control plane (dcws.Controller)
-	// with this server as its Plant; table and ledger are shared with it.
+	// Home-side state. ldg is the production document graph; ctl is the
+	// production control plane (dcws.Controller) with this server as its
+	// Plant, and ldg, table and ledger are shared with it.
 	docs     map[string]*simDoc
-	docNames []string
+	ldg      *graph.LDG
 	table    *glt.Table
 	ledger   *policy.Ledger
 	ctl      *dcws.Controller
@@ -121,6 +123,7 @@ func newSimServer(w *World, addr string, params dcws.Params, cost CostModel) *si
 		workers:  make([]time.Time, params.Workers),
 		queueLen: params.QueueLength,
 		docs:     make(map[string]*simDoc),
+		ldg:      graph.New(),
 		table:    glt.NewTable(addr),
 		ledger:   policy.NewLedger(),
 		replicas: make(map[string][]string),
@@ -131,6 +134,7 @@ func newSimServer(w *World, addr string, params dcws.Params, cost CostModel) *si
 		Self:   addr,
 		Params: params,
 		Plant:  s,
+		Graph:  s.ldg,
 		Table:  s.table,
 		Ledger: s.ledger,
 		Gate:   policy.NewRateGate(params.StatsInterval, params.CoopMigrateInterval),
@@ -151,66 +155,20 @@ func (s *simServer) loadSite(site *dataset.Site) {
 	for i := range site.Docs {
 		d := &site.Docs[i]
 		s.docs[d.Name] = &simDoc{spec: d}
-		s.docNames = append(s.docNames, d.Name)
+		links := make([]string, len(d.Links))
+		for j, l := range d.Links {
+			links[j] = l.URL
+		}
+		s.ldg.AddDoc(d.Name, d.Size, links)
 	}
-	sort.Strings(s.docNames)
 	for _, ep := range site.EntryPoints {
-		if d, ok := s.docs[ep]; ok {
-			d.entry = true
-		}
+		s.ldg.SetEntryPoint(ep, true)
 	}
-	// LinkFrom inversion, mirroring graph.Build.
-	for i := range site.Docs {
-		from := &site.Docs[i]
-		seen := map[string]bool{}
-		for _, l := range from.Links {
-			if l.URL == from.Name || seen[l.URL] {
-				continue
-			}
-			seen[l.URL] = true
-			if to, ok := s.docs[l.URL]; ok {
-				to.linkFrom = append(to.linkFrom, from.Name)
-			}
-		}
-	}
-}
-
-// Docs is the control plane's view of this server's documents
-// (dcws.Plant), in name order.
-func (s *simServer) Docs() []dcws.DocStat {
-	out := make([]dcws.DocStat, 0, len(s.docNames))
-	for _, name := range s.docNames {
-		d := s.docs[name]
-		remote := 0
-		for _, from := range d.linkFrom {
-			if fd, ok := s.docs[from]; ok && fd.location != "" {
-				remote++
-			}
-		}
-		out = append(out, dcws.DocStat{
-			Name:           name,
-			WindowHits:     d.windowHits,
-			Size:           d.spec.Size,
-			EntryPoint:     d.entry,
-			Location:       d.location,
-			RemoteLinkFrom: remote,
-			LinkTo:         len(d.spec.Links),
-		})
-	}
-	return out
 }
 
 // Replicas lists the co-ops hosting a document, primary first; callers
 // must not modify the result.
-func (s *simServer) Replicas(name string) []string {
-	if reps := s.replicas[name]; len(reps) > 0 {
-		return reps
-	}
-	if d, ok := s.docs[name]; ok && d.location != "" {
-		return []string{d.location}
-	}
-	return nil
-}
+func (s *simServer) Replicas(name string) []string { return s.replicas[name] }
 
 // Usable: simulated peers never fail, so any server that exists will do.
 func (s *simServer) Usable(e glt.Entry) bool { return s.w.servers[e.Server] != nil }
@@ -290,7 +248,8 @@ func (s *simServer) serveHome(name string) (reply, time.Duration) {
 	if !ok {
 		return reply{status: 404, bytes: s.cost.RedirectBytes}, 0
 	}
-	if d.location != "" {
+	location, dirty, _, _ := s.ldg.ServeInfo(name)
+	if location != "" {
 		return reply{
 			status: 301,
 			bytes:  s.cost.RedirectBytes,
@@ -299,30 +258,30 @@ func (s *simServer) serveHome(name string) (reply, time.Duration) {
 	}
 	var extra time.Duration
 	if d.snapshot == nil {
-		s.rebuildSnapshot(d)
+		s.render(name, d)
 		if d.spec.IsHTML() {
 			extra += s.cost.ParseCost
 		}
-	} else if d.dirty {
-		s.rebuildSnapshot(d)
+	} else if dirty {
+		s.render(name, d)
 		if d.spec.IsHTML() {
 			s.rebuilds++
 			extra += s.cost.RegenCost
 		}
 	}
-	d.hits++
-	d.windowHits++
+	s.ldg.RecordHit(name)
 	return reply{status: 200, bytes: d.spec.Size, doc: d.snapshot}, extra
 }
 
-// rebuildSnapshot recomputes a document's served hyperlinks from the
-// current migration state — the simulated equivalent of parsing the HTML,
-// rewriting moved links, and re-rendering (§4.3).
-func (s *simServer) rebuildSnapshot(d *simDoc) {
+// render recomputes a document's served hyperlinks from the graph's
+// current locations — the simulated equivalent of parsing the HTML,
+// rewriting moved links, and re-rendering (§4.3) — and clears its Dirty
+// bit.
+func (s *simServer) render(name string, d *simDoc) {
 	var links, images []target
 	for _, l := range d.spec.Links {
 		addr := s.addr
-		if td, ok := s.docs[l.URL]; ok && td.location != "" {
+		if loc, _ := s.ldg.Location(l.URL); loc != "" {
 			addr = s.pickReplica(l.URL)
 		}
 		t := target{Addr: addr, Home: s.addr, Name: l.URL}
@@ -332,26 +291,23 @@ func (s *simServer) rebuildSnapshot(d *simDoc) {
 			links = append(links, t)
 		}
 	}
-	d.version++
-	d.dirty = false
-	d.snapshot = &servedDoc{
-		size:    d.spec.Size,
-		links:   links,
-		images:  images,
-		version: d.version,
+	s.ldg.ClearDirty(name)
+	d.snapshot = &servedDoc{size: d.spec.Size, links: links, images: images}
+}
+
+// rendered returns a document's current rendering, re-rendering it first
+// when it has none or is dirty.
+func (s *simServer) rendered(name string, d *simDoc) *servedDoc {
+	if d.snapshot == nil || s.ldg.IsDirty(name) {
+		s.render(name, d)
 	}
+	return d.snapshot
 }
 
 // pickReplica rotates across a migrated document's replica set (identical
 // to dcws.Server.pickReplica).
 func (s *simServer) pickReplica(name string) string {
 	reps := s.replicas[name]
-	if len(reps) == 0 {
-		if d, ok := s.docs[name]; ok {
-			return d.location
-		}
-		return s.addr
-	}
 	if len(reps) == 1 {
 		return reps[0]
 	}
@@ -386,7 +342,6 @@ func (s *simServer) admitCoop(t target, done func(reply)) {
 		if rep.status == 200 {
 			h.present = true
 			h.doc = rep.doc
-			h.version = rep.doc.version
 			s.fetches++
 			for _, dn := range waiters {
 				h.windowHits++

@@ -64,8 +64,8 @@ func TestServeHomeStates(t *testing.T) {
 	if extra != s.cost.ParseCost {
 		t.Fatalf("first-serve extra = %v, want parse cost", extra)
 	}
-	if d := s.docs["/index.html"]; d.hits != 1 || d.windowHits != 1 {
-		t.Fatalf("hits = %d/%d", d.hits, d.windowHits)
+	if d, _ := s.ldg.Get("/index.html"); d.Hits != 1 || d.WindowHits != 1 {
+		t.Fatalf("hits = %d/%d", d.Hits, d.WindowHits)
 	}
 	// Second serve is free of parse cost.
 	if _, extra = s.serveHome("/index.html"); extra != 0 {
@@ -82,8 +82,8 @@ func TestServeHomeStates(t *testing.T) {
 	}
 	// Migration dirtied every page embedding the image.
 	dirty := 0
-	for _, d := range s.docs {
-		if d.dirty {
+	for _, d := range s.ldg.Snapshot() {
+		if d.Dirty {
 			dirty++
 		}
 	}
@@ -135,5 +135,49 @@ func TestWalkCensusCoversEntryAndHotDocs(t *testing.T) {
 	// An individual message is visited far less often.
 	if hits["/msg/t000/m05.html"] > btn/5 {
 		t.Fatalf("message as hot as a button: %v vs %v", hits["/msg/t000/m05.html"], btn)
+	}
+}
+
+// TestPolledValidationFollowsRenderedLinks checks the co-op validator
+// against the live rule: a hosted copy is current while the home's
+// rendering of it has the same links. A page served at home, migrated at
+// runtime and fetched by its co-op validates as unchanged (a 304, not a
+// full transfer charged to the home); a neighbour's migration that
+// rewrites its links makes the next validation a full transfer, and the
+// one after that a 304 again.
+func TestPolledValidationFollowsRenderedLinks(t *testing.T) {
+	w, home := testServer(t)
+	coop := newSimServer(w, "s2:80", w.params, w.cost)
+	w.servers["s2:80"] = coop
+	w.order = append(w.order, "s2:80")
+	home.loadSite(dataset.HotImage())
+	const page = "/pages/p00.html"
+	full := home.docs[page].spec.Size
+
+	home.serveHome(page) // cold start: rendered at home first
+	home.Migrate(page, "s2:80")
+	coop.admitCoop(target{Addr: "s2:80", Home: "s1:80", Name: page}, func(reply) {})
+	w.drain(w.now.Add(time.Minute))
+	if len(coop.hosted) != 1 {
+		t.Fatalf("co-op hosts %d copies, want the migrated page", len(coop.hosted))
+	}
+	validate := func() int64 {
+		before := home.bytesOut
+		coop.validatorTick()
+		w.drain(w.now.Add(time.Minute))
+		return home.bytesOut - before
+	}
+	if got := validate(); got >= full {
+		t.Fatalf("unchanged copy: home sent %d bytes, want a 304 (page is %d)", got, full)
+	}
+	home.Migrate("/big.jpg", "s2:80") // the page embeds it: its links change
+	if got := validate(); got != full {
+		t.Fatalf("rewritten page: home sent %d bytes, want the full %d", got, full)
+	}
+	if got := validate(); got >= full {
+		t.Fatalf("refreshed copy: home sent %d bytes, want a 304", got)
+	}
+	if coop.validations != 3 {
+		t.Fatalf("validations = %d, want 3", coop.validations)
 	}
 }

@@ -517,7 +517,7 @@ func TestSimRevokeDropsHostedCopy(t *testing.T) {
 	if len(coop.hosted) != 0 {
 		t.Fatal("revocation did not drop the hosted copy")
 	}
-	if d := home.docs["/big.jpg"]; d.location != "" {
-		t.Fatalf("location after revoke = %q", d.location)
+	if loc, _ := home.ldg.Location("/big.jpg"); loc != "" {
+		t.Fatalf("location after revoke = %q", loc)
 	}
 }

@@ -359,13 +359,15 @@ func (w *World) warmPlace(hs *simServer) {
 	for _, addr := range w.order {
 		load[addr] = 0
 	}
-	for _, d := range hs.docs {
-		if d.entry {
-			load[hs.addr] += weight(d.spec.Name)
+	var names []string
+	for _, d := range hs.ldg.Snapshot() {
+		if d.EntryPoint {
+			load[hs.addr] += weight(d.Name)
+		} else {
+			names = append(names, d.Name)
 		}
 	}
 	// Hottest-first, name-tie-broken for determinism.
-	names := append([]string(nil), hs.docNames...)
 	sort.SliceStable(names, func(i, j int) bool {
 		wi, wj := weight(names[i]), weight(names[j])
 		if wi != wj {
@@ -374,10 +376,6 @@ func (w *World) warmPlace(hs *simServer) {
 		return names[i] < names[j]
 	})
 	for _, name := range names {
-		d := hs.docs[name]
-		if d.entry {
-			continue
-		}
 		best := ""
 		for _, addr := range w.order {
 			if best == "" {
