@@ -219,3 +219,96 @@ func TestCluster16NodeMigrationsLandByHeadroom(t *testing.T) {
 			onSlow, len(placed), onFast)
 	}
 }
+
+// TestClusterPingerProbesRelayedPeer pins the pinger's probe rule: a peer
+// not heard from directly within T_pi is probed even while gossip keeps its
+// load entry fresh. east1 publishes a new stamp that reaches only west1,
+// then is cut off from everyone; west1 relays the entry to the home, whose
+// table then reads it as just updated. The home must still probe east1 and
+// mark it suspect — were relayed freshness enough, it would go on placing
+// documents on a server nobody can reach.
+//
+// Every step is an explicit tick on a manual clock. The servers' own loops
+// wake only on the two Advance calls, and the test waits after each until
+// all of them are asleep again.
+func TestClusterPingerProbesRelayedPeer(t *testing.T) {
+	mc := clock.NewManual(time.Unix(0, 0))
+	params := func(zone string) dcws.Params {
+		return dcws.Params{
+			Zone:                zone,
+			RetryBaseDelay:      -1, // no real backoff sleep on a manual clock
+			StatsInterval:       time.Hour,
+			ValidateInterval:    time.Hour,
+			PingerInterval:      4 * time.Second,
+			MaxPingFailures:     100, // suspect, never down
+			AntiEntropyInterval: -1,
+			SLOCheckInterval:    -1,
+		}
+	}
+	c, err := New(Config{
+		Clock: mc,
+		Servers: []ServerSpec{
+			{Host: "home", Port: 80, Site: zoneSite(), Params: params("east")},
+			{Host: "east1", Port: 81, Params: params("east")},
+			{Host: "west1", Port: 82, Params: params("west")},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	home, east1, west1 := c.Servers[0], c.Servers[1], c.Servers[2]
+	loops := 3 * len(c.Servers) // statistics, pinger, validator on each
+	advance := func(d time.Duration) {
+		t.Helper()
+		mc.Advance(d)
+		for deadline := time.Now().Add(10 * time.Second); mc.Waiters() < loops; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d maintenance loops back on the clock", mc.Waiters(), loops)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	stampAt := func(holder *dcws.Server) int64 {
+		e, _ := holder.LoadTable().Get("east1:81")
+		return e.Stamp
+	}
+	advance(0)
+
+	// t=0: every server publishes and probes every other.
+	c.TickStats()
+	c.TickPingers()
+	// t=5: the pinger loops wake and probe everyone again (nobody has been
+	// heard from for more than T_pi); the home last hears east1 directly
+	// now. east1 then publishes a new stamp, and only west1 hears it, in
+	// a digest round with east1 (the peer west1's anti-entropy picks).
+	advance(5 * time.Second)
+	east1.TickStats()
+	west1.TickAntiEntropy()
+	own := stampAt(east1)
+	if got := stampAt(west1); got != own {
+		t.Fatalf("west1 holds east1 at stamp %d, want its new stamp %d", got, own)
+	}
+	if got := stampAt(home); got >= own {
+		t.Fatalf("home already holds east1 at stamp %d (new stamp %d)", got, own)
+	}
+
+	// east1 is cut off from everyone. At t=8 west1 relays its entry to the
+	// home, which reads it as updated now.
+	c.Fabric().Partition(memnet.Wildcard, "east1:81")
+	c.Fabric().ResetLink(memnet.Wildcard, "east1:81")
+	mc.Advance(3 * time.Second) // no loop is due before t=9
+	home.TickAntiEntropy()
+	if got := stampAt(home); got != own {
+		t.Fatalf("home holds east1 at stamp %d after west1's relay, want %d", got, own)
+	}
+
+	// t=9.5: the home has not heard east1 itself for 4.5 s, longer than
+	// T_pi, though the relayed entry is 1.5 s old. Its pinger — the loop's
+	// or this explicit tick — probes east1, fails, and suspects it.
+	advance(1500 * time.Millisecond)
+	home.TickPinger()
+	if h := home.Status().PeerHealth["east1:81"]; h != "suspect" {
+		t.Fatalf("east1 health = %q, want suspect", h)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"dcws/internal/httpx"
@@ -231,29 +232,41 @@ func TestRenderCacheBudget(t *testing.T) {
 }
 
 func TestCoopSetBudgetEviction(t *testing.T) {
-	cs := newCoopSet()
-	origin := naming.Origin{Host: "home", Port: 80}
-	for _, k := range []string{"a", "b", "c"} {
-		cs.touch(k, origin, "/"+k)
-		cs.markFetched(coopSeed{key: k, home: origin, name: "/" + k, size: 40})
+	cs := NewCoop(Params{CoopCacheBytes: 100}.WithDefaults(), nil)
+	key := func(k string) string { return "/~migrate/home/80/" + k }
+	admit := func(k string, size int64) []string {
+		cs.Touch(key(k), time.Time{})
+		ok, evicted := cs.Admit(key(k), size, 0, time.Time{})
+		if !ok {
+			t.Fatalf("admit %s refused", k)
+		}
+		return evicted
 	}
-	cs.touch("a", origin, "/a") // a becomes most recently used
-	if got := cs.presentBytes(); got != 120 {
-		t.Fatalf("presentBytes = %d, want 120", got)
+	admit("a", 40)
+	admit("b", 40)
+	cs.Touch(key("a"), time.Time{}) // a becomes most recently used
+	if got := cs.bytes; got != 80 {
+		t.Fatalf("presentBytes = %d, want 80", got)
 	}
-	// b is the LRU present copy once keep=c is skipped.
-	evicted := cs.evictOver(100, "c")
-	if len(evicted) != 1 || evicted[0] != "b" {
+	// c brings the total to 120: b is the LRU present copy.
+	if evicted := admit("c", 40); len(evicted) != 1 || evicted[0] != key("b") {
 		t.Fatalf("evicted %v, want [b]", evicted)
 	}
-	if got := cs.presentBytes(); got != 80 {
+	if got := cs.bytes; got != 80 {
 		t.Fatalf("presentBytes after eviction = %d, want 80", got)
 	}
-	if v, ok := cs.view("b"); !ok || v.present {
-		t.Fatalf("evicted copy state: ok=%v present=%v (want hosted but absent)", ok, v.present)
+	if v, ok := cs.View(key("b")); !ok || v.Present {
+		t.Fatalf("evicted copy state: ok=%v present=%v (want hosted but absent)", ok, v.Present)
 	}
 	if cs.count() != 3 {
 		t.Fatalf("count = %d, want 3 (eviction is physical, not logical)", cs.count())
+	}
+	// A copy over the whole budget evicts every other but is kept itself.
+	if evicted := admit("d", 200); len(evicted) != 2 {
+		t.Fatalf("evicted %v, want a and c", evicted)
+	}
+	if v, _ := cs.View(key("d")); !v.Present || cs.bytes != 200 {
+		t.Fatalf("oversized copy present=%v, bytes=%d; want it kept alone", v.Present, cs.bytes)
 	}
 }
 
@@ -269,7 +282,7 @@ func pointsInto(s, src string) bool {
 func TestCachedNamesAreCopies(t *testing.T) {
 	head := strings.Clone("GET /~migrate/home/80/doc.html HTTP/1.1\r\nHost: coop:80\r\n\r\n")
 	key := head[4 : strings.IndexByte(head[4:], ' ')+4]
-	home, name, err := naming.Decode(key)
+	_, name, err := naming.Decode(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,15 +297,15 @@ func TestCachedNamesAreCopies(t *testing.T) {
 		}
 	}
 
-	for _, insert := range []func(cs *coopSet){
-		func(cs *coopSet) { cs.touch(key, home, name) },
-		func(cs *coopSet) { cs.host(coopSeed{key: key, home: home, name: name}) },
+	for _, insert := range []func(cs *Coop){
+		func(cs *Coop) { cs.Touch(key, time.Time{}) },
+		func(cs *Coop) { cs.Host(key) },
 	} {
-		cs := newCoopSet()
+		cs := NewCoop(Params{}.WithDefaults(), nil)
 		insert(cs)
-		cs.touch(key, home, name)
+		cs.Touch(key, time.Time{})
 		for k, cd := range cs.docs {
-			for _, s := range []string{k, cd.key, cd.name, cd.home.Host} {
+			for _, s := range []string{k, cd.key, cd.name, cd.home} {
 				if pointsInto(s, head) {
 					t.Errorf("co-op record string %q points into the request head", s)
 				}

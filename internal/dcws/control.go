@@ -3,6 +3,7 @@ package dcws
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dcws/internal/glt"
@@ -329,4 +330,98 @@ func (c *Controller) AntiEntropyPeer() string {
 		}
 	}
 	return best
+}
+
+// ReplicaTable is a home's replica sets — for each migrated document the
+// co-ops hosting it, primary first — and the rotation its rewritten links
+// and redirects spread over them. Both drivers keep theirs here. Sets are
+// installed whole and never mutated in place, and each document's rotation
+// counter advances atomically, so concurrent pickers on the render path
+// never serialize on a write lock.
+type ReplicaTable struct {
+	zone  string
+	table *glt.Table
+
+	mu   sync.RWMutex
+	sets map[string][]string
+	rr   map[string]*atomic.Uint32
+}
+
+// NewReplicaTable returns an empty table for a server in zone ("" for
+// none) whose load table, holding the peers' gossiped zones, is table.
+func NewReplicaTable(zone string, table *glt.Table) *ReplicaTable {
+	return &ReplicaTable{zone: zone, table: table, sets: make(map[string][]string), rr: make(map[string]*atomic.Uint32)}
+}
+
+// Get returns doc's replica set, primary first; nil at home. Callers must
+// not modify it.
+func (r *ReplicaTable) Get(doc string) []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.sets[doc]
+}
+
+// Set installs doc's replica set; an empty one returns doc home and
+// forgets its rotation.
+func (r *ReplicaTable) Set(doc string, reps []string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(reps) == 0 {
+		delete(r.sets, doc)
+		delete(r.rr, doc)
+		return
+	}
+	r.sets[doc] = reps
+	if r.rr[doc] == nil {
+		r.rr[doc] = new(atomic.Uint32)
+	}
+}
+
+// All returns a copy of every replica set.
+func (r *ReplicaTable) All() map[string][]string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make(map[string][]string, len(r.sets))
+	for doc, reps := range r.sets {
+		out[doc] = append([]string(nil), reps...)
+	}
+	return out
+}
+
+// Pick returns the co-op the next reference to doc goes to, "" when doc
+// has no replicas: successive calls rotate round-robin across the replica
+// set (§6 future work). When this server has a zone and some replicas share
+// it, rotation is confined to that same-zone subset, so rewritten links
+// point clients at the topologically close copy; the full set is the
+// fallback when no replica is known to be local.
+func (r *ReplicaTable) Pick(doc string) string {
+	r.mu.RLock()
+	reps, ctr := r.sets[doc], r.rr[doc]
+	r.mu.RUnlock()
+	if len(reps) == 0 {
+		return ""
+	}
+	if local := r.sameZone(reps); len(local) > 0 {
+		reps = local
+	}
+	if len(reps) == 1 {
+		return reps[0]
+	}
+	return reps[int(ctr.Add(1)-1)%len(reps)]
+}
+
+// sameZone filters a replica list to the members whose gossiped zone
+// matches this server's, preserving order. Nil when this server is unzoned
+// or no replica's zone is known to match.
+func (r *ReplicaTable) sameZone(reps []string) []string {
+	if r.zone == "" {
+		return nil
+	}
+	var local []string
+	for _, rep := range reps {
+		if e, ok := r.table.Get(rep); ok && e.Zone == r.zone {
+			local = append(local, rep)
+		}
+	}
+	return local
 }

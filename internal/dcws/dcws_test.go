@@ -366,7 +366,7 @@ func TestValidationPropagatesContentChange(t *testing.T) {
 	if strings.Contains(string(resp.Body), "v2 content") {
 		t.Fatal("coop served new content before validation — test premise broken")
 	}
-	coop.runValidatorTick()
+	coop.TickValidator()
 	resp = w.get("coop:81", "/~migrate/home/80/page.html")
 	if !strings.Contains(string(resp.Body), "v2 content") {
 		t.Fatalf("coop copy not refreshed: %s", resp.Body)
@@ -378,7 +378,7 @@ func TestValidationUnchangedGets304(t *testing.T) {
 	home, coop := migrateAndServe(t, w)
 	w.get("coop:81", "/~migrate/home/80/page.html")
 	fetchesBefore := home.Stats().Fetches.Value()
-	coop.runValidatorTick()
+	coop.TickValidator()
 	// Validation of an unchanged document is a 304: no full fetch counted.
 	if home.Stats().Fetches.Value() != fetchesBefore {
 		t.Fatal("validation of unchanged doc transferred content")
@@ -405,7 +405,7 @@ func TestAutomaticMigrationUnderImbalance(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		w.get("home:80", "/page.html")
 	}
-	home.runStatsTick()
+	home.TickStats()
 	if home.Migrations().Len() != 1 {
 		t.Fatalf("migrations = %d, want 1", home.Migrations().Len())
 	}
@@ -423,7 +423,7 @@ func TestNoMigrationWithoutLoad(t *testing.T) {
 	w := newWorld(t)
 	home := w.addServer("home", 80, siteAB(), nil, Params{})
 	w.addServer("coop", 81, nil, nil, Params{})
-	home.runStatsTick()
+	home.TickStats()
 	if home.Migrations().Len() != 0 {
 		t.Fatal("migrated with zero load")
 	}
@@ -442,7 +442,7 @@ func TestMigrationRateLimitedPerStatsTick(t *testing.T) {
 		w.get("home:80", "/a.html")
 		w.get("home:80", "/b.html")
 	}
-	home.runStatsTick() // only one migration allowed per tick
+	home.TickStats() // only one migration allowed per tick
 	if n := home.Migrations().Len(); n != 1 {
 		t.Fatalf("migrations after one tick = %d, want 1", n)
 	}
@@ -453,7 +453,7 @@ func TestMigrationRateLimitedPerStatsTick(t *testing.T) {
 		w.get("home:80", "/a.html")
 		w.get("home:80", "/b.html")
 	}
-	home.runStatsTick()
+	home.TickStats()
 	if n := home.Migrations().Len(); n != 2 {
 		t.Fatalf("migrations after two ticks = %d, want 2", n)
 	}
@@ -474,7 +474,7 @@ func TestPingerDeclaresDeadCoopDown(t *testing.T) {
 	// Make the coop's entry stale, then fail pings repeatedly.
 	w.clock.Advance(time.Hour)
 	for i := 0; i < home.params.MaxPingFailures; i++ {
-		home.runPingerTick()
+		home.TickPinger()
 	}
 	// The document was recalled home. The Advance also woke the home's own
 	// pinger loop, whose failure may be the one that crosses the threshold:
@@ -508,8 +508,8 @@ func TestReplicationAddsSecondHost(t *testing.T) {
 		w.get("c1:81", "/~migrate/home/80/pic.gif")
 	}
 	srvC1 := w.servers["c1:81"]
-	srvC1.runValidatorTick() // piggybacks the hot report to home
-	home.runStatsTick()
+	srvC1.TickValidator() // piggybacks the hot report to home
+	home.TickStats()
 	reps := home.Replicas("/pic.gif")
 	if len(reps) != 2 {
 		t.Fatalf("replicas = %v, want 2 hosts", reps)
@@ -642,7 +642,7 @@ func TestExpiredMigrationRevokedWhenCoopOverloaded(t *testing.T) {
 	w.clock.Advance(301 * time.Second)
 	cur, _ := home.LoadTable().Get("coop:81")
 	home.LoadTable().Observe(glt.Entry{Server: "coop:81", Load: 1000, Stamp: cur.Stamp + 1, Updated: w.clock.Now()})
-	home.runStatsTick()
+	home.TickStats()
 	if loc, _ := home.Graph().Location("/page.html"); loc != "" {
 		t.Fatalf("overloaded-coop migration not revoked: %q", loc)
 	}

@@ -62,7 +62,7 @@ const serverSnapVersion = 2
 // snapshots and recovery before the live coopSet exists.
 type coopSeed struct {
 	key     string
-	home    naming.Origin
+	home    string // the home's address
 	name    string
 	present bool
 	size    int64
@@ -172,7 +172,7 @@ func decodeDocPut(data []byte) (name string, body []byte, hasBody bool, err erro
 func encodeCoopAdmit(c coopSeed) []byte {
 	buf := make([]byte, 0, len(c.key)+len(c.name)+32)
 	buf = putStr(buf, c.key)
-	buf = putStr(buf, c.home.Addr())
+	buf = putStr(buf, c.home)
 	buf = putStr(buf, c.name)
 	buf = binary.AppendUvarint(buf, uint64(c.size))
 	buf = binary.AppendUvarint(buf, c.hash)
@@ -189,9 +189,10 @@ func decodeCoopAdmit(data []byte) (coopSeed, error) {
 	if homeAddr, data, err = getStr(data); err != nil {
 		return c, err
 	}
-	if c.home, err = naming.ParseOrigin(homeAddr); err != nil {
+	if _, err = naming.ParseOrigin(homeAddr); err != nil {
 		return c, err
 	}
+	c.home = homeAddr
 	if c.name, data, err = getStr(data); err != nil {
 		return c, err
 	}
@@ -276,7 +277,7 @@ func (s *Server) encodeServerSnapshot() []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(seeds)))
 	for _, c := range seeds {
 		buf = putStr(buf, c.key)
-		buf = putStr(buf, c.home.Addr())
+		buf = putStr(buf, c.home)
 		buf = putStr(buf, c.name)
 		if c.present {
 			buf = append(buf, 1)
@@ -295,16 +296,11 @@ func (s *Server) encodeServerSnapshot() []byte {
 		buf = binary.AppendUvarint(buf, uint64(m.At.UnixNano()))
 	}
 
-	s.repMu.RLock()
-	docs := make([]string, 0, len(s.replicas))
-	for doc := range s.replicas {
+	reps := s.replicas.All()
+	docs := make([]string, 0, len(reps))
+	for doc := range reps {
 		docs = append(docs, doc)
 	}
-	reps := make(map[string][]string, len(s.replicas))
-	for doc, addrs := range s.replicas {
-		reps[doc] = append([]string(nil), addrs...)
-	}
-	s.repMu.RUnlock()
 	sort.Strings(docs)
 	buf = binary.AppendUvarint(buf, uint64(len(docs)))
 	for _, doc := range docs {
@@ -382,9 +378,10 @@ func decodeServerSnapshot(data []byte) (*recoveredState, error) {
 		if homeAddr, data, err = getStr(data); err != nil {
 			return nil, err
 		}
-		if c.home, err = naming.ParseOrigin(homeAddr); err != nil {
+		if _, err = naming.ParseOrigin(homeAddr); err != nil {
 			return nil, err
 		}
+		c.home = homeAddr
 		if c.name, data, err = getStr(data); err != nil {
 			return nil, err
 		}

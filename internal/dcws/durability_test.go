@@ -99,12 +99,12 @@ func TestCrashRecoveryCoopDocsSurvive(t *testing.T) {
 	if reborn.CoopDocCount() != 1 {
 		t.Fatalf("reborn coop hosts %d documents, want 1", reborn.CoopDocCount())
 	}
-	v, ok := reborn.coops.view(key)
-	if !ok || !v.present {
+	v, ok := reborn.coops.View(key)
+	if !ok || !v.Present {
 		t.Fatalf("hosted copy not present after recovery: %+v ok=%v", v, ok)
 	}
-	if v.home.Addr() != "home:80" || v.name != "/page.html" {
-		t.Fatalf("recovered record wrong: home=%s name=%s", v.home.Addr(), v.name)
+	if v.Home != "home:80" || v.Name != "/page.html" {
+		t.Fatalf("recovered record wrong: home=%s name=%s", v.Home, v.Name)
 	}
 	// The copy serves directly — no fetch back to home is needed.
 	fetchesBefore := reborn.Stats().Fetches.Value()

@@ -34,7 +34,7 @@ func TestHomeCrashCoopKeepsServing(t *testing.T) {
 		t.Fatalf("post-crash coop serve = %d %q", resp.Status, resp.Body)
 	}
 	// A validation pass cannot reach the home, but must NOT drop the copy.
-	coop.runValidatorTick()
+	coop.TickValidator()
 	resp = w.get("coop:81", "/~migrate/home/80/page.html")
 	if resp.Status != 200 {
 		t.Fatalf("copy discarded after failed validation: %d", resp.Status)
@@ -53,6 +53,24 @@ func TestCoopUnreachableHomeGives503(t *testing.T) {
 	resp := w.get("coop:81", "/~migrate/ghost/80/doc.html")
 	if resp.Status != 503 {
 		t.Fatalf("status = %d, want 503 when home unreachable", resp.Status)
+	}
+	// Concurrent first touches of another document each answer 503 from a
+	// fetch of their own; none is left waiting on another's.
+	statuses := make(chan int, 4)
+	for i := 0; i < cap(statuses); i++ {
+		go func() {
+			resp, err := w.client.Get("coop:81", "/~migrate/ghost/80/page.html", nil)
+			if err != nil {
+				statuses <- 0
+				return
+			}
+			statuses <- resp.Status
+		}()
+	}
+	for i := 0; i < cap(statuses); i++ {
+		if status := <-statuses; status != 503 {
+			t.Fatalf("concurrent first touch %d: status %d, want 503", i, status)
+		}
 	}
 }
 
@@ -97,7 +115,7 @@ func TestOrphanedCoopCopyDroppedAtValidation(t *testing.T) {
 	w.get("coop:81", "/~migrate/home/80/page.html") // refetch attempt
 	// The fetch relays a redirect since coop:81 is no longer authorized;
 	// any remaining state is cleared by validation.
-	coop.runValidatorTick()
+	coop.TickValidator()
 	if n := coop.CoopDocCount(); n != 0 {
 		t.Fatalf("orphaned copy still hosted: %d", n)
 	}
@@ -121,7 +139,7 @@ func TestPingerTransientFailureTolerated(t *testing.T) {
 	// MaxPingFailures times against a live server — pings succeed, so
 	// failures reset.
 	w.clock.Advance(time.Hour)
-	home.runPingerTick()
+	home.TickPinger()
 	if loc, _ := home.Graph().Location("/page.html"); loc != "coop:81" {
 		t.Fatalf("healthy coop lost its document: %q", loc)
 	}
@@ -409,7 +427,7 @@ func TestFlakyLinkFetchesSurviveRetries(t *testing.T) {
 	// a down declaration against a live peer.
 	for round := 0; round < 4; round++ {
 		w.clock.Advance(time.Hour)
-		home.runPingerTick()
+		home.TickPinger()
 	}
 	if st := home.Status(); st.PeerHealth["coop:81"] == "down" {
 		t.Fatal("live peer declared down over a flaky link")
@@ -439,7 +457,7 @@ func TestPartitionSuspectDownThenRecovery(t *testing.T) {
 	// Phase 1 — suspect: the first failed probe round marks the peer
 	// suspect, which blocks new migrations before any down declaration.
 	w.clock.Advance(30 * time.Second)
-	home.runPingerTick()
+	home.TickPinger()
 	if !home.peerSuspect("coop:81") {
 		t.Fatal("failing peer not marked suspect")
 	}
@@ -449,7 +467,7 @@ func TestPartitionSuspectDownThenRecovery(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		w.get("home:80", "/pic.gif")
 	}
-	home.runStatsTick()
+	home.TickStats()
 	if loc, _ := home.Graph().Location("/pic.gif"); loc != "" {
 		t.Fatalf("migrated to a suspect peer: %q", loc)
 	}
@@ -457,7 +475,7 @@ func TestPartitionSuspectDownThenRecovery(t *testing.T) {
 	// Phase 2 — down: repeated failed rounds cross MaxPingFailures.
 	for i := 0; i < 5; i++ {
 		w.clock.Advance(30 * time.Second)
-		home.runPingerTick()
+		home.TickPinger()
 	}
 	if loc, _ := home.Graph().Location("/page.html"); loc != "" {
 		t.Fatalf("document still assigned to downed peer: %q", loc)
@@ -478,7 +496,7 @@ func TestPartitionSuspectDownThenRecovery(t *testing.T) {
 	// declaration, so home re-admits it with failure trackers reset.
 	w.fabric.Heal("home:80", "coop:81")
 	w.clock.Advance(time.Minute)
-	coop.runValidatorTick()
+	coop.TickValidator()
 	if !home.LoadTable().Known("coop:81") {
 		t.Fatal("recovered peer not re-admitted")
 	}
@@ -493,7 +511,7 @@ func TestPartitionSuspectDownThenRecovery(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		w.get("home:80", "/pic.gif")
 	}
-	home.runStatsTick()
+	home.TickStats()
 	if loc, _ := home.Graph().Location("/pic.gif"); loc != "coop:81" {
 		t.Fatalf("migration did not resume after recovery: %q", loc)
 	}
@@ -506,7 +524,7 @@ func downedCoop(t *testing.T, w *testWorld) (*Server, glt.Entry) {
 	t.Helper()
 	w.noLoops = true
 	home, coop := migrateAndServe(t, w)
-	coop.runStatsTick()
+	coop.TickStats()
 	w.get("coop:81", "/~migrate/home/80/page.html") // the lazy fetch carries the entry
 	last, ok := home.LoadTable().Get("coop:81")
 	if !ok || last.Stamp == 0 {
@@ -515,7 +533,7 @@ func downedCoop(t *testing.T, w *testWorld) (*Server, glt.Entry) {
 	w.fabric.Partition("home:80", "coop:81")
 	for i := 0; i < 5; i++ {
 		w.clock.Advance(30 * time.Second)
-		home.runPingerTick()
+		home.TickPinger()
 	}
 	if home.LoadTable().Known("coop:81") {
 		t.Fatal("setup: peer not declared down")
@@ -599,7 +617,7 @@ func TestMaintenanceTimeoutBoundsStalledProbe(t *testing.T) {
 	home.LoadTable().Observe(glt.Entry{Server: "hole:80"})
 
 	start := time.Now()
-	home.runPingerTick()
+	home.TickPinger()
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("stalled probe took %v; maintenance timeout not applied", elapsed)
 	}
@@ -621,7 +639,7 @@ func TestPingerProbesRunConcurrently(t *testing.T) {
 		home.LoadTable().Observe(glt.Entry{Server: peer})
 	}
 	start := time.Now()
-	home.runPingerTick()
+	home.TickPinger()
 	elapsed := time.Since(start)
 	// Serial probing would take at least 3 x 400ms.
 	if elapsed > 1100*time.Millisecond {

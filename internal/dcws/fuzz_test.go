@@ -161,13 +161,13 @@ func FuzzServerSnapshot(f *testing.F) {
 	s.hub.restore("coop:81", []string{"/a.html"})
 	peer := naming.Origin{Host: "peer", Port: 80}
 	key, _ := naming.Encode(peer, "/b.html")
-	s.coops.host(coopSeed{key: key, home: peer, name: "/b.html"})
+	s.coops.Host(key)
 	if err := s.admitCopy(key, []byte("b"), nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(s.encodeServerSnapshot())
 	f.Add(hugeReplicaSnapshot())
-	f.Add(encodeCoopAdmit(coopSeed{key: key, home: peer, name: "/b.html", present: true, size: 1, hash: 7}))
+	f.Add(encodeCoopAdmit(coopSeed{key: key, home: peer.Addr(), name: "/b.html", present: true, size: 1, hash: 7}))
 	f.Add(encodeMigrate("/a.html", "coop:81", time.Unix(1, 2)))
 	f.Add(encodeReplicas("/a.html", []string{"coop:81", "coop:82"}))
 	f.Add(append(putStr(nil, "/a.html"), binary.AppendUvarint(nil, hugeCount)...))

@@ -406,9 +406,7 @@ func (s *Server) serveFetch(req *httpx.Request, name string, gen uint64) *httpx.
 	}
 	// Tell the co-op who else replicates this document so it can hedge
 	// future fetches when we are slow.
-	s.repMu.RLock()
-	reps := strings.Join(s.replicas[name], ",")
-	s.repMu.RUnlock()
+	reps := strings.Join(s.replicas.Get(name), ",")
 	if v := req.Header.Get(headerValidate); v != "" {
 		if want, err := strconv.ParseUint(v, 16, 64); err == nil && want == h {
 			resp := httpx.NewResponse(304)
@@ -459,16 +457,16 @@ func (s *Server) serveAsCoop(req *httpx.Request, traceID, spanID string) *httpx.
 		// copy. A hedge probe must never recurse into a fetch of its own —
 		// the sibling is likely asking us precisely because the home server
 		// is stalled.
-		return s.serveHedged(key, home, docName)
+		return s.serveHedged(key, docName)
 	}
 
 	// One critical section per request: lookup (creating the record for a
-	// first-touch lazy migration), the windowHit bump and the LRU
-	// re-ordering all happen inside coopSet.touch.
+	// first-touch lazy migration), the windowHit bump, the LRU re-ordering
+	// and the co-op core's decision all happen inside Coop.Touch.
 	now := s.now()
-	v := s.coops.touch(key, home, docName)
-
-	if s.params.LeaseDuration > 0 && v.present && v.leased && !v.leaseUntil.After(now) {
+	v, act := s.coops.Touch(key, now)
+	switch act {
+	case CoopValidate:
 		// The copy's lease expired without renewal — the home is
 		// unreachable past the partition tolerance. Fail closed: a
 		// synchronous conditional GET either re-validates (and re-leases)
@@ -477,22 +475,19 @@ func (s *Server) serveAsCoop(req *httpx.Request, traceID, spanID string) *httpx.
 			s.tel.invalLeaseExpired.Inc()
 			return status(503, "lease expired and home unreachable")
 		}
-		v, _ = s.coops.view(key)
-		if !v.present {
+		if v, _ = s.coops.View(key); !v.Present {
 			return status(404, "no longer hosted here")
 		}
-	}
-
-	if !v.present {
+	case CoopFetch:
 		if resp := s.fetchFromHome(key, home, docName, traceID, spanID); resp != nil {
 			return resp // relay of a redirect or an error
 		}
 	}
 
-	// v.size is zero for a copy fetched just now, which is then served
+	// v.Size is zero for a copy fetched just now, which is then served
 	// from bytes once; present copies of at least store.LargeBody are sent
 	// from their files.
-	b, err := s.loadStored(key, v.size)
+	b, err := s.loadStored(key, v.Size)
 	if err != nil {
 		// Copy vanished (e.g. revoked between check and read): refetch once.
 		s.coops.markAbsent(key)
@@ -511,19 +506,19 @@ func (s *Server) serveAsCoop(req *httpx.Request, traceID, spanID string) *httpx.
 // its validator hash so the requester can store it exactly as it would a
 // home fetch. Absence is a plain 404 — the requester's primary leg against
 // the home server remains its path to the bytes.
-func (s *Server) serveHedged(key string, home naming.Origin, docName string) *httpx.Response {
-	v, ok := s.coops.view(key)
-	if !ok || !v.present {
+func (s *Server) serveHedged(key, docName string) *httpx.Response {
+	v, ok := s.coops.View(key)
+	if !ok || !v.Present {
 		return status(404, "no local copy")
 	}
-	b, err := s.loadStored(key, v.size)
+	b, err := s.loadStored(key, v.Size)
 	if err != nil {
 		s.coops.markAbsent(key)
 		return status(404, "no local copy")
 	}
-	s.coops.touch(key, home, docName)
+	s.coops.Touch(key, s.now()) // the hit counts; a present copy is served as is
 	resp := s.respond("GET", docName, b)
-	resp.Header.Set(headerValidate, strconv.FormatUint(v.hash, 16))
+	resp.Header.Set(headerValidate, strconv.FormatUint(v.Hash, 16))
 	return resp
 }
 
@@ -758,28 +753,27 @@ func (s *Server) finishFetch(key string, resp *httpx.Response) *httpx.Response {
 
 // admitCopy is the one way a copy enters this co-op: a lazy fetch, a hedge
 // win, a chain push, and a validator or pushed-update refetch. It stores
-// the bytes and records the copy present under the home's hash
-// (X-DCWS-Validate, else the bytes' own), learns its sibling replicas from
-// X-DCWS-Replicas, logs the admission and enforces Params.CoopCacheBytes.
-// With leases on, the copy is leased — a fresh copy is as good as a pushed
-// frame — and its home's subscription made sure of. An admission is not a
-// hit: only a client request counts toward the hot report. A copy whose
-// record is gone was revoked while its bytes were on the way, and its home
-// sends this host no updates for it: the bytes are dropped.
+// the bytes and has the co-op core admit the copy under the home's hash
+// (X-DCWS-Validate, else the bytes' own), which also enforces
+// Params.CoopCacheBytes and, with leases on, leases the copy (Coop.Admit).
+// It learns the copy's sibling replicas from X-DCWS-Replicas, logs the
+// admission and the evictions, and makes sure of the home's subscription.
+// A copy the core refuses was revoked while its bytes were on the way: the
+// bytes are dropped.
 func (s *Server) admitCopy(key string, body []byte, hdr httpx.Header) error {
-	home, name, err := naming.Decode(key)
-	if err != nil {
-		return err
+	v, ok := s.coops.View(key)
+	if !ok {
+		return nil // revoked before the bytes arrived
 	}
 	if err := s.cfg.Store.Put(key, body); err != nil {
 		return err
 	}
-	c := coopSeed{key: key, home: home, name: name, present: true, size: int64(len(body))}
+	c := coopSeed{key: key, home: v.Home, name: v.Name, present: true, size: int64(len(body))}
 	if c.hash, _ = strconv.ParseUint(hdr.Get(headerValidate), 16, 64); c.hash == 0 {
 		c.hash = contentHash(body)
 	}
-	now := s.now()
-	if !s.coops.markFetched(c) {
+	admitted, evicted := s.coops.Admit(key, c.size, c.hash, s.now())
+	if !admitted {
 		if err := s.cfg.Store.Delete(key); err != nil {
 			s.log.Printf("dcws %s: delete revoked copy %s: %v", s.Addr(), key, err)
 		}
@@ -787,10 +781,7 @@ func (s *Server) admitCopy(key string, body []byte, hdr httpx.Header) error {
 	}
 	s.absorbReplicas(key, hdr)
 	s.walAppend(recCoopAdmit, encodeCoopAdmit(c))
-	// §4.5: hosted data is kept until disk space forces it out. The least
-	// recently used copies other than this one go; they stay hosted, and
-	// the next request for one fetches it again.
-	for _, old := range s.coops.evictOver(s.params.CoopCacheBytes, key) {
+	for _, old := range evicted {
 		if err := s.cfg.Store.Delete(old); err != nil {
 			s.log.Printf("dcws %s: evict %s: %v", s.Addr(), old, err)
 		}
@@ -798,8 +789,7 @@ func (s *Server) admitCopy(key string, body []byte, hdr httpx.Header) error {
 		s.log.Printf("dcws %s: evicted %s (co-op cache over %d bytes)", s.Addr(), old, s.params.CoopCacheBytes)
 	}
 	if s.params.LeaseDuration > 0 {
-		s.coops.renewLease(key, now.Add(s.params.LeaseDuration))
-		s.subs.ensureSubscribed(home.Addr(), invDoc{name: name, hash: c.hash})
+		s.subs.ensureSubscribed(v.Home, invDoc{name: v.Name, hash: c.hash})
 	}
 	return nil
 }
@@ -810,7 +800,7 @@ func (s *Server) admitCopy(key string, body []byte, hdr httpx.Header) error {
 // record, deletes the stored bytes and logs the forget; a key not hosted
 // is left alone.
 func (s *Server) dropCopy(key string) {
-	if !s.coops.remove(key) {
+	if !s.coops.Drop(key) {
 		return
 	}
 	if err := s.cfg.Store.Delete(key); err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"dcws/internal/httpx"
 	"dcws/internal/memnet"
-	"dcws/internal/naming"
 	"dcws/internal/resilience"
 )
 
@@ -30,9 +29,7 @@ func hedgeWorld(t *testing.T, coop2Params Params) (*testWorld, *Server, *Server,
 	if resp := w.get("coop1:81", hedgeKey); resp.Status != 200 {
 		t.Fatalf("coop1 pull = %d", resp.Status)
 	}
-	home.repMu.Lock()
-	home.replicas["/page.html"] = []string{"coop1:81", "coop2:82"}
-	home.repMu.Unlock()
+	home.replicas.Set("/page.html", []string{"coop1:81", "coop2:82"})
 	if resp := w.get("coop2:82", hedgeKey); resp.Status != 200 {
 		t.Fatalf("coop2 pull = %d", resp.Status)
 	}
@@ -149,15 +146,11 @@ func TestPickHedgeSiblingGating(t *testing.T) {
 	if sib := coop2.pickHedgeSibling(hedgeKey, "home:80"); sib != "coop1:81" {
 		t.Fatalf("sibling = %q, want coop1:81", sib)
 	}
-	coop2.peerMu.Lock()
-	coop2.pingFail["coop1:81"] = 1
-	coop2.peerMu.Unlock()
+	coop2.coops.ProbeFailed("coop1:81")
 	if sib := coop2.pickHedgeSibling(hedgeKey, "home:80"); sib != "" {
 		t.Fatalf("picked suspect sibling %q", sib)
 	}
-	coop2.peerMu.Lock()
-	delete(coop2.pingFail, "coop1:81")
-	coop2.peerMu.Unlock()
+	coop2.coops.ProbeOK("coop1:81")
 	coop2.params.HedgeDelay = -1
 	if sib := coop2.pickHedgeSibling(hedgeKey, "home:80"); sib != "" {
 		t.Fatalf("picked %q with hedging disabled", sib)
@@ -233,10 +226,11 @@ func TestEvictSiblingOnPeerDown(t *testing.T) {
 	_, _, _, coop2 := hedgeWorld(t, Params{})
 	// A second hosted document also listing coop1 as a sibling.
 	otherKey := "/~migrate/home/80/pic.gif"
-	coop2.coops.touch(otherKey, naming.Origin{Host: "home", Port: 80}, "/pic.gif")
+	coop2.coops.Host(otherKey)
 	coop2.coops.setSiblings(otherKey, []string{"coop1:81", "coop3:99"})
 
-	coop2.declareDown("coop1:81")
+	for _, down := coop2.coops.ProbeFailed("coop1:81"); !down; _, down = coop2.coops.ProbeFailed("coop1:81") {
+	}
 
 	if sibs := coop2.coops.siblingsOf(hedgeKey); len(sibs) != 0 {
 		t.Fatalf("siblings after down declaration = %v, want none", sibs)
@@ -281,7 +275,7 @@ func TestRevocationRacesHedgedFetch(t *testing.T) {
 		t.Fatalf("hedge counters launched/won/miss/wasted = %v, want launched=1 miss=1", h)
 	}
 	// The 301 told coop2 it no longer hosts the document.
-	if _, ok := coop2.coops.view(hedgeKey); ok {
+	if _, ok := coop2.coops.View(hedgeKey); ok {
 		t.Fatal("coop2 still hosts the revoked document")
 	}
 	// And the home served its own copy directly — the revoked document was

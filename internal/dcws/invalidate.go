@@ -419,25 +419,30 @@ func (h *invalHub) register(sub *invalSubscriber, conn net.Conn, docs []invDoc) 
 // hostsCopy reports whether coopAddr may host a copy of the home document
 // name — fetch it, validate it, subscribe to it: it must be the document's
 // assigned co-op, a member of its replica set, or a link a chain push is
-// on its way to.
+// on its way to. pushing is read before the replica set, in the order
+// chainReplicate writes them (pushing set, replica set installed, pushing
+// cleared): a link found in neither was not yet acked, never one that has
+// just moved from the first to the second.
 func (s *Server) hostsCopy(name, coopAddr string) bool {
 	if mig, ok := s.ledger.Get(name); ok && mig.Coop == coopAddr {
 		return true
 	}
-	s.repMu.RLock()
-	defer s.repMu.RUnlock()
-	return slices.Contains(s.replicas[name], coopAddr) || slices.Contains(s.pushing[name], coopAddr)
+	s.pushMu.RLock()
+	pushing := slices.Contains(s.pushing[name], coopAddr)
+	s.pushMu.RUnlock()
+	return pushing || slices.Contains(s.replicas.Get(name), coopAddr)
 }
 
 // copiesOut reports whether some co-op may host a copy of the home
-// document name (hostsCopy for any co-op).
+// document name (hostsCopy for any co-op, read in the same order).
 func (s *Server) copiesOut(name string) bool {
 	if _, ok := s.ledger.Get(name); ok {
 		return true
 	}
-	s.repMu.RLock()
-	defer s.repMu.RUnlock()
-	return len(s.replicas[name]) > 0 || len(s.pushing[name]) > 0
+	s.pushMu.RLock()
+	pushing := len(s.pushing[name]) > 0
+	s.pushMu.RUnlock()
+	return pushing || len(s.replicas.Get(name)) > 0
 }
 
 // migrationHash returns the current migration-prepared content hash for a

@@ -140,8 +140,14 @@ func TestOperatorMigrateEndpoint(t *testing.T) {
 func TestLeasePartitionDegradedMode(t *testing.T) {
 	w := newWorld(t)
 	docs := map[string]string{"/page.html": "<html>v1 content</html>"}
-	home := w.addServer("home", 80, docs, []string{"/page.html"}, leaseParams())
-	coop := w.addServer("coop", 81, nil, nil, leaseParams())
+	// The test ticks the validator itself. Its loop must not: the clock
+	// jumps of the reconnect wait would let it refresh the copy by polling
+	// before the re-subscribe inventory goes out, leaving the home no
+	// catch-up to send.
+	params := leaseParams()
+	params.ValidateInterval = time.Hour
+	home := w.addServer("home", 80, docs, []string{"/page.html"}, params)
+	coop := w.addServer("coop", 81, nil, nil, params)
 
 	home.migrate("/page.html", "coop:81")
 	if resp := w.get("coop:81", "/~migrate/home/80/page.html"); resp.Status != 200 {

@@ -49,7 +49,7 @@ func walCount(t *testing.T, s *Server, typ uint8, key string) int {
 func lazyFetch(t *testing.T, coop *Server) {
 	t.Helper()
 	origin := naming.Origin{Host: "home", Port: 80}
-	coop.coops.host(coopSeed{key: chainKey, home: origin, name: "/page.html"})
+	coop.coops.Host(chainKey)
 	if resp := coop.fetchFromHome(chainKey, origin, "/page.html", "", ""); resp != nil {
 		t.Fatalf("%s lazy fetch = %d %s", coop.Addr(), resp.Status, resp.Body)
 	}
@@ -170,7 +170,7 @@ func TestCopyTransitions(t *testing.T) {
 				}
 				if leased {
 					for _, c := range []*Server{coop1, coop2} {
-						if _, ok := c.coops.view(chainKey); ok {
+						if _, ok := c.coops.View(chainKey); ok {
 							waitRegistered(t, home, c)
 						}
 					}
@@ -178,18 +178,18 @@ func TestCopyTransitions(t *testing.T) {
 				before := map[*Server]int{coop1: walCount(t, coop1, recCoopAdmit, chainKey), coop2: walCount(t, coop2, recCoopAdmit, chainKey)}
 				coop := tc.admit(t, w, home, coop1, coop2)
 
-				v, ok := coop.coops.view(chainKey)
-				if !ok || !v.present {
-					t.Fatalf("copy hosted=%v present=%v, want a present copy", ok, v.present)
+				v, ok := coop.coops.View(chainKey)
+				if !ok || !v.Present {
+					t.Fatalf("copy hosted=%v present=%v, want a present copy", ok, v.Present)
 				}
-				if want, _ := home.migrationHash("/page.html"); v.hash != want {
-					t.Fatalf("copy hash %x, want the home's %x", v.hash, want)
+				if want, _ := home.migrationHash("/page.html"); v.Hash != want {
+					t.Fatalf("copy hash %x, want the home's %x", v.Hash, want)
 				}
 				if n := walCount(t, coop, recCoopAdmit, chainKey) - before[coop]; n != 1 {
 					t.Fatalf("%d recCoopAdmit records, want 1", n)
 				}
 				if leased {
-					if !v.leased || !v.leaseUntil.After(coop.now()) {
+					if !v.Leased || !v.LeaseUntil.After(coop.now()) {
 						t.Fatalf("copy not leased: %+v", v)
 					}
 					coop.subs.mu.Lock()
@@ -201,14 +201,14 @@ func TestCopyTransitions(t *testing.T) {
 				}
 				// An admission is not a request: the co-op reports no heat
 				// until a client asks for the copy.
-				if hot := coop.coops.hotReport("home:80"); hot != "" {
-					t.Fatalf("hot report before any client GET = %q, want none", hot)
+				if hot := coop.coops.HotReport("home:80"); hot != nil {
+					t.Fatalf("hot report before any client GET = %v, want none", hot)
 				}
 				if resp := w.get(coop.Addr(), chainKey); resp.Status != 200 {
 					t.Fatalf("client GET = %d", resp.Status)
 				}
-				if hot := coop.coops.hotReport("home:80"); hot != "/page.html=1" {
-					t.Fatalf("hot report after one client GET = %q, want /page.html=1", hot)
+				if hot := coop.coops.HotReport("home:80"); hot["/page.html"] != 1 || len(hot) != 1 {
+					t.Fatalf("hot report after one client GET = %v, want /page.html=1", hot)
 				}
 			})
 		}
@@ -293,7 +293,7 @@ func TestCopyTransitions(t *testing.T) {
 		if out := coop1.finishFetch(chainKey, resp); out != nil {
 			t.Fatalf("late 200 = %d %s", out.Status, out.Body)
 		}
-		if v, ok := coop1.coops.view(chainKey); ok {
+		if v, ok := coop1.coops.View(chainKey); ok {
 			t.Fatalf("late 200 re-admitted the revoked copy: %+v", v)
 		}
 		if coop1.cfg.Store.Has(chainKey) {
@@ -319,7 +319,7 @@ func TestCopyTransitions(t *testing.T) {
 				lazyFetch(t, coop1)
 			}
 			coop := tc.drop(t, home, coop1, coop2)
-			if _, ok := coop.coops.view(chainKey); ok {
+			if _, ok := coop.coops.View(chainKey); ok {
 				t.Fatal("record survived the drop")
 			}
 			if coop.cfg.Store.Has(chainKey) {
@@ -342,8 +342,8 @@ func TestHotReportCommaName(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coop1.coops.touch(key, origin, name)
-		coop1.coops.touch(key, origin, name)
+		coop1.coops.Touch(key, time.Time{})
+		coop1.coops.Touch(key, time.Time{})
 	}
 	req := httpx.Header{}
 	coop1.attachHotReport(req, "home:80")

@@ -13,12 +13,12 @@ import (
 	"dcws/internal/telemetry"
 )
 
-// runStatsTick is one activation of the statistics module (§5.1): every
+// TickStats is one activation of the statistics module (§5.1): every
 // T_st it publishes this server's load entry, hands the control plane its
 // tick (expired placements, hot-document replication, migration), and rolls
 // the hit windows. Tests and the cluster harness call it directly to drive
 // the server deterministically.
-func (s *Server) runStatsTick() {
+func (s *Server) TickStats() {
 	now := s.now()
 	// Fold this interval's achieved serve latency into the capacity
 	// estimate first, so the load advertised below is normalized by the
@@ -38,7 +38,7 @@ func (s *Server) runStatsTick() {
 	s.ldg.RollWindow()
 	// Hosted copies' hit counters feed the hot-spot reports piggybacked to
 	// their home servers; they describe one window too.
-	s.coops.rollWindows()
+	s.coops.RollWindows()
 }
 
 // plant is the live server as the control plane sees it (Plant): readings
@@ -134,17 +134,7 @@ func (s *Server) relocate(doc string, reps []string) error {
 	} else if dirtied, err = s.ldg.MarkMigrated(doc, reps[0]); err != nil {
 		return err
 	}
-	s.repMu.Lock()
-	if len(reps) == 0 {
-		delete(s.replicas, doc)
-		delete(s.rrCounter, doc)
-	} else {
-		s.replicas[doc] = reps
-		if s.rrCounter[doc] == nil {
-			s.rrCounter[doc] = new(uint32)
-		}
-	}
-	s.repMu.Unlock()
+	s.replicas.Set(doc, reps)
 	s.rcache.invalidate(doc)
 	s.hub.push(invalUpdate, dirtied, nil)
 	return err
@@ -238,9 +228,7 @@ func (s *Server) RecallFrom(coop string) int {
 // first). Empty when the document is at home. A placement the replica
 // table has no entry for (recorded in the ledger alone) is its one co-op.
 func (s *Server) Replicas(doc string) []string {
-	s.repMu.RLock()
-	reps := append([]string(nil), s.replicas[doc]...)
-	s.repMu.RUnlock()
+	reps := append([]string(nil), s.replicas.Get(doc)...)
 	if len(reps) == 0 {
 		if mig, ok := s.ledger.Get(doc); ok {
 			reps = []string{mig.Coop}
@@ -249,29 +237,28 @@ func (s *Server) Replicas(doc string) []string {
 	return reps
 }
 
-// runPingerTick performs one activation of the pinger thread of §4.5: every
-// T_pi it probes servers whose load entries have gone stale, and declares
-// a peer down after repeated failures, recalling its documents. Probes fan
-// out concurrently, each bounded by MaintenanceTimeout and retried up to
-// ProbeAttempts times, so one stalled peer can no longer consume the
-// whole pinger interval serially. Results are folded in sequentially
-// after every probe returns, keeping declare-down decisions
-// deterministic. Probes bypass the circuit-breaker gate (the pinger IS
-// the failure detector) but still record outcomes, so a recovering
-// peer's first successful probe closes its breaker.
-func (s *Server) runPingerTick() {
-	now := s.now()
-	stale := s.table.StaleServers(now, s.params.PingerInterval)
-	if len(stale) == 0 {
+// TickPinger performs one activation of the pinger thread of §4.5:
+// every T_pi it probes the peers the co-op core names (Coop.ProbeTargets)
+// and reports each outcome back to it; a peer the core declares down has
+// its documents recalled. Probes fan out concurrently, each bounded by
+// MaintenanceTimeout and retried up to ProbeAttempts times, so one stalled
+// peer can no longer consume the whole pinger interval serially. Results
+// are folded in sequentially after every probe returns, keeping
+// declare-down decisions deterministic. Probes bypass the circuit-breaker
+// gate (the pinger IS the failure detector) but still record outcomes, so
+// a recovering peer's first successful probe closes its breaker.
+func (s *Server) TickPinger() {
+	targets := s.coops.ProbeTargets(s.now())
+	if len(targets) == 0 {
 		return
 	}
 	type probeResult struct {
 		resp *httpx.Response
 		err  error
 	}
-	results := make([]probeResult, len(stale))
+	results := make([]probeResult, len(targets))
 	var wg sync.WaitGroup
-	for i, peer := range stale {
+	for i, peer := range targets {
 		wg.Add(1)
 		go func(i int, peer string) {
 			defer wg.Done()
@@ -297,56 +284,34 @@ func (s *Server) runPingerTick() {
 		}(i, peer)
 	}
 	wg.Wait()
-	for i, peer := range stale {
+	for i, peer := range targets {
 		pr := results[i]
 		if pr.err != nil {
-			s.peerMu.Lock()
-			s.pingFail[peer]++
-			failures := s.pingFail[peer]
-			s.peerMu.Unlock()
+			failures, down := s.coops.ProbeFailed(peer)
 			s.log.Printf("dcws %s: ping %s failed (%d): %v", s.Addr(), peer, failures, pr.err)
-			if failures >= s.params.MaxPingFailures {
-				s.declareDown(peer)
+			if down {
+				s.tel.declaredDown.Inc()
+				n := s.RecallFrom(peer)
+				s.table.Remove(peer)
+				s.log.Printf("dcws %s: declared %s down, recalled %d documents", s.Addr(), peer, n)
 			}
 			continue
 		}
-		s.recoverPeer(peer)
+		if s.coops.ProbeOK(peer) {
+			s.log.Printf("dcws %s: peer %s healthy again", s.Addr(), peer)
+		}
+		s.res.Reset(peer)
 		s.absorbPiggyback(pr.resp.Header)
 	}
 }
 
-// declareDown marks a peer dead: its documents are recalled and its load
-// table entry removed so it is never chosen as a migration target. The
-// peer's last stamp is recorded; only a relayed entry stamped above it,
-// or a header from the peer itself, re-admits it (see reconcileDownPeers).
-func (s *Server) declareDown(peer string) {
-	last, _ := s.table.Get(peer)
-	s.peerMu.Lock()
-	if _, already := s.downStamp[peer]; already {
-		s.peerMu.Unlock()
-		return
-	}
-	s.downStamp[peer] = last.Stamp
-	delete(s.pingFail, peer)
-	s.peerMu.Unlock()
-	s.tel.declaredDown.Inc()
-	n := s.RecallFrom(peer)
-	s.table.Remove(peer)
-	// A dead peer must stop appearing as a hedge target: purge it from
-	// every hosted document's sibling list so no fetch races toward it.
-	if evicted := s.coops.evictSibling(peer); evicted > 0 {
-		s.log.Printf("dcws %s: dropped %s from %d sibling lists", s.Addr(), peer, evicted)
-	}
-	s.log.Printf("dcws %s: declared %s down, recalled %d documents", s.Addr(), peer, n)
-}
-
-// runAntiEntropyTick is the safety net under delta piggybacking: one
+// TickAntiEntropy is the safety net under delta piggybacking: one
 // push-pull digest round (glt.Table.Reconcile) with the peer whose last
 // exchange is oldest, so entries lost to dropped responses, capped deltas,
 // or peer restarts reconverge within one sweep of the cluster even if no
 // delta ever carries them again. Both legs ride the ping path under one
 // span.
-func (s *Server) runAntiEntropyTick() {
+func (s *Server) TickAntiEntropy() {
 	peer := s.ctl.AntiEntropyPeer()
 	if peer == "" {
 		return
@@ -380,73 +345,60 @@ func (s *Server) runAntiEntropyTick() {
 	}
 }
 
-// runValidatorTick is one pass of the co-op consistency thread of §4.5:
-// every T_val it re-requests hosted documents from their home servers so
-// content changes propagate within the validation interval. It revalidates
-// every physically present co-op copy.
-// With push invalidation active, copies whose lease is unexpired and
-// whose home subscription channel is live are skipped: the home promises
-// to push changes, so polling them is pure waste — the collapse this
-// extension exists for. Copies without that cover (never leased, channel
-// down, lease run out) fall back to the paper's conditional GET.
-func (s *Server) runValidatorTick() {
+// TickValidator is one pass of the co-op consistency thread of §4.5:
+// every T_val it re-requests the hosted copies the co-op core names
+// (Coop.Sweep) from their home servers, so content changes propagate
+// within the validation interval. Under push invalidation the core skips
+// copies with lease cover and a live subscription channel.
+func (s *Server) TickValidator() {
 	s.tel.validatorPasses.Inc()
-	leases := s.params.LeaseDuration > 0
-	now := s.now()
-	for _, key := range s.coops.presentKeys() {
-		if leases {
-			if v, ok := s.coops.view(key); ok && v.leased && v.leaseUntil.After(now) &&
-				s.subs.subscriptionLive(v.home.Addr()) {
-				s.tel.invalLeaseSkips.Inc()
-				continue
-			}
-		}
+	var live func(string) bool
+	if s.params.LeaseDuration > 0 {
+		live = s.subs.subscriptionLive
+	}
+	poll, skipped := s.coops.Sweep(s.now(), live)
+	s.tel.invalLeaseSkips.Add(int64(skipped))
+	for _, key := range poll {
 		s.tel.validatePolls.Inc()
 		s.validateOne(key)
 	}
 }
 
-// validateOne re-requests one hosted document conditionally. It returns
-// the outcome — "current", "refreshed", "dropped", or "error" — so the
-// lease paths (expiry re-validation, pushed invalidations) can branch on
-// it; "" means the key is no longer hosted.
+// validateOne re-requests one hosted document conditionally and applies
+// the co-op core's reading of the answer (Coop.Validated). It returns the
+// outcome — current, refreshed, dropped, or "error" — so the lease paths
+// (expiry re-validation, pushed invalidations) can branch on it; "" means
+// the key is no longer hosted.
 func (s *Server) validateOne(key string) string {
-	v, ok := s.coops.view(key)
+	v, ok := s.coops.View(key)
 	if !ok {
 		return ""
 	}
-
-	req := httpx.NewRequest("GET", v.name)
+	req := httpx.NewRequest("GET", v.Name)
 	req.Header.Set(headerFetch, s.Addr())
-	req.Header.Set(headerValidate, strconv.FormatUint(v.hash, 16))
-	s.attachHotReport(req.Header, v.home.Addr())
-	resp, err := s.rpc(telemetry.Span{Op: "validate", Target: v.name, Peer: v.home.Addr()}, req, s.params.MaintenanceTimeout)
+	req.Header.Set(headerValidate, strconv.FormatUint(v.Hash, 16))
+	s.attachHotReport(req.Header, v.Home)
+	resp, err := s.rpc(telemetry.Span{Op: "validate", Target: v.Name, Peer: v.Home}, req, s.params.MaintenanceTimeout)
 	if err != nil {
 		s.tel.validation("error")
-		s.log.Printf("dcws %s: validate %s: %v", s.Addr(), v.name, err)
+		s.log.Printf("dcws %s: validate %s: %v", s.Addr(), v.Name, err)
 		return "error"
 	}
 	s.absorbPiggyback(resp.Header)
-	outcome := "current"
-	switch resp.Status {
-	case 304:
-		// Validation responses carry the document's replica set too, keeping
-		// the hedge-sibling list fresh between fetches; a vouched-for copy
-		// is re-leased, exactly as a pushed frame would.
+	outcome := s.coops.Validated(key, resp.Status, s.now())
+	switch outcome {
+	case ValidCurrent:
+		// Validation responses carry the document's replica set too,
+		// keeping the hedge-sibling list fresh between fetches.
 		s.absorbReplicas(key, resp.Header)
-		if s.params.LeaseDuration > 0 {
-			s.coops.renewLease(key, s.now().Add(s.params.LeaseDuration))
-		}
-	case 200:
+	case ValidRefreshed:
 		if err := s.admitCopy(key, resp.Body, resp.Header); err != nil {
 			s.log.Printf("dcws %s: refresh %s: %v", s.Addr(), key, err)
 			return "error"
 		}
-		outcome = "refreshed"
-	default:
-		// Revoked or re-migrated behind our back: stop hosting.
+	case ValidDropped:
+		// Revoked or re-migrated behind our back.
 		s.dropCopy(key)
-		outcome = "dropped"
 	}
 	s.tel.validation(outcome)
 	return outcome
@@ -455,8 +407,8 @@ func (s *Server) validateOne(key string) string {
 // attachHotReport piggybacks this coop's hottest hosted documents for the
 // given home server onto an outgoing request (replication extension).
 func (s *Server) attachHotReport(h httpx.Header, homeAddr string) {
-	if v := s.coops.hotReport(homeAddr); v != "" {
-		h.Set(headerHot, v)
+	if hits := s.coops.HotReport(homeAddr); hits != nil {
+		h.Set(headerHot, encodeHot(hits))
 	}
 }
 

@@ -87,7 +87,7 @@ func BenchServeCoop(b *testing.B) {
 	st := store.NewMem()
 	st.Put("/index.html", perfDoc(nil, 2<<10))
 	s := perfServer(b, st, naming.Origin{Host: "bench-coop", Port: 80})
-	s.coops.host(coopSeed{key: key, home: home, name: "/hosted.html"})
+	s.coops.Host(key)
 	if err := s.admitCopy(key, perfDoc(nil, 100<<10), nil); err != nil {
 		b.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"dcws/internal/graph"
@@ -207,49 +206,12 @@ func (s *Server) migrationCopy(name string, doc *hypertext.Document, data []byte
 }
 
 // pickReplica returns the co-op address to use for the next reference to a
-// migrated document. Without replication this is simply the document's
-// location; once a chain has replicated it, successive calls
-// rotate round-robin across the replica set so hyperlink rewrites and 301
-// redirects spread load (§6 future work). When this server has a zone and
-// some replicas share it, rotation is confined to that same-zone subset:
-// rewritten links then point clients at the topologically close copy,
-// with the full set as fallback when no local replica exists. The replica
-// slice is read under repMu but never mutated in place (writers install
-// fresh slices), and the rotation counter advances atomically, so
-// concurrent pickers never serialize on a write lock.
+// migrated document: the replica table's rotation (ReplicaTable.Pick), or
+// the document's location when no replica set is recorded.
 func (s *Server) pickReplica(name string) string {
-	s.repMu.RLock()
-	reps := s.replicas[name]
-	ctr := s.rrCounter[name]
-	s.repMu.RUnlock()
-	if len(reps) == 0 {
-		loc, _ := s.ldg.Location(name)
-		return loc
+	if rep := s.replicas.Pick(name); rep != "" {
+		return rep
 	}
-	if local := s.sameZoneSubset(reps); len(local) > 0 {
-		reps = local
-	}
-	if len(reps) == 1 || ctr == nil {
-		return reps[0]
-	}
-	i := int(atomic.AddUint32(ctr, 1)-1) % len(reps)
-	return reps[i]
-}
-
-// sameZoneSubset filters a replica list to the members whose gossiped
-// zone matches this server's, preserving order. Nil when this server is
-// unzoned or no replica's zone matches (including replicas whose zone is
-// simply not yet known through gossip).
-func (s *Server) sameZoneSubset(reps []string) []string {
-	z := s.params.Zone
-	if z == "" {
-		return nil
-	}
-	var local []string
-	for _, r := range reps {
-		if e, ok := s.table.Get(r); ok && e.Zone == z {
-			local = append(local, r)
-		}
-	}
-	return local
+	loc, _ := s.ldg.Location(name)
+	return loc
 }

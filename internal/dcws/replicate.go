@@ -49,13 +49,13 @@ func (s *Server) chainReplicate(doc string, chain []string) {
 	}
 	hash := strconv.FormatUint(contentHash(payload), 16)
 	intended := strings.Join(append(append(make([]string, 0, len(existing)+len(chain)), existing...), chain...), ",")
-	s.repMu.Lock()
+	s.pushMu.Lock()
 	s.pushing[doc] = chain
-	s.repMu.Unlock()
+	s.pushMu.Unlock()
 	defer func() {
-		s.repMu.Lock()
+		s.pushMu.Lock()
 		delete(s.pushing, doc)
-		s.repMu.Unlock()
+		s.pushMu.Unlock()
 	}()
 	acked := s.walkChain(telemetry.Span{Op: "replicate-push", Target: doc}, chain, replicateTimeout, func(int) *httpx.Request {
 		req := httpx.NewRequest("POST", replicatePath)
@@ -132,7 +132,7 @@ func (s *Server) handleReplicate(req *httpx.Request) *httpx.Response {
 		return status(400, "empty replicate body")
 	}
 	// A pushed copy arrives unasked, so it makes its own record.
-	s.coops.host(c)
+	s.coops.Host(c.key)
 	if err := s.admitCopy(c.key, req.Body, req.Header); err != nil {
 		return status(500, err.Error())
 	}
@@ -193,7 +193,7 @@ func (s *Server) copyKey(req *httpx.Request) (coopSeed, *httpx.Response) {
 	if home == s.cfg.Origin {
 		return coopSeed{}, status(400, "cannot host a copy of my own document")
 	}
-	return coopSeed{key: key, home: home, name: name}, nil
+	return coopSeed{key: key, home: home.Addr(), name: name}, nil
 }
 
 // relayChain finishes a chain RPC at this link, CDTP-style: having applied

@@ -145,7 +145,7 @@ func TestChainRevocationFanout(t *testing.T) {
 		t.Fatalf("revoke_chains=%v revoke_fallbacks=%v, want 1 and 0", chains, fallbacks)
 	}
 	for name, coop := range map[string]*Server{"coop1": coop1, "coop2": coop2} {
-		if _, ok := coop.coops.view(chainKey); ok {
+		if _, ok := coop.coops.View(chainKey); ok {
 			t.Fatalf("%s still hosts %s after chain revocation", name, chainKey)
 		}
 	}
@@ -177,7 +177,7 @@ func TestChainRevocationFallsBackPerPeer(t *testing.T) {
 	if chains, fallbacks := revocations(home); chains != 1 || fallbacks != 2 {
 		t.Fatalf("revoke_chains=%v revoke_fallbacks=%v, want 1 and 2", chains, fallbacks)
 	}
-	if _, ok := coop2.coops.view(chainKey); ok {
+	if _, ok := coop2.coops.View(chainKey); ok {
 		t.Fatal("reachable survivor still hosts the revoked copy")
 	}
 	if resp := w.get("home:80", "/page.html"); resp.Status != 200 {
@@ -226,7 +226,7 @@ func TestChainReplicationWALRecovery(t *testing.T) {
 	// Revocation after recovery fans out along the recovered chain.
 	reborn.revoke("/page.html")
 	for name, coop := range map[string]*Server{"coop1": coop1, "coop2": coop2} {
-		if _, ok := coop.coops.view(chainKey); ok {
+		if _, ok := coop.coops.View(chainKey); ok {
 			t.Fatalf("%s still hosts %s after post-recovery revocation", name, chainKey)
 		}
 	}

@@ -2,7 +2,6 @@ package dcws
 
 import (
 	"bytes"
-	"container/list"
 	"errors"
 	"fmt"
 	"log"
@@ -142,38 +141,14 @@ type Config struct {
 	ProfileDir string
 }
 
-// coopDoc is a document this server hosts on behalf of a home server.
-// Its fields are guarded by the owning coopSet's lock.
-type coopDoc struct {
-	key       string // encoded /~migrate path
-	home      naming.Origin
-	name      string // original document name at home
-	present   bool   // physically fetched
-	hash      uint64 // content hash for validation
-	size      int64
-	windowHit int64         // hits this window (for hot-spot reporting)
-	elem      *list.Element // position in the coopSet LRU (present copies)
-	siblings  []string      // other coops hosting replicas of this document,
-	// learned from X-DCWS-Replicas on fetch/validation responses; hedged
-	// fetches race one of these against the home server
-
-	// leased / leaseUntil implement push invalidation's lease state: while
-	// leaseUntil is in the future the copy may be served without polling
-	// (the home pushes invalidations instead). Renewed in bulk by channel
-	// liveness and per-doc by successful validations. A record that never
-	// subscribed keeps leased == false and the legacy polling semantics.
-	leased     bool
-	leaseUntil time.Time
-}
-
 // Server is one DCWS node.
 //
 // Shared state is decomposed into independently locked pieces so the
 // request hot path never serializes behind maintenance work: coops (the
-// hosted-document set with its LRU), rcache (the rendered-document
-// cache, itself sharded), repMu for the replica tables, peerMu for the
-// failure-detector state; the control plane (ctl) locks its own hot-
-// document state.
+// co-op core: hosted copies with their LRU, and peer health), rcache (the
+// rendered-document cache, itself sharded), replicas (the replica sets),
+// pushMu for chains in flight; the control plane (ctl) locks its own
+// hot-document state.
 type Server struct {
 	cfg    Config
 	params Params
@@ -199,9 +174,11 @@ type Server struct {
 	client *httpx.Client
 	res    *resilience.Registry
 	rcache *renderCache
-	coops  *coopSet
-	tel    *serverTelemetry
-	slo    *sloWatcher
+	// coops is the co-op core (coop.go): hosted copies, validation and
+	// peer health; this server carries its requests.
+	coops *Coop
+	tel   *serverTelemetry
+	slo   *sloWatcher
 
 	// hub is the home side of push invalidation (subscriber table and
 	// fan-out); subs the co-op side (outbound subscription channels).
@@ -215,19 +192,12 @@ type Server struct {
 
 	httpSrv *httpx.Server
 
-	repMu     sync.RWMutex
-	replicas  map[string][]string // home side: doc -> replica coop addrs (incl. primary)
-	rrCounter map[string]*uint32  // round-robin counters for replica links
+	replicas *ReplicaTable
 	// pushing: doc -> the links a chain push is in flight to. A link may
 	// subscribe to its new copy before the acks come back and the replica
 	// set names it; hostsCopy lets it.
+	pushMu  sync.RWMutex
 	pushing map[string][]string
-
-	peerMu   sync.Mutex
-	pingFail map[string]int
-	// downStamp holds the peers declared down (§4.5), each with the last
-	// stamp heard of it then: only a higher one re-admits it from a relay.
-	downStamp map[string]int64
 
 	// capMu guards the measured service capacity (docs/s) and the serve-
 	// histogram totals the per-tick delta is computed against. See
@@ -365,11 +335,11 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	ledger := policy.NewLedger()
-	replicas := make(map[string][]string)
+	replicas := NewReplicaTable(params.Zone, table)
 	if rec != nil {
 		ledger = rec.ledger
-		if rec.replicas != nil {
-			replicas = rec.replicas
+		for doc, reps := range rec.replicas {
+			replicas.Set(doc, reps)
 		}
 	}
 
@@ -411,16 +381,13 @@ func New(cfg Config) (*Server, error) {
 			MaxDelay:    retryMaxDelay,
 			Jitter:      0.5,
 		},
-		rcache:    newRenderCache(renderCacheBytes),
-		coops:     newCoopSet(),
-		tel:       newServerTelemetry(),
-		wal:       wlog,
-		replicas:  replicas,
-		rrCounter: make(map[string]*uint32),
-		pushing:   make(map[string][]string),
-		pingFail:  make(map[string]int),
-		downStamp: make(map[string]int64),
-		stopped:   make(chan struct{}),
+		rcache:   newRenderCache(renderCacheBytes),
+		coops:    NewCoop(params, table),
+		tel:      newServerTelemetry(),
+		wal:      wlog,
+		replicas: replicas,
+		pushing:  make(map[string][]string),
+		stopped:  make(chan struct{}),
 	}
 	if wlog != nil {
 		s.staged = store.NewMem()
@@ -452,7 +419,7 @@ func New(cfg Config) (*Server, error) {
 	s.tel.reg.SetSeriesLimit(params.MetricsSeriesLimit)
 	if rec != nil {
 		for _, seed := range rec.coops {
-			s.coops.host(*seed)
+			s.coops.restore(*seed)
 		}
 		recStats.seconds = time.Since(recStart).Seconds()
 		s.recovery = recStats
@@ -546,11 +513,11 @@ func (s *Server) listenAndServe() error {
 // (§5.1), the pinger and the co-op validator (§4.5), then the loops of the
 // extensions that are switched on.
 func (s *Server) startLoops() {
-	s.every(s.params.StatsInterval, s.runStatsTick)
-	s.every(s.params.PingerInterval, s.runPingerTick)
-	s.every(s.params.ValidateInterval, s.runValidatorTick)
+	s.every(s.params.StatsInterval, s.TickStats)
+	s.every(s.params.PingerInterval, s.TickPinger)
+	s.every(s.params.ValidateInterval, s.TickValidator)
 	if s.params.AntiEntropyInterval > 0 {
-		s.every(s.params.AntiEntropyInterval, s.runAntiEntropyTick)
+		s.every(s.params.AntiEntropyInterval, s.TickAntiEntropy)
 	}
 	if s.wal != nil && s.params.SnapshotInterval > 0 {
 		// writeSnapshot logs its own failure; the next round retries.
@@ -640,11 +607,9 @@ func (s *Server) Stats() *metrics.ServerStats { return s.stats }
 // Migrations exposes the home-side migration ledger.
 func (s *Server) Migrations() *policy.Ledger { return s.ledger }
 
-// QueueDepth reports how many accepted connections are waiting in the
-// socket queue for a worker. The GLT load metric folds it in (queue-aware
-// load shedding): a backlogged server advertises itself as hotter and
-// starts migrating documents away before it starts dropping connections.
-func (s *Server) QueueDepth() int { return s.httpSrv.QueueDepth() }
+// Coop exposes the co-op core: hosted copies and peer health (status
+// tooling, tests).
+func (s *Server) Coop() *Coop { return s.coops }
 
 // CoopDocCount reports how many documents this server currently hosts on
 // behalf of other servers (physically present or pending lazy fetch).
@@ -779,29 +744,13 @@ func (s *Server) DeleteDocument(name string) error {
 	s.walAppend(recDocDelete, encodeNameRecord(cleaned))
 	s.updMu.Unlock()
 	s.ctl.Forget(cleaned)
-	s.repMu.Lock()
-	delete(s.replicas, cleaned)
-	s.repMu.Unlock()
+	s.replicas.Set(cleaned, nil)
 	s.hub.push(invalDelete, []string{cleaned}, nil)
 	return nil
 }
 
 // now returns the current time on the configured clock.
 func (s *Server) now() time.Time { return s.cfg.Clock.Now() }
-
-// TickStats runs one statistics interval synchronously (load update,
-// migration decision, window roll). Deterministic harnesses call this
-// instead of waiting for the T_st timer.
-func (s *Server) TickStats() { s.runStatsTick() }
-
-// TickPinger runs one pinger activation synchronously.
-func (s *Server) TickPinger() { s.runPingerTick() }
-
-// TickValidator runs one co-op validation pass synchronously.
-func (s *Server) TickValidator() { s.runValidatorTick() }
-
-// TickAntiEntropy runs one anti-entropy digest exchange synchronously.
-func (s *Server) TickAntiEntropy() { s.runAntiEntropyTick() }
 
 // Resilience exposes the per-peer breaker registry and its counters
 // (status endpoint, operational tooling, tests).
@@ -841,99 +790,27 @@ func (s *Server) piggybackTo(h httpx.Header, peer string) {
 }
 
 // absorbPiggyback merges piggybacked load information from an incoming
-// header map and returns the decoded piggyback — sender address and any
-// per-shard digests — so callers that speak the digest protocol can see
-// what the sender asked for.
+// header map through the co-op core, which also notes the direct contact
+// and re-admits a declared-down sender (Coop.Absorb), and returns the
+// decoded piggyback — sender address and any per-shard digests — so
+// callers that speak the digest protocol can see what the sender asked
+// for.
 func (s *Server) absorbPiggyback(h httpx.Header) glt.Piggyback {
 	var p glt.Piggyback
 	if v := h.Get(glt.HeaderName); v != "" {
 		p = glt.DecodePiggyback(v)
-		s.table.Absorb(p, s.now())
-		s.reconcileDownPeers(p)
+		for _, peer := range s.coops.Absorb(p, s.now()) {
+			s.res.Reset(peer)
+			s.log.Printf("dcws %s: peer %s recovered, re-admitted to load table", s.Addr(), peer)
+		}
 	}
 	s.absorbHot(h)
 	return p
 }
 
-// reconcileDownPeers checks a piggyback against the declared-down list
-// (§4.5 recovery). A header the peer sent itself proves it came back,
-// whatever its stamps say (its clock may have restarted behind). So does
-// a relayed entry stamped above the one recorded at the declaration: the
-// peer published after it was declared down. Either way it is re-admitted
-// with its failure trackers (ping failures, circuit breaker) reset and
-// becomes eligible for migrations again. Any other relayed entry of a
-// down peer is a stale echo — other servers may keep relaying it long
-// after the crash — and is scrubbed from the table so a dead peer is
-// never falsely resurrected. No clock reading enters the decision.
-func (s *Server) reconcileDownPeers(p glt.Piggyback) {
-	s.peerMu.Lock()
-	if len(s.downStamp) == 0 {
-		s.peerMu.Unlock()
-		return
-	}
-	var readmit, scrub []string
-	_, direct := s.downStamp[p.From]
-	if direct {
-		readmit = append(readmit, p.From)
-	}
-	for _, e := range p.Entries {
-		last, down := s.downStamp[e.Server]
-		switch {
-		case !down || e.Server == p.From:
-		case e.Stamp > last:
-			readmit = append(readmit, e.Server)
-		default:
-			scrub = append(scrub, e.Server)
-		}
-	}
-	for _, peer := range readmit {
-		delete(s.downStamp, peer)
-		delete(s.pingFail, peer)
-	}
-	s.peerMu.Unlock()
-	for _, p := range readmit {
-		s.res.Reset(p)
-		s.log.Printf("dcws %s: peer %s recovered, re-admitted to load table", s.Addr(), p)
-	}
-	for _, p := range scrub {
-		s.table.Remove(p)
-	}
-	if direct {
-		// The peer's own entry may not be in its header (it last sent it
-		// before the declaration). Until it next publishes, it rejoins as
-		// a configured peer does at boot: known, load unknown. A real
-		// entry always wins over this stamp-0 one.
-		s.table.Observe(glt.Entry{Server: p.From, Updated: s.now()})
-	}
-}
-
-// peerSuspect reports whether peer is in the suspect window: it has
-// recent unresolved probe failures, a non-closed circuit breaker, or was
-// declared down. Suspect peers receive no new migrations or replicas
-// until they prove healthy again — the wobble between "fine" and
-// "declared down" must not attract documents it would immediately strand.
+// peerSuspect reports whether peer is in the suspect window: the co-op
+// core holds probe failures or a down declaration against it
+// (Coop.Suspect), or its circuit breaker is not closed.
 func (s *Server) peerSuspect(peer string) bool {
-	s.peerMu.Lock()
-	fails := s.pingFail[peer]
-	_, down := s.downStamp[peer]
-	s.peerMu.Unlock()
-	if down || fails > 0 {
-		return true
-	}
-	return s.res.StateOf(peer) != resilience.Closed
-}
-
-// recoverPeer clears every failure tracker for a peer that answered a
-// probe: consecutive ping failures, down state, and the circuit breaker.
-func (s *Server) recoverPeer(peer string) {
-	s.peerMu.Lock()
-	_, wasDown := s.downStamp[peer]
-	hadFailures := s.pingFail[peer] > 0
-	delete(s.downStamp, peer)
-	delete(s.pingFail, peer)
-	s.peerMu.Unlock()
-	s.res.Reset(peer)
-	if wasDown || hadFailures {
-		s.log.Printf("dcws %s: peer %s healthy again", s.Addr(), peer)
-	}
+	return s.coops.Suspect(peer) || s.res.StateOf(peer) != resilience.Closed
 }

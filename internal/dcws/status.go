@@ -88,11 +88,9 @@ func (s *Server) Status() Status {
 			st.PeerHealth[p] = "ok"
 		}
 	}
-	s.peerMu.Lock()
-	for p := range s.downStamp {
+	for _, p := range s.coops.Down() {
 		st.PeerHealth[p] = "down"
 	}
-	s.peerMu.Unlock()
 	return st
 }
 

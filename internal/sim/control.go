@@ -2,8 +2,6 @@ package sim
 
 import (
 	"slices"
-	"sort"
-	"strings"
 
 	"dcws/internal/dcws"
 	"dcws/internal/glt"
@@ -23,14 +21,13 @@ func (w *World) internalFetch(coop *simServer, t target, done func(reply)) {
 		// Piggyback: both tables merge (the request carried the coop's
 		// view; the response will carry the home's).
 		exchangeTables(home, coop)
-		home.absorbHotReport(coop)
+		home.ctl.AbsorbHot(coop.coop.HotReport(home.addr))
 
 		d, ok := home.docs[t.Name]
 		if !ok || !slices.Contains(home.Replicas(t.Name), coop.addr) {
 			home.finish(reply{status: 301, bytes: home.cost.RedirectBytes}, 0, done)
 			return
 		}
-		home.fetches++
 		home.finish(reply{status: 200, bytes: d.spec.Size, doc: home.rendered(t.Name, d)}, home.cost.ParseCost, done)
 	})
 }
@@ -40,32 +37,14 @@ func (w *World) internalFetch(coop *simServer, t target, done func(reply)) {
 // to a, a's response carries its delta back, and both sides absorb through
 // the same codec the live system uses, so entry caps, per-peer acks, and
 // epidemic relay of third-party entries behave identically to production.
+// Each side absorbs through its co-op core, which notes the direct contact.
 func exchangeTables(a, b *simServer) {
 	w := a.w
 	max := dcws.MaxPiggybackEntries
 	req := glt.DecodePiggyback(b.table.EncodePiggybackTo(a.addr, w.now, max, false))
-	a.table.Absorb(req, w.now)
+	a.coop.Absorb(req, w.now)
 	hdr, _ := a.table.Answer(req, max)
-	b.table.Absorb(glt.DecodePiggyback(hdr), w.now)
-}
-
-// absorbHotReport hands the home's control plane the coop's per-document
-// window hits for documents this home owns (X-DCWS-Hot equivalent).
-func (home *simServer) absorbHotReport(coop *simServer) {
-	var report map[string]int64
-	prefix := home.addr + "|"
-	for key, h := range coop.hosted {
-		if !h.present || h.windowHits == 0 || !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		if report == nil {
-			report = make(map[string]int64)
-		}
-		report[key[len(prefix):]] = h.windowHits
-	}
-	if report != nil {
-		home.ctl.AbsorbHot(report)
-	}
+	b.coop.Absorb(glt.DecodePiggyback(hdr), w.now)
 }
 
 // statsTick is one statistics interval (T_st) on one server: refresh the
@@ -91,17 +70,14 @@ func (s *simServer) statsTick() {
 	s.windowConns = 0
 	s.windowBytes = 0
 	s.ldg.RollWindow()
-	for _, h := range s.hosted {
-		h.windowHits = 0
-	}
+	s.coop.RollWindows()
 }
 
 // relocate points a document at its new primary location ("" is home),
-// dirtying every page that links to it, and pushes those pages' new
-// renderings.
+// dirtying every page that links to it; hosted copies of those pages learn
+// of their new renderings at their next validation.
 func (s *simServer) relocate(name, location string) {
-	dirtied, _ := s.ldg.MarkMigrated(name, location)
-	s.pushDirtied(dirtied)
+	s.ldg.MarkMigrated(name, location)
 }
 
 // Migrate performs the logical migration: location update, dirty
@@ -111,47 +87,17 @@ func (s *simServer) Migrate(name, coop string) {
 		return
 	}
 	s.ledger.Record(name, coop, s.w.now)
-	s.replicas[name] = []string{coop}
+	s.replicas.Set(name, []string{coop})
 	s.migrations++
 	s.relocate(name, coop)
 }
 
-// pushDirtied models the live server's invalidation push on link
-// rewrites: when leases are on, every hosted copy of a just-dirtied
-// document gets the re-rendered form immediately instead of waiting for
-// its host's next validator poll.
-func (s *simServer) pushDirtied(names []string) {
-	if s.w.params.LeaseDuration <= 0 {
-		return
-	}
-	for _, name := range names {
-		d, hosts := s.docs[name], s.Replicas(name)
-		if d == nil || len(hosts) == 0 {
-			continue
-		}
-		cur := s.rendered(name, d)
-		for _, hAddr := range hosts {
-			host := s.w.servers[hAddr]
-			if host == nil {
-				continue
-			}
-			if h, ok := host.hosted[s.addr+"|"+name]; ok && h.present && !h.doc.current(cur) {
-				h.doc = cur
-				s.invalPushes++
-			}
-		}
-	}
-}
-
-// dropCopies makes hosts discard their copies of a document; with leases
-// on, each is told by a pushed revoke frame.
+// dropCopies makes hosts discard their copies of a document.
 func (s *simServer) dropCopies(name string, hosts []string) {
+	key := s.hostKey(s.addr, name)
 	for _, hAddr := range hosts {
 		if host := s.w.servers[hAddr]; host != nil {
-			host.dropHosted(s.addr, name)
-			if s.w.params.LeaseDuration > 0 {
-				s.invalPushes++
-			}
+			host.dropCopy(key)
 		}
 	}
 }
@@ -163,8 +109,7 @@ func (s *simServer) Revoke(name string) {
 	}
 	hosts := s.Replicas(name)
 	s.ctl.Forget(name)
-	delete(s.replicas, name)
-	delete(s.rr, name)
+	s.replicas.Set(name, nil)
 	s.dropCopies(name, hosts)
 	s.revocations++
 	s.relocate(name, "")
@@ -174,11 +119,11 @@ func (s *simServer) Revoke(name string) {
 // discard their copies and pages linking to the document re-rotate over
 // the replicas kept.
 func (s *simServer) Shrink(name string, keep int) {
-	reps := s.replicas[name]
+	reps := s.Replicas(name)
 	if len(reps) <= keep {
 		return
 	}
-	s.replicas[name] = reps[:keep:keep]
+	s.replicas.Set(name, reps[:keep:keep])
 	s.dropCopies(name, reps[keep:])
 	s.relocate(name, reps[0])
 }
@@ -194,9 +139,11 @@ func (s *simServer) ChainReplicate(name string, chain []string) {
 		return
 	}
 	pushed := s.rendered(name, d)
+	key := s.hostKey(s.addr, name)
 	for i, addr := range chain {
 		host := s.w.servers[addr]
-		host.hosted[s.addr+"|"+name] = &hostedDoc{present: true, doc: pushed}
+		host.coop.Host(key)
+		host.admitCopy(key, pushed)
 		if i < len(chain)-1 {
 			host.finish(reply{status: 200, bytes: d.spec.Size}, 0, func(reply) {})
 		}
@@ -210,79 +157,84 @@ func (s *simServer) ChainReplicate(name string, chain []string) {
 		s.ledger.Record(name, newReps[0], s.w.now)
 		s.migrations++
 	}
-	s.replicas[name] = newReps
+	s.replicas.Set(name, newReps)
 	s.relocate(name, newReps[0])
 }
 
-// pingerTick refreshes stale load-table entries by probing peers — a tiny
-// request charged to the peer, with tables exchanged on success (§4.5).
+// pingerTick probes the peers the co-op core names — a tiny request
+// charged to the peer, with tables exchanged on success (§4.5) — and
+// reports each outcome to the core. A peer missing from the world is
+// unreachable: its probe fails, and a peer the core declares down has its
+// documents recalled.
 func (s *simServer) pingerTick() {
 	w := s.w
-	for _, peer := range s.table.StaleServers(w.now, w.params.PingerInterval) {
+	for _, peer := range s.coop.ProbeTargets(w.now) {
 		p := w.servers[peer]
 		if p == nil {
-			s.table.Remove(peer)
+			if _, down := s.coop.ProbeFailed(peer); down {
+				for _, mig := range s.ledger.HostedBy(peer) {
+					s.Revoke(mig.Doc)
+				}
+				s.table.Remove(peer)
+			}
 			continue
 		}
-		// Charge the ping to the peer's worker pool.
 		p.finish(reply{status: 200, bytes: 64}, 0, func(reply) {
+			s.coop.ProbeOK(peer)
 			exchangeTables(s, p)
-			p.absorbHotReport(s)
 		})
 	}
 }
 
-// validatorTick re-requests every hosted copy from its home (T_val): a
-// cheap conditional exchange when unchanged, a full transfer when the home
-// copy moved on (§4.5 case 1).
+// validatorTick polls the hosted copies the co-op core names (T_val).
 func (s *simServer) validatorTick() {
-	w := s.w
-	keys := make([]string, 0, len(s.hosted))
-	for key := range s.hosted {
-		keys = append(keys, key)
+	poll, _ := s.coop.Sweep(s.w.now, nil)
+	for _, key := range poll {
+		s.validate(key, nil)
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		h := s.hosted[key]
-		if !h.present {
-			continue
+}
+
+// validate re-requests one hosted copy from its home: a cheap conditional
+// exchange when the home's rendering is unchanged, a full transfer when it
+// moved on (§4.5 case 1), a 301 when the home no longer places the
+// document here. The co-op core reads the answer. The live validator
+// re-renders a dirty document before answering (its hyperlinks re-rotate
+// over current replica sets) and compares content, so an unchanged
+// rendering is a 304. then, when set, runs once the answer has arrived.
+func (s *simServer) validate(key string, then func()) {
+	w := s.w
+	v, _ := s.coop.View(key)
+	home := w.servers[v.Home]
+	done := func(reply) {
+		if then != nil {
+			then()
 		}
-		homeAddr, name, _ := strings.Cut(key, "|")
-		home := w.servers[homeAddr]
-		if home == nil {
-			continue
+	}
+	if home == nil {
+		done(reply{})
+		return
+	}
+	exchangeTables(home, s)
+	home.ctl.AbsorbHot(s.coop.HotReport(home.addr))
+	status, d := 301, home.docs[v.Name]
+	var cur *servedDoc
+	if d != nil && slices.Contains(home.Replicas(v.Name), s.addr) {
+		status, cur = 200, home.rendered(v.Name, d)
+		if s.copies[key].current(cur) {
+			status = 304
 		}
-		// With leases on, a live home pushes invalidations itself, so the
-		// polled validation round is skipped entirely — the traffic collapse
-		// the live system's dcws_validate_polls_total counter measures.
-		if w.params.LeaseDuration > 0 {
-			s.leaseSkips++
-			continue
-		}
-		s.validations++
-		d, ok := home.docs[name]
-		if !ok {
-			continue
-		}
-		exchangeTables(home, s)
-		home.absorbHotReport(s)
-		if !slices.Contains(home.Replicas(name), s.addr) {
-			s.dropHosted(homeAddr, name)
-			continue
-		}
-		// The live validator re-renders a dirty document before answering
-		// (its hyperlinks re-rotate over current replica sets) and compares
-		// content, so an unchanged rendering is a 304.
-		cur := home.rendered(name, d)
-		if h.doc.current(cur) {
-			// 304: conditional check only.
-			home.finish(reply{status: 200, bytes: 256}, 0, func(reply) {})
-			continue
-		}
-		hh := h
+	}
+	switch s.coop.Validated(key, status, w.now) {
+	case dcws.ValidCurrent:
+		home.finish(reply{status: 200, bytes: 256}, 0, done)
+	case dcws.ValidRefreshed:
 		home.finish(reply{status: 200, bytes: d.spec.Size, doc: cur}, 0, func(rep reply) {
-			hh.doc = rep.doc
+			s.admitCopy(key, rep.doc)
+			done(rep)
 		})
+	default:
+		s.dropCopy(key)
+		done(reply{})
 	}
 }
 
@@ -299,10 +251,10 @@ func (s *simServer) antiEntropyTick() {
 	}
 	_, _ = s.table.Reconcile(peer.addr, func(hdr string) (glt.Piggyback, error) {
 		req := glt.DecodePiggyback(hdr)
-		peer.table.Absorb(req, w.now)
+		peer.coop.Absorb(req, w.now)
 		resp, _ := peer.table.Answer(req, dcws.MaxPiggybackEntries)
 		p := glt.DecodePiggyback(resp)
-		s.table.Absorb(p, w.now)
+		s.coop.Absorb(p, w.now)
 		return p, nil
 	})
 }

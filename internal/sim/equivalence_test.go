@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -166,11 +167,13 @@ func TestSimMatchesLiveMigrationDecision(t *testing.T) {
 // idle production co-ops on an in-memory fabric, both on the same site,
 // Params and manual clock start.
 type drivers struct {
-	w      *World
-	sim    *simServer
-	live   *dcws.Server
-	clock  *clock.Manual
-	client *httpx.Client
+	w         *World
+	sim       *simServer
+	live      *dcws.Server
+	liveCoops []*dcws.Server
+	fabric    *memnet.Fabric
+	clock     *clock.Manual
+	client    *httpx.Client
 }
 
 func newDrivers(t *testing.T, site *dataset.Site, params dcws.Params, coops []string) *drivers {
@@ -224,15 +227,17 @@ func newDrivers(t *testing.T, site *dataset.Site, params dcws.Params, coops []st
 		return srv
 	}
 	live := boot("home", 80, st, site.EntryPoints, coops)
+	var liveCoops []*dcws.Server
 	for _, addr := range coops {
 		host, port, _ := strings.Cut(addr, ":")
 		n, err := strconv.Atoi(port)
 		if err != nil {
 			t.Fatal(err)
 		}
-		boot(host, n, store.NewMem(), nil, []string{"home:80"})
+		liveCoops = append(liveCoops, boot(host, n, store.NewMem(), nil, []string{"home:80"}))
 	}
-	return &drivers{w: w, sim: simHome, live: live, clock: mc, client: httpx.NewClient(httpx.DialerFunc(fabric.Dial))}
+	return &drivers{w: w, sim: simHome, live: live, liveCoops: liveCoops, fabric: fabric, clock: mc,
+		client: httpx.NewClient(httpx.DialerFunc(fabric.Dial))}
 }
 
 // serve has both homes serve one request for name.
@@ -428,4 +433,217 @@ func imageRunsSorted(sent []string) []string {
 		i = max(j, i+1)
 	}
 	return out
+}
+
+// coopSide is one driver of the co-op core as the co-op equivalence test
+// steers it: a home at home:80 with one co-op at coop1:81, the cores of
+// both, and the few actions the test takes on each.
+type coopSide struct {
+	home, coop *dcws.Coop
+	get        func() int           // one client GET of the hosted page at the co-op
+	validate   func()               // one validation pass at the co-op
+	place      func(doc string)     // the home places doc on the co-op
+	tickHome   func()               // one statistics tick at the home
+	hotRate    func(string) float64 // the home's serve-rate EWMA of a document
+	pingers    func()               // T_pi passes: every server's pinger runs
+	cut        func(bool)           // cut the co-op off from the home, or heal
+	recall     func()               // the home recalls everything from the co-op
+	copyID     func() string        // identifies the co-op's copy's content
+}
+
+// coopStream runs the co-op script on one driver and returns what each
+// step did, read off the co-op cores and the home's control plane.
+func coopStream(t *testing.T, side coopSide) []string {
+	t.Helper()
+	key, _ := naming.Encode(naming.Origin{Host: "home", Port: 80}, "/a.html")
+	var out []string
+	log := func(format string, a ...any) { out = append(out, fmt.Sprintf(format, a...)) }
+	validation := func() string {
+		before := side.copyID()
+		side.validate()
+		switch v, ok := side.coop.View(key); {
+		case !ok:
+			return dcws.ValidDropped
+		case !v.Present:
+			return "absent"
+		case side.copyID() != before:
+			return dcws.ValidRefreshed
+		}
+		return dcws.ValidCurrent
+	}
+	health := func(c *dcws.Coop, peer string) string {
+		switch {
+		case slices.Contains(c.Down(), peer):
+			return "down"
+		case c.Suspect(peer):
+			return "suspect"
+		}
+		return "ok"
+	}
+
+	side.place("/a.html")
+	status := side.get()
+	v, _ := side.coop.View(key)
+	log("lazy fetch: %d, present %v", status, v.Present)
+	log("validate unchanged: %s", validation())
+	side.place("/b.html") // /a.html links to it: its rendering changes
+	log("validate after its link moved: %s", validation())
+	side.tickHome() // drains the hot reports the fetch and validations carried
+	for i := 0; i < 20; i++ {
+		side.get()
+	}
+	hits := side.coop.HotReport("home:80")["/a.html"]
+	side.pingers()
+	side.tickHome()
+	log("ping with %d hosted hits: home's hot rate %.4f", hits, side.hotRate("/a.html"))
+	side.cut(true)
+	side.pingers()
+	log("probe while cut: co-op sees home %s, home sees co-op %s",
+		health(side.coop, "home:80"), health(side.home, "coop1:81"))
+	side.cut(false)
+	side.pingers()
+	log("probe after heal: co-op sees home %s, home sees co-op %s",
+		health(side.coop, "home:80"), health(side.home, "coop1:81"))
+	side.cut(true)
+	side.recall() // the revocation does not reach the co-op
+	side.cut(false)
+	log("validate after a recall it missed: %s", validation())
+	return out
+}
+
+// TestSimMatchesLiveCoopOutcomes cross-validates the two drivers of the
+// co-op core (dcws.Coop) the way TestSimMatchesLiveMigrationDecision does
+// the control plane: one page placed on one co-op goes through a lazy
+// fetch, a 304, a refresh and a drop; a ping carries no hosted hits to the
+// home (only fetches and validations report heat); and a probe across a
+// partition fails, then recovers. Both drivers must produce the same
+// outcome stream. T_pi is one minute and every other loop interval is
+// longer than the three minutes the clock moves, so on the live side only
+// the pinger loops run, at the same instants the simulated pingers do.
+func TestSimMatchesLiveCoopOutcomes(t *testing.T) {
+	site := &dataset.Site{Name: "Coop", EntryPoints: []string{"/index.html"}, Docs: []dataset.Doc{
+		{Name: "/index.html", Size: 1024, Links: []dataset.Link{{URL: "/a.html"}}},
+		{Name: "/a.html", Size: 1024, Links: []dataset.Link{{URL: "/b.html"}}},
+		{Name: "/b.html", Size: 1024},
+	}}
+	params := dcws.Params{
+		CapacitySmoothing:     -1,
+		StatsInterval:         10 * time.Minute,
+		PingerInterval:        time.Minute,
+		ValidateInterval:      time.Hour,
+		AntiEntropyInterval:   -1,
+		SLOCheckInterval:      -1,
+		PlacementMaxStaleness: -1,
+		RetryBaseDelay:        -1, // no real backoff sleep on a manual clock
+		HotReplicateRate:      1e6,
+	}
+	const coopAddr = "coop1:81"
+	d := newDrivers(t, site, params, []string{coopAddr})
+	key, _ := naming.Encode(naming.Origin{Host: "home", Port: 80}, "/a.html")
+	step := time.Minute + time.Second // past T_pi, so every peer is due
+
+	w, simHome, simCoop := d.w, d.sim, d.w.servers[coopAddr]
+	settle := func() { w.drain(w.now.Add(time.Minute)) }
+	sim := coopSide{
+		home: simHome.coop,
+		coop: simCoop.coop,
+		get: func() int {
+			status := 0
+			simCoop.admitCoop(target{Addr: coopAddr, Home: "home:80", Name: "/a.html"}, func(r reply) { status = r.status })
+			settle()
+			return status
+		},
+		validate: func() { simCoop.validatorTick(); settle() },
+		place:    func(doc string) { simHome.Migrate(doc, coopAddr) },
+		tickHome: simHome.statsTick,
+		hotRate:  simHome.ctl.HotRate,
+		pingers: func() {
+			w.now = w.now.Add(step)
+			simHome.pingerTick()
+			simCoop.pingerTick()
+			settle()
+		},
+		cut: func(cut bool) {
+			if cut {
+				delete(w.servers, "home:80")
+				delete(w.servers, coopAddr)
+			} else {
+				w.servers["home:80"], w.servers[coopAddr] = simHome, simCoop
+			}
+		},
+		recall: func() {
+			for _, mig := range simHome.ledger.HostedBy(coopAddr) {
+				simHome.Revoke(mig.Doc)
+			}
+		},
+		copyID: func() string { return fmt.Sprintf("%p", simCoop.copies[key]) },
+	}
+
+	liveCoop, mc := d.liveCoops[0], d.clock
+	loops := 3 * 2 // statistics, pinger, validator on each live server
+	live := coopSide{
+		home: d.live.Coop(),
+		coop: liveCoop.Coop(),
+		get: func() int {
+			resp, err := d.client.Get(coopAddr, key, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp.Status
+		},
+		validate: liveCoop.TickValidator,
+		place: func(doc string) {
+			req := httpx.NewRequest("POST", "/~dcws/migrate")
+			req.Header.Set("X-DCWS-Doc", doc)
+			req.Header.Set("X-DCWS-Fetch", coopAddr)
+			if resp, err := d.client.Do("home:80", req); err != nil || resp.Status != 200 {
+				t.Fatalf("place %s: %v %v", doc, resp, err)
+			}
+		},
+		tickHome: d.live.TickStats,
+		hotRate:  d.live.HotRate,
+		pingers: func() {
+			mc.Advance(step)
+			for deadline := time.Now().Add(10 * time.Second); mc.Waiters() < loops; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d maintenance loops back on the clock", mc.Waiters(), loops)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		},
+		cut: func(cut bool) {
+			// The fabric refuses dials by destination: cutting both
+			// addresses cuts both directions.
+			for _, addr := range []string{"home:80", coopAddr} {
+				if cut {
+					d.fabric.Partition(memnet.Wildcard, addr)
+					d.fabric.ResetLink(memnet.Wildcard, addr)
+				} else {
+					d.fabric.Heal(memnet.Wildcard, addr)
+				}
+			}
+		},
+		recall: func() { d.live.RecallFrom(coopAddr) },
+		copyID: func() string {
+			v, _ := liveCoop.Coop().View(key)
+			return strconv.FormatUint(v.Hash, 16)
+		},
+	}
+
+	simOut, liveOut := coopStream(t, sim), coopStream(t, live)
+	if !reflect.DeepEqual(simOut, liveOut) {
+		t.Fatalf("co-op outcome divergence:\n  sim:  %q\n  live: %q", simOut, liveOut)
+	}
+	want := []string{
+		"lazy fetch: 200, present true",
+		"validate unchanged: current",
+		"validate after its link moved: refreshed",
+		"ping with 21 hosted hits: home's hot rate 0.0000",
+		"probe while cut: co-op sees home suspect, home sees co-op suspect",
+		"probe after heal: co-op sees home ok, home sees co-op ok",
+		"validate after a recall it missed: dropped",
+	}
+	if !reflect.DeepEqual(liveOut, want) {
+		t.Fatalf("both drivers did\n  %q\nwant\n  %q", liveOut, want)
+	}
 }

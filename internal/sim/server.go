@@ -8,6 +8,7 @@ import (
 	"dcws/internal/dcws"
 	"dcws/internal/glt"
 	"dcws/internal/graph"
+	"dcws/internal/naming"
 	"dcws/internal/policy"
 	"dcws/internal/webclient"
 )
@@ -17,9 +18,6 @@ import (
 // Home is a plain request; Addr != Home is a ~migrate request at a co-op.
 // It is the walker's Ref, so a served link goes to the client unconverted.
 type target = webclient.Ref
-
-// hostKey is a co-op's key for a target's document identity.
-func hostKey(t target) string { return t.Home + "|" + t.Name }
 
 // servedDoc is the simulated payload of a 200 response for an HTML page:
 // its size and its hyperlinks as last rendered, each already resolved to
@@ -54,15 +52,6 @@ type simDoc struct {
 	snapshot *servedDoc
 }
 
-// hostedDoc is the co-op-side state of one document hosted for a peer.
-type hostedDoc struct {
-	present    bool
-	fetching   bool
-	doc        *servedDoc
-	windowHits int64
-	waiters    []func(reply)
-}
-
 // simServer is one simulated workstation running the DCWS server.
 type simServer struct {
 	w    *World
@@ -81,17 +70,23 @@ type simServer struct {
 
 	// Home-side state. ldg is the production document graph; ctl is the
 	// production control plane (dcws.Controller) with this server as its
-	// Plant, and ldg, table and ledger are shared with it.
+	// Plant, and ldg, table and ledger are shared with it. replicas is the
+	// production replica table.
 	docs     map[string]*simDoc
 	ldg      *graph.LDG
 	table    *glt.Table
 	ledger   *policy.Ledger
 	ctl      *dcws.Controller
-	replicas map[string][]string
-	rr       map[string]int
+	replicas *dcws.ReplicaTable
 
-	// Co-op-side state.
-	hosted map[string]*hostedDoc
+	// Co-op side. coop is the production co-op core, which keeps the
+	// hosted copies' records and the peers' health; copies is the
+	// simulated disk holding the copies' payloads by key, and waiters the
+	// requests parked on a fetch in flight.
+	coop    *dcws.Coop
+	copies  map[string]*servedDoc
+	waiters map[string][]func(reply)
+	keys    map[[2]string]string // hostKey's encodings, by (home, name)
 
 	// Counters.
 	conns          int64
@@ -100,19 +95,11 @@ type simServer struct {
 	bytesOut       int64
 	drops          int64
 	redirects      int64
-	fetches        int64
 	rebuilds       int64
 	migrations     int64
 	revocations    int64
 	chainPushes    int64
 	chainPushBytes int64
-	// Push-invalidation mirror (active when Params.LeaseDuration > 0):
-	// validations counts validator polls actually issued, leaseSkips the
-	// polls elided under lease cover, invalPushes the invalidations the
-	// home delivered directly to hosted copies.
-	validations int64
-	leaseSkips  int64
-	invalPushes int64
 }
 
 func newSimServer(w *World, addr string, params dcws.Params, cost CostModel) *simServer {
@@ -126,10 +113,12 @@ func newSimServer(w *World, addr string, params dcws.Params, cost CostModel) *si
 		ldg:      graph.New(),
 		table:    glt.NewTable(addr),
 		ledger:   policy.NewLedger(),
-		replicas: make(map[string][]string),
-		rr:       make(map[string]int),
-		hosted:   make(map[string]*hostedDoc),
+		copies:   make(map[string]*servedDoc),
+		waiters:  make(map[string][]func(reply)),
+		keys:     make(map[[2]string]string),
 	}
+	s.replicas = dcws.NewReplicaTable(params.Zone, s.table)
+	s.coop = dcws.NewCoop(params, s.table)
 	s.ctl = &dcws.Controller{
 		Self:   addr,
 		Params: params,
@@ -168,10 +157,11 @@ func (s *simServer) loadSite(site *dataset.Site) {
 
 // Replicas lists the co-ops hosting a document, primary first; callers
 // must not modify the result.
-func (s *simServer) Replicas(name string) []string { return s.replicas[name] }
+func (s *simServer) Replicas(name string) []string { return s.replicas.Get(name) }
 
-// Usable: simulated peers never fail, so any server that exists will do.
-func (s *simServer) Usable(e glt.Entry) bool { return s.w.servers[e.Server] != nil }
+// Usable reads the co-op core's peer health: a peer with failed probes or
+// declared down takes no documents.
+func (s *simServer) Usable(e glt.Entry) bool { return !s.coop.Suspect(e.Server) }
 
 func maxTime(a, b time.Time) time.Time {
 	if a.After(b) {
@@ -253,7 +243,7 @@ func (s *simServer) serveHome(name string) (reply, time.Duration) {
 		return reply{
 			status: 301,
 			bytes:  s.cost.RedirectBytes,
-			loc:    target{Addr: s.pickReplica(name), Home: s.addr, Name: name},
+			loc:    target{Addr: s.replicas.Pick(name), Home: s.addr, Name: name},
 		}, 0
 	}
 	var extra time.Duration
@@ -282,7 +272,7 @@ func (s *simServer) render(name string, d *simDoc) {
 	for _, l := range d.spec.Links {
 		addr := s.addr
 		if loc, _ := s.ldg.Location(l.URL); loc != "" {
-			addr = s.pickReplica(l.URL)
+			addr = s.replicas.Pick(l.URL)
 		}
 		t := target{Addr: addr, Home: s.addr, Name: l.URL}
 		if l.Image {
@@ -304,64 +294,81 @@ func (s *simServer) rendered(name string, d *simDoc) *servedDoc {
 	return d.snapshot
 }
 
-// pickReplica rotates across a migrated document's replica set (identical
-// to dcws.Server.pickReplica).
-func (s *simServer) pickReplica(name string) string {
-	reps := s.replicas[name]
-	if len(reps) == 1 {
-		return reps[0]
+// hostKey is a co-op's key for a document: its /~migrate path, as the
+// live server names a hosted copy. Each is encoded once and remembered,
+// as every co-op request asks for one.
+func (s *simServer) hostKey(home, name string) string {
+	key, ok := s.keys[[2]string{home, name}]
+	if !ok {
+		origin, _ := naming.ParseOrigin(home)
+		key, _ = naming.Encode(origin, name)
+		s.keys[[2]string{home, name}] = key
 	}
-	i := s.rr[name] % len(reps)
-	s.rr[name]++
-	return reps[i]
+	return key
 }
 
-// admitCoop serves a ~migrate request, lazily fetching the document from
-// its home server on first touch (§4.2).
+// admitCoop serves a ~migrate request as the co-op core decides: the
+// present copy, or a lazy fetch from the document's home on first touch
+// (§4.2). A request that arrives while that fetch is in flight joins its
+// waiters: they are the simulator's stand-in for the live server's
+// goroutines, which each block on a fetch of their own.
 func (s *simServer) admitCoop(t target, done func(reply)) {
-	key := hostKey(t)
-	h, ok := s.hosted[key]
-	if !ok {
-		h = &hostedDoc{}
-		s.hosted[key] = h
-	}
-	if h.present {
-		h.windowHits++
-		s.finish(reply{status: 200, bytes: h.doc.size, doc: h.doc}, 0, done)
-		return
-	}
-	h.waiters = append(h.waiters, done)
-	if h.fetching {
-		return
-	}
-	h.fetching = true
-	s.w.internalFetch(s, t, func(rep reply) {
-		h.fetching = false
-		waiters := h.waiters
-		h.waiters = nil
-		if rep.status == 200 {
-			h.present = true
-			h.doc = rep.doc
-			s.fetches++
-			for _, dn := range waiters {
-				h.windowHits++
-				s.finish(reply{status: 200, bytes: h.doc.size, doc: h.doc}, 0, dn)
-			}
+	key := s.hostKey(t.Home, t.Name)
+	_, act := s.coop.Touch(key, s.w.now)
+	switch act {
+	case dcws.CoopServe:
+		s.serveCopy(key, t, done)
+	case dcws.CoopValidate:
+		s.validate(key, func() { s.serveCopy(key, t, done) })
+	case dcws.CoopFetch:
+		inFlight := len(s.waiters[key]) > 0
+		s.waiters[key] = append(s.waiters[key], done)
+		if inFlight {
 			return
 		}
-		// Not assigned to us (revoked/re-migrated): relay a redirect home.
-		delete(s.hosted, key)
-		for _, dn := range waiters {
-			s.finish(reply{
-				status: 301,
-				bytes:  s.cost.RedirectBytes,
-				loc:    target{Addr: t.Home, Home: t.Home, Name: t.Name},
-			}, 0, dn)
-		}
-	})
+		s.w.internalFetch(s, t, func(rep reply) {
+			if rep.status == 200 {
+				s.admitCopy(key, rep.doc)
+			} else {
+				s.dropCopy(key) // not assigned to us (revoked/re-migrated)
+			}
+			waiters := s.waiters[key]
+			delete(s.waiters, key)
+			for _, dn := range waiters {
+				s.serveCopy(key, t, dn)
+			}
+		})
+	}
 }
 
-// dropHosted discards a hosted copy (revocation).
-func (s *simServer) dropHosted(home, name string) {
-	delete(s.hosted, hostKey(target{Home: home, Name: name}))
+// serveCopy answers from the copy of key, or relays a redirect home when
+// the home no longer places the document here.
+func (s *simServer) serveCopy(key string, t target, done func(reply)) {
+	if doc := s.copies[key]; doc != nil {
+		s.finish(reply{status: 200, bytes: doc.size, doc: doc}, 0, done)
+		return
+	}
+	s.finish(reply{
+		status: 301,
+		bytes:  s.cost.RedirectBytes,
+		loc:    target{Addr: t.Home, Home: t.Home, Name: t.Name},
+	}, 0, done)
+}
+
+// admitCopy stores an arrived copy as the co-op core admits it.
+func (s *simServer) admitCopy(key string, doc *servedDoc) {
+	ok, evicted := s.coop.Admit(key, doc.size, 0, s.w.now)
+	if !ok {
+		return
+	}
+	s.copies[key] = doc
+	for _, k := range evicted {
+		delete(s.copies, k)
+	}
+}
+
+// dropCopy discards a hosted copy (revocation).
+func (s *simServer) dropCopy(key string) {
+	s.coop.Drop(key)
+	delete(s.copies, key)
 }

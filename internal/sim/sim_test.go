@@ -510,11 +510,11 @@ func TestSimRevokeDropsHostedCopy(t *testing.T) {
 	default:
 		t.Fatal("coop fetch never completed")
 	}
-	if len(coop.hosted) != 1 {
-		t.Fatalf("hosted = %d", len(coop.hosted))
+	if len(coop.copies) != 1 {
+		t.Fatalf("hosted = %d", len(coop.copies))
 	}
 	home.Revoke("/big.jpg")
-	if len(coop.hosted) != 0 {
+	if _, hosted := coop.coop.View(coop.hostKey("s1:80", "/big.jpg")); hosted || len(coop.copies) != 0 {
 		t.Fatal("revocation did not drop the hosted copy")
 	}
 	if loc, _ := home.ldg.Location("/big.jpg"); loc != "" {

@@ -134,14 +134,6 @@ type Result struct {
 	// chain installs).
 	ChainPushes    int64
 	ChainPushBytes int64
-	// Validations / LeaseSkips / InvalidatePushes mirror the live push
-	// invalidation counters: validator polls issued, polls elided under
-	// lease cover, and invalidations homes delivered directly to hosted
-	// copies. With Params.LeaseDuration zero (the paper's design) the
-	// lease and push figures stay zero and Validations counts every poll.
-	Validations      int64
-	LeaseSkips       int64
-	InvalidatePushes int64
 	// PerServer maps server address to connections served (balance check).
 	PerServer map[string]int64
 	// PerServerBytes maps server address to bytes served (the byte-balance
@@ -475,9 +467,6 @@ func (w *World) collect() {
 		w.res.Rebuilds += s.rebuilds
 		w.res.ChainPushes += s.chainPushes
 		w.res.ChainPushBytes += s.chainPushBytes
-		w.res.Validations += s.validations
-		w.res.LeaseSkips += s.leaseSkips
-		w.res.InvalidatePushes += s.invalPushes
 	}
 }
 
