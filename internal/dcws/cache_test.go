@@ -1,6 +1,7 @@
 package dcws
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -112,36 +113,44 @@ func TestMigrationGenerationsDirtyLinkingDocs(t *testing.T) {
 	}
 }
 
+// TestMigrationCopyRenderedOnce: the home renders a co-op copy for a
+// fetch and keeps only its hash, so a validation of that copy is answered
+// 304 from the cache, without rendering it again; a second lazy fetch
+// renders the same bytes under the same hash.
 func TestMigrationCopyRenderedOnce(t *testing.T) {
 	w := newWorld(t)
 	home := w.addServer("home", 80, siteAB(), []string{"/index.html"}, Params{})
 	w.addServer("coop", 81, nil, nil, Params{})
 	home.migrate("/page.html", "coop:81")
-	fetch := func() *httpx.Response {
+	fetch := func(hash string) *httpx.Response {
 		req := httpx.NewRequest("GET", "/page.html")
 		req.Header.Set(headerFetch, "coop:81")
+		if hash != "" {
+			req.Header.Set(headerValidate, hash)
+		}
 		resp, err := w.client.Do("home:80", req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return resp
 	}
-	first := fetch()
+	first := fetch("")
+	hash := first.Header.Get(headerValidate)
 	hitsBefore, _ := home.CacheCounts()
-	second := fetch()
+	valid := fetch(hash)
 	hitsAfter, _ := home.CacheCounts()
-	if first.Status != 200 || second.Status != 200 {
-		t.Fatalf("fetch statuses %d, %d", first.Status, second.Status)
-	}
-	if string(first.Body) != string(second.Body) {
-		t.Fatal("repeated migration fetches differ")
+	if first.Status != 200 || valid.Status != 304 {
+		t.Fatalf("fetch, validation statuses %d, %d; want 200, 304", first.Status, valid.Status)
 	}
 	if hitsAfter <= hitsBefore {
-		t.Fatal("second migration fetch re-rendered instead of hitting the cache")
+		t.Fatal("validation re-rendered the copy instead of reading its hash from the cache")
 	}
-	if first.Header.Get(headerValidate) == "" || first.Header.Get(headerValidate) != second.Header.Get(headerValidate) {
-		t.Fatalf("content hash unstable across cached fetches: %q vs %q",
-			first.Header.Get(headerValidate), second.Header.Get(headerValidate))
+	second := fetch("")
+	if second.Status != 200 || string(first.Body) != string(second.Body) {
+		t.Fatalf("repeated migration fetches differ: %d %q vs %q", second.Status, second.Body, first.Body)
+	}
+	if hash == "" || hash != second.Header.Get(headerValidate) {
+		t.Fatalf("content hash unstable across fetches: %q vs %q", hash, second.Header.Get(headerValidate))
 	}
 }
 
@@ -203,30 +212,48 @@ func TestConcurrentServeAndMigrate(t *testing.T) {
 
 func TestRenderCacheDropsStaleGeneration(t *testing.T) {
 	c := newRenderCache(1 << 20)
-	c.put("/a.html", renderHome, 1, []byte("gen-one"), 0)
-	if _, _, ok := c.get("/a.html", renderHome, 2); ok {
+	c.put("/a.html", 1, []byte("gen-one"))
+	if _, ok := c.get("/a.html", 2); ok {
 		t.Fatal("stale generation served")
 	}
 	if c.len() != 0 {
 		t.Fatalf("stale entry not dropped: len = %d", c.len())
 	}
+	// A copy hash recorded at a newer generation starts the entry over.
+	c.put("/a.html", 1, []byte("gen-one"))
+	c.putCopyHash("/a.html", 2, 42)
+	if h, ok := c.copyHash("/a.html", 2); !ok || h != 42 {
+		t.Fatalf("copy hash = %d %v, want 42", h, ok)
+	}
+	if _, ok := c.get("/a.html", 2); ok {
+		t.Fatal("home form of an older generation kept beside a newer copy hash")
+	}
 }
 
 func TestRenderCacheBudget(t *testing.T) {
-	// Per-shard budget of 16 bytes. Both kinds of one name land in the
-	// same shard, so the second insert must evict the first.
+	// Per-shard budget of 16 bytes. Two names in one shard: the second
+	// insert must evict the first.
 	c := newRenderCache(16 * renderShardCount)
-	c.put("/a.html", renderHome, 1, make([]byte, 10), 0)
-	c.put("/a.html", renderMigration, 1, make([]byte, 10), 0)
-	if _, _, ok := c.get("/a.html", renderHome, 1); ok {
+	other := "/b0.html"
+	for i := 1; c.shard(other) != c.shard("/a.html"); i++ {
+		other = "/b" + strconv.Itoa(i) + ".html"
+	}
+	c.put("/a.html", 1, make([]byte, 10))
+	c.put(other, 1, make([]byte, 10))
+	if _, ok := c.get("/a.html", 1); ok {
 		t.Fatal("LRU entry survived over-budget insert")
 	}
-	if _, _, ok := c.get("/a.html", renderMigration, 1); !ok {
+	if _, ok := c.get(other, 1); !ok {
 		t.Fatal("newest entry evicted")
 	}
+	// A co-op copy's hash costs no budget and keeps the home form.
+	c.putCopyHash(other, 1, 7)
+	if _, ok := c.get(other, 1); !ok {
+		t.Fatal("recording a copy hash dropped the home form")
+	}
 	// A document larger than a whole shard is never cached.
-	c.put("/big.html", renderHome, 1, make([]byte, 64), 0)
-	if _, _, ok := c.get("/big.html", renderHome, 1); ok {
+	c.put("/big.html", 1, make([]byte, 64))
+	if _, ok := c.get("/big.html", 1); ok {
 		t.Fatal("oversized document cached")
 	}
 }
@@ -288,12 +315,12 @@ func TestCachedNamesAreCopies(t *testing.T) {
 	}
 
 	rc := newRenderCache(1 << 20)
-	rc.put(name, renderHome, 1, []byte("x"), 0)
-	rc.put(name, renderHome, 2, []byte("y"), 0) // an update keeps the stored copy
+	rc.put(name, 1, []byte("x"))
+	rc.put(name, 2, []byte("y")) // an update keeps the stored copy
 	sh := rc.shard(name)
 	for k, e := range sh.entries {
-		if pointsInto(k.name, head) || pointsInto(e.key.name, head) {
-			t.Errorf("render cache key %q points into the request head", k.name)
+		if pointsInto(k, head) || pointsInto(e.name, head) {
+			t.Errorf("render cache key %q points into the request head", k)
 		}
 	}
 
@@ -310,6 +337,47 @@ func TestCachedNamesAreCopies(t *testing.T) {
 					t.Errorf("co-op record string %q points into the request head", s)
 				}
 			}
+		}
+	}
+}
+
+// TestCoopCopyRenderingStable: the home keeps no co-op copy bytes and
+// renders a copy again for each fetch, so two renderings at one generation
+// must be byte-identical even when the copy links to a replicated
+// document. Co-ops holding copies from separate fetches then validate them
+// with 304s instead of refetching one another's rotation.
+func TestCoopCopyRenderingStable(t *testing.T) {
+	w := newWorld(t)
+	home := w.addServer("home", 80, siteAB(), []string{"/index.html"}, Params{})
+	c1 := w.addServer("c1", 81, nil, nil, Params{})
+	c2 := w.addServer("c2", 82, nil, nil, Params{})
+	both := []string{"c1:81", "c2:82"}
+	for _, doc := range []string{"/pic.gif", "/page.html"} { // /page.html embeds /pic.gif
+		if err := home.relocate(doc, both); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := home.prepareForMigration("/page.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		again, err := home.prepareForMigration("/page.html")
+		if err != nil || string(again) != string(first) {
+			t.Fatalf("rendering %d differs: %q vs %q (%v)", i+2, again, first, err)
+		}
+	}
+	if !strings.Contains(string(first), "/~migrate/home/80/pic.gif") {
+		t.Fatalf("co-op copy %q does not link the replicated image", first)
+	}
+	for _, c := range []*Server{c1, c2} {
+		if resp := w.get(c.Addr(), chainKey); resp.Status != 200 {
+			t.Fatalf("%s first touch = %d", c.Addr(), resp.Status)
+		}
+	}
+	for _, c := range []*Server{c1, c2} {
+		if got := c.validateOne(chainKey); got != ValidCurrent {
+			t.Fatalf("%s validation = %q, want current", c.Addr(), got)
 		}
 	}
 }

@@ -410,6 +410,28 @@ func (r *ReplicaTable) Pick(doc string) string {
 	return reps[int(ctr.Add(1)-1)%len(reps)]
 }
 
+// PickFor returns the co-op a copy of referrer rendered for another server
+// references doc at, "" when doc has no replicas: the same replica for the
+// same referrer, chosen by a hash of its name from the set Pick rotates
+// over. A co-op copy is rendered again for each fetch, and only its hash
+// is kept (DESIGN §15), so its links must not rotate between renderings.
+func (r *ReplicaTable) PickFor(doc, referrer string) string {
+	r.mu.RLock()
+	reps := r.sets[doc]
+	r.mu.RUnlock()
+	if len(reps) == 0 {
+		return ""
+	}
+	if local := r.sameZone(reps); len(local) > 0 {
+		reps = local
+	}
+	h := uint32(2166136261) // FNV-1a
+	for i := 0; i < len(referrer); i++ {
+		h = (h ^ uint32(referrer[i])) * 16777619
+	}
+	return reps[h%uint32(len(reps))]
+}
+
 // sameZone filters a replica list to the members whose gossiped zone
 // matches this server's, preserving order. Nil when this server is unzoned
 // or no replica's zone is known to match.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"dcws/internal/httpx"
 	"dcws/internal/naming"
 	"dcws/internal/resilience"
+	"dcws/internal/store"
 	"dcws/internal/telemetry"
 )
 
@@ -54,8 +56,8 @@ func TestCoopUnreachableHomeGives503(t *testing.T) {
 	if resp.Status != 503 {
 		t.Fatalf("status = %d, want 503 when home unreachable", resp.Status)
 	}
-	// Concurrent first touches of another document each answer 503 from a
-	// fetch of their own; none is left waiting on another's.
+	// Concurrent first touches of another document share one fetch and
+	// each answer its 503; none is left waiting.
 	statuses := make(chan int, 4)
 	for i := 0; i < cap(statuses); i++ {
 		go func() {
@@ -162,9 +164,8 @@ func TestForeignExtensionHeadersIgnored(t *testing.T) {
 	}
 }
 
-// TestConcurrentCoopFetchSingleFlight: many simultaneous first requests for
-// the same migrated document must not produce duplicate stored copies or
-// errors.
+// TestConcurrentCoopFetch: many simultaneous first requests for the same
+// migrated document share one fetch from the home, and none fails.
 func TestConcurrentCoopFetch(t *testing.T) {
 	w := newWorld(t)
 	home, coop := migrateAndServe(t, w)
@@ -187,8 +188,68 @@ func TestConcurrentCoopFetch(t *testing.T) {
 	if coop.CoopDocCount() != 1 {
 		t.Fatalf("coop doc count = %d", coop.CoopDocCount())
 	}
-	if home.Stats().Fetches.Value() > 8 {
-		t.Fatalf("excessive refetching: %d", home.Stats().Fetches.Value())
+	if n := home.Stats().Fetches.Value(); n != 1 {
+		t.Fatalf("home served %d fetches for one document, want 1", n)
+	}
+}
+
+// panicOnPut is a store whose next Put panics, once per arming.
+type panicOnPut struct {
+	store.Store
+	armed atomic.Bool
+}
+
+func (p *panicOnPut) Put(name string, data []byte) error {
+	if p.armed.CompareAndSwap(true, false) {
+		panic("store put failed")
+	}
+	return p.Store.Put(name, data)
+}
+
+// TestCoopFetchLeaderPanicReleasesWaiters: a lazy fetch whose leader
+// panics (the server answers it 500) still releases the requests waiting
+// on it and leaves no fetch in flight, so the next request fetches again.
+func TestCoopFetchLeaderPanicReleasesWaiters(t *testing.T) {
+	w := newWorld(t)
+	w.addServer("home", 80, siteAB(), []string{"/index.html"}, Params{})
+	st := &panicOnPut{Store: store.NewMem()}
+	st.armed.Store(true)
+	coop := w.addServerOn(st, "coop", 81, nil, nil, Params{})
+	w.servers["home:80"].migrate("/page.html", "coop:81")
+	statuses := make(chan int, 4)
+	for i := 0; i < cap(statuses); i++ {
+		go func() {
+			resp, err := w.client.Get("coop:81", chainKey, nil)
+			if err != nil {
+				statuses <- 0
+				return
+			}
+			statuses <- resp.Status
+		}()
+	}
+	panicked := false
+	for i := 0; i < cap(statuses); i++ {
+		select {
+		case status := <-statuses:
+			panicked = panicked || status == 500
+			if status != 200 && status != 500 {
+				t.Fatalf("first touch %d: status %d, want 200 or the leader's 500", i, status)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a first touch is still waiting on a fetch whose leader panicked")
+		}
+	}
+	if !panicked {
+		t.Fatal("no request saw the leader's panic")
+	}
+	coop.fetchMu.Lock()
+	inFlight := len(coop.fetching)
+	coop.fetchMu.Unlock()
+	if inFlight != 0 {
+		t.Fatalf("%d fetches left in flight", inFlight)
+	}
+	if resp := w.get("coop:81", chainKey); resp.Status != 200 {
+		t.Fatalf("request after the panic = %d, want 200", resp.Status)
 	}
 }
 

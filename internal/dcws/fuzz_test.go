@@ -27,20 +27,24 @@ func TestDecodeHugeDocCountRejected(t *testing.T) {
 	if _, err := decodeInventory(binary.AppendUvarint(nil, hugeCount)); err != errInvalFrame {
 		t.Fatalf("decodeInventory(count 2^60) err = %v, want errInvalFrame", err)
 	}
-	// Names alone bound the invalidation count at one byte per name, so
-	// 2^60 is still out of reach of any payload.
+	// Every invalidation entry takes two bytes at least (a name's length
+	// and the copy flag), so 2^60 is still out of reach of any payload.
 	inval := append(binary.AppendUvarint([]byte{invalUpdate}, hugeCount), make([]byte, 64)...)
 	if _, _, _, err := decodeInvalidate(inval); err != errInvalFrame {
 		t.Fatalf("decodeInvalidate(count 2^60) err = %v, want errInvalFrame", err)
 	}
 	// The bounds are exact: three minimal inventory entries fit in six
-	// bytes, and three empty names plus a sequence number in four.
-	three := encodeInventory([]invDoc{{"", 0}, {"", 1}, {"", 2}})
+	// bytes, and three empty names alone in six plus the sequence number.
+	three := encodeInventory([]invDoc{{name: "", hash: 0}, {name: "", hash: 1}, {name: "", hash: 2}})
 	if docs, err := decodeInventory(three); err != nil || len(docs) != 3 {
 		t.Fatalf("decodeInventory(3 minimal entries) = %v, %v", docs, err)
 	}
-	if _, names, _, err := decodeInvalidate(encodeInvalidate(invalDelete, []string{"", "", ""}, 1)); err != nil || len(names) != 3 {
-		t.Fatalf("decodeInvalidate(3 empty names) = %q, %v", names, err)
+	if _, docs, _, err := decodeInvalidate(encodeInvalidate(invalDelete, make([]invDoc, 3), 1)); err != nil || len(docs) != 3 {
+		t.Fatalf("decodeInvalidate(3 empty names) = %v, %v", docs, err)
+	}
+	// So is the ack's hot report: a count of 2^60 is refused.
+	if _, _, err := decodeAck(binary.AppendUvarint(encodeName("/a.html"), hugeCount)); err != errInvalFrame {
+		t.Fatalf("decodeAck(count 2^60) err = %v, want errInvalFrame", err)
 	}
 }
 
@@ -49,18 +53,33 @@ func TestDecodeHugeDocCountRejected(t *testing.T) {
 // whatever one accepts re-encodes to a payload that decodes to the same
 // values.
 func FuzzInvalidationFrames(f *testing.F) {
-	docs := []invDoc{{"/a.html", 7}, {"/img/b.gif", 1 << 40}}
+	docs := []invDoc{{name: "/a.html", hash: 7}, {name: "/img/b.gif", hash: 1 << 40}}
+	named := func(names ...string) []invDoc {
+		out := make([]invDoc, len(names))
+		for i, n := range names {
+			out[i].name = n
+		}
+		return out
+	}
 	f.Add(encodeInventory(docs))
 	f.Add(encodeInventory(nil))
-	f.Add(encodeInvalidate(invalUpdate, []string{"/index.html"}, 1))
-	f.Add(encodeInvalidate(invalRevoke, []string{"/x"}, 1<<33))
-	f.Add(encodeInvalidate(invalUpdate, []string{"/a.html", "/img/b.gif"}, 5))
+	f.Add(encodeInvalidate(invalUpdate, named("/index.html"), 1))
+	f.Add(encodeInvalidate(invalRevoke, named("/x"), 1<<33))
+	f.Add(encodeInvalidate(invalUpdate, named("/a.html", "/img/b.gif"), 5))
+	// Shipped copies: one alone, an empty one, and one beside a name.
+	f.Add(encodeInvalidate(invalUpdate, []invDoc{{name: "/a.html", hash: 0xfeed, body: []byte("<html>v2</html>")}}, 2))
+	f.Add(encodeInvalidate(invalUpdate, []invDoc{{name: "/empty.html", hash: 1, body: []byte{}}}, 3))
+	f.Add(encodeInvalidate(invalUpdate, []invDoc{{name: "/a.html", hash: 9, body: []byte("copy")}, {name: "/b.html"}}, 4))
 	f.Add(encodeName("/page.html"))
+	f.Add(encodeAck("/page.html", nil))
+	f.Add(encodeAck("/page.html", map[string]int64{"/page.html": 12, "/a,b.html": 1}))
 	f.Add(encodeSubRecord("coop:81", "/page.html"))
 	f.Add(binary.AppendUvarint(nil, hugeCount))
 	f.Add(binary.AppendUvarint([]byte{invalUpdate}, hugeCount))
-	whole := encodeInvalidate(invalDelete, []string{"/a.html", "/img/b.gif"}, 9)
+	whole := encodeInvalidate(invalDelete, named("/a.html", "/img/b.gif"), 9)
 	f.Add(whole[:len(whole)-1]) // sequence number torn off
+	shipped := encodeInvalidate(invalUpdate, []invDoc{{name: "/a.html", hash: 5, body: []byte("0123456789")}}, 1)
+	f.Add(shipped[:len(shipped)-4]) // copy torn
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 
@@ -71,15 +90,21 @@ func FuzzInvalidationFrames(f *testing.F) {
 				t.Fatalf("inventory round trip: %v -> %v, %v", got, again, err)
 			}
 		}
-		if kind, names, seq, err := decodeInvalidate(b); err == nil {
-			k2, again, s2, err := decodeInvalidate(encodeInvalidate(kind, names, seq))
-			if err != nil || k2 != kind || s2 != seq || !slices.Equal(again, names) {
-				t.Fatalf("invalidate round trip: %d %q %d -> %d %q %d, %v", kind, names, seq, k2, again, s2, err)
+		if kind, docs, seq, err := decodeInvalidate(b); err == nil {
+			k2, again, s2, err := decodeInvalidate(encodeInvalidate(kind, docs, seq))
+			if err != nil || k2 != kind || s2 != seq || !slices.EqualFunc(again, docs, sameInvalDoc) {
+				t.Fatalf("invalidate round trip: %d %v %d -> %d %v %d, %v", kind, docs, seq, k2, again, s2, err)
 			}
 		}
 		if name, err := decodeName(b); err == nil {
 			if again, err := decodeName(encodeName(name)); err != nil || again != name {
 				t.Fatalf("name round trip: %q -> %q, %v", name, again, err)
+			}
+		}
+		if name, hot, err := decodeAck(b); err == nil {
+			n2, again, err := decodeAck(encodeAck(name, hot))
+			if err != nil || n2 != name || !maps.Equal(again, hot) {
+				t.Fatalf("ack round trip: %q %v -> %q %v, %v", name, hot, n2, again, err)
 			}
 		}
 		if addr, name, err := decodeSubRecord(b); err == nil {
@@ -89,6 +114,12 @@ func FuzzInvalidationFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameInvalDoc compares decoded invalidation entries: a shipped copy, even
+// an empty one, must stay a copy, and a name alone must stay alone.
+func sameInvalDoc(a, b invDoc) bool {
+	return a.name == b.name && a.hash == b.hash && (a.body == nil) == (b.body == nil) && bytes.Equal(a.body, b.body)
 }
 
 // sameDocs compares decoded inventories, treating nil and empty alike.
@@ -162,7 +193,7 @@ func FuzzServerSnapshot(f *testing.F) {
 	peer := naming.Origin{Host: "peer", Port: 80}
 	key, _ := naming.Encode(peer, "/b.html")
 	s.coops.Host(key)
-	if err := s.admitCopy(key, []byte("b"), nil); err != nil {
+	if err := s.admitCopy(key, []byte("b"), 0, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(s.encodeServerSnapshot())

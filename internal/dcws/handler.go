@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -251,7 +252,7 @@ func (s *Server) serveAsHome(req *httpx.Request) *httpx.Response {
 	if loc != "" {
 		// Migrated away: answer with a small 301; all the information is
 		// in the local document graph, no disk access needed (§4.4).
-		if target := s.pickReplica(name); target != "" {
+		if target := s.pickReplica(name, ""); target != "" {
 			coop, err := naming.ParseOrigin(target)
 			if err != nil {
 				s.log.Printf("dcws %s: bad coop address %q for %s", s.Addr(), target, name)
@@ -360,14 +361,14 @@ func (s *Server) loadLocal(name string, dirty bool, gen uint64, size int64) (doc
 			// 301 redirects.
 		}
 	}
-	if data, _, ok := s.rcache.get(name, renderHome, gen); ok {
+	if data, ok := s.rcache.get(name, gen); ok {
 		return bytesBody(data), nil
 	}
 	data, err := s.homeBody(name)
 	if err != nil {
 		return docBody{}, err
 	}
-	s.rcache.put(name, renderHome, gen, data, 0)
+	s.rcache.put(name, gen, data)
 	return bytesBody(data), nil
 }
 
@@ -383,9 +384,10 @@ func loadFailure(name string, err error) *httpx.Response {
 
 // serveFetch is the home side of a co-op server's internal document fetch
 // (lazy physical migration, §4.2, and validation re-requests, §4.5). The
-// migration-prepared rendering and its content hash are cached by
-// generation, so steady-state validator passes cost a cache lookup and a
-// hash comparison instead of a parse-and-render.
+// co-op copy's hash is recorded by generation, so a steady-state
+// validation costs a lookup and a hash comparison; a lazy fetch, or a
+// validation whose hash no longer matches, renders the copy again, because
+// the home keeps no co-op copy bytes.
 func (s *Server) serveFetch(req *httpx.Request, name string, gen uint64) *httpx.Response {
 	if !s.hostsCopy(name, req.Header.Get(headerFetch)) {
 		// The document is not (or no longer) assigned to this co-op; point
@@ -394,27 +396,29 @@ func (s *Server) serveFetch(req *httpx.Request, name string, gen uint64) *httpx.
 		resp.Header.Set("Location", naming.HomeURL(s.cfg.Origin, name))
 		return resp
 	}
-	data, h, ok := s.rcache.get(name, renderMigration, gen)
-	if !ok {
-		var err error
-		data, err = s.prepareForMigration(name)
-		if err != nil {
-			return loadFailure(name, err)
-		}
-		h = contentHash(data)
-		s.rcache.put(name, renderMigration, gen, data, h)
-	}
 	// Tell the co-op who else replicates this document so it can hedge
 	// future fetches when we are slow.
 	reps := strings.Join(s.replicas.Get(name), ",")
-	if v := req.Header.Get(headerValidate); v != "" {
-		if want, err := strconv.ParseUint(v, 16, 64); err == nil && want == h {
-			resp := httpx.NewResponse(304)
-			if reps != "" {
-				resp.Header.Set(headerReplicas, reps)
-			}
-			return resp
+	notModified := func() *httpx.Response {
+		resp := httpx.NewResponse(304)
+		if reps != "" {
+			resp.Header.Set(headerReplicas, reps)
 		}
+		return resp
+	}
+	want, err := strconv.ParseUint(req.Header.Get(headerValidate), 16, 64)
+	validating := err == nil
+	if validating {
+		if h, ok := s.rcache.copyHash(name, gen); ok && h == want {
+			return notModified()
+		}
+	}
+	data, h, err := s.renderCopy(name, gen)
+	if err != nil {
+		return loadFailure(name, err)
+	}
+	if validating && h == want {
+		return notModified()
 	}
 	s.stats.Fetches.Inc()
 	resp := httpx.NewResponse(200)
@@ -479,7 +483,7 @@ func (s *Server) serveAsCoop(req *httpx.Request, traceID, spanID string) *httpx.
 			return status(404, "no longer hosted here")
 		}
 	case CoopFetch:
-		if resp := s.fetchFromHome(key, home, docName, traceID, spanID); resp != nil {
+		if resp := s.fetchOnce(key, home, docName, traceID, spanID); resp != nil {
 			return resp // relay of a redirect or an error
 		}
 	}
@@ -491,7 +495,7 @@ func (s *Server) serveAsCoop(req *httpx.Request, traceID, spanID string) *httpx.
 	if err != nil {
 		// Copy vanished (e.g. revoked between check and read): refetch once.
 		s.coops.markAbsent(key)
-		if resp := s.fetchFromHome(key, home, docName, traceID, spanID); resp != nil {
+		if resp := s.fetchOnce(key, home, docName, traceID, spanID); resp != nil {
 			return resp
 		}
 		if b, err = s.loadStored(key, 0); err != nil {
@@ -520,6 +524,55 @@ func (s *Server) serveHedged(key, docName string) *httpx.Response {
 	resp := s.respond("GET", docName, b)
 	resp.Header.Set(headerValidate, strconv.FormatUint(v.Hash, 16))
 	return resp
+}
+
+// fetchCall is one lazy fetch in flight. resp is its outcome, read by its
+// waiters once done is closed: nil when the copy was admitted, else the
+// response to relay.
+type fetchCall struct {
+	done chan struct{}
+	resp *httpx.Response
+}
+
+// fetchOnce runs fetchFromHome for key unless a fetch of key is already in
+// flight, in which case it waits for that fetch and shares its outcome,
+// failure included: concurrent first touches cost the home one fetch and
+// one rendering. The in-flight record is removed in a defer, so a leader
+// that panics (httpx recovers handler panics) still releases its waiters,
+// with a 500.
+func (s *Server) fetchOnce(key string, home naming.Origin, docName, traceID, parent string) *httpx.Response {
+	s.fetchMu.Lock()
+	if c, ok := s.fetching[key]; ok {
+		s.fetchMu.Unlock()
+		<-c.done
+		return cloneResponse(c.resp)
+	}
+	c := &fetchCall{done: make(chan struct{}), resp: status(500, "fetch of "+docName+" failed")}
+	s.fetching[key] = c
+	s.fetchMu.Unlock()
+	defer func() {
+		s.fetchMu.Lock()
+		delete(s.fetching, key)
+		s.fetchMu.Unlock()
+		close(c.done)
+	}()
+	c.resp = s.fetchFromHome(key, home, docName, traceID, parent)
+	return cloneResponse(c.resp)
+}
+
+// cloneResponse gives each request of a shared fetch outcome a response of
+// its own: the server writes headers into the response it sends. The body
+// is shared, never written.
+func cloneResponse(r *httpx.Response) *httpx.Response {
+	if r == nil {
+		return nil
+	}
+	out := httpx.NewResponse(r.Status)
+	for k, v := range r.Header {
+		out.Header[k] = slices.Clone(v)
+	}
+	out.Body = r.Body
+	return out
 }
 
 // fetchFromHome performs the physical half of a lazy migration. It returns
@@ -733,7 +786,7 @@ func (s *Server) finishFetch(key string, resp *httpx.Response) *httpx.Response {
 	s.absorbPiggyback(resp.Header)
 	switch resp.Status {
 	case 200:
-		if err := s.admitCopy(key, resp.Body, resp.Header); err != nil {
+		if err := s.admitCopy(key, resp.Body, headerHash(resp.Header), resp.Header); err != nil {
 			return status(500, err.Error())
 		}
 		s.stats.Fetches.Inc()
@@ -752,15 +805,17 @@ func (s *Server) finishFetch(key string, resp *httpx.Response) *httpx.Response {
 }
 
 // admitCopy is the one way a copy enters this co-op: a lazy fetch, a hedge
-// win, a chain push, and a validator or pushed-update refetch. It stores
-// the bytes and has the co-op core admit the copy under the home's hash
-// (X-DCWS-Validate, else the bytes' own), which also enforces
-// Params.CoopCacheBytes and, with leases on, leases the copy (Coop.Admit).
-// It learns the copy's sibling replicas from X-DCWS-Replicas, logs the
-// admission and the evictions, and makes sure of the home's subscription.
-// A copy the core refuses was revoked while its bytes were on the way: the
-// bytes are dropped.
-func (s *Server) admitCopy(key string, body []byte, hdr httpx.Header) error {
+// win, a chain push, a validator or pushed-update refetch, and a copy the
+// home shipped down the subscription channel. It stores the bytes and has
+// the co-op core admit the copy under hash, the home's hash of body (zero:
+// the bytes' own), which also enforces Params.CoopCacheBytes and, with
+// leases on, leases the copy (Coop.Admit). It learns the copy's sibling
+// replicas from hdr's X-DCWS-Replicas (a shipped copy has no hdr), logs
+// the admission and the evictions, and subscribes a copy that was not
+// present before to its home's channel; a refresh is subscribed already.
+// A copy the core refuses was revoked while its bytes were on the way:
+// the bytes are dropped.
+func (s *Server) admitCopy(key string, body []byte, hash uint64, hdr httpx.Header) error {
 	v, ok := s.coops.View(key)
 	if !ok {
 		return nil // revoked before the bytes arrived
@@ -768,8 +823,8 @@ func (s *Server) admitCopy(key string, body []byte, hdr httpx.Header) error {
 	if err := s.cfg.Store.Put(key, body); err != nil {
 		return err
 	}
-	c := coopSeed{key: key, home: v.Home, name: v.Name, present: true, size: int64(len(body))}
-	if c.hash, _ = strconv.ParseUint(hdr.Get(headerValidate), 16, 64); c.hash == 0 {
+	c := coopSeed{key: key, home: v.Home, name: v.Name, present: true, size: int64(len(body)), hash: hash}
+	if c.hash == 0 {
 		c.hash = contentHash(body)
 	}
 	admitted, evicted := s.coops.Admit(key, c.size, c.hash, s.now())
@@ -788,10 +843,17 @@ func (s *Server) admitCopy(key string, body []byte, hdr httpx.Header) error {
 		s.walAppend(recCoopEvict, encodeNameRecord(old))
 		s.log.Printf("dcws %s: evicted %s (co-op cache over %d bytes)", s.Addr(), old, s.params.CoopCacheBytes)
 	}
-	if s.params.LeaseDuration > 0 {
+	if s.params.LeaseDuration > 0 && !v.Present {
 		s.subs.ensureSubscribed(v.Home, invDoc{name: v.Name, hash: c.hash})
 	}
 	return nil
+}
+
+// headerHash reads the home's content hash of a copy from X-DCWS-Validate;
+// zero when absent.
+func headerHash(h httpx.Header) uint64 {
+	v, _ := strconv.ParseUint(h.Get(headerValidate), 16, 64)
+	return v
 }
 
 // dropCopy is the one way a copy leaves this co-op for good: a revocation

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"net"
 	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -25,10 +26,14 @@ import (
 // server (a 101 handshake on /~dcws/subscribe, then length-prefixed
 // frames), the home remembers which documents each subscriber hosts and
 // pushes an invalidation frame the moment a document changes — one frame
-// type, naming one document or every document a change dirtied, with no
-// content hash because the co-op re-validates by conditional GET — and every
-// hosted copy holds a lease of Params.LeaseDuration renewed implicitly by
-// channel liveness. While the channel is live and the lease unexpired the
+// type, naming one document or every document a change dirtied. An update
+// ships the co-op copy itself down the channel, with its hash, so the
+// co-op stores it as it would a validation's 200 and makes no request
+// back; a frame that names a document alone (a link-rewrite storm, a
+// catch-up, a copy overtaken by a newer generation or too large for a
+// frame) has the co-op re-validate by conditional GET. Every hosted copy
+// holds a lease of Params.LeaseDuration renewed implicitly by channel
+// liveness. While the channel is live and the lease unexpired the
 // validator skips the copy entirely; when the channel drops — or goes
 // silent for three heartbeats — the co-op degrades to the paper's
 // timeout-polled validation, so a partitioned node is never less safe
@@ -45,18 +50,21 @@ const (
 	// whose current hash differs (changes missed while disconnected).
 	frameSubscribe byte = 1
 	// frameInvalidate (home -> coop): documents changed — a kind byte
-	// (invalUpdate/invalDelete/invalRevoke), a uvarint count, the
-	// home-side names, and the channel sequence number. One frame carries
+	// (invalUpdate/invalDelete/invalRevoke), a uvarint count, per document
+	// its home-side name and, for an update, optionally the co-op copy and
+	// its content hash, then the channel sequence number. One frame carries
 	// one document or a migration's whole link-rewrite storm, so a
-	// subscriber gets one frame per change, not one per document. No
-	// content hash rides along: the coop re-validates an update by
-	// conditional GET.
+	// subscriber gets one frame per change, not one per document. A
+	// document named alone is re-validated by conditional GET.
 	frameInvalidate byte = 2
 	// framePing (either direction): empty keepalive; receipt renews every
 	// lease held from the peer.
 	framePing byte = 3
 	// frameAck (coop -> home): the named document's invalidation was
-	// applied (refetched, or dropped for delete/revoke).
+	// applied (its shipped copy stored, refetched, or dropped for
+	// delete/revoke). The ack of a shipped copy carries the co-op's hot
+	// report for the home, which the refetch it replaces would have sent
+	// as X-DCWS-Hot.
 	frameAck byte = 4
 	// frameUnsubscribe (coop -> home): the coop stopped hosting the named
 	// document (evicted past re-fetch, or forgotten); the home stops
@@ -72,7 +80,7 @@ const (
 
 // Invalidation kinds carried by frameInvalidate.
 const (
-	invalUpdate byte = 0 // content changed: revalidate now
+	invalUpdate byte = 0 // content changed: store the shipped copy, or revalidate now
 	invalDelete byte = 1 // document deleted at home: drop the copy
 	invalRevoke byte = 2 // hosting revoked: drop the copy
 )
@@ -104,10 +112,14 @@ func encodeInventory(docs []invDoc) []byte {
 	return buf
 }
 
-// invDoc is one (home-side name, content hash) inventory entry.
+// invDoc is one document named on a subscription channel: its home-side
+// name and a content hash — in an inventory the co-op's, in an
+// invalidation the hash of the shipped copy body. A nil body in an
+// invalidation names the document alone.
 type invDoc struct {
 	name string
 	hash uint64
+	body []byte
 }
 
 func decodeInventory(data []byte) ([]invDoc, error) {
@@ -129,39 +141,73 @@ func decodeInventory(data []byte) ([]invDoc, error) {
 	return docs, nil
 }
 
-// encodeInvalidate frames one kind of invalidation for names: kind byte,
-// uvarint count, the names, trailing sequence number.
-func encodeInvalidate(kind byte, names []string, seq uint64) []byte {
-	buf := make([]byte, 0, 16*len(names)+12)
+// encodeInvalidate frames one kind of invalidation for docs: kind byte,
+// uvarint count, per document its name and a 0 byte (the name alone) or a
+// 1 byte, the copy's hash and the copy with its length; then the trailing
+// sequence number.
+func encodeInvalidate(kind byte, docs []invDoc, seq uint64) []byte {
+	size := 12
+	for _, d := range docs {
+		size += len(d.name) + len(d.body) + 22
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, kind)
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
-	for _, n := range names {
-		buf = putStr(buf, n)
+	buf = binary.AppendUvarint(buf, uint64(len(docs)))
+	for _, d := range docs {
+		buf = putStr(buf, d.name)
+		if d.body == nil {
+			buf = append(buf, 0)
+			continue
+		}
+		buf = append(buf, 1)
+		buf = binary.AppendUvarint(buf, d.hash)
+		buf = binary.AppendUvarint(buf, uint64(len(d.body)))
+		buf = append(buf, d.body...)
 	}
 	return binary.AppendUvarint(buf, seq)
 }
 
-func decodeInvalidate(data []byte) (kind byte, names []string, seq uint64, err error) {
+// decodeInvalidate is the inverse of encodeInvalidate. A shipped copy's
+// body aliases data.
+func decodeInvalidate(data []byte) (kind byte, docs []invDoc, seq uint64, err error) {
 	if len(data) < 1 {
 		return 0, nil, 0, errInvalFrame
 	}
 	kind = data[0]
-	n, data, err := getDocCount(data[1:], 1)
+	n, data, err := getDocCount(data[1:], 2)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	names = make([]string, 0, n)
+	docs = make([]invDoc, 0, n)
 	for i := uint64(0); i < n; i++ {
-		var name string
-		if name, data, err = getStr(data); err != nil {
+		var d invDoc
+		if d.name, data, err = getStr(data); err != nil {
 			return 0, nil, 0, err
 		}
-		names = append(names, name)
+		if len(data) == 0 || data[0] > 1 {
+			return 0, nil, 0, errInvalFrame
+		}
+		shipped := data[0] == 1
+		data = data[1:]
+		if shipped {
+			var size uint64
+			if d.hash, data, err = getUvarint(data); err != nil {
+				return 0, nil, 0, err
+			}
+			if size, data, err = getUvarint(data); err != nil {
+				return 0, nil, 0, err
+			}
+			if size > uint64(len(data)) {
+				return 0, nil, 0, errInvalFrame
+			}
+			d.body, data = data[:size:size], data[size:]
+		}
+		docs = append(docs, d)
 	}
 	if seq, _, err = getUvarint(data); err != nil {
 		return 0, nil, 0, err
 	}
-	return kind, names, seq, nil
+	return kind, docs, seq, nil
 }
 
 // getDocCount reads an entry count off a frame, WAL record or snapshot
@@ -185,13 +231,58 @@ type errStr string
 
 func (e errStr) Error() string { return string(e) }
 
-// encodeName / decodeName frame a single document name (frameAck,
-// frameUnsubscribe).
+// encodeName / decodeName frame a single document name
+// (frameUnsubscribe).
 func encodeName(name string) []byte { return putStr(nil, name) }
 
 func decodeName(data []byte) (string, error) {
 	name, _, err := getStr(data)
 	return name, err
+}
+
+// encodeAck frames a frameAck: the applied document's name, then a hot
+// report — uvarint count, then (name, uvarint hits) pairs sorted by name;
+// a count of 0 when the ack carries none.
+func encodeAck(name string, hot map[string]int64) []byte {
+	buf := putStr(nil, name)
+	buf = binary.AppendUvarint(buf, uint64(len(hot)))
+	docs := make([]string, 0, len(hot))
+	for doc := range hot {
+		docs = append(docs, doc)
+	}
+	sort.Strings(docs)
+	for _, doc := range docs {
+		buf = putStr(buf, doc)
+		buf = binary.AppendUvarint(buf, uint64(hot[doc]))
+	}
+	return buf
+}
+
+// decodeAck is the inverse of encodeAck; hot is nil when the ack carries
+// no report, and a name reported twice keeps its last count.
+func decodeAck(data []byte) (name string, hot map[string]int64, err error) {
+	if name, data, err = getStr(data); err != nil {
+		return "", nil, err
+	}
+	n, data, err := getDocCount(data, 2)
+	if err != nil {
+		return "", nil, err
+	}
+	for i := uint64(0); i < n; i++ {
+		var doc string
+		var hits uint64
+		if doc, data, err = getStr(data); err != nil {
+			return "", nil, err
+		}
+		if hits, data, err = getUvarint(data); err != nil {
+			return "", nil, err
+		}
+		if hot == nil {
+			hot = make(map[string]int64, n)
+		}
+		hot[doc] = int64(hits)
+	}
+	return name, hot, nil
 }
 
 // ---- home side: the invalidation hub ------------------------------------
@@ -360,8 +451,11 @@ func (h *invalHub) readLoop(sub *invalSubscriber, conn net.Conn, br *bufio.Reade
 			}
 			h.register(sub, conn, docs)
 		case frameAck:
-			if _, err := decodeName(payload); err == nil {
+			if _, hot, err := decodeAck(payload); err == nil {
 				s.tel.invalAcks.Inc()
+				if len(hot) > 0 {
+					s.ctl.AbsorbHot(hot)
+				}
 			}
 		case frameUnsubscribe:
 			name, err := decodeName(payload)
@@ -408,7 +502,7 @@ func (h *invalHub) register(sub *invalSubscriber, conn net.Conn, docs []invDoc) 
 	// The unauthorized documents are not in the subscription, so the
 	// revoke goes straight to this channel.
 	if len(unauthorized) > 0 {
-		h.send(sub, conn, invalRevoke, unauthorized)
+		h.send(sub, conn, invalRevoke, unauthorized, nil)
 	}
 	h.push(invalUpdate, stale, []string{sub.addr})
 	span.Target = "docs=" + strconv.Itoa(len(docs)-len(unauthorized))
@@ -445,24 +539,39 @@ func (s *Server) copiesOut(name string) bool {
 	return pushing || len(s.replicas.Get(name)) > 0
 }
 
-// migrationHash returns the current migration-prepared content hash for a
-// home document, rendering on a cache miss. ok is false when the document
-// is unknown or fails to render.
+// migrationHash returns the content hash of a home document's current
+// co-op copy: the one recorded at its generation, else that of a fresh
+// rendering. ok is false when the document is unknown or fails to render.
 func (s *Server) migrationHash(name string) (uint64, bool) {
 	_, _, gen, known := s.ldg.ServeInfo(name)
 	if !known {
 		return 0, false
 	}
-	if _, h, ok := s.rcache.get(name, renderMigration, gen); ok {
+	if h, ok := s.rcache.copyHash(name, gen); ok {
 		return h, true
 	}
+	_, h, err := s.renderCopy(name, gen)
+	return h, err == nil
+}
+
+// renderCopy renders the co-op copy of a home document, observed at
+// generation gen, and records its hash under gen; the bytes are not kept.
+func (s *Server) renderCopy(name string, gen uint64) ([]byte, uint64, error) {
 	data, err := s.prepareForMigration(name)
 	if err != nil {
-		return 0, false
+		return nil, 0, err
 	}
 	h := contentHash(data)
-	s.rcache.put(name, renderMigration, gen, data, h)
-	return h, true
+	s.rcache.putCopyHash(name, gen, h)
+	return data, h, nil
+}
+
+// shippedCopy is the co-op copy an update offers to the document's
+// subscribers: the bytes rendered at LDG generation gen and their hash.
+type shippedCopy struct {
+	gen  uint64
+	body []byte
+	hash uint64
 }
 
 // push fans one kind of invalidation for names out to the subscribers
@@ -474,6 +583,18 @@ func (s *Server) migrationHash(name string) (uint64, bool) {
 // when non-nil, limits the fan-out to those subscribers (a shrink tells
 // the dropped hosts alone). Safe to call with no server locks held.
 func (h *invalHub) push(kind byte, names, only []string) {
+	h.fanOut(kind, names, only, nil)
+}
+
+// pushUpdate tells the subscribers hosting name that it was updated,
+// offering each the copy cp (see send).
+func (h *invalHub) pushUpdate(name string, cp *shippedCopy) {
+	h.fanOut(invalUpdate, []string{name}, nil, cp)
+}
+
+// fanOut is push; cp, when non-nil, is the copy of the one document
+// names holds.
+func (h *invalHub) fanOut(kind byte, names, only []string, cp *shippedCopy) {
 	if h == nil || h.s.params.LeaseDuration <= 0 || len(names) == 0 {
 		return
 	}
@@ -509,19 +630,43 @@ func (h *invalHub) push(kind byte, names, only []string) {
 		h.s.walAppend(recSubDel, rec)
 	}
 	for _, t := range targets {
-		h.send(t.sub, t.conn, kind, t.names)
+		h.send(t.sub, t.conn, kind, t.names, cp)
 	}
 }
 
 // send writes one invalidation frame to one subscriber, stamped with the
-// channel's next sequence number. A write failure closes the connection;
-// the coop reconnects with backoff and catches up.
-func (h *invalHub) send(sub *invalSubscriber, conn net.Conn, kind byte, names []string) {
-	stamped := func() []byte { sub.seq++; return encodeInvalidate(kind, names, sub.seq) }
+// channel's next sequence number. cp, when non-nil, is the copy of
+// names[0]. It rides the frame only if the document is still at cp's
+// generation when the frame is written, under the write mutex, and the
+// frame stays within httpx.MaxFramePayload; otherwise the document is
+// named alone and the co-op refetches it. So a later frame on the channel
+// never carries an older copy than an earlier one. A write failure closes
+// the connection; the coop reconnects with backoff and catches up.
+func (h *invalHub) send(sub *invalSubscriber, conn net.Conn, kind byte, names []string, cp *shippedCopy) {
+	shipped := false
+	stamped := func() []byte {
+		sub.seq++
+		docs := make([]invDoc, len(names))
+		for i, n := range names {
+			docs[i].name = n
+		}
+		if cp != nil && h.s.ldg.Generation(names[0]) == cp.gen {
+			docs[0].hash, docs[0].body = cp.hash, cp.body
+			if buf := encodeInvalidate(kind, docs, sub.seq); len(buf) <= httpx.MaxFramePayload {
+				shipped = true
+				return buf
+			}
+			docs[0].hash, docs[0].body = 0, nil
+		}
+		return encodeInvalidate(kind, docs, sub.seq)
+	}
 	if !writeFrame(&sub.writeMu, conn, frameInvalidate, stamped) {
 		return
 	}
 	h.s.tel.invalPushes.Inc()
+	if shipped {
+		h.s.tel.invalCopies.Inc()
+	}
 	if len(names) > 1 {
 		h.s.tel.invalBatches.Inc()
 		h.s.tel.invalBatchDocs.Add(int64(len(names)))
@@ -757,14 +902,14 @@ func (m *subManager) readLoop(sc *subConn, conn net.Conn, br *bufio.Reader, last
 		s.coops.renewHome(sc.home, s.now().Add(s.params.LeaseDuration))
 		switch typ {
 		case frameInvalidate:
-			kind, names, seq, derr := decodeInvalidate(payload)
+			kind, docs, seq, derr := decodeInvalidate(payload)
 			if derr != nil {
 				return
 			}
 			m.checkSeq(sc, seq)
 			s.tel.invalReceived.Inc()
-			for _, name := range names {
-				s.applyInvalidation(sc, kind, name)
+			for _, d := range docs {
+				s.applyInvalidation(sc, kind, d)
 			}
 		case framePing:
 			// Renewal above is the work.
@@ -787,27 +932,35 @@ func (m *subManager) checkSeq(sc *subConn, seq uint64) {
 	}
 }
 
-// applyInvalidation reacts to one pushed invalidation: updates re-fetch
-// the copy immediately (conditional GET — the staleness window collapses
-// from T_val to one RPC), deletes and revokes drop it. An ack goes back
-// so the home can count convergence.
-func (s *Server) applyInvalidation(sc *subConn, kind byte, name string) {
+// applyInvalidation reacts to one pushed invalidation: an update that
+// ships its copy is stored as a validation's 200 would be, under the
+// frame's hash and without a request; one that names the document alone
+// re-validates it at once (conditional GET — the staleness window
+// collapses from T_val to one RPC); deletes and revokes drop the copy. An
+// ack goes back so the home can count convergence; the ack of a shipped
+// copy carries this co-op's hot report for the home, as the refetch would
+// have.
+func (s *Server) applyInvalidation(sc *subConn, kind byte, d invDoc) {
 	home, err := naming.ParseOrigin(sc.home)
 	if err != nil {
 		return
 	}
-	key, err := naming.Encode(home, name)
+	key, err := naming.Encode(home, d.name)
 	if err != nil {
 		return
 	}
 	start := time.Now()
 	span := telemetry.NewSpan(telemetry.NewTraceID(), "", s.addr, "invalidate-apply")
-	span.Target, span.Peer = name, sc.home
+	span.Target, span.Peer = d.name, sc.home
 	span.Start = s.now()
-	switch kind {
-	case invalUpdate:
+	var hot map[string]int64
+	switch {
+	case kind == invalUpdate && d.body != nil:
+		s.applyCopy(key, d)
+		hot = s.coops.HotReport(sc.home)
+	case kind == invalUpdate:
 		s.validateOne(key)
-	case invalDelete, invalRevoke:
+	case kind == invalDelete, kind == invalRevoke:
 		s.dropCopy(key)
 	}
 	span.Duration = time.Since(start)
@@ -818,7 +971,27 @@ func (s *Server) applyInvalidation(sc *subConn, kind byte, name string) {
 	if conn == nil {
 		return
 	}
-	writeFrame(&sc.writeMu, conn, frameAck, func() []byte { return encodeName(name) })
+	writeFrame(&sc.writeMu, conn, frameAck, func() []byte {
+		if buf := encodeAck(d.name, hot); len(buf) <= httpx.MaxFramePayload {
+			return buf
+		}
+		return encodeAck(d.name, nil) // a report too large for a frame is dropped, not the channel
+	})
+}
+
+// applyCopy stores a copy the home shipped for key: the co-op core reads
+// it as a 200 validation answer (Coop.Validated), and admitCopy admits it
+// under the hash the home computed.
+func (s *Server) applyCopy(key string, d invDoc) {
+	if _, ok := s.coops.View(key); !ok {
+		return
+	}
+	outcome := s.coops.Validated(key, 200, s.now())
+	if err := s.admitCopy(key, d.body, d.hash, nil); err != nil {
+		s.log.Printf("dcws %s: store shipped copy %s: %v", s.Addr(), key, err)
+		outcome = "error"
+	}
+	s.tel.validation(outcome)
 }
 
 // subscriptionLive reports whether the channel to homeAddr is currently

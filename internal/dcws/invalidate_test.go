@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"net"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"dcws/internal/httpx"
 	"dcws/internal/store"
+	"dcws/internal/telemetry"
 )
 
 // leaseParams is the test configuration for push invalidation: leases on,
@@ -306,7 +309,11 @@ func TestPushFanOut(t *testing.T) {
 					if err != nil {
 						return
 					}
-					if _, names, _, err := decodeInvalidate(payload); typ == frameInvalidate && err == nil {
+					if _, docs, _, err := decodeInvalidate(payload); typ == frameInvalidate && err == nil {
+						names := make([]string, len(docs))
+						for i, d := range docs {
+							names[i] = d.name
+						}
 						ch <- names
 					}
 				}
@@ -498,5 +505,226 @@ func TestMigratedAliasNotServedStale(t *testing.T) {
 		if resp := w.get("coop:81", alias); strings.Contains(string(resp.Body), "v1 content") {
 			t.Errorf("GET %s after the push = %d with the old version", alias, resp.Status)
 		}
+	}
+}
+
+// pushWorld boots a leased home holding siteAB with /page.html hosted on
+// one co-op whose subscription to it is live and registered, and returns
+// the co-op key of the copy.
+func pushWorld(t *testing.T) (w *testWorld, home, coop *Server) {
+	t.Helper()
+	w = newWorld(t)
+	home = w.addServer("home", 80, siteAB(), []string{"/index.html"}, leaseParams())
+	coop = w.addServer("coop", 81, nil, nil, leaseParams())
+	home.migrate("/page.html", "coop:81")
+	if resp := w.get("coop:81", chainKey); resp.Status != 200 {
+		t.Fatalf("first touch = %d, want 200", resp.Status)
+	}
+	waitFor(t, 5*time.Second, "subscription channel never came up", func() bool {
+		return coop.subs.subscriptionLive("home:80")
+	})
+	waitRegistered(t, home, coop)
+	return w, home, coop
+}
+
+// subscribeSpans counts the subscribe frames the home has registered.
+func subscribeSpans(home *Server) int {
+	n := 0
+	for _, sp := range home.Traces().Snapshot() {
+		if sp.Op == "subscribe" {
+			n++
+		}
+	}
+	return n
+}
+
+// waitAcks waits until the home has received n invalidation acks in all.
+func waitAcks(t *testing.T, home *Server, n float64) {
+	t.Helper()
+	waitFor(t, 5*time.Second, "ack never arrived", func() bool {
+		return home.metric("dcws_invalidate_acks_total") >= n
+	})
+}
+
+// TestShippedCopyCostsTwoMessages: with a live channel an update reaches a
+// hosting co-op as one frame carrying the copy, and costs one ack back.
+// The home serves no fetch, validation or any other request for it, and
+// the co-op stores the copy under the home's hash without a request.
+func TestShippedCopyCostsTwoMessages(t *testing.T) {
+	w, home, coop := pushWorld(t)
+	requests := home.metric("dcws_httpx_request_seconds")
+	pushes, acks := home.metric("dcws_invalidate_pushes_total"), home.metric("dcws_invalidate_acks_total")
+	subscribes := subscribeSpans(home)
+
+	v2 := `<html><a href="/index.html">back</a> v2</html>`
+	if err := home.UpdateDocument("/page.html", []byte(v2)); err != nil {
+		t.Fatal(err)
+	}
+	waitAcks(t, home, acks+1)
+	if got := home.metric("dcws_httpx_request_seconds") - requests; got != 0 {
+		t.Fatalf("home served %v requests for the update, want 0", got)
+	}
+	if got := home.metric("dcws_invalidate_pushes_total") - pushes; got != 1 {
+		t.Fatalf("home pushed %v frames, want 1", got)
+	}
+	if got := home.metric("dcws_invalidate_copies_total"); got != 1 {
+		t.Fatalf("frames shipping a copy = %v, want 1", got)
+	}
+	if got := subscribeSpans(home); got != subscribes {
+		t.Fatalf("home registered %d subscribe frames for the update, want 0", got-subscribes)
+	}
+	v, _ := coop.coops.View(chainKey)
+	if want, _ := home.migrationHash("/page.html"); !v.Present || v.Hash != want {
+		t.Fatalf("copy present=%v hash %x, want the home's %x", v.Present, v.Hash, want)
+	}
+	if got := coop.metric("dcws_validations_total", telemetry.Label{Key: "result", Value: ValidRefreshed}); got != 1 {
+		t.Fatalf("refreshed validations = %v, want 1 (the shipped copy)", got)
+	}
+	resp := w.get("coop:81", chainKey)
+	if resp.Status != 200 || !strings.Contains(string(resp.Body), "v2") ||
+		!strings.Contains(string(resp.Body), "http://home:80/index.html") {
+		t.Fatalf("co-op serves %d %q, want the v2 co-op copy (absolute links)", resp.Status, resp.Body)
+	}
+}
+
+// TestRefreshDoesNotResubscribe: a copy refreshed by a validation's 200
+// or by a shipped copy is subscribed already, so the co-op sends the home
+// no subscribe frame for it.
+func TestRefreshDoesNotResubscribe(t *testing.T) {
+	_, home, coop := pushWorld(t)
+	subscribes := subscribeSpans(home)
+	acks := home.metric("dcws_invalidate_acks_total")
+
+	quietUpdate(t, home)
+	if got := coop.validateOne(chainKey); got != ValidRefreshed {
+		t.Fatalf("validation = %q, want refreshed", got)
+	}
+	if err := home.UpdateDocument("/page.html", []byte("<html>v3</html>")); err != nil {
+		t.Fatal(err)
+	}
+	// The ack follows any subscribe frame either refresh sent on the
+	// channel, and the home reads them in order.
+	waitAcks(t, home, acks+1)
+	if got := subscribeSpans(home); got != subscribes {
+		t.Fatalf("home registered %d subscribe frames for two refreshes, want 0", got-subscribes)
+	}
+}
+
+// TestShippedCopyAckCarriesHotReport: the ack of a shipped copy carries
+// the co-op's hot report for the home, which reaches the control plane as
+// the refetch's X-DCWS-Hot did.
+func TestShippedCopyAckCarriesHotReport(t *testing.T) {
+	w, home, _ := pushWorld(t)
+	for i := 0; i < 3; i++ {
+		w.get("coop:81", chainKey)
+	}
+	hint := func() int64 {
+		home.ctl.hotMu.Lock()
+		defer home.ctl.hotMu.Unlock()
+		return home.ctl.hotHints["/page.html"]
+	}
+	// The first touch's fetch reported one hit.
+	if got := hint(); got != 1 {
+		t.Fatalf("hot hint before the update = %d, want 1", got)
+	}
+	acks := home.metric("dcws_invalidate_acks_total")
+	if err := home.UpdateDocument("/page.html", []byte("<html>v2</html>")); err != nil {
+		t.Fatal(err)
+	}
+	waitAcks(t, home, acks+1)
+	if got := hint(); got != 4 {
+		t.Fatalf("hot hint after the shipped copy's ack = %d, want 4", got)
+	}
+}
+
+// TestRacingUpdatesConvergeOnLatest races two updates of one hosted
+// document, round after round: each frame carries its copy only while the
+// document is still at that copy's generation, so once the co-op has
+// applied both frames it serves the home's latest content.
+func TestRacingUpdatesConvergeOnLatest(t *testing.T) {
+	w, home, _ := pushWorld(t)
+	acks := home.metric("dcws_invalidate_acks_total")
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		for _, v := range []string{"a", "b"} {
+			body := []byte("<html>round " + strconv.Itoa(round) + " " + v + "</html>")
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := home.UpdateDocument("/page.html", body); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		latest, err := home.homeBody("/page.html")
+		if err != nil {
+			t.Fatal(err)
+		}
+		acks += 2
+		waitAcks(t, home, acks)
+		if resp := w.get("coop:81", chainKey); resp.Status != 200 || string(resp.Body) != string(latest) {
+			t.Fatalf("round %d: co-op serves %d %q, want the latest %q", round, resp.Status, resp.Body, latest)
+		}
+	}
+	if home.metric("dcws_invalidate_copies_total") == 0 {
+		t.Fatal("no frame shipped a copy")
+	}
+}
+
+// TestShippedCopyNamedAloneWhenOvertaken: a frame carries the copy only if
+// the document is still at the copy's generation when the frame is written
+// and the copy fits in a frame; otherwise it names the document alone.
+func TestShippedCopyNamedAloneWhenOvertaken(t *testing.T) {
+	w := newWorld(t)
+	home := w.addServer("home", 80, siteAB(), nil, leaseParams())
+	near, far := net.Pipe()
+	t.Cleanup(func() { near.Close(); far.Close() })
+	sub := &invalSubscriber{addr: "a:81", docs: map[string]bool{"/page.html": true}, conn: near}
+	home.hub.mu.Lock()
+	home.hub.subs[sub.addr] = sub
+	home.hub.mu.Unlock()
+	frames := make(chan invDoc, 4)
+	go func() {
+		br := bufio.NewReader(far)
+		for {
+			_, payload, err := httpx.ReadFrame(br)
+			if err != nil {
+				return
+			}
+			if _, docs, _, err := decodeInvalidate(payload); err == nil && len(docs) == 1 {
+				frames <- docs[0]
+			}
+		}
+	}()
+	next := func() invDoc {
+		select {
+		case d := <-frames:
+			return d
+		case <-time.After(5 * time.Second):
+			t.Fatal("no frame")
+			return invDoc{}
+		}
+	}
+	gen := home.ldg.Generation("/page.html")
+	body := []byte("<html>copy</html>")
+	home.hub.pushUpdate("/page.html", &shippedCopy{gen: gen, body: body, hash: 7})
+	if d := next(); d.hash != 7 || string(d.body) != string(body) {
+		t.Fatalf("current generation: frame %+v, want the copy", d)
+	}
+	// The document moves on before the frame is written.
+	home.ldg.AddDoc("/page.html", 10, nil)
+	home.hub.pushUpdate("/page.html", &shippedCopy{gen: gen, body: body, hash: 7})
+	if d := next(); d.body != nil || d.name != "/page.html" {
+		t.Fatalf("overtaken copy: frame %+v, want the name alone", d)
+	}
+	// A copy that cannot fit in a frame.
+	gen = home.ldg.Generation("/page.html")
+	home.hub.pushUpdate("/page.html", &shippedCopy{gen: gen, body: make([]byte, httpx.MaxFramePayload), hash: 7})
+	if d := next(); d.body != nil {
+		t.Fatalf("oversized copy shipped %d bytes, want the name alone", len(d.body))
+	}
+	if got := home.metric("dcws_invalidate_copies_total"); got != 1 {
+		t.Fatalf("frames shipping a copy = %v, want 1", got)
 	}
 }

@@ -153,7 +153,21 @@ func TestCopyTransitions(t *testing.T) {
 			},
 			admit: func(t *testing.T, w *testWorld, home, coop1, coop2 *Server) *Server {
 				quietUpdate(t, home)
-				coop1.applyInvalidation(&subConn{home: "home:80"}, invalUpdate, "/page.html")
+				coop1.applyInvalidation(&subConn{home: "home:80"}, invalUpdate, invDoc{name: "/page.html"})
+				return coop1
+			}},
+		{name: "shipped copy",
+			setup: func(t *testing.T, w *testWorld, home, coop1, coop2 *Server) {
+				home.migrate("/page.html", "coop1:81")
+				lazyFetch(t, coop1)
+			},
+			admit: func(t *testing.T, w *testWorld, home, coop1, coop2 *Server) *Server {
+				quietUpdate(t, home)
+				body, hash, err := home.renderCopy("/page.html", home.ldg.Generation("/page.html"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				coop1.applyInvalidation(&subConn{home: "home:80"}, invalUpdate, invDoc{name: "/page.html", hash: hash, body: body})
 				return coop1
 			}},
 	}
@@ -246,11 +260,11 @@ func TestCopyTransitions(t *testing.T) {
 			return coop1
 		}},
 		{name: "pushed delete", drop: func(t *testing.T, home, coop1, coop2 *Server) *Server {
-			coop1.applyInvalidation(&subConn{home: "home:80"}, invalDelete, "/page.html")
+			coop1.applyInvalidation(&subConn{home: "home:80"}, invalDelete, invDoc{name: "/page.html"})
 			return coop1
 		}},
 		{name: "pushed revoke", drop: func(t *testing.T, home, coop1, coop2 *Server) *Server {
-			coop1.applyInvalidation(&subConn{home: "home:80"}, invalRevoke, "/page.html")
+			coop1.applyInvalidation(&subConn{home: "home:80"}, invalRevoke, invDoc{name: "/page.html"})
 			return coop1
 		}},
 		{name: "fetch 301", drop: func(t *testing.T, home, coop1, coop2 *Server) *Server {

@@ -392,7 +392,7 @@ func (s *Server) validateOne(key string) string {
 		// keeping the hedge-sibling list fresh between fetches.
 		s.absorbReplicas(key, resp.Header)
 	case ValidRefreshed:
-		if err := s.admitCopy(key, resp.Body, resp.Header); err != nil {
+		if err := s.admitCopy(key, resp.Body, headerHash(resp.Header), resp.Header); err != nil {
 			s.log.Printf("dcws %s: refresh %s: %v", s.Addr(), key, err)
 			return "error"
 		}

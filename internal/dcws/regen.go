@@ -106,8 +106,11 @@ func (s *Server) linkMapping(name string, doc *hypertext.Document, forMigration 
 				continue
 			}
 		} else {
-			coopAddr := s.pickReplica(target)
-			coop, err := naming.ParseOrigin(coopAddr)
+			referrer := ""
+			if forMigration {
+				referrer = name
+			}
+			coop, err := naming.ParseOrigin(s.pickReplica(target, referrer))
 			if err != nil {
 				continue
 			}
@@ -155,7 +158,7 @@ func (s *Server) regenerate(name string, gen uint64) ([]byte, error) {
 	}
 	s.ldg.ClearDirty(name)
 	s.stats.Rebuilds.Inc()
-	s.rcache.put(name, renderHome, gen, data, 0)
+	s.rcache.put(name, gen, data)
 	return data, nil
 }
 
@@ -206,10 +209,18 @@ func (s *Server) migrationCopy(name string, doc *hypertext.Document, data []byte
 }
 
 // pickReplica returns the co-op address to use for the next reference to a
-// migrated document: the replica table's rotation (ReplicaTable.Pick), or
-// the document's location when no replica set is recorded.
-func (s *Server) pickReplica(name string) string {
-	if rep := s.replicas.Pick(name); rep != "" {
+// migrated document: the replica table's rotation (ReplicaTable.Pick), or,
+// in the co-op copy of referrer, the replica that referrer always names
+// (ReplicaTable.PickFor); the document's location when no replica set is
+// recorded.
+func (s *Server) pickReplica(name, referrer string) string {
+	var rep string
+	if referrer != "" {
+		rep = s.replicas.PickFor(name, referrer)
+	} else {
+		rep = s.replicas.Pick(name)
+	}
+	if rep != "" {
 		return rep
 	}
 	loc, _ := s.ldg.Location(name)

@@ -133,7 +133,7 @@ func (s *Server) handleReplicate(req *httpx.Request) *httpx.Response {
 	}
 	// A pushed copy arrives unasked, so it makes its own record.
 	s.coops.Host(c.key)
-	if err := s.admitCopy(c.key, req.Body, req.Header); err != nil {
+	if err := s.admitCopy(c.key, req.Body, headerHash(req.Header), req.Header); err != nil {
 		return status(500, err.Error())
 	}
 	s.tel.replicateStored.Inc()

@@ -198,6 +198,10 @@ type Server struct {
 	// set names it; hostsCopy lets it.
 	pushMu  sync.RWMutex
 	pushing map[string][]string
+	// fetching: co-op key -> the lazy fetch in flight for it, which
+	// concurrent first touches of the key wait for (fetchOnce).
+	fetchMu  sync.Mutex
+	fetching map[string]*fetchCall
 
 	// capMu guards the measured service capacity (docs/s) and the serve-
 	// histogram totals the per-tick delta is computed against. See
@@ -387,6 +391,7 @@ func New(cfg Config) (*Server, error) {
 		wal:      wlog,
 		replicas: replicas,
 		pushing:  make(map[string][]string),
+		fetching: make(map[string]*fetchCall),
 		stopped:  make(chan struct{}),
 	}
 	if wlog != nil {
@@ -672,16 +677,19 @@ func (s *Server) UpdateDocument(name string, content []byte) error {
 			return err
 		}
 	}
-	if s.copiesOut(cleaned) {
-		data := body
-		if doc != nil {
-			data = s.migrationCopy(cleaned, doc, body)
-		}
-		s.rcache.put(cleaned, renderMigration, gen, data, contentHash(data))
-	}
 	// Push invalidation: subscribed co-ops learn of the change now, not at
-	// their next validation tick.
-	s.hub.push(invalUpdate, []string{cleaned}, nil)
+	// their next validation tick, and receive the co-op copy with it.
+	// Only its hash stays here.
+	var cp *shippedCopy
+	if s.copiesOut(cleaned) {
+		cp = &shippedCopy{gen: gen, body: body}
+		if doc != nil {
+			cp.body = s.migrationCopy(cleaned, doc, body)
+		}
+		cp.hash = contentHash(cp.body)
+		s.rcache.putCopyHash(cleaned, gen, cp.hash)
+	}
+	s.hub.pushUpdate(cleaned, cp)
 	return nil
 }
 

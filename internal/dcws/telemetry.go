@@ -99,6 +99,7 @@ type serverTelemetry struct {
 	// warm-document T_home path.
 	invalPushes       *telemetry.Counter
 	invalAcks         *telemetry.Counter
+	invalCopies       *telemetry.Counter
 	invalReceived     *telemetry.Counter
 	invalReconnects   *telemetry.Counter
 	invalLeaseExpired *telemetry.Counter
@@ -196,6 +197,8 @@ func newServerTelemetry() *serverTelemetry {
 		"invalidation frames pushed to subscribed co-ops by this home server")
 	t.invalAcks = reg.Counter("dcws_invalidate_acks_total",
 		"invalidation acks received back from subscribed co-ops")
+	t.invalCopies = reg.Counter("dcws_invalidate_copies_total",
+		"invalidation frames that shipped the updated co-op copy itself")
 	t.invalReceived = reg.Counter("dcws_invalidate_received_total",
 		"invalidation frames received over home subscription channels")
 	t.invalReconnects = reg.Counter("dcws_invalidate_reconnects_total",

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
 // Frame codec for upgraded (hijacked) connections. After a 101 handshake
@@ -16,8 +17,10 @@ import (
 // upgraded connection can use the same two functions.
 
 // MaxFramePayload bounds a single frame's payload. Invalidation frames
-// carry document names and hashes, not bodies, so 1 MiB is generous; the
-// cap keeps a corrupt or hostile length prefix from ballooning a read.
+// carry document names and hashes, and an update's frame the updated
+// co-op copy as well; a copy that would not fit travels as its name alone
+// and is fetched instead, so 1 MiB bounds the frame, not the documents.
+// The cap keeps a corrupt or hostile length prefix from ballooning a read.
 const MaxFramePayload = 1 << 20
 
 // ErrFrameTooLarge is returned when a frame's declared payload length
@@ -25,7 +28,8 @@ const MaxFramePayload = 1 << 20
 var ErrFrameTooLarge = errors.New("httpx: frame payload too large")
 
 // WriteFrame writes one frame to w: type byte, uvarint payload length,
-// payload bytes. A nil payload writes a zero-length frame.
+// payload bytes, as one vectored write (writeBuffers). A nil payload
+// writes a zero-length frame.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload) > MaxFramePayload {
 		return ErrFrameTooLarge
@@ -33,15 +37,12 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	var hdr [1 + binary.MaxVarintLen64]byte
 	hdr[0] = typ
 	n := binary.PutUvarint(hdr[1:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:1+n]); err != nil {
-		return err
-	}
+	bufs := net.Buffers{hdr[:1+n]}
 	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
+		bufs = append(bufs, payload)
 	}
-	return nil
+	_, err := writeBuffers(w, &bufs)
+	return err
 }
 
 // ReadFrame reads one frame from br. It blocks until a full frame arrives

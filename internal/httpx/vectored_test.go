@@ -1,6 +1,7 @@
 package httpx
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -222,6 +223,24 @@ func TestWriteRequestVectored(t *testing.T) {
 	}
 	if !bytes.Equal(<-got, want) {
 		t.Error("request bytes on the wire differ from the expected serialization")
+	}
+}
+
+// TestWriteFrameOneWrite: a frame's header and payload leave in one
+// vectored write, and read back as the frame that was written.
+func TestWriteFrameOneWrite(t *testing.T) {
+	cli, srv := tcpPair(t)
+	cc := &callCounter{countingConn: &countingConn{Conn: cli}}
+	payload := patternBody(64 << 10)
+	if err := WriteFrame(cc, 2, payload); err != nil {
+		t.Fatal(err)
+	}
+	if cc.writes != 0 || cc.vectored != 1 {
+		t.Errorf("%d writes, %d vectored writes, want exactly one vectored write", cc.writes, cc.vectored)
+	}
+	typ, got, err := ReadFrame(bufio.NewReader(srv))
+	if err != nil || typ != 2 || !bytes.Equal(got, payload) {
+		t.Fatalf("read back type %d, %d bytes, %v; want type 2 and the payload", typ, len(got), err)
 	}
 }
 

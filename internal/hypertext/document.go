@@ -140,7 +140,12 @@ func (d *Document) Rewrite(mapping map[string]string) int {
 // Render serializes the document back to HTML. Tokens that were not
 // modified render as their original bytes, so Render(Parse(x)) == x.
 func (d *Document) Render() string {
+	size := 0
+	for i := range d.tokens {
+		size += d.tokens[i].renderedLen()
+	}
 	var b strings.Builder
+	b.Grow(size)
 	for i := range d.tokens {
 		d.tokens[i].render(&b)
 	}

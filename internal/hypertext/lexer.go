@@ -9,7 +9,10 @@ import (
 // preserved as text rather than rejected, so serving a quirky document
 // never fails.
 func Tokenize(src string) []Token {
-	var tokens []Token
+	// Every token but text starts at a '<', and text tokens never follow
+	// one another, so 2·count('<')+1 tokens is the most src can yield: one
+	// allocation holds them all.
+	tokens := make([]Token, 0, 2*strings.Count(src, "<")+1)
 	i := 0
 	n := len(src)
 	textStart := 0
@@ -22,8 +25,11 @@ func Tokenize(src string) []Token {
 
 	for i < n {
 		if src[i] != '<' {
-			i++
-			continue
+			next := strings.IndexByte(src[i:], '<')
+			if next < 0 {
+				break
+			}
+			i += next
 		}
 		// Comment?
 		if strings.HasPrefix(src[i:], "<!--") {

@@ -81,6 +81,18 @@ func (t *Token) SetAttr(name, value string) bool {
 	return false
 }
 
+// renderedLen is the length of the token's HTML form (render).
+func (t *Token) renderedLen() int {
+	if !t.modified {
+		return len(t.Raw)
+	}
+	n := len("</") + len(t.Name) + len(" />")
+	for _, a := range t.Attrs {
+		n += len(" ") + len(a.Name) + len(`=""`) + len(a.Value)
+	}
+	return n
+}
+
 // render writes the token's HTML form to b.
 func (t *Token) render(b *strings.Builder) {
 	if !t.modified {
