@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"dcws/internal/clock"
 	"dcws/internal/glt"
 	"dcws/internal/graph"
 	"dcws/internal/httpx"
@@ -26,6 +27,9 @@ import (
 // and propagated on any inter-server RPC issued while serving, so the
 // spans recorded across the cluster for one logical request share one ID.
 func (s *Server) handle(req *httpx.Request) *httpx.Response {
+	if req.Start.IsZero() {
+		req.Start = time.Now() // called directly, not through httpx.Server
+	}
 	pig := s.absorbPiggyback(req.Header)
 	from := pig.From
 	traceID := req.Header.Get(telemetry.TraceHeader)
@@ -38,8 +42,7 @@ func (s *Server) handle(req *httpx.Request) *httpx.Response {
 	parent := req.Header.Get(telemetry.ParentHeader)
 	spanID := telemetry.NewSpanID()
 	op, hist := s.classifyServe(req)
-	start := time.Now()
-	startClk := s.now()
+	startClk := s.requestClock(req)
 	var resp *httpx.Response
 	switch {
 	case req.Path == pingPath:
@@ -84,7 +87,7 @@ func (s *Server) handle(req *httpx.Request) *httpx.Response {
 	}
 	resp.Header.Set(telemetry.TraceHeader, traceID)
 	if op != "" {
-		d := time.Since(start)
+		d := time.Since(req.Start)
 		hist.ObserveTrace(d, traceID)
 		s.tel.record(telemetry.Span{
 			TraceID:  traceID,
@@ -110,10 +113,20 @@ func (s *Server) handle(req *httpx.Request) *httpx.Response {
 			Peer:     from,
 			Status:   resp.Status,
 			Start:    startClk,
-			Duration: time.Since(start),
+			Duration: time.Since(req.Start),
 		})
 	}
 	return resp
+}
+
+// requestClock is the server-clock reading for work done serving req. On
+// the real clock it is req.Start, read by the wire layer when the request
+// took its worker slot; any other clock (Manual, Scaled) is read afresh.
+func (s *Server) requestClock(req *httpx.Request) time.Time {
+	if _, ok := s.cfg.Clock.(clock.Real); ok {
+		return req.Start
+	}
+	return s.now()
 }
 
 // classifyServe names the document-serving operation a request performs
@@ -266,7 +279,7 @@ func (s *Server) serveAsHome(req *httpx.Request) *httpx.Response {
 			resp.Header.Set("Location", url)
 			resp.Body = []byte("moved to " + url + "\n")
 			s.stats.Redirects.Inc()
-			s.stats.ObserveRequest(s.now(), int64(len(resp.Body)))
+			s.stats.ObserveRequest(s.requestClock(req), int64(len(resp.Body)))
 			return resp
 		}
 		// Revoked between the ServeInfo snapshot and the replica lookup:
@@ -279,7 +292,7 @@ func (s *Server) serveAsHome(req *httpx.Request) *httpx.Response {
 		return loadFailure(name, err)
 	}
 	s.ldg.RecordHit(name)
-	return s.respond(req.Method, name, b)
+	return s.respond(req.Method, name, b, s.requestClock(req))
 }
 
 // docBody is a document body on its way into a response: shared bytes,
@@ -311,9 +324,10 @@ func (s *Server) loadStored(key string, size int64) (docBody, error) {
 }
 
 // respond answers a GET or HEAD for the document name with b and counts
-// the bytes served. A file body is closed here for a HEAD, and by the HTTP
-// server once a GET's response has been written.
-func (s *Server) respond(method, name string, b docBody) *httpx.Response {
+// the request and the bytes served at server-clock time at. A file body is
+// closed here for a HEAD, and by the HTTP server once a GET's response has
+// been written.
+func (s *Server) respond(method, name string, b docBody, at time.Time) *httpx.Response {
 	resp := httpx.NewResponse(200)
 	resp.Header.Set("Content-Type", httpx.ContentTypeFor(name))
 	switch {
@@ -329,7 +343,7 @@ func (s *Server) respond(method, name string, b docBody) *httpx.Response {
 	default:
 		resp.Body = b.data
 	}
-	s.stats.ObserveRequest(s.now(), b.size)
+	s.stats.ObserveRequest(at, b.size)
 	return resp
 }
 
@@ -461,14 +475,13 @@ func (s *Server) serveAsCoop(req *httpx.Request, traceID, spanID string) *httpx.
 		// copy. A hedge probe must never recurse into a fetch of its own —
 		// the sibling is likely asking us precisely because the home server
 		// is stalled.
-		return s.serveHedged(key, docName)
+		return s.serveHedged(req, key, docName)
 	}
 
 	// One critical section per request: lookup (creating the record for a
 	// first-touch lazy migration), the windowHit bump, the LRU re-ordering
 	// and the co-op core's decision all happen inside Coop.Touch.
-	now := s.now()
-	v, act := s.coops.Touch(key, now)
+	v, act := s.coops.Touch(key, s.requestClock(req))
 	switch act {
 	case CoopValidate:
 		// The copy's lease expired without renewal — the home is
@@ -502,7 +515,7 @@ func (s *Server) serveAsCoop(req *httpx.Request, traceID, spanID string) *httpx.
 			return status(500, err.Error())
 		}
 	}
-	return s.respond(req.Method, docName, b)
+	return s.respond(req.Method, docName, b, s.requestClock(req))
 }
 
 // serveHedged answers a sibling replica's hedged fetch for a document both
@@ -510,7 +523,7 @@ func (s *Server) serveAsCoop(req *httpx.Request, traceID, spanID string) *httpx.
 // its validator hash so the requester can store it exactly as it would a
 // home fetch. Absence is a plain 404 — the requester's primary leg against
 // the home server remains its path to the bytes.
-func (s *Server) serveHedged(key, docName string) *httpx.Response {
+func (s *Server) serveHedged(req *httpx.Request, key, docName string) *httpx.Response {
 	v, ok := s.coops.View(key)
 	if !ok || !v.Present {
 		return status(404, "no local copy")
@@ -520,8 +533,8 @@ func (s *Server) serveHedged(key, docName string) *httpx.Response {
 		s.coops.markAbsent(key)
 		return status(404, "no local copy")
 	}
-	s.coops.Touch(key, s.now()) // the hit counts; a present copy is served as is
-	resp := s.respond("GET", docName, b)
+	s.coops.Touch(key, s.requestClock(req)) // the hit counts; a present copy is served as is
+	resp := s.respond("GET", docName, b, s.requestClock(req))
 	resp.Header.Set(headerValidate, strconv.FormatUint(v.Hash, 16))
 	return resp
 }

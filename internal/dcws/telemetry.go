@@ -143,7 +143,7 @@ func newServerTelemetry() *serverTelemetry {
 	t.queueWait = reg.Histogram("dcws_httpx_queue_wait_seconds",
 		"time accepted connections waited in the socket queue for a worker")
 	t.reqSeconds = reg.Histogram("dcws_httpx_request_seconds",
-		"request-parsed to response-written latency at the wire layer")
+		"worker-slot to response-written latency at the wire layer")
 
 	t.serveHome = reg.Histogram("dcws_serve_seconds",
 		"document-serving latency by role", telemetry.Label{Key: "kind", Value: "home"})

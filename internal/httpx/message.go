@@ -14,6 +14,7 @@ import (
 	"net"
 	"os"
 	"strings"
+	"time"
 )
 
 // Header is a case-insensitive header map. Keys are stored canonicalized
@@ -134,6 +135,11 @@ type Request struct {
 	// RemoteAddr is filled in by the server for handler use. It stays a
 	// net.Addr so that only whoever needs the text pays to format it.
 	RemoteAddr net.Addr
+	// Start is the server's clock reading taken when the request got its
+	// worker slot, before it was parsed: handlers time themselves and
+	// count the request from it instead of reading the clock again. It is
+	// zero on a request that did not come through a Server.
+	Start time.Time
 }
 
 // NewRequest returns a GET request for path with an empty header map.

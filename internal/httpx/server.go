@@ -39,7 +39,8 @@ type Observer interface {
 	QueueWait(d time.Duration)
 	// Request reports one completed exchange: the response status, the
 	// bytes read from and written to the connection while serving it, and
-	// the request-parsed-to-response-written latency.
+	// the latency from the request taking its worker slot (before it is
+	// parsed) to its response written.
 	Request(status int, bytesIn, bytesOut int64, d time.Duration)
 }
 
@@ -54,8 +55,9 @@ type ServerConfig struct {
 	// are dropped gracefully with a 503 response.
 	QueueLength int
 	// ReadTimeout bounds how long a connection may take to deliver each
-	// request, idle time before it included: an idle kept-alive
-	// connection is closed after it (default 30s).
+	// request, idle time before it included, and to take each response:
+	// an idle kept-alive connection is closed after between 7/8 of it and
+	// all of it (default 30s).
 	ReadTimeout time.Duration
 	// KeepAlive allows multiple requests per connection when the client
 	// asks for it.
@@ -116,7 +118,7 @@ type Server struct {
 	// so it is an atomic rather than under mu.
 	waiting atomic.Int64
 	// done closes when Serve stops; connection goroutines check it after
-	// re-arming their read deadline and while waiting for a slot.
+	// their read-deadline check and while waiting for a slot.
 	done     chan struct{}
 	doneOnce sync.Once
 
@@ -184,8 +186,9 @@ func (s *Server) Serve(l net.Listener) error {
 
 // stop ends service once the accept loop has failed. Closing done stops
 // connections waiting for a slot; expiring every live read deadline wakes
-// those waiting for a request. A connection that re-arms its deadline after
-// the sweep checks done next, so none waits out ReadTimeout.
+// those waiting for a request. A connection checks done right after its
+// lazy re-arm: one that re-armed after the sweep sees done, one that did
+// not finds the sweep's deadline, so none waits out ReadTimeout.
 func (s *Server) stop() {
 	s.doneOnce.Do(func() { close(s.done) })
 	s.mu.Lock()
@@ -266,6 +269,17 @@ func dropConn(conn net.Conn) {
 // it was admitted. Each request waits in the poller holding nothing, counts
 // as waiting once it is ready, is read, handled and written under a worker
 // slot, and gives the slot back before the next one is awaited.
+//
+// The clock is read at each request boundary and nowhere else: in full
+// when the request is ready and when it gets its slot (the queue wait's
+// end and the request's start, passed to the handler as Request.Start),
+// and on the monotonic clock alone when the handler returns and when the
+// response is written. Deadlines are armed from those readings and
+// re-armed only when less than 7/8 of ReadTimeout is left, so every
+// wait-plus-parse and every write runs under a deadline between 7/8 of
+// ReadTimeout and ReadTimeout after it starts, and a busy kept-alive
+// connection moves its timers about once per ReadTimeout/8 instead of
+// twice per request.
 func (s *Server) serveConn(raw net.Conn, at time.Time) {
 	defer s.wg.Done()
 	obs := s.cfg.Observer
@@ -277,13 +291,20 @@ func (s *Server) serveConn(raw net.Conn, at time.Time) {
 	}
 	br := getReader(conn)
 	remote := conn.RemoteAddr()
+	timeout := s.cfg.ReadTimeout
+	minLeft := timeout - timeout/8 // re-arm a deadline with less than this to go
+	var readBy, writeBy time.Time  // the deadlines armed on conn
 	var prevIn, prevOut int64
+	now := at // the latest clock reading
 	for kept := false; ; kept = true {
 		// One read deadline covers the wait for the request and its
-		// parse. done is checked after arming it, here and in acquire: a
+		// parse. done is checked after the re-arm, here and in acquire: a
 		// shutdown sweep that came before is seen there, one that comes
-		// after expires it.
-		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		// after expires the deadline, re-armed or not.
+		if readBy.Sub(now) < minLeft {
+			readBy = now.Add(timeout)
+			conn.SetReadDeadline(readBy)
+		}
 		if kept {
 			if s.stopping() {
 				break
@@ -297,8 +318,9 @@ func (s *Server) serveConn(raw net.Conn, at time.Time) {
 		if !s.acquire() {
 			break
 		}
+		start := time.Now()
 		if obs != nil {
-			obs.QueueWait(time.Since(at))
+			obs.QueueWait(start.Sub(at))
 		}
 		req, err := ReadRequest(br)
 		if err != nil {
@@ -308,8 +330,8 @@ func (s *Server) serveConn(raw net.Conn, at time.Time) {
 			<-s.slots
 			break
 		}
-		start := time.Now()
 		req.RemoteAddr = remote
+		req.Start = start
 		resp := s.dispatch(req)
 		keep := s.cfg.KeepAlive && wantsKeepAlive(req)
 		if keep {
@@ -317,7 +339,10 @@ func (s *Server) serveConn(raw net.Conn, at time.Time) {
 		} else {
 			resp.Header.Set("Connection", "close")
 		}
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		if now = start.Add(time.Since(start)); writeBy.Sub(now) < minLeft {
+			writeBy = now.Add(timeout)
+			conn.SetWriteDeadline(writeBy)
+		}
 		werr := WriteResponse(conn, resp)
 		if resp.File != nil {
 			// Written, failed or cut off by the deadline: the body file's
@@ -325,6 +350,8 @@ func (s *Server) serveConn(raw net.Conn, at time.Time) {
 			// connection.
 			resp.File.Close()
 		}
+		elapsed := time.Since(start)
+		now = start.Add(elapsed)
 		if s.cfg.AccessLog != nil {
 			trace := "-"
 			if s.cfg.TraceHeader != "" {
@@ -334,13 +361,13 @@ func (s *Server) serveConn(raw net.Conn, at time.Time) {
 			}
 			s.cfg.AccessLog.Printf("%s %s %s %d %d %.3fms trace=%s",
 				req.RemoteAddr, req.Method, req.Path, resp.Status,
-				resp.bodySize(), float64(time.Since(start).Microseconds())/1000, trace)
+				resp.bodySize(), float64(elapsed.Microseconds())/1000, trace)
 		}
 		if obs != nil {
 			// Bufio read-ahead may attribute a pipelined follow-up request's
 			// bytes to this exchange; totals stay exact.
 			in, out := cc.in.Load(), cc.out.Load()
-			obs.Request(resp.Status, in-prevIn, out-prevOut, time.Since(start))
+			obs.Request(resp.Status, in-prevIn, out-prevOut, elapsed)
 			prevIn, prevOut = in, out
 		}
 		<-s.slots // the response is written: release the worker slot

@@ -6,14 +6,15 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Counter is a concurrency-safe monotone counter.
 type Counter struct {
-	mu sync.Mutex
-	n  int64
+	n atomic.Int64
 }
 
 // Add increments the counter by delta, which must be non-negative.
@@ -21,20 +22,14 @@ func (c *Counter) Add(delta int64) {
 	if delta < 0 {
 		panic("metrics: negative Counter.Add")
 	}
-	c.mu.Lock()
-	c.n += delta
-	c.mu.Unlock()
+	c.n.Add(delta)
 }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.n.Add(1) }
 
 // Value reports the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
+func (c *Counter) Value() int64 { return c.n.Load() }
 
 // Rate estimates events per second over a sliding window. The paper's load
 // metric ("total number of requests per minute could be used as a
@@ -43,15 +38,9 @@ func (c *Counter) Value() int64 {
 // Events are bucketed by time so memory stays bounded regardless of event
 // volume.
 type Rate struct {
-	mu      sync.Mutex
-	window  time.Duration
-	bucket  time.Duration
-	buckets []rateBucket
-}
-
-type rateBucket struct {
-	start time.Time
-	sum   float64
+	mu     sync.Mutex
+	window time.Duration
+	ring   rateRing
 }
 
 // NewRate returns a rate estimator over the given window. The window is
@@ -60,60 +49,138 @@ func NewRate(window time.Duration) *Rate {
 	if window <= 0 {
 		window = time.Minute
 	}
-	bucket := window / 60
-	if bucket < time.Millisecond {
-		bucket = time.Millisecond
-	}
-	return &Rate{window: window, bucket: bucket}
+	return &Rate{window: window, ring: newRateRing(window)}
 }
 
 // Observe records weight events at time now.
 func (r *Rate) Observe(now time.Time, weight float64) {
+	u := now.UnixNano()
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	start := now.Truncate(r.bucket)
-	n := len(r.buckets)
-	if n > 0 && r.buckets[n-1].start.Equal(start) {
-		r.buckets[n-1].sum += weight
-	} else {
-		r.buckets = append(r.buckets, rateBucket{start: start, sum: weight})
-	}
-	r.evict(now)
+	r.ring.observe(u, weight)
+	r.mu.Unlock()
 }
 
 // PerSecond reports the estimated events per second as of now.
 func (r *Rate) PerSecond(now time.Time) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.evict(now)
-	var sum float64
-	for _, b := range r.buckets {
-		sum += b.sum
-	}
-	return sum / r.window.Seconds()
+	return r.Total(now) / r.window.Seconds()
 }
 
 // Total reports the sum of weights currently inside the window.
 func (r *Rate) Total(now time.Time) float64 {
+	u := now.UnixNano()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.evict(now)
-	var sum float64
-	for _, b := range r.buckets {
-		sum += b.sum
-	}
-	return sum
+	return r.ring.total(u)
 }
 
-func (r *Rate) evict(now time.Time) {
-	cutoff := now.Add(-r.window)
-	i := 0
-	for i < len(r.buckets) && !r.buckets[i].start.After(cutoff) {
-		i++
+// rateRing is a Rate's state without its lock: a fixed ring of buckets
+// addressed by an integer bucket index, so recording an event costs one
+// comparison and one addition, and no division once the current bucket is
+// known. Bucket i covers the Unix nanoseconds [i·bucket − phase,
+// (i+1)·bucket − phase): the boundaries of time.Time.Truncate(bucket),
+// which aligns to the zero Time rather than to the Unix epoch.
+//
+// A bucket counts while it starts after the eviction cutoff, the latest
+// now − window any call has seen, so eviction is permanent. Every live
+// bucket then starts within one window of the newest reading, and
+// ceil(window/bucket) slots hold them all without two sharing a slot.
+type rateRing struct {
+	window, bucket, phase int64 // nanoseconds
+	slots                 []rateBucket
+	newest                int64 // largest bucket index observed
+	cutoff                int64 // buckets starting at or before it are evicted
+	cur, curStart         int64 // the last bucket an observation fell in
+	curSlot               *rateBucket
+}
+
+type rateBucket struct {
+	idx int64 // which bucket the slot holds; math.MinInt64 when none
+	sum float64
+}
+
+func newRateRing(window time.Duration) rateRing {
+	bucket := window / 60
+	if bucket < time.Millisecond {
+		bucket = time.Millisecond
 	}
-	if i > 0 {
-		r.buckets = append(r.buckets[:0], r.buckets[i:]...)
+	epoch := time.Unix(0, 0)
+	r := rateRing{
+		window:   int64(window),
+		bucket:   int64(bucket),
+		phase:    int64(epoch.Sub(epoch.Truncate(bucket))),
+		slots:    make([]rateBucket, (window+bucket-1)/bucket),
+		newest:   math.MinInt64,
+		cutoff:   math.MinInt64,
+		curStart: math.MaxInt64,
 	}
+	for i := range r.slots {
+		r.slots[i].idx = math.MinInt64
+	}
+	return r
+}
+
+// index returns the bucket index of the Unix-nanosecond reading u and its
+// slot. Consecutive readings nearly always fall in the bucket of the one
+// before, which is answered without dividing.
+func (r *rateRing) index(u int64) (int64, *rateBucket) {
+	if u >= r.curStart && u-r.curStart < r.bucket {
+		return r.cur, r.curSlot
+	}
+	v := u + r.phase
+	idx := v / r.bucket
+	if v%r.bucket < 0 {
+		idx--
+	}
+	r.cur, r.curStart, r.curSlot = idx, idx*r.bucket-r.phase, r.slot(idx)
+	return idx, r.curSlot
+}
+
+// slot returns the ring slot of bucket idx.
+func (r *rateRing) slot(idx int64) *rateBucket {
+	n := int64(len(r.slots))
+	i := idx % n
+	if i < 0 {
+		i += n
+	}
+	return &r.slots[i]
+}
+
+// evict moves the cutoff up to u − window; it never moves back.
+func (r *rateRing) evict(u int64) {
+	if c := u - r.window; c > r.cutoff {
+		r.cutoff = c
+	}
+}
+
+func (r *rateRing) observe(u int64, weight float64) {
+	r.evict(u)
+	idx, b := r.index(u)
+	if b.idx == idx {
+		b.sum += weight
+	} else if b.idx < idx {
+		// The slot's bucket is at least a ring older: evicted.
+		*b = rateBucket{idx: idx, sum: weight}
+	} else {
+		return // a ring behind a bucket already seen: evicted
+	}
+	if idx > r.newest {
+		r.newest = idx
+	}
+}
+
+// total sums the live buckets oldest first, as of u.
+func (r *rateRing) total(u int64) float64 {
+	r.evict(u)
+	if r.newest == math.MinInt64 {
+		return 0
+	}
+	var sum float64
+	for idx := r.newest - int64(len(r.slots)) + 1; idx <= r.newest; idx++ {
+		if b := r.slot(idx); b.idx == idx && idx*r.bucket-r.phase > r.cutoff {
+			sum += b.sum
+		}
+	}
+	return sum
 }
 
 // Sample is one point in a time series.
@@ -194,28 +261,45 @@ type ServerStats struct {
 	Fetches     Counter // internal home-to-coop document fetches
 	Rebuilds    Counter // documents reparsed and reconstructed (dirty bit)
 
-	cps *Rate
-	bps *Rate
+	// mu guards both rate rings: a request updates CPS and BPS in one
+	// critical section.
+	mu  sync.Mutex
+	cps rateRing
+	bps rateRing
 }
 
 // NewServerStats returns stats with rate windows of the given width.
 func NewServerStats(window time.Duration) *ServerStats {
-	return &ServerStats{cps: NewRate(window), bps: NewRate(window)}
+	if window <= 0 {
+		window = time.Minute
+	}
+	return &ServerStats{cps: newRateRing(window), bps: newRateRing(window)}
 }
 
 // ObserveRequest records one served request of size bytes at time now.
 func (s *ServerStats) ObserveRequest(now time.Time, bytes int64) {
 	s.Connections.Inc()
 	s.Bytes.Add(bytes)
-	s.cps.Observe(now, 1)
-	s.bps.Observe(now, float64(bytes))
+	u := now.UnixNano()
+	s.mu.Lock()
+	s.cps.observe(u, 1)
+	s.bps.observe(u, float64(bytes))
+	s.mu.Unlock()
 }
 
 // CPS reports connections per second over the sliding window.
-func (s *ServerStats) CPS(now time.Time) float64 { return s.cps.PerSecond(now) }
+func (s *ServerStats) CPS(now time.Time) float64 { return s.perSecond(&s.cps, now) }
 
 // BPS reports bytes per second over the sliding window.
-func (s *ServerStats) BPS(now time.Time) float64 { return s.bps.PerSecond(now) }
+func (s *ServerStats) BPS(now time.Time) float64 { return s.perSecond(&s.bps, now) }
+
+func (s *ServerStats) perSecond(r *rateRing, now time.Time) float64 {
+	u := now.UnixNano()
+	s.mu.Lock()
+	sum := r.total(u)
+	s.mu.Unlock()
+	return sum / time.Duration(r.window).Seconds()
+}
 
 // LoadMetric reports the server's current load for the global load table.
 // Per the paper's discussion (§5.3) the default metric is CPS; BPS can be

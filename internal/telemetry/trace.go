@@ -1,8 +1,10 @@
 package telemetry
 
 import (
-	crand "crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
+	"math/rand/v2"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -23,15 +25,15 @@ const ParentHeader = "X-DCWS-Parent"
 
 // tracePrefix is a per-process random component so trace IDs minted by
 // different servers never collide; traceSeq disambiguates within the
-// process without a syscall per request.
+// process without a syscall per request. The runtime seeds math/rand/v2's
+// global source from the operating system's entropy, which is all a
+// collision-avoiding prefix needs, and it keeps the crypto packages out
+// of every binary that records spans.
 var (
 	tracePrefix = func() string {
-		var b [6]byte
-		if _, err := crand.Read(b[:]); err != nil {
-			// Degraded mode: IDs stay unique within the process.
-			return "00dcws000000"
-		}
-		return hex.EncodeToString(b[:])
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], rand.Uint64())
+		return hex.EncodeToString(b[:6])
 	}()
 	traceSeq atomic.Uint64
 	spanSeq  atomic.Uint64
@@ -113,23 +115,22 @@ func (s Span) Child(op string) Span {
 	return Span{TraceID: s.TraceID, ID: NewSpanID(), ParentID: s.ID, Server: s.Server, Op: op}
 }
 
-// MaxTraceSpans bounds how many spans of a single trace the ring indexes:
-// a pathological trace (e.g. a retry storm reusing one ID) cannot grow its
-// index entry without bound. Older spans of the trace stay in the ring
-// buffer but drop out of the by-trace index.
+// MaxTraceSpans bounds how many spans of a single trace ByTrace returns:
+// a pathological trace (e.g. a retry storm reusing one ID) yields only its
+// newest MaxTraceSpans spans. Older ones stay in the ring buffer.
 const MaxTraceSpans = 128
 
 // Ring is a bounded, concurrency-safe buffer of recent spans. When full,
 // new spans overwrite the oldest — memory stays constant no matter how
-// long the server runs. A trace-ID index is maintained on every record and
-// overwrite, so ByTrace is O(spans of that trace), not O(capacity).
+// long the server runs. Recording writes one slot and keeps no index:
+// spans are recorded on every request and looked up by trace only when an
+// operator asks, so ByTrace scans the ring instead.
 type Ring struct {
 	mu    sync.Mutex
 	buf   []Span
 	next  int
 	full  bool
 	total int64
-	index map[string][]int
 }
 
 // DefaultRingSize is the span capacity used when none is configured.
@@ -141,26 +142,13 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRingSize
 	}
-	return &Ring{buf: make([]Span, capacity), index: make(map[string][]int)}
+	return &Ring{buf: make([]Span, capacity)}
 }
 
 // Record appends one span, overwriting the oldest when full.
 func (r *Ring) Record(s Span) {
 	r.mu.Lock()
-	slot := r.next
-	if r.full {
-		r.unindex(r.buf[slot].TraceID, slot)
-	}
-	r.buf[slot] = s
-	if s.TraceID != "" {
-		slots := r.index[s.TraceID]
-		if len(slots) >= MaxTraceSpans {
-			// Bound the per-trace index: forget the trace's oldest span.
-			copy(slots, slots[1:])
-			slots = slots[:len(slots)-1]
-		}
-		r.index[s.TraceID] = append(slots, slot)
-	}
+	r.buf[r.next] = s
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
@@ -168,27 +156,6 @@ func (r *Ring) Record(s Span) {
 	}
 	r.total++
 	r.mu.Unlock()
-}
-
-// unindex removes one slot from a trace's index entry, preserving order.
-// The slot may already be absent when the per-trace bound evicted it.
-func (r *Ring) unindex(trace string, slot int) {
-	if trace == "" {
-		return
-	}
-	slots := r.index[trace]
-	for i, sl := range slots {
-		if sl == slot {
-			copy(slots[i:], slots[i+1:])
-			slots = slots[:len(slots)-1]
-			break
-		}
-	}
-	if len(slots) == 0 {
-		delete(r.index, trace)
-	} else {
-		r.index[trace] = slots
-	}
 }
 
 // Snapshot returns the retained spans, oldest first.
@@ -206,19 +173,29 @@ func (r *Ring) Snapshot() []Span {
 	return out
 }
 
-// ByTrace returns the retained spans of one trace, oldest first, via the
-// index — O(spans of the trace) under the lock.
+// ByTrace returns the newest MaxTraceSpans retained spans of one trace,
+// oldest first. It scans the ring newest first under the lock.
 func (r *Ring) ByTrace(id string) []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	slots := r.index[id]
-	if len(slots) == 0 {
+	if id == "" {
 		return nil
 	}
-	out := make([]Span, len(slots))
-	for i, sl := range slots {
-		out[i] = r.buf[sl]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.next
+	if r.full {
+		n = len(r.buf)
 	}
+	var out []Span
+	for i := 1; i <= n && len(out) < MaxTraceSpans; i++ {
+		j := r.next - i
+		if j < 0 {
+			j += len(r.buf)
+		}
+		if r.buf[j].TraceID == id {
+			out = append(out, r.buf[j])
+		}
+	}
+	slices.Reverse(out)
 	return out
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // TestRingWraparoundIndex drives the ring through several full wraps and
-// checks the by-trace index against a straight scan of the snapshot: every
-// trace must yield exactly its retained spans, oldest first, and traces
-// fully overwritten must vanish from the index.
+// checks ByTrace against a straight scan of the snapshot: every trace must
+// yield exactly its retained spans, oldest first, and traces fully
+// overwritten must vanish from its answers.
 func TestRingWraparoundIndex(t *testing.T) {
 	r := NewRing(8)
 	traces := []string{"t-a", "t-b", "t-c"}
@@ -44,7 +44,7 @@ func TestRingWraparoundIndex(t *testing.T) {
 			}
 		}
 	}
-	// A trace whose spans were all overwritten must be gone from the index.
+	// A trace whose spans were all overwritten must be gone.
 	r2 := NewRing(4)
 	r2.Record(NewSpan("gone", "", "srv", "op"))
 	for i := 0; i < 4; i++ {
@@ -59,8 +59,8 @@ func TestRingWraparoundIndex(t *testing.T) {
 }
 
 // TestRingPerTraceBound: one trace recording far more spans than
-// MaxTraceSpans keeps only the newest MaxTraceSpans entries in its index —
-// a retry storm reusing one ID cannot grow the index without bound.
+// MaxTraceSpans yields only its newest MaxTraceSpans spans from ByTrace —
+// a retry storm reusing one ID cannot flood a trace lookup.
 func TestRingPerTraceBound(t *testing.T) {
 	r := NewRing(MaxTraceSpans * 4)
 	n := MaxTraceSpans + 50
@@ -83,9 +83,9 @@ func TestRingPerTraceBound(t *testing.T) {
 }
 
 // TestRingConcurrentSoak hammers one small ring from writer and reader
-// goroutines so it wraps constantly while snapshots and index lookups run;
-// under -race this doubles as the data-race soak for the index
-// maintenance in Record/unindex.
+// goroutines so it wraps constantly while snapshots and by-trace scans
+// run; under -race this doubles as the data-race soak for Record against
+// ByTrace.
 func TestRingConcurrentSoak(t *testing.T) {
 	r := NewRing(16)
 	traces := []string{"t-0", "t-1", "t-2", "t-3"}
@@ -158,5 +158,27 @@ func TestFormatIDMatchesSprintf(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = NewSpanID() }); n > 1 {
 		t.Errorf("NewSpanID allocates %v times, want only the result string", n)
+	}
+}
+
+// TestRingRecordAllocatesNothing: recording a span writes one slot of the
+// ring and allocates nothing, full ring or not.
+func TestRingRecordAllocatesNothing(t *testing.T) {
+	r := NewRing(64)
+	sp := NewSpan("t-alloc", "", "srv", "serve-home")
+	if n := testing.AllocsPerRun(1000, func() { r.Record(sp) }); n != 0 {
+		t.Errorf("Record allocates %v times per span", n)
+	}
+}
+
+func BenchmarkRingRecord(b *testing.B) {
+	r := NewRing(DefaultRingSize)
+	spans := make([]Span, 64)
+	for i := range spans {
+		spans[i] = NewSpan(NewTraceID(), "", "srv", "serve-home")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Record(spans[i%len(spans)])
 	}
 }
